@@ -55,5 +55,4 @@ for step in range(6):
     cur = apply_move(cur, move, site)
     print(f"  {move:10s} -> {trip_permutation(cur)}")
 
-print("\nbounded reducedness search on the quadrilateral graph:",
-      is_reduced(G, depth=50, size_slack=1))
+print("\ntrip-criterion reducedness of the quadrilateral graph:", is_reduced(G))

@@ -125,20 +125,18 @@ def amp_map(C, Z: ZMatrix) -> AmplituhedronPoint:
     return AmplituhedronPoint(Y, k, Z.p - k, source)
 
 
-def _twistor_of_matrix(Y: RatMatrix, Z: ZMatrix, I: Sequence[int]) -> Fraction:
-    rows = [list(Y.row(r)) for r in range(Y.rows)]
-    for i in I:
-        rows.append(list(Z.row(i)))
-    return det(RatMatrix.from_rows(rows))
-
-
 def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
-    """Determinant of Y's rows stacked over the rows of Z named by I."""
+    """Determinant of Y's rows stacked over the rows of Z named by I, in
+    the given order.  A twisted row Z.hat_row(i) in place of Z_i only
+    multiplies it by (-1)^(p-1)."""
     if isinstance(Y, AmplituhedronPoint):
         Y = Y.Y
     if len(I) != Z.p - Y.rows:
         raise ValueError("index set has the wrong size")
-    return _twistor_of_matrix(Y, Z, I)
+    rows = [list(Y.row(r)) for r in range(Y.rows)]
+    for i in I:
+        rows.append(list(Z.row(i)))
+    return det(RatMatrix.from_rows(rows))
 
 
 def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
@@ -161,7 +159,7 @@ def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
     if isinstance(Y, AmplituhedronPoint):
         Y = Y.Y
     m = Z.p - Y.rows
-    return {I: _twistor_of_matrix(Y, Z, I) for I in subsets(Z.n, m)}
+    return {I: twistor(Y, Z, I) for I in subsets(Z.n, m)}
 
 
 def twistor_table_json(table) -> dict[str, str]:
@@ -184,7 +182,7 @@ def m1_membership(Y, Z: ZMatrix) -> bool:
     k = Y.rows
     if Z.p != k + 1:
         raise ValueError("m1 test needs p = k + 1")
-    seq = [_twistor_of_matrix(Y, Z, (i,)) for i in range(1, Z.n + 1)]
+    seq = [twistor(Y, Z, (i,)) for i in range(1, Z.n + 1)]
     return varbar(seq) == k
 
 
@@ -198,18 +196,12 @@ def m2_interior_test(Y, Z: ZMatrix) -> bool:
         raise ValueError("m2 test needs p = k + 2")
     n = Z.n
     for i in range(1, n):
-        if _twistor_of_matrix(Y, Z, (i, i + 1)) <= 0:
+        if twistor(Y, Z, (i, i + 1)) <= 0:
             return False
-    wrapped = _twistor_rows(Y, [list(Z.row(n)), list(Z.hat_row(1))])
-    if wrapped <= 0:
+    if (-1) ** (Z.p - 1) * twistor(Y, Z, (n, 1)) <= 0:
         return False
-    seq = [_twistor_of_matrix(Y, Z, (1, j)) for j in range(2, n + 1)]
+    seq = [twistor(Y, Z, (1, j)) for j in range(2, n + 1)]
     return var(seq) == k
-
-
-def _twistor_rows(Y: RatMatrix, extra_rows: list[list[Fraction]]) -> Fraction:
-    rows = [list(Y.row(r)) for r in range(Y.rows)] + extra_rows
-    return det(RatMatrix.from_rows(rows))
 
 
 def _consecutive_pair_sets(lo: int, hi: int, r: int) -> list[tuple[int, ...]]:
@@ -244,22 +236,20 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     r = m // 2
     if m % 2 == 0:
         for I in _consecutive_pair_sets(1, n, r):
-            if _twistor_of_matrix(Y, Z, I) <= 0:
+            if twistor(Y, Z, I) <= 0:
                 return False
         for I in _consecutive_pair_sets(2, n - 1, r - 1):
-            val = _twistor_rows(Y, [list(Z.row(i)) for i in I]
-                                + [list(Z.row(n)), list(Z.hat_row(1))])
-            if val <= 0:
+            if (-1) ** (Z.p - 1) * twistor(Y, Z, I + (n, 1)) <= 0:
                 return False
     else:
         sign_k = Fraction(-1) ** k
         for I in _consecutive_pair_sets(2, n, r):
-            if sign_k * _twistor_of_matrix(Y, Z, (1,) + I) <= 0:
+            if sign_k * twistor(Y, Z, (1,) + I) <= 0:
                 return False
         for I in _consecutive_pair_sets(1, n - 1, r):
-            if _twistor_of_matrix(Y, Z, I + (n,)) <= 0:
+            if twistor(Y, Z, I + (n,)) <= 0:
                 return False
-    seq = [_twistor_of_matrix(Y, Z, tuple(range(1, m)) + (j,))
+    seq = [twistor(Y, Z, tuple(range(1, m)) + (j,))
            for j in range(m, n + 1)]
     return var(seq) == k
 
@@ -275,7 +265,7 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
         Y = Y.Y
     on_boundary = False
     for h, j in arcs_of(T):
-        val = Fraction(-1) ** area(T, h, j) * _twistor_of_matrix(Y, Z, (h, j))
+        val = Fraction(-1) ** area(T, h, j) * twistor(Y, Z, (h, j))
         if val < 0:
             return False
         if val == 0:
@@ -300,11 +290,11 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
         seq = []
         for j in range(1, n + 1):
             if j < a:
-                val = _twistor_rows(Y, [list(Z.row(a)), list(Z.hat_row(j))])
+                val = (-1) ** (Z.p - 1) * twistor(Y, Z, (a, j))
             elif j == a:
                 val = Fraction(0)
             else:
-                val = _twistor_of_matrix(Y, Z, (a, j))
+                val = twistor(Y, Z, (a, j))
             seq.append(val)
         if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
             return "boundary"
@@ -380,14 +370,10 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     rng = Random(seed)
     points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
 
-    def hits_of(Y):
-        return sum(1 for T in tiles
-                   if tile_membership_m2(Y, Z, T, strict=True) is True)
-
-    from .util import parallel_map
-
     audit_ok = True
-    for count in parallel_map(hits_of, points):
+    for Y in points:
+        count = sum(1 for T in tiles
+                    if tile_membership_m2(Y, Z, T, strict=True) is True)
         if count != 1:
             audit_ok = False
             violations.append(f"sample hit {count} open tiles")
@@ -443,7 +429,7 @@ def b_point(C: RatMatrix, Z: ZMatrix) -> BPointReport:
         return BPointReport(False, False, X, None)
     PX = plucker_of_matrix(X)
     Y = C.matmul(Z.mat)
-    table = {I: _twistor_of_matrix(Y, Z, I) for I in subsets(n, m)}
+    table = {I: twistor(Y, Z, I) for I in subsets(n, m)}
     scalar = None
     consistent = True
     for I in subsets(n, m):

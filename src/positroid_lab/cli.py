@@ -45,7 +45,7 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -55,6 +55,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
 
 
+def _load_json(path: str) -> dict:
+    """Every input file except a Z matrix is a JSON object at the top level."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level")
+    return data
+
+
 def _parse_z(spec: str, n: int, p: int) -> ZMatrix:
     if spec.startswith("vandermonde:"):
         nodes = [Fraction(t) for t in spec.split(":", 1)[1].split(",")]
@@ -62,7 +70,7 @@ def _parse_z(spec: str, n: int, p: int) -> ZMatrix:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)
     if spec.startswith("file:"):
-        data = _load_json(spec.split(":", 1)[1])
+        data = _read_json(spec.split(":", 1)[1])
         return ZMatrix(RatMatrix.from_json(data))
     raise InputError(f"unrecognized z spec {spec!r} (use vandermonde:<nodes> or file:<path>)")
 
@@ -370,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("sample", "count", "samples"):
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name} must not be negative")
         return args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -192,7 +192,8 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
 
     Row r, column j holds the signed coordinate of the index sequence
     obtained from the chart basis with its r-th element replaced by j; on
-    the chart columns this is p_I0 times the identity.
+    the chart columns this is p_I0 times the identity.  Raises ValueError
+    when P is not a point of the Grassmannian.
     """
     k, n = P.k, P.n
     if k == 0:
@@ -208,7 +209,9 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
             row.append(Fraction(0) if s == 0 else s * P.coord(seq))
         rows.append(row)
     C = RatMatrix.from_rows(rows)
-    assert plucker_of_matrix(C) == P
+    if plucker_of_matrix(C) != P:
+        raise ValueError("coordinates fail the Pluecker relations; "
+                         "not a point of the Grassmannian")
     return C
 
 

@@ -345,20 +345,18 @@ def narayana(a: int, b: int) -> int:
     """N_{a,b} = C(a,b) C(a,b-1) / a."""
     if a <= 0:
         return 1 if b in (0, 1) else 0
-    num = Fraction(binomial(a, b) * binomial(a, b - 1), a)
-    assert num.denominator == 1
-    return int(num)
+    return binomial(a, b) * binomial(a, b - 1) // a
 
 
 def plane_partitions(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box (box product formula)."""
-    out = Fraction(1)
+    num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             for k in range(1, c + 1):
-                out *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert out.denominator == 1
-    return int(out)
+                num *= i + j + k - 1
+                den *= i + j + k - 2
+    return num // den
 
 
 def moment_map_json(point) -> list[str]:

@@ -15,7 +15,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .exact import RatMatrix, rank
-from .grassmann import Matroid, PluckerVector, is_tnn
+from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
 from .triangulations import BicoloredTriangulation
 from .util import subsets
@@ -229,40 +229,41 @@ class PlabicGraph:
 # -- trips -----------------------------------------------------------------
 
 
-def trip(G: PlabicGraph, i: int) -> tuple[int, list[str]]:
-    """Follow the trip starting at boundary vertex i; (endpoint, vertex path)."""
-    start = boundary_id(i)
-    departure = G.rotations[start][0]
-    path = [start]
-    guard = 0
+def trip(G: PlabicGraph, i: int) -> tuple[int, list[Dart]]:
+    """Follow the trip starting at boundary vertex i; (endpoint, darts).
+
+    The darts are the ones the trip departs along, in order; every dart of
+    G lies on exactly one trip, round trips included.
+    """
+    departure = G.rotations[boundary_id(i)][0]
+    darts = [departure]
     while True:
         arrival = G.dart_partner(departure)
         vtx = G.dart_vertex(arrival)
-        path.append(vtx)
         if G.is_boundary(vtx):
-            return G.boundary_label(vtx), path
+            return G.boundary_label(vtx), darts
         rot = G.rotations[vtx]
         pos = rot.index(arrival)
         step = -1 if G.colors[vtx] == "black" else 1
         departure = rot[(pos + step) % len(rot)]
-        guard += 1
-        if guard > 4 * len(G.edges) + 4:
+        darts.append(departure)
+        if len(darts) > 2 * len(G.edges):
             raise RuntimeError("trip failed to reach the boundary")
 
 
 def trip_permutation(G: PlabicGraph) -> DecoratedPermutation:
     """Decorated trip permutation; fixed points take the lollipop colour.
 
-    A round trip bounces at its lollipop, so the path is a palindrome and
+    A round trip bounces at its lollipop, so the walk is a palindrome and
     the turning vertex sits at the midpoint, even through degree-2 padding.
     """
     images = []
     loops, coloops = set(), set()
     for i in range(1, G.n + 1):
-        end, path = trip(G, i)
+        end, darts = trip(G, i)
         images.append(end)
         if end == i:
-            turn = path[len(path) // 2]
+            turn = G.dart_vertex(darts[(len(darts) + 1) // 2])
             (loops if G.colors[turn] == "black" else coloops).add(i)
     return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
 
@@ -399,20 +400,22 @@ def boundary_measurement(G: PlabicGraph,
 
     ``weights`` maps edge indices of G to nonnegative rationals (all 1 by
     default); zeros are tolerated so closures of cells can be probed, but
-    the result must stay a nonzero vector.
+    the result must stay a nonzero vector.  Nonnegative weights make the
+    result totally nonnegative (Postnikov), so only the weights are checked.
     """
-    k, monos = matching_monomials(G)
     if weights is None:
         weights = {}
+    for e, w in weights.items():
+        if w < 0:
+            raise ValueError(f"edge {e} has negative weight {w}")
+    k, monos = matching_monomials(G)
     coords: dict[tuple[int, ...], Fraction] = {}
     for I, mono in monos:
         w = Fraction(1)
         for e in mono:
             w *= Fraction(weights.get(e, 1))
         coords[I] = coords.get(I, Fraction(0)) + w
-    P = PluckerVector(k, G.n, coords)
-    assert is_tnn(P)
-    return P
+    return PluckerVector(k, G.n, coords)
 
 
 def cell_dimension(G: PlabicGraph, trials: int = 3, seed: int = 0) -> int:
@@ -748,39 +751,43 @@ def canonical_form(G: PlabicGraph) -> tuple:
     return (G.n, tuple(enc))
 
 
-def is_reduced(G: PlabicGraph, depth: int = 50, size_slack: int = 2) -> str:
-    """Bounded breadth-first search of the move class for parallel edges.
+def is_reduced(G: PlabicGraph) -> str:
+    """Postnikov's trip criterion (arXiv math/0609764, Thm 13.2).
 
-    "not_reduced" once two vertices joined by more than one edge appear;
-    "reduced" when the size-capped class is exhausted without one;
-    "unknown" when the depth budget runs out first.
+    Lollipop trips are set aside.  G is "reduced" exactly when no other
+    trip is a round trip, none passes an edge twice (an essential
+    self-intersection; a fixed point without a lollipop passes its
+    boundary leg twice), and no two trips pass shared edges e1 and e2 in
+    the same order (a bad double crossing; two trips on one edge run
+    along it in opposite directions).  Otherwise "not_reduced".
     """
-    if G.has_parallel_edges():
-        return "not_reduced"
-    cap = len(G.internal_vertices()) + size_slack
-    seen = {canonical_form(G)}
-    frontier = [G]
-    for _ in range(depth):
-        nxt = []
-        for H in frontier:
-            for move, site in enumerate_move_sites(H):
-                try:
-                    H2 = apply_move(H, move, site)
-                except ValueError:
-                    continue
-                if len(H2.internal_vertices()) > cap:
-                    continue
-                key = canonical_form(H2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if H2.has_parallel_edges():
-                    return "not_reduced"
-                nxt.append(H2)
-        frontier = nxt
-        if not frontier:
-            return "reduced"
-    return "unknown"
+    trips: list[list[int]] = []
+    walked = 0
+    for i in range(1, G.n + 1):
+        end, darts = trip(G, i)
+        walked += len(darts)
+        if end == i and all(G.degree(G.dart_vertex(d)) <= 2 for d in darts):
+            continue  # a lollipop, possibly padded with degree-2 vertices
+        edges = [e for e, _ in darts]
+        if len(set(edges)) != len(edges):
+            return "not_reduced"
+        trips.append(edges)
+    if walked != 2 * len(G.edges):
+        return "not_reduced"  # the darts left over form round trips
+    on_edge: dict[int, list[tuple[int, int]]] = {}
+    for t, edges in enumerate(trips):
+        for pos, e in enumerate(edges):
+            on_edge.setdefault(e, []).append((t, pos))
+    shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for occ in on_edge.values():
+        if len(occ) == 2:
+            (t1, p1), (t2, p2) = occ
+            shared.setdefault((t1, t2), []).append((p1, p2))
+    for pairs in shared.values():
+        later = [p2 for _, p2 in sorted(pairs)]
+        if any(a < b for a, b in zip(later, later[1:])):
+            return "not_reduced"
+    return "reduced"
 
 
 # -- T-duality --------------------------------------------------------------------

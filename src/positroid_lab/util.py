@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
+from typing import Iterable, Sequence
 
 
 def rat(p, q=1) -> Fraction:
@@ -24,9 +19,12 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
+    """Parse "p/q" or "p"; ValueError on anything else, "p/0" included."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/")
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 
@@ -85,19 +83,3 @@ def perm_sign(seq: Sequence[int]) -> int:
         if cyc % 2 == 0:
             sgn = -sgn
     return sgn
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("POSITROID_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map preserving order; uses a thread pool if POSITROID_LAB_THREADS > 1."""
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

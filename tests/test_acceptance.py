@@ -51,7 +51,6 @@ from positroid_lab.hypersimplex import (
     verify_tiling,
     w_simplex,
 )
-from positroid_lab.lp import point_in_hull
 from positroid_lab.perms import enumerate_decorated, parse_decorated, t_dual, top_cell_permutation
 from positroid_lab.plabic import (
     apply_move,
@@ -74,6 +73,8 @@ from positroid_lab.trop import (
     random_positive_tropical,
     regular_subdivision,
 )
+
+from lp import point_in_hull
 
 
 def report(num: int, text: str) -> None:

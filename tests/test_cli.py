@@ -150,6 +150,37 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_trop_zero_denominator_exit_2(capsys, tmp_path):
+    data = HeightVector.make(2, 4, {(1, 2): 1}).to_json()
+    data["heights"]["1,2"] = "1/0"
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps(data))
+    assert main(["trop", "--heights", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_trop_list_heights_file_exit_2(capsys, tmp_path):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps([1, 2, 3]))
+    assert main(["trop", "--heights", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", "--perm", "(3,1,4,2)", "--sample", "-1"],
+    ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,1,4_)", "--count", "-1"],
+    ["amp", "verify-tiling", "--file", "TILING", "--z", "vandermonde:0,1,2,3",
+     "--samples", "-1"],
+])
+def test_negative_counts_exit_2(capsys, tmp_path, argv):
+    p = tmp_path / "amp.json"
+    p.write_text(json.dumps({"space": "amplituhedron", "k": 1, "n": 4,
+                             "tiles": [{"black_polygons": [[1, 2, 3]]},
+                                       {"black_polygons": [[1, 3, 4]]}]}))
+    assert main([str(p) if a == "TILING" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_round_trip_emitted_json(capsys):
     _, out = run(capsys, "cell", "--perm", "(3,1,4,2)", "--sample", "1", "--seed", "1")
     data = json.loads(out)

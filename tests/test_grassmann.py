@@ -119,6 +119,15 @@ def test_matrix_of_plucker_round_trip():
     assert plucker_of_matrix(C) == P
 
 
+def test_matrix_of_plucker_rejects_non_grassmannian_vector():
+    # all ones: p13 p24 = 1 but p12 p34 + p14 p23 = 2
+    P = PluckerVector(2, 4, {I: Fraction(1) for I in
+                             [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]})
+    assert not three_term_relation_holds(P)
+    with pytest.raises(ValueError):
+        matrix_of_plucker(P)
+
+
 def test_plucker_projective_invariance_under_row_ops():
     C = pinned_matrix()
     L = RatMatrix.from_rows([[2, 1], [1, 1]])  # det 1 > 0

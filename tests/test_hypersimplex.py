@@ -25,10 +25,11 @@ from positroid_lab.hypersimplex import (
     verify_tiling,
     w_simplex,
 )
-from positroid_lab.lp import point_in_hull
 from positroid_lab.perms import parse_decorated
 from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
+
+from lp import point_in_hull
 
 
 def test_moment_map_pinned():

@@ -1,14 +1,22 @@
 """Plabic graphs: trips, moves, matchings, measurement, duality."""
 
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from positroid_lab import fixtures
+from positroid_lab.cells import (
+    _bridge_insert_graph,
+    _empty_graph,
+    _lollipop_insert_graph,
+    cell_dim_of_perm,
+    graph_of_perm,
+)
 from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import decorated_permutation_of, is_tnn, matrix_of_plucker, matroid_of
-from positroid_lab.perms import parse_decorated, t_dual
+from positroid_lab.perms import enumerate_decorated, parse_decorated, t_dual, top_cell_permutation
 from positroid_lab.plabic import (
     PlabicGraph,
     apply_move,
@@ -27,6 +35,8 @@ from positroid_lab.plabic import (
     trip_permutation,
 )
 from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
+
+from move_search import search_is_reduced
 
 
 def test_trip_permutation_g1():
@@ -73,6 +83,11 @@ def test_boundary_measurement_scaling_projective():
     t = Fraction(7, 2)
     P2 = boundary_measurement(G, {e: t for e in range(len(G.edges))})
     assert P1 == P2  # projective equality
+
+
+def test_boundary_measurement_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        boundary_measurement(fixtures.g1(), {0: Fraction(-1)})
 
 
 def test_boundary_measurement_lollipops_only():
@@ -176,13 +191,123 @@ def test_m2_merge_split_inverse():
 
 
 def test_is_reduced_verdicts():
-    assert is_reduced(fixtures.g1(), depth=50, size_slack=1) == "reduced"
+    assert is_reduced(fixtures.g1()) == "reduced"
     colors = {"u": "black", "v": "white"}
     edges = [("b1", "u"), ("u", "v"), ("u", "v"), ("v", "b2")]
     rot = {"b1": [(0, 0)], "b2": [(3, 1)],
            "u": [(0, 1), (1, 0), (2, 0)], "v": [(1, 1), (2, 1), (3, 0)]}
-    assert is_reduced(PlabicGraph(2, colors, edges, rot), depth=2) == "not_reduced"
-    assert is_reduced(fixtures.g1(), depth=0) == "unknown"
+    assert is_reduced(PlabicGraph(2, colors, edges, rot)) == "not_reduced"
+
+
+def _digon() -> PlabicGraph:
+    """Two boundary legs joined through a doubled black-white edge."""
+    colors = {"u": "black", "v": "white"}
+    edges = [("b1", "u"), ("u", "v"), ("u", "v"), ("v", "b2")]
+    rot = {"b1": [(0, 0)], "b2": [(3, 1)],
+           "u": [(0, 1), (1, 0), (2, 0)], "v": [(1, 1), (2, 1), (3, 0)]}
+    return PlabicGraph(2, colors, edges, rot)
+
+
+def _bridged(colours, bridges) -> PlabicGraph:
+    """Lollipops of the given colours, then bridges between legs i and i+1;
+    a bridge that would land on a lollipop tip of the wrong colour is skipped.
+    """
+    G = _empty_graph()
+    for i, colour in enumerate(colours, start=1):
+        G = _lollipop_insert_graph(G, i, colour)
+    for i in bridges:
+        try:
+            G = _bridge_insert_graph(G, i)
+        except RuntimeError:
+            continue
+    return G
+
+
+def test_is_reduced_bridge_graphs_up_to_n6():
+    # bridge graphs are reduced, so inner faces - 1 is the cell dimension
+    for n in range(1, 7):
+        for pi in enumerate_decorated(n):
+            G = graph_of_perm(pi)
+            assert is_reduced(G) == "reduced", pi
+            inner = sum(1 for f in faces(G) if not f.is_outer)
+            assert inner - 1 == cell_dim_of_perm(pi), pi
+
+
+def test_is_reduced_top_cell_2_4_is_fast():
+    G = graph_of_perm(top_cell_permutation(2, 4))
+    t0 = time.perf_counter()
+    assert is_reduced(G) == "reduced"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_is_reduced_rejects_non_reduced_graphs():
+    # the digon itself is in test_is_reduced_verdicts
+    for colour in ("black", "white"):
+        # padding one of the doubled edges hides the parallel pair
+        padded = apply_move(_digon(), "M3_add", (1, colour))
+        assert not padded.has_parallel_edges()
+        assert is_reduced(padded) == "not_reduced"
+    # an all-white inner face: the trip around it never meets the boundary
+    round_trip = PlabicGraph(
+        3, {"W1": "white", "W2": "white", "W3": "white"},
+        [("b1", "W1"), ("b2", "W2"), ("b3", "W3"),
+         ("W1", "W2"), ("W2", "W3"), ("W3", "W1")],
+        {"b1": [(0, 0)], "b2": [(1, 0)], "b3": [(2, 0)],
+         "W1": [(0, 1), (3, 0), (5, 1)], "W2": [(1, 1), (4, 0), (3, 1)],
+         "W3": [(2, 1), (5, 0), (4, 1)]})
+    assert is_reduced(round_trip) == "not_reduced"
+    # the trip from b1 comes back to b1 around a triangle, not a lollipop
+    fixed_point = PlabicGraph(
+        1, {"u": "white", "x": "black", "y": "black"},
+        [("b1", "u"), ("u", "x"), ("x", "y"), ("y", "u")],
+        {"b1": [(0, 0)], "u": [(0, 1), (1, 0), (3, 1)],
+         "x": [(1, 1), (2, 0)], "y": [(2, 1), (3, 0)]})
+    assert trip_permutation(fixed_point).images == (1,)
+    assert is_reduced(fixed_point) == "not_reduced"
+    # no round trip and no self-intersection, but the trips out of legs 2
+    # and 3 pass two shared edges in the same order: a bad double crossing
+    assert is_reduced(_bridged(("white", "black", "white", "black"),
+                               (1, 3, 2, 2))) == "not_reduced"
+
+
+def test_is_reduced_agrees_with_move_search():
+    assert search_is_reduced(fixtures.g1(), depth=50, size_slack=1) == "reduced"
+    definite = 0
+    for seed in range(40):
+        rng = Random(seed)
+        G = _digon()
+        for _ in range(6):
+            sites = [s for s in enumerate_move_sites(G)
+                     if not (s[0] in ("M2_split", "M3_add")
+                             and len(G.internal_vertices()) >= 4)]
+            move, site = sites[rng.randrange(len(sites))]
+            try:
+                G = apply_move(G, move, site)
+            except ValueError:
+                continue
+        verdict = search_is_reduced(G, depth=3, size_slack=1)
+        if verdict != "unknown":
+            definite += 1
+            assert is_reduced(G) == verdict, seed
+    assert definite >= 30
+
+
+def test_is_reduced_matches_face_count_oracle():
+    # Bridges added at random make reduced and non-reduced graphs alike.
+    # A reduced graph has inner faces - 1 = dimension of its image; a
+    # non-reduced one is move-equivalent to a graph with a bubble whose
+    # removal drops a face but keeps the image, so the count exceeds it.
+    rng = Random(0)
+    seen = set()
+    for _ in range(150):
+        n = rng.randrange(2, 6)
+        G = _bridged([rng.choice(["black", "white"]) for _ in range(n)],
+                     [rng.randrange(1, n) for _ in range(rng.randrange(9))])
+        inner = sum(1 for f in faces(G) if not f.is_outer)
+        expected = "reduced" if inner - 1 == cell_dimension(G) else "not_reduced"
+        assert is_reduced(G) == expected
+        seen.add(expected)
+    assert seen == {"reduced", "not_reduced"}
 
 
 def test_dual_graph_pinned_trips():
@@ -297,6 +422,7 @@ def test_trip_invariant_across_exhausted_move_class():
                     continue
                 seen.add(key)
                 assert trip_permutation(H2) == pi
+                assert is_reduced(H2) == "reduced"
                 count += 1
                 nxt.append(H2)
         frontier = nxt
