@@ -10,7 +10,8 @@ exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -26,7 +27,7 @@ from .plabic import (
     trip_permutation,
 )
 from .triangulations import BicoloredTriangulation, area, arcs_of
-from .util import rat_to_str, subsets
+from .util import perm_sign, rat_to_str, subsets
 
 __all__ = [
     "ZMatrix",
@@ -94,12 +95,15 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
     return ZMatrix(RatMatrix.from_rows(rows))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmplituhedronPoint:
+    """Y = C Z; ``memo`` keeps the twistors asked of it (see _twistors)."""
+
     Y: RatMatrix
     k: int
     m: int
     source: PluckerVector | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self):
         return [list(self.Y.row(r)) for r in range(self.Y.rows)]
@@ -125,18 +129,41 @@ def amp_map(C, Z: ZMatrix) -> AmplituhedronPoint:
     return AmplituhedronPoint(Y, k, Z.p - k, source)
 
 
+def _twistors(Y, Z: ZMatrix):
+    """Y's matrix and its twistor function against Z.
+
+    A point memoizes per ZMatrix (by identity: it defines no __eq__), a raw
+    matrix for the caller only; values sit under the sorted index tuple, a
+    miss is one determinant, and an unsorted I flips the sign by parity."""
+    if isinstance(Y, AmplituhedronPoint):
+        Y, memo = Y.Y, Y.memo.setdefault(Z, {})
+    else:
+        memo = {}
+    rows = [Y.row(r) for r in range(Y.rows)]
+    size, n = Z.p - Y.rows, Z.n
+
+    def tw(I: Sequence[int]) -> Fraction:
+        if len(I) != size:
+            raise ValueError("index set has the wrong size")
+        for i in I:
+            if not 1 <= i <= n:
+                raise ValueError(f"twistor index {i} is outside 1..{n}")
+        J = tuple(sorted(I))
+        val = memo.get(J)
+        if val is None:
+            if len(set(J)) < size:
+                return Fraction(0)
+            val = memo[J] = det(RatMatrix.from_rows(rows + [Z.row(j) for j in J]))
+        return val if J == tuple(I) or perm_sign(I) > 0 else -val
+
+    return Y, tw
+
+
 def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
     """Determinant of Y's rows stacked over the rows of Z named by I, in
     the given order.  A twisted row Z.hat_row(i) in place of Z_i only
     multiplies it by (-1)^(p-1)."""
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
-    if len(I) != Z.p - Y.rows:
-        raise ValueError("index set has the wrong size")
-    rows = [list(Y.row(r)) for r in range(Y.rows)]
-    for i in I:
-        rows.append(list(Z.row(i)))
-    return det(RatMatrix.from_rows(rows))
+    return _twistors(Y, Z)[1](I)
 
 
 def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
@@ -156,10 +183,8 @@ def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fra
 
 
 def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
-    m = Z.p - Y.rows
-    return {I: twistor(Y, Z, I) for I in subsets(Z.n, m)}
+    Y, tw = _twistors(Y, Z)
+    return {I: tw(I) for I in subsets(Z.n, Z.p - Y.rows)}
 
 
 def twistor_table_json(table) -> dict[str, str]:
@@ -177,30 +202,28 @@ def sign_stratum(Y, Z: ZMatrix) -> SignVector:
 
 def m1_membership(Y, Z: ZMatrix) -> bool:
     """One extra dimension: completed sign variation of (<YZ_i>) equals k."""
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
+    Y, tw = _twistors(Y, Z)
     k = Y.rows
     if Z.p != k + 1:
         raise ValueError("m1 test needs p = k + 1")
-    seq = [twistor(Y, Z, (i,)) for i in range(1, Z.n + 1)]
+    seq = [tw((i,)) for i in range(1, Z.n + 1)]
     return varbar(seq) == k
 
 
 def m2_interior_test(Y, Z: ZMatrix) -> bool:
     """Two extra dimensions: consecutive twistors positive, the wrapped one
     against the twisted first row positive, and the flip count equals k."""
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
+    Y, tw = _twistors(Y, Z)
     k = Y.rows
     if Z.p != k + 2:
         raise ValueError("m2 test needs p = k + 2")
     n = Z.n
     for i in range(1, n):
-        if twistor(Y, Z, (i, i + 1)) <= 0:
+        if tw((i, i + 1)) <= 0:
             return False
-    if (-1) ** (Z.p - 1) * twistor(Y, Z, (n, 1)) <= 0:
+    if (-1) ** (Z.p - 1) * tw((n, 1)) <= 0:
         return False
-    seq = [twistor(Y, Z, (1, j)) for j in range(2, n + 1)]
+    seq = [tw((1, j)) for j in range(2, n + 1)]
     return var(seq) == k
 
 
@@ -228,29 +251,27 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     carry the sign (-1)^k and sets ending at n are positive.  On top, the
     sequence <Y Z_1 .. Z_{m-1} Z_j> for j = m..n makes exactly k flips.
     """
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
+    Y, tw = _twistors(Y, Z)
     k = Y.rows
     m = Z.p - k
     n = Z.n
     r = m // 2
     if m % 2 == 0:
         for I in _consecutive_pair_sets(1, n, r):
-            if twistor(Y, Z, I) <= 0:
+            if tw(I) <= 0:
                 return False
         for I in _consecutive_pair_sets(2, n - 1, r - 1):
-            if (-1) ** (Z.p - 1) * twistor(Y, Z, I + (n, 1)) <= 0:
+            if (-1) ** (Z.p - 1) * tw(I + (n, 1)) <= 0:
                 return False
     else:
         sign_k = Fraction(-1) ** k
         for I in _consecutive_pair_sets(2, n, r):
-            if sign_k * twistor(Y, Z, (1,) + I) <= 0:
+            if sign_k * tw((1,) + I) <= 0:
                 return False
         for I in _consecutive_pair_sets(1, n - 1, r):
-            if twistor(Y, Z, I + (n,)) <= 0:
+            if tw(I + (n,)) <= 0:
                 return False
-    seq = [twistor(Y, Z, tuple(range(1, m)) + (j,))
-           for j in range(m, n + 1)]
+    seq = [tw(tuple(range(1, m)) + (j,)) for j in range(m, n + 1)]
     return var(seq) == k
 
 
@@ -261,11 +282,10 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
     ``strict`` asks for the open tile; the closed test returns "boundary"
     when it passes with at least one vanishing twistor.
     """
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
+    tw = _twistors(Y, Z)[1]
     on_boundary = False
     for h, j in arcs_of(T):
-        val = Fraction(-1) ** area(T, h, j) * twistor(Y, Z, (h, j))
+        val = Fraction(-1) ** area(T, h, j) * tw((h, j))
         if val < 0:
             return False
         if val == 0:
@@ -281,8 +301,7 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
 
     Returns True/False, or "boundary" when a tested twistor vanishes.
     """
-    if isinstance(Y, AmplituhedronPoint):
-        Y = Y.Y
+    tw = _twistors(Y, Z)[1]
     n = Z.n
     if ws.n != n:
         raise ValueError("sizes do not match")
@@ -290,11 +309,11 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
         seq = []
         for j in range(1, n + 1):
             if j < a:
-                val = (-1) ** (Z.p - 1) * twistor(Y, Z, (a, j))
+                val = (-1) ** (Z.p - 1) * tw((a, j))
             elif j == a:
                 val = Fraction(0)
             else:
-                val = twistor(Y, Z, (a, j))
+                val = tw((a, j))
             seq.append(val)
         if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
             return "boundary"
@@ -318,6 +337,7 @@ class AmpTilingReport:
     hypersimplex_report: object
     sample_audit_ok: bool
     violations: list[str]
+    hit_counts: dict[int, int]  # open tiles hit -> number of samples
 
     def to_json(self) -> dict:
         return {
@@ -328,6 +348,7 @@ class AmpTilingReport:
             "hypersimplex": self.hypersimplex_report.to_json(),
             "sample_audit_ok": self.sample_audit_ok,
             "violations": self.violations,
+            "hit_counts": {str(h): c for h, c in sorted(self.hit_counts.items())},
         }
 
 
@@ -353,8 +374,8 @@ def sample_interior_point(k: int, n: int, Z: ZMatrix,
 def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
                          samples: int = 50, seed: int = 0) -> AmpTilingReport:
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
-    then audit geometrically: sampled interior points must land in exactly
-    one open tile."""
+    then audit geometrically: every sampled interior point must land in
+    exactly one open tile; ``hit_counts`` tallies the samples by hits."""
     if not tiles:
         raise ValueError("no tiles given")
     n = tiles[0].n
@@ -370,16 +391,14 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     rng = Random(seed)
     points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
 
-    audit_ok = True
-    for Y in points:
-        count = sum(1 for T in tiles
-                    if tile_membership_m2(Y, Z, T, strict=True) is True)
-        if count != 1:
-            audit_ok = False
-            violations.append(f"sample hit {count} open tiles")
-            break
+    hit_counts = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True
+                             for T in tiles) for Y in points)
+    missed = samples - hit_counts[1]
+    if missed:
+        violations.append(f"{missed} of {samples} samples did not hit exactly one "
+                          f"open tile")
     return AmpTilingReport(not violations, k, n, list(tiles), hrep,
-                           audit_ok, violations)
+                           not missed, violations, dict(hit_counts))
 
 
 @dataclass
@@ -428,8 +447,7 @@ def b_point(C: RatMatrix, Z: ZMatrix) -> BPointReport:
     if not dim_ok:
         return BPointReport(False, False, X, None)
     PX = plucker_of_matrix(X)
-    Y = C.matmul(Z.mat)
-    table = {I: twistor(Y, Z, I) for I in subsets(n, m)}
+    table = twistor_table(C.matmul(Z.mat), Z)
     scalar = None
     consistent = True
     for I in subsets(n, m):

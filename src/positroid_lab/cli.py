@@ -55,12 +55,23 @@ def _read_json(path: str):
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
 
 
+class _InputObject(dict):
+    """A top-level input object that names its file when a key is missing."""
+
+    def __init__(self, data: dict, path: str):
+        super().__init__(data)
+        self.path = path
+
+    def __missing__(self, key):
+        raise InputError(f"missing key {key!r} in {self.path}")
+
+
 def _load_json(path: str) -> dict:
     """Every input file except a Z matrix is a JSON object at the top level."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
-    return data
+    return _InputObject(data, path)
 
 
 def _parse_z(spec: str, n: int, p: int) -> ZMatrix:

@@ -25,6 +25,7 @@ from .triangulations import (
     flip,
     flippable_arcs,
 )
+from .util import sign
 
 Arc = tuple[int, int]
 
@@ -331,8 +332,7 @@ def cluster_adjacency_check(T: BicoloredTriangulation, Z: ZMatrix,
             continue
         if any(arcs_cross(d, a) for a in facet_list):
             continue
-        signs = {1 if twistor(Y, Z, d) > 0 else (-1 if twistor(Y, Z, d) < 0 else 0)
-                 for Y in interior}
+        signs = {sign(twistor(Y, Z, d)) for Y in interior}
         if len(signs) == 1 and 0 not in signs:
             compatible_tested.append((d, signs.pop()))
         else:

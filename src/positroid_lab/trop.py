@@ -75,6 +75,15 @@ class HeightVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "HeightVector":
+        """ValueError unless k and n are ints and heights maps keys to strings."""
+        for key in ("k", "n"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{key} must be an integer, not {data[key]!r}")
+        if not isinstance(data["heights"], dict):
+            raise ValueError("heights must be an object of \"i,j,...\": \"p/q\" entries")
+        for key, v in data["heights"].items():
+            if not isinstance(v, str):
+                raise ValueError(f"height of {key!r} must be a string \"p/q\", not {v!r}")
         table = {subset_from_key(key): rat_from_str(v)
                  for key, v in data["heights"].items()}
         return cls.make(data["k"], data["n"], table)

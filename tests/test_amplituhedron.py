@@ -1,11 +1,12 @@
 """Amplituhedron membership tests, chambers, tiles, and the B-model identity."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
+from positroid_lab import amplituhedron
 from positroid_lab.amplituhedron import (
     AmplituhedronPoint,
     ZMatrix,
@@ -27,9 +28,10 @@ from positroid_lab.amplituhedron import (
     w_chamber_membership,
 )
 from positroid_lab.cells import matrix_realization
-from positroid_lab.exact import RatMatrix, rank, varbar
+from positroid_lab.cluster import build_seed
+from positroid_lab.exact import RatMatrix, det, rank, varbar
 from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
-from positroid_lab.hypersimplex import enumerate_D, w_simplex
+from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_catalog, w_simplex
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
 
@@ -99,6 +101,93 @@ def test_expansion_path_agrees_with_determinant():
             Y = amp_map(C, Z)
             for I in combinations(range(1, n + 1), m):
                 assert twistor(Y, Z, I) == twistor_via_expansion(P, Z, I)
+
+
+def _stacked_det(Y: RatMatrix, Z, I) -> Fraction:
+    """The determinant oracle: Y's rows over the rows of Z named by I."""
+    return det(RatMatrix.from_rows([list(Y.row(r)) for r in range(Y.rows)]
+                                   + [list(Z.row(i)) for i in I]))
+
+
+@pytest.mark.parametrize("k,n,m", [(1, 5, 2), (2, 6, 2), (2, 7, 2), (1, 6, 4)])
+def test_memoized_twistor_matches_det_and_expansion(k, n, m):
+    Z = make_positive_Z(n, k + m, list(range(n)))
+    rng = Random(10 * n + k)
+    for _ in range(2):
+        Y = amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
+        for I in product(range(1, n + 1), repeat=m):
+            expected = _stacked_det(Y.Y, Z, I)
+            assert twistor(Y, Z, I) == expected
+            assert twistor(Y.Y, Z, I) == expected
+            assert twistor_via_expansion(Y.source, Z, I) == expected
+        assert len(Y.memo[Z]) == len(list(combinations(range(n), m)))
+        assert all(list(I) == sorted(I) for I in Y.memo[Z])
+
+
+def _gr26_sweep(Y, Z, tiles, ws, seeds):
+    """Every m = 2 verdict the (2, 6) sweep asks of one point."""
+    return ([tile_membership_m2(Y, Z, T, strict=True) for T in tiles],
+            [w_chamber_membership(Y, Z, w) for w in ws],
+            m2_interior_test(Y, Z),
+            [S.evaluate(Y, Z) for S in seeds])
+
+
+def _gr26_setup():
+    Z = make_positive_Z(6, 4, list(range(6)))
+    tiles = [rec.triangulation for rec in tile_catalog(3, 6).values()]
+    pinned = enumerate_tilings(3, 6)[0]
+    seeds = [build_seed(rec.triangulation) for rec in pinned.tiles]
+    return Z, tiles, enumerate_D(3, 6), seeds
+
+
+def test_point_and_raw_matrix_give_the_same_verdicts():
+    Z, tiles, ws, seeds = _gr26_setup()
+    assert (len(tiles), len(ws)) == (48, 66)
+    rng = Random(12)
+    points = [amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
+              for _ in range(3)]
+    points.append(sample_tile_point(tiles[5], Z, rng))
+    # Z_1 is a row of Y: every twistor <Y Z_1 Z_j> vanishes
+    points.append(amp_map(RatMatrix.from_rows([[1, 0, 0, 0, 0, 0],
+                                               [0, 1, 1, 1, 1, 1]]), Z))
+    for Y in points:
+        assert _gr26_sweep(Y, Z, tiles, ws, seeds) == _gr26_sweep(Y.Y, Z, tiles, ws, seeds)
+    assert "boundary" in _gr26_sweep(points[-1], Z, tiles, ws, seeds)[1]
+
+
+def test_point_memo_keeps_each_Z_apart():
+    Z1 = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
+    Z2 = make_positive_Z(5, 3, [1, 2, 4, 8, 16])
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(1, 5), Random(2)), Z1)
+    for I in product(range(1, 6), repeat=2):
+        assert twistor(Y, Z1, I) == _stacked_det(Y.Y, Z1, I)
+        assert twistor(Y, Z2, I) == _stacked_det(Y.Y, Z2, I)
+    assert set(Y.memo) == {Z1, Z2}
+    assert Y.memo[Z1] != Y.memo[Z2]
+
+
+def test_gr26_point_needs_one_determinant_per_twistor(monkeypatch):
+    Z, tiles, ws, seeds = _gr26_setup()
+    calls = []
+
+    def counting_det(M):
+        calls.append(M)
+        return det(M)
+
+    monkeypatch.setattr(amplituhedron, "det", counting_det)
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 6), Random(3)), Z)
+    _gr26_sweep(Y, Z, tiles, ws, seeds)
+    assert 0 < len(calls) <= 15
+
+
+@pytest.mark.parametrize("I", [(0, 2), (2, 7), (-1, 3)])
+def test_twistor_rejects_index_outside_range(I):
+    Z = make_positive_Z(6, 4, list(range(6)))
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 6), Random(4)), Z)
+    twistor_table(Y, Z)
+    bad = next(i for i in I if not 1 <= i <= 6)
+    with pytest.raises(ValueError, match=rf"index {bad} is outside 1\.\.6"):
+        twistor(Y, Z, I)
 
 
 def test_twistor_plucker_relation():
@@ -271,6 +360,22 @@ def test_verify_amp_tilings_quadrilateral():
     assert not rep3.valid
     rep4 = verify_amp_tiling_m2([T123, T234], Z4, samples=25, seed=3)
     assert not rep4.valid
+
+
+def test_verify_amp_tiling_audits_every_sample():
+    Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
+    tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),
+            BicoloredTriangulation.make(5, black=[(1, 3, 4)], white=[(1, 2, 3), (1, 4, 5)]),
+            BicoloredTriangulation.make(5, black=[(1, 4, 5)], white=[(1, 2, 3), (1, 3, 4)])]
+    rep = verify_amp_tiling_m2(tris, Z, samples=20, seed=1)
+    assert rep.valid and rep.hit_counts == {1: 20}
+    assert rep.to_json()["hit_counts"] == {"1": 20}
+    dropped = verify_amp_tiling_m2([tris[0], tris[2]], Z, samples=20, seed=1)
+    assert not dropped.valid and not dropped.sample_audit_ok
+    assert sum(dropped.hit_counts.values()) == 20
+    missed = dropped.hit_counts[0]
+    assert missed > 0 and set(dropped.hit_counts) <= {0, 1}
+    assert f"{missed} of 20 samples did not hit exactly one open tile" in dropped.violations
 
 
 def test_verify_amp_tiling_25():

@@ -166,6 +166,29 @@ def test_trop_list_heights_file_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("data", [
+    {"k": "x", "n": 4, "heights": {"1,2": "1/1"}},
+    {"k": 2, "n": 4, "heights": {"1,2": 5}},
+    {"k": 2, "n": 4, "heights": [1, 2]},
+])
+def test_trop_malformed_heights_exit_2(capsys, tmp_path, data):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps(data))
+    assert main(["trop", "--heights", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--verify", "FILE"],
+    ["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3"],
+])
+def test_missing_key_names_key_and_file(capsys, tmp_path, argv):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"n": 4}))
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"input error: missing key 'tiles' in {p}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["cell", "--perm", "(3,1,4,2)", "--sample", "-1"],
     ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,1,4_)", "--count", "-1"],
