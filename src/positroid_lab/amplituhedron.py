@@ -26,7 +26,7 @@ from .plabic import (
     hat_graph_of_triangulation,
     trip_permutation,
 )
-from .triangulations import BicoloredTriangulation, area, arcs_of
+from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, subsets
 
 __all__ = [
@@ -97,13 +97,14 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
 
 @dataclass(frozen=True)
 class AmplituhedronPoint:
-    """Y = C Z; ``memo`` keeps the twistors asked of it (see _twistors)."""
+    """Y = C Z; per ZMatrix, ``memo`` keeps its twistors and ``flips`` its flip sets."""
 
     Y: RatMatrix
     k: int
     m: int
     source: PluckerVector | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self):
         return [list(self.Y.row(r)) for r in range(self.Y.rows)]
@@ -284,15 +285,37 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
     """
     tw = _twistors(Y, Z)[1]
     on_boundary = False
-    for h, j in arcs_of(T):
-        val = Fraction(-1) ** area(T, h, j) * tw((h, j))
-        if val < 0:
-            return False
+    for arc, parity in T.arc_parities:
+        val = tw(arc)
         if val == 0:
             if strict:
                 return False
             on_boundary = True
+        elif (val < 0) != (parity == 1):
+            return False
     return "boundary" if on_boundary else True
+
+
+def _flip_sets(Y, Z: ZMatrix) -> tuple[frozenset[int] | None, ...]:
+    """For a = 1..n, the flip positions of the twisted sequence at a, or None
+    when one of its twistors vanishes.  They depend on the point alone: a
+    point keeps them per ZMatrix, a raw matrix for the caller only."""
+    flips = Y.flips if isinstance(Y, AmplituhedronPoint) else {}
+    if Z not in flips:
+        tw = _twistors(Y, Z)[1]
+        n, twist = Z.n, (-1) ** (Z.p - 1)
+        out = []
+        for a in range(1, n + 1):
+            seq = [twist * tw((a, j)) if j < a else tw((a, j)) if j > a else 0
+                   for j in range(1, n + 1)]
+            if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
+                out.append(None)
+                continue
+            out.append(frozenset(j for j in range(1, n + 1)
+                                 if seq[j - 1] != 0 and seq[j % n] != 0
+                                 and (seq[j - 1] > 0) != (seq[j % n] > 0)))
+        flips[Z] = tuple(out)
+    return flips[Z]
 
 
 def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
@@ -301,29 +324,12 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
 
     Returns True/False, or "boundary" when a tested twistor vanishes.
     """
-    tw = _twistors(Y, Z)[1]
-    n = Z.n
-    if ws.n != n:
+    if ws.n != Z.n:
         raise ValueError("sizes do not match")
-    for a in range(1, n + 1):
-        seq = []
-        for j in range(1, n + 1):
-            if j < a:
-                val = (-1) ** (Z.p - 1) * tw((a, j))
-            elif j == a:
-                val = Fraction(0)
-            else:
-                val = tw((a, j))
-            seq.append(val)
-        if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
+    for a, flips in enumerate(_flip_sets(Y, Z), start=1):
+        if flips is None:
             return "boundary"
-        flips = set()
-        for j in range(1, n + 1):
-            nxt = seq[j % n]
-            cur = seq[j - 1]
-            if cur != 0 and nxt != 0 and (cur > 0) != (nxt > 0):
-                flips.add(j)
-        if flips != set(ws.vertex(a)) - {a}:
+        if flips != ws.vertex(a) - {a}:
             return False
     return True
 
@@ -378,8 +384,22 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     exactly one open tile; ``hit_counts`` tallies the samples by hits."""
     if not tiles:
         raise ValueError("no tiles given")
-    n = tiles[0].n
-    k = tiles[0].k
+    points = _audit_points(tiles[0].k, tiles[0].n, Z, samples, seed)
+    return _verify_amp_tiling_at(tiles, Z, points)
+
+
+def _audit_points(k: int, n: int, Z: ZMatrix, samples: int,
+                  seed: int) -> list[AmplituhedronPoint]:
+    """The seeded samples of a tiling audit; they depend on (k, n, Z) and
+    the seed only, so every tiling of one command can share them."""
+    rng = Random(seed)
+    return [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
+
+
+def _verify_amp_tiling_at(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
+                          points: list[AmplituhedronPoint]) -> AmpTilingReport:
+    """verify_amp_tiling_m2 with its audit points given."""
+    n, k = tiles[0].n, tiles[0].k
     violations: list[str] = []
     for T in tiles:
         if (T.n, T.k) != (n, k):
@@ -388,14 +408,11 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     hrep = verify_tiling(duals, k + 1, n)
     if not hrep.valid:
         violations.extend("T-dual: " + v for v in hrep.violations)
-    rng = Random(seed)
-    points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
-
     hit_counts = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True
                              for T in tiles) for Y in points)
-    missed = samples - hit_counts[1]
+    missed = len(points) - hit_counts[1]
     if missed:
-        violations.append(f"{missed} of {samples} samples did not hit exactly one "
+        violations.append(f"{missed} of {len(points)} samples did not hit exactly one "
                           f"open tile")
     return AmpTilingReport(not violations, k, n, list(tiles), hrep,
                            not missed, violations, dict(hit_counts))

@@ -15,6 +15,8 @@ from random import Random
 
 from .amplituhedron import (
     ZMatrix,
+    _audit_points,
+    _verify_amp_tiling_at,
     amp_map,
     m1_membership,
     m2_interior_test,
@@ -258,11 +260,10 @@ def cmd_tilings(args) -> int:
     }
     if args.z:
         Z = _parse_z(args.z, args.n, args.k + 2)
-        audits = []
-        for t in tilings:
-            tris = [rec.triangulation for rec in t.tiles]
-            rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
-            audits.append(rep.valid)
+        points = _audit_points(args.k, args.n, Z, args.samples, args.seed)
+        audits = [_verify_amp_tiling_at([rec.triangulation for rec in t.tiles], Z,
+                                        points).valid
+                  for t in tilings]
         payload["audited"] = audits
         if not all(audits):
             _emit(args, payload)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Sequence
 
 from .util import rat_from_str, rat_to_str, sign
@@ -112,15 +113,23 @@ class RatMatrix:
 
 
 def det(M: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, then fraction-free (Bareiss) elimination runs over the
+    integers, where every division is exact."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
     n = M.rows
     if n == 0:
         return Fraction(1)
-    a = M.row_list()
+    a = []
+    scale = 1
+    for i in range(n):
+        row = M.row(i)
+        d = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
     sgn = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -132,10 +141,9 @@ def det(M: RatMatrix) -> Fraction:
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sgn * a[n - 1][n - 1]
+    return Fraction(sgn * a[n - 1][n - 1], scale)
 
 
 def rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:

@@ -15,7 +15,7 @@ from itertools import combinations
 from random import Random
 from typing import Sequence
 
-from .exact import RatMatrix, det, kernel_basis, rank, var, varbar
+from .exact import RatMatrix, det, kernel_basis, var, varbar
 from .perms import DecoratedPermutation
 from .util import (
     perm_sign,
@@ -216,38 +216,35 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
 
 
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
-    """Decorated permutation of a totally nonnegative matrix.
+    """Decorated permutation of a totally nonnegative matrix, read off its
+    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
 
-    pi(i) is the first column j, in cyclic order after i, whose span with
-    the intermediate columns absorbs column i.  Zero columns are loops and
-    columns outside the span of the others are coloops.
+    I_i is the basis that is lexicographically least in the cyclic order
+    i < i+1 < ... < i-1.  pi(i) = j when I_{i+1} = I_i - {i} + {j}, which
+    is the first column j after i whose span with the intermediate columns
+    absorbs column i; i is a loop when i is not in I_i (a zero column) and
+    a coloop when i is in I_i = I_{i+1}.
     """
     P = plucker_of_matrix(C)
     if not is_tnn(P):
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
-    k, n = C.rows, C.cols
-    cols = [C.col(j) for j in range(n)]
+    n = C.cols
+    bases = [I for I, v in P.coords.items() if v != 0]
+    necklace = [min(bases, key=lambda B: sorted((b - i) % n for b in B))
+                for i in range(1, n + 1)]
     images = [0] * n
     loops, coloops = set(), set()
     for i in range(1, n + 1):
-        ci = cols[i - 1]
-        if all(x == 0 for x in ci):
+        here, after = necklace[i - 1], necklace[i % n]
+        if i not in here:
             images[i - 1] = i
             loops.add(i)
-            continue
-        others = [cols[(i - 1 + t) % n] for t in range(1, n)]
-        if rank(RatMatrix.from_rows(others)) < rank(RatMatrix.from_rows(others + [ci])):
+        elif here == after:
             images[i - 1] = i
             coloops.add(i)
-            continue
-        span: list = []
-        for t in range(1, n):
-            j = (i - 1 + t) % n + 1
-            span.append(cols[j - 1])
-            if rank(RatMatrix.from_rows(span)) == rank(RatMatrix.from_rows(span + [ci])):
-                images[i - 1] = j
-                break
+        else:
+            images[i - 1], = set(after) - set(here)
     return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
 
 

@@ -8,7 +8,7 @@ the bicolored subdivision that represents its equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Triangle = tuple[int, int, int]
 Arc = tuple[int, int]
@@ -95,6 +95,42 @@ class BicoloredTriangulation:
     def is_side(self, arc: Arc) -> bool:
         x, y = arc
         return y == x + 1 or (x == 1 and y == self.n)
+
+    @cached_property
+    def subdivision(self) -> "BicoloredSubdivision":
+        """The subdivision of T's class: like-coloured neighbours merged.
+
+        Computed once per instance, like ``arc_parities``; both stay out of
+        equality, hashing and ``repr``, which read the fields only."""
+        tris = sorted(self.triangles)
+        parent = {t: t for t in tris}
+
+        def find(t):
+            while parent[t] != t:
+                parent[t] = parent[parent[t]]
+                t = parent[t]
+            return t
+
+        for i, t1 in enumerate(tris):
+            for t2 in tris[i + 1:]:
+                if len(set(t1) & set(t2)) == 2 and self.colour(t1) == self.colour(t2):
+                    parent[find(t1)] = find(t2)
+        groups: dict[Triangle, set[int]] = {}
+        colour_of: dict[Triangle, str] = {}
+        for t in tris:
+            r = find(t)
+            groups.setdefault(r, set()).update(t)
+            colour_of[r] = self.colour(t)
+        black, white = set(), set()
+        for r, verts in groups.items():
+            poly = tuple(sorted(verts))
+            (black if colour_of[r] == "black" else white).add(poly)
+        return BicoloredSubdivision(self.n, frozenset(black), frozenset(white))
+
+    @cached_property
+    def arc_parities(self) -> tuple[tuple[Arc, int], ...]:
+        """(arc, area parity) for each arc of T in sorted order."""
+        return tuple(((h, j), area(self, h, j) % 2) for h, j in arcs_of(self))
 
     def to_json(self) -> dict:
         return {
@@ -197,30 +233,7 @@ def enumerate_bicolored(n: int, k: int) -> list[BicoloredTriangulation]:
 
 def equivalence_class(T: BicoloredTriangulation) -> BicoloredSubdivision:
     """Merge like-coloured neighbours into the polygons of the subdivision."""
-    tris = sorted(T.triangles)
-    parent = {t: t for t in tris}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for i, t1 in enumerate(tris):
-        for t2 in tris[i + 1:]:
-            if len(set(t1) & set(t2)) == 2 and T.colour(t1) == T.colour(t2):
-                parent[find(t1)] = find(t2)
-    groups: dict[Triangle, set[int]] = {}
-    colour_of: dict[Triangle, str] = {}
-    for t in tris:
-        r = find(t)
-        groups.setdefault(r, set()).update(t)
-        colour_of[r] = T.colour(t)
-    black, white = set(), set()
-    for r, verts in groups.items():
-        poly = tuple(sorted(verts))
-        (black if colour_of[r] == "black" else white).add(poly)
-    return BicoloredSubdivision(T.n, frozenset(black), frozenset(white))
+    return T.subdivision
 
 
 def fan_triangulation(poly: tuple[int, ...]) -> frozenset[Triangle]:

@@ -33,7 +33,7 @@ from positroid_lab.exact import RatMatrix, det, rank, varbar
 from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
 from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_catalog, w_simplex
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
-from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
+from positroid_lab.triangulations import BicoloredTriangulation, area, enumerate_bicolored
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
@@ -178,6 +178,69 @@ def test_gr26_point_needs_one_determinant_per_twistor(monkeypatch):
     Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 6), Random(3)), Z)
     _gr26_sweep(Y, Z, tiles, ws, seeds)
     assert 0 < len(calls) <= 15
+
+
+def test_tile_tests_read_arc_parities_off_the_triangulation(monkeypatch):
+    from positroid_lab import triangulations
+
+    Z, tiles, _, _ = _gr26_setup()
+    fresh = [BicoloredTriangulation(T.n, T.black, T.white) for T in tiles]
+    calls = []
+
+    def counting_area(T, h, j):
+        calls.append((T, h, j))
+        return area(T, h, j)
+
+    monkeypatch.setattr(triangulations, "area", counting_area)
+    rng = Random(6)
+    Y1, Y2 = (amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
+              for _ in range(2))
+    first = [tile_membership_m2(Y1, Z, T, strict=True) for T in fresh]
+    assert len(calls) == sum(len(T.arcs()) for T in fresh)
+    calls.clear()
+    second = [tile_membership_m2(Y2, Z, T, strict=True) for T in fresh]
+    assert calls == []
+    assert first.count(True) >= 1 and second.count(True) >= 1
+
+
+def _chamber_oracle(Y, Z, ws):
+    """The per-w sign-flip test, each twistor taken from the stacked det."""
+    n = Z.n
+    for a in range(1, n + 1):
+        seq = []
+        for j in range(1, n + 1):
+            if j == a:
+                seq.append(Fraction(0))
+            else:
+                val = _stacked_det(Y, Z, (a, j))
+                seq.append((-1) ** (Z.p - 1) * val if j < a else val)
+        if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
+            return "boundary"
+        flips = {j for j in range(1, n + 1)
+                 if seq[j - 1] != 0 and seq[j % n] != 0
+                 and (seq[j - 1] > 0) != (seq[j % n] > 0)}
+        if flips != set(ws.vertex(a)) - {a}:
+            return False
+    return True
+
+
+def test_chamber_verdicts_match_per_w_oracle():
+    Z, _, ws, _ = _gr26_setup()
+    rng = Random(17)
+    points = [amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
+              for _ in range(20)]
+    # Z_1 is a row of Y: every twistor <Y Z_1 Z_j> vanishes
+    points.append(amp_map(RatMatrix.from_rows([[1, 0, 0, 0, 0, 0],
+                                               [0, 1, 1, 1, 1, 1]]), Z))
+    seen = set()
+    for Y in points:
+        expected = [_chamber_oracle(Y.Y, Z, w) for w in ws]
+        assert [w_chamber_membership(Y.Y, Z, w) for w in ws] == expected
+        assert [w_chamber_membership(Y, Z, w) for w in ws] == expected
+        # again, now from the flip sets kept on the point
+        assert [w_chamber_membership(Y, Z, w) for w in ws] == expected
+        seen.update(expected)
+    assert seen == {True, False, "boundary"}
 
 
 @pytest.mark.parametrize("I", [(0, 2), (2, 7), (-1, 3)])

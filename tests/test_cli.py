@@ -211,3 +211,29 @@ def test_round_trip_emitted_json(capsys):
 
     P = PluckerVector.from_json(data["samples"][0]["plucker"])
     assert P.to_json() == data["samples"][0]["plucker"]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    ("1", "0b26efa83f746946b80286484e8fae2b4ebab2faf89dddd6510db4c11fc333c2"),
+    ("4", "d3a65fcb3791ca396ed757a51e70894cd04b0539a31359765cefc98876b93003"),
+])
+def test_amplituhedron_tilings_draw_audit_points_once(capsys, monkeypatch, seed, digest):
+    import hashlib
+
+    from positroid_lab import amplituhedron
+
+    calls = []
+    original = amplituhedron.sample_interior_point
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(amplituhedron, "sample_interior_point", counting)
+    code, out = run(capsys, "tilings", "--space", "amplituhedron", "--k", "1", "--n", "6",
+                    "--z", "vandermonde:0,1,2,3,4,5", "--samples", "25", "--seed", seed)
+    assert code == 0
+    assert len(json.loads(out)["audited"]) == 14
+    assert calls == [(1, 6)] * 25
+    # stdout of the version that drew the points again for every tiling
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -18,6 +18,8 @@ from positroid_lab.exact import (
     varbar_bruteforce,
 )
 
+from oracles import fraction_det
+
 
 def test_det_identity():
     assert det(RatMatrix.identity(3)) == 1
@@ -111,3 +113,48 @@ def test_sign_vector_projective_normalization():
 def test_matrix_json_round_trip():
     M = RatMatrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     assert RatMatrix.from_json(M.to_json()) == M
+
+
+def _random_rational_matrix(rng: Random, n: int) -> RatMatrix:
+    """Mixed denominators, a few zero entries and often a zero leading pivot."""
+    entries = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 5, 7, 9, 16, 25]))
+               if rng.random() < 0.8 else Fraction(0) for _ in range(n * n)]
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    if n >= 2 and rng.random() < 0.2:
+        rows[rng.randrange(1, n)] = list(rows[0])  # repeated row: singular
+    if n >= 2 and rng.random() < 0.3:
+        rows[0][0] = Fraction(0)  # forces a row swap unless column 1 is zero
+    return RatMatrix.from_rows(rows) if n else RatMatrix.zero(0, 0)
+
+
+def test_det_matches_fraction_bareiss_and_sympy():
+    import sympy
+
+    rng = Random(21)
+    singular = 0
+    for t in range(600):
+        M = _random_rational_matrix(rng, t % 7)
+        d = det(M)
+        assert isinstance(d, Fraction)
+        assert d == fraction_det(M), M
+        if M.rows and t % 3 == 0:
+            ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                for row in M.row_list()]).det()
+            assert d == Fraction(int(ref.p), int(ref.q)), M
+        singular += d == 0
+    assert singular >= 30
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([], 1),
+    ([[Fraction(-3, 7)]], Fraction(-3, 7)),
+    ([[0]], 0),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    ([[0, 2, 1], [0, 1, 3], [Fraction(1, 2), 5, 7]], Fraction(5, 2)),
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+    ([[1, Fraction(1, 2)], [2, 1]], 0),
+    ([[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 3), Fraction(1, 6)]], 0),
+])
+def test_det_pinned_cases(rows, value):
+    M = RatMatrix.from_rows(rows) if rows else RatMatrix.zero(0, 0)
+    assert det(M) == value == fraction_det(M)

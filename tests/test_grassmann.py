@@ -22,7 +22,9 @@ from positroid_lab.grassmann import (
     uniform_matroid,
     vandermonde_matrix,
 )
-from positroid_lab.perms import parse_decorated
+from positroid_lab.perms import enumerate_decorated, parse_decorated
+
+from oracles import rank_decorated_permutation
 
 
 def pinned_matrix() -> RatMatrix:
@@ -181,3 +183,43 @@ def test_positroid_catalog_satisfies_basis_exchange():
     for bases in positroid_catalog(2, 5):
         M = Matroid(5, 2, bases)
         assert M.satisfies_basis_exchange()
+
+
+def test_necklace_permutation_matches_rank_oracle_up_to_n6():
+    from positroid_lab.cells import matrix_realization
+
+    count = 0
+    for n in range(1, 7):
+        for pi in enumerate_decorated(n):
+            C = matrix_realization(pi, seed=n)
+            assert decorated_permutation_of(C) == pi == rank_decorated_permutation(C)
+            count += 1
+    assert count == 2371
+
+
+@pytest.mark.parametrize("rows, perm", [
+    # zero columns 2 and 5 are loops
+    ([[1, 0, 1, 1, 0], [0, 0, 1, 2, 0]], "(4,2_,1,3,5_)"),
+    # column 3 is the only one with a second coordinate: a coloop
+    ([[1, 1, 0, -1], [0, 0, 1, 0]], "(2,4,3^,1)"),
+    # every column is a coloop or a loop
+    ([[1, 0, 0], [0, 0, 1]], "(1^,2_,3^)"),
+    ([[1, 2, 3, 4]], "(2,3,4,1)"),
+])
+def test_necklace_permutation_on_loops_and_coloops(rows, perm):
+    C = RatMatrix.from_rows(rows)
+    assert decorated_permutation_of(C) == parse_decorated(perm)
+    assert rank_decorated_permutation(C) == parse_decorated(perm)
+
+
+def test_necklace_permutation_of_empty_matrix_is_all_loops():
+    C = RatMatrix.zero(0, 4)
+    assert decorated_permutation_of(C) == parse_decorated("(1_,2_,3_,4_)")
+    assert rank_decorated_permutation(C) == parse_decorated("(1_,2_,3_,4_)")
+
+
+def test_necklace_permutation_rejects_non_tnn():
+    C = RatMatrix.from_rows([[1, 0, 1], [0, 1, -1]])
+    for f in (decorated_permutation_of, rank_decorated_permutation):
+        with pytest.raises(ValueError, match="totally nonnegative"):
+            f(C)

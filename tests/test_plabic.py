@@ -22,7 +22,6 @@ from positroid_lab.plabic import (
     apply_move,
     bipartize,
     boundary_measurement,
-    canonical_form,
     cell_dimension,
     dual_graph_of_triangulation,
     enumerate_move_sites,
@@ -36,7 +35,7 @@ from positroid_lab.plabic import (
 )
 from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
 
-from move_search import search_is_reduced
+from move_search import canonical_form, search_is_reduced
 
 
 def test_trip_permutation_g1():
