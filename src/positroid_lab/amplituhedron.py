@@ -35,7 +35,6 @@ __all__ = [
     "AmplituhedronPoint",
     "amp_map",
     "twistor",
-    "twistor_via_expansion",
     "twistor_table",
     "sign_stratum",
     "m1_membership",
@@ -167,22 +166,6 @@ def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
     return _twistors(Y, Z)[1](I)
 
 
-def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
-    """Same twistor evaluated through the coordinates of the source point:
-    sum over J of p_J(C) times the signed maximal minor of Z at rows J, I."""
-    total = Fraction(0)
-    for J in subsets(P.n, P.k):
-        pj = P.coords[J]
-        if pj == 0:
-            continue
-        seq = list(J) + list(I)
-        if len(set(seq)) != len(seq):
-            continue
-        rows = [list(Z.row(i)) for i in seq]
-        total += pj * det(RatMatrix.from_rows(rows))
-    return total
-
-
 def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
     Y, tw = _twistors(Y, Z)
     return {I: tw(I) for I in subsets(Z.n, Z.p - Y.rows)}
@@ -285,13 +268,13 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
     """
     tw = _twistors(Y, Z)[1]
     on_boundary = False
-    for arc, parity in T.arc_parities:
+    for arc, a in T.arc_areas:
         val = tw(arc)
         if val == 0:
             if strict:
                 return False
             on_boundary = True
-        elif (val < 0) != (parity == 1):
+        elif (val < 0) != (a % 2 == 1):
             return False
     return "boundary" if on_boundary else True
 

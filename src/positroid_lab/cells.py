@@ -6,7 +6,8 @@ pair (i, i+1) is an ascent of the bounded affine lift, where a bridge can
 be removed.  Replaying the peeling builds both a plabic graph and an
 exact totally nonnegative matrix realization; every result is certified
 by recomputing the decorated permutation of the realization, so a wrong
-reconstruction cannot escape.
+reconstruction cannot escape.  The positroid of a cell needs neither: it
+is read off the Grassmann necklace of the permutation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import lru_cache
 from random import Random
 
 from .exact import RatMatrix
-from .grassmann import Matroid, decorated_permutation_of, plucker_of_matrix, matroid_of
-from .perms import DecoratedPermutation, affine_lift
+from .grassmann import Matroid, decorated_permutation_of, positroid_of_necklace
+from .perms import DecoratedPermutation, affine_lift, enumerate_decorated, necklace
 from .plabic import PlabicGraph, boundary_id, trip_permutation
 
 __all__ = [
@@ -308,14 +309,9 @@ def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
 
 @lru_cache(maxsize=None)
 def positroid_of_perm(pi: DecoratedPermutation) -> Matroid:
-    """The positroid of the cell indexed by ``pi``.
-
-    Support of any certified realization: the recomputed decorated
-    permutation pins the cell, and on a cell the vanishing pattern of the
-    coordinates is constant.
-    """
-    C = matrix_realization(pi)
-    return matroid_of(plucker_of_matrix(C))
+    """The positroid of the cell indexed by ``pi``, read off its Grassmann
+    necklace: the bases B with I_i <=_i B for every i."""
+    return positroid_of_necklace(necklace(pi))
 
 
 @lru_cache(maxsize=None)
@@ -327,10 +323,4 @@ def cell_dim_of_perm(pi: DecoratedPermutation) -> int:
 @lru_cache(maxsize=None)
 def positroid_catalog(k: int, n: int) -> dict[frozenset, DecoratedPermutation]:
     """All rank-k positroids on [n], keyed by basis set."""
-    from .perms import enumerate_decorated
-
-    out: dict[frozenset, DecoratedPermutation] = {}
-    for pi in enumerate_decorated(n, k=k):
-        M = positroid_of_perm(pi)
-        out[frozenset(M.bases)] = pi
-    return out
+    return {positroid_of_perm(pi).bases: pi for pi in enumerate_decorated(n, k=k)}

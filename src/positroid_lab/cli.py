@@ -76,6 +76,30 @@ def _load_json(path: str) -> dict:
     return _InputObject(data, path)
 
 
+def _int(data: _InputObject, key: str, default=None) -> int:
+    """data[key] (or ``default`` when given and the key is absent), which
+    must be a JSON integer."""
+    v = data[key] if default is None else data.get(key, default)
+    if type(v) is not int:
+        raise InputError(f"{key!r} in {data.path} must be an integer, not {v!r}")
+    return v
+
+
+def _tiles(data: _InputObject) -> list:
+    tiles = data["tiles"]
+    if not isinstance(tiles, list):
+        raise InputError(f"'tiles' in {data.path} must be a list, not {tiles!r}")
+    return tiles
+
+
+def _space(data: _InputObject, default: str) -> str:
+    space = data.get("space", default)
+    if space not in ("hypersimplex", "amplituhedron"):
+        raise InputError(f"'space' in {data.path} must be \"hypersimplex\" or "
+                         f"\"amplituhedron\", not {space!r}")
+    return space
+
+
 def _parse_z(spec: str, n: int, p: int) -> ZMatrix:
     if spec.startswith("vandermonde:"):
         nodes = [Fraction(t) for t in spec.split(":", 1)[1].split(",")]
@@ -98,22 +122,30 @@ def _parse_perm(text: str) -> DecoratedPermutation:
 
 
 def _parse_tile(rec, n: int):
+    """A tile record: a permutation of [n] (text or record) or the black
+    polygons of a bicolored subdivision of the n-gon."""
     if isinstance(rec, str):
-        return _parse_perm(rec)
-    if "perm" in rec:
+        t = _parse_perm(rec)
+    elif not isinstance(rec, dict):
+        raise InputError(f"cannot interpret tile record {rec!r}")
+    elif "perm" in rec:
         p = rec["perm"]
-        return _parse_perm(p) if isinstance(p, str) else DecoratedPermutation.from_json(p)
-    if "black_polygons" in rec:
+        t = _parse_perm(p) if isinstance(p, str) else DecoratedPermutation.from_json(p)
+    elif "black_polygons" in rec:
         from .triangulations import fan_triangulation
 
-        black = frozenset(tuple(sorted(p)) for p in rec["black_polygons"])
-        covered = set()
-        for p in black:
-            covered |= set(p)
+        polys = rec["black_polygons"]
+        if not (isinstance(polys, list)
+                and all(isinstance(p, list) and all(type(v) is int and 1 <= v <= n
+                                                    for v in p)
+                        for p in polys)):
+            raise InputError(f"black_polygons must be lists of vertices in 1..{n}, "
+                             f"not {polys!r}")
+        black = frozenset(tuple(sorted(p)) for p in polys)
         blacks = set()
         for p in black:
             blacks |= fan_triangulation(p)
-        # triangulate the as-yet uncovered region by ear clipping over a fan
+        # complete the fanned black polygons to a triangulation of the n-gon
         from .triangulations import all_triangulations
 
         for tris in all_triangulations(n):
@@ -121,7 +153,11 @@ def _parse_tile(rec, n: int):
                 return BicoloredTriangulation(n, frozenset(blacks),
                                               tris - frozenset(blacks))
         raise InputError(f"black polygons {sorted(black)} fit no triangulation")
-    raise InputError(f"cannot interpret tile record {rec!r}")
+    else:
+        raise InputError(f"cannot interpret tile record {rec!r}")
+    if t.n != n:
+        raise InputError(f"tile {t!r} permutes {t.n} letters, expected n = {n}")
+    return t
 
 
 def _tile_triangulation(t, k: int, n: int) -> BicoloredTriangulation:
@@ -205,28 +241,30 @@ def cmd_tilings(args) -> int:
         raise InputError("tilings needs --k and --n (or --verify / --t-dual)")
     if args.t_dual:
         data = _load_json(args.t_dual)
+        n = _int(data, "n")
+        space = _space(data, "amplituhedron")
         out_tiles = []
-        for rec in data.get("tiles", []):
-            t = _parse_tile(rec, data["n"])
+        for rec in _tiles(data) if "tiles" in data else []:
+            t = _parse_tile(rec, n)
             if isinstance(t, BicoloredTriangulation):
                 from .plabic import dual_graph_of_triangulation
 
                 t = trip_permutation(dual_graph_of_triangulation(t))
                 out_tiles.append(repr(t_dual(t)))
-            elif data.get("space") == "hypersimplex":
+            elif space == "hypersimplex":
                 out_tiles.append(repr(t_dual(t)))
             else:
                 out_tiles.append(repr(t_dual_inverse(t)))
-        _emit(args, {"space": "amplituhedron" if data.get("space") == "hypersimplex"
+        _emit(args, {"space": "amplituhedron" if space == "hypersimplex"
                      else "hypersimplex",
-                     "n": data["n"], "tiles": out_tiles})
+                     "n": n, "tiles": out_tiles})
         return 0
     if args.verify:
         data = _load_json(args.verify)
-        n = data["n"]
-        k = data.get("k", data.get("k_plus_1", 1) - 1)
-        space = data.get("space", "hypersimplex")
-        tiles = [_parse_tile(rec, n) for rec in data["tiles"]]
+        n = _int(data, "n")
+        k = _int(data, "k") if "k" in data else _int(data, "k_plus_1", 1) - 1
+        space = _space(data, "hypersimplex")
+        tiles = [_parse_tile(rec, n) for rec in _tiles(data)]
         if space == "hypersimplex":
             rep = verify_tiling(tiles, k + 1, n)
             _emit(args, rep.to_json())
@@ -320,9 +358,9 @@ def cmd_amp_sample(args) -> int:
 
 def cmd_amp_verify(args) -> int:
     data = _load_json(args.file)
-    n = data["n"]
-    k = data.get("k", 1)
-    tiles = [_parse_tile(rec, n) for rec in data["tiles"]]
+    n = _int(data, "n")
+    k = _int(data, "k", 1)
+    tiles = [_parse_tile(rec, n) for rec in _tiles(data)]
     tris = [_tile_triangulation(t, k, n) for t in tiles]
     Z = _parse_z(args.z, n, k + 2)
     rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)

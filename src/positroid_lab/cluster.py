@@ -20,7 +20,6 @@ from .amplituhedron import amp_map
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
-    area,
     equivalence_class,
     flip,
     flippable_arcs,
@@ -161,6 +160,7 @@ def build_seed(T: BicoloredTriangulation,
             if arc not in _polygon_boundary_arcs(poly):
                 raise ValueError(f"{arc} is not a boundary arc of {poly}")
             dist[poly] = arc
+    areas = dict(T.arc_areas)
     keys: list[Arc] = []
     frozen: set[Arc] = set()
     variables: dict[Arc, object] = {}
@@ -174,7 +174,6 @@ def build_seed(T: BicoloredTriangulation,
                 a, b, c = tri
                 arcs_in_poly |= {(a, b), (b, c), (a, c)}
         d = dist[poly]
-        d_area = area(T, *d)
         for arc in sorted(arcs_in_poly):
             if arc == d:
                 continue
@@ -182,7 +181,7 @@ def build_seed(T: BicoloredTriangulation,
             owner[arc] = poly
             if arc in boundary:
                 frozen.add(arc)
-            variables[arc] = ArcVariable(arc, area(T, *arc), d, d_area)
+            variables[arc] = ArcVariable(arc, areas[arc], d, areas[d])
     arrows: dict[tuple[Arc, Arc], int] = {}
     for tri in sorted(T.black):
         a, b, c = tri

@@ -8,7 +8,6 @@ Gantmakher-Krein style tests elsewhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -100,9 +99,6 @@ class RatMatrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._entries)
 
     def to_json(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in self.row(i)] for i in range(self.rows)]
@@ -226,21 +222,6 @@ def varbar(v: Sequence) -> int:
         else:
             total += gap
     return total
-
-
-def varbar_bruteforce(v: Sequence) -> int:
-    """Exhaustive-completion oracle for varbar; exponential in zero count."""
-    signs = [sign(x) for x in v]
-    zero_pos = [i for i, s in enumerate(signs) if s == 0]
-    if len(zero_pos) == len(signs):
-        raise ValueError("sign variation of the zero vector is undefined")
-    best = 0
-    for fill in product((-1, 1), repeat=len(zero_pos)):
-        w = list(signs)
-        for p, s in zip(zero_pos, fill):
-            w[p] = s
-        best = max(best, sum(1 for a, b in zip(w, w[1:]) if a != b))
-    return best
 
 
 class SignVector:

@@ -215,24 +215,80 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
     return C
 
 
+def necklace_of_bases(bases, n: int) -> tuple[tuple[int, ...], ...]:
+    """(I_1, ..., I_n): I_i is the basis lexicographically least in the
+    cyclic order i < i+1 < ... < i-1, which for a matroid is its least
+    basis in the Gale order <=_i."""
+    return tuple(tuple(sorted(min(bases, key=lambda B: sorted((b - i) % n for b in B))))
+                 for i in range(1, n + 1))
+
+
+def positroid_of_necklace(necklace) -> Matroid:
+    """{B : I_i <=_i B for all i}: the intersection of the cyclically
+    shifted Schubert matroids of a Grassmann necklace, which is the
+    positroid of its cell (Oh, arXiv 0803.1018).
+
+    I <=_i B holds exactly when each initial interval {i, i+1, ..., i+t}
+    of the order <_i holds at most as many elements of B as of I.  The
+    intervals are kept as bitmasks with their counts from I, leaving out
+    the counts no k-set can exceed.
+    """
+    n = len(necklace)
+    k = len(necklace[0]) if necklace else 0
+    bounds = set()
+    for i, I in enumerate(necklace, start=1):
+        interval = 0
+        for t in range(n):
+            interval |= 1 << (i - 1 + t) % n
+            held = sum(1 for x in I if interval >> (x - 1) & 1)
+            if held < min(k, t + 1):
+                bounds.add((interval, held))
+    bases = []
+    for B in subsets(n, k):
+        mask = sum(1 << (x - 1) for x in B)
+        if all((mask & m).bit_count() <= c for m, c in bounds):
+            bases.append(frozenset(B))
+    return Matroid(n, k, frozenset(bases))
+
+
+def _is_grassmann_necklace(necklace) -> bool:
+    """I_{i+1} = I_i - {i} + {j} for some j when i is in I_i, else I_{i+1} = I_i."""
+    n = len(necklace)
+    for i in range(1, n + 1):
+        here, after = set(necklace[i - 1]), set(necklace[i % n])
+        if not (here - {i} <= after if i in here else here == after):
+            return False
+    return True
+
+
+def is_positroid(M: Matroid) -> bool:
+    """Whether the bases of M form a positroid: M must equal the positroid
+    of its own Grassmann necklace (Knutson-Lam-Speyer, arXiv 1109.5705).
+
+    The necklace check keeps out families of k-sets that are not matroids
+    but are cut out by shifted Gale inequalities, such as {13, 24}.
+    """
+    neck = necklace_of_bases(M.bases, M.n)
+    return (_is_grassmann_necklace(neck)
+            and positroid_of_necklace(neck).bases == M.bases)
+
+
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
     """Decorated permutation of a totally nonnegative matrix, read off its
     Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
 
-    I_i is the basis that is lexicographically least in the cyclic order
-    i < i+1 < ... < i-1.  pi(i) = j when I_{i+1} = I_i - {i} + {j}, which
-    is the first column j after i whose span with the intermediate columns
-    absorbs column i; i is a loop when i is not in I_i (a zero column) and
-    a coloop when i is in I_i = I_{i+1}.
+    The necklace is that of the bases, the nonzero Plücker coordinates.
+    pi(i) = j when I_{i+1} = I_i - {i} + {j}, which is the first column j
+    after i whose span with the intermediate columns absorbs column i; i is
+    a loop when i is not in I_i (a zero column) and a coloop when i is in
+    I_i = I_{i+1}.
     """
     P = plucker_of_matrix(C)
     if not is_tnn(P):
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
     n = C.cols
-    bases = [I for I, v in P.coords.items() if v != 0]
-    necklace = [min(bases, key=lambda B: sorted((b - i) % n for b in B))
-                for i in range(1, n + 1)]
+    necklace = necklace_of_bases([I for I, v in P.coords.items() if v != 0], n)
     images = [0] * n
     loops, coloops = set(), set()
     for i in range(1, n + 1):

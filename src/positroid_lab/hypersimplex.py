@@ -18,15 +18,13 @@ from itertools import permutations
 from .cells import positroid_of_perm
 from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
-from .plabic import dual_graph_of_triangulation, positroid_of_graph, trip_permutation
+from .plabic import dual_graph_of_triangulation, trip_permutation
 from .triangulations import (
     BicoloredSubdivision,
     BicoloredTriangulation,
-    area,
     class_representative,
     enumerate_subdivisions,
 )
-from .util import rat_to_str
 
 __all__ = [
     "moment_map",
@@ -165,14 +163,14 @@ class TileRecord:
 def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord]:
     """Positroid tiles of the rank-(k+1) hypersimplex on [n], keyed by the
     trip permutation of the dual tree; one entry per bicolored subdivision
-    of type (k, n)."""
+    of type (k, n).  The dual tree is reduced, so its positroid is that of
+    its trip permutation."""
     k = k_plus_1 - 1
     out: dict[DecoratedPermutation, TileRecord] = {}
     for S in enumerate_subdivisions(n, k):
         T = class_representative(S)
-        G = dual_graph_of_triangulation(T)
-        pi = trip_permutation(G)
-        M = positroid_of_graph(G)
+        pi = trip_permutation(dual_graph_of_triangulation(T))
+        M = positroid_of_perm(pi)
         if pi in out:
             raise RuntimeError(f"two subdivisions share the tile label {pi}")
         out[pi] = TileRecord(pi, M, S, T)
@@ -212,9 +210,8 @@ def _resolve_tiles(tiles, k_plus_1: int, n: int):
                 M = positroid_of_perm(t)
                 resolved.append((t, M, frozenset(M.bases) in by_bases))
         elif isinstance(t, BicoloredTriangulation):
-            G = dual_graph_of_triangulation(t)
-            pi = trip_permutation(G)
-            resolved.append((pi, positroid_of_graph(G), pi in catalog))
+            pi = trip_permutation(dual_graph_of_triangulation(t))
+            resolved.append((pi, positroid_of_perm(pi), pi in catalog))
         elif isinstance(t, Matroid):
             rec = by_bases.get(frozenset(t.bases))
             pi = rec.perm if rec else None
@@ -307,11 +304,7 @@ def enumerate_tilings(k_plus_1: int, n: int) -> tuple[Tiling, ...]:
 
 def tile_inequalities_hypersimplex(T: BicoloredTriangulation):
     """Per arc h -> j of T: bounds area <= x_h + ... + x_{j-1} <= area + 1."""
-    out = []
-    for h, j in sorted(T.arcs()):
-        a = area(T, h, j)
-        out.append(((h, j), a, a + 1))
-    return out
+    return [(arc, a, a + 1) for arc, a in T.arc_areas]
 
 
 def point_satisfies_inequalities(point, ineqs, strict: bool = False) -> bool:
@@ -357,7 +350,3 @@ def plane_partitions(a: int, b: int, c: int) -> int:
                 num *= i + j + k - 1
                 den *= i + j + k - 2
     return num // den
-
-
-def moment_map_json(point) -> list[str]:
-    return [rat_to_str(x) for x in point]

@@ -18,6 +18,8 @@ __all__ = [
     "t_dual",
     "t_dual_inverse",
     "closure_leq",
+    "necklace",
+    "gale_leq",
     "affine_lift",
     "parse_decorated",
     "format_decorated",
@@ -54,9 +56,6 @@ class DecoratedPermutation:
     def fixed_points(self) -> frozenset[int]:
         return self.loops | self.coloops
 
-    def is_loopless(self) -> bool:
-        return not self.loops
-
     def is_coloopless(self) -> bool:
         return not self.coloops
 
@@ -72,11 +71,15 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "DecoratedPermutation":
-        return cls(
-            tuple(data["images"]),
-            frozenset(data.get("loops", ())),
-            frozenset(data.get("coloops", ())),
-        )
+        """ValueError unless images, loops and coloops are lists of integers."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a permutation record must be an object, not {data!r}")
+        fields = (data["images"], data.get("loops", []), data.get("coloops", []))
+        for name, v in zip(("images", "loops", "coloops"), fields):
+            if not (isinstance(v, list) and all(type(x) is int for x in v)):
+                raise ValueError(f"{name} must be a list of integers, not {v!r}")
+        images, loops, coloops = fields
+        return cls(tuple(images), frozenset(loops), frozenset(coloops))
 
 
 def make(images, loops=(), coloops=()) -> DecoratedPermutation:
@@ -116,13 +119,43 @@ def t_dual_inverse(pi_hat: DecoratedPermutation) -> DecoratedPermutation:
     return DecoratedPermutation(images, frozenset(), coloops)
 
 
+def necklace(pi: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
+    """Grassmann necklace (I_1, ..., I_n) of ``pi``, each I_i sorted.
+
+    I_i = {j : j <_i pi^-1(j)} together with the coloops, where <_i is the
+    cyclic order i < i+1 < ... < i-1; I_1 is the anti-excedance set
+    (Postnikov, arXiv math/0609764, §16).
+    """
+    n = pi.n
+    pre = {v: i for i, v in enumerate(pi.images, start=1)}
+    return tuple(
+        tuple(sorted(j for j in range(1, n + 1)
+                     if (j - i) % n < (pre[j] - i) % n or j in pi.coloops))
+        for i in range(1, n + 1))
+
+
+def gale_leq(A, B, i: int, n: int) -> bool:
+    """A <=_i B in the Gale order of the cyclic order starting at i: sorted
+    in that order, each element of A is at most the matching one of B.
+
+    Sets of different sizes are incomparable.
+    """
+    a = sorted((x - i) % n for x in A)
+    b = sorted((x - i) % n for x in B)
+    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+
+
 def closure_leq(mu: DecoratedPermutation, pi: DecoratedPermutation) -> bool:
-    """Closure order via containment of the associated positroid bases."""
+    """Closure order: the cell of mu lies in the closure of the cell of pi.
+
+    That is containment of positroids, which holds exactly when
+    I_i(pi) <=_i I_i(mu) for every i (Oh, arXiv 0803.1018).
+    """
     if mu.n != pi.n:
         raise ValueError("permutations must share the same n")
-    from .cells import positroid_of_perm
-
-    return positroid_of_perm(mu).bases <= positroid_of_perm(pi).bases
+    n = pi.n
+    return all(gale_leq(I, J, i, n)
+               for i, (I, J) in enumerate(zip(necklace(pi), necklace(mu)), start=1))
 
 
 def affine_lift(pi: DecoratedPermutation) -> tuple[int, ...]:

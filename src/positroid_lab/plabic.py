@@ -23,6 +23,18 @@ from .util import subsets
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
 
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _list_of(x, ok) -> bool:
+    return isinstance(x, list) and all(ok(y) for y in x)
+
+
 def boundary_id(i: int) -> str:
     return f"b{i}"
 
@@ -171,13 +183,34 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlabicGraph":
-        colors = {rec["id"]: rec["color"] for rec in data.get("vertices", [])}
-        edges = [tuple(e) for e in data["edges"]]
+        """ValueError unless every field has the shape ``to_json`` writes."""
+        n, vertices, edges = data["n"], data.get("vertices", []), data["edges"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, not {n!r}")
+        if not (isinstance(vertices, list)
+                and all(isinstance(r, dict) and isinstance(r.get("id"), str)
+                        for r in vertices)):
+            raise ValueError(f"vertices must be a list of {{\"id\": ..., "
+                             f"\"color\": ...}} records, not {vertices!r}")
+        if not _list_of(edges, lambda e: _list_of(e, _is_str) and len(e) == 2):
+            raise ValueError(f"edges must be a list of [u, v] name pairs, not {edges!r}")
+        colors = {rec["id"]: rec.get("color") for rec in vertices}
+        edges = [tuple(e) for e in edges]
         if "rotations" in data:
-            rotations = {v: [tuple(d) for d in rot]
-                         for v, rot in data["rotations"].items()}
-            return cls(data["n"], colors, edges, rotations)
-        return cls.build(data["n"], colors, edges, data.get("neighbors"))
+            rotations = data["rotations"]
+            if not (isinstance(rotations, dict) and all(
+                    _list_of(rot, lambda d: _list_of(d, _is_int) and len(d) == 2)
+                    for rot in rotations.values())):
+                raise ValueError("rotations must map each vertex to a list of "
+                                 f"[edge, side] darts, not {rotations!r}")
+            return cls(n, colors, edges, {v: [tuple(d) for d in rot]
+                                          for v, rot in rotations.items()})
+        neighbors = data.get("neighbors")
+        if neighbors is not None and not (isinstance(neighbors, dict) and all(
+                _list_of(names, _is_str) for names in neighbors.values())):
+            raise ValueError("neighbors must map each vertex to a list of names, "
+                             f"not {neighbors!r}")
+        return cls.build(n, colors, edges, neighbors)
 
     def to_dot(self) -> str:
         lines = ["graph plabic {", "  layout=neato;"]

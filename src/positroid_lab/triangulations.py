@@ -100,7 +100,7 @@ class BicoloredTriangulation:
     def subdivision(self) -> "BicoloredSubdivision":
         """The subdivision of T's class: like-coloured neighbours merged.
 
-        Computed once per instance, like ``arc_parities``; both stay out of
+        Computed once per instance, like ``arc_areas``; both stay out of
         equality, hashing and ``repr``, which read the fields only."""
         tris = sorted(self.triangles)
         parent = {t: t for t in tris}
@@ -128,9 +128,9 @@ class BicoloredTriangulation:
         return BicoloredSubdivision(self.n, frozenset(black), frozenset(white))
 
     @cached_property
-    def arc_parities(self) -> tuple[tuple[Arc, int], ...]:
-        """(arc, area parity) for each arc of T in sorted order."""
-        return tuple(((h, j), area(self, h, j) % 2) for h, j in arcs_of(self))
+    def arc_areas(self) -> tuple[tuple[Arc, int], ...]:
+        """(arc, area) for each arc of T in sorted order."""
+        return tuple(((h, j), area(self, h, j)) for h, j in arcs_of(self))
 
     def to_json(self) -> dict:
         return {

@@ -14,9 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-from .cells import positroid_catalog
 from .exact import RatMatrix, rank
-from .grassmann import Matroid
+from .grassmann import Matroid, is_positroid
 from .hypersimplex import enumerate_D, eulerian, simplex_in_positroid
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
 
@@ -75,18 +74,27 @@ class HeightVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "HeightVector":
-        """ValueError unless k and n are ints and heights maps keys to strings."""
-        for key in ("k", "n"):
-            if type(data[key]) is not int:
-                raise ValueError(f"{key} must be an integer, not {data[key]!r}")
+        """ValueError unless 0 <= k <= n are ints and heights maps distinct
+        k-subsets of [n] to strings; absent subsets get height 0."""
+        k, n = data["k"], data["n"]
+        for key, v in (("k", k), ("n", n)):
+            if type(v) is not int:
+                raise ValueError(f"{key} must be an integer, not {v!r}")
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, not k = {k}, n = {n}")
         if not isinstance(data["heights"], dict):
             raise ValueError("heights must be an object of \"i,j,...\": \"p/q\" entries")
+        table = {}
         for key, v in data["heights"].items():
             if not isinstance(v, str):
                 raise ValueError(f"height of {key!r} must be a string \"p/q\", not {v!r}")
-        table = {subset_from_key(key): rat_from_str(v)
-                 for key, v in data["heights"].items()}
-        return cls.make(data["k"], data["n"], table)
+            I = subset_from_key(key)
+            if len(set(I)) != k or len(I) != k or not all(1 <= i <= n for i in I):
+                raise ValueError(f"height key {key!r} is not a {k}-subset of [{n}]")
+            if I in table:
+                raise ValueError(f"height key {key!r} repeats the subset {subset_key(I)}")
+            table[I] = rat_from_str(v)
+        return cls.make(k, n, table)
 
 
 def positivity_violation(P: HeightVector):
@@ -356,12 +364,7 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
 
 def faces_are_positroids(D: Subdivision) -> bool:
     """Every full-dimensional cell must be a positroid polytope."""
-    catalog = positroid_catalog(D.k, D.n)
-    for cell in D.cells:
-        bases = frozenset(frozenset(I) for I in cell.vertices)
-        if bases not in catalog:
-            return False
-    return True
+    return all(is_positroid(cell.matroid(D.k, D.n)) for cell in D.cells)
 
 
 def octahedra_all_subdivided(D: Subdivision) -> bool:
@@ -429,8 +432,13 @@ def tropical_minor(A: list[list[Fraction]], cols: Subset) -> Fraction:
 
 def random_positive_tropical(k: int, n: int, rng: Random,
                              hi: int = 40) -> HeightVector:
-    """Min-plus minors of a random rational matrix; rejection-sampled
-    against the positivity check, which in practice never rejects."""
+    """Min-plus minors of a random rational matrix, rejection-sampled
+    against the positivity check.
+
+    Most draws are rejected: about 34% pass at (2,5) and 6.5% at (3,6),
+    so at (3,6) all 50 tries fail, and RuntimeError is raised, in about
+    3.5% of calls.
+    """
     for _ in range(50):
         A = [[Fraction(rng.randint(0, hi)) for _ in range(n)] for _ in range(k)]
         P = HeightVector.make(k, n, {I: tropical_minor(A, I) for I in subsets(n, k)})

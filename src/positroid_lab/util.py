@@ -8,10 +8,6 @@ from random import Random
 from typing import Iterable, Sequence
 
 
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
 def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q" with the denominator always written."""
     x = Fraction(x)
@@ -50,11 +46,6 @@ def subset_from_key(s: str) -> tuple[int, ...]:
     if s == "":
         return ()
     return tuple(sorted(int(t) for t in s.split(",")))
-
-
-def random_positive_rational(rng: Random, lo: int = 1, hi: int = 1000) -> Fraction:
-    """Random integer-valued rational; numerator uniform in [lo, hi]."""
-    return Fraction(rng.randint(lo, hi))
 
 
 def random_signed_rational(rng: Random, hi: int = 1000) -> Fraction:

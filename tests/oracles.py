@@ -2,17 +2,33 @@
 
 ``fraction_det`` is Bareiss elimination carried out in ``Fraction``
 arithmetic; ``rank_decorated_permutation`` reads the decorated permutation
-of a totally nonnegative matrix off ranks of column spans.  The tests
-compare ``exact.det`` and ``grassmann.decorated_permutation_of`` with them.
+of a totally nonnegative matrix off ranks of column spans;
+``realized_positroid`` takes the support of all minors of a certified
+realization of a cell; ``twistor_via_expansion`` evaluates a twistor
+through the Plücker coordinates of the source point; ``varbar_bruteforce``
+tries every sign completion.  The tests compare ``exact.det``,
+``grassmann.decorated_permutation_of``, ``cells.positroid_of_perm``,
+``amplituhedron.twistor`` and ``exact.varbar`` with them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from typing import Sequence
 
-from positroid_lab.exact import RatMatrix, rank
-from positroid_lab.grassmann import is_tnn, plucker_of_matrix
+from positroid_lab.amplituhedron import ZMatrix
+from positroid_lab.cells import matrix_realization
+from positroid_lab.exact import RatMatrix, det, rank
+from positroid_lab.grassmann import (
+    Matroid,
+    PluckerVector,
+    is_tnn,
+    matroid_of,
+    plucker_of_matrix,
+)
 from positroid_lab.perms import DecoratedPermutation
+from positroid_lab.util import sign, subsets
 
 
 def fraction_det(M: RatMatrix) -> Fraction:
@@ -72,3 +88,41 @@ def rank_decorated_permutation(C: RatMatrix) -> DecoratedPermutation:
                 images[i - 1] = j
                 break
     return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
+
+
+def realized_positroid(pi: DecoratedPermutation) -> Matroid:
+    """Support of the minors of a certified realization of the cell: the
+    recomputed decorated permutation pins the cell, and on a cell the
+    vanishing pattern of the coordinates is constant."""
+    return matroid_of(plucker_of_matrix(matrix_realization(pi)))
+
+
+def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
+    """Twistor evaluated through the coordinates of the source point:
+    sum over J of p_J(C) times the signed maximal minor of Z at rows J, I."""
+    total = Fraction(0)
+    for J in subsets(P.n, P.k):
+        pj = P.coords[J]
+        if pj == 0:
+            continue
+        seq = list(J) + list(I)
+        if len(set(seq)) != len(seq):
+            continue
+        rows = [list(Z.row(i)) for i in seq]
+        total += pj * det(RatMatrix.from_rows(rows))
+    return total
+
+
+def varbar_bruteforce(v: Sequence) -> int:
+    """Exhaustive-completion oracle for varbar; exponential in zero count."""
+    signs = [sign(x) for x in v]
+    zero_pos = [i for i, s in enumerate(signs) if s == 0]
+    if len(zero_pos) == len(signs):
+        raise ValueError("sign variation of the zero vector is undefined")
+    best = 0
+    for fill in product((-1, 1), repeat=len(zero_pos)):
+        w = list(signs)
+        for p, s in zip(zero_pos, fill):
+            w[p] = s
+        best = max(best, sum(1 for a, b in zip(w, w[1:]) if a != b))
+    return best

@@ -22,7 +22,6 @@ from positroid_lab.amplituhedron import (
     tile_membership_m2,
     twistor,
     twistor_table,
-    twistor_via_expansion,
     verify_amp_tiling_m2,
     w_chamber_membership,
 )
@@ -32,7 +31,7 @@ from positroid_lab.cells import (
     sample_cell_matrix,
 )
 from positroid_lab.cluster import build_seed, cluster_adjacency_check, mutate
-from positroid_lab.exact import RatMatrix, var, varbar, varbar_bruteforce
+from positroid_lab.exact import RatMatrix, var, varbar
 from positroid_lab.grassmann import (
     decorated_permutation_of,
     is_tnn,
@@ -75,6 +74,7 @@ from positroid_lab.trop import (
 )
 
 from lp import point_in_hull
+from oracles import twistor_via_expansion, varbar_bruteforce
 
 
 def report(num: int, text: str) -> None:

@@ -23,7 +23,6 @@ from positroid_lab.amplituhedron import (
     tile_membership_m2,
     twistor,
     twistor_table,
-    twistor_via_expansion,
     verify_amp_tiling_m2,
     w_chamber_membership,
 )
@@ -34,6 +33,8 @@ from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
 from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_catalog, w_simplex
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.triangulations import BicoloredTriangulation, area, enumerate_bicolored
+
+from oracles import twistor_via_expansion
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
@@ -180,7 +181,7 @@ def test_gr26_point_needs_one_determinant_per_twistor(monkeypatch):
     assert 0 < len(calls) <= 15
 
 
-def test_tile_tests_read_arc_parities_off_the_triangulation(monkeypatch):
+def test_tile_tests_read_arc_areas_off_the_triangulation(monkeypatch):
     from positroid_lab import triangulations
 
     Z, tiles, _, _ = _gr26_setup()

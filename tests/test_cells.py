@@ -80,3 +80,66 @@ def test_catalog_distinct_positroids():
     assert len(cat) == len(perms)
     # every type (2,4) decorated permutation appears exactly once
     assert perms == set(enumerate_decorated(4, k=2))
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) function in every positroid_lab module that
+    holds it, so calls made inside the library are counted too."""
+    import sys
+
+    calls = []
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("positroid_lab") and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_positroid_paths_take_no_minor_realization_or_matching(monkeypatch):
+    from positroid_lab import cells, exact, plabic
+    from positroid_lab.hypersimplex import tile_catalog
+    from positroid_lab.perms import closure_leq
+    from positroid_lab.trop import (
+        faces_are_positroids,
+        is_finest,
+        random_positive_tropical,
+        regular_subdivision,
+    )
+
+    D = regular_subdivision(random_positive_tropical(3, 6, Random(0)))
+    assert is_finest(D) and len(D.cells) == 6
+    perms = list(enumerate_decorated(4, k=2))
+    calls = _count_calls(monkeypatch, [(exact, "det"), (cells, "matrix_realization"),
+                                       (plabic, "matchings")])
+    positroid_of_perm.cache_clear()
+    assert positroid_of_perm(parse_decorated("(3,1,4,2)")).sorted_bases() == \
+        [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    positroid_catalog.cache_clear()
+    positroid_of_perm.cache_clear()
+    assert len(positroid_catalog(3, 6)) == len(list(enumerate_decorated(6, k=3)))
+    assert faces_are_positroids(D)
+    assert sum(closure_leq(mu, pi) for mu in perms for pi in perms) > len(perms)
+    tile_catalog.cache_clear()
+    positroid_of_perm.cache_clear()
+    assert len(tile_catalog(3, 6)) == 48
+    assert calls == []
+
+
+def test_perms_and_trop_import_nothing_from_cells():
+    import ast
+    import inspect
+
+    from positroid_lab import perms, trop
+
+    for module in (perms, trop):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert "cells" not in imported, module.__name__

@@ -170,6 +170,8 @@ def test_trop_list_heights_file_exit_2(capsys, tmp_path):
     {"k": "x", "n": 4, "heights": {"1,2": "1/1"}},
     {"k": 2, "n": 4, "heights": {"1,2": 5}},
     {"k": 2, "n": 4, "heights": [1, 2]},
+    {"k": 2, "n": 4, "heights": {"1,9": "1/1"}},
+    {"k": 2, "n": 4, "heights": {"1,2": "1/1", "2,1": "0/1"}},
 ])
 def test_trop_malformed_heights_exit_2(capsys, tmp_path, data):
     p = tmp_path / "h.json"
@@ -237,3 +239,104 @@ def test_amplituhedron_tilings_draw_audit_points_once(capsys, monkeypatch, seed,
     assert calls == [(1, 6)] * 25
     # stdout of the version that drew the points again for every tiling
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, data, argv", [
+    ("tiles not a list", {"space": "hypersimplex", "k": 1, "n": 4, "tiles": 5},
+     ["tilings", "--verify", "FILE"]),
+    ("n a string", {"space": "hypersimplex", "k": 1, "n": "4",
+                    "tiles": [{"perm": "(3,1,4,2)"}, {"perm": "(2,4,1,3)"}]},
+     ["tilings", "--verify", "FILE"]),
+    ("perm record a number", {"space": "hypersimplex", "k": 1, "n": 4,
+                              "tiles": [{"perm": 5}, {"perm": "(2,4,1,3)"}]},
+     ["tilings", "--verify", "FILE"]),
+    ("vertices not a list", dict(fixtures.g1().to_json(), vertices=5),
+     ["cell", "--graph", "FILE"]),
+    ("height keys not 2-subsets of [4]",
+     {"k": 2, "n": 4, "heights": {"9,9": "1", "1,2,3": "4"}},
+     ["trop", "--heights", "FILE"]),
+    ("tile of the wrong size", {"space": "hypersimplex", "n": 4, "tiles": ["(2,1)"]},
+     ["tilings", "--t-dual", "FILE"]),
+])
+def test_malformed_input_files_exit_2(capsys, tmp_path, name, data, argv):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 2, name
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
+def test_trop_heights_k_above_n_names_the_bound(capsys, tmp_path):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"k": 5, "n": 4, "heights": {}}))
+    assert main(["trop", "--heights", str(p)]) == 2
+    assert capsys.readouterr().err == "input error: need 0 <= k <= n, not k = 5, n = 4\n"
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+# Integers stay small: a replaced size is then one the library computes at
+# in milliseconds.  A large size is a valid request for a long computation,
+# not malformed input, so it has no place in a test of the input contract.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+_PERM_TILES = {"space": "hypersimplex", "k": 1, "n": 4,
+               "tiles": [{"perm": "(3,1,4,2)"}, {"perm": "(2,4,1,3)"}]}
+_POLYGON_TILES = {"space": "amplituhedron", "k": 1, "n": 4,
+                  "tiles": [{"black_polygons": [[1, 2, 3]]},
+                            {"black_polygons": [[1, 3, 4]]}]}
+
+# command -> (valid input, argv with FILE for its path, the record whose keys
+# are fuzzed besides the top-level ones)
+FUZZ_CASES = {
+    "trop": (HeightVector.make(2, 4, {(1, 2): 1}).to_json(),
+             ["trop", "--heights", "FILE"], ("heights",)),
+    "tilings-verify": (_PERM_TILES, ["tilings", "--verify", "FILE"], ("tiles", 0)),
+    "tilings-t-dual": (_PERM_TILES, ["tilings", "--t-dual", "FILE"], ("tiles", 1)),
+    "amp-verify-tiling": (_POLYGON_TILES,
+                          ["amp", "verify-tiling", "--file", "FILE",
+                           "--z", "vandermonde:0,1,2,3", "--samples", "3"],
+                          ("tiles", 0)),
+    "cell-graph": (fixtures.g1().to_json(), ["cell", "--graph", "FILE"],
+                   ("vertices", 1)),
+}
+
+
+def _slots(data, record_path):
+    record = data
+    for step in record_path:
+        record = record[step]
+    return [(key,) for key in data] + [record_path + (key,) for key in record]
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CASES))
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_under_one_replaced_value(tmp_path, command, data):
+    import contextlib
+    import copy
+    import io
+
+    valid, argv, record_path = FUZZ_CASES[command]
+    slot = data.draw(st.sampled_from(_slots(valid, record_path)), label="slot")
+    value = data.draw(JSON_VALUES, label="value")
+    doc = copy.deepcopy(valid)
+    target = doc
+    for step in slot[:-1]:
+        target = target[step]
+    target[slot[-1]] = value
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(p) if a == "FILE" else a for a in argv])
+    assert code in (0, 1, 2)

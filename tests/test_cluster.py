@@ -66,6 +66,32 @@ def test_distinguished_variable_is_one():
     assert eval_cluster_var(var, Y, Z) == 1
 
 
+def test_build_seed_reads_areas_off_the_triangulation(monkeypatch):
+    import sys
+
+    from positroid_lab.triangulations import area
+
+    T = BicoloredTriangulation.make(
+        9,
+        black=[(7, 8, 9), (1, 7, 9), (2, 3, 7), (3, 4, 7), (4, 5, 7)],
+        white=[(1, 2, 7), (5, 6, 7)])
+    assert all(a == area(T, *arc) for arc, a in T.arc_areas)  # fills the cache
+    calls = []
+
+    def counting_area(*args):
+        calls.append(args)
+        return area(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("positroid_lab") and getattr(mod, "area", None) is area:
+            monkeypatch.setattr(mod, "area", counting_area)
+    seeds = [build_seed(T), build_seed(T, {(1, 7, 8, 9): (1, 7), (2, 3, 4, 5, 7): (5, 7)})]
+    assert calls == []
+    for S in seeds:
+        for v in S.variables.values():
+            assert (v.arc_area, v.dist_area) == (area(T, *v.arc), area(T, *v.dist_arc))
+
+
 def test_fig_seed_structure_type_5_9():
     T = BicoloredTriangulation.make(
         9,

@@ -15,10 +15,9 @@ from positroid_lab.exact import (
     rank,
     var,
     varbar,
-    varbar_bruteforce,
 )
 
-from oracles import fraction_det
+from oracles import fraction_det, varbar_bruteforce
 
 
 def test_det_identity():

@@ -1,6 +1,7 @@
 """Plücker vectors, matroids, positivity, and the sampled variation test."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,19 +13,22 @@ from positroid_lab.grassmann import (
     PluckerVector,
     decorated_permutation_of,
     gk_test,
+    is_positroid,
     is_tnn,
     is_tp,
     matrix_of_plucker,
     matroid_of,
+    necklace_of_bases,
     plucker_of_matrix,
+    positroid_of_necklace,
     random_matrix,
     three_term_relation_holds,
     uniform_matroid,
     vandermonde_matrix,
 )
-from positroid_lab.perms import enumerate_decorated, parse_decorated
+from positroid_lab.perms import enumerate_decorated, necklace, parse_decorated
 
-from oracles import rank_decorated_permutation
+from oracles import rank_decorated_permutation, realized_positroid
 
 
 def pinned_matrix() -> RatMatrix:
@@ -186,15 +190,46 @@ def test_positroid_catalog_satisfies_basis_exchange():
 
 
 def test_necklace_permutation_matches_rank_oracle_up_to_n6():
-    from positroid_lab.cells import matrix_realization
+    from positroid_lab.cells import matrix_realization, positroid_of_perm
 
     count = 0
     for n in range(1, 7):
         for pi in enumerate_decorated(n):
             C = matrix_realization(pi, seed=n)
             assert decorated_permutation_of(C) == pi == rank_decorated_permutation(C)
+            support = matroid_of(plucker_of_matrix(C)).bases
+            assert positroid_of_perm(pi).bases == support
+            assert necklace(pi) == necklace_of_bases(support, n)
             count += 1
     assert count == 2371
+
+
+def _families(k, n):
+    """Every nonempty family of k-subsets of [n], as a Matroid record."""
+    subs = [frozenset(I) for I in combinations(range(1, n + 1), k)]
+    for mask in range(1, 1 << len(subs)):
+        yield Matroid(n, k, frozenset(S for b, S in enumerate(subs) if mask >> b & 1))
+
+
+@pytest.mark.parametrize("k, n, matroids, positroids", [
+    (2, 4, 36, 33), (2, 5, 171, 131), (3, 5, 171, 131)])
+def test_is_positroid_matches_realized_catalog(k, n, matroids, positroids):
+    catalog = {realized_positroid(pi).bases for pi in enumerate_decorated(n, k=k)}
+    assert len(catalog) == positroids
+    seen = 0
+    for M in _families(k, n):
+        assert is_positroid(M) == (M.bases in catalog), M
+        seen += M.satisfies_basis_exchange()
+    assert seen == matroids
+
+
+def test_is_positroid_rejects_a_gale_cut_non_matroid():
+    # {13, 24} equals the envelope of its lexicographic minima, but it
+    # fails basis exchange, and those minima are no Grassmann necklace
+    M = Matroid(4, 2, frozenset({frozenset({1, 3}), frozenset({2, 4})}))
+    assert not M.satisfies_basis_exchange()
+    assert positroid_of_necklace(necklace_of_bases(M.bases, 4)).bases == M.bases
+    assert not is_positroid(M)
 
 
 @pytest.mark.parametrize("rows, perm", [

@@ -284,3 +284,16 @@ def test_narayana_agrees_with_cyclic_polytope_row_for_k1():
     # cyclic polytope count
     for n in range(5, 10):
         assert narayana(n - 3, 2) == binomial(n - 3, 2)
+
+
+def test_tile_matroids_match_dual_tree_matchings_up_to_n7():
+    from positroid_lab.plabic import dual_graph_of_triangulation, positroid_of_graph
+
+    count = 0
+    for n in range(3, 8):
+        for k_plus_1 in range(1, n):
+            for rec in tile_catalog(k_plus_1, n).values():
+                G = dual_graph_of_triangulation(rec.triangulation)
+                assert rec.matroid == positroid_of_graph(G), rec.perm
+                count += 1
+    assert count == 514

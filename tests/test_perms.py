@@ -8,6 +8,8 @@ from positroid_lab.perms import (
     closure_leq,
     enumerate_decorated,
     format_decorated,
+    gale_leq,
+    necklace,
     parse_decorated,
     t_dual,
     t_dual_inverse,
@@ -89,6 +91,37 @@ def test_t_dual_preserves_closure_order_exhaustive_24():
     for mu in loopless:
         for pi in loopless:
             assert closure_leq(mu, pi) == closure_leq(t_dual(mu), t_dual(pi))
+
+
+def test_closure_leq_matches_realized_containment_up_to_n5():
+    from oracles import realized_positroid
+
+    pairs = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            bases = {pi: realized_positroid(pi).bases for pi in enumerate_decorated(n, k=k)}
+            for mu in bases:
+                for pi in bases:
+                    assert closure_leq(mu, pi) == (bases[mu] <= bases[pi]), (mu, pi)
+                    pairs += 1
+    assert pairs == 37900
+
+
+def test_necklace_pinned():
+    assert necklace(parse_decorated("(3,1,4,2)")) == ((1, 2), (2, 3), (1, 3), (1, 4))
+    # I_1 is the anti-excedance set; the coloop 7 is in every I_i, the loop 2 in none
+    pi = parse_decorated("(3,2_,5,1,6,8,7^,4)")
+    assert necklace(pi)[0] == tuple(sorted(anti_excedances(pi)))
+    assert all(7 in I and 2 not in I for I in necklace(pi))
+
+
+def test_gale_leq_in_shifted_orders():
+    assert gale_leq((1, 2), (2, 4), 1, 4)
+    assert not gale_leq((2, 4), (1, 2), 1, 4)
+    # in the order 3 < 4 < 1 < 2 the set {1, 2} comes last
+    assert gale_leq((3, 4), (1, 2), 3, 4)
+    assert not gale_leq((1, 2), (3, 4), 3, 4)
+    assert not gale_leq((1,), (1, 2), 1, 4)
 
 
 def test_parse_format_round_trip():

@@ -119,13 +119,13 @@ def test_subdivision_counts_match_tiles():
 
 
 @pytest.mark.parametrize("k_plus_1, n", [(3, 6), (2, 6)])
-def test_arc_parities_match_area(k_plus_1, n):
+def test_arc_areas_match_area(k_plus_1, n):
     from positroid_lab.hypersimplex import tile_catalog
 
     for rec in tile_catalog(k_plus_1, n).values():
         T = rec.triangulation
-        assert [arc for arc, _ in T.arc_parities] == sorted(T.arcs())
-        assert all(parity == area(T, h, j) % 2 for (h, j), parity in T.arc_parities)
+        assert [arc for arc, _ in T.arc_areas] == sorted(T.arcs())
+        assert all(a == area(T, h, j) for (h, j), a in T.arc_areas)
         assert T.subdivision == rec.subdivision
 
 
@@ -135,8 +135,8 @@ def test_cached_facts_stay_out_of_equality_hash_and_repr():
     U = BicoloredTriangulation.make(6, black=[(1, 2, 3), (1, 3, 4)],
                                     white=[(1, 4, 5), (1, 5, 6)])
     assert equivalence_class(T) is T.subdivision
-    assert len(T.arc_parities) == 9
-    assert "arc_parities" in vars(T) and "subdivision" in vars(T)
-    assert "arc_parities" not in vars(U)
+    assert len(T.arc_areas) == 9
+    assert "arc_areas" in vars(T) and "subdivision" in vars(T)
+    assert "arc_areas" not in vars(U)
     assert T == U and hash(T) == hash(U) and repr(T) == repr(U)
     assert len({T, U}) == 1
