@@ -32,7 +32,11 @@ from .grassmann import plucker_of_matrix
 from .hypersimplex import enumerate_tilings, moment_map, tile_catalog, verify_tiling
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse
 from .plabic import PlabicGraph, bipartize, matchings, positroid_of_graph, trip_permutation
-from .triangulations import BicoloredTriangulation
+from .triangulations import (
+    BicoloredTriangulation,
+    fan_triangulation,
+    first_triangulation_containing,
+)
 from .trop import (
     HeightVector,
     is_finest,
@@ -132,8 +136,6 @@ def _parse_tile(rec, n: int):
         p = rec["perm"]
         t = _parse_perm(p) if isinstance(p, str) else DecoratedPermutation.from_json(p)
     elif "black_polygons" in rec:
-        from .triangulations import fan_triangulation
-
         polys = rec["black_polygons"]
         if not (isinstance(polys, list)
                 and all(isinstance(p, list) and all(type(v) is int and 1 <= v <= n
@@ -142,17 +144,11 @@ def _parse_tile(rec, n: int):
             raise InputError(f"black_polygons must be lists of vertices in 1..{n}, "
                              f"not {polys!r}")
         black = frozenset(tuple(sorted(p)) for p in polys)
-        blacks = set()
-        for p in black:
-            blacks |= fan_triangulation(p)
-        # complete the fanned black polygons to a triangulation of the n-gon
-        from .triangulations import all_triangulations
-
-        for tris in all_triangulations(n):
-            if blacks <= tris:
-                return BicoloredTriangulation(n, frozenset(blacks),
-                                              tris - frozenset(blacks))
-        raise InputError(f"black polygons {sorted(black)} fit no triangulation")
+        blacks = frozenset().union(*map(fan_triangulation, black))
+        tris = first_triangulation_containing(n, blacks)
+        if not blacks <= tris:
+            raise InputError(f"black polygons {sorted(black)} fit no triangulation")
+        return BicoloredTriangulation(n, blacks, tris - blacks)
     else:
         raise InputError(f"cannot interpret tile record {rec!r}")
     if t.n != n:

@@ -17,6 +17,7 @@ __all__ = [
     "BicoloredTriangulation",
     "BicoloredSubdivision",
     "all_triangulations",
+    "first_triangulation_containing",
     "enumerate_bicolored",
     "enumerate_subdivisions",
     "equivalence_class",
@@ -216,6 +217,28 @@ def _triangulations_of(cycle: tuple[int, ...]) -> tuple[frozenset[Triangle], ...
 def all_triangulations(n: int) -> list[frozenset[Triangle]]:
     """Every triangulation of the n-gon as a set of triangles (Catalan many)."""
     return list(_triangulations_of(tuple(range(1, n + 1))))
+
+
+def first_triangulation_containing(n: int, tris) -> frozenset[Triangle]:
+    """The first triangulation of the n-gon in ``all_triangulations`` order
+    that contains the triangles ``tris``, without listing the others: split
+    each polygon at the first apex whose two new sides cross no arc of
+    ``tris``, then complete both parts (from a stack, so no recursion depth
+    grows with n).  If the arcs of ``tris`` cross, no triangulation holds
+    them and the result misses some of ``tris``; callers check."""
+    arcs = arcs_of_triangles(tris)
+    out, stack = set(), [tuple(range(1, n + 1))]
+    while stack:
+        cycle = stack.pop()
+        if len(cycle) < 3:
+            continue
+        a, z = cycle[0], cycle[-1]
+        m = next((m for m in range(1, len(cycle) - 1)
+                  if not any(arcs_cross(side, arc) for arc in arcs
+                             for side in ((a, cycle[m]), (cycle[m], z)))), 1)
+        out.add(_norm_tri((a, cycle[m], z)))
+        stack += [cycle[: m + 1], cycle[m:]]
+    return frozenset(out)
 
 
 def enumerate_bicolored(n: int, k: int) -> list[BicoloredTriangulation]:

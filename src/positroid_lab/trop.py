@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import comb
 from random import Random
 
-from .exact import RatMatrix, rank
+from .exact import RatMatrix, kernel_basis, rank
 from .grassmann import Matroid, is_positroid
 from .hypersimplex import enumerate_D, eulerian, simplex_in_positroid
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
@@ -56,10 +57,6 @@ class HeightVector:
             if len(vals) != len(order):
                 raise ValueError(f"expected {len(order)} heights")
         return cls(k, n, tuple(vals))
-
-    def height(self, I) -> Fraction:
-        order = subsets(self.n, self.k)
-        return self.heights[order.index(tuple(sorted(I)))]
 
     def table(self) -> dict[Subset, Fraction]:
         return dict(zip(subsets(self.n, self.k), self.heights))
@@ -174,104 +171,88 @@ def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
     return frozenset(face)
 
 
-def _grow_to_cell(P: HeightVector, directions) -> tuple[frozenset[Subset], list[Fraction]]:
-    """From the flat tilt, ray-shoot along candidate directions until the
-    argmin face is full-dimensional; returns (cell, witness)."""
-    n, k = P.n, P.k
-    full = n - 1 if 0 < k < n else 0
-    y = [Fraction(0)] * n
+def _shoot(tab: dict[Subset, Fraction], face: frozenset[Subset], y: list[Fraction],
+           u) -> list[Fraction] | None:
+    """Move the tilt y along u until a vertex outside ``face`` ties the
+    argmin: the next tilt, or None when no vertex J outside has u . e_J
+    above the largest u . e_I on ``face``, so that none ever ties."""
+    b = max(sum(u[i - 1] for i in I) for I in face)
+    g0 = min(tab[I] - sum(y[i - 1] for i in I) for I in face)
+    best_t = None
+    for J, h in tab.items():
+        if J in face:
+            continue
+        uj = sum(u[i - 1] for i in J)
+        if uj <= b:
+            continue
+        t = (h - sum(y[i - 1] for i in J) - g0) / (uj - b)
+        if best_t is None or t < best_t:
+            best_t = t
+    if best_t is None:
+        return None
+    return [yi + best_t * ui for yi, ui in zip(y, u)]
+
+
+def _grow_to_cell(P: HeightVector, tab: dict[Subset, Fraction],
+                  directions) -> tuple[frozenset[Subset], list[Fraction]]:
+    """From the flat tilt, ray-shoot along directions constant on the face
+    until the argmin face is full-dimensional (0 < k < n); returns (cell,
+    witness)."""
+    y = [Fraction(0)] * P.n
     face = argmin_face(P, y)
-    tab = P.table()
-    while _aff_rank_sets(n, sorted(face)) < full:
-        progressed = False
+    while _aff_rank_sets(P.n, sorted(face)) < P.n - 1:
         for u in directions:
-            beta = {sum(u[i - 1] for i in I) for I in face}
-            if len(beta) != 1:
+            if len({sum(u[i - 1] for i in I) for I in face}) != 1:
                 continue
-            b = beta.pop()
-            g0 = min(tab[I] - sum(y[i - 1] for i in I) for I in face)
-            best_t = None
-            for J, h in tab.items():
-                if J in face:
-                    continue
-                uj = sum(u[i - 1] for i in J)
-                if uj <= b:
-                    continue
-                t = (h - sum(y[i - 1] for i in J) - g0) / (uj - b)
-                if best_t is None or t < best_t:
-                    best_t = t
-            if best_t is None:
+            y2 = _shoot(tab, face, y, u)
+            if y2 is None:
                 continue
-            y2 = [yi + best_t * ui for yi, ui in zip(y, u)]
             face2 = argmin_face(P, y2)
-            if not face <= face2 or face2 == face:
-                continue
-            y, face = y2, face2
-            progressed = True
-            break
-        if not progressed:
+            if face <= face2 and face2 != face:
+                y, face = y2, face2
+                break
+        else:
             raise RuntimeError("could not grow a full-dimensional cell with "
-                               "0/1 tilts; heights are not matroidal")
-    return frozenset(face), y
+                               "cyclic-interval tilts; heights are not positroidal")
+    return face, y
 
 
-def _zero_one_directions(n: int):
+def _interval_directions(n: int) -> list[list[int]]:
+    """The indicator vectors of the n(n - 1) proper cyclic intervals of [n]
+    and their negatives, by size and then lexicographically.  Positroid
+    polytopes are cut out by inequalities on cyclic intervals
+    (Ardila-Rincon-Williams), so these are the normals of every wall of a
+    positroidal subdivision."""
     out = []
     for size in range(1, n):
-        for S in combinations(range(1, n + 1), size):
-            u = [Fraction(int(i in S)) for i in range(1, n + 1)]
+        for S in sorted(tuple(sorted((i + t) % n + 1 for t in range(size)))
+                        for i in range(n)):
+            u = [int(i in S) for i in range(1, n + 1)]
             out.append(u)
             out.append([-x for x in u])
     return out
 
 
-def _neighbor_across(P: HeightVector, cell: frozenset[Subset],
-                     y: list[Fraction], u) -> tuple[frozenset[Subset], list[Fraction]] | None:
-    """Ray-shoot the witness across the wall of ``cell`` in direction u."""
-    tab = P.table()
-    vals = {I: sum(u[i - 1] for i in I) for I in cell}
-    beta = max(vals.values())
-    wall = [I for I in cell if vals[I] == beta]
-    if len(wall) == len(cell):
-        return None
-    g0 = min(tab[I] - sum(y[i - 1] for i in I) for I in cell)
-    best_t, achievers = None, []
-    for J, h in tab.items():
-        if J in cell:
-            continue
-        uj = sum(u[i - 1] for i in J)
-        if uj <= beta:
-            continue
-        gap = h - sum(y[i - 1] for i in J) - g0
-        t = gap / (uj - beta)
-        if best_t is None or t < best_t:
-            best_t, achievers = t, [J]
-        elif t == best_t:
-            achievers.append(J)
-    if best_t is None:
-        return None
-    y2 = [yi + best_t * ui for yi, ui in zip(y, u)]
-    face2 = argmin_face(P, y2)
-    if _aff_rank_sets(P.n, sorted(face2)) == P.n - 1:
-        return face2, y2
-    return None
-
-
 def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
+    """Walk from a grown cell across every wall, shooting the witness of a
+    cell along each cyclic-interval direction that is not constant on it."""
     n = P.n
-    directions = _zero_one_directions(n)
-    start, y0 = _grow_to_cell(P, directions)
+    tab = P.table()
+    directions = _interval_directions(n)
+    start, y0 = _grow_to_cell(P, tab, directions)
     cells = {start: y0}
     queue = [start]
     while queue:
         cell = queue.pop()
         y = cells[cell]
         for u in directions:
-            res = _neighbor_across(P, cell, y, u)
-            if res is None:
+            if len({sum(u[i - 1] for i in I) for I in cell}) == 1:
                 continue
-            nb, y2 = res
-            if nb not in cells:
+            y2 = _shoot(tab, cell, y, u)
+            if y2 is None:
+                continue
+            nb = argmin_face(P, y2)
+            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
                 cells[nb] = y2
                 queue.append(nb)
     return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]
@@ -296,8 +277,6 @@ def _cells_by_span_scan(P: HeightVector) -> list[SubdivisionCell]:
             I, h = pts[idx]
             rows.append([Fraction(int(i in I) - int(i in base_I))
                          for i in range(1, n + 1)] + [h - base_h])
-        from .exact import kernel_basis
-
         K = kernel_basis(RatMatrix.from_rows(rows))
         normal = None
         for r in range(K.rows):
@@ -334,8 +313,9 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
     exact witness tilt whose argmin reproduces the cell.
 
     Positive tropical heights use an exact wall-crossing search (walls of
-    matroidal subdivisions have 0/1 normals) audited against the staircase
-    count; anything else falls back to a complete hyperplane scan.
+    positroidal subdivisions have cyclic-interval normals) audited against
+    the staircase count; anything else falls back to a complete hyperplane
+    scan.
     """
     n, k = P.n, P.k
     if k == 0 or k == n:
@@ -386,11 +366,7 @@ def octahedra_all_subdivided(D: Subdivision) -> bool:
 def is_finest(D: Subdivision) -> bool:
     """Finest positroid subdivision test by cell count, cross-checked on
     octahedral faces when those exist."""
-    expected = 1
-    from math import comb
-
-    expected = comb(D.n - 2, D.k - 1)
-    by_count = len(D.cells) == expected
+    by_count = len(D.cells) == comb(D.n - 2, D.k - 1)
     if D.k >= 2 and D.n - D.k >= 2:
         octa = octahedra_all_subdivided(D)
         if octa != by_count:
@@ -419,29 +395,25 @@ def interior_face_count(D: Subdivision, c: int) -> int:
     raise NotImplementedError("only codimensions 1 and 2 are tabulated")
 
 
-def tropical_minor(A: list[list[Fraction]], cols: Subset) -> Fraction:
-    """Min-plus permanent of the chosen columns."""
-    k = len(A)
-    best = None
-    for sigma in permutations(range(k)):
-        s = sum(A[r][cols[sigma[r]] - 1] for r in range(k))
-        if best is None or s < best:
-            best = s
-    return best
-
-
 def random_positive_tropical(k: int, n: int, rng: Random,
                              hi: int = 40) -> HeightVector:
-    """Min-plus minors of a random rational matrix, rejection-sampled
-    against the positivity check.
-
-    Most draws are rejected: about 34% pass at (2,5) and 6.5% at (3,6),
-    so at (3,6) all 50 tries fail, and RuntimeError is raised, in about
-    3.5% of calls.
-    """
-    for _ in range(50):
-        A = [[Fraction(rng.randint(0, hi)) for _ in range(n)] for _ in range(k)]
-        P = HeightVector.make(k, n, {I: tropical_minor(A, I) for I in subsets(n, k)})
-        if is_positive_tropical(P):
-            return P
-    raise RuntimeError("could not sample a positive tropical height vector")
+    """Valuations of a totally positive point: from the coordinate point of
+    {1..k}, sweeps of bridges x_j += t x_i (i = 1..n, j = i mod n + 1,
+    val(t) drawn from 0..hi) until every coordinate is finite, at most k
+    sweeps.  A bridge adds t * Delta_{I-j+i} to Delta_I when j is in I and
+    i is not; on a totally nonnegative point nothing cancels, so P_I
+    becomes min(P_I, val(t) + P_{I-j+i}) and the result is positive."""
+    P: dict[Subset, int | None] = dict.fromkeys(subsets(n, k))
+    P[tuple(range(1, k + 1))] = 0
+    while None in P.values():
+        for i in range(1, n + 1):
+            j = i % n + 1
+            w = rng.randint(0, hi)
+            before = dict(P)
+            for I in P:
+                if j not in I or i in I:
+                    continue
+                src = before[tuple(sorted(set(I) - {j} | {i}))]
+                if src is not None and (P[I] is None or w + src < P[I]):
+                    P[I] = w + src
+    return HeightVector.make(k, n, P)

@@ -6,15 +6,17 @@ of a totally nonnegative matrix off ranks of column spans;
 ``realized_positroid`` takes the support of all minors of a certified
 realization of a cell; ``twistor_via_expansion`` evaluates a twistor
 through the Plücker coordinates of the source point; ``varbar_bruteforce``
-tries every sign completion.  The tests compare ``exact.det``,
+tries every sign completion; ``zero_one_directions`` lists every signed
+0/1 vector as a candidate wall normal.  The tests compare ``exact.det``,
 ``grassmann.decorated_permutation_of``, ``cells.positroid_of_perm``,
-``amplituhedron.twistor`` and ``exact.varbar`` with them.
+``amplituhedron.twistor``, ``exact.varbar`` and the cyclic-interval wall
+search of ``trop`` with them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from positroid_lab.amplituhedron import ZMatrix
@@ -126,3 +128,16 @@ def varbar_bruteforce(v: Sequence) -> int:
             w[p] = s
         best = max(best, sum(1 for a, b in zip(w, w[1:]) if a != b))
     return best
+
+
+def zero_one_directions(n: int) -> list[list[Fraction]]:
+    """Every nonzero, non-constant 0/1 vector of length n and its negative,
+    by support size and then lexicographically: the normals of every wall
+    of a matroidal subdivision of a hypersimplex."""
+    out = []
+    for size in range(1, n):
+        for S in combinations(range(1, n + 1), size):
+            u = [Fraction(int(i in S)) for i in range(1, n + 1)]
+            out.append(u)
+            out.append([-x for x in u])
+    return out

@@ -191,6 +191,54 @@ def test_missing_key_names_key_and_file(capsys, tmp_path, argv):
     assert capsys.readouterr().err == f"input error: missing key 'tiles' in {p}\n"
 
 
+def test_black_polygon_tiles_match_the_catalan_scan():
+    from positroid_lab.cli import _parse_tile
+    from positroid_lab.triangulations import (
+        BicoloredTriangulation,
+        all_triangulations,
+        enumerate_subdivisions,
+        fan_triangulation,
+    )
+
+    checked = 0
+    for n in range(3, 9):
+        everything = all_triangulations(n)
+        for k in range(n - 1):
+            for S in enumerate_subdivisions(n, k):
+                blacks = frozenset().union(*map(fan_triangulation, S.black_polygons))
+                tris = next(T for T in everything if blacks <= T)
+                rec = {"black_polygons": [list(p) for p in S.black_polygons]}
+                assert _parse_tile(rec, n) == BicoloredTriangulation(n, blacks,
+                                                                     tris - blacks)
+                checked += 1
+    assert checked == 2320
+
+
+def test_black_polygon_tile_lists_no_triangulations(capsys, monkeypatch, tmp_path):
+    from positroid_lab import triangulations
+
+    calls = []
+    original = triangulations.all_triangulations
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(triangulations, "all_triangulations", counting)
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"space": "hypersimplex", "n": 8,
+                             "tiles": [{"black_polygons": [[1, 4, 7]]}]}))
+    code, out = run(capsys, "tilings", "--t-dual", str(p))
+    assert code == 0 and len(json.loads(out)["tiles"]) == 1
+    assert calls == []
+    crossing = tmp_path / "x.json"
+    crossing.write_text(json.dumps({"space": "hypersimplex", "n": 6,
+                                    "tiles": [{"black_polygons": [[1, 3, 5], [2, 4, 6]]}]}))
+    assert main(["tilings", "--t-dual", str(crossing)]) == 2
+    assert capsys.readouterr().err.startswith("input error: black polygons")
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["cell", "--perm", "(3,1,4,2)", "--sample", "-1"],
     ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,1,4_)", "--count", "-1"],
@@ -336,7 +384,14 @@ def test_cli_contract_under_one_replaced_value(tmp_path, command, data):
     target[slot[-1]] = value
     p = tmp_path / "in.json"
     p.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(p) if a == "FILE" else a for a in argv])
     assert code in (0, 1, 2)
+    if code == 1:
+        # exit 1 only for a mathematical verdict, reported on stdout
+        verdict = json.loads(out.getvalue())
+        assert (verdict.get("valid") is False or verdict.get("positive_tropical") is False
+                or False in verdict.get("audited", ()))
+    if code == 2:
+        assert err.getvalue().startswith("input error:")

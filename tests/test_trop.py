@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 
+from oracles import zero_one_directions
+from positroid_lab import trop
 from positroid_lab.hypersimplex import binomial, enumerate_D, simplex_in_positroid, tile_catalog
 from positroid_lab.trop import (
     HeightVector,
@@ -95,6 +97,46 @@ def test_wall_search_matches_span_scan():
             a = {c.vertices for c in _cells_by_wall_search(P)}
             b = {c.vertices for c in _cells_by_span_scan(P)}
             assert a == b
+
+
+def test_interval_directions_are_cyclic_interval_indicators():
+    for n in range(2, 9):
+        intervals = {frozenset((i + t) % n + 1 for t in range(size))
+                     for i in range(n) for size in range(1, n)}
+        expected = [u for u in zero_one_directions(n)
+                    if frozenset(i + 1 for i, x in enumerate(u) if x) in intervals]
+        got = trop._interval_directions(n)
+        assert len(got) == 2 * n * (n - 1) == len(expected)
+        assert got == expected
+
+
+@pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6), (3, 7, 3)])
+def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
+    rng = Random(1)
+    for _ in range(count):
+        P = random_positive_tropical(k, n, rng)
+        fast = trop._cells_by_wall_search(P)
+        with monkeypatch.context() as m:
+            m.setattr(trop, "_interval_directions", zero_one_directions)
+            slow = trop._cells_by_wall_search(P)
+        assert fast == slow
+
+
+def test_positive_tropical_sampler_never_rejects():
+    for (k, n) in [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8)]:
+        rng = Random(0)
+        draws = [random_positive_tropical(k, n, rng) for _ in range(20)]
+        assert all(is_positive_tropical(P) for P in draws)
+        assert all(isinstance(h, Fraction) for P in draws for h in P.heights)
+        assert len({P.heights for P in draws}) == 20
+    for (k, n), finest_types in [((2, 4), 2), ((2, 5), 5)]:
+        rng = Random(0)
+        seen = set()
+        for _ in range(200):
+            D = regular_subdivision(random_positive_tropical(k, n, rng))
+            if is_finest(D):
+                seen.add(frozenset(c.vertices for c in D.cells))
+        assert len(seen) == finest_types
 
 
 def test_sampled_witness_faces_consistent():
