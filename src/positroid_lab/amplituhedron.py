@@ -17,7 +17,7 @@ from random import Random
 from typing import Sequence
 
 from .cells import sample_cell_matrix
-from .exact import RatMatrix, SignVector, det, kernel_basis, rank, var, varbar
+from .exact import RatMatrix, SignVector, det, kernel_basis, maximal_minors, rank, var, varbar
 from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
 from .plabic import (
@@ -59,8 +59,8 @@ class ZMatrix:
         self.n, self.p = mat.rows, mat.cols
         if self.p > self.n:
             raise ValueError("need p <= n")
-        for I in subsets(self.n, self.p):
-            if det(mat.submatrix([i - 1 for i in I], range(self.p))) <= 0:
+        for I, m in maximal_minors(mat.transpose()).items():
+            if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
 
     def row(self, i: int) -> tuple[Fraction, ...]:

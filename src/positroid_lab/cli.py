@@ -30,7 +30,7 @@ from .cells import cell_dim_of_perm, positroid_of_perm, sample_cell_matrix
 from .exact import RatMatrix
 from .grassmann import plucker_of_matrix
 from .hypersimplex import enumerate_tilings, moment_map, tile_catalog, verify_tiling
-from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse
+from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
 from .plabic import PlabicGraph, bipartize, matchings, positroid_of_graph, trip_permutation
 from .triangulations import (
     BicoloredTriangulation,
@@ -330,8 +330,11 @@ def cmd_trop(args) -> int:
 
 def cmd_amp_sample(args) -> int:
     n, k, m = args.n, args.k, args.m
-    Z = _parse_z(args.z or f"vandermonde:{','.join(map(str, range(n)))}", n, k + m)
     pi = _parse_perm(args.cell)
+    kind = type_of(pi)
+    if kind != (k, n):
+        raise InputError(f"cell {pi!r} has type ({kind[0]},{kind[1]}), expected ({k},{n})")
+    Z = _parse_z(args.z or f"vandermonde:{','.join(map(str, range(n)))}", n, k + m)
     rng = Random(args.seed)
     samples = []
     for _ in range(args.count):

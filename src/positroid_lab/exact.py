@@ -1,6 +1,8 @@
-"""Exact rational matrices, determinants, kernels, and sign variation.
+"""Exact rational matrices, one integer elimination, and sign variation.
 
-All entries are ``fractions.Fraction``; nothing here ever rounds.  The sign
+All entries are ``fractions.Fraction``; nothing here ever rounds.  ``det``,
+``rank``, ``kernel_basis`` and ``maximal_minors`` share one fraction-free
+(Bareiss) elimination over rows cleared of denominators once.  The sign
 variation statistics ``var`` and ``varbar`` are the workhorses behind the
 Gantmakher-Krein style tests elsewhere in the package.
 """
@@ -8,6 +10,7 @@ Gantmakher-Krein style tests elsewhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -20,17 +23,14 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(Fraction(x) for x in entries)
+        ent = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        self.rows = rows
-        self.cols = cols
-        self._entries = ent
+        self.rows, self.cols, self._entries = rows, cols, ent
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
+        r, c = len(rows), len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(r, c, [x for row in rows for x in row])
@@ -56,11 +56,8 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        return RatMatrix(self.cols, self.rows, [self.entry(i, j) for j in range(self.cols)
+                                                for i in range(self.rows)])
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -84,20 +81,14 @@ class RatMatrix:
         return self.submatrix(range(self.rows), col_idx)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
+        return (isinstance(other, RatMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self._entries == other._entries)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._entries))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
-        )
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     def to_json(self) -> list[list[str]]:
@@ -108,90 +99,98 @@ class RatMatrix:
         return cls.from_rows([[rat_from_str(x) for x in row] for row in data])
 
 
-def det(M: RatMatrix) -> Fraction:
-    """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, then fraction-free (Bareiss) elimination runs over the
-    integers, where every division is exact."""
-    if M.rows != M.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    a = []
-    scale = 1
-    for i in range(n):
-        row = M.row(i)
+def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
+    """M's rows, each scaled to integers by the lcm of its denominators, and
+    the product of those scales."""
+    a, scale = [], 1
+    for row in map(M.row, range(M.rows)):
         d = lcm(*(x.denominator for x in row))
         a.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
-    sgn = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    return a, scale
+
+
+def _eliminate(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``a`` in place,
+    each entry staying a minor of the input; returns the pivot columns and the
+    sign of the row swaps.  The forward pass updates only rows below a pivot,
+    right of it: a nonsingular square matrix ends with sign * det in its last
+    entry.  The full (Gauss-Jordan) pass reduces every other row; each pivot
+    then equals the last one, d, and the first rank rows over d are the RREF."""
+    m, ncols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    sgn, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        if not a[r][c]:
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    a[r], a[i] = a[i], a[r]
                     sgn = -sgn
                     break
             else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sgn * a[n - 1][n - 1], scale)
-
-
-def rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    a = M.row_list()
-    rows, cols = M.rows, M.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                continue
+        row = a[r]
+        p = row[c]
+        lo = 0 if full else c + 1
+        for i in range(0 if full else r + 1, m):
+            if i != r:
+                ai = a[i]
+                f = ai[c]
+                for j in range(lo, ncols):
+                    ai[j] = (p * ai[j] - f * row[j]) // prev
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return RatMatrix.from_rows(a) if rows else M, tuple(pivots)
+        prev = p
+    return pivots, sgn
+
+
+def _det(a: list[list[int]], scale: int) -> Fraction:
+    pivots, sgn = _eliminate(a)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sgn * a[-1][-1] if a else 1, scale)
+
+
+def det(M: RatMatrix) -> Fraction:
+    """Exact determinant by fraction-free elimination over the integers."""
+    if M.rows != M.cols:
+        raise ValueError("determinant requires a square matrix")
+    return _det(*_integer_rows(M))
+
+
+def maximal_minors(M: RatMatrix) -> dict[tuple[int, ...], Fraction]:
+    """Every k x k column minor of a k x n matrix, keyed by its 1-based
+    column set in lexicographic order; the rows are scaled to integers once."""
+    k, n = M.rows, M.cols
+    if k > n:
+        raise ValueError("need k <= n")
+    a, scale = _integer_rows(M)
+    return {tuple(j + 1 for j in I): _det([[row[j] for j in I] for row in a], scale)
+            for I in combinations(range(n), k)}
 
 
 def rank(M: RatMatrix) -> int:
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    return len(rref(M)[1])
+    return len(_eliminate(_integer_rows(M)[0])[0])
 
 
 def kernel_basis(M: RatMatrix) -> RatMatrix:
-    """Rows span the right null space {x : Mx = 0}; row count = cols - rank."""
-    if M.rows == 0:
-        return RatMatrix.identity(M.cols)
-    R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
+    """Rows span the right null space {x : Mx = 0}; row count = cols - rank.
+    One row per free column f of the reduced row echelon form: 1 at f and
+    minus the echelon entries of column f at the pivots."""
+    a, _ = _integer_rows(M)
+    pivots, _ = _eliminate(a, full=True)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    entries = []
+    for f in range(M.cols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(M.cols)]
         for r, p in enumerate(pivots):
-            v[p] = -R.entry(r, f)
-        rows.append(v)
-    if not rows:
-        return RatMatrix.zero(0, M.cols)
-    return RatMatrix.from_rows(rows)
+            v[p] = Fraction(-a[r][f], d)
+        entries.extend(v)
+    return RatMatrix(M.cols - len(pivots), M.cols, entries)
 
 
 def var(v: Sequence) -> int:

@@ -15,7 +15,7 @@ from itertools import combinations
 from random import Random
 from typing import Sequence
 
-from .exact import RatMatrix, det, kernel_basis, var, varbar
+from .exact import RatMatrix, kernel_basis, maximal_minors, var, varbar
 from .perms import DecoratedPermutation
 from .util import (
     perm_sign,
@@ -142,18 +142,10 @@ def uniform_matroid(k: int, n: int) -> Matroid:
 
 def plucker_of_matrix(C: RatMatrix) -> PluckerVector:
     """All k x k column minors of a full-row-rank k x n matrix."""
-    k, n = C.rows, C.cols
-    if k > n:
-        raise ValueError("need k <= n")
-    coords = {}
-    nonzero = False
-    for I in subsets(n, k):
-        m = det(C.columns([i - 1 for i in I]))
-        coords[I] = m
-        nonzero = nonzero or m != 0
-    if not nonzero:
+    coords = maximal_minors(C)
+    if not any(coords.values()):
         raise ValueError("matrix is rank deficient: all maximal minors vanish")
-    return PluckerVector(k, n, coords)
+    return PluckerVector(C.rows, C.cols, coords)
 
 
 def matroid_of(P: PluckerVector) -> Matroid:

@@ -290,14 +290,8 @@ def enumerate_tilings(k_plus_1: int, n: int) -> tuple[Tiling, ...]:
             chosen.pop()
 
     search(universe, [])
-    seen = set()
-    out = []
-    for sol in solutions:
-        key = tuple(sorted(sol))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Tiling(k_plus_1, n, tuple(recs[i] for i in key)))
+    # Branching on the least uncovered simplex yields each tile set once.
+    out = [Tiling(k_plus_1, n, tuple(recs[i] for i in sorted(sol))) for sol in solutions]
     out.sort(key=lambda t: tuple(repr(p) for p in t.perms()))
     return tuple(out)
 

@@ -1,13 +1,16 @@
 """Slow reference implementations that the fast paths in ``src/`` replaced.
 
 ``fraction_det`` is Bareiss elimination carried out in ``Fraction``
-arithmetic; ``rank_decorated_permutation`` reads the decorated permutation
-of a totally nonnegative matrix off ranks of column spans;
+arithmetic; ``fraction_rref`` is the ``Fraction`` Gauss-Jordan elimination
+that ``exact.rank`` and ``exact.kernel_basis`` ran on before the integer
+elimination; ``rank_decorated_permutation`` reads the decorated
+permutation of a totally nonnegative matrix off ranks of column spans;
 ``realized_positroid`` takes the support of all minors of a certified
 realization of a cell; ``twistor_via_expansion`` evaluates a twistor
 through the Plücker coordinates of the source point; ``varbar_bruteforce``
 tries every sign completion; ``zero_one_directions`` lists every signed
 0/1 vector as a candidate wall normal.  The tests compare ``exact.det``,
+``exact.rank``, ``exact.kernel_basis``, ``exact.maximal_minors``,
 ``grassmann.decorated_permutation_of``, ``cells.positroid_of_perm``,
 ``amplituhedron.twistor``, ``exact.varbar`` and the cyclic-interval wall
 search of ``trop`` with them.
@@ -58,6 +61,35 @@ def fraction_det(M: RatMatrix) -> Fraction:
             a[i][k] = Fraction(0)
         prev = a[k][k]
     return sgn * a[n - 1][n - 1]
+
+
+def fraction_rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices, by
+    Gauss-Jordan elimination over Fraction."""
+    a = M.row_list()
+    rows, cols = M.rows, M.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return RatMatrix.from_rows(a) if rows else M, tuple(pivots)
 
 
 def rank_decorated_permutation(C: RatMatrix) -> DecoratedPermutation:

@@ -128,6 +128,19 @@ def test_amp_sample(capsys):
         assert "twistors" in rec and "sign_stratum" in rec
 
 
+@pytest.mark.parametrize("n, k, m, cell, message", [
+    ("5", "1", "3", "(3,4,5,1,2)", "cell (3,4,5,1,2) has type (2,5), expected (1,5)"),
+    ("4", "2", "2", "(2,3,4,1)", "cell (2,3,4,1) has type (1,4), expected (2,4)"),
+    ("3", "1", "1", "(2,3,4,1)", "cell (2,3,4,1) has type (1,4), expected (1,3)"),
+], ids=["k", "k-and-m", "n"])
+def test_amp_sample_rejects_a_cell_of_the_wrong_type(capsys, n, k, m, cell, message):
+    code = main(["amp", "sample", "--n", n, "--k", k, "--m", m, "--cell", cell,
+                 "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_amp_verify_tiling(capsys, tmp_path):
     data = {"space": "amplituhedron", "k": 1, "n": 4,
             "tiles": [{"black_polygons": [[1, 2, 3]]},

@@ -17,7 +17,7 @@ from positroid_lab.exact import (
     varbar,
 )
 
-from oracles import fraction_det, varbar_bruteforce
+from oracles import fraction_det, fraction_rref, varbar_bruteforce
 
 
 def test_det_identity():
@@ -114,16 +114,31 @@ def test_matrix_json_round_trip():
     assert RatMatrix.from_json(M.to_json()) == M
 
 
-def _random_rational_matrix(rng: Random, n: int) -> RatMatrix:
-    """Mixed denominators, a few zero entries and often a zero leading pivot."""
+def _random_rational_matrix(rng: Random, n: int, cols: int | None = None) -> RatMatrix:
+    """Mixed denominators, a few zero entries and often a zero leading pivot.
+
+    Square n x n by default.  Given ``cols``, the matrix is n x cols and
+    often also has a row that combines two others, a zero row or a zero
+    column; those extra draws are made only when ``cols`` is given."""
+    m = n if cols is None else cols
     entries = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 5, 7, 9, 16, 25]))
-               if rng.random() < 0.8 else Fraction(0) for _ in range(n * n)]
-    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+               if rng.random() < 0.8 else Fraction(0) for _ in range(n * m)]
+    rows = [entries[i * m:(i + 1) * m] for i in range(n)]
     if n >= 2 and rng.random() < 0.2:
         rows[rng.randrange(1, n)] = list(rows[0])  # repeated row: singular
-    if n >= 2 and rng.random() < 0.3:
+    if n >= 2 and m and rng.random() < 0.3:
         rows[0][0] = Fraction(0)  # forces a row swap unless column 1 is zero
-    return RatMatrix.from_rows(rows) if n else RatMatrix.zero(0, 0)
+    if cols is not None:
+        if n >= 3 and rng.random() < 0.4:
+            a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)
+            rows[rng.randrange(2, n)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if n and rng.random() < 0.15:
+            rows[rng.randrange(n)] = [Fraction(0)] * m
+        if m and rng.random() < 0.2:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = Fraction(0)
+    return RatMatrix(n, m, [x for row in rows for x in row])
 
 
 def test_det_matches_fraction_bareiss_and_sympy():
@@ -157,3 +172,63 @@ def test_det_matches_fraction_bareiss_and_sympy():
 def test_det_pinned_cases(rows, value):
     M = RatMatrix.from_rows(rows) if rows else RatMatrix.zero(0, 0)
     assert det(M) == value == fraction_det(M)
+
+
+def _rref_kernel(M: RatMatrix) -> list[list[Fraction]]:
+    """The kernel basis read off ``fraction_rref``: one row per free column."""
+    R, pivots = fraction_rref(M)
+    return [[Fraction(int(j == f)) if j not in pivots else -R.entry(pivots.index(j), f)
+             for j in range(M.cols)] for f in range(M.cols) if f not in pivots]
+
+
+def _sympy_matrix(M: RatMatrix):
+    import sympy
+
+    return sympy.Matrix(M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in M.row_list() for x in row])
+
+
+def test_rectangular_det_rank_kernel_match_fraction_oracles_and_sympy():
+    rng = Random(17)
+    shapes = [(r, c) for r in range(7) for c in range(8)] * 6
+    deficient = 0
+    for t, (r, c) in enumerate(shapes):
+        M = _random_rational_matrix(rng, r, c)
+        _, pivots = fraction_rref(M)
+        assert rank(M) == len(pivots), M
+        K = kernel_basis(M)
+        assert (K.rows, K.cols) == (c - len(pivots), c), M
+        assert K.row_list() == _rref_kernel(M), M
+        if r == c:
+            assert det(M) == fraction_det(M), M
+        deficient += len(pivots) < min(r, c)
+        if t % 3 == 0:
+            S = _sympy_matrix(M)
+            assert S.rank() == rank(M), M
+            if r and c:
+                _, spiv = S.rref()
+                assert tuple(spiv) == pivots, M
+            if r:
+                null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
+                assert null == K.row_list(), M
+            if r == c:
+                ref = S.det()
+                assert det(M) == Fraction(int(ref.p), int(ref.q)), M
+    assert deficient >= 40
+
+
+def test_ratmatrix_keeps_fraction_entries_by_identity():
+    xs = [Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(0), Fraction(9, 4), Fraction(1)]
+    M = RatMatrix(2, 3, xs)
+    assert all(a is b for a, b in zip(M.row(0) + M.row(1), xs))
+    C = M.columns([2, 0])
+    assert C.entry(0, 0) is xs[2] and C.entry(1, 1) is xs[3]
+    S = M.submatrix([1], [1, 2])
+    assert S.entry(0, 0) is xs[4] and S.entry(0, 1) is xs[5]
+    T = M.transpose()
+    assert all(T.entry(j, i) is M.entry(i, j) for i in range(2) for j in range(3))
+    F = RatMatrix.from_rows(M.row_list())
+    assert all(a is b for a, b in zip(F.row(0) + F.row(1), xs))
+    N = RatMatrix.from_rows([[1, -2], [0, 7]])
+    assert all(type(x) is Fraction for x in N.row(0) + N.row(1))
+    assert N.row_list() == [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(7)]]

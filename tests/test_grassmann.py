@@ -6,7 +6,10 @@ from random import Random
 
 import pytest
 
-from positroid_lab.exact import RatMatrix
+from positroid_lab import exact
+from positroid_lab.amplituhedron import ZMatrix
+from positroid_lab.cells import matrix_realization
+from positroid_lab.exact import RatMatrix, maximal_minors
 from positroid_lab.grassmann import (
     GKReport,
     Matroid,
@@ -28,7 +31,7 @@ from positroid_lab.grassmann import (
 )
 from positroid_lab.perms import enumerate_decorated, necklace, parse_decorated
 
-from oracles import rank_decorated_permutation, realized_positroid
+from oracles import fraction_det, rank_decorated_permutation, realized_positroid
 
 
 def pinned_matrix() -> RatMatrix:
@@ -258,3 +261,54 @@ def test_necklace_permutation_rejects_non_tnn():
     for f in (decorated_permutation_of, rank_decorated_permutation):
         with pytest.raises(ValueError, match="totally nonnegative"):
             f(C)
+
+
+def _count_det_and_ratmatrix(monkeypatch) -> dict:
+    """Count exact.det calls, under every module name that holds it, and
+    RatMatrix constructions."""
+    import sys
+
+    counts = {"det": 0, "RatMatrix": 0}
+    det, init = exact.det, RatMatrix.__init__
+
+    def counted_det(M):
+        counts["det"] += 1
+        return det(M)
+
+    def counted_init(self, *args, **kwargs):
+        counts["RatMatrix"] += 1
+        init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("positroid_lab") and getattr(mod, "det", None) is det:
+            monkeypatch.setattr(mod, "det", counted_det)
+    monkeypatch.setattr(RatMatrix, "__init__", counted_init)
+    return counts
+
+
+def test_maximal_minors_take_no_det_call_and_no_matrix_per_minor(monkeypatch):
+    C = matrix_realization(parse_decorated("(4,5,6,1,2,3)"))
+    Zmat = RatMatrix.from_rows([[t ** j for j in range(4)] for t in range(6)])
+    expected = {I: fraction_det(C.columns([i - 1 for i in I]))
+                for I in combinations(range(1, 7), 3)}
+    counts = _count_det_and_ratmatrix(monkeypatch)
+    P = plucker_of_matrix(C)
+    assert counts == {"det": 0, "RatMatrix": 0}
+    assert P.coords == expected
+    Z = ZMatrix(Zmat)
+    assert counts["det"] == 0 and counts["RatMatrix"] <= 1
+    assert (Z.n, Z.p) == (6, 4)
+
+
+def test_maximal_minors_match_fraction_det_on_every_cell_up_to_n5():
+    cells = 0
+    for n in range(1, 6):
+        for pi in enumerate_decorated(n):
+            C = matrix_realization(pi)
+            minors = maximal_minors(C)
+            assert list(minors) == list(combinations(range(1, n + 1), C.rows))
+            for I, m in minors.items():
+                assert m == fraction_det(C.columns([i - 1 for i in I])), (pi, I)
+            assert plucker_of_matrix(C).coords == minors
+            cells += 1
+    assert cells == 2 + 5 + 16 + 65 + 326  # sum of n!/j! over j <= n

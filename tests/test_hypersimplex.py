@@ -133,6 +133,14 @@ def test_tiling_cardinalities():
             assert rep.valid
 
 
+@pytest.mark.parametrize("k1, n, count", [(2, n, binomial(2 * (n - 2), n - 2) // (n - 1))
+                                           for n in range(4, 10)] + [(3, 6, 120)])
+def test_tiling_counts_with_no_repeated_tile_set(k1, n, count):
+    tilings = enumerate_tilings(k1, n)
+    assert len(tilings) == count  # Catalan(n - 2) for k + 1 = 2
+    assert len({frozenset(t.perms()) for t in tilings}) == count
+
+
 def test_coverage_counts_sum_to_eulerian():
     for (k1, n) in [(2, 4), (2, 5), (3, 5)]:
         for t in enumerate_tilings(k1, n):
