@@ -20,12 +20,7 @@ from .cells import sample_cell_matrix
 from .exact import RatMatrix, SignVector, det, kernel_basis, maximal_minors, rank, var, varbar
 from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
-from .plabic import (
-    boundary_measurement,
-    dual_graph_of_triangulation,
-    hat_graph_of_triangulation,
-    trip_permutation,
-)
+from .plabic import boundary_measurement, hat_graph_of_triangulation
 from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, subsets
 
@@ -101,7 +96,6 @@ class AmplituhedronPoint:
     Y: RatMatrix
     k: int
     m: int
-    source: PluckerVector | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -114,19 +108,14 @@ class AmplituhedronPoint:
 
 def amp_map(C, Z: ZMatrix) -> AmplituhedronPoint:
     """Y = C Z for a totally nonnegative C (matrix or coordinate vector)."""
-    if isinstance(C, PluckerVector):
-        source = C
-        Cmat = matrix_of_plucker(C)
-    else:
-        Cmat = C
-        source = plucker_of_matrix(C) if C.rows > 0 else None
+    Cmat = matrix_of_plucker(C) if isinstance(C, PluckerVector) else C
     if Cmat.cols != Z.n:
         raise ValueError("column count of C must match the rows of Z")
     Y = Cmat.matmul(Z.mat)
     k = Cmat.rows
     if rank(Y) != k:
         raise RuntimeError("image lost rank; input was not in the domain")
-    return AmplituhedronPoint(Y, k, Z.p - k, source)
+    return AmplituhedronPoint(Y, k, Z.p - k)
 
 
 def _twistors(Y, Z: ZMatrix):
@@ -387,8 +376,7 @@ def _verify_amp_tiling_at(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     for T in tiles:
         if (T.n, T.k) != (n, k):
             violations.append(f"tile {T!r} has mismatched type")
-    duals = [trip_permutation(dual_graph_of_triangulation(T)) for T in tiles]
-    hrep = verify_tiling(duals, k + 1, n)
+    hrep = verify_tiling(tiles, k + 1, n)
     if not hrep.valid:
         violations.extend("T-dual: " + v for v in hrep.violations)
     hit_counts = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True

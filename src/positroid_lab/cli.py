@@ -270,26 +270,28 @@ def cmd_tilings(args) -> int:
         rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
         _emit(args, rep.to_json())
         return 0 if rep.valid else 1
+    label = {p: repr(t_dual(p) if args.space == "amplituhedron" else p)
+             for p in tile_catalog(args.k + 1, args.n)}
+    tilings = enumerate_tilings(args.k + 1, args.n)
+    labelled = [[label[p] for p in t.perms()] for t in tilings]
     if args.space == "hypersimplex":
-        tilings = enumerate_tilings(args.k + 1, args.n)
         payload = {
             "space": "hypersimplex",
             "k_plus_1": args.k + 1,
             "n": args.n,
             "count": len(tilings),
-            "tilings": [[repr(p) for p in t.perms()] for t in tilings],
+            "tilings": labelled,
         }
         _emit(args, payload)
         return 0
     # amplituhedron tilings via duality, with a sampled audit when Z is given
-    tilings = enumerate_tilings(args.k + 1, args.n)
     payload = {
         "space": "amplituhedron",
         "k": args.k,
         "n": args.n,
         "m": 2,
         "count": len(tilings),
-        "tilings": [[repr(t_dual(p)) for p in t.perms()] for t in tilings],
+        "tilings": labelled,
         "seed": args.seed,
     }
     if args.z:

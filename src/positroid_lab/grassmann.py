@@ -40,7 +40,8 @@ class PluckerVector:
         self.n = n
         full = {}
         for I in subsets(n, k):
-            full[I] = Fraction(coords.get(I, 0))
+            v = coords.get(I, 0)
+            full[I] = v if isinstance(v, Fraction) else Fraction(v)
         if all(v == 0 for v in full.values()):
             raise ValueError("the zero vector is not a Grassmannian point")
         self.coords = full

@@ -4,7 +4,8 @@ The hypersimplex here is the moment-map image of rank k+1 points, so tile
 catalogs are generated from bicolored triangulations with k black
 triangles via their dual trees.  Tilings are verified and enumerated
 purely combinatorially: each w-simplex of the staircase triangulation
-must land in exactly one tile.
+must land in exactly one tile.  Both read a tile's simplices off the
+bits of its ``cover_mask``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "w_simplex",
     "enumerate_D",
     "simplex_in_positroid",
+    "cover_mask",
     "TileRecord",
     "tile_catalog",
     "verify_tiling",
@@ -142,6 +144,12 @@ def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
     return all(Ir in M.bases for Ir in ws.I)
 
 
+def cover_mask(simplices: tuple[WSimplex, ...], M: Matroid) -> int:
+    """Bit i is set exactly when simplices[i] lies in the polytope of M: no
+    bit for another rank, and ValueError for another ground set."""
+    return sum(1 << i for i, ws in enumerate(simplices) if simplex_in_positroid(ws, M))
+
+
 @dataclass(frozen=True)
 class TileRecord:
     """A moment-map tile: dual-tree positroid of a bicolored subdivision."""
@@ -162,19 +170,20 @@ class TileRecord:
 @lru_cache(maxsize=None)
 def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord]:
     """Positroid tiles of the rank-(k+1) hypersimplex on [n], keyed by the
-    trip permutation of the dual tree; one entry per bicolored subdivision
-    of type (k, n).  The dual tree is reduced, so its positroid is that of
-    its trip permutation."""
-    k = k_plus_1 - 1
+    trip permutation of the dual tree and ordered by its label (repr); one
+    entry per bicolored subdivision of type (k, n).  The dual tree is
+    reduced, so its positroid is that of its trip permutation."""
+    if not (1 <= k_plus_1 <= n - 1):
+        raise ValueError("need 1 <= k+1 <= n-1")
     out: dict[DecoratedPermutation, TileRecord] = {}
-    for S in enumerate_subdivisions(n, k):
+    for S in enumerate_subdivisions(n, k_plus_1 - 1):
         T = class_representative(S)
         pi = trip_permutation(dual_graph_of_triangulation(T))
         M = positroid_of_perm(pi)
         if pi in out:
             raise RuntimeError(f"two subdivisions share the tile label {pi}")
         out[pi] = TileRecord(pi, M, S, T)
-    return out
+    return {pi: out[pi] for pi in sorted(out, key=repr)}
 
 
 @dataclass
@@ -233,8 +242,10 @@ def verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
             violations.append(f"tile {p} has wrong type ({M.k},{M.n})")
         if not in_catalog:
             violations.append(f"tile {p} is not a moment-map tile")
-    for ws in enumerate_D(k_plus_1, n):
-        hits = [p for p, M, _ in resolved if simplex_in_positroid(ws, M)]
+    simplices = enumerate_D(k_plus_1, n)
+    masks = [cover_mask(simplices, M) for _, M, _ in resolved]
+    for i, ws in enumerate(simplices):
+        hits = [p for p, mask in zip(perms, masks) if mask >> i & 1]
         if len(hits) == 0:
             violations.append(f"simplex of w={''.join(map(str, ws.w))} uncovered")
         elif len(hits) > 1:
@@ -264,36 +275,28 @@ class Tiling:
 
 @lru_cache(maxsize=None)
 def enumerate_tilings(k_plus_1: int, n: int) -> tuple[Tiling, ...]:
-    """Exact-cover search: pick tiles from the catalog so every w-simplex
-    lies in exactly one; deterministic backtracking in catalog order."""
-    catalog = tile_catalog(k_plus_1, n)
-    recs = [catalog[p] for p in sorted(catalog, key=repr)]
+    """Exact cover of the w-simplices by catalog tiles, over bit masks: each
+    step branches on the least uncovered simplex, over the tiles whose least
+    simplex it is (Knuth's Algorithm X), so each tile set comes once.
+    Tilings sort as tuples of catalog indices, that is, of labels."""
+    recs = list(tile_catalog(k_plus_1, n).values())
     simplices = enumerate_D(k_plus_1, n)
-    covers = []
-    for rec in recs:
-        covers.append(frozenset(idx for idx, ws in enumerate(simplices)
-                                if simplex_in_positroid(ws, rec.matroid)))
-    universe = frozenset(range(len(simplices)))
-    solutions: list[tuple[int, ...]] = []
+    by_least: list[list[tuple[int, int]]] = [[] for _ in simplices]
+    for idx, rec in enumerate(recs):
+        mask = cover_mask(simplices, rec.matroid)
+        if mask:
+            by_least[(mask & -mask).bit_length() - 1].append((idx, mask))
 
-    def search(uncovered: frozenset[int], chosen: list[int]):
+    def search(uncovered: int, chosen: tuple[int, ...]):
         if not uncovered:
-            solutions.append(tuple(chosen))
+            yield tuple(sorted(chosen))
             return
-        target = min(uncovered)
-        for idx in range(len(recs)):
-            cov = covers[idx]
-            if target not in cov or not cov <= uncovered:
-                continue
-            chosen.append(idx)
-            search(uncovered - cov, chosen)
-            chosen.pop()
+        for idx, mask in by_least[(uncovered & -uncovered).bit_length() - 1]:
+            if mask & uncovered == mask:
+                yield from search(uncovered ^ mask, chosen + (idx,))
 
-    search(universe, [])
-    # Branching on the least uncovered simplex yields each tile set once.
-    out = [Tiling(k_plus_1, n, tuple(recs[i] for i in sorted(sol))) for sol in solutions]
-    out.sort(key=lambda t: tuple(repr(p) for p in t.perms()))
-    return tuple(out)
+    return tuple(Tiling(k_plus_1, n, tuple(recs[i] for i in sol))
+                 for sol in sorted(search((1 << len(simplices)) - 1, ())))
 
 
 def tile_inequalities_hypersimplex(T: BicoloredTriangulation):

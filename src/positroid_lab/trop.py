@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from random import Random
 
 from .exact import RatMatrix, kernel_basis, rank
 from .grassmann import Matroid, is_positroid
-from .hypersimplex import enumerate_D, eulerian, simplex_in_positroid
+from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
 
 Subset = tuple[int, ...]
@@ -313,9 +315,9 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
     exact witness tilt whose argmin reproduces the cell.
 
     Positive tropical heights use an exact wall-crossing search (walls of
-    positroidal subdivisions have cyclic-interval normals) audited against
-    the staircase count; anything else falls back to a complete hyperplane
-    scan.
+    positroidal subdivisions have cyclic-interval normals), audited as an
+    exact cover of the staircase simplices; anything else falls back to a
+    complete hyperplane scan.
     """
     n, k = P.n, P.k
     if k == 0 or k == n:
@@ -325,12 +327,11 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
     if is_positive_tropical(P):
         try:
             cells = _cells_by_wall_search(P)
-            total = 0
-            for cell in cells:
-                M = cell.matroid(k, n)
-                total += sum(1 for ws in enumerate_D(k, n)
-                             if simplex_in_positroid(ws, M))
-            if total != eulerian(k - 1, n - 1):
+            D = enumerate_D(k, n)
+            masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+            # an exact cover: the union is all of D and no simplex is counted twice
+            if (reduce(or_, masks, 0) != (1 << len(D)) - 1
+                    or sum(mask.bit_count() for mask in masks) != len(D)):
                 cells = _cells_by_span_scan(P)
         except RuntimeError:
             cells = _cells_by_span_scan(P)

@@ -7,13 +7,17 @@ elimination; ``rank_decorated_permutation`` reads the decorated
 permutation of a totally nonnegative matrix off ranks of column spans;
 ``realized_positroid`` takes the support of all minors of a certified
 realization of a cell; ``twistor_via_expansion`` evaluates a twistor
-through the Plücker coordinates of the source point; ``varbar_bruteforce``
-tries every sign completion; ``zero_one_directions`` lists every signed
-0/1 vector as a candidate wall normal.  The tests compare ``exact.det``,
-``exact.rank``, ``exact.kernel_basis``, ``exact.maximal_minors``,
-``grassmann.decorated_permutation_of``, ``cells.positroid_of_perm``,
-``amplituhedron.twistor``, ``exact.varbar`` and the cyclic-interval wall
-search of ``trop`` with them.
+through the Plücker coordinates of a preimage of the point;
+``varbar_bruteforce`` tries every sign completion; ``zero_one_directions``
+lists every signed 0/1 vector as a candidate wall normal.  The tests
+compare ``exact.det``, ``exact.rank``, ``exact.kernel_basis``,
+``exact.maximal_minors``, ``grassmann.decorated_permutation_of``,
+``cells.positroid_of_perm``, ``amplituhedron.twistor``, ``exact.varbar``
+and the cyclic-interval wall search of ``trop`` with them.  ``scan_verify_tiling`` and
+``frozenset_tilings`` are the tiling verification and enumeration that
+scanned every tile per simplex, over lists and frozensets, before
+``hypersimplex.cover_mask``; ``verify_tiling`` and ``enumerate_tilings``
+are compared with them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ from positroid_lab.grassmann import (
     is_tnn,
     matroid_of,
     plucker_of_matrix,
+)
+from positroid_lab.hypersimplex import (
+    TilingReport,
+    _resolve_tiles,
+    enumerate_D,
+    simplex_in_positroid,
+    tile_catalog,
 )
 from positroid_lab.perms import DecoratedPermutation
 from positroid_lab.util import sign, subsets
@@ -132,7 +143,7 @@ def realized_positroid(pi: DecoratedPermutation) -> Matroid:
 
 
 def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
-    """Twistor evaluated through the coordinates of the source point:
+    """Twistor evaluated through the coordinates P of a preimage of the point:
     sum over J of p_J(C) times the signed maximal minor of Z at rows J, I."""
     total = Fraction(0)
     for J in subsets(P.n, P.k):
@@ -172,4 +183,56 @@ def zero_one_directions(n: int) -> list[list[Fraction]]:
             u = [Fraction(int(i in S)) for i in range(1, n + 1)]
             out.append(u)
             out.append([-x for x in u])
+    return out
+
+
+def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
+    """``verify_tiling`` as a scan of every resolved tile per w-simplex."""
+    resolved = _resolve_tiles(tiles, k_plus_1, n)
+    violations = []
+    perms = [p for p, _, _ in resolved]
+    if len(set(perms)) != len(perms):
+        violations.append("repeated tiles")
+    for p, M, in_catalog in resolved:
+        if M.n != n or M.k != k_plus_1:
+            violations.append(f"tile {p} has wrong type ({M.k},{M.n})")
+        if not in_catalog:
+            violations.append(f"tile {p} is not a moment-map tile")
+    for ws in enumerate_D(k_plus_1, n):
+        hits = [p for p, M, _ in resolved if simplex_in_positroid(ws, M)]
+        if len(hits) == 0:
+            violations.append(f"simplex of w={''.join(map(str, ws.w))} uncovered")
+        elif len(hits) > 1:
+            violations.append(
+                f"simplex of w={''.join(map(str, ws.w))} covered by "
+                + ", ".join(repr(h) for h in hits))
+    return TilingReport(not violations, k_plus_1, n, perms, violations)
+
+
+def frozenset_tilings(k_plus_1: int, n: int) -> list[tuple[DecoratedPermutation, ...]]:
+    """Exact cover over frozensets of simplex indices, trying every tile in
+    label order at each step; each tiling is a tuple of tile permutations
+    in label order, and tilings are sorted by their tuples of labels."""
+    catalog = tile_catalog(k_plus_1, n)
+    recs = [catalog[p] for p in sorted(catalog, key=repr)]
+    simplices = enumerate_D(k_plus_1, n)
+    covers = [frozenset(idx for idx, ws in enumerate(simplices)
+                        if simplex_in_positroid(ws, rec.matroid))
+              for rec in recs]
+    solutions: list[tuple[int, ...]] = []
+
+    def search(uncovered: frozenset[int], chosen: list[int]):
+        if not uncovered:
+            solutions.append(tuple(chosen))
+            return
+        target = min(uncovered)
+        for idx, cov in enumerate(covers):
+            if target in cov and cov <= uncovered:
+                chosen.append(idx)
+                search(uncovered - cov, chosen)
+                chosen.pop()
+
+    search(frozenset(range(len(simplices))), [])
+    out = [tuple(recs[i].perm for i in sorted(sol)) for sol in solutions]
+    out.sort(key=lambda perms: tuple(repr(p) for p in perms))
     return out

@@ -115,12 +115,13 @@ def test_memoized_twistor_matches_det_and_expansion(k, n, m):
     Z = make_positive_Z(n, k + m, list(range(n)))
     rng = Random(10 * n + k)
     for _ in range(2):
-        Y = amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
+        C = sample_cell_matrix(top_cell_permutation(k, n), rng)
+        Y = amp_map(C, Z)
         for I in product(range(1, n + 1), repeat=m):
             expected = _stacked_det(Y.Y, Z, I)
             assert twistor(Y, Z, I) == expected
             assert twistor(Y.Y, Z, I) == expected
-            assert twistor_via_expansion(Y.source, Z, I) == expected
+            assert twistor_via_expansion(plucker_of_matrix(C), Z, I) == expected
         assert len(Y.memo[Z]) == len(list(combinations(range(n), m)))
         assert all(list(I) == sorted(I) for I in Y.memo[Z])
 

@@ -143,3 +143,17 @@ def test_perms_and_trop_import_nothing_from_cells():
         imported = {node.module for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom)}
         assert "cells" not in imported, module.__name__
+
+
+def test_no_module_of_the_library_holds_an_assert():
+    # python -O strips assert statements, so no check may live in one
+    import ast
+    from pathlib import Path
+
+    import positroid_lab
+
+    paths = sorted(Path(positroid_lab.__file__).parent.rglob("*.py"))
+    assert len(paths) >= 13
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

@@ -335,6 +335,21 @@ def test_trop_heights_k_above_n_names_the_bound(capsys, tmp_path):
     assert capsys.readouterr().err == "input error: need 0 <= k <= n, not k = 5, n = 4\n"
 
 
+@pytest.mark.parametrize("argv, data", [
+    (["tilings", "--k", "-1", "--n", "5"], None),
+    (["tilings", "--space", "amplituhedron", "--k", "-1", "--n", "5"], None),
+    (["tilings", "--verify", "FILE"],
+     {"space": "hypersimplex", "k": -1, "n": 5, "tiles": [{"perm": "(2,3,4,5,1)"}]}),
+], ids=["hypersimplex", "amplituhedron", "verify"])
+def test_tilings_k_below_zero_names_the_bound(capsys, tmp_path, argv, data):
+    p = tmp_path / "tiling.json"
+    p.write_text(json.dumps(data))
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: need 1 <= k+1 <= n-1\n"
+
+
 # -- fuzzing the exit-code contract --------------------------------------------
 
 from hypothesis import HealthCheck, given, settings, strategies as st

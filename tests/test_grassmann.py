@@ -300,6 +300,26 @@ def test_maximal_minors_take_no_det_call_and_no_matrix_per_minor(monkeypatch):
     assert (Z.n, Z.p) == (6, 4)
 
 
+def test_plucker_vector_keeps_fraction_coordinates_by_identity(monkeypatch):
+    from positroid_lab import grassmann
+
+    C = matrix_realization(parse_decorated("(4,5,6,1,2,3)"))
+    returned = []
+
+    def recorded(C):
+        returned.append(maximal_minors(C))
+        return returned[-1]
+
+    monkeypatch.setattr(grassmann, "maximal_minors", recorded)
+    P = plucker_of_matrix(C)
+    [minors] = returned
+    assert list(P.coords) == list(minors)
+    assert all(P.coords[I] is v for I, v in minors.items())
+    Q = PluckerVector(1, 3, {(1,): 2, (3,): Fraction(1, 2)})
+    assert [type(v) for v in Q.coords.values()] == [Fraction] * 3
+    assert Q.coords == {(1,): 2, (2,): 0, (3,): Fraction(1, 2)}
+
+
 def test_maximal_minors_match_fraction_det_on_every_cell_up_to_n5():
     cells = 0
     for n in range(1, 6):

@@ -10,6 +10,7 @@ from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import Matroid, plucker_of_matrix, uniform_matroid
 from positroid_lab.hypersimplex import (
     binomial,
+    cover_mask,
     cyclic_left_descents,
     enumerate_D,
     enumerate_tilings,
@@ -30,6 +31,7 @@ from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
 from lp import point_in_hull
+from oracles import frozenset_tilings, scan_verify_tiling
 
 
 def test_moment_map_pinned():
@@ -131,6 +133,34 @@ def test_tiling_cardinalities():
             assert len(t.tiles) == binomial(n - 2, k1 - 1)
             rep = verify_tiling(list(t.perms()), k1, n)
             assert rep.valid
+
+
+@pytest.mark.parametrize("k1, n", [(k1, n) for n in range(4, 8) for k1 in range(1, n)])
+def test_enumerate_tilings_matches_the_frozenset_search(k1, n):
+    assert [t.perms() for t in enumerate_tilings(k1, n)] == frozenset_tilings(k1, n)
+
+
+@pytest.mark.parametrize("k1, n", [(2, 5), (3, 6)])
+def test_verify_tiling_matches_the_per_simplex_scan(k1, n):
+    wrong_rank = next(iter(tile_catalog(k1 + 1, n).values()))
+    for t in enumerate_tilings(k1, n):
+        recs = list(t.tiles)
+        for tiles in (recs, recs[1:], recs + recs[-1:], recs + [wrong_rank]):
+            for form in ([r.perm for r in tiles], [r.triangulation for r in tiles]):
+                assert verify_tiling(form, k1, n).to_json() == \
+                    scan_verify_tiling(form, k1, n).to_json()
+
+
+def test_cover_mask_bits_are_the_simplices_in_the_tile():
+    D = enumerate_D(3, 6)
+    for rec in tile_catalog(3, 6).values():
+        mask = cover_mask(D, rec.matroid)
+        assert [i for i in range(len(D)) if mask >> i & 1] == \
+            [i for i, ws in enumerate(D) if simplex_in_positroid(ws, rec.matroid)]
+        assert mask >> len(D) == 0
+    assert cover_mask(D, uniform_matroid(2, 6)) == 0
+    with pytest.raises(ValueError, match="sizes do not match"):
+        cover_mask(D, uniform_matroid(3, 7))
 
 
 @pytest.mark.parametrize("k1, n, count", [(2, n, binomial(2 * (n - 2), n - 2) // (n - 1))

@@ -1,13 +1,23 @@
 """Positive tropical heights and their regular subdivisions."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from random import Random
 
 import pytest
 
 from oracles import zero_one_directions
 from positroid_lab import trop
-from positroid_lab.hypersimplex import binomial, enumerate_D, simplex_in_positroid, tile_catalog
+from positroid_lab.hypersimplex import (
+    binomial,
+    cover_mask,
+    enumerate_D,
+    eulerian,
+    simplex_in_positroid,
+    tile_catalog,
+)
 from positroid_lab.trop import (
     HeightVector,
     argmin_face,
@@ -120,6 +130,35 @@ def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
             m.setattr(trop, "_interval_directions", zero_one_directions)
             slow = trop._cells_by_wall_search(P)
         assert fast == slow
+
+
+@pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
+def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n, count):
+    def no_fallback(P):
+        raise AssertionError("the audit fell back to the span scan")
+
+    monkeypatch.setattr(trop, "_cells_by_span_scan", no_fallback)
+    D = enumerate_D(k, n)
+    rng = Random(1)
+    for _ in range(count):
+        cells = regular_subdivision(random_positive_tropical(k, n, rng)).cells
+        masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+        assert all(a & b == 0 for a, b in combinations(masks, 2))
+        assert reduce(or_, masks) == (1 << len(D)) - 1
+        assert sum(mask.bit_count() for mask in masks) == eulerian(k - 1, n - 1)
+
+
+def test_audit_rejects_a_double_cover(monkeypatch):
+    P = random_positive_tropical(2, 5, Random(0))
+    cells = trop._cells_by_wall_search(P)
+    D = enumerate_D(2, 5)
+    # cells[1] twice in place of cells[2] still counts eulerian(1, 4) simplices;
+    # cells[1] once more covers every simplex
+    assert [cover_mask(D, c.matroid(2, 5)).bit_count() for c in cells] == [5, 3, 3]
+    for fake in ([cells[0], cells[1], cells[1]], cells + [cells[1]]):
+        monkeypatch.setattr(trop, "_cells_by_wall_search", lambda P: fake)
+        got = regular_subdivision(P).cells
+        assert len(got) == 3 and {c.vertices for c in got} == {c.vertices for c in cells}
 
 
 def test_positive_tropical_sampler_never_rejects():
