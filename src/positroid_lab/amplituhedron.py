@@ -20,6 +20,7 @@ from .cells import sample_cell_matrix
 from .exact import RatMatrix, SignVector, det, kernel_basis, maximal_minors, rank, var, varbar
 from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
+from .perms import top_cell_permutation
 from .plabic import boundary_measurement, hat_graph_of_triangulation
 from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, subsets
@@ -343,8 +344,6 @@ def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
 def sample_interior_point(k: int, n: int, Z: ZMatrix,
                           rng: Random) -> AmplituhedronPoint:
     """Image of a random totally positive point (certified top-cell sample)."""
-    from .perms import top_cell_permutation
-
     C = sample_cell_matrix(top_cell_permutation(k, n), rng)
     return amp_map(C, Z)
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from random import Random
 
 from .exact import RatMatrix
 from .grassmann import Matroid, decorated_permutation_of, positroid_of_necklace
 from .perms import DecoratedPermutation, affine_lift, enumerate_decorated, necklace
-from .plabic import PlabicGraph, boundary_id, trip_permutation
+from .plabic import PlabicGraph, _swap_dart, boundary_id, trip_permutation
 
 __all__ = [
     "bridge_decomposition",
@@ -99,23 +100,19 @@ def _lollipop_insert_graph(G: PlabicGraph, i: int, colour: str) -> PlabicGraph:
     n = G.n + 1
 
     def shift(v: str) -> str:
-        if v.startswith("b") and v[1:].isdigit():
-            lbl = int(v[1:])
-            return boundary_id(lbl + 1) if lbl >= i else v
-        return v
+        return boundary_id(int(v[1:]) + 1) if G.is_boundary(v) and int(v[1:]) >= i else v
 
-    edges = [(shift(u), shift(v)) for u, v in G.edges]
-    rotations = {shift(v): list(rot) for v, rot in G.rotations.items()}
+    edges = {eid: (shift(u), shift(v)) for eid, (u, v) in enumerate(G.edges)}
+    rotations = {shift(v): rot for v, rot in G.rotations.items()}
     colors = dict(G.colors)
     tip = f"L{i}"
     while tip in colors:
         tip += "'"
-    eid = len(edges)
-    edges.append((boundary_id(i), tip))
-    rotations[boundary_id(i)] = [(eid, 0)]
-    rotations[tip] = [(eid, 1)]
+    edges[tip] = (boundary_id(i), tip)
+    rotations[boundary_id(i)] = [(tip, 0)]
+    rotations[tip] = [(tip, 1)]
     colors[tip] = colour
-    return PlabicGraph(n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(n, colors, edges, rotations)
 
 
 def _bridge_insert_graph(G: PlabicGraph, i: int) -> PlabicGraph:
@@ -125,68 +122,43 @@ def _bridge_insert_graph(G: PlabicGraph, i: int) -> PlabicGraph:
     A lollipop tip sitting on a bridged leg always has the bridge vertex's
     colour (white tips under u, black under v) and is absorbed into it.
     """
-    t = 0
-    while f"u{t}" in G.rotations or f"v{t}" in G.rotations:
-        t += 1
+    t = next(t for t in count() if f"u{t}" not in G.rotations and f"v{t}" not in G.rotations)
     u, v = f"u{t}", f"v{t}"
-    inc = G.incident()
     ei, si = G.rotations[boundary_id(i)][0]
     ej, sj = G.rotations[boundary_id(i + 1)][0]
     x_i = G.edges[ei][1 - si]
     x_j = G.edges[ej][1 - sj]
-    tip_i = len(inc[x_i]) == 1
-    tip_j = len(inc[x_j]) == 1
-    if tip_i and G.colors[x_i] != "white":
+    tips = {x for x in (x_i, x_j) if G.degree(x) == 1}
+    if x_i in tips and G.colors[x_i] != "white":
         raise RuntimeError(f"unexpected {G.colors[x_i]} tip under leg {i}")
-    if tip_j and G.colors[x_j] != "black":
+    if x_j in tips and G.colors[x_j] != "black":
         raise RuntimeError(f"unexpected {G.colors[x_j]} tip under leg {i + 1}")
-    drop = {ei, ej}
-    edges, remap = [], {}
-    for old, (a, b) in enumerate(G.edges):
-        if old in drop:
-            continue
-        nid = len(edges)
-        edges.append((a, b))
-        remap[(old, 0)] = (nid, 0)
-        remap[(old, 1)] = (nid, 1)
-    e_bi = len(edges)
-    edges.append((boundary_id(i), u))
-    e_bj = len(edges)
-    edges.append((boundary_id(i + 1), v))
-    e_uv = len(edges)
-    edges.append((u, v))
-    if tip_i:
-        rot_u = [(e_bi, 1), (e_uv, 0)]
-    else:
-        e_ui = len(edges)
-        edges.append((u, x_i))
-        remap[(ei, 1 - si)] = (e_ui, 1)
-        rot_u = [(e_bi, 1), (e_uv, 0), (e_ui, 0)]
-    if tip_j:
-        rot_v = [(e_bj, 1), (e_uv, 1)]
-    else:
-        e_vj = len(edges)
-        edges.append((v, x_j))
-        remap[(ej, 1 - sj)] = (e_vj, 1)
-        rot_v = [(e_bj, 1), (e_vj, 0), (e_uv, 1)]
-    rotations = {}
-    skip = {boundary_id(i), boundary_id(i + 1)}
-    if tip_i:
-        skip.add(x_i)
-    if tip_j:
-        skip.add(x_j)
-    for w, rot in G.rotations.items():
-        if w in skip:
-            continue
-        rotations[w] = [remap[d] for d in rot]
-    rotations[boundary_id(i)] = [(e_bi, 0)]
-    rotations[boundary_id(i + 1)] = [(e_bj, 0)]
+    # the new legs and the edge uv go last, then an edge from u (v) to the
+    # old leg's inner end under the old leg's key
+    edges = {old: e for old, e in enumerate(G.edges) if old not in (ei, ej)}
+    edges[boundary_id(i)] = (boundary_id(i), u)
+    edges[boundary_id(i + 1)] = (boundary_id(i + 1), v)
+    edges[u] = (u, v)
+    skip = tips | {boundary_id(i), boundary_id(i + 1)}
+    rotations = {w: rot for w, rot in G.rotations.items() if w not in skip}
+    rot_u = [(boundary_id(i), 1), (u, 0)]
+    rot_v = [(boundary_id(i + 1), 1), (u, 1)]
+    if x_i not in tips:
+        edges[ei] = (u, x_i)
+        _swap_dart(rotations, x_i, (ei, 1 - si), (ei, 1))
+        rot_u.append((ei, 0))
+    if x_j not in tips:
+        edges[ej] = (v, x_j)
+        _swap_dart(rotations, x_j, (ej, 1 - sj), (ej, 1))
+        rot_v.insert(1, (ej, 0))
+    rotations[boundary_id(i)] = [(boundary_id(i), 0)]
+    rotations[boundary_id(i + 1)] = [(boundary_id(i + 1), 0)]
     rotations[u] = rot_u
     rotations[v] = rot_v
     colors = {w: c for w, c in G.colors.items() if w not in skip}
     colors[u] = "white"
     colors[v] = "black"
-    return PlabicGraph(G.n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 def _empty_graph() -> PlabicGraph:

@@ -31,7 +31,14 @@ from .exact import RatMatrix
 from .grassmann import plucker_of_matrix
 from .hypersimplex import enumerate_tilings, moment_map, tile_catalog, verify_tiling
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
-from .plabic import PlabicGraph, bipartize, matchings, positroid_of_graph, trip_permutation
+from .plabic import (
+    PlabicGraph,
+    bipartize,
+    dual_graph_of_triangulation,
+    matchings,
+    positroid_of_graph,
+    trip_permutation,
+)
 from .triangulations import (
     BicoloredTriangulation,
     fan_triangulation,
@@ -161,8 +168,6 @@ def _tile_triangulation(t, k: int, n: int) -> BicoloredTriangulation:
     type (k+1, n) catalog keys; amplituhedron labels are their rotations."""
     if isinstance(t, BicoloredTriangulation):
         return t
-    from .perms import type_of
-
     cat = tile_catalog(k + 1, n)
     if type_of(t)[0] == k + 1:
         key = t
@@ -243,8 +248,6 @@ def cmd_tilings(args) -> int:
         for rec in _tiles(data) if "tiles" in data else []:
             t = _parse_tile(rec, n)
             if isinstance(t, BicoloredTriangulation):
-                from .plabic import dual_graph_of_triangulation
-
                 t = trip_permutation(dual_graph_of_triangulation(t))
                 out_tiles.append(repr(t_dual(t)))
             elif space == "hypersimplex":

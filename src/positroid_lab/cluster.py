@@ -14,9 +14,8 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
-from .amplituhedron import ZMatrix, sample_tile_point, tile_membership_m2, twistor
-from .plabic import hat_graph_of_triangulation, boundary_measurement
-from .amplituhedron import amp_map
+from .amplituhedron import ZMatrix, amp_map, sample_tile_point, tile_membership_m2, twistor
+from .plabic import boundary_measurement, hat_graph_of_triangulation
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,

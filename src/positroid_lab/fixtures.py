@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .plabic import PlabicGraph
+from .plabic import PlabicGraph, dual_graph_of_triangulation
+from .triangulations import BicoloredTriangulation
 
 
 def g1() -> PlabicGraph:
@@ -37,10 +38,7 @@ def g1() -> PlabicGraph:
 
 def nine_gon_fan() -> PlabicGraph:
     """Black-trivalent graph on nine boundary vertices with trip permutation
-    (5,9,2,3,6,4,1,7,8); its T-dual is :func:`nine_gon_fan_dual_expected`."""
-    from .triangulations import BicoloredTriangulation
-    from .plabic import dual_graph_of_triangulation
-
+    (5,9,2,3,6,4,1,7,8); its T-dual graph has trip permutation (8,5,9,2,3,6_,4,1,7)."""
     T = BicoloredTriangulation.make(
         9,
         black=[(7, 8, 9), (1, 7, 9), (2, 3, 7), (3, 4, 7), (4, 5, 7)],

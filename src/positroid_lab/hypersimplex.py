@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .cells import positroid_of_perm
 from .grassmann import Matroid, PluckerVector
@@ -126,15 +125,19 @@ def w_simplex(w) -> WSimplex:
 
 @lru_cache(maxsize=None)
 def enumerate_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
-    """All w with w_n = n and k+1 cyclic left descents, with their simplices."""
+    """All w with w_n = n and k+1 cyclic left descents, with their simplices.
+
+    1 is always one of them, so w is a word on 1..n-1 with k inverse
+    descents (m left of m-1), then n; the words grow by inserting m = 2..n-1.
+    """
     if not (1 <= k_plus_1 <= n - 1):
         raise ValueError("need 1 <= k+1 <= n-1")
-    out = []
-    for head in permutations(range(1, n)):
-        w = head + (n,)
-        if len(cyclic_left_descents(w)) == k_plus_1:
-            out.append(w_simplex(w))
-    return tuple(sorted(out, key=lambda s: s.w))
+    words = [((1,), 0)]  # (word on 1..m-1, its inverse descents)
+    for m in range(2, n):
+        grown = ((w[:p] + (m,) + w[p:], d + (p <= w.index(m - 1)))
+                 for w, d in words for p in range(m))
+        words = [(w, d) for w, d in grown if d < k_plus_1]
+    return tuple(w_simplex(w + (n,)) for w, d in sorted(words) if d == k_plus_1 - 1)
 
 
 def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:

@@ -4,15 +4,18 @@ A graph carries its embedding as a rotation system: the clockwise cyclic
 order of incident edge-ends (darts) at every vertex.  Boundary vertices
 are named ``b1..bn`` clockwise and have degree one.  Trips turn maximally
 right at black vertices and maximally left at white ones; with clockwise
-rotations that is predecessor and successor respectively.
+rotations that is predecessor and successor respectively.  Every builder
+and rewrite names edges by hashable keys, with darts as ``(key, side)``,
+and :meth:`PlabicGraph.from_keyed` numbers them in insertion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from random import Random
-from typing import Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .exact import RatMatrix, rank
 from .grassmann import Matroid, PluckerVector
@@ -54,6 +57,17 @@ class PlabicGraph:
                           for v, rot in rotations.items()}
         self._incident = None
         self._validate()
+
+    @classmethod
+    def from_keyed(cls, n: int, colors: Mapping[str, str],
+                   edges: Mapping[Hashable, tuple[str, str]],
+                   rotations: Mapping[str, Sequence[tuple[Hashable, int]]]
+                   ) -> "PlabicGraph":
+        """Number the keyed edges in dict order; darts are ``(key, side)``."""
+        index = {key: i for i, key in enumerate(edges)}
+        return cls(n, colors, list(edges.values()),
+                   {v: [(index[key], side) for key, side in rot]
+                    for v, rot in rotations.items()})
 
     @classmethod
     def build(cls, n: int, colors: Mapping[str, str],
@@ -321,37 +335,35 @@ def bipartize(G: PlabicGraph) -> tuple[PlabicGraph, dict[int, int]]:
     carries the old edge's weight.
     """
     colors = dict(G.colors)
-    edges: list[tuple[str, str]] = []
-    rotations: dict[str, list[Dart]] = {}
-    weight_edge: dict[int, int] = {}
-    remap: dict[Dart, Dart] = {}
-    fresh = 0
+    edges: dict = {}
+    rotations = dict(G.rotations)
+    names = _fresh_names(G, "x")
 
     def shade(v: str) -> str:
         return "black" if G.is_boundary(v) else G.colors[v]
 
     for eid, (u, v) in enumerate(G.edges):
         if shade(u) != shade(v):
-            nid = len(edges)
-            edges.append((u, v))
-            weight_edge[eid] = nid
-            remap[(eid, 0)] = (nid, 0)
-            remap[(eid, 1)] = (nid, 1)
-        else:
-            mid = f"x{fresh}"
-            fresh += 1
-            colors[mid] = "white" if shade(u) == "black" else "black"
-            e1 = len(edges)
-            edges.append((u, mid))
-            e2 = len(edges)
-            edges.append((mid, v))
-            rotations[mid] = [(e1, 1), (e2, 0)]
-            weight_edge[eid] = e1
-            remap[(eid, 0)] = (e1, 0)
-            remap[(eid, 1)] = (e2, 1)
-    for vtx, rot in G.rotations.items():
-        rotations[vtx] = [remap[d] for d in rot]
-    return PlabicGraph(G.n, colors, edges, rotations), weight_edge
+            edges[eid] = (u, v)
+            continue
+        mid = next(names)
+        colors[mid] = "white" if shade(u) == "black" else "black"
+        edges[eid] = (u, mid)
+        edges[mid] = (mid, v)
+        rotations[mid] = [(eid, 1), (mid, 0)]
+        _swap_dart(rotations, v, (eid, 1), (mid, 1))
+    weight_edge = {key: i for i, key in enumerate(edges) if type(key) is int}
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations), weight_edge
+
+
+def _fresh_names(G: PlabicGraph, prefix: str) -> Iterator[str]:
+    """``prefix0``, ``prefix1``, ... skipping the vertex names G uses."""
+    return (f"{prefix}{t}" for t in count() if f"{prefix}{t}" not in G.rotations)
+
+
+def _swap_dart(rotations: dict, vertex: str, old, new):
+    """Put dart ``new`` where ``old`` sits in the rotation at ``vertex``."""
+    rotations[vertex] = [new if d == old else d for d in rotations[vertex]]
 
 
 @dataclass(frozen=True)
@@ -646,102 +658,60 @@ def apply_move(G: PlabicGraph, move: str, site: tuple) -> PlabicGraph:
 
 def _merge_edge(G: PlabicGraph, eid: int) -> PlabicGraph:
     u, v = G.edges[eid]
-    edges: list[tuple[str, str]] = []
-    remap: dict[Dart, Dart] = {}
-    for old, (a, b) in enumerate(G.edges):
-        if old == eid:
-            continue
-        nid = len(edges)
-        edges.append((u if a == v else a, u if b == v else b))
-        remap[(old, 0)] = (nid, 0)
-        remap[(old, 1)] = (nid, 1)
+    edges = {old: (u if a == v else a, u if b == v else b)
+             for old, (a, b) in enumerate(G.edges) if old != eid}
+    rotations = {w: rot for w, rot in G.rotations.items() if w != v}
     rot_u, rot_v = list(G.rotations[u]), list(G.rotations[v])
     pu, pv = rot_u.index((eid, 0)), rot_v.index((eid, 1))
-    spliced = rot_u[:pu] + rot_v[pv + 1:] + rot_v[:pv] + rot_u[pu + 1:]
-    rotations = {}
-    for w, rot in G.rotations.items():
-        if w == v:
-            continue
-        rotations[w] = [remap[d] for d in (spliced if w == u else rot)]
+    rotations[u] = rot_u[:pu] + rot_v[pv + 1:] + rot_v[:pv] + rot_u[pu + 1:]
     colors = {w: c for w, c in G.colors.items() if w != v}
-    return PlabicGraph(G.n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 def _split_vertex(G: PlabicGraph, v: str, start: int, size: int) -> PlabicGraph:
     rot = list(G.rotations[v])
-    deg = len(rot)
-    block = [rot[(start + t) % deg] for t in range(size)]
-    rest = [rot[(start + size + t) % deg] for t in range(deg - size)]
+    turned = rot[start:] + rot[:start]
+    block, rest = turned[:size], turned[size:]
     new = v + "'"
     while new in G.rotations:
         new += "'"
     moved = set(block)
-    edges = []
-    for idx, (a, b) in enumerate(G.edges):
-        a2 = new if (idx, 0) in moved else a
-        b2 = new if (idx, 1) in moved else b
-        edges.append((a2, b2))
-    new_eid = len(edges)
-    edges.append((v, new))
-    rotations = {w: list(r) for w, r in G.rotations.items() if w != v}
-    rotations[v] = rest + [(new_eid, 0)]
-    rotations[new] = block + [(new_eid, 1)]
+    edges = {idx: (new if (idx, 0) in moved else a, new if (idx, 1) in moved else b)
+             for idx, (a, b) in enumerate(G.edges)}
+    edges[new] = (v, new)
+    rotations = {w: r for w, r in G.rotations.items() if w != v}
+    rotations[v] = rest + [(new, 0)]
+    rotations[new] = block + [(new, 1)]
     colors = dict(G.colors)
     colors[new] = G.colors[v]
-    return PlabicGraph(G.n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 def _insert_degree2(G: PlabicGraph, eid: int, colour: str) -> PlabicGraph:
     u, v = G.edges[eid]
-    t = 0
-    while f"m{t}" in G.rotations:
-        t += 1
-    mid = f"m{t}"
-    edges, remap = [], {}
-    for old, (a, b) in enumerate(G.edges):
-        if old == eid:
-            continue
-        nid = len(edges)
-        edges.append((a, b))
-        remap[(old, 0)] = (nid, 0)
-        remap[(old, 1)] = (nid, 1)
-    e1 = len(edges)
-    edges.append((u, mid))
-    e2 = len(edges)
-    edges.append((mid, v))
-    remap[(eid, 0)] = (e1, 0)
-    remap[(eid, 1)] = (e2, 1)
-    rotations = {w: [remap[d] for d in rot] for w, rot in G.rotations.items()}
-    rotations[mid] = [(e1, 1), (e2, 0)]
+    mid = next(_fresh_names(G, "m"))
+    edges = dict(enumerate(G.edges))
+    del edges[eid]  # both segments go last
+    edges[eid] = (u, mid)
+    edges[mid] = (mid, v)
+    rotations = dict(G.rotations)
+    _swap_dart(rotations, v, (eid, 1), (mid, 1))
+    rotations[mid] = [(eid, 1), (mid, 0)]
     colors = dict(G.colors)
     colors[mid] = colour
-    return PlabicGraph(G.n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 def _remove_degree2(G: PlabicGraph, v: str) -> PlabicGraph:
-    d1, d2 = G.rotations[v]
-    e1, s1 = d1
-    e2, s2 = d2
+    (e1, s1), (e2, s2) = G.rotations[v]
     x, y = G.edges[e1][1 - s1], G.edges[e2][1 - s2]
-    edges, remap = [], {}
-    for old, (a, b) in enumerate(G.edges):
-        if old in (e1, e2):
-            continue
-        nid = len(edges)
-        edges.append((a, b))
-        remap[(old, 0)] = (nid, 0)
-        remap[(old, 1)] = (nid, 1)
-    nid = len(edges)
-    edges.append((x, y))
-    remap[(e1, 1 - s1)] = (nid, 0)
-    remap[(e2, 1 - s2)] = (nid, 1)
-    rotations = {}
-    for w, rot in G.rotations.items():
-        if w == v:
-            continue
-        rotations[w] = [remap[d] for d in rot]
+    edges = {old: e for old, e in enumerate(G.edges) if old not in (e1, e2)}
+    edges[v] = (x, y)
+    rotations = {w: rot for w, rot in G.rotations.items() if w != v}
+    _swap_dart(rotations, x, (e1, 1 - s1), (v, 0))
+    _swap_dart(rotations, y, (e2, 1 - s2), (v, 1))
     colors = {w: c for w, c in G.colors.items() if w != v}
-    return PlabicGraph(G.n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 # -- reducedness -----------------------------------------------------------------
@@ -764,10 +734,10 @@ def is_reduced(G: PlabicGraph) -> str:
         walked += len(darts)
         if end == i and all(G.degree(G.dart_vertex(d)) <= 2 for d in darts):
             continue  # a lollipop, possibly padded with degree-2 vertices
-        edges = [e for e, _ in darts]
-        if len(set(edges)) != len(edges):
+        passed = [e for e, _ in darts]
+        if len(set(passed)) != len(passed):
             return "not_reduced"
-        trips.append(edges)
+        trips.append(passed)
     if walked != 2 * len(G.edges):
         return "not_reduced"  # the darts left over form round trips
     on_edge: dict[int, list[tuple[int, int]]] = {}
@@ -801,31 +771,27 @@ def t_dual_graph(G: PlabicGraph) -> PlabicGraph:
             raise ValueError(f"black vertex {v} is not trivalent")
     inner = [f for f in faces(G) if not f.is_outer]
     colors: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    rotations: dict[str, list[Dart]] = {}
-    corner_eid: dict = {}
+    edges: dict = {}  # boundary legs keyed by name, the rest by corner
+    rotations: dict[str, list] = {}
 
     for fi, f in enumerate(inner):
         fv = f"F{fi}"
         colors[fv] = "black"
-        rot: list[Dart] = []
+        rot = []
         for a in f.arrivals:
             if a[0] == "arc":
                 # the face holds the boundary arc (j, j+1); the shifted
                 # boundary vertex living there carries label j+1
-                lbl = a[1] % G.n + 1
-                eid = len(edges)
-                edges.append((boundary_id(lbl), fv))
-                rotations[boundary_id(lbl)] = [(eid, 0)]
-                rot.append((eid, 1))
+                leg = boundary_id(a[1] % G.n + 1)
+                edges[leg] = (leg, fv)
+                rotations[leg] = [(leg, 0)]
+                rot.append((leg, 1))
             else:
                 w = G.dart_vertex(a)
                 if G.is_boundary(w) or G.colors[w] != "black":
                     continue
-                eid = len(edges)
-                edges.append((f"W({w})", fv))
-                corner_eid[(w, _dkey(a))] = eid
-                rot.append((eid, 1))
+                edges[(w, _dkey(a))] = (f"W({w})", fv)
+                rot.append(((w, _dkey(a)), 1))
         # face orbits run counterclockwise (interior on the left), so the
         # clockwise rotation at the face vertex is the reverse
         rotations[fv] = rot[::-1]
@@ -833,9 +799,8 @@ def t_dual_graph(G: PlabicGraph) -> PlabicGraph:
         if G.colors[b] != "black":
             continue
         colors[f"W({b})"] = "white"
-        rotations[f"W({b})"] = [(corner_eid[(b, _dkey(d))], 0)
-                                for d in G.rotations[b]]
-    return PlabicGraph(G.n, colors, edges, rotations)
+        rotations[f"W({b})"] = [((b, _dkey(d)), 0) for d in G.rotations[b]]
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
 # -- graphs from bicolored triangulations ------------------------------------------
@@ -859,34 +824,25 @@ def dual_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
     tris = sorted(T.triangles)
     vid = {t: "D" + "_".join(map(str, t)) for t in tris}
     colors = {vid[t]: T.colour(t) for t in tris}
-    owner: dict[tuple[int, int], list] = {}
+    edges: dict = {}  # legs keyed by boundary name, diagonals by side
+    rotations: dict[str, list] = {}
     for t in tris:
         a, b, c = t
-        for side in ((a, b), (b, c), (a, c)):
-            owner.setdefault(side, []).append(t)
-    edges: list[tuple[str, str]] = []
-    diag_eid: dict = {}
-    rotations: dict[str, list[Dart]] = {}
-    for t in tris:
-        a, b, c = t
-        rot: list[Dart] = []
+        rot = []
         for side in ((a, b), (b, c), (a, c)):  # clockwise around the triangle
             leg = _side_leg(n, *side)
             if leg is not None:
-                eid = len(edges)
-                edges.append((boundary_id(leg), vid[t]))
-                rotations[boundary_id(leg)] = [(eid, 0)]
-                rot.append((eid, 1))
-            elif side in diag_eid:
-                rot.append((diag_eid[side], 1))
+                edges[boundary_id(leg)] = (boundary_id(leg), vid[t])
+                rotations[boundary_id(leg)] = [(boundary_id(leg), 0)]
+                rot.append((boundary_id(leg), 1))
+            elif side in edges:
+                rot.append((side, 1))
             else:
-                other = next(s for s in owner[side] if s != t)
-                eid = len(edges)
-                edges.append((vid[t], vid[other]))
-                diag_eid[side] = eid
-                rot.append((eid, 0))
+                other = next(s for s in tris if s != t and set(side) <= set(s))
+                edges[side] = (vid[t], vid[other])
+                rot.append((side, 0))
         rotations[vid[t]] = rot
-    return PlabicGraph(n, colors, edges, rotations)
+    return PlabicGraph.from_keyed(n, colors, edges, rotations)
 
 
 def hat_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
@@ -894,35 +850,25 @@ def hat_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
     trivalent white vertex inside each black triangle, and boundary legs."""
     n = T.n
     colors: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    rotations: dict[str, list[Dart]] = {}
+    edges: dict = {}  # legs keyed by boundary name, spokes by (triangle, corner)
+    rotations: dict[str, list] = {}
     whites = {t: "T" + "_".join(map(str, t)) for t in sorted(T.black)}
-    spoke_eid: dict = {}
-    arcs = set()
-    for a, b, c in T.triangles:
-        arcs |= {tuple(sorted((a, b))), tuple(sorted((b, c))), tuple(sorted((a, c)))}
-    neighbours: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for x, y in arcs:
-        neighbours[x].add(y)
-        neighbours[y].add(x)
     for i in range(1, n + 1):
         colors[f"P{i}"] = "black"
-        rot: list[Dart] = []
-        eid = len(edges)
-        edges.append((boundary_id(i), f"P{i}"))
-        rotations[boundary_id(i)] = [(eid, 0)]
-        rot.append((eid, 1))
+        leg = boundary_id(i)
+        edges[leg] = (leg, f"P{i}")
+        rotations[leg] = [(leg, 0)]
+        rot = [(leg, 1)]
         # incident black triangles swept from the (i, i+1) side to (i-1, i)
-        nbrs = sorted(neighbours[i], key=lambda j: (j - i) % n)
+        nbrs = sorted({j for t in T.triangles if i in t for j in t if j != i},
+                      key=lambda j: (j - i) % n)
         for a, b in zip(nbrs, nbrs[1:]):
             t = tuple(sorted((i, a, b)))
             if t in T.black:
-                eid = len(edges)
-                edges.append((f"P{i}", whites[t]))
-                spoke_eid[(t, i)] = eid
-                rot.append((eid, 0))
+                edges[(t, i)] = (f"P{i}", whites[t])
+                rot.append(((t, i), 0))
         rotations[f"P{i}"] = rot
     for t in sorted(T.black):
         colors[whites[t]] = "white"
-        rotations[whites[t]] = [(spoke_eid[(t, i)], 1) for i in t]
-    return PlabicGraph(n, colors, edges, rotations)
+        rotations[whites[t]] = [((t, i), 1) for i in t]
+    return PlabicGraph.from_keyed(n, colors, edges, rotations)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 Triangle = tuple[int, int, int]
 Arc = tuple[int, int]
@@ -243,8 +244,6 @@ def first_triangulation_containing(n: int, tris) -> frozenset[Triangle]:
 
 def enumerate_bicolored(n: int, k: int) -> list[BicoloredTriangulation]:
     """All type (k, n) bicolored triangulations."""
-    from itertools import combinations
-
     out = []
     for tris in all_triangulations(n):
         tlist = sorted(tris)

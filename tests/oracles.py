@@ -17,13 +17,15 @@ and the cyclic-interval wall search of ``trop`` with them.  ``scan_verify_tiling
 ``frozenset_tilings`` are the tiling verification and enumeration that
 scanned every tile per simplex, over lists and frozensets, before
 ``hypersimplex.cover_mask``; ``verify_tiling`` and ``enumerate_tilings``
-are compared with them.
+are compared with them.  ``scanned_D`` is the scan of all (n-1)! words
+ending in n that ``hypersimplex.enumerate_D`` ran before it grew its words
+by insertion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from positroid_lab.amplituhedron import ZMatrix
@@ -38,10 +40,13 @@ from positroid_lab.grassmann import (
 )
 from positroid_lab.hypersimplex import (
     TilingReport,
+    WSimplex,
     _resolve_tiles,
+    cyclic_left_descents,
     enumerate_D,
     simplex_in_positroid,
     tile_catalog,
+    w_simplex,
 )
 from positroid_lab.perms import DecoratedPermutation
 from positroid_lab.util import sign, subsets
@@ -236,3 +241,11 @@ def frozenset_tilings(k_plus_1: int, n: int) -> list[tuple[DecoratedPermutation,
     out = [tuple(recs[i].perm for i in sorted(sol)) for sol in solutions]
     out.sort(key=lambda perms: tuple(repr(p) for p in perms))
     return out
+
+
+def scanned_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
+    """Every w with w_n = n and k+1 cyclic left descents, found by scanning
+    all (n-1)! words, sorted by w."""
+    out = [w_simplex(head + (n,)) for head in permutations(range(1, n))
+           if len(cyclic_left_descents(head + (n,))) == k_plus_1]
+    return tuple(sorted(out, key=lambda s: s.w))

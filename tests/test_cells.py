@@ -1,5 +1,7 @@
 """Bridge reconstruction of cells from decorated permutations."""
 
+import json
+from pathlib import Path
 from random import Random
 
 from positroid_lab.cells import (
@@ -24,6 +26,13 @@ def test_round_trip_exhaustive_small_n():
             C = matrix_realization(pi)  # certified internally
             assert is_tnn(plucker_of_matrix(C))
             assert positroid_of_graph(G).bases == positroid_of_perm(pi).bases
+
+
+def test_top_cell_graph_matches_the_benchmark_fixture():
+    """Edge order, dart numbers and vertex names of the bridge graph are
+    pinned: ``cell --graph --matchings`` prints bipartized edge indices."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "top36_graph.json"
+    assert graph_of_perm(top_cell_permutation(3, 6)).to_json() == json.loads(path.read_text())
 
 
 def test_round_trip_exhaustive_n5():

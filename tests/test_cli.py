@@ -49,6 +49,18 @@ def test_cell_graph_matchings(capsys, tmp_path):
     assert len(data["matchings"]) == 5
 
 
+def test_cell_graph_with_a_vertex_named_like_a_bipartize_vertex(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "vertices": [{"id": "x0", "color": "white"}, {"id": "y", "color": "white"}],
+        "edges": [["b1", "x0"], ["x0", "y"], ["y", "b2"]],
+    }))
+    code, out = run(capsys, "cell", "--graph", str(path))
+    assert code == 0
+    assert json.loads(out)["positroid"] == [[1], [2]]
+
+
 def test_cell_graph_dot_and_tikz(capsys, tmp_path):
     path = tmp_path / "g1.json"
     path.write_text(json.dumps(fixtures.g1().to_json()))

@@ -31,7 +31,7 @@ from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
 from lp import point_in_hull
-from oracles import frozenset_tilings, scan_verify_tiling
+from oracles import frozenset_tilings, scan_verify_tiling, scanned_D
 
 
 def test_moment_map_pinned():
@@ -70,6 +70,12 @@ def test_enumerate_D_24():
     D = enumerate_D(2, 4)
     assert [''.join(map(str, s.w)) for s in D] == ["1324", "2134", "2314", "3124"]
     assert len(D) == eulerian(1, 3) == 4
+
+
+def test_enumerate_D_matches_the_permutation_scan():
+    for n in range(2, 9):
+        for k_plus_1 in range(1, n):
+            assert enumerate_D(k_plus_1, n) == scanned_D(k_plus_1, n)
 
 
 def test_enumerate_D_eulerian_counts():

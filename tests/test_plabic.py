@@ -369,6 +369,35 @@ def test_graph_json_round_trip():
     assert "tikzpicture" in G.to_tikz()
 
 
+def test_from_keyed_numbers_edges_in_dict_order():
+    # b1 - w - b2, then edge 0 subdivided by a black vertex m0 by hand
+    G = PlabicGraph.build(2, {"w": "white"}, [("b1", "w"), ("w", "b2")])
+    edges = dict(enumerate(G.edges))
+    del edges[0]
+    edges["in"] = ("b1", "m0")
+    edges["out"] = ("m0", "w")
+    rotations = {"b1": [("in", 0)], "m0": [("in", 1), ("out", 0)],
+                 "w": [("out", 1), (1, 0)], "b2": [(1, 1)]}
+    H = PlabicGraph.from_keyed(2, {"w": "white", "m0": "black"}, edges, rotations)
+    assert H.edges == (("w", "b2"), ("b1", "m0"), ("m0", "w"))
+    assert H.rotations == {"b1": ((1, 0),), "m0": ((1, 1), (2, 0)),
+                           "w": ((2, 1), (0, 0)), "b2": ((0, 1),)}
+    assert H.to_json() == apply_move(G, "M3_add", (0, "black")).to_json()
+
+
+def test_bipartize_skips_vertex_names_the_graph_uses():
+    G = PlabicGraph.from_json({
+        "n": 2,
+        "vertices": [{"id": "x0", "color": "white"}, {"id": "y", "color": "white"}],
+        "edges": [["b1", "x0"], ["x0", "y"], ["y", "b2"]],
+    })
+    H, weight_edge = bipartize(G)
+    assert H.internal_vertices() == ["x0", "x1", "y"]
+    assert H.colors["x1"] == "black" and weight_edge == {0: 0, 1: 1, 2: 3}
+    M = positroid_of_graph(G)
+    assert (M.k, M.bases) == (1, frozenset({frozenset({1}), frozenset({2})}))
+
+
 def test_faces_count_euler():
     G = fixtures.g1()
     fs = faces(G)
