@@ -46,9 +46,10 @@ __all__ = [
 
 
 class ZMatrix:
-    """n x p matrix with strictly positive maximal minors."""
+    """n x p matrix with strictly positive maximal minors; ``audits`` keeps
+    the sampled points of its tiling audits per (k, samples, seed)."""
 
-    __slots__ = ("mat", "n", "p")
+    __slots__ = ("mat", "n", "p", "audits")
 
     def __init__(self, mat: RatMatrix):
         self.mat = mat
@@ -58,6 +59,7 @@ class ZMatrix:
         for I, m in maximal_minors(mat.transpose()).items():
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
+        self.audits: dict[tuple[int, int, int], list[AmplituhedronPoint]] = {}
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.mat.row(i - 1)
@@ -352,25 +354,17 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
                          samples: int = 50, seed: int = 0) -> AmpTilingReport:
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
     then audit geometrically: every sampled interior point must land in
-    exactly one open tile; ``hit_counts`` tallies the samples by hits."""
+    exactly one open tile; ``hit_counts`` tallies the samples by hits.
+    The samples depend on k, Z and the seed only, so Z draws them once for
+    every tiling audited against it."""
     if not tiles:
         raise ValueError("no tiles given")
-    points = _audit_points(tiles[0].k, tiles[0].n, Z, samples, seed)
-    return _verify_amp_tiling_at(tiles, Z, points)
-
-
-def _audit_points(k: int, n: int, Z: ZMatrix, samples: int,
-                  seed: int) -> list[AmplituhedronPoint]:
-    """The seeded samples of a tiling audit; they depend on (k, n, Z) and
-    the seed only, so every tiling of one command can share them."""
-    rng = Random(seed)
-    return [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
-
-
-def _verify_amp_tiling_at(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
-                          points: list[AmplituhedronPoint]) -> AmpTilingReport:
-    """verify_amp_tiling_m2 with its audit points given."""
     n, k = tiles[0].n, tiles[0].k
+    points = Z.audits.get((k, samples, seed))
+    if points is None:
+        rng = Random(seed)
+        points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
+        Z.audits[k, samples, seed] = points
     violations: list[str] = []
     for T in tiles:
         if (T.n, T.k) != (n, k):

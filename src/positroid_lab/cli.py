@@ -15,8 +15,6 @@ from random import Random
 
 from .amplituhedron import (
     ZMatrix,
-    _audit_points,
-    _verify_amp_tiling_at,
     amp_map,
     m1_membership,
     m2_interior_test,
@@ -268,11 +266,8 @@ def cmd_tilings(args) -> int:
             rep = verify_tiling(tiles, k + 1, n)
             _emit(args, rep.to_json())
             return 0 if rep.valid else 1
-        Z = _parse_z(args.z or f"vandermonde:{','.join(map(str, range(n)))}", n, k + 2)
-        tris = [_tile_triangulation(t, k, n) for t in tiles]
-        rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
-        _emit(args, rep.to_json())
-        return 0 if rep.valid else 1
+        return _verify_amp_tiles(args, tiles, k, n,
+                                 args.z or f"vandermonde:{','.join(map(str, range(n)))}")
     label = {p: repr(t_dual(p) if args.space == "amplituhedron" else p)
              for p in tile_catalog(args.k + 1, args.n)}
     tilings = enumerate_tilings(args.k + 1, args.n)
@@ -299,9 +294,8 @@ def cmd_tilings(args) -> int:
     }
     if args.z:
         Z = _parse_z(args.z, args.n, args.k + 2)
-        points = _audit_points(args.k, args.n, Z, args.samples, args.seed)
-        audits = [_verify_amp_tiling_at([rec.triangulation for rec in t.tiles], Z,
-                                        points).valid
+        audits = [verify_amp_tiling_m2([rec.triangulation for rec in t.tiles], Z,
+                                       samples=args.samples, seed=args.seed).valid
                   for t in tilings]
         payload["audited"] = audits
         if not all(audits):
@@ -360,16 +354,22 @@ def cmd_amp_sample(args) -> int:
     return 0
 
 
+def _verify_amp_tiles(args, tiles: list, k: int, n: int, z_spec: str) -> int:
+    """Verify parsed tiles as an m = 2 amplituhedron tiling of type (k, n)
+    against the Z of ``z_spec``, print the report and return its exit code."""
+    tris = [_tile_triangulation(t, k, n) for t in tiles]
+    Z = _parse_z(z_spec, n, k + 2)
+    rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
+    _emit(args, rep.to_json())
+    return 0 if rep.valid else 1
+
+
 def cmd_amp_verify(args) -> int:
     data = _load_json(args.file)
     n = _int(data, "n")
     k = _int(data, "k", 1)
     tiles = [_parse_tile(rec, n) for rec in _tiles(data)]
-    tris = [_tile_triangulation(t, k, n) for t in tiles]
-    Z = _parse_z(args.z, n, k + 2)
-    rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
-    _emit(args, rep.to_json())
-    return 0 if rep.valid else 1
+    return _verify_amp_tiles(args, tiles, k, n, args.z)
 
 
 def build_parser() -> argparse.ArgumentParser:

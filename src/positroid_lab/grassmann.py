@@ -164,20 +164,23 @@ def is_tp(P: PluckerVector) -> bool:
     return all(v > 0 for v in vals)
 
 
-def three_term_relation_holds(P: PluckerVector) -> bool:
-    """p_Sac p_Sbd = p_Sab p_Scd + p_Sad p_Sbc for all S and a<b<c<d."""
-    n, k = P.n, P.k
+def exchange_quads(n: int, k: int):
+    """Every (S, a, b, c, d) with S a (k - 2)-subset of [n] and a < b < c < d
+    outside S: S in lex order, then the quads in lex order; none when k < 2."""
     if k < 2:
-        return True
+        return
     for S in subsets(n, k - 2):
         rest = [x for x in range(1, n + 1) if x not in S]
-        for a, b, c, d in combinations(rest, 4):
-            lhs = P.coord(S + (a, c)) * P.coord(S + (b, d))
-            rhs = (P.coord(S + (a, b)) * P.coord(S + (c, d))
-                   + P.coord(S + (a, d)) * P.coord(S + (b, c)))
-            if lhs != rhs:
-                return False
-    return True
+        for quad in combinations(rest, 4):
+            yield (S, *quad)
+
+
+def three_term_relation_holds(P: PluckerVector) -> bool:
+    """p_Sac p_Sbd = p_Sab p_Scd + p_Sad p_Sbc for all S and a<b<c<d."""
+    return all(P.coord(S + (a, c)) * P.coord(S + (b, d))
+               == P.coord(S + (a, b)) * P.coord(S + (c, d))
+               + P.coord(S + (a, d)) * P.coord(S + (b, c))
+               for S, a, b, c, d in exchange_quads(P.n, P.k))
 
 
 def matrix_of_plucker(P: PluckerVector) -> RatMatrix:

@@ -18,7 +18,7 @@ from operator import or_
 from random import Random
 
 from .exact import RatMatrix, kernel_basis, rank
-from .grassmann import Matroid, is_positroid
+from .grassmann import Matroid, exchange_quads, is_positroid
 from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
 
@@ -102,16 +102,12 @@ def positivity_violation(P: HeightVector):
     The requirement: P_Sac + P_Sbd equals min(P_Sab + P_Scd, P_Sad + P_Sbc).
     """
     tab = P.table()
-    if P.k < 2:
-        return None
-    for S in subsets(P.n, P.k - 2):
-        rest = [x for x in range(1, P.n + 1) if x not in S]
-        for a, b, c, d in combinations(rest, 4):
-            mid = tab[tuple(sorted(S + (a, c)))] + tab[tuple(sorted(S + (b, d)))]
-            lo = min(tab[tuple(sorted(S + (a, b)))] + tab[tuple(sorted(S + (c, d)))],
-                     tab[tuple(sorted(S + (a, d)))] + tab[tuple(sorted(S + (b, c)))])
-            if mid != lo:
-                return (S, a, b, c, d)
+    for S, a, b, c, d in exchange_quads(P.n, P.k):
+        mid = tab[tuple(sorted(S + (a, c)))] + tab[tuple(sorted(S + (b, d)))]
+        lo = min(tab[tuple(sorted(S + (a, b)))] + tab[tuple(sorted(S + (c, d)))],
+                 tab[tuple(sorted(S + (a, d)))] + tab[tuple(sorted(S + (b, c)))])
+        if mid != lo:
+            return (S, a, b, c, d)
     return None
 
 
@@ -159,64 +155,52 @@ def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
     return rank(RatMatrix.from_rows(rows))
 
 
+def _face(gaps: dict[Subset, Fraction]) -> frozenset[Subset]:
+    """The vertices I of least gap g_I = P_I - y . e_I: the face of tilt y."""
+    low = min(gaps.values())
+    return frozenset(I for I, g in gaps.items() if g == low)
+
+
 def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
     """Face of the subdivision selected by tilt y: argmin of P_I - y . e_I."""
     y = [Fraction(t) for t in y]
-    best = None
-    face: list[Subset] = []
-    for I, h in P.table().items():
-        g = h - sum(y[i - 1] for i in I)
-        if best is None or g < best:
-            best, face = g, [I]
-        elif g == best:
-            face.append(I)
-    return frozenset(face)
+    return _face({I: h - sum(y[i - 1] for i in I) for I, h in P.table().items()})
 
 
-def _shoot(tab: dict[Subset, Fraction], face: frozenset[Subset], y: list[Fraction],
-           u) -> list[Fraction] | None:
-    """Move the tilt y along u until a vertex outside ``face`` ties the
-    argmin: the next tilt, or None when no vertex J outside has u . e_J
-    above the largest u . e_I on ``face``, so that none ever ties."""
-    b = max(sum(u[i - 1] for i in I) for I in face)
-    g0 = min(tab[I] - sum(y[i - 1] for i in I) for I in face)
-    best_t = None
-    for J, h in tab.items():
-        if J in face:
-            continue
-        uj = sum(u[i - 1] for i in J)
-        if uj <= b:
-            continue
-        t = (h - sum(y[i - 1] for i in J) - g0) / (uj - b)
-        if best_t is None or t < best_t:
-            best_t = t
-    if best_t is None:
+def _shoot(y: list[Fraction], gaps: dict[Subset, Fraction], face: frozenset[Subset],
+           u, d: dict[Subset, int]):
+    """Move the tilt y along u, so that each gap g_I of y moves as g_I - t d_I
+    (d_I = u . e_I), until a vertex outside ``face`` ties the face, whose
+    gaps are equal and least: the next tilt, its gaps and its face, or None
+    when no vertex J has d_J above the largest d on ``face``, so that none
+    ever ties."""
+    b = max(d[I] for I in face)
+    g0 = gaps[next(iter(face))]
+    t = min(((g - g0) / (d[J] - b) for J, g in gaps.items() if d[J] > b), default=None)
+    if t is None:
         return None
-    return [yi + best_t * ui for yi, ui in zip(y, u)]
+    moved = {I: g - t * d[I] for I, g in gaps.items()}
+    return [yi + t * ui for yi, ui in zip(y, u)], moved, _face(moved)
 
 
-def _grow_to_cell(P: HeightVector, tab: dict[Subset, Fraction],
-                  directions) -> tuple[frozenset[Subset], list[Fraction]]:
-    """From the flat tilt, ray-shoot along directions constant on the face
-    until the argmin face is full-dimensional (0 < k < n); returns (cell,
-    witness)."""
-    y = [Fraction(0)] * P.n
-    face = argmin_face(P, y)
-    while _aff_rank_sets(P.n, sorted(face)) < P.n - 1:
-        for u in directions:
-            if len({sum(u[i - 1] for i in I) for I in face}) != 1:
+def _grow_to_cell(n: int, gaps: dict[Subset, Fraction], steps):
+    """From the flat tilt, whose gaps are the heights, ray-shoot along the
+    (u, d) of ``steps`` constant on the face until the face is
+    full-dimensional (0 < k < n); returns (cell, witness, its gaps)."""
+    y = [Fraction(0)] * n
+    face = _face(gaps)
+    while _aff_rank_sets(n, sorted(face)) < n - 1:
+        for u, d in steps:
+            if len({d[I] for I in face}) != 1:
                 continue
-            y2 = _shoot(tab, face, y, u)
-            if y2 is None:
-                continue
-            face2 = argmin_face(P, y2)
-            if face <= face2 and face2 != face:
-                y, face = y2, face2
+            shot = _shoot(y, gaps, face, u, d)
+            if shot is not None and face < shot[2]:
+                y, gaps, face = shot
                 break
         else:
             raise RuntimeError("could not grow a full-dimensional cell with "
                                "cyclic-interval tilts; heights are not positroidal")
-    return face, y
+    return face, y, gaps
 
 
 def _interval_directions(n: int) -> list[list[int]]:
@@ -237,27 +221,30 @@ def _interval_directions(n: int) -> list[list[int]]:
 
 def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
     """Walk from a grown cell across every wall, shooting the witness of a
-    cell along each cyclic-interval direction that is not constant on it."""
+    cell along each cyclic-interval direction u that is not constant on it.
+    Each cell keeps the gap table of its witness, and d_I = u . e_I is
+    tabulated once per direction, so a shot moves gaps instead of summing."""
     n = P.n
     tab = P.table()
-    directions = _interval_directions(n)
-    start, y0 = _grow_to_cell(P, tab, directions)
-    cells = {start: y0}
+    steps = [(u, {I: sum(u[i - 1] for i in I) for I in tab})
+             for u in _interval_directions(n)]
+    start, y0, gaps0 = _grow_to_cell(n, tab, steps)
+    cells = {start: (y0, gaps0)}
     queue = [start]
     while queue:
         cell = queue.pop()
-        y = cells[cell]
-        for u in directions:
-            if len({sum(u[i - 1] for i in I) for I in cell}) == 1:
+        y, gaps = cells[cell]
+        for u, d in steps:
+            if len({d[I] for I in cell}) == 1:
                 continue
-            y2 = _shoot(tab, cell, y, u)
-            if y2 is None:
+            shot = _shoot(y, gaps, cell, u, d)
+            if shot is None:
                 continue
-            nb = argmin_face(P, y2)
+            y2, gaps2, nb = shot
             if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
-                cells[nb] = y2
+                cells[nb] = (y2, gaps2)
                 queue.append(nb)
-    return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]
+    return [SubdivisionCell(c, tuple(cells[c][0])) for c in sorted(cells, key=sorted)]
 
 
 def _cells_by_span_scan(P: HeightVector) -> list[SubdivisionCell]:
@@ -351,16 +338,10 @@ def faces_are_positroids(D: Subdivision) -> bool:
 def octahedra_all_subdivided(D: Subdivision) -> bool:
     """No cell may contain all six vertices of a 3-dimensional octahedral
     face {Sab, Sac, Sad, Sbc, Sbd, Scd}."""
-    k, n = D.k, D.n
-    if k < 2 or n - k < 2:
-        return True
-    for S in subsets(n, k - 2):
-        rest = [x for x in range(1, n + 1) if x not in S]
-        for quad in combinations(rest, 4):
-            octa = {tuple(sorted(S + pair)) for pair in combinations(quad, 2)}
-            for cell in D.cells:
-                if octa <= cell.vertices:
-                    return False
+    for S, *quad in exchange_quads(D.n, D.k):
+        octa = {tuple(sorted(S + pair)) for pair in combinations(quad, 2)}
+        if any(octa <= cell.vertices for cell in D.cells):
+            return False
     return True
 
 

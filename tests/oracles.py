@@ -19,7 +19,11 @@ scanned every tile per simplex, over lists and frozensets, before
 ``hypersimplex.cover_mask``; ``verify_tiling`` and ``enumerate_tilings``
 are compared with them.  ``scanned_D`` is the scan of all (n-1)! words
 ending in n that ``hypersimplex.enumerate_D`` ran before it grew its words
-by insertion.
+by insertion.  ``resumming_wall_search`` is the cyclic-interval wall
+search of ``trop`` as it ran before each tilt kept a gap table: every shot
+re-sums the tilt and the direction over every k-subset and takes the next
+face from ``trop.argmin_face``; ``trop._cells_by_wall_search`` is compared
+with it.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ from positroid_lab.hypersimplex import (
     w_simplex,
 )
 from positroid_lab.perms import DecoratedPermutation
+from positroid_lab.trop import (
+    HeightVector,
+    SubdivisionCell,
+    _aff_rank_sets,
+    _interval_directions,
+    argmin_face,
+)
 from positroid_lab.util import sign, subsets
 
 
@@ -249,3 +260,73 @@ def scanned_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
     out = [w_simplex(head + (n,)) for head in permutations(range(1, n))
            if len(cyclic_left_descents(head + (n,))) == k_plus_1]
     return tuple(sorted(out, key=lambda s: s.w))
+
+
+def _resumming_shoot(tab: dict, face: frozenset, y: list, u) -> list | None:
+    """Move the tilt y along u until a vertex outside ``face`` ties the
+    argmin: the next tilt, or None when no vertex J outside has u . e_J
+    above the largest u . e_I on ``face``, so that none ever ties."""
+    b = max(sum(u[i - 1] for i in I) for I in face)
+    g0 = min(tab[I] - sum(y[i - 1] for i in I) for I in face)
+    best_t = None
+    for J, h in tab.items():
+        if J in face:
+            continue
+        uj = sum(u[i - 1] for i in J)
+        if uj <= b:
+            continue
+        t = (h - sum(y[i - 1] for i in J) - g0) / (uj - b)
+        if best_t is None or t < best_t:
+            best_t = t
+    if best_t is None:
+        return None
+    return [yi + best_t * ui for yi, ui in zip(y, u)]
+
+
+def _resumming_grow_to_cell(P: HeightVector, tab: dict, directions) -> tuple:
+    """From the flat tilt, ray-shoot along directions constant on the face
+    until the argmin face is full-dimensional (0 < k < n); returns (cell,
+    witness)."""
+    y = [Fraction(0)] * P.n
+    face = argmin_face(P, y)
+    while _aff_rank_sets(P.n, sorted(face)) < P.n - 1:
+        for u in directions:
+            if len({sum(u[i - 1] for i in I) for I in face}) != 1:
+                continue
+            y2 = _resumming_shoot(tab, face, y, u)
+            if y2 is None:
+                continue
+            face2 = argmin_face(P, y2)
+            if face <= face2 and face2 != face:
+                y, face = y2, face2
+                break
+        else:
+            raise RuntimeError("could not grow a full-dimensional cell with "
+                               "cyclic-interval tilts; heights are not positroidal")
+    return face, y
+
+
+def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
+    """Walk from a grown cell across every wall, shooting the witness of a
+    cell along each cyclic-interval direction that is not constant on it;
+    every shot re-sums over every k-subset."""
+    n = P.n
+    tab = P.table()
+    directions = _interval_directions(n)
+    start, y0 = _resumming_grow_to_cell(P, tab, directions)
+    cells = {start: y0}
+    queue = [start]
+    while queue:
+        cell = queue.pop()
+        y = cells[cell]
+        for u in directions:
+            if len({sum(u[i - 1] for i in I) for I in cell}) == 1:
+                continue
+            y2 = _resumming_shoot(tab, cell, y, u)
+            if y2 is None:
+                continue
+            nb = argmin_face(P, y2)
+            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
+                cells[nb] = y2
+                queue.append(nb)
+    return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]

@@ -443,6 +443,26 @@ def test_verify_amp_tiling_audits_every_sample():
     assert f"{missed} of 20 samples did not hit exactly one open tile" in dropped.violations
 
 
+def test_verify_amp_tiling_draws_audit_points_once_per_z(monkeypatch):
+    calls = []
+    original = amplituhedron.sample_interior_point
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(amplituhedron, "sample_interior_point", counting)
+    Z = make_positive_Z(4, 3, [0, 1, 2, 3])
+    reps = [verify_amp_tiling_m2(tiles, Z, samples=5, seed=3)
+            for tiles in ([T123, T134], [T124, T234], [T123])]
+    assert calls == [(1, 4)] * 5
+    assert [r.valid for r in reps] == [True, True, False]
+    verify_amp_tiling_m2([T123, T134], Z, samples=5, seed=4)
+    verify_amp_tiling_m2([T123, T134], make_positive_Z(4, 3, [0, 1, 2, 3]),
+                         samples=5, seed=3)
+    assert calls == [(1, 4)] * 15
+
+
 def test_verify_amp_tiling_25():
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
     tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),

@@ -15,6 +15,7 @@ from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
     decorated_permutation_of,
+    exchange_quads,
     gk_test,
     is_positroid,
     is_tnn,
@@ -32,6 +33,16 @@ from positroid_lab.grassmann import (
 from positroid_lab.perms import enumerate_decorated, necklace, parse_decorated
 
 from oracles import fraction_det, rank_decorated_permutation, realized_positroid
+
+
+def test_exchange_quads_order():
+    got = list(exchange_quads(6, 3))
+    assert len(got) == len(set(got)) == 6 * 5
+    assert got[:6] == [((1,), 2, 3, 4, 5), ((1,), 2, 3, 4, 6), ((1,), 2, 3, 5, 6),
+                       ((1,), 2, 4, 5, 6), ((1,), 3, 4, 5, 6), ((2,), 1, 3, 4, 5)]
+    assert list(exchange_quads(4, 2)) == [((), 1, 2, 3, 4)]
+    assert list(exchange_quads(5, 1)) == list(exchange_quads(5, 0)) == []
+    assert list(exchange_quads(5, 4)) == []
 
 
 def pinned_matrix() -> RatMatrix:

@@ -345,9 +345,8 @@ def test_t_dual_graph_nine_gon_pair():
 
 
 def test_t_dual_graph_rejects_non_trivalent_black():
-    G = fixtures.g1()  # its black vertex is trivalent; pad one edge to break it
-    from positroid_lab.plabic import _insert_degree2
-
+    G = fixtures.g1()  # its black vertex is trivalent; split one edge off it
+    # onto a new black vertex of degree 2
     H = apply_move(G, "M2_split", ("B", 0, 1))
     with pytest.raises(ValueError):
         t_dual_graph(H)

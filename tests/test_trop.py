@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from oracles import zero_one_directions
+from oracles import resumming_wall_search, zero_one_directions
 from positroid_lab import trop
 from positroid_lab.hypersimplex import (
     binomial,
@@ -41,6 +41,8 @@ def test_positivity_pinned_vectors():
     assert not is_positive_tropical(bad)
     S, a, b, c, d = positivity_violation(bad)
     assert (a, b, c, d) == (1, 2, 3, 4) and S == ()
+    # violated at S = (1,), (3,) and (5,), among others; the first S wins
+    assert positivity_violation(HeightVector.make(3, 6, {(1, 3, 5): 1})) == ((1,), 2, 3, 4, 5)
 
 
 def test_two_pyramid_subdivision():
@@ -130,6 +132,37 @@ def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
             m.setattr(trop, "_interval_directions", zero_one_directions)
             slow = trop._cells_by_wall_search(P)
         assert fast == slow
+
+
+@pytest.mark.parametrize("k, n, count",
+                         [(2, 4, 6), (2, 5, 6), (3, 6, 4), (2, 7, 3), (3, 7, 2), (4, 8, 1)])
+def test_wall_search_matches_resumming_oracle(k, n, count):
+    rng = Random(0)
+    for _ in range(count):
+        P = random_positive_tropical(k, n, rng)
+        fast = trop._cells_by_wall_search(P)
+        slow = resumming_wall_search(P)
+        assert fast == slow  # vertices, witnesses and order
+
+
+def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
+    calls = []
+    original = trop.argmin_face
+
+    def counting(P, y):
+        calls.append(y)
+        return original(P, y)
+
+    monkeypatch.setattr(trop, "argmin_face", counting)
+    rng = Random(3)
+    for (k, n) in [(2, 5), (3, 6), (2, 7)]:
+        P = random_positive_tropical(k, n, rng)
+        trop._cells_by_wall_search(P)
+        assert calls == []
+        # regular_subdivision certifies each cell once, from scratch
+        cells = regular_subdivision(P).cells
+        assert calls == [c.witness for c in cells]
+        calls.clear()
 
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
