@@ -106,21 +106,21 @@ class WSimplex:
         return f"WSimplex({''.join(map(str, self.w))})"
 
 
-def _rotation_ending_at(w: tuple[int, ...], a: int) -> tuple[int, ...]:
-    pos = w.index(a)
-    return w[pos + 1:] + w[:pos + 1]
-
-
 def w_simplex(w) -> WSimplex:
+    """The simplex of w, whose vertices are the cyclic left descent sets of
+    its rotations, all in one pass: moving the first entry a of a rotation
+    to its end flips its order with every other entry, so exactly the
+    descents a and a + 1 (mod n) toggle."""
     w = tuple(w)
     n = len(w)
     if sorted(w) != list(range(1, n + 1)) or w[-1] != n:
         raise ValueError("w must be a permutation ending in n")
-    I = []
-    for r in range(1, n + 1):
-        target = n if r == 1 else r - 1
-        I.append(cyclic_left_descents(_rotation_ending_at(w, target)))
-    return WSimplex(w, tuple(I))
+    descents = set(cyclic_left_descents(w))
+    ending_at = {n: frozenset(descents)}
+    for a in w[:-1]:
+        descents ^= {a, a % n + 1}
+        ending_at[a] = frozenset(descents)
+    return WSimplex(w, tuple(ending_at[n if r == 1 else r - 1] for r in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ A height vector lifts the hypersimplex vertices; projecting the lower hull
 of the lift gives a regular subdivision.  Heights satisfying the positive
 three-term tropical exchange produce subdivisions all of whose faces are
 positroid polytopes, and the finest ones are exactly the moment-map
-tilings.
+tilings.  One walk finds the cells of every subdivision, shooting the tilt
+of a cell across cyclic-interval walls for positive tropical heights and
+across the facets of simplex cells for all others.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 from operator import or_
 from random import Random
 
-from .exact import RatMatrix, kernel_basis, rank
+from .exact import RatMatrix, det, kernel_basis, rank
 from .grassmann import Matroid, exchange_quads, is_positroid
 from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
@@ -144,15 +146,14 @@ class Subdivision:
         }
 
 
+def _indicator_rows(n: int, sets) -> list[list[int]]:
+    """The rows e_I of the given k-subsets."""
+    return [[int(i in I) for i in range(1, n + 1)] for I in sets]
+
+
 def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
-    if len(sets) <= 1:
-        return 0
-    base = set(sets[0])
-    rows = []
-    for I in sets[1:]:
-        s = set(I)
-        rows.append([Fraction(int(i in s) - int(i in base)) for i in range(1, n + 1)])
-    return rank(RatMatrix.from_rows(rows))
+    """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them."""
+    return rank(RatMatrix.from_rows(_indicator_rows(n, sets))) - 1
 
 
 def _face(gaps: dict[Subset, Fraction]) -> frozenset[Subset]:
@@ -167,40 +168,68 @@ def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
     return _face({I: h - sum(y[i - 1] for i in I) for I, h in P.table().items()})
 
 
-def _shoot(y: list[Fraction], gaps: dict[Subset, Fraction], face: frozenset[Subset],
-           u, d: dict[Subset, int]):
-    """Move the tilt y along u, so that each gap g_I of y moves as g_I - t d_I
-    (d_I = u . e_I), until a vertex outside ``face`` ties the face, whose
-    gaps are equal and least: the next tilt, its gaps and its face, or None
-    when no vertex J has d_J above the largest d on ``face``, so that none
-    ever ties."""
+def _shoot(gaps: dict[Subset, Fraction], face: frozenset[Subset], d: dict[Subset, int]):
+    """Move the tilt along u, each gap moving as g_I - t d_I (d_I = u . e_I),
+    until a vertex J off ``face`` ties the face's equal, least gaps: returns
+    t and the next face (the vertices of ``face`` of largest d, b, and the J
+    that attain t), or None when no d_J exceeds b, so that none ever ties."""
     b = max(d[I] for I in face)
     g0 = gaps[next(iter(face))]
-    t = min(((g - g0) / (d[J] - b) for J, g in gaps.items() if d[J] > b), default=None)
-    if t is None:
+    ties = {J: (g - g0) / (d[J] - b) for J, g in gaps.items() if d[J] > b}
+    if not ties:
         return None
-    moved = {I: g - t * d[I] for I, g in gaps.items()}
-    return [yi + t * ui for yi, ui in zip(y, u)], moved, _face(moved)
+    t = min(ties.values())
+    return t, frozenset([I for I in face if d[I] == b] + [J for J, s in ties.items() if s == t])
 
 
-def _grow_to_cell(n: int, gaps: dict[Subset, Fraction], steps):
-    """From the flat tilt, whose gaps are the heights, ray-shoot along the
-    (u, d) of ``steps`` constant on the face until the face is
-    full-dimensional (0 < k < n); returns (cell, witness, its gaps)."""
+def _moved(y: list[Fraction], gaps: dict[Subset, Fraction], u, d: dict[Subset, int], t):
+    """The tilt y + t u and its gaps g_I - t d_I."""
+    return [yi + t * ui for yi, ui in zip(y, u)], {I: g - t * d[I] for I, g in gaps.items()}
+
+
+def _step(tab: dict[Subset, Fraction], u) -> tuple:
+    """A direction u and its table d_I = u . e_I over the vertices."""
+    return u, {I: sum(u[i - 1] for i in I) for I in tab}
+
+
+def _grow_to_cell(n: int, gaps: dict[Subset, Fraction], directions):
+    """From the flat tilt, whose gaps are the heights, shoot along the first
+    (u, d) of ``directions(face)`` constant on the face that hits, until the
+    face is full-dimensional (0 < k < n); returns (cell, witness, gaps)."""
     y = [Fraction(0)] * n
     face = _face(gaps)
     while _aff_rank_sets(n, sorted(face)) < n - 1:
-        for u, d in steps:
-            if len({d[I] for I in face}) != 1:
-                continue
-            shot = _shoot(y, gaps, face, u, d)
-            if shot is not None and face < shot[2]:
-                y, gaps, face = shot
+        for u, d in directions(face):
+            shot = _shoot(gaps, face, d) if len({d[I] for I in face}) == 1 else None
+            if shot is not None:
+                t, face = shot
+                y, gaps = _moved(y, gaps, u, d, t)
                 break
         else:
-            raise RuntimeError("could not grow a full-dimensional cell with "
-                               "cyclic-interval tilts; heights are not positroidal")
+            raise RuntimeError("no direction grows a full-dimensional cell")
     return face, y, gaps
+
+
+def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
+    """Grow a cell from the heights ``tab``, then shoot from each cell found
+    along every (u, d) of ``directions(cell)``; a face reached is a new cell
+    when it is full-dimensional and not yet found.  Returns each cell with
+    its witness tilt and that tilt's gap table."""
+    start, y0, gaps0 = _grow_to_cell(n, tab, directions)
+    cells = {start: (y0, gaps0)}
+    queue = [start]
+    while queue:
+        cell = queue.pop()
+        y, gaps = cells[cell]
+        for u, d in directions(cell):
+            shot = _shoot(gaps, cell, d)
+            if shot is None:
+                continue
+            t, nb = shot
+            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
+                cells[nb] = _moved(y, gaps, u, d, t)
+                queue.append(nb)
+    return cells
 
 
 def _interval_directions(n: int) -> list[list[int]]:
@@ -220,110 +249,81 @@ def _interval_directions(n: int) -> list[list[int]]:
 
 
 def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
-    """Walk from a grown cell across every wall, shooting the witness of a
-    cell along each cyclic-interval direction u that is not constant on it.
-    Each cell keeps the gap table of its witness, and d_I = u . e_I is
-    tabulated once per direction, so a shot moves gaps instead of summing."""
-    n = P.n
+    """Grow a cell and cross every wall along the cyclic-interval directions
+    u, d_I = u . e_I tabulated once each.  Growing never fails: faces of
+    positroidal subdivisions are positroid polytopes, cut out by these u."""
     tab = P.table()
-    steps = [(u, {I: sum(u[i - 1] for i in I) for I in tab})
-             for u in _interval_directions(n)]
-    start, y0, gaps0 = _grow_to_cell(n, tab, steps)
-    cells = {start: (y0, gaps0)}
-    queue = [start]
-    while queue:
-        cell = queue.pop()
-        y, gaps = cells[cell]
-        for u, d in steps:
-            if len({d[I] for I in cell}) == 1:
-                continue
-            shot = _shoot(y, gaps, cell, u, d)
-            if shot is None:
-                continue
-            y2, gaps2, nb = shot
-            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
-                cells[nb] = (y2, gaps2)
-                queue.append(nb)
+    steps = [_step(tab, u) for u in _interval_directions(P.n)]
+    cells = _walk(P.n, tab, lambda face: steps)
     return [SubdivisionCell(c, tuple(cells[c][0])) for c in sorted(cells, key=sorted)]
 
 
-def _cells_by_span_scan(P: HeightVector) -> list[SubdivisionCell]:
-    """Complete lower-hull scan over candidate facet hyperplanes.
+def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
+    """Gift-wrap the lower hull of P + eps r along the facet normals of its
+    simplex cells, then merge each simplex into the cell of P that its plane
+    selects, with y_n = 0 in the witness.  r = 0 until a cell is not a
+    simplex; then a seeded integer r is drawn afresh, and eps is halved when
+    a plane misses its simplex, so the cells do not depend on r.  Cells of a
+    regular triangulation do not overlap, so none is missing once their
+    volumes |det|/k add up to A(n-1, k-1) = len(enumerate_D(k, n))."""
+    n, k = P.n, P.k
+    tab = P.table()
 
-    Every facet hyperplane is spanned by n affinely independent lifted
-    points, so scanning n-subsets finds them all; exponential in n but
-    exact, and only used when the heights are not positive tropical.
-    """
-    n = P.n
-    pts = [(I, h) for I, h in P.table().items()]
-    if len(pts) == 1:
-        return [SubdivisionCell(frozenset([pts[0][0]]), tuple([Fraction(0)] * n))]
-    found: dict[frozenset, tuple[Fraction, ...]] = {}
-    for combo in combinations(range(len(pts)), min(n, len(pts))):
-        base_I, base_h = pts[combo[0]]
-        rows = []
-        for idx in combo[1:]:
-            I, h = pts[idx]
-            rows.append([Fraction(int(i in I) - int(i in base_I))
-                         for i in range(1, n + 1)] + [h - base_h])
-        K = kernel_basis(RatMatrix.from_rows(rows))
-        normal = None
-        for r in range(K.rows):
-            cand = list(K.row(r))
-            if cand[-1] != 0:
-                normal = cand
+    def directions(face):
+        E = _indicator_rows(n, sorted(face))
+        K = kernel_basis(RatMatrix.from_rows(E))
+        if K.rows:  # not full-dimensional: grow along +-u, 0 on the face
+            return [_step(tab, u) for u in (K.row(0), [-x for x in K.row(0)])]
+        if len(face) != n:
+            return []
+        # u . e_I is 0 on the simplex but at v, where it is -1: the columns
+        # of -E^-1, read off the kernel of [E | 1]
+        K = kernel_basis(RatMatrix.from_rows([e + [int(j == r) for j in range(n)]
+                                              for r, e in enumerate(E)]))
+        return [_step(tab, K.row(r)[:n]) for r in range(n)]
+
+    rng, r, eps = Random(0), None, Fraction(1, 10 ** 7)
+    while True:
+        Q = tab if r is None else {I: h + eps * r[I] for I, h in tab.items()}
+        simplices = [sorted(s) for s in _walk(n, Q, directions)]
+        if any(len(s) != n for s in simplices):
+            r = {I: rng.randint(1, 1000) for I in tab}
+            continue
+        volume = sum(abs(det(RatMatrix.from_rows(_indicator_rows(n, s)))) for s in simplices)
+        if volume != k * len(enumerate_D(k, n)):
+            raise RuntimeError("the facet walk missed a simplex")
+        cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
+        for s in simplices:
+            # the y with P_I = y . e_I on s, from the kernel of [E | -P]
+            y = kernel_basis(RatMatrix.from_rows(
+                [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
+            face = argmin_face(P, y)
+            if not face.issuperset(s):
+                eps /= 2
                 break
-        if normal is None:
-            continue
-        a, b = normal[:-1], normal[-1]
-        if b < 0:
-            a, b = [-x for x in a], -b
-        # phi(I) = a . e_I + b P_I, constant = c on the candidate plane
-        c = sum(a[i - 1] for i in base_I) + b * base_h
-        tight, ok = [], True
-        for I, h in pts:
-            val = sum(a[i - 1] for i in I) + b * h
-            if val == c:
-                tight.append(I)
-            elif val < c:
-                ok = False
-                break
-        if not ok:
-            continue
-        if _aff_rank_sets(n, tight) != (n - 1 if 0 < P.k < n else 0):
-            continue
-        witness = tuple(-Fraction(x, b) for x in a)
-        found.setdefault(frozenset(tight), witness)
-    return [SubdivisionCell(c, found[c]) for c in sorted(found, key=sorted)]
+            cells.setdefault(face, tuple(x - y[-1] for x in y))
+        else:
+            return [SubdivisionCell(c, cells[c]) for c in sorted(cells, key=sorted)]
 
 
 def regular_subdivision(P: HeightVector) -> Subdivision:
     """All full-dimensional cells of the regular subdivision, each with an
-    exact witness tilt whose argmin reproduces the cell.
-
-    Positive tropical heights use an exact wall-crossing search (walls of
-    positroidal subdivisions have cyclic-interval normals), audited as an
-    exact cover of the staircase simplices; anything else falls back to a
-    complete hyperplane scan.
-    """
+    exact witness tilt whose argmin reproduces the cell: by the wall walk,
+    audited as an exact cover of the staircase simplices, on positive
+    tropical heights, and by the facet walk, audited by volume, on all
+    others and whenever the wall walk fails its audit."""
     n, k = P.n, P.k
     if k == 0 or k == n:
         only = subsets(n, k)[0]
         return Subdivision(k, n, (SubdivisionCell(frozenset([only]),
                                                   tuple([Fraction(0)] * n)),))
-    if is_positive_tropical(P):
-        try:
-            cells = _cells_by_wall_search(P)
-            D = enumerate_D(k, n)
-            masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
-            # an exact cover: the union is all of D and no simplex is counted twice
-            if (reduce(or_, masks, 0) != (1 << len(D)) - 1
-                    or sum(mask.bit_count() for mask in masks) != len(D)):
-                cells = _cells_by_span_scan(P)
-        except RuntimeError:
-            cells = _cells_by_span_scan(P)
-    else:
-        cells = _cells_by_span_scan(P)
+    cells = _cells_by_wall_search(P) if is_positive_tropical(P) else []
+    D = enumerate_D(k, n)
+    masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+    # an exact cover: the union is all of D and no simplex is counted twice
+    if (reduce(or_, masks, 0) != (1 << len(D)) - 1
+            or sum(mask.bit_count() for mask in masks) != len(D)):
+        cells = _cells_by_facet_walk(P)
     for cell in cells:
         if argmin_face(P, cell.witness) != cell.vertices:
             raise RuntimeError("witness does not certify its cell")

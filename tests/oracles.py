@@ -19,11 +19,16 @@ scanned every tile per simplex, over lists and frozensets, before
 ``hypersimplex.cover_mask``; ``verify_tiling`` and ``enumerate_tilings``
 are compared with them.  ``scanned_D`` is the scan of all (n-1)! words
 ending in n that ``hypersimplex.enumerate_D`` ran before it grew its words
-by insertion.  ``resumming_wall_search`` is the cyclic-interval wall
+by insertion.  ``rotation_descent_sets`` takes the descents of each
+rotation of w afresh, as ``hypersimplex.w_simplex`` did before it toggled
+them in one pass.  ``resumming_wall_search`` is the cyclic-interval wall
 search of ``trop`` as it ran before each tilt kept a gap table: every shot
 re-sums the tilt and the direction over every k-subset and takes the next
 face from ``trop.argmin_face``; ``trop._cells_by_wall_search`` is compared
-with it.
+with it.  ``span_scan`` is the complete lower-hull scan over every n-subset
+of vertices that ``trop.regular_subdivision`` ran on heights that are not
+positive tropical before the facet walk; ``regular_subdivision`` is
+compared with it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Sequence
 
 from positroid_lab.amplituhedron import ZMatrix
 from positroid_lab.cells import matrix_realization
-from positroid_lab.exact import RatMatrix, det, rank
+from positroid_lab.exact import RatMatrix, det, kernel_basis, rank
 from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
@@ -254,6 +259,18 @@ def frozenset_tilings(k_plus_1: int, n: int) -> list[tuple[DecoratedPermutation,
     return out
 
 
+def rotation_descent_sets(w: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """The vertex sets of the w-simplex, one ``cyclic_left_descents`` per
+    rotation: the r-th is that of the rotation of w ending at r - 1 (at n
+    for r = 1)."""
+    n = len(w)
+    out = []
+    for r in range(1, n + 1):
+        pos = w.index(n if r == 1 else r - 1)
+        out.append(cyclic_left_descents(w[pos + 1:] + w[:pos + 1]))
+    return tuple(out)
+
+
 def scanned_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
     """Every w with w_n = n and k+1 cyclic left descents, found by scanning
     all (n-1)! words, sorted by w."""
@@ -330,3 +347,53 @@ def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
                 cells[nb] = y2
                 queue.append(nb)
     return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]
+
+
+def span_scan(P: HeightVector) -> list[SubdivisionCell]:
+    """Complete lower-hull scan over candidate facet hyperplanes.
+
+    Every facet hyperplane is spanned by n affinely independent lifted
+    points, so scanning n-subsets finds them all: one kernel for each of
+    the C(C(n, k), n) of them.  Each witness y has y_n = 0.
+    """
+    n = P.n
+    pts = [(I, h) for I, h in P.table().items()]
+    if len(pts) == 1:
+        return [SubdivisionCell(frozenset([pts[0][0]]), tuple([Fraction(0)] * n))]
+    found: dict[frozenset, tuple[Fraction, ...]] = {}
+    for combo in combinations(range(len(pts)), min(n, len(pts))):
+        base_I, base_h = pts[combo[0]]
+        rows = []
+        for idx in combo[1:]:
+            I, h = pts[idx]
+            rows.append([Fraction(int(i in I) - int(i in base_I))
+                         for i in range(1, n + 1)] + [h - base_h])
+        K = kernel_basis(RatMatrix.from_rows(rows))
+        normal = None
+        for r in range(K.rows):
+            cand = list(K.row(r))
+            if cand[-1] != 0:
+                normal = cand
+                break
+        if normal is None:
+            continue
+        a, b = normal[:-1], normal[-1]
+        if b < 0:
+            a, b = [-x for x in a], -b
+        # phi(I) = a . e_I + b P_I, constant = c on the candidate plane
+        c = sum(a[i - 1] for i in base_I) + b * base_h
+        tight, ok = [], True
+        for I, h in pts:
+            val = sum(a[i - 1] for i in I) + b * h
+            if val == c:
+                tight.append(I)
+            elif val < c:
+                ok = False
+                break
+        if not ok:
+            continue
+        if _aff_rank_sets(n, tight) != (n - 1 if 0 < P.k < n else 0):
+            continue
+        witness = tuple(-Fraction(x, b) for x in a)
+        found.setdefault(frozenset(tight), witness)
+    return [SubdivisionCell(c, found[c]) for c in sorted(found, key=sorted)]

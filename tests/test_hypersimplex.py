@@ -31,7 +31,7 @@ from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
 from lp import point_in_hull
-from oracles import frozenset_tilings, scan_verify_tiling, scanned_D
+from oracles import frozenset_tilings, rotation_descent_sets, scan_verify_tiling, scanned_D
 
 
 def test_moment_map_pinned():
@@ -64,6 +64,13 @@ def test_cyclic_left_descents_pinned():
 def test_w_simplex_pinned():
     ws = w_simplex((1, 3, 2, 4))
     assert [sorted(I) for I in ws.I] == [[1, 3], [2, 3], [3, 4], [2, 4]]
+
+
+def test_w_simplex_matches_the_descents_of_each_rotation():
+    for n in range(2, 9):
+        for k_plus_1 in range(1, n):
+            for ws in enumerate_D(k_plus_1, n):
+                assert ws.I == rotation_descent_sets(ws.w)
 
 
 def test_enumerate_D_24():

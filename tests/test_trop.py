@@ -8,8 +8,9 @@ from random import Random
 
 import pytest
 
-from oracles import resumming_wall_search, zero_one_directions
+from oracles import resumming_wall_search, span_scan, zero_one_directions
 from positroid_lab import trop
+from positroid_lab.exact import RatMatrix, det
 from positroid_lab.hypersimplex import (
     binomial,
     cover_mask,
@@ -100,15 +101,78 @@ def test_non_positive_tropical_can_fail_positroid_check():
 
 
 def test_wall_search_matches_span_scan():
-    from positroid_lab.trop import _cells_by_span_scan, _cells_by_wall_search
-
     rng = Random(5)
     for (k, n) in [(2, 4), (2, 5)]:
         for _ in range(5):
             P = random_positive_tropical(k, n, rng)
-            a = {c.vertices for c in _cells_by_wall_search(P)}
-            b = {c.vertices for c in _cells_by_span_scan(P)}
+            a = {c.vertices for c in trop._cells_by_wall_search(P)}
+            b = {c.vertices for c in span_scan(P)}
             assert a == b
+
+
+def _random_heights(k, n, rng, hi):
+    return HeightVector.make(k, n, [rng.randint(0, hi) for _ in subsets(n, k)])
+
+
+@pytest.mark.parametrize("k, n, count", [(2, 4, 6), (2, 5, 5), (2, 6, 3), (3, 6, 1)])
+def test_facet_walk_matches_span_scan_on_generic_heights(k, n, count):
+    rng = Random(11)
+    for _ in range(count):
+        P = _random_heights(k, n, rng, 10 ** 9)
+        assert not is_positive_tropical(P)
+        D = regular_subdivision(P)
+        assert len(D.cells) <= eulerian(k - 1, n - 1)
+        assert list(D.cells) == span_scan(P)  # vertices, witnesses and order
+
+
+def test_facet_walk_merges_the_simplices_of_degenerate_heights():
+    rng = Random(4)
+    draws = [HeightVector.make(2, 4, [0, 1, 0, 0, 1, 0])]
+    for (k, n, count) in [(2, 4, 4), (2, 5, 4), (2, 6, 2)]:
+        found = []
+        while len(found) < count:
+            P = _random_heights(k, n, rng, 2)
+            if not is_positive_tropical(P):
+                found.append(P)
+        draws += found
+    # tiny heights: eps is halved many times before each simplex lies in a cell
+    draws.append(HeightVector.make(2, 4, [Fraction(h, 10 ** 12) for h in draws[0].heights]))
+    merged = 0
+    for P in draws:
+        cells = regular_subdivision(P).cells
+        merged += any(len(c.vertices) > P.n for c in cells)
+        assert list(cells) == span_scan(P)  # vertices, witnesses and order
+    assert merged >= 8
+
+
+def test_facet_walk_does_not_depend_on_the_perturbation(monkeypatch):
+    P = HeightVector.make(2, 5, [0, 1, 0, 2, 1, 0, 0, 1, 2, 0])
+    cells = regular_subdivision(P).cells
+    assert sorted(len(c.vertices) for c in cells) == [5, 6, 6, 8]
+    monkeypatch.setattr(trop, "Random", lambda seed: Random(seed + 1))
+    assert regular_subdivision(P).cells == cells
+
+
+def test_facet_walk_certifies_generic_37_heights():
+    P = _random_heights(3, 7, Random(0), 10 ** 9)
+    D = regular_subdivision(P)
+    assert all(argmin_face(P, c.witness) == c.vertices for c in D.cells)
+    rows = [[[int(i in I) for i in range(1, 8)] for I in c.sorted_vertices()] for c in D.cells]
+    assert all(len(r) == 7 for r in rows)
+    assert sum(abs(det(RatMatrix.from_rows(r))) for r in rows) == 3 * eulerian(2, 6)
+
+
+def test_facet_walk_audit_rejects_a_dropped_simplex(monkeypatch):
+    walk = trop._walk
+
+    def dropping(*args):
+        cells = walk(*args)
+        del cells[next(iter(cells))]
+        return cells
+
+    monkeypatch.setattr(trop, "_walk", dropping)
+    with pytest.raises(RuntimeError, match="missed a simplex"):
+        regular_subdivision(_random_heights(2, 5, Random(0), 10 ** 9))
 
 
 def test_interval_directions_are_cyclic_interval_indicators():
@@ -168,9 +232,9 @@ def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
 def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n, count):
     def no_fallback(P):
-        raise AssertionError("the audit fell back to the span scan")
+        raise AssertionError("the audit fell back to the facet walk")
 
-    monkeypatch.setattr(trop, "_cells_by_span_scan", no_fallback)
+    monkeypatch.setattr(trop, "_cells_by_facet_walk", no_fallback)
     D = enumerate_D(k, n)
     rng = Random(1)
     for _ in range(count):
