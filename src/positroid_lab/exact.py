@@ -1,8 +1,10 @@
 """Exact rational matrices, one integer elimination, and sign variation.
 
-All entries are ``fractions.Fraction``; nothing here ever rounds.  ``det``,
-``rank``, ``kernel_basis`` and ``maximal_minors`` share one fraction-free
-(Bareiss) elimination over rows cleared of denominators once.  The sign
+All entries are ``fractions.Fraction``; nothing here ever rounds.  One
+fraction-free (Bareiss) elimination gives the rank, kernel and determinant
+of integer rows (``integer_rank``, ``integer_kernel``, ``integer_det``);
+``rank``, ``kernel_basis``, ``det`` and ``maximal_minors`` run it on rows
+cleared of denominators once.  The sign
 variation statistics ``var`` and ``varbar`` are the workhorses behind the
 Gantmakher-Krein style tests elsewhere in the package.
 """
@@ -146,18 +148,57 @@ def _eliminate(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:
     return pivots, sgn
 
 
-def _det(a: list[list[int]], scale: int) -> Fraction:
+def _det(a: list[list[int]]) -> int:
     pivots, sgn = _eliminate(a)
     if len(pivots) < len(a):
-        return Fraction(0)
-    return Fraction(sgn * a[-1][-1] if a else 1, scale)
+        return 0
+    return sgn * a[-1][-1] if a else 1
+
+
+def _kernel(a: list[list[int]], cols: int) -> tuple[list[list[int]], int]:
+    """The ``integer_kernel`` of the rows ``a``, eliminated in place, and |d|."""
+    pivots, _ = _eliminate(a, full=True)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    s = 1 if d > 0 else -1
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [0] * cols
+            v[f] = abs(d)
+            for r, p in enumerate(pivots):
+                v[p] = -s * a[r][f]
+            out.append(v)
+    return out, abs(d)
+
+
+# The integer entry points copy their rows; the RatMatrix functions below
+# hand their freshly scaled rows straight to the elimination.
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square matrix of integer rows."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant requires a square matrix")
+    return _det([list(row) for row in rows])
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a matrix of integer rows."""
+    return len(_eliminate([list(row) for row in rows])[0])
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """Integer vectors spanning {x : Ax = 0} for the ``cols``-column matrix A
+    of integer rows: the rows of ``kernel_basis``, each scaled by |d| (d the
+    last pivot of the full elimination), so |d| at its free column."""
+    return _kernel([list(row) for row in rows], cols)[0]
 
 
 def det(M: RatMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination over the integers."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    return _det(*_integer_rows(M))
+    a, scale = _integer_rows(M)
+    return Fraction(_det(a), scale)
 
 
 def maximal_minors(M: RatMatrix) -> dict[tuple[int, ...], Fraction]:
@@ -167,7 +208,7 @@ def maximal_minors(M: RatMatrix) -> dict[tuple[int, ...], Fraction]:
     if k > n:
         raise ValueError("need k <= n")
     a, scale = _integer_rows(M)
-    return {tuple(j + 1 for j in I): _det([[row[j] for j in I] for row in a], scale)
+    return {tuple(j + 1 for j in I): Fraction(_det([[row[j] for j in I] for row in a]), scale)
             for I in combinations(range(n), k)}
 
 
@@ -179,18 +220,8 @@ def kernel_basis(M: RatMatrix) -> RatMatrix:
     """Rows span the right null space {x : Mx = 0}; row count = cols - rank.
     One row per free column f of the reduced row echelon form: 1 at f and
     minus the echelon entries of column f at the pivots."""
-    a, _ = _integer_rows(M)
-    pivots, _ = _eliminate(a, full=True)
-    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    entries = []
-    for f in range(M.cols):
-        if f in pivots:
-            continue
-        v = [Fraction(int(j == f)) for j in range(M.cols)]
-        for r, p in enumerate(pivots):
-            v[p] = Fraction(-a[r][f], d)
-        entries.extend(v)
-    return RatMatrix(M.cols - len(pivots), M.cols, entries)
+    K, d = _kernel(_integer_rows(M)[0], M.cols)
+    return RatMatrix(len(K), M.cols, [Fraction(x, d) for v in K for x in v])
 
 
 def var(v: Sequence) -> int:

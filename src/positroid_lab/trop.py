@@ -6,7 +6,10 @@ three-term tropical exchange produce subdivisions all of whose faces are
 positroid polytopes, and the finest ones are exactly the moment-map
 tilings.  One walk finds the cells of every subdivision, shooting the tilt
 of a cell across cyclic-interval walls for positive tropical heights and
-across the facets of simplex cells for all others.
+across the facets of simplex cells for all others.  The walk runs on
+integers: the gaps of each tilt over one positive denominator and the
+tables u . e_I of each direction; only the witness tilts are fractions, and
+``argmin_face`` certifies each cell afresh in fractions.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from operator import or_
 from random import Random
 
-from .exact import RatMatrix, det, kernel_basis, rank
+from .exact import RatMatrix, integer_det, integer_kernel, integer_rank, kernel_basis
 from .grassmann import Matroid, exchange_quads, is_positroid
 from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
@@ -153,11 +156,12 @@ def _indicator_rows(n: int, sets) -> list[list[int]]:
 
 def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
     """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them."""
-    return rank(RatMatrix.from_rows(_indicator_rows(n, sets))) - 1
+    return integer_rank(_indicator_rows(n, sets)) - 1
 
 
-def _face(gaps: dict[Subset, Fraction]) -> frozenset[Subset]:
-    """The vertices I of least gap g_I = P_I - y . e_I: the face of tilt y."""
+def _face(gaps: dict) -> frozenset[Subset]:
+    """The vertices I of least gap g_I = P_I - y . e_I, given as g_I or as
+    G_I = q g_I for one q > 0: the face of tilt y."""
     low = min(gaps.values())
     return frozenset(I for I, g in gaps.items() if g == low)
 
@@ -168,66 +172,95 @@ def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
     return _face({I: h - sum(y[i - 1] for i in I) for I, h in P.table().items()})
 
 
-def _shoot(gaps: dict[Subset, Fraction], face: frozenset[Subset], d: dict[Subset, int]):
-    """Move the tilt along u, each gap moving as g_I - t d_I (d_I = u . e_I),
-    until a vertex J off ``face`` ties the face's equal, least gaps: returns
-    t and the next face (the vertices of ``face`` of largest d, b, and the J
-    that attain t), or None when no d_J exceeds b, so that none ever ties."""
+def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int]):
+    """Move the tilt along u, each gap g_I = G_I / q moving as g_I - t d_I
+    (d_I = u . e_I), until a vertex J off ``face`` ties the face's equal,
+    least gaps: t q is the least (G_J - G_face) / (d_J - b) over the J with
+    d_J > b, b the largest d on ``face``.  Returns t q as a pair (N, M), the
+    ratios compared by cross-multiplying, and the next face (the vertices of
+    ``face`` with d = b and the J that attain t), or None when no d_J
+    exceeds b, so that none ever ties."""
     b = max(d[I] for I in face)
     g0 = gaps[next(iter(face))]
-    ties = {J: (g - g0) / (d[J] - b) for J, g in gaps.items() if d[J] > b}
-    if not ties:
+    N = M = None
+    hits: list[Subset] = []
+    for J, g in gaps.items():
+        m = d[J] - b
+        if m > 0:
+            g -= g0
+            if N is None or g * M < N * m:
+                N, M, hits = g, m, [J]
+            elif g * M == N * m:
+                hits.append(J)
+    if N is None:
         return None
-    t = min(ties.values())
-    return t, frozenset([I for I in face if d[I] == b] + [J for J, s in ties.items() if s == t])
+    return (N, M), frozenset([I for I in face if d[I] == b] + hits)
 
 
-def _moved(y: list[Fraction], gaps: dict[Subset, Fraction], u, d: dict[Subset, int], t):
-    """The tilt y + t u and its gaps g_I - t d_I."""
-    return [yi + t * ui for yi, ui in zip(y, u)], {I: g - t * d[I] for I, g in gaps.items()}
+def _moved(y: list[Fraction], gaps: dict[Subset, int], q: int, u: list[int],
+           d: dict[Subset, int], step: tuple[int, int]):
+    """The tilt y + t u for t = N / (q M), and its gaps g_I - t d_I as the
+    integers G_I M - N d_I over q M, divided by their gcd."""
+    N, M = step
+    q *= M
+    t = Fraction(N, q)
+    gaps = {I: g * M - N * d[I] for I, g in gaps.items()}
+    c = gcd(q, *gaps.values())
+    if c > 1:
+        gaps, q = {I: g // c for I, g in gaps.items()}, q // c
+    return [yi + t * ui for yi, ui in zip(y, u)], gaps, q
 
 
 def _step(tab: dict[Subset, Fraction], u) -> tuple:
-    """A direction u and its table d_I = u . e_I over the vertices."""
+    """A direction u, scaled to integers by the lcm of its denominators (a
+    positive multiple: the same faces, t rescaled), and its table
+    d_I = u . e_I over the vertices."""
+    m = lcm(*(x.denominator for x in u))
+    u = [x.numerator * (m // x.denominator) for x in u]
     return u, {I: sum(u[i - 1] for i in I) for I in tab}
 
 
-def _grow_to_cell(n: int, gaps: dict[Subset, Fraction], directions):
+def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
     """From the flat tilt, whose gaps are the heights, shoot along the first
     (u, d) of ``directions(face)`` constant on the face that hits, until the
-    face is full-dimensional (0 < k < n); returns (cell, witness, gaps)."""
+    face is full-dimensional (0 < k < n); returns the cell and its witness
+    tilt, gaps and their denominator."""
     y = [Fraction(0)] * n
     face = _face(gaps)
     while _aff_rank_sets(n, sorted(face)) < n - 1:
         for u, d in directions(face):
             shot = _shoot(gaps, face, d) if len({d[I] for I in face}) == 1 else None
             if shot is not None:
-                t, face = shot
-                y, gaps = _moved(y, gaps, u, d, t)
+                step, face = shot
+                y, gaps, q = _moved(y, gaps, q, u, d, step)
                 break
         else:
             raise RuntimeError("no direction grows a full-dimensional cell")
-    return face, y, gaps
+    return face, (y, gaps, q)
 
 
 def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
-    """Grow a cell from the heights ``tab``, then shoot from each cell found
-    along every (u, d) of ``directions(cell)``; a face reached is a new cell
-    when it is full-dimensional and not yet found.  Returns each cell with
-    its witness tilt and that tilt's gap table."""
-    start, y0, gaps0 = _grow_to_cell(n, tab, directions)
-    cells = {start: (y0, gaps0)}
+    """Grow a cell from the heights ``tab``, as integers L P_I over the lcm L
+    of their denominators, then shoot from each cell found along every
+    (u, d) of ``directions(cell)``; a face reached is a new cell when it is
+    full-dimensional and not yet found.  Returns each cell with its witness
+    tilt y and that tilt's gap table as integers G_I over one q > 0:
+    G_I / q = P_I - y . e_I."""
+    L = lcm(*(h.denominator for h in tab.values()))
+    start, state = _grow_to_cell(
+        n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
+    cells = {start: state}
     queue = [start]
     while queue:
         cell = queue.pop()
-        y, gaps = cells[cell]
+        y, gaps, q = cells[cell]
         for u, d in directions(cell):
             shot = _shoot(gaps, cell, d)
             if shot is None:
                 continue
-            t, nb = shot
+            step, nb = shot
             if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
-                cells[nb] = _moved(y, gaps, u, d, t)
+                cells[nb] = _moved(y, gaps, q, u, d, step)
                 queue.append(nb)
     return cells
 
@@ -260,47 +293,53 @@ def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
 
 def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     """Gift-wrap the lower hull of P + eps r along the facet normals of its
-    simplex cells, then merge each simplex into the cell of P that its plane
-    selects, with y_n = 0 in the witness.  r = 0 until a cell is not a
-    simplex; then a seeded integer r is drawn afresh, and eps is halved when
-    a plane misses its simplex, so the cells do not depend on r.  Cells of a
-    regular triangulation do not overlap, so none is missing once their
-    volumes |det|/k add up to A(n-1, k-1) = len(enumerate_D(k, n))."""
+    simplex cells.  With r = 0 these simplices are the cells of P, each with
+    its walk tilt less y_n as witness; otherwise each simplex is merged into
+    the cell of P that its plane selects, with y_n = 0 in the witness.
+    r = 0 until a cell is not a simplex; then a seeded integer r is drawn
+    afresh, and eps is halved when a plane misses its simplex, so the cells
+    do not depend on r.  Cells of a regular triangulation do not overlap,
+    so none is missing once their volumes |det|/k add up to
+    A(n-1, k-1) = len(enumerate_D(k, n))."""
     n, k = P.n, P.k
     tab = P.table()
 
     def directions(face):
         E = _indicator_rows(n, sorted(face))
-        K = kernel_basis(RatMatrix.from_rows(E))
-        if K.rows:  # not full-dimensional: grow along +-u, 0 on the face
-            return [_step(tab, u) for u in (K.row(0), [-x for x in K.row(0)])]
+        K = integer_kernel(E, n)
+        if K:  # not full-dimensional: grow along +-u, 0 on the face
+            return [_step(tab, u) for u in (K[0], [-x for x in K[0]])]
         if len(face) != n:
             return []
-        # u . e_I is 0 on the simplex but at v, where it is -1: the columns
-        # of -E^-1, read off the kernel of [E | 1]
-        K = kernel_basis(RatMatrix.from_rows([e + [int(j == r) for j in range(n)]
-                                              for r, e in enumerate(E)]))
-        return [_step(tab, K.row(r)[:n]) for r in range(n)]
+        # u . e_I is 0 on the simplex but at v, where it is -|det E|: the
+        # columns of -adj(E) sign(det E), the integer kernel of [E | 1]
+        K = integer_kernel([e + [int(j == r) for j in range(n)] for r, e in enumerate(E)], 2 * n)
+        return [_step(tab, v[:n]) for v in K]
 
     rng, r, eps = Random(0), None, Fraction(1, 10 ** 7)
     while True:
         Q = tab if r is None else {I: h + eps * r[I] for I, h in tab.items()}
-        simplices = [sorted(s) for s in _walk(n, Q, directions)]
-        if any(len(s) != n for s in simplices):
+        walked = _walk(n, Q, directions)
+        if any(len(s) != n for s in walked):
             r = {I: rng.randint(1, 1000) for I in tab}
             continue
-        volume = sum(abs(det(RatMatrix.from_rows(_indicator_rows(n, s)))) for s in simplices)
+        volume = sum(abs(integer_det(_indicator_rows(n, sorted(s)))) for s in walked)
         if volume != k * len(enumerate_D(k, n)):
             raise RuntimeError("the facet walk missed a simplex")
         cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
-        for s in simplices:
-            # the y with P_I = y . e_I on s, from the kernel of [E | -P]
-            y = kernel_basis(RatMatrix.from_rows(
-                [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
-            face = argmin_face(P, y)
-            if not face.issuperset(s):
-                eps /= 2
-                break
+        for s, (y, _, _) in walked.items():
+            # unperturbed, s is a cell of P, and its tilt y solves the kernel's
+            # system below up to a multiple of 1, which y_n = 0 takes out
+            face = s
+            if r is not None:
+                # the y with P_I = y . e_I on s, from the kernel of [E | -P]
+                s = sorted(s)
+                y = kernel_basis(RatMatrix.from_rows(
+                    [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
+                face = argmin_face(P, y)
+                if not face.issuperset(s):
+                    eps /= 2
+                    break
             cells.setdefault(face, tuple(x - y[-1] for x in y))
         else:
             return [SubdivisionCell(c, cells[c]) for c in sorted(cells, key=sorted)]

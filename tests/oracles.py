@@ -28,7 +28,8 @@ face from ``trop.argmin_face``; ``trop._cells_by_wall_search`` is compared
 with it.  ``span_scan`` is the complete lower-hull scan over every n-subset
 of vertices that ``trop.regular_subdivision`` ran on heights that are not
 positive tropical before the facet walk; ``regular_subdivision`` is
-compared with it.
+compared with it.  Both take affine ranks with ``fraction_rref``, never
+with the integer rank of ``trop``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from positroid_lab.perms import DecoratedPermutation
 from positroid_lab.trop import (
     HeightVector,
     SubdivisionCell,
-    _aff_rank_sets,
     _interval_directions,
     argmin_face,
 )
@@ -279,6 +279,13 @@ def scanned_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
     return tuple(sorted(out, key=lambda s: s.w))
 
 
+def _fraction_aff_rank(n: int, sets) -> int:
+    """Affine rank of the e_I of the given k-subsets (k > 0): the rank of
+    their ``fraction_rref`` less one, independent of the integer rank."""
+    return len(fraction_rref(RatMatrix.from_rows(
+        [[Fraction(int(i in I)) for i in range(1, n + 1)] for I in sets]))[1]) - 1
+
+
 def _resumming_shoot(tab: dict, face: frozenset, y: list, u) -> list | None:
     """Move the tilt y along u until a vertex outside ``face`` ties the
     argmin: the next tilt, or None when no vertex J outside has u . e_J
@@ -306,7 +313,7 @@ def _resumming_grow_to_cell(P: HeightVector, tab: dict, directions) -> tuple:
     witness)."""
     y = [Fraction(0)] * P.n
     face = argmin_face(P, y)
-    while _aff_rank_sets(P.n, sorted(face)) < P.n - 1:
+    while _fraction_aff_rank(P.n, sorted(face)) < P.n - 1:
         for u in directions:
             if len({sum(u[i - 1] for i in I) for I in face}) != 1:
                 continue
@@ -343,7 +350,7 @@ def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
             if y2 is None:
                 continue
             nb = argmin_face(P, y2)
-            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
+            if nb not in cells and _fraction_aff_rank(n, sorted(nb)) == n - 1:
                 cells[nb] = y2
                 queue.append(nb)
     return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]
@@ -392,7 +399,7 @@ def span_scan(P: HeightVector) -> list[SubdivisionCell]:
                 break
         if not ok:
             continue
-        if _aff_rank_sets(n, tight) != (n - 1 if 0 < P.k < n else 0):
+        if _fraction_aff_rank(n, tight) != (n - 1 if 0 < P.k < n else 0):
             continue
         witness = tuple(-Fraction(x, b) for x in a)
         found.setdefault(frozenset(tight), witness)

@@ -11,6 +11,9 @@ from positroid_lab.exact import (
     RatMatrix,
     SignVector,
     det,
+    integer_det,
+    integer_kernel,
+    integer_rank,
     kernel_basis,
     rank,
     var,
@@ -232,3 +235,48 @@ def test_ratmatrix_keeps_fraction_entries_by_identity():
     N = RatMatrix.from_rows([[1, -2], [0, 7]])
     assert all(type(x) is Fraction for x in N.row(0) + N.row(1))
     assert N.row_list() == [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(7)]]
+
+
+def _random_integer_rows(rng: Random, r: int, c: int) -> list[list[int]]:
+    """r x c integer rows, often with a zero row or a row that combines two
+    others."""
+    rows = [[rng.randint(-6, 6) if rng.random() < 0.8 else 0 for _ in range(c)]
+            for _ in range(r)]
+    if r and rng.random() < 0.25:
+        rows[rng.randrange(r)] = [0] * c
+    if r >= 3 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[rng.randrange(2, r)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_integer_rank_kernel_det_match_fraction_oracles():
+    rng = Random(29)
+    shapes = [(r, c) for r in range(7) for c in range(8)] * 4 + [(r, r) for r in range(7)] * 16
+    deficient = zero_rows = 0
+    for r, c in shapes:
+        rows = _random_integer_rows(rng, r, c)
+        before = [list(row) for row in rows]
+        M = RatMatrix(r, c, [x for row in rows for x in row])
+        _, pivots = fraction_rref(M)
+        assert integer_rank(rows) == len(pivots), rows
+        K = integer_kernel(rows, c)
+        B = _rref_kernel(M)
+        assert kernel_basis(M).row_list() == B, rows
+        assert len(K) == len(B) == c - len(pivots), rows
+        for v, b in zip(K, B):
+            assert all(type(x) is int for x in v), rows
+            j = next(j for j, x in enumerate(b) if x)
+            scale = Fraction(v[j]) / b[j]
+            assert scale > 0 and v == [scale * x for x in b], rows
+        if r == c:
+            assert integer_det(rows) == fraction_det(M), rows
+        assert rows == before, rows  # the rows are not eliminated in place
+        deficient += len(pivots) < min(r, c)
+        zero_rows += [0] * c in rows and c > 0
+    assert len(shapes) >= 300 and deficient >= 40 and zero_rows >= 40
+
+
+def test_integer_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        integer_det([[1, 2, 3], [4, 5, 6]])

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from operator import or_
 from random import Random
 
@@ -227,6 +228,96 @@ def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
         cells = regular_subdivision(P).cells
         assert calls == [c.witness for c in cells]
         calls.clear()
+
+
+def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
+    calls = []
+    original = trop.argmin_face
+
+    def counting(P, y):
+        calls.append(y)
+        return original(P, y)
+
+    monkeypatch.setattr(trop, "argmin_face", counting)
+    rng = Random(6)
+    for (k, n) in [(2, 5), (2, 6), (3, 6)]:
+        P = _random_heights(k, n, rng, 10 ** 9)
+        assert not is_positive_tropical(P)
+        assert all(len(c.vertices) == n for c in trop._cells_by_facet_walk(P))
+        assert calls == []
+        # regular_subdivision certifies each cell once, from scratch
+        cells = regular_subdivision(P).cells
+        assert calls == [c.witness for c in cells]
+        calls.clear()
+    # degenerate heights are walked perturbed, and each of the four simplices
+    # is merged into its cell through argmin_face
+    cells = trop._cells_by_facet_walk(HeightVector.make(2, 4, [0, 1, 0, 0, 1, 0]))
+    assert len(cells) == 2 and len(calls) >= 4
+
+
+def _rational_heights(k, n, rng, positive):
+    """Heights with denominators 2..7: a positive tropical draw, rescaled and
+    tilted by a rational linear function (which keeps it positive), or
+    generic ones."""
+    if not positive:
+        return HeightVector.make(k, n, [Fraction(rng.randint(0, 10 ** 6), rng.randint(2, 7))
+                                        for _ in subsets(n, k)])
+    P = random_positive_tropical(k, n, rng)
+    a = [Fraction(rng.randint(-20, 20), rng.randint(2, 7)) for _ in range(n)]
+    s = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+    return HeightVector.make(k, n, [h * s + sum(a[i - 1] for i in I)
+                                    for I, h in P.table().items()])
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (2, 7)])
+def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
+    walks = []
+    original = trop._walk
+
+    def recording(n, tab, directions):
+        cells = original(n, tab, directions)
+        walks.append((tab, cells))
+        return cells
+
+    monkeypatch.setattr(trop, "_walk", recording)
+    rng = Random(9)
+    for positive in (True, False):
+        for _ in range(3):
+            P = _rational_heights(k, n, rng, positive)
+            assert is_positive_tropical(P) == positive
+            assert any(h.denominator > 1 for h in P.heights)
+            regular_subdivision(P)
+    assert len(walks) >= 6
+    for tab, cells in walks:
+        for cell, (y, G, q) in cells.items():
+            assert type(q) is int and q > 0
+            assert G.keys() == tab.keys() and all(type(g) is int for g in G.values())
+            for I, h in tab.items():
+                assert Fraction(G[I], q) == h - sum(y[i - 1] for i in I)
+            assert trop._face(G) == cell
+
+
+def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
+    rng = Random(12)
+    P = random_positive_tropical(3, 6, rng)
+    tab = P.table()
+    cells = trop._walk(6, tab, lambda face: [trop._step(tab, u)
+                                             for u in trop._interval_directions(6)])
+    rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(6)]
+                for _ in range(20)]
+    for w in zero_one_directions(6) + rational:
+        w = [Fraction(rng.randint(1, 9), rng.randint(2, 7)) * x for x in w]
+        m = 3 * lcm(*(x.denominator for x in w))
+        u, d = trop._step(tab, w)
+        ui, di = trop._step(tab, [int(m * x) for x in w])
+        assert all(type(x) is int for x in u + list(d.values()))
+        for cell, (y, G, q) in cells.items():
+            shot, shot_i = trop._shoot(G, cell, d), trop._shoot(G, cell, di)
+            assert (shot is None) == (shot_i is None)
+            if shot is not None:
+                assert shot[1] == shot_i[1]
+                assert (trop._moved(y, G, q, u, d, shot[0])
+                        == trop._moved(y, G, q, ui, di, shot_i[0]))
 
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
