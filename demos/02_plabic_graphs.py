@@ -9,12 +9,12 @@ from fractions import Fraction
 from random import Random
 
 from positroid_lab import fixtures
+from positroid_lab.cells import cell_dimension
 from positroid_lab.grassmann import matroid_of
 from positroid_lab.plabic import (
     apply_move,
     bipartize,
     boundary_measurement,
-    cell_dimension,
     enumerate_move_sites,
     is_reduced,
     matchings,
@@ -41,7 +41,7 @@ w = {e: Fraction(rng.randint(1, 20)) for e in range(len(G.edges))}
 Pw = boundary_measurement(G, w)
 print("random weights give another point of the same cell:")
 print("  matroid unchanged:", matroid_of(Pw).bases == positroid_of_graph(G).bases)
-print("cell dimension from the weight Jacobian:", cell_dimension(G))
+print("cell dimension from the Grassmann necklace of the positroid:", cell_dimension(G))
 
 print("\nthe nine-boundary drawn graph:")
 big = fixtures.fig_plabic_graph()

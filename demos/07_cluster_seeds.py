@@ -50,7 +50,6 @@ print("  values on a tile sample all positive:",
 
 print("\nfacet arcs and compatible signs for the 123 triangle tile:")
 T1 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
-Z3 = make_positive_Z(4, 3, [0, 1, 2, 3])
-rep = cluster_adjacency_check(T1, Z3, samples=30, seed=1)
-print("  facets:", rep.facet_arcs, "noncrossing:", rep.facets_noncrossing)
-print("  compatible twistors with pinned signs:", rep.compatible_tested)
+rep = cluster_adjacency_check(T1)
+print("  facets (sides of the black polygons):", rep.facet_arcs)
+print("  compatible twistors with signs (-1)^area:", rep.compatible_tested)

@@ -18,9 +18,15 @@ from itertools import count
 from random import Random
 
 from .exact import RatMatrix
-from .grassmann import Matroid, decorated_permutation_of, positroid_of_necklace
-from .perms import DecoratedPermutation, affine_lift, enumerate_decorated, necklace
-from .plabic import PlabicGraph, _swap_dart, boundary_id, trip_permutation
+from .grassmann import Matroid, decorated_permutation_of, necklace_of_bases, positroid_of_necklace
+from .perms import (
+    DecoratedPermutation,
+    affine_lift,
+    enumerate_decorated,
+    necklace,
+    perm_of_necklace,
+)
+from .plabic import PlabicGraph, _swap_dart, boundary_id, positroid_of_graph, trip_permutation
 
 __all__ = [
     "bridge_decomposition",
@@ -28,6 +34,7 @@ __all__ = [
     "matrix_realization",
     "positroid_of_perm",
     "cell_dim_of_perm",
+    "cell_dimension",
     "positroid_catalog",
     "sample_cell_matrix",
 ]
@@ -290,6 +297,17 @@ def positroid_of_perm(pi: DecoratedPermutation) -> Matroid:
 def cell_dim_of_perm(pi: DecoratedPermutation) -> int:
     """Dimension of the cell = number of bridges in the peeling."""
     return sum(1 for s in bridge_decomposition(pi) if s[0] == "bridge")
+
+
+def cell_dimension(G: PlabicGraph) -> int:
+    """Dimension of the image of G's boundary measurement map.
+
+    For every plabic graph, reduced or not, that image is the positroid
+    cell of the matching positroid of G (Postnikov, arXiv math/0609764),
+    whose decorated permutation is read off its Grassmann necklace.
+    """
+    bases = positroid_of_graph(G).bases
+    return cell_dim_of_perm(perm_of_necklace(necklace_of_bases(bases, G.n)))
 
 
 @lru_cache(maxsize=None)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Mapping, Sequence
 
-from .amplituhedron import ZMatrix, amp_map, sample_tile_point, tile_membership_m2, twistor
-from .plabic import boundary_measurement, hat_graph_of_triangulation
+from .amplituhedron import ZMatrix, twistor
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
+    area,
     equivalence_class,
     flip,
     flippable_arcs,
 )
-from .util import sign
 
 Arc = tuple[int, int]
 
@@ -270,70 +268,25 @@ def noncrossing(arcs: Sequence[Arc]) -> bool:
 @dataclass
 class AdjacencyReport:
     facet_arcs: list[Arc]
-    facets_noncrossing: bool
-    compatible_signs_fixed: bool
     compatible_tested: list[tuple[Arc, int]]
-    samples: int
-    seed: int
 
     def to_json(self) -> dict:
         return {
             "facet_arcs": [list(a) for a in self.facet_arcs],
-            "facets_noncrossing": self.facets_noncrossing,
-            "compatible_signs_fixed": self.compatible_signs_fixed,
             "compatible_tested": [[list(a), s] for a, s in self.compatible_tested],
-            "samples": self.samples,
-            "seed": self.seed,
         }
 
 
-def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,
-                      per_edge: int = 3):
-    """Images of closure points obtained by zeroing one edge weight."""
-    G = hat_graph_of_triangulation(T)
-    out = []
-    for e in range(len(G.edges)):
-        for _ in range(per_edge):
-            weights = {f: Fraction(rng.randint(1, 1000))
-                       for f in range(len(G.edges))}
-            weights[e] = Fraction(0)
-            try:
-                P = boundary_measurement(G, weights)
-            except ValueError:
-                continue
-            out.append(amp_map(P, Z))
-    return out
-
-
-def cluster_adjacency_check(T: BicoloredTriangulation, Z: ZMatrix,
-                            samples: int = 100, seed: int = 0) -> AdjacencyReport:
-    """Detect facet arcs of the tile from sampled boundary strata, check
-    that they are pairwise noncrossing, and check that every diagonal
-    compatible with them keeps a fixed twistor sign on the open tile."""
-    rng = Random(seed)
-    n = T.n
-    arcs = sorted(T.arcs())
-    facet_arcs: set[Arc] = set()
-    for Yb in _boundary_samples(T, Z, rng):
-        if tile_membership_m2(Yb, Z, T) is False:
-            continue
-        tight = [a for a in arcs if twistor(Yb, Z, a) == 0]
-        if len(tight) == 1:
-            facet_arcs.add(tight[0])
-    facet_list = sorted(facet_arcs)
-    interior = [sample_tile_point(T, Z, rng) for _ in range(samples)]
-    all_pairs = [(h, l) for h in range(1, n + 1) for l in range(h + 1, n + 1)]
-    compatible_tested: list[tuple[Arc, int]] = []
-    signs_fixed = True
-    for d in all_pairs:
-        if d in facet_arcs:
-            continue
-        if any(arcs_cross(d, a) for a in facet_list):
-            continue
-        signs = {sign(twistor(Y, Z, d)) for Y in interior}
-        if len(signs) == 1 and 0 not in signs:
-            compatible_tested.append((d, signs.pop()))
-        else:
-            signs_fixed = False
-    return AdjacencyReport(facet_list, noncrossing(facet_list), signs_fixed,
-                           compatible_tested, samples, seed)
+def cluster_adjacency_check(T: BicoloredTriangulation) -> AdjacencyReport:
+    """Facet arcs of the m = 2 tile of T and the twistor sign of every arc
+    compatible with them, by theorem (Parisi-Sherman-Bennett-Williams,
+    arXiv 2104.08254): the facets lie on the sides of T's black polygons,
+    which are pairwise noncrossing, and every other arc (h, l) crossing
+    none of them has the fixed sign (-1)^area(T, h, l) of <Y Z_h Z_l> on
+    the open tile."""
+    facet_arcs = sorted({a for poly in black_polygons(T) for a in _polygon_boundary_arcs(poly)})
+    compatible_tested = [((h, l), (-1) ** area(T, h, l))
+                         for h in range(1, T.n + 1) for l in range(h + 1, T.n + 1)
+                         if (h, l) not in facet_arcs
+                         and not any(arcs_cross((h, l), a) for a in facet_arcs)]
+    return AdjacencyReport(facet_arcs, compatible_tested)

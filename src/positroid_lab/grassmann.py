@@ -16,7 +16,7 @@ from random import Random
 from typing import Sequence
 
 from .exact import RatMatrix, kernel_basis, maximal_minors, var, varbar
-from .perms import DecoratedPermutation
+from .perms import DecoratedPermutation, perm_of_necklace
 from .util import (
     perm_sign,
     rat_from_str,
@@ -274,30 +274,13 @@ def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
     Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
 
     The necklace is that of the bases, the nonzero Plücker coordinates.
-    pi(i) = j when I_{i+1} = I_i - {i} + {j}, which is the first column j
-    after i whose span with the intermediate columns absorbs column i; i is
-    a loop when i is not in I_i (a zero column) and a coloop when i is in
-    I_i = I_{i+1}.
     """
     P = plucker_of_matrix(C)
     if not is_tnn(P):
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
-    n = C.cols
-    necklace = necklace_of_bases([I for I, v in P.coords.items() if v != 0], n)
-    images = [0] * n
-    loops, coloops = set(), set()
-    for i in range(1, n + 1):
-        here, after = necklace[i - 1], necklace[i % n]
-        if i not in here:
-            images[i - 1] = i
-            loops.add(i)
-        elif here == after:
-            images[i - 1] = i
-            coloops.add(i)
-        else:
-            images[i - 1], = set(after) - set(here)
-    return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
+    bases = [I for I, v in P.coords.items() if v != 0]
+    return perm_of_necklace(necklace_of_bases(bases, C.cols))
 
 
 @dataclass

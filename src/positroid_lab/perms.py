@@ -19,6 +19,7 @@ __all__ = [
     "t_dual_inverse",
     "closure_leq",
     "necklace",
+    "perm_of_necklace",
     "gale_leq",
     "affine_lift",
     "parse_decorated",
@@ -132,6 +133,27 @@ def necklace(pi: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
         tuple(sorted(j for j in range(1, n + 1)
                      if (j - i) % n < (pre[j] - i) % n or j in pi.coloops))
         for i in range(1, n + 1))
+
+
+def perm_of_necklace(necklace) -> DecoratedPermutation:
+    """The decorated permutation of a Grassmann necklace, inverse to
+    ``necklace``: pi(i) = j when I_{i+1} = I_i - {i} + {j}; i is a loop
+    when i is not in I_i and a coloop when i is in I_i = I_{i+1}
+    (Postnikov, arXiv math/0609764, §16)."""
+    n = len(necklace)
+    images = [0] * n
+    loops, coloops = set(), set()
+    for i in range(1, n + 1):
+        here, after = necklace[i - 1], necklace[i % n]
+        if i not in here:
+            images[i - 1] = i
+            loops.add(i)
+        elif here == after:
+            images[i - 1] = i
+            coloops.add(i)
+        else:
+            images[i - 1], = set(after) - set(here)
+    return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
 
 
 def gale_leq(A, B, i: int, n: int) -> bool:

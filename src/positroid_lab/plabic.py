@@ -14,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from random import Random
 from typing import Hashable, Iterator, Mapping, Sequence
 
-from .exact import RatMatrix, rank
 from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
 from .triangulations import BicoloredTriangulation
-from .util import subsets
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
@@ -461,44 +458,6 @@ def boundary_measurement(G: PlabicGraph,
             w *= Fraction(weights.get(e, 1))
         coords[I] = coords.get(I, Fraction(0)) + w
     return PluckerVector(k, G.n, coords)
-
-
-def cell_dimension(G: PlabicGraph, trials: int = 3, seed: int = 0) -> int:
-    """Rank of the weights-to-point Jacobian at random positive weights.
-
-    Matching sums are multiaffine in the edge weights, so unit finite
-    differences give exact partials; the rank is maximised over trials.
-    """
-    k, monos = matching_monomials(G)
-    index = {I: t for t, I in enumerate(subsets(G.n, k))}
-    nedges = len(G.edges)
-    rng = Random(seed)
-
-    def plucker_at(w: list[Fraction]) -> list[Fraction]:
-        vals = [Fraction(0)] * len(index)
-        for I, mono in monos:
-            term = Fraction(1)
-            for e in mono:
-                term *= w[e]
-            vals[index[I]] += term
-        return vals
-
-    best = 0
-    for _ in range(max(1, trials)):
-        w0 = [Fraction(rng.randint(1, 1000)) for _ in range(nedges)]
-        p0 = plucker_at(w0)
-        i0 = next(t for t, v in enumerate(p0) if v != 0)
-        rows = []
-        for e in range(nedges):
-            w1 = list(w0)
-            w1[e] += 1
-            p1 = plucker_at(w1)
-            dp = [a - b for a, b in zip(p1, p0)]
-            rows.append([p0[i0] * dp[t] - p0[t] * dp[i0]
-                         for t in range(len(p0)) if t != i0])
-        if rows:
-            best = max(best, rank(RatMatrix.from_rows(rows)))
-    return best
 
 
 # -- faces -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, gcd, lcm
 from operator import or_
@@ -211,13 +211,13 @@ def _moved(y: list[Fraction], gaps: dict[Subset, int], q: int, u: list[int],
     return [yi + t * ui for yi, ui in zip(y, u)], gaps, q
 
 
-def _step(tab: dict[Subset, Fraction], u) -> tuple:
+def _step(vertices, u) -> tuple:
     """A direction u, scaled to integers by the lcm of its denominators (a
     positive multiple: the same faces, t rescaled), and its table
     d_I = u . e_I over the vertices."""
     m = lcm(*(x.denominator for x in u))
     u = [x.numerator * (m // x.denominator) for x in u]
-    return u, {I: sum(u[i - 1] for i in I) for I in tab}
+    return u, {I: sum(u[i - 1] for i in I) for I in vertices}
 
 
 def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
@@ -250,6 +250,7 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
     start, state = _grow_to_cell(
         n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
     cells = {start: state}
+    flat: set[frozenset[Subset]] = set()  # faces reached that are not cells
     queue = [start]
     while queue:
         cell = queue.pop()
@@ -259,10 +260,21 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
             if shot is None:
                 continue
             step, nb = shot
-            if nb not in cells and _aff_rank_sets(n, sorted(nb)) == n - 1:
+            if nb in cells or nb in flat:
+                continue
+            if _aff_rank_sets(n, sorted(nb)) == n - 1:
                 cells[nb] = _moved(y, gaps, q, u, d, step)
                 queue.append(nb)
+            else:
+                flat.add(nb)
     return cells
+
+
+@lru_cache(maxsize=None)
+def _interval_steps(k: int, n: int) -> tuple:
+    """(u, d) for every cyclic-interval direction u, d_I = u . e_I over the
+    k-subsets I: they depend on (k, n) only, so they are tabulated once."""
+    return tuple(_step(subsets(n, k), u) for u in _interval_directions(n))
 
 
 def _interval_directions(n: int) -> list[list[int]]:
@@ -282,12 +294,11 @@ def _interval_directions(n: int) -> list[list[int]]:
 
 
 def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
-    """Grow a cell and cross every wall along the cyclic-interval directions
-    u, d_I = u . e_I tabulated once each.  Growing never fails: faces of
-    positroidal subdivisions are positroid polytopes, cut out by these u."""
-    tab = P.table()
-    steps = [_step(tab, u) for u in _interval_directions(P.n)]
-    cells = _walk(P.n, tab, lambda face: steps)
+    """Grow a cell and cross every wall along the cyclic-interval directions.
+    Growing never fails: faces of positroidal subdivisions are positroid
+    polytopes, cut out by these directions."""
+    steps = _interval_steps(P.k, P.n)
+    cells = _walk(P.n, P.table(), lambda face: steps)
     return [SubdivisionCell(c, tuple(cells[c][0])) for c in sorted(cells, key=sorted)]
 
 

@@ -29,7 +29,12 @@ with it.  ``span_scan`` is the complete lower-hull scan over every n-subset
 of vertices that ``trop.regular_subdivision`` ran on heights that are not
 positive tropical before the facet walk; ``regular_subdivision`` is
 compared with it.  Both take affine ranks with ``fraction_rref``, never
-with the integer rank of ``trop``.
+with the integer rank of ``trop``.  ``jacobian_cell_dimension`` is the
+rank of the weights-to-point Jacobian of a plabic graph, which
+``cells.cell_dimension`` reads off the matching positroid instead, and
+``sampled_adjacency`` finds the facet arcs of an m = 2 tile from boundary
+samples and the signs of the compatible arcs from interior samples, which
+``cluster.cluster_adjacency_check`` gives by theorem.
 """
 
 from __future__ import annotations
@@ -38,8 +43,17 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from positroid_lab.amplituhedron import ZMatrix
+from random import Random
+
+from positroid_lab.amplituhedron import (
+    ZMatrix,
+    amp_map,
+    sample_tile_point,
+    tile_membership_m2,
+    twistor,
+)
 from positroid_lab.cells import matrix_realization
+from positroid_lab.cluster import AdjacencyReport, noncrossing
 from positroid_lab.exact import RatMatrix, det, kernel_basis, rank
 from positroid_lab.grassmann import (
     Matroid,
@@ -59,6 +73,13 @@ from positroid_lab.hypersimplex import (
     w_simplex,
 )
 from positroid_lab.perms import DecoratedPermutation
+from positroid_lab.plabic import (
+    PlabicGraph,
+    boundary_measurement,
+    hat_graph_of_triangulation,
+    matching_monomials,
+)
+from positroid_lab.triangulations import BicoloredTriangulation, arcs_cross
 from positroid_lab.trop import (
     HeightVector,
     SubdivisionCell,
@@ -404,3 +425,100 @@ def span_scan(P: HeightVector) -> list[SubdivisionCell]:
         witness = tuple(-Fraction(x, b) for x in a)
         found.setdefault(frozenset(tight), witness)
     return [SubdivisionCell(c, found[c]) for c in sorted(found, key=sorted)]
+
+
+def jacobian_cell_dimension(G: PlabicGraph, trials: int = 3, seed: int = 0) -> int:
+    """Rank of the weights-to-point Jacobian at random positive weights: the
+    dimension of the boundary measurement image, checked geometrically.
+
+    Matching sums are multiaffine in the edge weights, so unit finite
+    differences give exact partials; the rank is maximised over trials,
+    so it is a lower bound that a lucky draw makes exact.
+    """
+    k, monos = matching_monomials(G)
+    index = {I: t for t, I in enumerate(subsets(G.n, k))}
+    nedges = len(G.edges)
+    rng = Random(seed)
+
+    def plucker_at(w: list[Fraction]) -> list[Fraction]:
+        vals = [Fraction(0)] * len(index)
+        for I, mono in monos:
+            term = Fraction(1)
+            for e in mono:
+                term *= w[e]
+            vals[index[I]] += term
+        return vals
+
+    best = 0
+    for _ in range(max(1, trials)):
+        w0 = [Fraction(rng.randint(1, 1000)) for _ in range(nedges)]
+        p0 = plucker_at(w0)
+        i0 = next(t for t, v in enumerate(p0) if v != 0)
+        rows = []
+        for e in range(nedges):
+            w1 = list(w0)
+            w1[e] += 1
+            p1 = plucker_at(w1)
+            dp = [a - b for a, b in zip(p1, p0)]
+            rows.append([p0[i0] * dp[t] - p0[t] * dp[i0]
+                         for t in range(len(p0)) if t != i0])
+        if rows:
+            best = max(best, rank(RatMatrix.from_rows(rows)))
+    return best
+
+
+def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,
+                      per_edge: int = 3):
+    """Images of closure points obtained by zeroing one edge weight."""
+    G = hat_graph_of_triangulation(T)
+    out = []
+    for e in range(len(G.edges)):
+        for _ in range(per_edge):
+            weights = {f: Fraction(rng.randint(1, 1000))
+                       for f in range(len(G.edges))}
+            weights[e] = Fraction(0)
+            try:
+                P = boundary_measurement(G, weights)
+            except ValueError:
+                continue
+            out.append(amp_map(P, Z))
+    return out
+
+
+def sampled_adjacency(T: BicoloredTriangulation, Z: ZMatrix, samples: int = 100,
+                      seed: int = 0) -> tuple[AdjacencyReport, bool, bool]:
+    """Detect facet arcs of the tile from sampled boundary strata, check
+    that they are pairwise noncrossing, and check that every diagonal
+    compatible with them keeps a fixed twistor sign on the open tile.
+
+    Returns the report, whether the facet arcs are noncrossing and whether
+    every compatible arc kept one nonzero sign over the interior samples
+    (an arc that did not is left out of the report).
+    """
+    rng = Random(seed)
+    n = T.n
+    arcs = sorted(T.arcs())
+    facet_arcs: set = set()
+    for Yb in _boundary_samples(T, Z, rng):
+        if tile_membership_m2(Yb, Z, T) is False:
+            continue
+        tight = [a for a in arcs if twistor(Yb, Z, a) == 0]
+        if len(tight) == 1:
+            facet_arcs.add(tight[0])
+    facet_list = sorted(facet_arcs)
+    interior = [sample_tile_point(T, Z, rng) for _ in range(samples)]
+    all_pairs = [(h, l) for h in range(1, n + 1) for l in range(h + 1, n + 1)]
+    compatible_tested: list = []
+    signs_fixed = True
+    for d in all_pairs:
+        if d in facet_arcs:
+            continue
+        if any(arcs_cross(d, a) for a in facet_list):
+            continue
+        signs = {sign(twistor(Y, Z, d)) for Y in interior}
+        if len(signs) == 1 and 0 not in signs:
+            compatible_tested.append((d, signs.pop()))
+        else:
+            signs_fixed = False
+    return (AdjacencyReport(facet_list, compatible_tested), noncrossing(facet_list),
+            signs_fixed)

@@ -55,7 +55,6 @@ from positroid_lab.plabic import (
     apply_move,
     bipartize,
     boundary_measurement,
-    cell_dimension,
     dual_graph_of_triangulation,
     enumerate_move_sites,
     hat_graph_of_triangulation,
@@ -74,7 +73,12 @@ from positroid_lab.trop import (
 )
 
 from lp import point_in_hull
-from oracles import twistor_via_expansion, varbar_bruteforce
+from oracles import (
+    jacobian_cell_dimension,
+    sampled_adjacency,
+    twistor_via_expansion,
+    varbar_bruteforce,
+)
 
 
 def report(num: int, text: str) -> None:
@@ -147,7 +151,7 @@ def test_criterion_04_measurement_and_dimensions():
                 from positroid_lab.triangulations import class_representative
 
                 G = hat_graph_of_triangulation(class_representative(S))
-                assert cell_dimension(G, trials=2, seed=1) == 2 * k
+                assert jacobian_cell_dimension(G, trials=2, seed=1) == 2 * k
                 graphs += 1
     report(4, f"measurement TNN with stable matroid (300 draws); image "
               f"dimension 2k on {graphs} tile cells up to n=6")
@@ -383,14 +387,14 @@ def test_criterion_12_cluster():
                 vals = S.evaluate(Y, Z5)
                 assert any(v == "boundary" or v <= 0 for v in vals.values())
     tiles_checked = 0
-    for n in (4, 5, 6):
-        Z = make_positive_Z(n, 3, list(range(n)))
-        for rec in tile_catalog(2, n).values():
-            repc = cluster_adjacency_check(rec.triangulation, Z, samples=25,
-                                           seed=4)
-            assert repc.facets_noncrossing
-            assert repc.compatible_signs_fixed
+    for k1, n in [(2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]:
+        Z = make_positive_Z(n, k1 + 1, list(range(n)))
+        for rec in tile_catalog(k1, n).values():
+            sampled, noncrossing, signs_fixed = sampled_adjacency(
+                rec.triangulation, Z, samples=25, seed=4)
+            assert noncrossing and signs_fixed
+            assert cluster_adjacency_check(rec.triangulation) == sampled
             tiles_checked += 1
     report(12, f"flip equals mutation at 20 samples per internal arc (n<=5); "
-               f"cluster positivity separates tiles; facet sets noncrossing "
-               f"on {tiles_checked} tiles up to n=6")
+               f"cluster positivity separates tiles; facets and compatible "
+               f"signs by theorem match samples on {tiles_checked} tiles up to n=6")

@@ -7,6 +7,7 @@ from random import Random
 from positroid_lab.cells import (
     bridge_decomposition,
     cell_dim_of_perm,
+    cell_dimension,
     graph_of_perm,
     matrix_realization,
     positroid_catalog,
@@ -15,7 +16,9 @@ from positroid_lab.cells import (
 )
 from positroid_lab.grassmann import decorated_permutation_of, plucker_of_matrix, is_tnn
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation, type_of
-from positroid_lab.plabic import cell_dimension, positroid_of_graph, trip_permutation
+from positroid_lab.plabic import positroid_of_graph, trip_permutation
+
+from oracles import jacobian_cell_dimension
 
 
 def test_round_trip_exhaustive_small_n():
@@ -50,10 +53,10 @@ def test_round_trip_spot_n6():
 
 
 def test_dimension_matches_jacobian():
-    for n in (3, 4):
+    for n in range(1, 6):
         for pi in enumerate_decorated(n):
             G = graph_of_perm(pi)
-            assert cell_dim_of_perm(pi) == cell_dimension(G, trials=2, seed=0), pi
+            assert cell_dimension(G) == cell_dim_of_perm(pi) == jacobian_cell_dimension(G), pi
 
 
 def test_top_cell_dimension():

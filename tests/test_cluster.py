@@ -26,6 +26,8 @@ from positroid_lab.triangulations import (
     flippable_arcs,
 )
 
+from oracles import sampled_adjacency
+
 
 def flipped_arc(T, arc):
     t1, t2 = (t for t in T.black if set(arc) <= set(t))
@@ -202,24 +204,28 @@ def test_exchange_reduces_to_twistor_plucker_relation():
 def test_adjacency_quadrilateral_tile():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
     Z = make_positive_Z(4, 3, [0, 1, 2, 3])
-    rep = cluster_adjacency_check(T, Z, samples=40, seed=1)
+    rep = cluster_adjacency_check(T)
     assert rep.facet_arcs == [(1, 2), (1, 3), (2, 3)]
-    assert rep.facets_noncrossing
-    assert rep.compatible_signs_fixed
     tested = dict(rep.compatible_tested)
     assert tested[(1, 4)] == -1 and tested[(3, 4)] == 1
+    sampled, noncrossing_facets, signs_fixed = sampled_adjacency(T, Z, samples=40, seed=1)
+    assert noncrossing_facets and signs_fixed
+    assert sampled == rep
 
 
 def test_adjacency_all_tiles_n5():
-    Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
     from positroid_lab.hypersimplex import tile_catalog
 
     facet_sets = []
-    for rec in tile_catalog(2, 5).values():
-        rep = cluster_adjacency_check(rec.triangulation, Z, samples=25, seed=2)
-        assert rep.facets_noncrossing
-        assert rep.compatible_signs_fixed
-        facet_sets.append(set(rep.facet_arcs))
+    for k1, n in [(2, 4), (2, 5), (3, 5)]:
+        Z = make_positive_Z(n, k1 + 1, list(range(n)))
+        for rec in tile_catalog(k1, n).values():
+            rep = cluster_adjacency_check(rec.triangulation)
+            sampled, noncrossing_facets, signs_fixed = sampled_adjacency(
+                rec.triangulation, Z, samples=25, seed=4)
+            assert noncrossing_facets and signs_fixed
+            assert sampled == rep
+            facet_sets.append(set(rep.facet_arcs))
     # no two crossing diagonals ever appear as facets of one tile
     from positroid_lab.triangulations import arcs_cross
 

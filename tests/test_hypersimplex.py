@@ -31,7 +31,13 @@ from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
 from lp import point_in_hull
-from oracles import frozenset_tilings, rotation_descent_sets, scan_verify_tiling, scanned_D
+from oracles import (
+    frozenset_tilings,
+    jacobian_cell_dimension,
+    rotation_descent_sets,
+    scan_verify_tiling,
+    scanned_D,
+)
 
 
 def test_moment_map_pinned():
@@ -197,12 +203,12 @@ def test_coverage_counts_sum_to_eulerian():
 def test_tile_catalog_dimensions():
     # every tile in the catalog comes from a dual tree with moment image of
     # full dimension n-1
-    from positroid_lab.plabic import cell_dimension, dual_graph_of_triangulation
+    from positroid_lab.plabic import dual_graph_of_triangulation
 
     for (k1, n) in [(2, 4), (2, 5), (3, 5)]:
         for rec in tile_catalog(k1, n).values():
             G = dual_graph_of_triangulation(rec.triangulation)
-            assert cell_dimension(G, trials=2, seed=0) == n - 1
+            assert jacobian_cell_dimension(G, trials=2, seed=0) == n - 1
 
 
 def test_tile_inequalities_characterize_bases():

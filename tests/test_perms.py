@@ -11,6 +11,7 @@ from positroid_lab.perms import (
     gale_leq,
     necklace,
     parse_decorated,
+    perm_of_necklace,
     t_dual,
     t_dual_inverse,
     top_cell_permutation,
@@ -113,6 +114,10 @@ def test_necklace_pinned():
     pi = parse_decorated("(3,2_,5,1,6,8,7^,4)")
     assert necklace(pi)[0] == tuple(sorted(anti_excedances(pi)))
     assert all(7 in I and 2 not in I for I in necklace(pi))
+    # perm_of_necklace inverts necklace
+    for n in range(7):
+        for pi in enumerate_decorated(n):
+            assert perm_of_necklace(necklace(pi)) == pi, pi
 
 
 def test_gale_leq_in_shifted_orders():

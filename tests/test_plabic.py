@@ -12,6 +12,7 @@ from positroid_lab.cells import (
     _empty_graph,
     _lollipop_insert_graph,
     cell_dim_of_perm,
+    cell_dimension,
     graph_of_perm,
 )
 from positroid_lab.exact import RatMatrix
@@ -22,7 +23,6 @@ from positroid_lab.plabic import (
     apply_move,
     bipartize,
     boundary_measurement,
-    cell_dimension,
     dual_graph_of_triangulation,
     enumerate_move_sites,
     faces,
@@ -36,6 +36,7 @@ from positroid_lab.plabic import (
 from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
 
 from move_search import canonical_form, search_is_reduced
+from oracles import jacobian_cell_dimension
 
 
 def test_trip_permutation_g1():
@@ -133,7 +134,7 @@ def test_cell_dimension_hat_graph_is_2k():
         for k in range(1, n - 1):
             for T in enumerate_bicolored(n, k)[:4]:
                 G = hat_graph_of_triangulation(T)
-                assert cell_dimension(G, trials=2, seed=1) == 2 * k
+                assert cell_dimension(G) == 2 * k
 
 
 def test_moves_preserve_trip_permutation_random_walk():
@@ -303,7 +304,9 @@ def test_is_reduced_matches_face_count_oracle():
         G = _bridged([rng.choice(["black", "white"]) for _ in range(n)],
                      [rng.randrange(1, n) for _ in range(rng.randrange(9))])
         inner = sum(1 for f in faces(G) if not f.is_outer)
-        expected = "reduced" if inner - 1 == cell_dimension(G) else "not_reduced"
+        dim = jacobian_cell_dimension(G)
+        assert cell_dimension(G) == dim
+        expected = "reduced" if inner - 1 == dim else "not_reduced"
         assert is_reduced(G) == expected
         seen.add(expected)
     assert seen == {"reduced", "not_reduced"}
