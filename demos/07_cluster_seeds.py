@@ -6,15 +6,17 @@ Flipping a diagonal of a black quadrilateral changes the seed exactly by
 one quiver mutation, numerically checkable on sample points.
 """
 
+from fractions import Fraction
 from random import Random
 
-from positroid_lab.amplituhedron import make_positive_Z, sample_interior_point, sample_tile_point
+from positroid_lab.amplituhedron import amp_map, make_positive_Z, sample_interior_point
 from positroid_lab.cluster import (
     black_polygons,
     build_seed,
     cluster_adjacency_check,
     mutate,
 )
+from positroid_lab.plabic import boundary_measurement, hat_graph_of_triangulation
 from positroid_lab.triangulations import BicoloredTriangulation, flip, flippable_arcs
 
 T = BicoloredTriangulation.make(
@@ -44,7 +46,10 @@ agree = all(Sf.evaluate(Y, Z) == Sm.evaluate(Y, Z)
 print("  evaluated clusters agree on 10 sample points:", agree)
 
 print("\npositivity pins the tile:")
-Yt = sample_tile_point(Q, Z, rng)
+# a point of the tile of Q: positive edge weights on the graph of its cell
+G = hat_graph_of_triangulation(Q)
+weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
+Yt = amp_map(boundary_measurement(G, weights), Z)
 print("  values on a tile sample all positive:",
       all(v != "boundary" and v > 0 for v in SQ.evaluate(Yt, Z).values()))
 

@@ -21,7 +21,6 @@ from .exact import RatMatrix, SignVector, det, kernel_basis, maximal_minors, ran
 from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
 from .perms import top_cell_permutation
-from .plabic import boundary_measurement, hat_graph_of_triangulation
 from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, subsets
 
@@ -40,7 +39,6 @@ __all__ = [
     "w_chamber_membership",
     "verify_amp_tiling_m2",
     "b_point",
-    "sample_tile_point",
     "sample_interior_point",
 ]
 
@@ -188,19 +186,11 @@ def m1_membership(Y, Z: ZMatrix) -> bool:
 
 def m2_interior_test(Y, Z: ZMatrix) -> bool:
     """Two extra dimensions: consecutive twistors positive, the wrapped one
-    against the twisted first row positive, and the flip count equals k."""
-    Y, tw = _twistors(Y, Z)
-    k = Y.rows
-    if Z.p != k + 2:
+    against the twisted first row positive, and the flip count equals k.
+    These are the conditions of ``general_m_boundary_signs`` at m = 2."""
+    if Z.p != _twistors(Y, Z)[0].rows + 2:
         raise ValueError("m2 test needs p = k + 2")
-    n = Z.n
-    for i in range(1, n):
-        if tw((i, i + 1)) <= 0:
-            return False
-    if (-1) ** (Z.p - 1) * tw((n, 1)) <= 0:
-        return False
-    seq = [tw((1, j)) for j in range(2, n + 1)]
-    return var(seq) == k
+    return general_m_boundary_signs(Y, Z)
 
 
 def _consecutive_pair_sets(lo: int, hi: int, r: int) -> list[tuple[int, ...]]:
@@ -331,16 +321,6 @@ class AmpTilingReport:
             "violations": self.violations,
             "hit_counts": {str(h): c for h, c in sorted(self.hit_counts.items())},
         }
-
-
-def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
-                      rng: Random) -> AmplituhedronPoint:
-    """Interior point of the tile of T: push random edge weights through
-    the boundary-measurement parameterization of its cell."""
-    G = hat_graph_of_triangulation(T)
-    weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
-    P = boundary_measurement(G, weights)
-    return amp_map(P, Z)
 
 
 def sample_interior_point(k: int, n: int, Z: ZMatrix,

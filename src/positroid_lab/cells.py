@@ -189,83 +189,42 @@ def graph_of_perm(pi: DecoratedPermutation) -> PlabicGraph:
     return G
 
 
-def _twisted_rotate_left(C: RatMatrix) -> RatMatrix:
-    """Send columns (c1,...,cn) to (c2,...,cn, (-1)^(k-1) c1); keeps minors
-    nonnegative and rotates the cell labels down by one."""
-    k, n = C.rows, C.cols
-    s = Fraction(-1) ** (k - 1)
-    rows = [[C.entry(r, (j + 1) % n) * (s if j == n - 1 else 1) for j in range(n)]
-            for r in range(k)]
-    return RatMatrix.from_rows(rows)
-
-
-def _twisted_rotate_right(C: RatMatrix) -> RatMatrix:
-    k, n = C.rows, C.cols
-    s = Fraction(-1) ** (k - 1)
-    rows = [[C.entry(r, (j - 1) % n) * (s if j == 0 else 1) for j in range(n)]
-            for r in range(k)]
-    return RatMatrix.from_rows(rows)
-
-
-def _lollipop_insert_matrix(C: RatMatrix, i: int, colour: str) -> RatMatrix:
-    """Insert a zero column (loop) or a fresh unit column and row (coloop).
-
-    Coloops are inserted at the last position, reached by twisted rotation,
-    so that no minor changes sign.
-    """
-    k, n = C.rows, C.cols
-    if colour == "black":
-        rows = [list(C.row(r)) for r in range(k)]
-        for row in rows:
-            row.insert(i - 1, Fraction(0))
-        if k == 0:
-            return RatMatrix.zero(0, n + 1)
-        return RatMatrix.from_rows(rows)
-    for _ in range(n + 1 - i):
-        C = _twisted_rotate_right(C)
-    rows = [list(C.row(r)) + [Fraction(0)] for r in range(k)]
-    rows.append([Fraction(0)] * n + [Fraction(1)])
-    out = RatMatrix.from_rows(rows)
-    for _ in range(n + 1 - i):
-        out = _twisted_rotate_left(out)
-    return out
-
-
-def _bridge_matrix(C: RatMatrix, i: int, t: Fraction) -> RatMatrix:
-    """Column operation c_{i+1} += t c_i, t > 0; preserves nonnegativity."""
-    rows = [list(C.row(r)) for r in range(C.rows)]
-    for row in rows:
-        row[i] += t * row[i - 1]
-    return RatMatrix.from_rows(rows)
-
-
-def matrix_realization(pi: DecoratedPermutation,
-                       params: list[Fraction] | None = None,
-                       seed: int = 0) -> RatMatrix:
+def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
     """Exact totally nonnegative matrix whose point lies in the cell of pi.
 
-    ``params`` supplies one positive rational per bridge (dimension many);
-    omitted parameters are drawn from a seeded generator.  The result is
-    certified by recomputing its decorated permutation.
+    ``params`` supplies one positive rational per bridge (dimension many).
+    The peeling is replayed on plain rows: a loop at i inserts a zero
+    column at i; a coloop at i negates the old columns from i on, inserts
+    a zero column at i and appends the row e_i, so expanding a minor on
+    columns J (i p-th in J) along the new row gives the sign
+    (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a bridge adds t c_i to c_{i+1}.  The
+    result is certified by recomputing its decorated permutation.
     """
     steps = bridge_decomposition(pi)
     nbridges = sum(1 for s in steps if s[0] == "bridge")
-    rng = Random(seed)
-    if params is None:
-        params = [Fraction(rng.randint(1, 1000)) for _ in range(nbridges)]
     if len(params) != nbridges:
         raise ValueError(f"cell of {pi} needs {nbridges} parameters")
     if any(t <= 0 for t in params):
         raise ValueError("bridge parameters must be positive")
-    C = RatMatrix.zero(0, 0)
-    pidx = nbridges
+    rows: list[list[Fraction]] = []
+    n, pidx, zero = 0, nbridges, Fraction(0)
     for step in reversed(steps):
-        if step[0] == "lollipop":
-            _, i, colour = step
-            C = _lollipop_insert_matrix(C, i, colour)
-        else:
+        i = step[1]
+        if step[0] == "bridge":
             pidx -= 1
-            C = _bridge_matrix(C, step[1], Fraction(params[pidx]))
+            t = Fraction(params[pidx])
+            for row in rows:
+                row[i] += t * row[i - 1]
+        elif step[2] == "black":
+            for row in rows:
+                row.insert(i - 1, zero)
+            n += 1
+        else:
+            for row in rows:
+                row[i - 1:] = [zero] + [-x for x in row[i - 1:]]
+            n += 1
+            rows.append([Fraction(int(j == i)) for j in range(1, n + 1)])
+    C = RatMatrix(len(rows), n, [x for row in rows for x in row])
     got = decorated_permutation_of(C)
     if got != pi:
         raise RuntimeError(f"realization of {pi} landed in cell {got}")

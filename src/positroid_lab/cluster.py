@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .amplituhedron import ZMatrix, twistor
 from .triangulations import (
@@ -36,7 +36,6 @@ __all__ = [
     "mutate",
     "flip",
     "flippable_arcs",
-    "noncrossing",
     "cluster_adjacency_check",
 ]
 
@@ -254,15 +253,6 @@ def _both_frozen(S: Seed, rename, pair) -> bool:
     back = {new: old for old, new in rename.items()}
     u, v = pair
     return back.get(u, u) in S.frozen and back.get(v, v) in S.frozen
-
-
-def noncrossing(arcs: Sequence[Arc]) -> bool:
-    arcs = list(arcs)
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if arcs_cross(arcs[i], arcs[j]):
-                return False
-    return True
 
 
 @dataclass

@@ -154,14 +154,23 @@ def matroid_of(P: PluckerVector) -> Matroid:
     return Matroid(P.n, P.k, bases)
 
 
+def _lead_positive(P: PluckerVector) -> bool:
+    """Whether the first nonzero coordinate (lex subset order) is positive."""
+    return next(v for v in P.coords.values() if v) > 0
+
+
 def is_tnn(P: PluckerVector) -> bool:
-    vals = P.normalized_tuple()
-    return all(v >= 0 for v in vals)
+    """Every coordinate is zero or has the sign of the first nonzero one."""
+    if _lead_positive(P):
+        return all(v >= 0 for v in P.coords.values())
+    return all(v <= 0 for v in P.coords.values())
 
 
 def is_tp(P: PluckerVector) -> bool:
-    vals = P.normalized_tuple()
-    return all(v > 0 for v in vals)
+    """Every coordinate has the sign of the first nonzero one."""
+    if _lead_positive(P):
+        return all(v > 0 for v in P.coords.values())
+    return all(v < 0 for v in P.coords.values())
 
 
 def exchange_quads(n: int, k: int):

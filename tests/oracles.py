@@ -34,7 +34,11 @@ rank of the weights-to-point Jacobian of a plabic graph, which
 ``cells.cell_dimension`` reads off the matching positroid instead, and
 ``sampled_adjacency`` finds the facet arcs of an m = 2 tile from boundary
 samples and the signs of the compatible arcs from interior samples, which
-``cluster.cluster_adjacency_check`` gives by theorem.
+``cluster.cluster_adjacency_check`` gives by theorem; it draws its interior
+points with ``sample_tile_point`` and checks its facets with
+``noncrossing``.  ``rotated_realization`` is the replay of a bridge
+decomposition that built a new matrix per step and placed each coloop
+last by twisted rotations; ``cells.matrix_realization`` is compared with it.
 """
 
 from __future__ import annotations
@@ -46,14 +50,14 @@ from typing import Sequence
 from random import Random
 
 from positroid_lab.amplituhedron import (
+    AmplituhedronPoint,
     ZMatrix,
     amp_map,
-    sample_tile_point,
     tile_membership_m2,
     twistor,
 )
-from positroid_lab.cells import matrix_realization
-from positroid_lab.cluster import AdjacencyReport, noncrossing
+from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
+from positroid_lab.cluster import AdjacencyReport
 from positroid_lab.exact import RatMatrix, det, kernel_basis, rank
 from positroid_lab.grassmann import (
     Matroid,
@@ -181,7 +185,72 @@ def realized_positroid(pi: DecoratedPermutation) -> Matroid:
     """Support of the minors of a certified realization of the cell: the
     recomputed decorated permutation pins the cell, and on a cell the
     vanishing pattern of the coordinates is constant."""
-    return matroid_of(plucker_of_matrix(matrix_realization(pi)))
+    return matroid_of(plucker_of_matrix(sample_cell_matrix(pi, Random(0))))
+
+
+def _twisted_rotate_left(C: RatMatrix) -> RatMatrix:
+    """Send columns (c1,...,cn) to (c2,...,cn, (-1)^(k-1) c1); keeps minors
+    nonnegative and rotates the cell labels down by one."""
+    k, n = C.rows, C.cols
+    s = Fraction(-1) ** (k - 1)
+    rows = [[C.entry(r, (j + 1) % n) * (s if j == n - 1 else 1) for j in range(n)]
+            for r in range(k)]
+    return RatMatrix.from_rows(rows)
+
+
+def _twisted_rotate_right(C: RatMatrix) -> RatMatrix:
+    k, n = C.rows, C.cols
+    s = Fraction(-1) ** (k - 1)
+    rows = [[C.entry(r, (j - 1) % n) * (s if j == 0 else 1) for j in range(n)]
+            for r in range(k)]
+    return RatMatrix.from_rows(rows)
+
+
+def _lollipop_insert_matrix(C: RatMatrix, i: int, colour: str) -> RatMatrix:
+    """Insert a zero column (loop) or a fresh unit column and row (coloop).
+
+    Coloops are inserted at the last position, reached by twisted rotation,
+    so that no minor changes sign.
+    """
+    k, n = C.rows, C.cols
+    if colour == "black":
+        rows = [list(C.row(r)) for r in range(k)]
+        for row in rows:
+            row.insert(i - 1, Fraction(0))
+        if k == 0:
+            return RatMatrix.zero(0, n + 1)
+        return RatMatrix.from_rows(rows)
+    for _ in range(n + 1 - i):
+        C = _twisted_rotate_right(C)
+    rows = [list(C.row(r)) + [Fraction(0)] for r in range(k)]
+    rows.append([Fraction(0)] * n + [Fraction(1)])
+    out = RatMatrix.from_rows(rows)
+    for _ in range(n + 1 - i):
+        out = _twisted_rotate_left(out)
+    return out
+
+
+def _bridge_matrix(C: RatMatrix, i: int, t: Fraction) -> RatMatrix:
+    """Column operation c_{i+1} += t c_i, t > 0; preserves nonnegativity."""
+    rows = [list(C.row(r)) for r in range(C.rows)]
+    for row in rows:
+        row[i] += t * row[i - 1]
+    return RatMatrix.from_rows(rows)
+
+
+def rotated_realization(pi: DecoratedPermutation, params: Sequence[Fraction]) -> RatMatrix:
+    """Replay of the bridge decomposition of pi, one ``RatMatrix`` per step,
+    that places each coloop last by twisted rotations and rotates back."""
+    steps = bridge_decomposition(pi)
+    pidx = sum(1 for s in steps if s[0] == "bridge")
+    C = RatMatrix.zero(0, 0)
+    for step in reversed(steps):
+        if step[0] == "lollipop":
+            C = _lollipop_insert_matrix(C, step[1], step[2])
+        else:
+            pidx -= 1
+            C = _bridge_matrix(C, step[1], Fraction(params[pidx]))
+    return C
 
 
 def twistor_via_expansion(P: PluckerVector, Z: ZMatrix, I: Sequence[int]) -> Fraction:
@@ -465,6 +534,26 @@ def jacobian_cell_dimension(G: PlabicGraph, trials: int = 3, seed: int = 0) -> i
         if rows:
             best = max(best, rank(RatMatrix.from_rows(rows)))
     return best
+
+
+def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
+                      rng: Random) -> AmplituhedronPoint:
+    """Interior point of the tile of T: push random edge weights through
+    the boundary-measurement parameterization of its cell."""
+    G = hat_graph_of_triangulation(T)
+    weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
+    P = boundary_measurement(G, weights)
+    return amp_map(P, Z)
+
+
+def noncrossing(arcs: Sequence) -> bool:
+    """Whether no two of the arcs cross."""
+    arcs = list(arcs)
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            if arcs_cross(arcs[i], arcs[j]):
+                return False
+    return True
 
 
 def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,

@@ -17,7 +17,6 @@ from positroid_lab.amplituhedron import (
     m1_membership,
     make_positive_Z,
     sample_interior_point,
-    sample_tile_point,
     sign_stratum,
     tile_membership_m2,
     twistor,
@@ -26,7 +25,6 @@ from positroid_lab.amplituhedron import (
     w_chamber_membership,
 )
 from positroid_lab.cells import (
-    matrix_realization,
     positroid_of_perm,
     sample_cell_matrix,
 )
@@ -75,6 +73,7 @@ from positroid_lab.trop import (
 from lp import point_in_hull
 from oracles import (
     jacobian_cell_dimension,
+    sample_tile_point,
     sampled_adjacency,
     twistor_via_expansion,
     varbar_bruteforce,
@@ -314,7 +313,7 @@ def test_criterion_10_identities():
         pool = list(enumerate_decorated(n, k=k))
         for _ in range(13):
             pi = pool[rng.randrange(len(pool))]
-            rep = b_point(matrix_realization(pi, seed=rng.randrange(10 ** 6)), Z)
+            rep = b_point(sample_cell_matrix(pi, Random(rng.randrange(10 ** 6))), Z)
             assert rep.dim_ok and rep.consistent
             done += 1
     assert done >= 50

@@ -18,7 +18,6 @@ from positroid_lab.amplituhedron import (
     make_positive_Z,
     sample_cell_matrix,
     sample_interior_point,
-    sample_tile_point,
     sign_stratum,
     tile_membership_m2,
     twistor,
@@ -34,7 +33,7 @@ from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_cata
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.triangulations import BicoloredTriangulation, area, enumerate_bicolored
 
-from oracles import twistor_via_expansion
+from oracles import sample_tile_point, twistor_via_expansion
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
@@ -331,9 +330,13 @@ def test_m2_interior_on_interior_and_boundary():
 def test_general_m_reduces_to_m2():
     rng = Random(10)
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
-    for _ in range(30):
-        Y = sample_interior_point(1, 5, Z, rng)
-        assert general_m_boundary_signs(Y, Z) == m2_interior_test(Y, Z)
+    points = [sample_interior_point(1, 5, Z, rng) for _ in range(30)]
+    points.append(amp_map(RatMatrix.from_rows([[1, 0, 0, 0, 0]]), Z))  # the corner
+    points += [amp_map(sample_cell_matrix(pi, rng), Z) for pi in enumerate_decorated(5, k=1)
+               if pi != top_cell_permutation(1, 5)]
+    verdicts = [m2_interior_test(Y, Z) for Y in points]
+    assert verdicts == [general_m_boundary_signs(Y, Z) for Y in points]
+    assert True in verdicts and False in verdicts
 
 
 def test_general_m_odd_case_m1():
@@ -480,7 +483,7 @@ def test_b_point_identity_instances():
         Z = make_positive_Z(n, k + m, list(range(n)))
         pool = [p for p in enumerate_decorated(n, k=k)]
         for pi in rng.sample(pool, 6):
-            C = matrix_realization(pi, seed=rng.randrange(10 ** 6))
+            C = sample_cell_matrix(pi, Random(rng.randrange(10 ** 6)))
             rep = b_point(C, Z)
             assert rep.dim_ok and rep.consistent
             done += 1

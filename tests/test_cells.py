@@ -1,6 +1,7 @@
 """Bridge reconstruction of cells from decorated permutations."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -18,7 +19,7 @@ from positroid_lab.grassmann import decorated_permutation_of, plucker_of_matrix,
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation, type_of
 from positroid_lab.plabic import positroid_of_graph, trip_permutation
 
-from oracles import jacobian_cell_dimension
+from oracles import jacobian_cell_dimension, rotated_realization
 
 
 def test_round_trip_exhaustive_small_n():
@@ -26,9 +27,22 @@ def test_round_trip_exhaustive_small_n():
         for pi in enumerate_decorated(n):
             G = graph_of_perm(pi)
             assert trip_permutation(G) == pi
-            C = matrix_realization(pi)  # certified internally
+            C = sample_cell_matrix(pi, Random(n))  # certified internally
             assert is_tnn(plucker_of_matrix(C))
             assert positroid_of_graph(G).bases == positroid_of_perm(pi).bases
+
+
+def test_row_replay_matches_rotation_oracle_up_to_n6():
+    rng = Random(0)
+    count = 0
+    for n in range(0, 7):
+        for pi in enumerate_decorated(n):
+            params = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+                      for _ in range(cell_dim_of_perm(pi))]
+            C, R = matrix_realization(pi, params), rotated_realization(pi, params)
+            assert (C.rows, C.cols, C.to_json()) == (R.rows, R.cols, R.to_json())
+            count += 1
+    assert count == 2372
 
 
 def test_top_cell_graph_matches_the_benchmark_fixture():
@@ -40,7 +54,7 @@ def test_top_cell_graph_matches_the_benchmark_fixture():
 
 def test_round_trip_exhaustive_n5():
     for pi in enumerate_decorated(5):
-        assert decorated_permutation_of(matrix_realization(pi)) == pi
+        assert decorated_permutation_of(sample_cell_matrix(pi, Random(5))) == pi
         assert trip_permutation(graph_of_perm(pi)) == pi
 
 
@@ -48,7 +62,7 @@ def test_round_trip_spot_n6():
     rng = Random(0)
     pool = list(enumerate_decorated(6))
     for pi in rng.sample(pool, 60):
-        assert decorated_permutation_of(matrix_realization(pi)) == pi
+        assert decorated_permutation_of(sample_cell_matrix(pi, Random(6))) == pi
         assert trip_permutation(graph_of_perm(pi)) == pi
 
 

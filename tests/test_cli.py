@@ -314,6 +314,22 @@ def test_amplituhedron_tilings_draw_audit_points_once(capsys, monkeypatch, seed,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["cell", "--perm", "(5,6,7,8,1,2,3,4)", "--sample", "3", "--seed", "0"],
+     "7ae772c57f116be32feea1f177f02b117776525f206af9d52fe97e1ec8dfd179"),
+    (["amp", "sample", "--n", "7", "--k", "2", "--m", "2", "--cell", "(3,4,5,6,7,1,2)",
+      "--count", "2", "--z", "vandermonde:0,1,2,3,4,6,9", "--seed", "0"],
+     "92a57c153fa73e9e25c5b312b6e9123fa786623f81f87bdbb21cb7d8ead19bda"),
+])
+def test_sampled_realizations_are_pinned(capsys, argv, digest):
+    import hashlib
+
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # stdout of the version that placed each coloop by twisted rotations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name, data, argv", [
     ("tiles not a list", {"space": "hypersimplex", "k": 1, "n": 4, "tiles": 5},
      ["tilings", "--verify", "FILE"]),

@@ -7,7 +7,6 @@ import pytest
 from positroid_lab.amplituhedron import (
     make_positive_Z,
     sample_interior_point,
-    sample_tile_point,
     twistor,
 )
 from positroid_lab.cluster import (
@@ -17,7 +16,6 @@ from positroid_lab.cluster import (
     default_distinguished,
     eval_cluster_var,
     mutate,
-    noncrossing,
 )
 from positroid_lab.triangulations import (
     BicoloredTriangulation,
@@ -26,7 +24,7 @@ from positroid_lab.triangulations import (
     flippable_arcs,
 )
 
-from oracles import sampled_adjacency
+from oracles import noncrossing, sample_tile_point, sampled_adjacency
 
 
 def flipped_arc(T, arc):

@@ -8,7 +8,7 @@ import pytest
 
 from positroid_lab import exact
 from positroid_lab.amplituhedron import ZMatrix
-from positroid_lab.cells import matrix_realization
+from positroid_lab.cells import sample_cell_matrix
 from positroid_lab.exact import RatMatrix, maximal_minors
 from positroid_lab.grassmann import (
     GKReport,
@@ -103,15 +103,19 @@ def test_tnn_tp_pinned():
 
 def test_tp_vandermonde_and_sign_flip():
     P = plucker_of_matrix(vandermonde_matrix(2, [1, 2, 3, 4]))
-    assert is_tp(P) and is_tnn(P)
-    flipped = dict(P.coords)
-    flipped[(2, 3)] = -flipped[(2, 3)]
-    assert not is_tnn(PluckerVector(2, 4, flipped))
+    for Q in (P, P.scale(-3)):
+        assert is_tp(Q) and is_tnn(Q)
+        flipped = dict(Q.coords)
+        flipped[(2, 3)] = -flipped[(2, 3)]
+        assert not is_tnn(PluckerVector(2, 4, flipped))
 
 
 def test_tnn_global_sign_irrelevant():
     P = plucker_of_matrix(pinned_matrix())
-    assert is_tnn(P.scale(-3))
+    assert is_tnn(P.scale(-3)) and not is_tp(P.scale(-3))
+    # the first nonzero coordinate in lex order is the one at (2, 3)
+    L = plucker_of_matrix(RatMatrix.from_rows([[0, 1, 0], [0, 0, 1]])).scale(-3)
+    assert is_tnn(L) and not is_tp(L)
 
 
 def test_decorated_permutation_pinned():
@@ -204,12 +208,12 @@ def test_positroid_catalog_satisfies_basis_exchange():
 
 
 def test_necklace_permutation_matches_rank_oracle_up_to_n6():
-    from positroid_lab.cells import matrix_realization, positroid_of_perm
+    from positroid_lab.cells import positroid_of_perm
 
     count = 0
     for n in range(1, 7):
         for pi in enumerate_decorated(n):
-            C = matrix_realization(pi, seed=n)
+            C = sample_cell_matrix(pi, Random(n))
             assert decorated_permutation_of(C) == pi == rank_decorated_permutation(C)
             support = matroid_of(plucker_of_matrix(C)).bases
             assert positroid_of_perm(pi).bases == support
@@ -298,7 +302,7 @@ def _count_det_and_ratmatrix(monkeypatch) -> dict:
 
 
 def test_maximal_minors_take_no_det_call_and_no_matrix_per_minor(monkeypatch):
-    C = matrix_realization(parse_decorated("(4,5,6,1,2,3)"))
+    C = sample_cell_matrix(parse_decorated("(4,5,6,1,2,3)"), Random(0))
     Zmat = RatMatrix.from_rows([[t ** j for j in range(4)] for t in range(6)])
     expected = {I: fraction_det(C.columns([i - 1 for i in I]))
                 for I in combinations(range(1, 7), 3)}
@@ -314,7 +318,7 @@ def test_maximal_minors_take_no_det_call_and_no_matrix_per_minor(monkeypatch):
 def test_plucker_vector_keeps_fraction_coordinates_by_identity(monkeypatch):
     from positroid_lab import grassmann
 
-    C = matrix_realization(parse_decorated("(4,5,6,1,2,3)"))
+    C = sample_cell_matrix(parse_decorated("(4,5,6,1,2,3)"), Random(0))
     returned = []
 
     def recorded(C):
@@ -335,7 +339,7 @@ def test_maximal_minors_match_fraction_det_on_every_cell_up_to_n5():
     cells = 0
     for n in range(1, 6):
         for pi in enumerate_decorated(n):
-            C = matrix_realization(pi)
+            C = sample_cell_matrix(pi, Random(n))
             minors = maximal_minors(C)
             assert list(minors) == list(combinations(range(1, n + 1), C.rows))
             for I, m in minors.items():
