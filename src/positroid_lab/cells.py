@@ -18,7 +18,14 @@ from itertools import count
 from random import Random
 
 from .exact import RatMatrix
-from .grassmann import Matroid, decorated_permutation_of, necklace_of_bases, positroid_of_necklace
+from .grassmann import (
+    Matroid,
+    PluckerVector,
+    necklace_of_bases,
+    permutation_of_plucker,
+    plucker_of_matrix,
+    positroid_of_necklace,
+)
 from .perms import (
     DecoratedPermutation,
     affine_lift,
@@ -37,6 +44,7 @@ __all__ = [
     "cell_dimension",
     "positroid_catalog",
     "sample_cell_matrix",
+    "sample_cell_point",
 ]
 
 Step = tuple  # ("lollipop", i, colour) or ("bridge", i)
@@ -190,7 +198,15 @@ def graph_of_perm(pi: DecoratedPermutation) -> PlabicGraph:
 
 
 def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
-    """Exact totally nonnegative matrix whose point lies in the cell of pi.
+    """Exact totally nonnegative matrix whose point lies in the cell of pi,
+    one positive rational of ``params`` per bridge; see ``_realize``."""
+    return _realize(pi, params)[0]
+
+
+def _realize(pi: DecoratedPermutation,
+             params: list[Fraction]) -> tuple[RatMatrix, PluckerVector]:
+    """Exact totally nonnegative matrix whose point lies in the cell of pi,
+    with the Plücker vector that certified it.
 
     ``params`` supplies one positive rational per bridge (dimension many).
     The peeling is replayed on plain rows: a loop at i inserts a zero
@@ -198,7 +214,8 @@ def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatM
     a zero column at i and appends the row e_i, so expanding a minor on
     columns J (i p-th in J) along the new row gives the sign
     (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a bridge adds t c_i to c_{i+1}.  The
-    result is certified by recomputing its decorated permutation.
+    result is certified by recomputing its decorated permutation from its
+    maximal minors.
     """
     steps = bridge_decomposition(pi)
     nbridges = sum(1 for s in steps if s[0] == "bridge")
@@ -225,14 +242,22 @@ def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatM
             n += 1
             rows.append([Fraction(int(j == i)) for j in range(1, n + 1)])
     C = RatMatrix(len(rows), n, [x for row in rows for x in row])
-    got = decorated_permutation_of(C)
+    P = plucker_of_matrix(C)
+    got = permutation_of_plucker(P)
     if got != pi:
         raise RuntimeError(f"realization of {pi} landed in cell {got}")
-    return C
+    return C, P
 
 
 def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
-    """Random interior point of the cell, exact and certified.
+    """Random interior point of the cell as a matrix; see ``sample_cell_point``."""
+    return sample_cell_point(pi, rng)[0]
+
+
+def sample_cell_point(pi: DecoratedPermutation,
+                      rng: Random) -> tuple[RatMatrix, PluckerVector]:
+    """Random interior point of the cell, exact and certified, as a matrix
+    and the Plücker vector that certified it.
 
     Parameters are ratios of uniform integers so products of them spread
     both above and below 1; plain integer parameters pile up in one corner
@@ -242,7 +267,7 @@ def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
     nbridges = sum(1 for s in steps if s[0] == "bridge")
     params = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
               for _ in range(nbridges)]
-    return matrix_realization(pi, params)
+    return _realize(pi, params)
 
 
 @lru_cache(maxsize=None)

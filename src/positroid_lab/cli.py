@@ -24,10 +24,15 @@ from .amplituhedron import (
     twistor_table_json,
     verify_amp_tiling_m2,
 )
-from .cells import cell_dim_of_perm, positroid_of_perm, sample_cell_matrix
+from .cells import cell_dim_of_perm, positroid_of_perm, sample_cell_matrix, sample_cell_point
 from .exact import RatMatrix
-from .grassmann import plucker_of_matrix
-from .hypersimplex import enumerate_tilings, moment_map, tile_catalog, verify_tiling
+from .hypersimplex import (
+    count_tilings,
+    enumerate_tiling_indices,
+    moment_map,
+    tile_catalog,
+    verify_tiling,
+)
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
 from .plabic import (
     PlabicGraph,
@@ -50,6 +55,11 @@ from .trop import (
     regular_subdivision,
 )
 from .util import rat_to_str
+
+
+# ``tilings --k --n`` lists the tilings only up to this many; above it the
+# output has their count alone, with no "tilings" and no "audited" key.
+TILINGS_LISTED_UP_TO = 100_000
 
 
 class InputError(Exception):
@@ -224,8 +234,7 @@ def cmd_cell(args) -> int:
         rng = Random(args.seed)
         samples = []
         for _ in range(args.sample):
-            C = sample_cell_matrix(pi, rng)
-            P = plucker_of_matrix(C)
+            _, P = sample_cell_point(pi, rng)
             samples.append({
                 "plucker": P.to_json(),
                 "moment_map": [rat_to_str(x) for x in moment_map(P)],
@@ -268,39 +277,35 @@ def cmd_tilings(args) -> int:
             return 0 if rep.valid else 1
         return _verify_amp_tiles(args, tiles, k, n,
                                  args.z or f"vandermonde:{','.join(map(str, range(n)))}")
-    label = {p: repr(t_dual(p) if args.space == "amplituhedron" else p)
-             for p in tile_catalog(args.k + 1, args.n)}
-    tilings = enumerate_tilings(args.k + 1, args.n)
-    labelled = [[label[p] for p in t.perms()] for t in tilings]
+    k_plus_1, n = args.k + 1, args.n
+    count = count_tilings(k_plus_1, n)
     if args.space == "hypersimplex":
-        payload = {
-            "space": "hypersimplex",
-            "k_plus_1": args.k + 1,
-            "n": args.n,
-            "count": len(tilings),
-            "tilings": labelled,
-        }
+        payload = {"space": "hypersimplex", "k_plus_1": k_plus_1, "n": n, "count": count}
+    else:
+        payload = {"space": "amplituhedron", "k": args.k, "n": n, "m": 2, "count": count}
+    if count <= TILINGS_LISTED_UP_TO:
+        recs = tuple(tile_catalog(k_plus_1, n).values())
+        label = [repr(t_dual(rec.perm) if args.space == "amplituhedron" else rec.perm)
+                 for rec in recs]
+        tilings = enumerate_tiling_indices(k_plus_1, n)
+        if len(tilings) != count:
+            raise RuntimeError(f"listed {len(tilings)} tilings but counted {count}")
+        payload["tilings"] = [[label[i] for i in sol] for sol in tilings]
+    if args.space == "hypersimplex":
         _emit(args, payload)
         return 0
     # amplituhedron tilings via duality, with a sampled audit when Z is given
-    payload = {
-        "space": "amplituhedron",
-        "k": args.k,
-        "n": args.n,
-        "m": 2,
-        "count": len(tilings),
-        "tilings": labelled,
-        "seed": args.seed,
-    }
+    payload["seed"] = args.seed
     if args.z:
-        Z = _parse_z(args.z, args.n, args.k + 2)
-        audits = [verify_amp_tiling_m2([rec.triangulation for rec in t.tiles], Z,
-                                       samples=args.samples, seed=args.seed).valid
-                  for t in tilings]
-        payload["audited"] = audits
-        if not all(audits):
-            _emit(args, payload)
-            return 1
+        Z = _parse_z(args.z, n, args.k + 2)
+        if "tilings" in payload:
+            audits = [verify_amp_tiling_m2([recs[i].triangulation for i in sol], Z,
+                                           samples=args.samples, seed=args.seed).valid
+                      for sol in tilings]
+            payload["audited"] = audits
+            if not all(audits):
+                _emit(args, payload)
+                return 1
     _emit(args, payload)
     return 0
 
@@ -395,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("tilings", parents=[common],
-                       help="enumerate or verify tilings")
+                       help="count and list the tilings of a type, or verify or "
+                            "T-dualize a tiling file",
+                       description="With --k and --n: the count of tilings, always, and "
+                                   "the tilings themselves (with their audits under --z) "
+                                   f"only when there are at most {TILINGS_LISTED_UP_TO}.")
     p.add_argument("--space", choices=["hypersimplex", "amplituhedron"],
                    default="hypersimplex")
     p.add_argument("--k", type=int, help="amplituhedron k (hypersimplex rank k+1)")

@@ -100,8 +100,9 @@ class Matroid:
     def __post_init__(self):
         if not self.bases:
             raise ValueError("a matroid needs at least one basis")
+        ground = frozenset(range(1, self.n + 1))
         for B in self.bases:
-            if len(B) != self.k or not B <= set(range(1, self.n + 1)):
+            if len(B) != self.k or not B <= ground:
                 raise ValueError(f"bad basis {sorted(B)}")
 
     def is_basis(self, I) -> bool:
@@ -242,16 +243,22 @@ def positroid_of_necklace(necklace) -> Matroid:
     k = len(necklace[0]) if necklace else 0
     bounds = set()
     for i, I in enumerate(necklace, start=1):
+        in_I = sum(1 << (x - 1) for x in I)
         interval = 0
         for t in range(n):
             interval |= 1 << (i - 1 + t) % n
-            held = sum(1 for x in I if interval >> (x - 1) & 1)
+            held = (interval & in_I).bit_count()
             if held < min(k, t + 1):
                 bounds.add((interval, held))
     bases = []
     for B in subsets(n, k):
-        mask = sum(1 << (x - 1) for x in B)
-        if all((mask & m).bit_count() <= c for m, c in bounds):
+        mask = 0
+        for x in B:
+            mask |= 1 << (x - 1)
+        for interval, held in bounds:
+            if (mask & interval).bit_count() > held:
+                break
+        else:
             bases.append(frozenset(B))
     return Matroid(n, k, frozenset(bases))
 
@@ -280,16 +287,18 @@ def is_positroid(M: Matroid) -> bool:
 
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
     """Decorated permutation of a totally nonnegative matrix, read off its
-    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
+    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17)."""
+    return permutation_of_plucker(plucker_of_matrix(C))
 
-    The necklace is that of the bases, the nonzero Plücker coordinates.
-    """
-    P = plucker_of_matrix(C)
+
+def permutation_of_plucker(P: PluckerVector) -> DecoratedPermutation:
+    """Decorated permutation of a totally nonnegative point, read off the
+    Grassmann necklace of its bases, the nonzero Plücker coordinates."""
     if not is_tnn(P):
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
     bases = [I for I, v in P.coords.items() if v != 0]
-    return perm_of_necklace(necklace_of_bases(bases, C.cols))
+    return perm_of_necklace(necklace_of_bases(bases, P.n))
 
 
 @dataclass

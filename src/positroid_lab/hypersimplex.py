@@ -2,10 +2,10 @@
 
 The hypersimplex here is the moment-map image of rank k+1 points, so tile
 catalogs are generated from bicolored triangulations with k black
-triangles via their dual trees.  Tilings are verified and enumerated
-purely combinatorially: each w-simplex of the staircase triangulation
-must land in exactly one tile.  Both read a tile's simplices off the
-bits of its ``cover_mask``.
+triangles via their dual trees.  Tilings are verified, enumerated and
+counted purely combinatorially: each w-simplex of the staircase
+triangulation must land in exactly one tile.  All three read a tile's
+simplices off the bits of its ``cover_mask``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ __all__ = [
     "tile_catalog",
     "verify_tiling",
     "Tiling",
+    "enumerate_tiling_indices",
+    "count_tilings",
     "enumerate_tilings",
     "tile_inequalities_hypersimplex",
     "point_satisfies_inequalities",
@@ -147,10 +149,37 @@ def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
     return all(Ir in M.bases for Ir in ws.I)
 
 
+@lru_cache(maxsize=None)
+def _cover_table(k_plus_1: int, n: int
+                 ) -> tuple[tuple[WSimplex, ...], int, dict[frozenset[int], int]]:
+    """The staircase simplices, all their bits, and for each (k+1)-subset
+    the bits of the simplices that have it as a vertex."""
+    simplices = enumerate_D(k_plus_1, n)
+    bits: dict[frozenset[int], int] = {}
+    for i, ws in enumerate(simplices):
+        for I in ws.I:
+            bits[I] = bits.get(I, 0) | 1 << i
+    return simplices, (1 << len(simplices)) - 1, bits
+
+
 def cover_mask(simplices: tuple[WSimplex, ...], M: Matroid) -> int:
-    """Bit i is set exactly when simplices[i] lies in the polytope of M: no
-    bit for another rank, and ValueError for another ground set."""
-    return sum(1 << i for i, ws in enumerate(simplices) if simplex_in_positroid(ws, M))
+    """Bit i is set exactly when simplices[i] lies in the polytope of M: all
+    bits less those of the vertices that are not bases of M, read from a
+    table built once per (k+1, n).  ``simplices`` must be the staircase
+    ``enumerate_D(k+1, n)``; no bit for another rank, and ValueError for
+    another ground set."""
+    if not simplices:
+        return 0
+    if simplices[0].n != M.n:
+        raise ValueError("sizes do not match")
+    staircase, full, bits = _cover_table(len(simplices[0].I[0]), M.n)
+    if simplices != staircase:
+        raise ValueError("cover masks are read on the staircase simplices of enumerate_D")
+    missed = 0
+    for I, b in bits.items():
+        if I not in M.bases:
+            missed |= b
+    return full & ~missed
 
 
 @dataclass(frozen=True)
@@ -277,29 +306,66 @@ class Tiling:
 
 
 @lru_cache(maxsize=None)
-def enumerate_tilings(k_plus_1: int, n: int) -> tuple[Tiling, ...]:
-    """Exact cover of the w-simplices by catalog tiles, over bit masks: each
-    step branches on the least uncovered simplex, over the tiles whose least
-    simplex it is (Knuth's Algorithm X), so each tile set comes once.
-    Tilings sort as tuples of catalog indices, that is, of labels."""
-    recs = list(tile_catalog(k_plus_1, n).values())
+def _tiles_by_least(k_plus_1: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each staircase simplex, the (catalog index, cover mask) of the
+    tiles whose least simplex it is, in catalog order."""
     simplices = enumerate_D(k_plus_1, n)
     by_least: list[list[tuple[int, int]]] = [[] for _ in simplices]
-    for idx, rec in enumerate(recs):
+    for idx, rec in enumerate(tile_catalog(k_plus_1, n).values()):
         mask = cover_mask(simplices, rec.matroid)
         if mask:
             by_least[(mask & -mask).bit_length() - 1].append((idx, mask))
+    return tuple(map(tuple, by_least))
 
-    def search(uncovered: int, chosen: tuple[int, ...]):
-        if not uncovered:
-            yield tuple(sorted(chosen))
-            return
+
+@lru_cache(maxsize=None)
+def enumerate_tiling_indices(k_plus_1: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Exact cover of the w-simplices by catalog tiles, over bit masks: each
+    step branches on the least uncovered simplex, over the tiles whose least
+    simplex it is (Knuth's Algorithm X), so each tile set comes once.  A
+    tiling is the sorted tuple of its catalog indices, and tilings sort as
+    these tuples, that is, by labels."""
+    by_least = _tiles_by_least(k_plus_1, n)
+    found: list[tuple[int, ...]] = []
+
+    def search(uncovered: int, chosen: tuple[int, ...]) -> None:
         for idx, mask in by_least[(uncovered & -uncovered).bit_length() - 1]:
             if mask & uncovered == mask:
-                yield from search(uncovered ^ mask, chosen + (idx,))
+                if mask == uncovered:
+                    found.append(tuple(sorted(chosen + (idx,))))
+                else:
+                    search(uncovered ^ mask, chosen + (idx,))
 
-    return tuple(Tiling(k_plus_1, n, tuple(recs[i] for i in sol))
-                 for sol in sorted(search((1 << len(simplices)) - 1, ())))
+    search((1 << len(by_least)) - 1, ())
+    found.sort()
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def count_tilings(k_plus_1: int, n: int) -> int:
+    """Number of tilings: the search of ``enumerate_tiling_indices``
+    memoized on the uncovered mask, so no tiling is listed."""
+    by_least = _tiles_by_least(k_plus_1, n)
+    memo = {0: 1}
+
+    def count(uncovered: int) -> int:
+        c = memo.get(uncovered)
+        if c is None:
+            c = memo[uncovered] = sum(
+                count(uncovered ^ mask)
+                for _, mask in by_least[(uncovered & -uncovered).bit_length() - 1]
+                if mask & uncovered == mask)
+        return c
+
+    return count((1 << len(by_least)) - 1)
+
+
+@lru_cache(maxsize=None)
+def enumerate_tilings(k_plus_1: int, n: int) -> tuple[Tiling, ...]:
+    """The tilings of ``enumerate_tiling_indices`` as catalog tiles."""
+    recs = tuple(tile_catalog(k_plus_1, n).values())
+    return tuple(Tiling(k_plus_1, n, tuple(map(recs.__getitem__, sol)))
+                 for sol in enumerate_tiling_indices(k_plus_1, n))
 
 
 def tile_inequalities_hypersimplex(T: BicoloredTriangulation):

@@ -57,10 +57,12 @@ class BicoloredTriangulation:
         for x, y in arcs:
             if not (1 <= x < y <= self.n):
                 raise ValueError(f"arc {(x, y)} outside the {self.n}-gon")
-        for a in arcs:
-            for b in arcs:
-                if arcs_cross(a, b):
-                    raise ValueError(f"arcs {a} and {b} cross")
+        # a side of the polygon strictly crosses no chord, so only pairs of
+        # diagonals can cross
+        diagonals = sorted(a for a in arcs if not self.is_side(a))
+        for a, b in combinations(diagonals, 2):
+            if arcs_cross(a, b):
+                raise ValueError(f"arcs {a} and {b} cross")
         # every polygon side must bound exactly one triangle
         for i in range(1, self.n + 1):
             side = _norm_arc(i, i % self.n + 1)
@@ -276,13 +278,43 @@ def class_representative(S: BicoloredSubdivision) -> BicoloredTriangulation:
     return BicoloredTriangulation(S.n, frozenset(black), frozenset(white))
 
 
+@lru_cache(maxsize=None)
+def _rooted_subdivisions(i: int, j: int, black: bool, k: int) -> tuple[tuple, ...]:
+    """Bicolored subdivisions of the polygon on i..j with k black triangles
+    whose cell on the side (i, j) is black (or white), as pairs (black
+    polygons, white polygons).  That cell keeps i, j and some vertices in
+    between; the polygon cut off under each of its other sides is
+    subdivided in turn, with the other colour on that side."""
+    out = []
+    for r in range(1, j - i):
+        for mid in combinations(range(i + 1, j), r):
+            cell = (i, *mid, j)
+            rest = k - (r if black else 0)
+            if rest < 0:
+                continue
+            partial = [(0, (cell,), ()) if black else (0, (), (cell,))]
+            for a, b in zip(cell, cell[1:]):
+                if b - a >= 2:
+                    partial = [(used + m, bl + sub_bl, wh + sub_wh)
+                               for used, bl, wh in partial
+                               for m in range(rest - used + 1)
+                               for sub_bl, sub_wh in _rooted_subdivisions(a, b, not black, m)]
+            out += [(bl, wh) for used, bl, wh in partial if used == rest]
+    return tuple(out)
+
+
 def enumerate_subdivisions(n: int, k: int) -> list[BicoloredSubdivision]:
-    """Equivalence classes of type (k, n) triangulations, deterministically ordered."""
-    seen: dict[tuple, BicoloredSubdivision] = {}
-    for T in enumerate_bicolored(n, k):
-        S = equivalence_class(T)
-        seen.setdefault(S.key(), S)
-    return [seen[key] for key in sorted(seen)]
+    """Equivalence classes of type (k, n) triangulations, ordered by key.
+
+    A class is a dissection of the n-gon whose neighbouring polygons have
+    different colours, so the subdivisions are generated directly, from
+    the cell on the side (1, n) down."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return sorted((BicoloredSubdivision(n, frozenset(bl), frozenset(wh))
+                   for black in (True, False)
+                   for bl, wh in _rooted_subdivisions(1, n, black, k)),
+                  key=BicoloredSubdivision.key)
 
 
 def flippable_arcs(T: BicoloredTriangulation) -> list[Arc]:

@@ -39,6 +39,10 @@ points with ``sample_tile_point`` and checks its facets with
 ``noncrossing``.  ``rotated_realization`` is the replay of a bridge
 decomposition that built a new matrix per step and placed each coloop
 last by twisted rotations; ``cells.matrix_realization`` is compared with it.
+``scanned_subdivisions`` lists every bicolored triangulation of type (k, n)
+and merges like-coloured neighbours, as
+``triangulations.enumerate_subdivisions`` did before it generated the
+subdivisions directly; ``enumerate_subdivisions`` is compared with it.
 """
 
 from __future__ import annotations
@@ -83,7 +87,12 @@ from positroid_lab.plabic import (
     hat_graph_of_triangulation,
     matching_monomials,
 )
-from positroid_lab.triangulations import BicoloredTriangulation, arcs_cross
+from positroid_lab.triangulations import (
+    BicoloredSubdivision,
+    BicoloredTriangulation,
+    arcs_cross,
+    enumerate_bicolored,
+)
 from positroid_lab.trop import (
     HeightVector,
     SubdivisionCell,
@@ -611,3 +620,11 @@ def sampled_adjacency(T: BicoloredTriangulation, Z: ZMatrix, samples: int = 100,
             signs_fixed = False
     return (AdjacencyReport(facet_list, compatible_tested), noncrossing(facet_list),
             signs_fixed)
+
+
+def scanned_subdivisions(n: int, k: int) -> list[BicoloredSubdivision]:
+    """Classes of all type (k, n) triangulations, one per key, ordered by key."""
+    seen: dict[tuple, BicoloredSubdivision] = {}
+    for T in enumerate_bicolored(n, k):
+        seen.setdefault(T.subdivision.key(), T.subdivision)
+    return [seen[key] for key in sorted(seen)]

@@ -330,6 +330,70 @@ def test_sampled_realizations_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["tilings", "--space", "hypersimplex", "--k", "2", "--n", "7"],
+     "d4a967a82480f058ce58d6c5ff32f4c76e5204261d8fb488fb55203e0d972cc6"),
+    (["tilings", "--space", "amplituhedron", "--k", "2", "--n", "6"],
+     "715646c7aa7f2761ad371e3ea3f77cd077dba0b2f630a61a0426b123baef66e1"),
+    (["tilings", "--space", "amplituhedron", "--k", "2", "--n", "6",
+      "--z", "vandermonde:0,1,2,3,4,5"],
+     "7ea1013f1e096e590a304f42484fdd205a2bc140179245eb6acbb149782a4a7a"),
+    (["tilings", "--space", "hypersimplex", "--k", "2", "--n", "6", "--format", "text"],
+     "2163ae47b8d76e1936f06e125c7709d3defafb3282dc52ec748873b3e963a361"),
+])
+def test_listed_tilings_are_pinned(capsys, argv, digest):
+    import hashlib
+
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # stdout of the version that built a Tiling per tile set and labelled
+    # its tiles by hashing their permutations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("space, extra", [("hypersimplex", []),
+                                          ("amplituhedron", ["--z", "vandermonde:0,1,2,3,4,5"])])
+def test_tilings_above_the_cap_print_their_count_alone(capsys, monkeypatch, space, extra):
+    from positroid_lab import cli
+
+    argv = ["tilings", "--space", space, "--k", "1", "--n", "6", *extra]
+    monkeypatch.setattr(cli, "TILINGS_LISTED_UP_TO", 14)
+    code, out = run(capsys, *argv)
+    listed = json.loads(out)
+    assert code == 0 and listed["count"] == len(listed["tilings"]) == 14
+    assert ("audited" in listed) == (space == "amplituhedron")
+    monkeypatch.setattr(cli, "TILINGS_LISTED_UP_TO", 13)
+    code, out = run(capsys, *argv)
+    counted = json.loads(out)
+    assert code == 0 and counted["count"] == 14
+    assert "tilings" not in counted and "audited" not in counted
+    assert counted == {key: v for key, v in listed.items() if key not in ("tilings", "audited")}
+
+
+def test_tilings_of_rank_three_on_eight_are_counted(capsys):
+    code, out = run(capsys, "tilings", "--k", "2", "--n", "8")
+    assert code == 0
+    assert json.loads(out) == {"space": "hypersimplex", "k_plus_1": 3, "n": 8,
+                               "count": 6443460}
+
+
+def test_cell_samples_take_their_minors_once(capsys, monkeypatch):
+    from positroid_lab import grassmann
+
+    calls = []
+    original = grassmann.maximal_minors
+
+    def counting(C):
+        calls.append((C.rows, C.cols))
+        return original(C)
+
+    # every Pluecker vector is taken through this one name
+    monkeypatch.setattr(grassmann, "maximal_minors", counting)
+    code, out = run(capsys, "cell", "--perm", "(5,6,7,8,1,2,3,4)", "--sample", "3")
+    assert code == 0 and len(json.loads(out)["samples"]) == 3
+    assert calls == [(4, 8)] * 3
+
+
 @pytest.mark.parametrize("name, data, argv", [
     ("tiles not a list", {"space": "hypersimplex", "k": 1, "n": 4, "tiles": 5},
      ["tilings", "--verify", "FILE"]),

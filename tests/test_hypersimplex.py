@@ -10,9 +10,11 @@ from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import Matroid, plucker_of_matrix, uniform_matroid
 from positroid_lab.hypersimplex import (
     binomial,
+    count_tilings,
     cover_mask,
     cyclic_left_descents,
     enumerate_D,
+    enumerate_tiling_indices,
     enumerate_tilings,
     eulerian,
     moment_map,
@@ -171,15 +173,23 @@ def test_verify_tiling_matches_the_per_simplex_scan(k1, n):
 
 
 def test_cover_mask_bits_are_the_simplices_in_the_tile():
+    checked = 0
+    for n in range(3, 8):
+        for k1 in range(1, n):
+            D = enumerate_D(k1, n)
+            for rec in tile_catalog(k1, n).values():
+                mask = cover_mask(D, rec.matroid)
+                assert [i for i in range(len(D)) if mask >> i & 1] == \
+                    [i for i, ws in enumerate(D) if simplex_in_positroid(ws, rec.matroid)]
+                assert mask >> len(D) == 0
+                checked += 1
+    assert checked == 514
     D = enumerate_D(3, 6)
-    for rec in tile_catalog(3, 6).values():
-        mask = cover_mask(D, rec.matroid)
-        assert [i for i in range(len(D)) if mask >> i & 1] == \
-            [i for i, ws in enumerate(D) if simplex_in_positroid(ws, rec.matroid)]
-        assert mask >> len(D) == 0
     assert cover_mask(D, uniform_matroid(2, 6)) == 0
     with pytest.raises(ValueError, match="sizes do not match"):
         cover_mask(D, uniform_matroid(3, 7))
+    with pytest.raises(ValueError, match="staircase"):
+        cover_mask(D[1:], uniform_matroid(3, 6))
 
 
 @pytest.mark.parametrize("k1, n, count", [(2, n, binomial(2 * (n - 2), n - 2) // (n - 1))
@@ -188,6 +198,19 @@ def test_tiling_counts_with_no_repeated_tile_set(k1, n, count):
     tilings = enumerate_tilings(k1, n)
     assert len(tilings) == count  # Catalan(n - 2) for k + 1 = 2
     assert len({frozenset(t.perms()) for t in tilings}) == count
+
+
+@pytest.mark.parametrize("k1, n", [(k1, n) for n in range(3, 8) for k1 in range(1, n)]
+                         + [(2, 8), (2, 9)])
+def test_count_tilings_equals_the_enumeration(k1, n):
+    assert count_tilings(k1, n) == len(enumerate_tilings(k1, n)) \
+        == len(enumerate_tiling_indices(k1, n))
+
+
+def test_count_tilings_is_catalan_for_rank_two_by_counting_alone():
+    # past n = 9 nothing is enumerated
+    for n in range(10, 13):
+        assert count_tilings(2, n) == binomial(2 * (n - 2), n - 2) // (n - 1)
 
 
 def test_coverage_counts_sum_to_eulerian():

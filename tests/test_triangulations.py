@@ -32,6 +32,13 @@ def test_validation_rejects_crossing():
         BicoloredTriangulation.make(4, black=[(1, 2, 4)], white=[(1, 2, 3)])
 
 
+def test_validation_rejects_crossing_diagonals_with_sides_covered_once():
+    # each side bounds exactly one triangle, but the diagonals 14 and 36 cross
+    with pytest.raises(ValueError, match=r"arcs \(1, 4\) and \(3, 6\) cross"):
+        BicoloredTriangulation.make(6, black=[(1, 2, 3), (1, 3, 4)],
+                                    white=[(1, 3, 6), (4, 5, 6)])
+
+
 def test_equivalence_class_merges_like_colors():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
     S = equivalence_class(T)
@@ -110,6 +117,21 @@ def test_arcs_cross():
     assert arcs_cross((1, 3), (2, 4))
     assert not arcs_cross((1, 3), (3, 5))
     assert not arcs_cross((1, 2), (3, 4))
+
+
+def test_enumerate_subdivisions_matches_the_triangulation_scan():
+    from oracles import scanned_subdivisions
+
+    checked = 0
+    for n in range(3, 9):
+        for k in range(n - 1):
+            scanned = scanned_subdivisions(n, k)
+            assert enumerate_subdivisions(n, k) == scanned
+            checked += len(scanned)
+    assert checked == 2320
+    assert enumerate_subdivisions(7, 9) == []
+    with pytest.raises(ValueError, match="need n >= 3"):
+        enumerate_subdivisions(2, 0)
 
 
 def test_subdivision_counts_match_tiles():
