@@ -9,12 +9,7 @@ and tiles of the two-extra-dimension amplituhedron correspond.
 from positroid_lab import fixtures
 from positroid_lab.hypersimplex import enumerate_tilings
 from positroid_lab.perms import parse_decorated, t_dual
-from positroid_lab.plabic import (
-    dual_graph_of_triangulation,
-    hat_graph_of_triangulation,
-    t_dual_graph,
-    trip_permutation,
-)
+from positroid_lab.plabic import dual_graph_of_triangulation, t_dual_graph, trip_permutation
 
 print("the four tiles of the rank-2 hypersimplex on [4] and their duals:")
 for text in ["(3,1,4,2)", "(2,4,1,3)", "(4,3,1,2)", "(3,4,2,1)"]:
@@ -40,5 +35,7 @@ print("\nboth tile graphs straight from one bicolored triangulation:")
 from positroid_lab.triangulations import BicoloredTriangulation
 
 T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
-print("  dual tree trips:", trip_permutation(dual_graph_of_triangulation(T)))
-print("  hat graph trips:", trip_permutation(hat_graph_of_triangulation(T)))
+tree = dual_graph_of_triangulation(T)
+print("  dual tree trips:          ", trip_permutation(tree))
+print("  walked on the polygons:   ", T.subdivision.trip_permutation())
+print("  its T-dual, corner-and-center trips:", trip_permutation(t_dual_graph(tree)))

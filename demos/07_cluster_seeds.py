@@ -16,7 +16,7 @@ from positroid_lab.cluster import (
     cluster_adjacency_check,
     mutate,
 )
-from positroid_lab.plabic import boundary_measurement, hat_graph_of_triangulation
+from positroid_lab.plabic import boundary_measurement, dual_graph_of_triangulation, t_dual_graph
 from positroid_lab.triangulations import BicoloredTriangulation, flip, flippable_arcs
 
 T = BicoloredTriangulation.make(
@@ -46,8 +46,9 @@ agree = all(Sf.evaluate(Y, Z) == Sm.evaluate(Y, Z)
 print("  evaluated clusters agree on 10 sample points:", agree)
 
 print("\npositivity pins the tile:")
-# a point of the tile of Q: positive edge weights on the graph of its cell
-G = hat_graph_of_triangulation(Q)
+# a point of the tile of Q: positive edge weights on the graph of its cell,
+# the T-dual of its dual tree
+G = t_dual_graph(dual_graph_of_triangulation(Q))
 weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
 Yt = amp_map(boundary_measurement(G, weights), Z)
 print("  values on a tile sample all positive:",

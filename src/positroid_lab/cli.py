@@ -34,14 +34,7 @@ from .hypersimplex import (
     verify_tiling,
 )
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
-from .plabic import (
-    PlabicGraph,
-    bipartize,
-    dual_graph_of_triangulation,
-    matchings,
-    positroid_of_graph,
-    trip_permutation,
-)
+from .plabic import PlabicGraph, bipartize, matchings, positroid_of_graph, trip_permutation
 from .triangulations import (
     BicoloredTriangulation,
     fan_triangulation,
@@ -255,8 +248,7 @@ def cmd_tilings(args) -> int:
         for rec in _tiles(data) if "tiles" in data else []:
             t = _parse_tile(rec, n)
             if isinstance(t, BicoloredTriangulation):
-                t = trip_permutation(dual_graph_of_triangulation(t))
-                out_tiles.append(repr(t_dual(t)))
+                out_tiles.append(repr(t_dual(t.subdivision.trip_permutation())))
             elif space == "hypersimplex":
                 out_tiles.append(repr(t_dual(t)))
             else:

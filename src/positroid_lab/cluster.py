@@ -18,9 +18,9 @@ from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
     area,
-    equivalence_class,
     flip,
     flippable_arcs,
+    polygon_sides,
 )
 
 Arc = tuple[int, int]
@@ -32,7 +32,6 @@ __all__ = [
     "black_polygons",
     "default_distinguished",
     "build_seed",
-    "eval_cluster_var",
     "mutate",
     "flip",
     "flippable_arcs",
@@ -120,22 +119,13 @@ class Seed:
         }
 
 
-def _polygon_boundary_arcs(poly: tuple[int, ...]) -> list[Arc]:
-    ps = sorted(poly)
-    out = []
-    for idx in range(len(ps)):
-        a, b = ps[idx], ps[(idx + 1) % len(ps)]
-        out.append((min(a, b), max(a, b)))
-    return sorted(set(out))
-
-
 def black_polygons(T: BicoloredTriangulation) -> list[tuple[int, ...]]:
-    return sorted(tuple(sorted(p)) for p in equivalence_class(T).black_polygons)
+    return sorted(tuple(sorted(p)) for p in T.subdivision.black_polygons)
 
 
 def default_distinguished(T: BicoloredTriangulation) -> dict[tuple[int, ...], Arc]:
     """Lexicographically smallest boundary arc of each black polygon."""
-    return {poly: _polygon_boundary_arcs(poly)[0] for poly in black_polygons(T)}
+    return {poly: polygon_sides(poly)[0] for poly in black_polygons(T)}
 
 
 def build_seed(T: BicoloredTriangulation,
@@ -153,7 +143,7 @@ def build_seed(T: BicoloredTriangulation,
             arc = (min(arc), max(arc))
             if poly not in dist:
                 raise ValueError(f"{poly} is not a black polygon")
-            if arc not in _polygon_boundary_arcs(poly):
+            if arc not in polygon_sides(poly):
                 raise ValueError(f"{arc} is not a boundary arc of {poly}")
             dist[poly] = arc
     areas = dict(T.arc_areas)
@@ -163,7 +153,7 @@ def build_seed(T: BicoloredTriangulation,
     owner: dict[Arc, tuple[int, ...]] = {}
     for poly in polys:
         pset = set(poly)
-        boundary = set(_polygon_boundary_arcs(poly))
+        boundary = set(polygon_sides(poly))
         arcs_in_poly = set()
         for tri in T.black:
             if set(tri) <= pset:
@@ -200,11 +190,6 @@ def _cancel_two_cycles(arrows: dict[tuple[Arc, Arc], int]) -> None:
             arrows[(v, u)] -= m
     for key in [k for k, m in arrows.items() if m == 0]:
         del arrows[key]
-
-
-def eval_cluster_var(variable, Y, Z: ZMatrix):
-    """Exact value, or "boundary" when a twistor in the ratio vanishes."""
-    return variable.evaluate(Y, Z)
 
 
 def mutate(S: Seed, key: Arc, new_key: Arc | None = None) -> Seed:
@@ -274,7 +259,7 @@ def cluster_adjacency_check(T: BicoloredTriangulation) -> AdjacencyReport:
     which are pairwise noncrossing, and every other arc (h, l) crossing
     none of them has the fixed sign (-1)^area(T, h, l) of <Y Z_h Z_l> on
     the open tile."""
-    facet_arcs = sorted({a for poly in black_polygons(T) for a in _polygon_boundary_arcs(poly)})
+    facet_arcs = sorted({a for poly in black_polygons(T) for a in polygon_sides(poly)})
     compatible_tested = [((h, l), (-1) ** area(T, h, l))
                          for h in range(1, T.n + 1) for l in range(h + 1, T.n + 1)
                          if (h, l) not in facet_arcs

@@ -1,11 +1,11 @@
 """Moment map, positroid polytopes, w-simplices, and hypersimplex tilings.
 
 The hypersimplex here is the moment-map image of rank k+1 points, so tile
-catalogs are generated from bicolored triangulations with k black
-triangles via their dual trees.  Tilings are verified, enumerated and
-counted purely combinatorially: each w-simplex of the staircase
-triangulation must land in exactly one tile.  All three read a tile's
-simplices off the bits of its ``cover_mask``.
+catalogs are generated from bicolored subdivisions with k black triangles,
+labelled by the trips of their dual trees walked on the polygons.  Tilings
+are verified, enumerated and counted purely combinatorially: each w-simplex
+of the staircase triangulation must land in exactly one tile.  All three
+read a tile's simplices off the bits of its ``cover_mask``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import lru_cache
 from .cells import positroid_of_perm
 from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
-from .plabic import dual_graph_of_triangulation, trip_permutation
 from .triangulations import (
     BicoloredSubdivision,
     BicoloredTriangulation,
@@ -33,7 +32,6 @@ __all__ = [
     "WSimplex",
     "w_simplex",
     "enumerate_D",
-    "simplex_in_positroid",
     "cover_mask",
     "TileRecord",
     "tile_catalog",
@@ -142,13 +140,6 @@ def enumerate_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
     return tuple(w_simplex(w + (n,)) for w, d in sorted(words) if d == k_plus_1 - 1)
 
 
-def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
-    """Vertex containment: every descent set must be a basis."""
-    if ws.n != M.n:
-        raise ValueError("sizes do not match")
-    return all(Ir in M.bases for Ir in ws.I)
-
-
 @lru_cache(maxsize=None)
 def _cover_table(k_plus_1: int, n: int
                  ) -> tuple[tuple[WSimplex, ...], int, dict[frozenset[int], int]]:
@@ -184,7 +175,8 @@ def cover_mask(simplices: tuple[WSimplex, ...], M: Matroid) -> int:
 
 @dataclass(frozen=True)
 class TileRecord:
-    """A moment-map tile: dual-tree positroid of a bicolored subdivision."""
+    """A moment-map tile: a subdivision's trip permutation, its positroid,
+    the subdivision and its fan triangulation."""
 
     perm: DecoratedPermutation
     matroid: Matroid
@@ -202,19 +194,18 @@ class TileRecord:
 @lru_cache(maxsize=None)
 def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord]:
     """Positroid tiles of the rank-(k+1) hypersimplex on [n], keyed by the
-    trip permutation of the dual tree and ordered by its label (repr); one
-    entry per bicolored subdivision of type (k, n).  The dual tree is
-    reduced, so its positroid is that of its trip permutation."""
+    trip permutation of the dual tree (walked on the polygons, no graph
+    built) and ordered by its label (repr); one entry per bicolored
+    subdivision of type (k, n).  The dual tree is reduced, so its positroid
+    is that of its trip permutation."""
     if not (1 <= k_plus_1 <= n - 1):
         raise ValueError("need 1 <= k+1 <= n-1")
     out: dict[DecoratedPermutation, TileRecord] = {}
     for S in enumerate_subdivisions(n, k_plus_1 - 1):
-        T = class_representative(S)
-        pi = trip_permutation(dual_graph_of_triangulation(T))
-        M = positroid_of_perm(pi)
+        pi = S.trip_permutation()
         if pi in out:
             raise RuntimeError(f"two subdivisions share the tile label {pi}")
-        out[pi] = TileRecord(pi, M, S, T)
+        out[pi] = TileRecord(pi, positroid_of_perm(pi), S, class_representative(S))
     return {pi: out[pi] for pi in sorted(out, key=repr)}
 
 
@@ -251,7 +242,7 @@ def _resolve_tiles(tiles, k_plus_1: int, n: int):
                 M = positroid_of_perm(t)
                 resolved.append((t, M, frozenset(M.bases) in by_bases))
         elif isinstance(t, BicoloredTriangulation):
-            pi = trip_permutation(dual_graph_of_triangulation(t))
+            pi = t.subdivision.trip_permutation()
             resolved.append((pi, positroid_of_perm(pi), pi in catalog))
         elif isinstance(t, Matroid):
             rec = by_bases.get(frozenset(t.bases))

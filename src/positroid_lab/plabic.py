@@ -762,7 +762,7 @@ def t_dual_graph(G: PlabicGraph) -> PlabicGraph:
     return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
 
 
-# -- graphs from bicolored triangulations ------------------------------------------
+# -- the dual tree of a bicolored triangulation ------------------------------------
 
 
 def _side_leg(n: int, x: int, y: int) -> int | None:
@@ -778,7 +778,8 @@ def _side_leg(n: int, x: int, y: int) -> int | None:
 def dual_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
     """Tree dual to a bicolored triangulation: one vertex per triangle with
     the triangle's colour, edges across shared diagonals, and one leg per
-    polygon side on the triangle containing it."""
+    polygon side on the triangle containing it.  Its ``t_dual_graph`` is the
+    corner-and-center graph of T."""
     n = T.n
     tris = sorted(T.triangles)
     vid = {t: "D" + "_".join(map(str, t)) for t in tris}
@@ -801,33 +802,4 @@ def dual_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
                 edges[side] = (vid[t], vid[other])
                 rot.append((side, 0))
         rotations[vid[t]] = rot
-    return PlabicGraph.from_keyed(n, colors, edges, rotations)
-
-
-def hat_graph_of_triangulation(T: BicoloredTriangulation) -> PlabicGraph:
-    """Bipartite graph with a black vertex at each polygon corner, a
-    trivalent white vertex inside each black triangle, and boundary legs."""
-    n = T.n
-    colors: dict[str, str] = {}
-    edges: dict = {}  # legs keyed by boundary name, spokes by (triangle, corner)
-    rotations: dict[str, list] = {}
-    whites = {t: "T" + "_".join(map(str, t)) for t in sorted(T.black)}
-    for i in range(1, n + 1):
-        colors[f"P{i}"] = "black"
-        leg = boundary_id(i)
-        edges[leg] = (leg, f"P{i}")
-        rotations[leg] = [(leg, 0)]
-        rot = [(leg, 1)]
-        # incident black triangles swept from the (i, i+1) side to (i-1, i)
-        nbrs = sorted({j for t in T.triangles if i in t for j in t if j != i},
-                      key=lambda j: (j - i) % n)
-        for a, b in zip(nbrs, nbrs[1:]):
-            t = tuple(sorted((i, a, b)))
-            if t in T.black:
-                edges[(t, i)] = (f"P{i}", whites[t])
-                rot.append(((t, i), 0))
-        rotations[f"P{i}"] = rot
-    for t in sorted(T.black):
-        colors[whites[t]] = "white"
-        rotations[whites[t]] = [((t, i), 1) for i in t]
     return PlabicGraph.from_keyed(n, colors, edges, rotations)

@@ -11,23 +11,22 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
+from .perms import DecoratedPermutation
+
 Triangle = tuple[int, int, int]
 Arc = tuple[int, int]
 
 __all__ = [
     "BicoloredTriangulation",
     "BicoloredSubdivision",
-    "all_triangulations",
     "first_triangulation_containing",
-    "enumerate_bicolored",
     "enumerate_subdivisions",
-    "equivalence_class",
     "class_representative",
     "flip",
     "flippable_arcs",
     "area",
-    "arcs_of",
     "arcs_cross",
+    "polygon_sides",
     "fan_triangulation",
 ]
 
@@ -134,7 +133,7 @@ class BicoloredTriangulation:
     @cached_property
     def arc_areas(self) -> tuple[tuple[Arc, int], ...]:
         """(arc, area) for each arc of T in sorted order."""
-        return tuple(((h, j), area(self, h, j)) for h, j in arcs_of(self))
+        return tuple(((h, j), area(self, h, j)) for h, j in sorted(self.arcs()))
 
     def to_json(self) -> dict:
         return {
@@ -168,6 +167,29 @@ class BicoloredSubdivision:
     def key(self) -> tuple:
         return (self.n, tuple(sorted(self.black_polygons)))
 
+    def trip_permutation(self) -> DecoratedPermutation:
+        """The trip permutation of the dual tree, walked on the polygons: leg
+        i sits on the side (i, i+1); a trip entering a polygon (vertices in
+        increasing order) through its side (a, b) leaves a white one through
+        the next side (b, c) and a black one through the previous side
+        (z, a); a diagonal (x, y) leads on into the side (y, x) of the
+        neighbouring polygon; the trip of i stops at a side (j, j+1) of the
+        n-gon, and pi(i) = j.  The tree has no lollipop, so no fixed point."""
+        n, turn = self.n, {}
+        for polygons, step in ((self.white_polygons, 1), (self.black_polygons, -1)):
+            for poly in polygons:
+                ps = sorted(poly)
+                sides = list(zip(ps, ps[1:] + ps[:1]))
+                for s, side in enumerate(sides):
+                    turn[side] = sides[(s + step) % len(sides)]
+        images = []
+        for i in range(1, n + 1):
+            a, b = turn[(i, i % n + 1)]
+            while b != a % n + 1:
+                a, b = turn[(b, a)]
+            images.append(a)
+        return DecoratedPermutation(tuple(images), frozenset(), frozenset())
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -191,8 +213,10 @@ def arcs_of_triangles(tris) -> frozenset[Arc]:
     return frozenset(out)
 
 
-def arcs_of(T: BicoloredTriangulation) -> list[Arc]:
-    return sorted(T.arcs())
+def polygon_sides(poly) -> list[Arc]:
+    """The sides of the convex polygon on the vertices ``poly``, as sorted arcs."""
+    ps = sorted(poly)
+    return sorted(_norm_arc(a, b) for a, b in zip(ps, ps[1:] + ps[:1]))
 
 
 def arcs_cross(a: Arc, b: Arc) -> bool:
@@ -201,34 +225,15 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
     return (p < r < q < s) or (r < p < s < q)
 
 
-@lru_cache(maxsize=None)
-def _triangulations_of(cycle: tuple[int, ...]) -> tuple[frozenset[Triangle], ...]:
-    if len(cycle) < 3:
-        return (frozenset(),)
-    if len(cycle) == 3:
-        return (frozenset({_norm_tri(cycle)}),)
-    first, last = cycle[0], cycle[-1]
-    out = []
-    for m in range(1, len(cycle) - 1):
-        tri = _norm_tri((first, cycle[m], last))
-        for left in _triangulations_of(cycle[: m + 1]):
-            for right in _triangulations_of(cycle[m:]):
-                out.append(left | right | {tri})
-    return tuple(out)
-
-
-def all_triangulations(n: int) -> list[frozenset[Triangle]]:
-    """Every triangulation of the n-gon as a set of triangles (Catalan many)."""
-    return list(_triangulations_of(tuple(range(1, n + 1))))
-
-
 def first_triangulation_containing(n: int, tris) -> frozenset[Triangle]:
-    """The first triangulation of the n-gon in ``all_triangulations`` order
-    that contains the triangles ``tris``, without listing the others: split
-    each polygon at the first apex whose two new sides cross no arc of
-    ``tris``, then complete both parts (from a stack, so no recursion depth
-    grows with n).  If the arcs of ``tris`` cross, no triangulation holds
-    them and the result misses some of ``tris``; callers check."""
+    """The first triangulation of the n-gon that contains the triangles
+    ``tris``, where those of a polygon a..z sort by the apex of their
+    triangle on (a, z), lowest first, then by their parts on (a, apex) and
+    (apex, z) in that order.  No other is listed: split each polygon at the
+    first apex whose two new sides cross no arc of ``tris``, then complete
+    both parts (from a stack, so no recursion depth grows with n).  If the
+    arcs of ``tris`` cross, no triangulation holds them and the result
+    misses some of ``tris``; callers check."""
     arcs = arcs_of_triangles(tris)
     out, stack = set(), [tuple(range(1, n + 1))]
     while stack:
@@ -242,22 +247,6 @@ def first_triangulation_containing(n: int, tris) -> frozenset[Triangle]:
         out.add(_norm_tri((a, cycle[m], z)))
         stack += [cycle[: m + 1], cycle[m:]]
     return frozenset(out)
-
-
-def enumerate_bicolored(n: int, k: int) -> list[BicoloredTriangulation]:
-    """All type (k, n) bicolored triangulations."""
-    out = []
-    for tris in all_triangulations(n):
-        tlist = sorted(tris)
-        for blacks in combinations(tlist, k):
-            black = frozenset(blacks)
-            out.append(BicoloredTriangulation(n, black, tris - black))
-    return out
-
-
-def equivalence_class(T: BicoloredTriangulation) -> BicoloredSubdivision:
-    """Merge like-coloured neighbours into the polygons of the subdivision."""
-    return T.subdivision
 
 
 def fan_triangulation(poly: tuple[int, ...]) -> frozenset[Triangle]:
@@ -350,14 +339,10 @@ def area(T: BicoloredTriangulation, h: int, j: int) -> int:
     h, j = _norm_arc(h, j)
     if not (1 <= h < j <= T.n):
         raise ValueError(f"arc ({h},{j}) outside the {T.n}-gon")
-    S = equivalence_class(T)
+    S = T.subdivision
     interval = set(range(h, j + 1))
-    region_arcs = set()
-    for poly in list(S.black_polygons) + list(S.white_polygons):
-        ps = sorted(poly)
-        for idx in range(len(ps)):
-            region_arcs.add(_norm_arc(ps[idx], ps[(idx + 1) % len(ps)]))
-    if any(arcs_cross((h, j), a) for a in region_arcs):
+    if any(arcs_cross((h, j), a) for poly in S.black_polygons | S.white_polygons
+           for a in polygon_sides(poly)):
         raise ValueError(f"arc ({h},{j}) is incompatible with the subdivision of T")
     # a compatible chord meets at most one region's interior, so the piece of
     # each black polygon on the {h..j} side triangulates into |P & I| - 2 parts

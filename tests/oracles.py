@@ -40,14 +40,25 @@ points with ``sample_tile_point`` and checks its facets with
 decomposition that built a new matrix per step and placed each coloop
 last by twisted rotations; ``cells.matrix_realization`` is compared with it.
 ``scanned_subdivisions`` lists every bicolored triangulation of type (k, n)
-and merges like-coloured neighbours, as
-``triangulations.enumerate_subdivisions`` did before it generated the
-subdivisions directly; ``enumerate_subdivisions`` is compared with it.
+(``enumerate_bicolored``, over the Catalan many ``all_triangulations``) and
+merges like-coloured neighbours, as ``triangulations.enumerate_subdivisions``
+did before it generated the subdivisions directly; ``enumerate_subdivisions``
+is compared with it, and ``triangulations.first_triangulation_containing``
+with the first of ``all_triangulations`` that holds the given triangles.
+``simplex_in_positroid`` tests one w-simplex against a matroid vertex by
+vertex, where ``hypersimplex.cover_mask`` reads every simplex off one table.
+``corner_and_center_graph`` builds the plabic graph of an m = 2
+amplituhedron tile by hand, a black vertex at each corner of the n-gon and
+a white vertex inside each black triangle; the library gets it as the
+``plabic.t_dual_graph`` of the dual tree, which is compared with it.
+``sample_tile_point`` and ``_boundary_samples`` weight the edges of that
+T-dual graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
 
@@ -76,22 +87,22 @@ from positroid_lab.hypersimplex import (
     _resolve_tiles,
     cyclic_left_descents,
     enumerate_D,
-    simplex_in_positroid,
     tile_catalog,
     w_simplex,
 )
 from positroid_lab.perms import DecoratedPermutation
 from positroid_lab.plabic import (
     PlabicGraph,
+    boundary_id,
     boundary_measurement,
-    hat_graph_of_triangulation,
+    dual_graph_of_triangulation,
     matching_monomials,
+    t_dual_graph,
 )
 from positroid_lab.triangulations import (
     BicoloredSubdivision,
     BicoloredTriangulation,
     arcs_cross,
-    enumerate_bicolored,
 )
 from positroid_lab.trop import (
     HeightVector,
@@ -304,6 +315,13 @@ def zero_one_directions(n: int) -> list[list[Fraction]]:
             out.append(u)
             out.append([-x for x in u])
     return out
+
+
+def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
+    """Vertex containment: every descent set must be a basis."""
+    if ws.n != M.n:
+        raise ValueError("sizes do not match")
+    return all(Ir in M.bases for Ir in ws.I)
 
 
 def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
@@ -549,7 +567,7 @@ def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
                       rng: Random) -> AmplituhedronPoint:
     """Interior point of the tile of T: push random edge weights through
     the boundary-measurement parameterization of its cell."""
-    G = hat_graph_of_triangulation(T)
+    G = t_dual_graph(dual_graph_of_triangulation(T))
     weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
     P = boundary_measurement(G, weights)
     return amp_map(P, Z)
@@ -568,7 +586,7 @@ def noncrossing(arcs: Sequence) -> bool:
 def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,
                       per_edge: int = 3):
     """Images of closure points obtained by zeroing one edge weight."""
-    G = hat_graph_of_triangulation(T)
+    G = t_dual_graph(dual_graph_of_triangulation(T))
     out = []
     for e in range(len(G.edges)):
         for _ in range(per_edge):
@@ -628,3 +646,64 @@ def scanned_subdivisions(n: int, k: int) -> list[BicoloredSubdivision]:
     for T in enumerate_bicolored(n, k):
         seen.setdefault(T.subdivision.key(), T.subdivision)
     return [seen[key] for key in sorted(seen)]
+
+
+@lru_cache(maxsize=None)
+def _triangulations_of(cycle: tuple[int, ...]) -> tuple[frozenset, ...]:
+    if len(cycle) < 3:
+        return (frozenset(),)
+    if len(cycle) == 3:
+        return (frozenset({tuple(sorted(cycle))}),)
+    first, last = cycle[0], cycle[-1]
+    out = []
+    for m in range(1, len(cycle) - 1):
+        tri = tuple(sorted((first, cycle[m], last)))
+        for left in _triangulations_of(cycle[: m + 1]):
+            for right in _triangulations_of(cycle[m:]):
+                out.append(left | right | {tri})
+    return tuple(out)
+
+
+def all_triangulations(n: int) -> list[frozenset]:
+    """Every triangulation of the n-gon as a set of triangles (Catalan many)."""
+    return list(_triangulations_of(tuple(range(1, n + 1))))
+
+
+def enumerate_bicolored(n: int, k: int) -> list[BicoloredTriangulation]:
+    """All type (k, n) bicolored triangulations."""
+    out = []
+    for tris in all_triangulations(n):
+        tlist = sorted(tris)
+        for blacks in combinations(tlist, k):
+            black = frozenset(blacks)
+            out.append(BicoloredTriangulation(n, black, tris - black))
+    return out
+
+
+def corner_and_center_graph(T: BicoloredTriangulation) -> PlabicGraph:
+    """Bipartite graph with a black vertex at each polygon corner, a
+    trivalent white vertex inside each black triangle, and boundary legs."""
+    n = T.n
+    colors: dict[str, str] = {}
+    edges: dict = {}  # legs keyed by boundary name, spokes by (triangle, corner)
+    rotations: dict[str, list] = {}
+    whites = {t: "T" + "_".join(map(str, t)) for t in sorted(T.black)}
+    for i in range(1, n + 1):
+        colors[f"P{i}"] = "black"
+        leg = boundary_id(i)
+        edges[leg] = (leg, f"P{i}")
+        rotations[leg] = [(leg, 0)]
+        rot = [(leg, 1)]
+        # incident black triangles swept from the (i, i+1) side to (i-1, i)
+        nbrs = sorted({j for t in T.triangles if i in t for j in t if j != i},
+                      key=lambda j: (j - i) % n)
+        for a, b in zip(nbrs, nbrs[1:]):
+            t = tuple(sorted((i, a, b)))
+            if t in T.black:
+                edges[(t, i)] = (f"P{i}", whites[t])
+                rot.append(((t, i), 0))
+        rotations[f"P{i}"] = rot
+    for t in sorted(T.black):
+        colors[whites[t]] = "white"
+        rotations[whites[t]] = [((t, i), 1) for i in t]
+    return PlabicGraph.from_keyed(n, colors, edges, rotations)

@@ -43,7 +43,6 @@ from positroid_lab.hypersimplex import (
     enumerate_tilings,
     eulerian,
     plane_partitions,
-    simplex_in_positroid,
     tile_catalog,
     verify_tiling,
     w_simplex,
@@ -55,7 +54,6 @@ from positroid_lab.plabic import (
     boundary_measurement,
     dual_graph_of_triangulation,
     enumerate_move_sites,
-    hat_graph_of_triangulation,
     matchings,
     positroid_of_graph,
     t_dual_graph,
@@ -72,6 +70,7 @@ from positroid_lab.trop import (
 
 from lp import point_in_hull
 from oracles import (
+    enumerate_bicolored,
     jacobian_cell_dimension,
     sample_tile_point,
     sampled_adjacency,
@@ -149,7 +148,7 @@ def test_criterion_04_measurement_and_dimensions():
             for S in enumerate_subdivisions(n, k):
                 from positroid_lab.triangulations import class_representative
 
-                G = hat_graph_of_triangulation(class_representative(S))
+                G = t_dual_graph(dual_graph_of_triangulation(class_representative(S)))
                 assert jacobian_cell_dimension(G, trials=2, seed=1) == 2 * k
                 graphs += 1
     report(4, f"measurement TNN with stable matroid (300 draws); image "
@@ -353,8 +352,6 @@ def test_criterion_12_cluster():
     for n in (4, 5):
         for k in range(1, n - 1):
             Z = make_positive_Z(n, k + 2, list(range(n)))
-            from positroid_lab.triangulations import enumerate_bicolored
-
             for T in enumerate_bicolored(n, k):
                 S = build_seed(T)
                 for arc in flippable_arcs(T):

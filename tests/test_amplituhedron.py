@@ -31,9 +31,9 @@ from positroid_lab.exact import RatMatrix, det, rank, varbar
 from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
 from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_catalog, w_simplex
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
-from positroid_lab.triangulations import BicoloredTriangulation, area, enumerate_bicolored
+from positroid_lab.triangulations import BicoloredTriangulation, area
 
-from oracles import sample_tile_point, twistor_via_expansion
+from oracles import sample_tile_point, simplex_in_positroid, twistor_via_expansion
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
@@ -531,7 +531,7 @@ def test_amp_image_dimension_km():
 def test_simplex_containment_matches_chamber_containment():
     # a staircase simplex sits inside a tile's polytope exactly when every
     # sampled point of the matching sign-flip chamber sits in the dual tile
-    from positroid_lab.hypersimplex import simplex_in_positroid, tile_catalog
+    from positroid_lab.hypersimplex import tile_catalog
 
     rng = Random(15)
     for (k, n, rounds) in [(1, 4, 120), (1, 5, 120), (2, 5, 150)]:

@@ -220,10 +220,11 @@ def test_black_polygon_tiles_match_the_catalan_scan():
     from positroid_lab.cli import _parse_tile
     from positroid_lab.triangulations import (
         BicoloredTriangulation,
-        all_triangulations,
         enumerate_subdivisions,
         fan_triangulation,
     )
+
+    from oracles import all_triangulations
 
     checked = 0
     for n in range(3, 9):
@@ -239,29 +240,21 @@ def test_black_polygon_tiles_match_the_catalan_scan():
     assert checked == 2320
 
 
-def test_black_polygon_tile_lists_no_triangulations(capsys, monkeypatch, tmp_path):
+def test_black_polygon_tile_lists_no_triangulations(capsys, tmp_path):
     from positroid_lab import triangulations
 
-    calls = []
-    original = triangulations.all_triangulations
-
-    def counting(n):
-        calls.append(n)
-        return original(n)
-
-    monkeypatch.setattr(triangulations, "all_triangulations", counting)
+    # the Catalan scan of every triangulation lives only in the test oracles
+    assert not hasattr(triangulations, "all_triangulations")
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"space": "hypersimplex", "n": 8,
                              "tiles": [{"black_polygons": [[1, 4, 7]]}]}))
     code, out = run(capsys, "tilings", "--t-dual", str(p))
     assert code == 0 and len(json.loads(out)["tiles"]) == 1
-    assert calls == []
     crossing = tmp_path / "x.json"
     crossing.write_text(json.dumps({"space": "hypersimplex", "n": 6,
                                     "tiles": [{"black_polygons": [[1, 3, 5], [2, 4, 6]]}]}))
     assert main(["tilings", "--t-dual", str(crossing)]) == 2
     assert capsys.readouterr().err.startswith("input error: black polygons")
-    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,6 +341,31 @@ def test_listed_tilings_are_pinned(capsys, argv, digest):
     assert code == 0
     # stdout of the version that built a Tiling per tile set and labelled
     # its tiles by hashing their permutations
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["tilings", "--t-dual", "FILE"],
+     "4ee84ae756739cbe72f0618ebd5d294166faca30c96789397070657cd4f042a5"),
+    (["tilings", "--verify", "FILE"],
+     "899e9e19371aa320d1a110cd1eb721dc259a94a6d68b620787953abed5d54524"),
+    (["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3,4,5,6",
+      "--samples", "5"],
+     "587fb47888eaf9c373871118020565defb11c6655ce26505223cfd61283753fd"),
+])
+def test_black_polygon_tilings_are_pinned(capsys, tmp_path, argv, digest):
+    import hashlib
+
+    from positroid_lab.hypersimplex import enumerate_tilings
+
+    p = tmp_path / "tiling.json"
+    p.write_text(json.dumps({"space": "hypersimplex", "k": 2, "n": 7, "tiles": [
+        {"black_polygons": rec.to_json()["black_polygons"]}
+        for rec in enumerate_tilings(3, 7)[0].tiles]}))
+    code, out = run(capsys, *[str(p) if a == "FILE" else a for a in argv])
+    assert code == 0
+    # stdout of the version that labelled each tile by the trips of its
+    # dual plabic tree
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -469,6 +487,8 @@ FUZZ_CASES = {
              ["trop", "--heights", "FILE"], ("heights",)),
     "tilings-verify": (_PERM_TILES, ["tilings", "--verify", "FILE"], ("tiles", 0)),
     "tilings-t-dual": (_PERM_TILES, ["tilings", "--t-dual", "FILE"], ("tiles", 1)),
+    "tilings-t-dual-polygons": (_POLYGON_TILES, ["tilings", "--t-dual", "FILE"],
+                                ("tiles", 0)),
     "amp-verify-tiling": (_POLYGON_TILES,
                           ["amp", "verify-tiling", "--file", "FILE",
                            "--z", "vandermonde:0,1,2,3", "--samples", "3"],

@@ -14,17 +14,15 @@ from positroid_lab.cluster import (
     build_seed,
     cluster_adjacency_check,
     default_distinguished,
-    eval_cluster_var,
     mutate,
 )
 from positroid_lab.triangulations import (
     BicoloredTriangulation,
-    enumerate_bicolored,
     flip,
     flippable_arcs,
 )
 
-from oracles import noncrossing, sample_tile_point, sampled_adjacency
+from oracles import enumerate_bicolored, noncrossing, sample_tile_point, sampled_adjacency
 
 
 def flipped_arc(T, arc):
@@ -63,7 +61,7 @@ def test_distinguished_variable_is_one():
     rng = Random(0)
     Y = sample_tile_point(T, Z, rng)
     var = ArcVariable(dist, area(T, *dist), dist, area(T, *dist))
-    assert eval_cluster_var(var, Y, Z) == 1
+    assert var.evaluate(Y, Z) == 1
 
 
 def test_build_seed_reads_areas_off_the_triangulation(monkeypatch):

@@ -22,7 +22,6 @@ from positroid_lab.hypersimplex import (
     plane_partitions,
     point_satisfies_inequalities,
     polytope_vertices,
-    simplex_in_positroid,
     tile_catalog,
     tile_inequalities_hypersimplex,
     verify_tiling,
@@ -39,6 +38,7 @@ from oracles import (
     rotation_descent_sets,
     scan_verify_tiling,
     scanned_D,
+    simplex_in_positroid,
 )
 
 

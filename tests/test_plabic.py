@@ -26,17 +26,16 @@ from positroid_lab.plabic import (
     dual_graph_of_triangulation,
     enumerate_move_sites,
     faces,
-    hat_graph_of_triangulation,
     is_reduced,
     matchings,
     positroid_of_graph,
     t_dual_graph,
     trip_permutation,
 )
-from positroid_lab.triangulations import BicoloredTriangulation, enumerate_bicolored
+from positroid_lab.triangulations import BicoloredTriangulation
 
 from move_search import canonical_form, search_is_reduced
-from oracles import jacobian_cell_dimension
+from oracles import corner_and_center_graph, enumerate_bicolored, jacobian_cell_dimension
 
 
 def test_trip_permutation_g1():
@@ -133,7 +132,7 @@ def test_cell_dimension_hat_graph_is_2k():
     for n in (4, 5):
         for k in range(1, n - 1):
             for T in enumerate_bicolored(n, k)[:4]:
-                G = hat_graph_of_triangulation(T)
+                G = t_dual_graph(dual_graph_of_triangulation(T))
                 assert cell_dimension(G) == 2 * k
 
 
@@ -338,7 +337,18 @@ def test_t_dual_graph_matches_hat_and_rotation():
                 td = t_dual_graph(G)
                 assert trip_permutation(td) == t_dual(trip_permutation(G))
                 assert trip_permutation(td) == \
-                    trip_permutation(hat_graph_of_triangulation(T))
+                    trip_permutation(corner_and_center_graph(T))
+
+
+def test_t_dual_of_the_dual_tree_is_the_corner_and_center_graph():
+    checked = 0
+    for n in range(3, 8):
+        for k in range(n - 1):
+            for T in enumerate_bicolored(n, k):
+                G = t_dual_graph(dual_graph_of_triangulation(T))
+                assert canonical_form(G) == canonical_form(corner_and_center_graph(T)), T
+                checked += 1
+    assert checked == 1618
 
 
 def test_t_dual_graph_nine_gon_pair():

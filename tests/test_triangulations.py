@@ -4,18 +4,19 @@ import math
 
 import pytest
 
+from positroid_lab.perms import parse_decorated
+from positroid_lab.plabic import dual_graph_of_triangulation, trip_permutation
 from positroid_lab.triangulations import (
     BicoloredTriangulation,
-    all_triangulations,
     area,
     arcs_cross,
     class_representative,
-    enumerate_bicolored,
     enumerate_subdivisions,
-    equivalence_class,
     flip,
     flippable_arcs,
 )
+
+from oracles import all_triangulations, enumerate_bicolored
 
 
 def catalan(m: int) -> int:
@@ -41,10 +42,10 @@ def test_validation_rejects_crossing_diagonals_with_sides_covered_once():
 
 def test_equivalence_class_merges_like_colors():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
-    S = equivalence_class(T)
+    S = T.subdivision
     assert S.black_polygons == frozenset({(1, 2, 3, 4)})
     T2 = BicoloredTriangulation.make(4, black=[(1, 2, 4), (2, 3, 4)], white=[])
-    assert equivalence_class(T2) == S
+    assert T2.subdivision == S
 
 
 def test_all_white_single_class():
@@ -55,8 +56,8 @@ def test_all_white_single_class():
 
 def test_class_representative_round_trip():
     for T in enumerate_bicolored(5, 2):
-        S = equivalence_class(T)
-        assert equivalence_class(class_representative(S)) == S
+        S = T.subdivision
+        assert class_representative(S).subdivision == S
 
 
 def test_flip_black_square():
@@ -65,7 +66,7 @@ def test_flip_black_square():
     T2 = flip(T, (1, 3))
     assert T2.black == frozenset({(1, 2, 4), (2, 3, 4)})
     assert flip(T2, (2, 4)) == T
-    assert equivalence_class(T2) == equivalence_class(T)
+    assert T2.subdivision == T.subdivision
 
 
 def test_flip_rejects_frozen_or_white():
@@ -140,6 +141,32 @@ def test_subdivision_counts_match_tiles():
     assert len(enumerate_subdivisions(6, 1)) == math.comb(6, 3)
 
 
+def test_polygon_walk_matches_the_dual_tree_trips():
+    S9 = BicoloredTriangulation.make(
+        9, black=[(7, 8, 9), (1, 7, 9), (2, 3, 7), (3, 4, 7), (4, 5, 7)],
+        white=[(1, 2, 7), (5, 6, 7)]).subdivision
+    assert S9.trip_permutation() == parse_decorated("(5,9,2,3,6,4,1,7,8)")
+    checked = 0
+    for n in range(3, 9):
+        for k in range(n - 1):
+            for S in enumerate_subdivisions(n, k):
+                tree = dual_graph_of_triangulation(class_representative(S))
+                assert S.trip_permutation() == trip_permutation(tree), S
+                checked += 1
+    assert checked == 2320
+
+
+def test_every_triangulation_of_a_class_walks_the_trips_of_its_tree():
+    checked = 0
+    for n in range(3, 8):
+        for k in range(n - 1):
+            for T in enumerate_bicolored(n, k):
+                tree = dual_graph_of_triangulation(T)
+                assert T.subdivision.trip_permutation() == trip_permutation(tree), T
+                checked += 1
+    assert checked == 1618
+
+
 @pytest.mark.parametrize("k_plus_1, n", [(3, 6), (2, 6)])
 def test_arc_areas_match_area(k_plus_1, n):
     from positroid_lab.hypersimplex import tile_catalog
@@ -156,7 +183,6 @@ def test_cached_facts_stay_out_of_equality_hash_and_repr():
                                     white=[(1, 4, 5), (1, 5, 6)])
     U = BicoloredTriangulation.make(6, black=[(1, 2, 3), (1, 3, 4)],
                                     white=[(1, 4, 5), (1, 5, 6)])
-    assert equivalence_class(T) is T.subdivision
     assert len(T.arc_areas) == 9
     assert "arc_areas" in vars(T) and "subdivision" in vars(T)
     assert "arc_areas" not in vars(U)

@@ -17,7 +17,6 @@ from positroid_lab.hypersimplex import (
     cover_mask,
     enumerate_D,
     eulerian,
-    simplex_in_positroid,
     tile_catalog,
 )
 from positroid_lab.trop import (
