@@ -335,25 +335,24 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
     then audit geometrically: every sampled interior point must land in
     exactly one open tile; ``hit_counts`` tallies the samples by hits.
-    The samples depend on k, Z and the seed only, so Z draws them once for
-    every tiling audited against it."""
-    if not tiles:
-        raise ValueError("no tiles given")
-    n, k = tiles[0].n, tiles[0].k
+    The type (k, n) = (p - 2, n) is read off Z; a tile of another type is a
+    violation and stays out of the audit.  The samples depend on k, Z and
+    the seed only, so Z draws them once for every tiling audited against it."""
+    k, n = Z.p - 2, Z.n
+    if k < 0:
+        raise ValueError(f"m = 2 tiles need Z with p >= 2 columns, not {Z.p}")
     points = Z.audits.get((k, samples, seed))
     if points is None:
         rng = Random(seed)
         points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
         Z.audits[k, samples, seed] = points
-    violations: list[str] = []
-    for T in tiles:
-        if (T.n, T.k) != (n, k):
-            violations.append(f"tile {T!r} has mismatched type")
+    violations = [f"tile {T!r} has mismatched type" for T in tiles if (T.n, T.k) != (n, k)]
     hrep = verify_tiling(tiles, k + 1, n)
     if not hrep.valid:
         violations.extend("T-dual: " + v for v in hrep.violations)
+    typed = [T for T in tiles if (T.n, T.k) == (n, k)]
     hit_counts = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True
-                             for T in tiles) for Y in points)
+                             for T in typed) for Y in points)
     missed = len(points) - hit_counts[1]
     if missed:
         violations.append(f"{missed} of {len(points)} samples did not hit exactly one "
@@ -382,36 +381,21 @@ def b_point(C: RatMatrix, Z: ZMatrix) -> BPointReport:
     """Intersect the orthogonal complement of C's row space with the column
     span of Z and compare its coordinates against the twistors of Y = CZ.
 
-    The two coordinate vectors must agree up to one global scalar.
+    x = Z a is orthogonal to C's rows exactly when Y a = 0, so the
+    intersection is spanned by Z times the kernel of Y.  The two coordinate
+    vectors must agree up to one global scalar.
     """
-    k = C.rows
-    n = C.cols
-    m = Z.p - k
-    A = kernel_basis(C)            # rows span the orthogonal complement
-    Zt = Z.mat.transpose()         # rows span the column space of Z
-    # x in both spans: x = u A = v Zt; solve [A^T | -Zt^T] (u, v) = 0
-    cols = []
-    for r in range(A.rows):
-        cols.append(list(A.row(r)))
-    for r in range(Zt.rows):
-        cols.append([-x for x in Zt.row(r)])
-    system = RatMatrix.from_rows(cols).transpose()
-    K = kernel_basis(system)
-    xs = []
-    for r in range(K.rows):
-        coeffs = K.row(r)[:A.rows]
-        x = [sum(c * A.entry(t, j) for t, c in enumerate(coeffs))
-             for j in range(n)]
-        xs.append(x)
-    X = RatMatrix.from_rows(xs) if xs else RatMatrix.zero(0, n)
+    m = Z.p - C.rows
+    Y = C.matmul(Z.mat)
+    X = kernel_basis(Y).matmul(Z.mat.transpose())
     dim_ok = rank(X) == m and X.rows == m
     if not dim_ok:
         return BPointReport(False, False, X, None)
     PX = plucker_of_matrix(X)
-    table = twistor_table(C.matmul(Z.mat), Z)
+    table = twistor_table(Y, Z)
     scalar = None
     consistent = True
-    for I in subsets(n, m):
+    for I in subsets(C.cols, m):
         p, t = PX.coords[I], table[I]
         if p == 0 and t == 0:
             continue

@@ -88,31 +88,18 @@ def _load_json(path: str) -> dict:
     return _InputObject(data, path)
 
 
-def _int(data: _InputObject, key: str, default=None) -> int:
-    """data[key] (or ``default`` when given and the key is absent), which
-    must be a JSON integer."""
-    v = data[key] if default is None else data.get(key, default)
+def _int(data: _InputObject, key: str) -> int:
+    """data[key], which must be a JSON integer."""
+    v = data[key]
     if type(v) is not int:
         raise InputError(f"{key!r} in {data.path} must be an integer, not {v!r}")
     return v
 
 
-def _tiles(data: _InputObject) -> list:
-    tiles = data["tiles"]
-    if not isinstance(tiles, list):
-        raise InputError(f"'tiles' in {data.path} must be a list, not {tiles!r}")
-    return tiles
-
-
-def _space(data: _InputObject, default: str) -> str:
-    space = data.get("space", default)
-    if space not in ("hypersimplex", "amplituhedron"):
-        raise InputError(f"'space' in {data.path} must be \"hypersimplex\" or "
-                         f"\"amplituhedron\", not {space!r}")
-    return space
-
-
-def _parse_z(spec: str, n: int, p: int) -> ZMatrix:
+def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
+    """Z from a --z spec; with none, rows on the moment curve at 0..n-1."""
+    if spec is None:
+        return make_positive_Z(n, p, range(n))
     if spec.startswith("vandermonde:"):
         nodes = [Fraction(t) for t in spec.split(":", 1)[1].split(",")]
         if len(nodes) != n:
@@ -164,6 +151,22 @@ def _parse_tile(rec, n: int):
     return t
 
 
+def _read_tiling(path: str, space: str | None):
+    """A tiling file's data, n, space and tiles, each record parsed once; a
+    ``space`` of None reads the file's, which defaults to hypersimplex."""
+    data = _load_json(path)
+    n = _int(data, "n")
+    if space is None:
+        space = data.get("space", "hypersimplex")
+        if space not in ("hypersimplex", "amplituhedron"):
+            raise InputError(f"'space' in {path} must be \"hypersimplex\" or "
+                             f"\"amplituhedron\", not {space!r}")
+    tiles = data["tiles"]
+    if not isinstance(tiles, list):
+        raise InputError(f"'tiles' in {path} must be a list, not {tiles!r}")
+    return data, n, space, [_parse_tile(rec, n) for rec in tiles]
+
+
 def _tile_triangulation(t, k: int, n: int) -> BicoloredTriangulation:
     """A triangulation for a tile given either way: hypersimplex labels are
     type (k+1, n) catalog keys; amplituhedron labels are their rotations."""
@@ -183,7 +186,7 @@ def _tile_triangulation(t, k: int, n: int) -> BicoloredTriangulation:
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         for key, val in payload.items():
             print(f"{key}: {val}")
     else:
@@ -193,11 +196,8 @@ def _emit(args, payload: dict) -> None:
 def cmd_cell(args) -> int:
     if args.graph:
         G = PlabicGraph.from_json(_load_json(args.graph))
-        if args.format == "dot":
-            print(G.to_dot())
-            return 0
-        if args.format == "tikz":
-            print(G.to_tikz())
+        if args.format in ("dot", "tikz"):
+            print(G.to_dot() if args.format == "dot" else G.to_tikz())
             return 0
         pi = trip_permutation(G)
         payload = {
@@ -214,6 +214,8 @@ def cmd_cell(args) -> int:
         return 0
     if not args.perm:
         raise InputError("cell needs --perm or --graph")
+    if args.format in ("dot", "tikz"):
+        raise InputError(f"--format {args.format} draws a --graph, not a --perm")
     pi = _parse_perm(args.perm)
     M = positroid_of_perm(pi)
     payload = {
@@ -238,37 +240,24 @@ def cmd_cell(args) -> int:
 
 
 def cmd_tilings(args) -> int:
-    if not (args.verify or args.t_dual) and (args.k is None or args.n is None):
-        raise InputError("tilings needs --k and --n (or --verify / --t-dual)")
     if args.t_dual:
-        data = _load_json(args.t_dual)
-        n = _int(data, "n")
-        space = _space(data, "amplituhedron")
+        _, n, space, tiles = _read_tiling(args.t_dual, None)
         out_tiles = []
-        for rec in _tiles(data) if "tiles" in data else []:
-            t = _parse_tile(rec, n)
+        for t in tiles:
             if isinstance(t, BicoloredTriangulation):
-                out_tiles.append(repr(t_dual(t.subdivision.trip_permutation())))
-            elif space == "hypersimplex":
-                out_tiles.append(repr(t_dual(t)))
-            else:
-                out_tiles.append(repr(t_dual_inverse(t)))
+                # a polygon tile's label in its file's space
+                t = t.subdivision.trip_permutation()
+                if space == "amplituhedron":
+                    t = t_dual(t)
+            out_tiles.append(repr(t_dual(t) if space == "hypersimplex" else t_dual_inverse(t)))
         _emit(args, {"space": "amplituhedron" if space == "hypersimplex"
                      else "hypersimplex",
                      "n": n, "tiles": out_tiles})
         return 0
     if args.verify:
-        data = _load_json(args.verify)
-        n = _int(data, "n")
-        k = _int(data, "k") if "k" in data else _int(data, "k_plus_1", 1) - 1
-        space = _space(data, "hypersimplex")
-        tiles = [_parse_tile(rec, n) for rec in _tiles(data)]
-        if space == "hypersimplex":
-            rep = verify_tiling(tiles, k + 1, n)
-            _emit(args, rep.to_json())
-            return 0 if rep.valid else 1
-        return _verify_amp_tiles(args, tiles, k, n,
-                                 args.z or f"vandermonde:{','.join(map(str, range(n)))}")
+        return _verify_file(args, args.verify, None)
+    if args.k is None or args.n is None:
+        raise InputError("tilings needs --k and --n (or --verify / --t-dual)")
     k_plus_1, n = args.k + 1, args.n
     count = count_tilings(k_plus_1, n)
     if args.space == "hypersimplex":
@@ -330,7 +319,7 @@ def cmd_amp_sample(args) -> int:
     kind = type_of(pi)
     if kind != (k, n):
         raise InputError(f"cell {pi!r} has type ({kind[0]},{kind[1]}), expected ({k},{n})")
-    Z = _parse_z(args.z or f"vandermonde:{','.join(map(str, range(n)))}", n, k + m)
+    Z = _parse_z(args.z, n, k + m)
     rng = Random(args.seed)
     samples = []
     for _ in range(args.count):
@@ -351,22 +340,30 @@ def cmd_amp_sample(args) -> int:
     return 0
 
 
-def _verify_amp_tiles(args, tiles: list, k: int, n: int, z_spec: str) -> int:
-    """Verify parsed tiles as an m = 2 amplituhedron tiling of type (k, n)
-    against the Z of ``z_spec``, print the report and return its exit code."""
-    tris = [_tile_triangulation(t, k, n) for t in tiles]
-    Z = _parse_z(z_spec, n, k + 2)
-    rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
+def _verify_file(args, path: str, space: str | None) -> int:
+    """Verify the tiling file at ``path`` in its space (or in ``space``),
+    print the report and return its exit code.  The rank is "k", or else
+    "k_plus_1" - 1; an amplituhedron tiling is checked against --z, by
+    default on the moment curve at 0..n-1."""
+    data, n, space, tiles = _read_tiling(path, space)
+    if "k" in data:
+        k = _int(data, "k")
+    elif "k_plus_1" in data:
+        k = _int(data, "k_plus_1") - 1
+    else:
+        raise InputError(f"missing key 'k' (or 'k_plus_1') in {path}")
+    if space == "hypersimplex":
+        rep = verify_tiling(tiles, k + 1, n)
+    else:
+        tris = [_tile_triangulation(t, k, n) for t in tiles]
+        Z = _parse_z(args.z, n, k + 2)
+        rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
     _emit(args, rep.to_json())
     return 0 if rep.valid else 1
 
 
 def cmd_amp_verify(args) -> int:
-    data = _load_json(args.file)
-    n = _int(data, "n")
-    k = _int(data, "k", 1)
-    tiles = [_parse_tile(rec, n) for rec in _tiles(data)]
-    return _verify_amp_tiles(args, tiles, k, n, args.z)
+    return _verify_file(args, args.file, "amplituhedron")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,13 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "tilings, tropical subdivisions, and amplituhedron tiles")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=["json", "text", "dot", "tikz"],
-                        default="json")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=["json", "text"], default="json")
+    common = [seeded, formats]
 
-    p = sub.add_parser("cell", parents=[common],
+    p = sub.add_parser("cell", parents=[seeded],
                        help="positroid data of a cell from a permutation or graph file")
+    p.add_argument("--format", choices=["json", "text", "dot", "tikz"], default="json",
+                   help="dot and tikz draw a --graph")
     p.add_argument("--perm", help='decorated permutation, e.g. "(3,1,4,2)" or "2,3,1,4_"')
     p.add_argument("--graph", help="path to a plabic graph JSON file")
     p.add_argument("--matchings", action="store_true",
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit this many exact sample points of the cell")
     p.set_defaults(func=cmd_cell)
 
-    p = sub.add_parser("tilings", parents=[common],
+    p = sub.add_parser("tilings", parents=common,
                        help="count and list the tilings of a type, or verify or "
                             "T-dualize a tiling file",
                        description="With --k and --n: the count of tilings, always, and "
@@ -407,14 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_tilings)
 
-    p = sub.add_parser("trop", parents=[common],
+    p = sub.add_parser("trop", parents=[formats],
                        help="positivity check and regular subdivision of a heights file")
     p.add_argument("--heights", required=True, help="path to a heights JSON file")
     p.set_defaults(func=cmd_trop)
 
     pa = sub.add_parser("amp", help="amplituhedron sampling and verification")
     asub = pa.add_subparsers(dest="amp_command", required=True)
-    p = asub.add_parser("sample", parents=[common])
+    p = asub.add_parser("sample", parents=common)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--z")
     p.set_defaults(func=cmd_amp_sample)
-    p = asub.add_parser("verify-tiling", parents=[common])
+    p = asub.add_parser("verify-tiling", parents=common)
     p.add_argument("--file", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--samples", type=int, default=25)

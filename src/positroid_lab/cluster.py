@@ -96,7 +96,6 @@ class Seed:
     frozen: frozenset[Arc]
     arrows: dict[tuple[Arc, Arc], int]
     variables: dict[Arc, object]
-    triangulation: BicoloredTriangulation | None = None
 
     def mutable_keys(self) -> list[Arc]:
         return [k for k in self.keys if k not in self.frozen]
@@ -179,7 +178,7 @@ def build_seed(T: BicoloredTriangulation,
                     continue
                 arrows[(u, v)] = arrows.get((u, v), 0) + 1
     _cancel_two_cycles(arrows)
-    return Seed(tuple(keys), frozenset(frozen), arrows, variables, T)
+    return Seed(tuple(keys), frozenset(frozen), arrows, variables)
 
 
 def _cancel_two_cycles(arrows: dict[tuple[Arc, Arc], int]) -> None:
@@ -231,7 +230,7 @@ def mutate(S: Seed, key: Arc, new_key: Arc | None = None) -> Seed:
     keys = tuple(nk if k == key else k for k in S.keys)
     variables = {nk if k == key else k: (new_var if k == key else S.variables[k])
                  for k in S.keys}
-    return Seed(keys, S.frozen, arrows, variables, S.triangulation)
+    return Seed(keys, S.frozen, arrows, variables)
 
 
 def _both_frozen(S: Seed, rename, pair) -> bool:

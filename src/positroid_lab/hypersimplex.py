@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cells import positroid_of_perm
 from .grassmann import Matroid, PluckerVector
@@ -176,12 +176,15 @@ def cover_mask(simplices: tuple[WSimplex, ...], M: Matroid) -> int:
 @dataclass(frozen=True)
 class TileRecord:
     """A moment-map tile: a subdivision's trip permutation, its positroid,
-    the subdivision and its fan triangulation."""
+    the subdivision and, built on first use, its fan triangulation."""
 
     perm: DecoratedPermutation
     matroid: Matroid
     subdivision: BicoloredSubdivision
-    triangulation: BicoloredTriangulation
+
+    @cached_property
+    def triangulation(self) -> BicoloredTriangulation:
+        return class_representative(self.subdivision)
 
     def to_json(self) -> dict:
         return {
@@ -205,7 +208,7 @@ def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord
         pi = S.trip_permutation()
         if pi in out:
             raise RuntimeError(f"two subdivisions share the tile label {pi}")
-        out[pi] = TileRecord(pi, positroid_of_perm(pi), S, class_representative(S))
+        out[pi] = TileRecord(pi, positroid_of_perm(pi), S)
     return {pi: out[pi] for pi in sorted(out, key=repr)}
 
 
@@ -332,16 +335,27 @@ def enumerate_tiling_indices(k_plus_1: int, n: int) -> tuple[tuple[int, ...], ..
     return tuple(found)
 
 
+# ``count_tilings`` gives up past this many bits of memo keys: (4,8) needs
+# 1.38e10 bits (2.4 GB), and (3,9) would need more memory than 7 GB.
+COUNT_MEMO_BITS = 15_000_000_000
+
+
 @lru_cache(maxsize=None)
 def count_tilings(k_plus_1: int, n: int) -> int:
     """Number of tilings: the search of ``enumerate_tiling_indices``
-    memoized on the uncovered mask, so no tiling is listed."""
+    memoized on the uncovered mask, so no tiling is listed.  Each memo key
+    is as wide as the staircase, so ValueError once the memo holds more
+    than ``COUNT_MEMO_BITS`` bits of keys."""
     by_least = _tiles_by_least(k_plus_1, n)
+    most_states = COUNT_MEMO_BITS // len(by_least)
     memo = {0: 1}
 
     def count(uncovered: int) -> int:
         c = memo.get(uncovered)
         if c is None:
+            if len(memo) > most_states:
+                raise ValueError(f"counting the tilings of ({k_plus_1},{n}) needs more than "
+                                 f"{COUNT_MEMO_BITS} bits of memo keys (COUNT_MEMO_BITS)")
             c = memo[uncovered] = sum(
                 count(uncovered ^ mask)
                 for _, mask in by_least[(uncovered & -uncovered).bit_length() - 1]

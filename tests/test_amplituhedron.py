@@ -466,6 +466,21 @@ def test_verify_amp_tiling_draws_audit_points_once_per_z(monkeypatch):
     assert calls == [(1, 4)] * 15
 
 
+def test_verify_amp_tiling_reads_its_type_off_z():
+    # the first tile no longer sets the type: a (1,4) tile first, then (2,4)
+    # tiles, against a Z of p = 4
+    Z = make_positive_Z(4, 4, [0, 1, 2, 3])
+    T2 = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
+    rep = verify_amp_tiling_m2([T123, T2], Z, samples=3, seed=0)
+    assert (rep.k, rep.n) == (2, 4) and not rep.valid
+    assert rep.violations[0] == f"tile {T123!r} has mismatched type"
+    assert rep.hit_counts == {1: 3}  # the (2,4) tile alone is audited
+    empty = verify_amp_tiling_m2([], Z4, samples=2, seed=0)
+    assert not empty.valid and "T-dual: simplex of w=1324 uncovered" in empty.violations
+    with pytest.raises(ValueError, match="p >= 2"):
+        verify_amp_tiling_m2([T123], make_positive_Z(4, 1, [0, 1, 2, 3]))
+
+
 def test_verify_amp_tiling_25():
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
     tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),

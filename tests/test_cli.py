@@ -460,6 +460,123 @@ def test_tilings_k_below_zero_names_the_bound(capsys, tmp_path, argv, data):
     assert captured.err == "input error: need 1 <= k+1 <= n-1\n"
 
 
+def test_library_tiling_file_verifies_under_both_verify_commands(capsys, tmp_path):
+    from positroid_lab.hypersimplex import enumerate_tilings
+
+    # Tiling.to_json() names the rank as "k_plus_1"
+    p = tmp_path / "tiling.json"
+    p.write_text(json.dumps(enumerate_tilings(3, 6)[5].to_json()))
+    code, out = run(capsys, "tilings", "--verify", str(p))
+    assert code == 0 and json.loads(out)["valid"]
+    code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
+                    "--z", "vandermonde:0,1,2,3,4,5", "--samples", "3")
+    report = json.loads(out)
+    assert code == 0 and report["valid"] and (report["k"], report["n"]) == (2, 6)
+
+
+def test_t_dual_labels_a_polygon_tile_as_its_permutation(capsys, tmp_path):
+    # one amplituhedron tile, written as black polygons and as its label
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"space": "amplituhedron", "n": 4,
+                             "tiles": [{"black_polygons": [[1, 2, 3]]}, "(2,3,1,4_)"]}))
+    code, out = run(capsys, "tilings", "--t-dual", str(p))
+    assert code == 0
+    assert json.loads(out) == {"space": "hypersimplex", "n": 4,
+                               "tiles": ["(3,1,4,2)", "(3,1,4,2)"]}
+
+
+def test_amp_verify_tiling_reports_tiles_of_another_type(capsys, tmp_path):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"space": "amplituhedron", "k": 2, "n": 4,
+                             "tiles": [{"black_polygons": [[1, 2, 3]]},
+                                       {"black_polygons": [[1, 3, 4]]}]}))
+    code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
+                    "--z", "vandermonde:0,1,2,3", "--samples", "3")
+    report = json.loads(out)
+    assert code == 1 and not report["valid"] and (report["k"], report["n"]) == (2, 4)
+    assert sum("mismatched type" in v for v in report["violations"]) == 2
+    # no point of A(4,2,2) lies in a tile of type (1,4)
+    assert report["hit_counts"] == {"0": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--verify", "FILE"],
+    ["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3"],
+])
+def test_verify_without_a_rank_exits_2(capsys, tmp_path, argv):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"space": "amplituhedron", "n": 4,
+                             "tiles": [{"black_polygons": [[1, 2, 3]]},
+                                       {"black_polygons": [[1, 3, 4]]}]}))
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: missing key 'k' (or 'k_plus_1') in {p}\n"
+
+
+def test_t_dual_needs_a_tiles_list(capsys, tmp_path):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"space": "hypersimplex", "n": 4}))
+    assert main(["tilings", "--t-dual", str(p)]) == 2
+    assert capsys.readouterr().err == f"input error: missing key 'tiles' in {p}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--k", "1", "--n", "4", "--format", "dot"],
+    ["trop", "--heights", "demos/heights_two_pyramids.json", "--seed", "3"],
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["dot", "tikz"])
+def test_cell_perm_cannot_be_drawn(capsys, fmt):
+    assert main(["cell", "--perm", "(3,4,1,2)", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --format {fmt} draws a --graph, not a --perm\n"
+
+
+def test_tiling_count_past_the_memo_bound_exits_2(capsys, monkeypatch):
+    from positroid_lab import hypersimplex
+
+    argv = ["tilings", "--k", "2", "--n", "7"]
+    hypersimplex.count_tilings.cache_clear()
+    monkeypatch.setattr(hypersimplex, "COUNT_MEMO_BITS", 1000)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: counting the tilings of (3,7) needs more")
+    monkeypatch.setattr(hypersimplex, "COUNT_MEMO_BITS", 10 ** 6)
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["count"] == 13153
+
+
+def _readme_command_lines():
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("positroid-lab ")]
+
+
+def test_readme_command_block_has_its_examples():
+    assert len(_readme_command_lines()) >= 10
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_exit_0(capsys, monkeypatch, line):
+    import shlex
+    from pathlib import Path
+
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    argv = shlex.split(line, comments=True)[1:]
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+
+
 # -- fuzzing the exit-code contract --------------------------------------------
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -486,6 +603,9 @@ FUZZ_CASES = {
     "trop": (HeightVector.make(2, 4, {(1, 2): 1}).to_json(),
              ["trop", "--heights", "FILE"], ("heights",)),
     "tilings-verify": (_PERM_TILES, ["tilings", "--verify", "FILE"], ("tiles", 0)),
+    "tilings-verify-amplituhedron": (_POLYGON_TILES,
+                                     ["tilings", "--verify", "FILE", "--samples", "3"],
+                                     ("tiles", 0)),
     "tilings-t-dual": (_PERM_TILES, ["tilings", "--t-dual", "FILE"], ("tiles", 1)),
     "tilings-t-dual-polygons": (_POLYGON_TILES, ["tilings", "--t-dual", "FILE"],
                                 ("tiles", 0)),

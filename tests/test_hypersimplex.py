@@ -119,6 +119,16 @@ def test_simplex_in_positroid_agrees_with_lp():
                 assert inside == point_in_hull(bary, hull), (ws, rec.perm)
 
 
+def test_tile_catalog_builds_triangulations_only_when_read():
+    from positroid_lab.triangulations import class_representative
+
+    catalog = tile_catalog.__wrapped__(3, 7)  # fresh records, not the cached ones
+    assert not any("triangulation" in vars(rec) for rec in catalog.values())
+    rec = next(iter(catalog.values()))
+    assert rec.triangulation is rec.triangulation
+    assert rec.triangulation == class_representative(rec.subdivision)
+
+
 def test_verify_tiling_pinned_24():
     good = verify_tiling([parse_decorated("(3,1,4,2)"), parse_decorated("(2,4,1,3)")], 2, 4)
     assert good.valid
