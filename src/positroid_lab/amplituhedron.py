@@ -4,8 +4,9 @@ A positive matrix Z maps the totally nonnegative rank-k points into a
 small Grassmannian; twistor coordinates (determinants against rows of Z)
 are the working coordinates there.  Membership tests for one and two
 extra dimensions, the general boundary sign conditions, tile inequalities
-from bicolored triangulations, and sign-flip chambers all operate on
-exact rationals.
+from bicolored triangulations, and sign-flip chambers all start from them.
+The twistors are exact rationals; the m = 2 tile and chamber verdicts read
+only their signs, which a point keeps per Z as bit masks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Sequence
 
@@ -92,13 +94,14 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
 
 @dataclass(frozen=True)
 class AmplituhedronPoint:
-    """Y = C Z; per ZMatrix, ``memo`` keeps its twistors and ``flips`` its flip sets."""
+    """Y = C Z; per ZMatrix, ``memo`` keeps its twistors by sorted index and
+    ``signs`` its sign record, which reads them."""
 
     Y: RatMatrix
     k: int
     m: int
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self):
         return [list(self.Y.row(r)) for r in range(self.Y.rows)]
@@ -119,46 +122,89 @@ def amp_map(C, Z: ZMatrix) -> AmplituhedronPoint:
     return AmplituhedronPoint(Y, k, Z.p - k)
 
 
-def _twistors(Y, Z: ZMatrix):
-    """Y's matrix and its twistor function against Z.
+class _Signs:
+    """One point against one Z: its matrix ``Y``, its twistor evaluator
+    ``tw``, and, built on first use, the m = 2 sign masks and flip sets.
 
-    A point memoizes per ZMatrix (by identity: it defines no __eq__), a raw
-    matrix for the caller only; values sit under the sorted index tuple, a
-    miss is one determinant, and an unsorted I flips the sign by parity."""
-    if isinstance(Y, AmplituhedronPoint):
-        Y, memo = Y.Y, Y.memo.setdefault(Z, {})
-    else:
-        memo = {}
-    rows = [Y.row(r) for r in range(Y.rows)]
-    size, n = Z.p - Y.rows, Z.n
+    ``tw`` keeps its values in ``memo`` under the sorted index tuple; a miss
+    is one determinant, and an unsorted I flips the sign by parity.  In a
+    mask, bit (h-1)*n + (j-1) stands for the pair h < j."""
 
-    def tw(I: Sequence[int]) -> Fraction:
-        if len(I) != size:
-            raise ValueError("index set has the wrong size")
-        for i in I:
-            if not 1 <= i <= n:
-                raise ValueError(f"twistor index {i} is outside 1..{n}")
-        J = tuple(sorted(I))
-        val = memo.get(J)
-        if val is None:
-            if len(set(J)) < size:
-                return Fraction(0)
-            val = memo[J] = det(RatMatrix.from_rows(rows + [Z.row(j) for j in J]))
-        return val if J == tuple(I) or perm_sign(I) > 0 else -val
+    def __init__(self, Y: RatMatrix, Z: ZMatrix, memo: dict):
+        self.Y, self.Z = Y, Z
+        rows = [Y.row(r) for r in range(Y.rows)]
+        size, n = Z.p - Y.rows, Z.n
 
-    return Y, tw
+        def tw(I: Sequence[int]) -> Fraction:
+            if len(I) != size:
+                raise ValueError("index set has the wrong size")
+            for i in I:
+                if not 1 <= i <= n:
+                    raise ValueError(f"twistor index {i} is outside 1..{n}")
+            J = tuple(sorted(I))
+            val = memo.get(J)
+            if val is None:
+                if len(set(J)) < size:
+                    return Fraction(0)
+                val = memo[J] = det(RatMatrix.from_rows(rows + [Z.row(j) for j in J]))
+            return val if J == tuple(I) or perm_sign(I) > 0 else -val
+
+        self.tw = tw
+
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(neg, zero): the pairs h < j with <Y Z_h Z_j> negative, and zero."""
+        n, tw = self.Z.n, self.tw
+        neg = zero = 0
+        for h, j in subsets(n, 2):
+            val = tw((h, j))
+            if val < 0:
+                neg |= 1 << ((h - 1) * n + j - 1)
+            elif val == 0:
+                zero |= 1 << ((h - 1) * n + j - 1)
+        return neg, zero
+
+    @cached_property
+    def flips(self) -> tuple[int | None, ...]:
+        """For a = 1..n, the mask (bit j-1 for j) of the flip positions of
+        the twisted sequence at a, or None when one of its twistors
+        vanishes.  For j < a that sequence holds (-1)^p <Y Z_j Z_a>."""
+        neg, zero = self.masks
+        n, odd = self.Z.n, self.Z.p % 2
+        out = []
+        for a in range(1, n + 1):
+            bits = {j: (min(a, j) - 1) * n + max(a, j) - 1 for j in range(1, n + 1) if j != a}
+            if any(zero >> b & 1 for b in bits.values()):
+                out.append(None)
+                continue
+            s = {j: (neg >> b & 1) ^ (odd if j < a else 0) for j, b in bits.items()}
+            out.append(sum(1 << (j - 1) for j in s
+                           if j % n + 1 != a and s[j] != s[j % n + 1]))
+        return tuple(out)
+
+
+def _signs(Y, Z: ZMatrix) -> _Signs:
+    """Y's sign record against Z.  A point keeps one per ZMatrix (by
+    identity: it defines no __eq__) next to the values in its ``memo``; a
+    raw matrix gets a fresh one for the caller only."""
+    if not isinstance(Y, AmplituhedronPoint):
+        return _Signs(Y, Z, {})
+    rec = Y.signs.get(Z)
+    if rec is None:
+        rec = Y.signs[Z] = _Signs(Y.Y, Z, Y.memo.setdefault(Z, {}))
+    return rec
 
 
 def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
     """Determinant of Y's rows stacked over the rows of Z named by I, in
     the given order.  A twisted row Z.hat_row(i) in place of Z_i only
     multiplies it by (-1)^(p-1)."""
-    return _twistors(Y, Z)[1](I)
+    return _signs(Y, Z).tw(I)
 
 
 def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
-    Y, tw = _twistors(Y, Z)
-    return {I: tw(I) for I in subsets(Z.n, Z.p - Y.rows)}
+    rec = _signs(Y, Z)
+    return {I: rec.tw(I) for I in subsets(Z.n, Z.p - rec.Y.rows)}
 
 
 def twistor_table_json(table) -> dict[str, str]:
@@ -176,8 +222,8 @@ def sign_stratum(Y, Z: ZMatrix) -> SignVector:
 
 def m1_membership(Y, Z: ZMatrix) -> bool:
     """One extra dimension: completed sign variation of (<YZ_i>) equals k."""
-    Y, tw = _twistors(Y, Z)
-    k = Y.rows
+    rec = _signs(Y, Z)
+    k, tw = rec.Y.rows, rec.tw
     if Z.p != k + 1:
         raise ValueError("m1 test needs p = k + 1")
     seq = [tw((i,)) for i in range(1, Z.n + 1)]
@@ -188,7 +234,7 @@ def m2_interior_test(Y, Z: ZMatrix) -> bool:
     """Two extra dimensions: consecutive twistors positive, the wrapped one
     against the twisted first row positive, and the flip count equals k.
     These are the conditions of ``general_m_boundary_signs`` at m = 2."""
-    if Z.p != _twistors(Y, Z)[0].rows + 2:
+    if Z.p != _signs(Y, Z).Y.rows + 2:
         raise ValueError("m2 test needs p = k + 2")
     return general_m_boundary_signs(Y, Z)
 
@@ -217,8 +263,8 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     carry the sign (-1)^k and sets ending at n are positive.  On top, the
     sequence <Y Z_1 .. Z_{m-1} Z_j> for j = m..n makes exactly k flips.
     """
-    Y, tw = _twistors(Y, Z)
-    k = Y.rows
+    rec = _signs(Y, Z)
+    k, tw = rec.Y.rows, rec.tw
     m = Z.p - k
     n = Z.n
     r = m // 2
@@ -243,60 +289,42 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
 
 def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
                        strict: bool = False):
-    """Tile inequalities: (-1)^area(h->j) <YZ_h Z_j> >= 0 over arcs of T.
+    """Tile inequalities: (-1)^area(h->j) <YZ_h Z_j> >= 0 over arcs of T,
+    read off Y's sign masks against T's arc and odd-area masks.
 
     ``strict`` asks for the open tile; the closed test returns "boundary"
-    when it passes with at least one vanishing twistor.
+    when it passes with at least one vanishing twistor.  T must have the
+    type (k, n) of Y and Z.
     """
-    tw = _twistors(Y, Z)[1]
-    on_boundary = False
-    for arc, a in T.arc_areas:
-        val = tw(arc)
-        if val == 0:
-            if strict:
-                return False
-            on_boundary = True
-        elif (val < 0) != (a % 2 == 1):
-            return False
-    return "boundary" if on_boundary else True
-
-
-def _flip_sets(Y, Z: ZMatrix) -> tuple[frozenset[int] | None, ...]:
-    """For a = 1..n, the flip positions of the twisted sequence at a, or None
-    when one of its twistors vanishes.  They depend on the point alone: a
-    point keeps them per ZMatrix, a raw matrix for the caller only."""
-    flips = Y.flips if isinstance(Y, AmplituhedronPoint) else {}
-    if Z not in flips:
-        tw = _twistors(Y, Z)[1]
-        n, twist = Z.n, (-1) ** (Z.p - 1)
-        out = []
-        for a in range(1, n + 1):
-            seq = [twist * tw((a, j)) if j < a else tw((a, j)) if j > a else 0
-                   for j in range(1, n + 1)]
-            if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
-                out.append(None)
-                continue
-            out.append(frozenset(j for j in range(1, n + 1)
-                                 if seq[j - 1] != 0 and seq[j % n] != 0
-                                 and (seq[j - 1] > 0) != (seq[j % n] > 0)))
-        flips[Z] = tuple(out)
-    return flips[Z]
+    rec = _signs(Y, Z)
+    if (T.n, T.k) != (Z.n, rec.Y.rows):
+        raise ValueError("sizes do not match")
+    neg, zero = rec.masks
+    arcs, odd = T.arc_masks
+    if (neg ^ odd) & arcs & ~zero:
+        return False
+    if zero & arcs:
+        return False if strict else "boundary"
+    return True
 
 
 def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
     """Sign-flip chamber test: for each a the flip positions of the twisted
     sequence at a must be exactly the descent set minus a.
 
-    Returns True/False, or "boundary" when a tested twistor vanishes.
+    Returns True/False, or "boundary" when a tested twistor vanishes (at
+    the first a that does not match).
     """
     if ws.n != Z.n:
         raise ValueError("sizes do not match")
-    for a, flips in enumerate(_flip_sets(Y, Z), start=1):
-        if flips is None:
-            return "boundary"
-        if flips != ws.vertex(a) - {a}:
-            return False
-    return True
+    rec = _signs(Y, Z)
+    flips = rec.flips
+    if flips == ws.flip_masks:
+        return True
+    if not rec.masks[1]:
+        return False
+    first_miss = next(f for f, g in zip(flips, ws.flip_masks) if f != g)
+    return "boundary" if first_miss is None else False
 
 
 @dataclass

@@ -106,8 +106,16 @@ def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)
     if spec.startswith("file:"):
-        data = _read_json(spec.split(":", 1)[1])
-        return ZMatrix(RatMatrix.from_json(data))
+        path = spec.split(":", 1)[1]
+        data = _read_json(path)
+        if not (isinstance(data, list) and all(
+                isinstance(row, list) and all(isinstance(x, str) for x in row)
+                for row in data)):
+            raise InputError(f"{path}: a z file is a list of rows of rationals as strings")
+        mat = RatMatrix.from_json(data)
+        if (mat.rows, mat.cols) != (n, p):
+            raise InputError(f"z file has {mat.rows}x{mat.cols} rows/cols, need {n}x{p}")
+        return ZMatrix(mat)
     raise InputError(f"unrecognized z spec {spec!r} (use vandermonde:<nodes> or file:<path>)")
 
 

@@ -49,11 +49,12 @@ class ArcVariable:
     dist_area: int
 
     def evaluate(self, Y, Z: ZMatrix):
-        num = Fraction(-1) ** self.arc_area * twistor(Y, Z, self.arc)
-        den = Fraction(-1) ** self.dist_area * twistor(Y, Z, self.dist_arc)
+        """(-1)^(arc_area - dist_area) times the ratio of the two twistors."""
+        den = twistor(Y, Z, self.dist_arc)
         if den == 0:
             return "boundary"
-        return num / den
+        ratio = twistor(Y, Z, self.arc) / den
+        return -ratio if (self.arc_area - self.dist_area) % 2 else ratio
 
     def label(self) -> str:
         return f"x{self.arc[0]}{self.arc[1]}"

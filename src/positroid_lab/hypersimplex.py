@@ -97,6 +97,13 @@ class WSimplex:
     def vertex(self, r: int) -> frozenset[int]:
         return self.I[r - 1]
 
+    @cached_property
+    def flip_masks(self) -> tuple[int, ...]:
+        """For a = 1..n, I[a] minus a as a mask with bit j-1 for j: the flip
+        positions that a point of w's sign-flip chamber has at a."""
+        return tuple(sum(1 << (j - 1) for j in Ia - {a})
+                     for a, Ia in enumerate(self.I, start=1))
+
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         n = self.n
         return tuple(tuple(1 if i in Ir else 0 for i in range(1, n + 1))

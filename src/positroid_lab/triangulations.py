@@ -103,8 +103,9 @@ class BicoloredTriangulation:
     def subdivision(self) -> "BicoloredSubdivision":
         """The subdivision of T's class: like-coloured neighbours merged.
 
-        Computed once per instance, like ``arc_areas``; both stay out of
-        equality, hashing and ``repr``, which read the fields only."""
+        Computed once per instance, like ``arc_areas`` and ``arc_masks``;
+        all stay out of equality, hashing and ``repr``, which read the
+        fields only."""
         tris = sorted(self.triangles)
         parent = {t: t for t in tris}
 
@@ -134,6 +135,18 @@ class BicoloredTriangulation:
     def arc_areas(self) -> tuple[tuple[Arc, int], ...]:
         """(arc, area) for each arc of T in sorted order."""
         return tuple(((h, j), area(self, h, j)) for h, j in sorted(self.arcs()))
+
+    @cached_property
+    def arc_masks(self) -> tuple[int, int]:
+        """(arcs, odd): bit (h-1)*n + (j-1) set for each arc (h, j) of T, and
+        for each arc of odd area."""
+        arcs = odd = 0
+        for (h, j), a in self.arc_areas:
+            bit = 1 << ((h - 1) * self.n + j - 1)
+            arcs |= bit
+            if a % 2:
+                odd |= bit
+        return arcs, odd
 
     def to_json(self) -> dict:
         return {

@@ -52,7 +52,12 @@ amplituhedron tile by hand, a black vertex at each corner of the n-gon and
 a white vertex inside each black triangle; the library gets it as the
 ``plabic.t_dual_graph`` of the dual tree, which is compared with it.
 ``sample_tile_point`` and ``_boundary_samples`` weight the edges of that
-T-dual graph.
+T-dual graph.  ``per_arc_tile_membership`` looks up the twistor of each arc
+of a tile in turn and compares it as a ``Fraction``, and
+``walked_flip_sets`` and ``walked_chamber_membership`` walk the twisted
+sequence of every a twistor by twistor, as ``amplituhedron`` did before a
+point kept its sign masks; ``tile_membership_m2`` and
+``w_chamber_membership`` are compared with them.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from positroid_lab.amplituhedron import (
     AmplituhedronPoint,
     ZMatrix,
     amp_map,
-    tile_membership_m2,
     twistor,
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
@@ -616,7 +620,7 @@ def sampled_adjacency(T: BicoloredTriangulation, Z: ZMatrix, samples: int = 100,
     arcs = sorted(T.arcs())
     facet_arcs: set = set()
     for Yb in _boundary_samples(T, Z, rng):
-        if tile_membership_m2(Yb, Z, T) is False:
+        if per_arc_tile_membership(Yb, Z, T) is False:
             continue
         tight = [a for a in arcs if twistor(Yb, Z, a) == 0]
         if len(tight) == 1:
@@ -707,3 +711,48 @@ def corner_and_center_graph(T: BicoloredTriangulation) -> PlabicGraph:
         colors[whites[t]] = "white"
         rotations[whites[t]] = [((t, i), 1) for i in t]
     return PlabicGraph.from_keyed(n, colors, edges, rotations)
+
+
+def per_arc_tile_membership(Y, Z: ZMatrix, T: BicoloredTriangulation,
+                            strict: bool = False):
+    """The m = 2 tile test arc by arc: (-1)^area(h->j) <YZ_h Z_j> >= 0,
+    "boundary" for a closed pass with a vanishing twistor."""
+    on_boundary = False
+    for arc, a in T.arc_areas:
+        val = twistor(Y, Z, arc)
+        if val == 0:
+            if strict:
+                return False
+            on_boundary = True
+        elif (val < 0) != (a % 2 == 1):
+            return False
+    return "boundary" if on_boundary else True
+
+
+def walked_flip_sets(Y, Z: ZMatrix) -> tuple[frozenset[int] | None, ...]:
+    """For a = 1..n, the flip positions of the twisted sequence at a, or
+    None when one of its twistors vanishes."""
+    n, twist = Z.n, (-1) ** (Z.p - 1)
+    out = []
+    for a in range(1, n + 1):
+        seq = [twist * twistor(Y, Z, (a, j)) if j < a else twistor(Y, Z, (a, j))
+               if j > a else 0 for j in range(1, n + 1)]
+        if any(v == 0 for idx, v in enumerate(seq, start=1) if idx != a):
+            out.append(None)
+            continue
+        out.append(frozenset(j for j in range(1, n + 1)
+                             if seq[j - 1] != 0 and seq[j % n] != 0
+                             and (seq[j - 1] > 0) != (seq[j % n] > 0)))
+    return tuple(out)
+
+
+def walked_chamber_membership(flip_sets, ws: WSimplex):
+    """The chamber test of a point with these ``walked_flip_sets``, set by
+    set: "boundary" at the first a whose sequence has a vanishing twistor,
+    False at the first a whose flips differ from the descent set minus a."""
+    for a, flips in enumerate(flip_sets, start=1):
+        if flips is None:
+            return "boundary"
+        if flips != ws.vertex(a) - {a}:
+            return False
+    return True

@@ -25,15 +25,34 @@ from positroid_lab.amplituhedron import (
     verify_amp_tiling_m2,
     w_chamber_membership,
 )
-from positroid_lab.cells import matrix_realization
+from positroid_lab.cells import cell_dim_of_perm, matrix_realization
 from positroid_lab.cluster import build_seed
 from positroid_lab.exact import RatMatrix, det, rank, varbar
 from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
-from positroid_lab.hypersimplex import enumerate_D, enumerate_tilings, tile_catalog, w_simplex
-from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
+from positroid_lab.hypersimplex import (
+    cover_mask,
+    enumerate_D,
+    enumerate_tilings,
+    tile_catalog,
+    w_simplex,
+)
+from positroid_lab.perms import (
+    enumerate_decorated,
+    make,
+    parse_decorated,
+    top_cell_permutation,
+    type_of,
+)
 from positroid_lab.triangulations import BicoloredTriangulation, area
 
-from oracles import sample_tile_point, simplex_in_positroid, twistor_via_expansion
+from oracles import (
+    per_arc_tile_membership,
+    sample_tile_point,
+    simplex_in_positroid,
+    twistor_via_expansion,
+    walked_chamber_membership,
+    walked_flip_sets,
+)
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
@@ -242,6 +261,85 @@ def test_chamber_verdicts_match_per_w_oracle():
         assert [w_chamber_membership(Y, Z, w) for w in ws] == expected
         seen.update(expected)
     assert seen == {True, False, "boundary"}
+
+
+def _facet_cells(k, n):
+    """The n facets of the top cell of Gr(k, n)_{>=0}, 0 < k < n: the top
+    permutation with the images of i and i+1 swapped, fixed points
+    decorated to keep the type."""
+    top = top_cell_permutation(k, n).images
+    out = []
+    for i in range(n):
+        images = list(top)
+        images[i], images[(i + 1) % n] = images[(i + 1) % n], images[i]
+        fixed = {j for j in range(1, n + 1) if images[j - 1] == j}
+        decorated = [make(images, loops, fixed - loops) for loops in (fixed, set())]
+        out.append(next(pi for pi in decorated if type_of(pi) == (k, n)))
+    assert all(cell_dim_of_perm(pi) == k * (n - k) - 1 for pi in out)
+    return out
+
+
+def _points_with_zero_twistors(k, n, Z, rng):
+    """Two top-cell points, and for k > 0 a Y holding the row Z_1 (so
+    <Y Z_1 Z_j> = 0 for every j) and one point of each facet cell."""
+    points = [sample_interior_point(k, n, Z, rng) for _ in range(2)]
+    if k:
+        C = sample_cell_matrix(top_cell_permutation(k, n), rng)
+        points.append(amp_map(RatMatrix.from_rows(
+            [[1] + [0] * (n - 1)] + [list(C.row(r)) for r in range(1, k)]), Z))
+        points += [amp_map(sample_cell_matrix(pi, rng), Z) for pi in _facet_cells(k, n)]
+    return points
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sign_masks_match_the_per_arc_and_walked_oracles(n):
+    seen_tiles, seen_chambers = set(), set()
+    for k in range(n - 1):
+        Z = make_positive_Z(n, k + 2, list(range(n)))
+        tiles = [rec.triangulation for rec in tile_catalog(k + 1, n).values()]
+        ws = enumerate_D(k + 1, n)
+        for Y in _points_with_zero_twistors(k, n, Z, Random(100 * n + k)):
+            for T in tiles:
+                for strict in (True, False):
+                    verdict = tile_membership_m2(Y, Z, T, strict)
+                    assert verdict == per_arc_tile_membership(Y, Z, T, strict)
+                    seen_tiles.add(verdict)
+            chambers = [w_chamber_membership(Y, Z, w) for w in ws]
+            walked = walked_flip_sets(Y, Z)
+            assert chambers == [walked_chamber_membership(walked, w) for w in ws]
+            seen_chambers.update(chambers)
+            # a raw matrix has nothing to cache on; a spread of the tests
+            # suffices for it
+            for T in tiles[::max(1, len(tiles) // 6)]:
+                for strict in (True, False):
+                    assert (tile_membership_m2(Y.Y, Z, T, strict)
+                            == tile_membership_m2(Y, Z, T, strict))
+            for i in range(0, len(ws), max(1, len(ws) // 6)):
+                assert w_chamber_membership(Y.Y, Z, ws[i]) == chambers[i]
+    assert seen_tiles == {True, False, "boundary"}
+    # at n = 3 each type has one chamber, so no point misses it
+    assert seen_chambers == ({True, False, "boundary"} if n > 3 else {True, "boundary"})
+
+
+def test_open_tiles_are_the_t_dual_tiles_that_cover_the_chamber():
+    Z, _, ws, _ = _gr26_setup()
+    recs = list(tile_catalog(3, 6).values())
+    covers = [cover_mask(ws, rec.matroid) for rec in recs]
+    rng = Random(18)
+    for _ in range(300):
+        Y = sample_interior_point(2, 6, Z, rng)
+        (i,) = [i for i, w in enumerate(ws) if w_chamber_membership(Y, Z, w) is True]
+        assert ([tile_membership_m2(Y, Z, rec.triangulation, strict=True) for rec in recs]
+                == [bool(c >> i & 1) for c in covers])
+
+
+@pytest.mark.parametrize("T", [BicoloredTriangulation.make(3, black=[(1, 2, 3)]),
+                               BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)])])
+def test_tile_of_another_type_is_refused(T):
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(1, 4), Random(5)), Z4)
+    for strict in (True, False):
+        with pytest.raises(ValueError, match="sizes do not match"):
+            tile_membership_m2(Y, Z4, T, strict)
 
 
 @pytest.mark.parametrize("I", [(0, 2), (2, 7), (-1, 3)])

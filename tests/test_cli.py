@@ -5,6 +5,7 @@ import json
 import pytest
 
 from positroid_lab import fixtures
+from positroid_lab.amplituhedron import make_positive_Z
 from positroid_lab.cli import main
 from positroid_lab.trop import HeightVector
 
@@ -514,6 +515,50 @@ def test_verify_without_a_rank_exits_2(capsys, tmp_path, argv):
     assert captured.err == f"input error: missing key 'k' (or 'k_plus_1') in {p}\n"
 
 
+def _z_file(tmp_path, n, p):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(make_positive_Z(n, p, range(n)).to_json()))
+    return path
+
+
+@pytest.mark.parametrize("argv, shape, need", [
+    (["amp", "verify-tiling", "--file", "FILE"], (5, 3), "4x3"),
+    (["amp", "verify-tiling", "--file", "FILE"], (4, 4), "4x3"),
+    (["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)"], (5, 3), "4x3"),
+    (["amp", "sample", "--n", "5", "--k", "1", "--m", "3", "--cell", "(2,3,4,5,1)"],
+     (5, 3), "5x4"),
+])
+def test_z_file_of_the_wrong_shape_exits_2(capsys, tmp_path, argv, shape, need):
+    tiles = tmp_path / "t.json"
+    tiles.write_text(json.dumps(_POLYGON_TILES))
+    z = _z_file(tmp_path, *shape)
+    argv = [str(tiles) if a == "FILE" else a for a in argv] + ["--z", f"file:{z}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: z file has {shape[0]}x{shape[1]} rows/cols, "
+                            f"need {need}\n")
+
+
+def test_z_file_of_the_right_shape_is_read(capsys, tmp_path):
+    z = _z_file(tmp_path, 4, 3)
+    code, out = run(capsys, "amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)",
+                    "--count", "2", "--z", f"file:{z}")
+    assert code == 0
+    assert all(rec["m2_interior"] for rec in json.loads(out)["samples"])
+
+
+@pytest.mark.parametrize("doc", [{"rows": []}, [["1", "0"], "1"], [[1, 0, 0]], [["x"]]])
+def test_malformed_z_file_exits_2(capsys, tmp_path, doc):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(doc))
+    code = main(["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)",
+                 "--z", f"file:{z}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
 def test_t_dual_needs_a_tiles_list(capsys, tmp_path):
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"space": "hypersimplex", "n": 4}))
@@ -598,7 +643,7 @@ _POLYGON_TILES = {"space": "amplituhedron", "k": 1, "n": 4,
                             {"black_polygons": [[1, 3, 4]]}]}
 
 # command -> (valid input, argv with FILE for its path, the record whose keys
-# are fuzzed besides the top-level ones)
+# (or indices) are fuzzed besides the top-level ones)
 FUZZ_CASES = {
     "trop": (HeightVector.make(2, 4, {(1, 2): 1}).to_json(),
              ["trop", "--heights", "FILE"], ("heights",)),
@@ -615,14 +660,20 @@ FUZZ_CASES = {
                           ("tiles", 0)),
     "cell-graph": (fixtures.g1().to_json(), ["cell", "--graph", "FILE"],
                    ("vertices", 1)),
+    "amp-sample-z-file": (make_positive_Z(4, 3, range(4)).to_json(),
+                          ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)",
+                           "--count", "2", "--z", "file:FILE"], (0,)),
 }
 
 
 def _slots(data, record_path):
+    def keys(doc):
+        return range(len(doc)) if isinstance(doc, list) else doc
+
     record = data
     for step in record_path:
         record = record[step]
-    return [(key,) for key in data] + [record_path + (key,) for key in record]
+    return [(key,) for key in keys(data)] + [record_path + (key,) for key in keys(record)]
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_CASES))
@@ -646,7 +697,7 @@ def test_cli_contract_under_one_replaced_value(tmp_path, command, data):
     p.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(p) if a == "FILE" else a for a in argv])
+        code = main([a.replace("FILE", str(p)) for a in argv])
     assert code in (0, 1, 2)
     if code == 1:
         # exit 1 only for a mathematical verdict, reported on stdout
