@@ -41,6 +41,7 @@ __all__ = [
     "matrix_realization",
     "positroid_of_perm",
     "cell_dim_of_perm",
+    "perm_of_graph",
     "cell_dimension",
     "positroid_catalog",
     "sample_cell_matrix",
@@ -283,15 +284,25 @@ def cell_dim_of_perm(pi: DecoratedPermutation) -> int:
     return sum(1 for s in bridge_decomposition(pi) if s[0] == "bridge")
 
 
-def cell_dimension(G: PlabicGraph) -> int:
-    """Dimension of the image of G's boundary measurement map.
+def perm_of_graph(G: PlabicGraph) -> DecoratedPermutation:
+    """Decorated permutation of the image of G's boundary measurement map.
 
     For every plabic graph, reduced or not, that image is the positroid
     cell of the matching positroid of G (Postnikov, arXiv math/0609764),
-    whose decorated permutation is read off its Grassmann necklace.
+    whose decorated permutation is read off its Grassmann necklace.  A
+    matching matroid that is not that positroid, as a graph that is not
+    planar can have, is a ValueError.
     """
-    bases = positroid_of_graph(G).bases
-    return cell_dim_of_perm(perm_of_necklace(necklace_of_bases(bases, G.n)))
+    M = positroid_of_graph(G)
+    pi = perm_of_necklace(necklace_of_bases(M.bases, G.n))
+    if positroid_of_perm(pi) != M:
+        raise ValueError("the matching matroid of the graph is not a positroid")
+    return pi
+
+
+def cell_dimension(G: PlabicGraph) -> int:
+    """Dimension of the image of G's boundary measurement map."""
+    return cell_dim_of_perm(perm_of_graph(G))
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,8 @@ from .amplituhedron import (
     twistor_table_json,
     verify_amp_tiling_m2,
 )
-from .cells import cell_dim_of_perm, positroid_of_perm, sample_cell_matrix, sample_cell_point
+from .cells import (cell_dim_of_perm, perm_of_graph, positroid_of_perm, sample_cell_matrix,
+                    sample_cell_point)
 from .exact import RatMatrix
 from .hypersimplex import (
     count_tilings,
@@ -34,7 +35,7 @@ from .hypersimplex import (
     verify_tiling,
 )
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
-from .plabic import PlabicGraph, bipartize, matchings, positroid_of_graph, trip_permutation
+from .plabic import PlabicGraph, bipartize, matchings, trip_permutation
 from .triangulations import (
     BicoloredTriangulation,
     fan_triangulation,
@@ -106,13 +107,7 @@ def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)
     if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        data = _read_json(path)
-        if not (isinstance(data, list) and all(
-                isinstance(row, list) and all(isinstance(x, str) for x in row)
-                for row in data)):
-            raise InputError(f"{path}: a z file is a list of rows of rationals as strings")
-        mat = RatMatrix.from_json(data)
+        mat = RatMatrix.from_json(_read_json(spec.split(":", 1)[1]))
         if (mat.rows, mat.cols) != (n, p):
             raise InputError(f"z file has {mat.rows}x{mat.cols} rows/cols, need {n}x{p}")
         return ZMatrix(mat)
@@ -202,47 +197,32 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_cell(args) -> int:
+    payload = {}
     if args.graph:
         G = PlabicGraph.from_json(_load_json(args.graph))
         if args.format in ("dot", "tikz"):
             print(G.to_dot() if args.format == "dot" else G.to_tikz())
             return 0
-        pi = trip_permutation(G)
-        payload = {
-            "trip_permutation": repr(pi),
-            "positroid": [list(b) for b in positroid_of_graph(G).sorted_bases()],
-        }
-        if args.matchings:
-            H, _ = bipartize(G)
-            ms = matchings(H)
-            payload["matchings"] = [
-                {"boundary": sorted(m.boundary), "edges": sorted(m.edges)} for m in ms
-            ]
-        _emit(args, payload)
-        return 0
-    if not args.perm:
-        raise InputError("cell needs --perm or --graph")
-    if args.format in ("dot", "tikz"):
+        payload["trip_permutation"] = repr(trip_permutation(G))
+        pi = perm_of_graph(G)
+    elif args.format in ("dot", "tikz"):
         raise InputError(f"--format {args.format} draws a --graph, not a --perm")
-    pi = _parse_perm(args.perm)
+    elif args.matchings:
+        raise InputError("--matchings lists the matchings of a --graph, not a --perm")
+    else:
+        pi = _parse_perm(args.perm)
     M = positroid_of_perm(pi)
-    payload = {
-        "perm": repr(pi),
-        "type": list((M.k, M.n)),
-        "dimension": cell_dim_of_perm(pi),
-        "positroid": [list(b) for b in M.sorted_bases()],
-        "seed": args.seed,
-    }
+    payload.update(perm=repr(pi), type=[M.k, M.n], dimension=cell_dim_of_perm(pi),
+                   positroid=[list(b) for b in M.sorted_bases()], seed=args.seed)
     if args.sample:
         rng = Random(args.seed)
-        samples = []
-        for _ in range(args.sample):
-            _, P = sample_cell_point(pi, rng)
-            samples.append({
-                "plucker": P.to_json(),
-                "moment_map": [rat_to_str(x) for x in moment_map(P)],
-            })
-        payload["samples"] = samples
+        points = [sample_cell_point(pi, rng)[1] for _ in range(args.sample)]
+        payload["samples"] = [{"plucker": P.to_json(),
+                               "moment_map": [rat_to_str(x) for x in moment_map(P)]}
+                              for P in points]
+    if args.matchings:
+        payload["matchings"] = [{"boundary": sorted(m.boundary), "edges": sorted(m.edges)}
+                                for m in matchings(bipartize(G)[0])]
     _emit(args, payload)
     return 0
 
@@ -391,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="positroid data of a cell from a permutation or graph file")
     p.add_argument("--format", choices=["json", "text", "dot", "tikz"], default="json",
                    help="dot and tikz draw a --graph")
-    p.add_argument("--perm", help='decorated permutation, e.g. "(3,1,4,2)" or "2,3,1,4_"')
-    p.add_argument("--graph", help="path to a plabic graph JSON file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--perm", help='decorated permutation, e.g. "(3,1,4,2)" or "2,3,1,4_"')
+    given.add_argument("--graph", help="path to a plabic graph JSON file")
     p.add_argument("--matchings", action="store_true",
                    help="list almost perfect matchings (graph input)")
     p.add_argument("--sample", type=int, default=0,
@@ -445,10 +426,7 @@ def main(argv=None) -> int:
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must not be negative")
         return args.func(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
+    except (InputError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

@@ -98,6 +98,9 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]]) -> "RatMatrix":
+        """ValueError unless ``data`` is a list of equally long lists of "p/q" strings."""
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ValueError("a matrix is a list of rows of rationals as strings")
         return cls.from_rows([[rat_from_str(x) for x in row] for row in data])
 
 

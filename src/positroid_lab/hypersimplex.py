@@ -276,7 +276,8 @@ def verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
         if not in_catalog:
             violations.append(f"tile {p} is not a moment-map tile")
     simplices = enumerate_D(k_plus_1, n)
-    masks = [cover_mask(simplices, M) for _, M, _ in resolved]
+    masks = [cover_mask(simplices, M) if (M.k, M.n) == (k_plus_1, n) else 0
+             for _, M, _ in resolved]
     for i, ws in enumerate(simplices):
         hits = [p for p, mask in zip(perms, masks) if mask >> i & 1]
         if len(hits) == 0:
@@ -345,6 +346,10 @@ def enumerate_tiling_indices(k_plus_1: int, n: int) -> tuple[tuple[int, ...], ..
 # ``count_tilings`` gives up past this many bits of memo keys: (4,8) needs
 # 1.38e10 bits (2.4 GB), and (3,9) would need more memory than 7 GB.
 COUNT_MEMO_BITS = 15_000_000_000
+# ... and before it builds a staircase of more simplices than this: (2,18)
+# has 131 054 (13 s and 630 MB with its cover table on a 2-vCPU host), and
+# each step of n doubles them at k+1 = 2 and at k+1 = n-2.
+COUNT_STAIRCASE_SIMPLICES = 2 ** 17
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +357,12 @@ def count_tilings(k_plus_1: int, n: int) -> int:
     """Number of tilings: the search of ``enumerate_tiling_indices``
     memoized on the uncovered mask, so no tiling is listed.  Each memo key
     is as wide as the staircase, so ValueError once the memo holds more
-    than ``COUNT_MEMO_BITS`` bits of keys."""
+    than ``COUNT_MEMO_BITS`` bits of keys, or before the staircase is
+    built when it has more than ``COUNT_STAIRCASE_SIMPLICES`` simplices."""
+    if 1 <= k_plus_1 < n and eulerian(k_plus_1 - 1, n - 1) > COUNT_STAIRCASE_SIMPLICES:
+        raise ValueError(f"counting the tilings of ({k_plus_1},{n}) needs more than "
+                         f"{COUNT_STAIRCASE_SIMPLICES} staircase simplices "
+                         "(COUNT_STAIRCASE_SIMPLICES)")
     by_least = _tiles_by_least(k_plus_1, n)
     most_states = COUNT_MEMO_BITS // len(by_least)
     memo = {0: 1}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Hashable, Iterator, Mapping, Sequence
 
-from .grassmann import Matroid, PluckerVector
+from .grassmann import Matroid, PluckerVector, matroid_of
 from .perms import DecoratedPermutation
 from .triangulations import BicoloredTriangulation
 
@@ -411,15 +411,9 @@ def matchings(G: PlabicGraph) -> tuple[Matching, ...]:
 
 
 def positroid_of_graph(G: PlabicGraph) -> Matroid:
-    """Bases are the boundary supports of the almost perfect matchings."""
-    H, _ = bipartize(G)
-    ms = matchings(H)
-    if not ms:
-        raise ValueError("graph has no almost perfect matching")
-    sizes = {len(m.boundary) for m in ms}
-    if len(sizes) != 1:
-        raise ValueError(f"boundary supports of unequal sizes {sizes}")
-    return Matroid(G.n, sizes.pop(), frozenset(m.boundary for m in ms))
+    """Bases are the boundary supports of the almost perfect matchings: the
+    support of the unit-weight measurement, whose every term is positive."""
+    return matroid_of(boundary_measurement(G))
 
 
 def matching_monomials(G: PlabicGraph) -> tuple[int, list[tuple[tuple[int, ...], frozenset[int]]]]:
@@ -451,12 +445,12 @@ def boundary_measurement(G: PlabicGraph,
         if w < 0:
             raise ValueError(f"edge {e} has negative weight {w}")
     k, monos = matching_monomials(G)
-    coords: dict[tuple[int, ...], Fraction] = {}
+    coords: dict[tuple[int, ...], Fraction | int] = {}
     for I, mono in monos:
-        w = Fraction(1)
-        for e in mono:
-            w *= Fraction(weights.get(e, 1))
-        coords[I] = coords.get(I, Fraction(0)) + w
+        w = 1  # unit weights leave integer counts of matchings
+        for e in mono & weights.keys():
+            w *= Fraction(weights[e])
+        coords[I] = coords.get(I, 0) + w
     return PluckerVector(k, G.n, coords)
 
 

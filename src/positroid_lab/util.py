@@ -16,6 +16,8 @@ def rat_to_str(x: Fraction) -> str:
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p"; ValueError on anything else, "p/0" included."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational is a string \"p/q\", not {s!r}")
     s = s.strip()
     if "/" in s:
         p, q = s.split("/")

@@ -579,6 +579,16 @@ def test_verify_amp_tiling_reads_its_type_off_z():
         verify_amp_tiling_m2([T123], make_positive_Z(4, 1, [0, 1, 2, 3]))
 
 
+def test_verify_amp_tiling_reports_a_tile_of_another_n():
+    T5 = BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)])
+    rep = verify_amp_tiling_m2([T123, T134, T5], Z4, samples=3, seed=0)
+    assert (rep.k, rep.n) == (1, 4) and not rep.valid
+    assert rep.violations[0] == f"tile {T5!r} has mismatched type"
+    assert any(v.startswith("T-dual: tile ") and v.endswith("has wrong type (2,5)")
+               for v in rep.violations)
+    assert rep.hit_counts == {1: 3}  # the two (1,4) tiles alone are audited
+
+
 def test_verify_amp_tiling_25():
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
     tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),

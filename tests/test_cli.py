@@ -6,8 +6,12 @@ import pytest
 
 from positroid_lab import fixtures
 from positroid_lab.amplituhedron import make_positive_Z
+from positroid_lab.cells import cell_dim_of_perm, graph_of_perm
 from positroid_lab.cli import main
+from positroid_lab.perms import enumerate_decorated
 from positroid_lab.trop import HeightVector
+
+from test_plabic import NON_REDUCED_CELLS, _crossed
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -48,6 +52,61 @@ def test_cell_graph_matchings(capsys, tmp_path):
     data = json.loads(out)
     assert data["trip_permutation"] == "(3,1,4,2)"
     assert len(data["matchings"]) == 5
+
+
+def _graph_file(tmp_path, G) -> str:
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(G.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("graph, trip, cell, dim", NON_REDUCED_CELLS,
+                         ids=["bridged", "round_trip", "digon"])
+def test_cell_graph_prints_the_cell_of_a_non_reduced_graph(capsys, tmp_path, graph, trip,
+                                                            cell, dim):
+    code, out = run(capsys, "cell", "--graph", _graph_file(tmp_path, graph()))
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["trip_permutation", "perm", "type", "dimension", "positroid", "seed"]
+    assert (data["trip_permutation"], data["perm"], data["dimension"]) == (trip, cell, dim)
+
+
+def test_cell_graph_of_every_bridge_graph_prints_its_permutation(capsys, tmp_path):
+    # n <= 4 here; test_plabic checks perm_of_graph itself up to n = 6
+    for n in range(5):
+        for pi in enumerate_decorated(n):
+            code, out = run(capsys, "cell", "--graph", _graph_file(tmp_path, graph_of_perm(pi)))
+            data = json.loads(out)
+            assert code == 0 and data["perm"] == data["trip_permutation"] == repr(pi)
+            assert data["dimension"] == cell_dim_of_perm(pi)
+
+
+@pytest.mark.parametrize("graph", [fixtures.g1, NON_REDUCED_CELLS[0][0]], ids=["g1", "bridged"])
+def test_cell_graph_samples_its_cell(capsys, tmp_path, graph):
+    code, out = run(capsys, "cell", "--graph", _graph_file(tmp_path, graph()), "--sample", "2",
+                    "--seed", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["seed"] == 3 and len(data["samples"]) == 2
+    for rec in data["samples"]:
+        support = sorted([int(i) for i in key.split(",")]
+                         for key, v in rec["plucker"]["coords"].items() if v != "0/1")
+        assert support == data["positroid"]
+
+
+def test_cell_graph_whose_matching_matroid_is_no_positroid_exits_2(capsys, tmp_path):
+    assert main(["cell", "--graph", _graph_file(tmp_path, _crossed())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the matching matroid of the graph is not a positroid\n"
+
+
+def test_cell_matchings_need_a_graph(capsys):
+    assert main(["cell", "--perm", "(3,1,4,2)", "--matchings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: --matchings lists the matchings of a --graph, "
+                            "not a --perm\n")
 
 
 def test_cell_graph_with_a_vertex_named_like_a_bipartize_vertex(capsys, tmp_path):
@@ -569,6 +628,8 @@ def test_t_dual_needs_a_tiles_list(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["tilings", "--k", "1", "--n", "4", "--format", "dot"],
     ["trop", "--heights", "demos/heights_two_pyramids.json", "--seed", "3"],
+    ["cell", "--perm", "(3,1,4,2)", "--graph", "demos/g1.json"],  # one or the other
+    ["cell"],
 ])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -597,6 +658,19 @@ def test_tiling_count_past_the_memo_bound_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(hypersimplex, "COUNT_MEMO_BITS", 10 ** 6)
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)["count"] == 13153
+
+
+@pytest.mark.parametrize("k", ["1", "21", "11"])
+def test_tiling_count_past_the_staircase_bound_exits_2_before_building_it(capsys, k):
+    import time
+
+    t0 = time.perf_counter()
+    assert main(["tilings", "--k", k, "--n", "24"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: counting the tilings of ({int(k) + 1},24) "
+                                   "needs more than 131072 staircase simplices")
 
 
 def _readme_command_lines():

@@ -1,5 +1,7 @@
-"""Every demo script runs to the end under ``python -O``."""
+"""Every demo script runs to the end under ``python -O``, and no library
+check is an ``assert`` that ``python -O`` would strip."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +24,12 @@ def test_demo_runs_under_optimize(demo):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_library_has_no_assert_statements():
+    modules = sorted((ROOT / "src" / "positroid_lab").glob("*.py"))
+    assert len(modules) > 10
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

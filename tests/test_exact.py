@@ -19,6 +19,7 @@ from positroid_lab.exact import (
     var,
     varbar,
 )
+from positroid_lab.util import rat_from_str
 
 from oracles import fraction_det, fraction_rref, varbar_bruteforce
 
@@ -115,6 +116,19 @@ def test_sign_vector_projective_normalization():
 def test_matrix_json_round_trip():
     M = RatMatrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     assert RatMatrix.from_json(M.to_json()) == M
+
+
+@pytest.mark.parametrize("doc", [{"rows": []}, {"1": "1"}, [["1", "0"], "1"], [[1, 0, 0]],
+                                 [["x"]], [["1"], ["1", "2"]], [[None]], "12"])
+def test_malformed_matrix_json_is_a_value_error(doc):
+    with pytest.raises(ValueError):
+        RatMatrix.from_json(doc)
+
+
+@pytest.mark.parametrize("text", [1, None, ["1"], "1/0", "1/2/3", "x"])
+def test_rat_from_str_takes_only_rational_strings(text):
+    with pytest.raises(ValueError):
+        rat_from_str(text)
 
 
 def _random_rational_matrix(rng: Random, n: int, cols: int | None = None) -> RatMatrix:

@@ -1,6 +1,7 @@
 """Moment map, staircase simplices, tile catalogs, and tilings."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -140,6 +141,13 @@ def test_verify_tiling_pinned_24():
     assert not mixed.valid
 
 
+def test_verify_tiling_reports_a_tile_on_another_ground_set():
+    rep = verify_tiling([parse_decorated("(3,1,4,2)"), parse_decorated("(2,3,4,5,1)")], 2, 4)
+    assert not rep.valid
+    assert "tile (2,3,4,5,1) has wrong type (1,5)" in rep.violations
+    assert "simplex of w=1324 uncovered" in rep.violations
+
+
 def test_verify_tiling_rejects_non_tile():
     top = parse_decorated("(3,4,1,2)")  # top cell, not a moment-map tile
     rep = verify_tiling([top], 2, 4)
@@ -217,6 +225,24 @@ def test_count_tilings_equals_the_enumeration(k1, n):
         == len(enumerate_tiling_indices(k1, n))
 
 
+def test_count_tilings_checks_the_staircase_size_before_building_it(monkeypatch):
+    from positroid_lab import hypersimplex
+
+    def unbuilt(k_plus_1, n):
+        raise AssertionError(f"the staircase of ({k_plus_1},{n}) was built")
+
+    count_tilings.cache_clear()
+    monkeypatch.setattr(hypersimplex, "COUNT_STAIRCASE_SIMPLICES", 65)
+    with monkeypatch.context() as m:
+        m.setattr(hypersimplex, "_tiles_by_least", unbuilt)
+        with pytest.raises(ValueError, match=r"of \(3,6\) needs more than 65 staircase "
+                                             "simplices"):
+            count_tilings(3, 6)  # 66 simplices
+    assert count_tilings(2, 6) == count_tilings(4, 6) == 14  # 26 simplices each
+    monkeypatch.setattr(hypersimplex, "COUNT_STAIRCASE_SIMPLICES", 66)
+    assert count_tilings(3, 6) == 120
+
+
 def test_count_tilings_is_catalan_for_rank_two_by_counting_alone():
     # past n = 9 nothing is enumerated
     for n in range(10, 13):
@@ -245,15 +271,19 @@ def test_tile_catalog_dimensions():
 
 
 def test_tile_inequalities_characterize_bases():
-    for (k1, n) in [(2, 4), (2, 5), (3, 5), (2, 6)]:
-        for rec in list(tile_catalog(k1, n).values())[:8]:
-            ineqs = tile_inequalities_hypersimplex(rec.triangulation)
-            from itertools import combinations
-
-            for B in combinations(range(1, n + 1), k1):
-                point = tuple(1 if i in B else 0 for i in range(1, n + 1))
-                assert point_satisfies_inequalities(point, ineqs) == \
-                    rec.matroid.is_basis(B)
+    # the arc inequalities of a tile's triangulation are a second oracle for
+    # the bases read off its label, on every tile with n <= 7
+    tiles = 0
+    for n in range(3, 8):
+        for k1 in range(1, n):
+            for rec in tile_catalog(k1, n).values():
+                ineqs = tile_inequalities_hypersimplex(rec.triangulation)
+                for B in combinations(range(1, n + 1), k1):
+                    point = tuple(1 if i in B else 0 for i in range(1, n + 1))
+                    assert point_satisfies_inequalities(point, ineqs) == \
+                        rec.matroid.is_basis(B), rec.perm
+                tiles += 1
+    assert tiles == 514
 
 
 def test_tile_inequalities_all_white():

@@ -14,6 +14,8 @@ from positroid_lab.cells import (
     cell_dim_of_perm,
     cell_dimension,
     graph_of_perm,
+    perm_of_graph,
+    positroid_of_perm,
 )
 from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import decorated_permutation_of, is_tnn, matrix_of_plucker, matroid_of
@@ -207,6 +209,35 @@ def _digon() -> PlabicGraph:
     return PlabicGraph(2, colors, edges, rot)
 
 
+def _round_trip() -> PlabicGraph:
+    """Three legs on the corners of an all-white triangle."""
+    return PlabicGraph(
+        3, {"W1": "white", "W2": "white", "W3": "white"},
+        [("b1", "W1"), ("b2", "W2"), ("b3", "W3"),
+         ("W1", "W2"), ("W2", "W3"), ("W3", "W1")],
+        {"b1": [(0, 0)], "b2": [(1, 0)], "b3": [(2, 0)],
+         "W1": [(0, 1), (3, 0), (5, 1)], "W2": [(1, 1), (4, 0), (3, 1)],
+         "W3": [(2, 1), (5, 0), (4, 1)]})
+
+
+# Non-reduced graphs: (graph, trip permutation, permutation and dimension of
+# the cell of its matching positroid).
+NON_REDUCED_CELLS = [
+    (lambda: _bridged(("white", "black", "white", "black"), (1, 3, 2, 2)),
+     "(2,1,4,3)", "(2,4,1,3)", 3),
+    (_round_trip, "(2,3,1)", "(1_,2_,3_)", 0),
+    (_digon, "(2,1)", "(2,1)", 1),
+]
+
+
+def _crossed() -> PlabicGraph:
+    """Two white vertices on the chords 13 and 24, which cross: the matching
+    matroid {12, 14, 23, 34} has parallel classes 13 and 24 and is not a
+    positroid."""
+    return PlabicGraph.build(4, {"W1": "white", "W2": "white"},
+                             [("b1", "W1"), ("b3", "W1"), ("b2", "W2"), ("b4", "W2")])
+
+
 def _bridged(colours, bridges) -> PlabicGraph:
     """Lollipops of the given colours, then bridges between legs i and i+1;
     a bridge that would land on a lollipop tip of the wrong colour is skipped.
@@ -222,12 +253,33 @@ def _bridged(colours, bridges) -> PlabicGraph:
     return G
 
 
+@pytest.mark.parametrize("graph, trip, cell, dim", NON_REDUCED_CELLS,
+                         ids=["bridged", "round_trip", "digon"])
+def test_perm_of_graph_reads_the_cell_off_the_matching_positroid(graph, trip, cell, dim):
+    G = graph()
+    assert repr(trip_permutation(G)) == trip
+    assert repr(perm_of_graph(G)) == cell
+    assert cell_dimension(G) == dim
+    M = positroid_of_graph(G)
+    assert M == matroid_of(boundary_measurement(G)) == positroid_of_perm(perm_of_graph(G))
+    assert M.bases == {m.boundary for m in matchings(bipartize(G)[0])}
+
+
+def test_perm_of_graph_refuses_a_matching_matroid_that_is_no_positroid():
+    G = _crossed()
+    assert positroid_of_graph(G).sorted_bases() == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    with pytest.raises(ValueError, match="not a positroid"):
+        perm_of_graph(G)
+
+
 def test_is_reduced_bridge_graphs_up_to_n6():
-    # bridge graphs are reduced, so inner faces - 1 is the cell dimension
+    # bridge graphs are reduced, so inner faces - 1 is the cell dimension,
+    # and the cell of their matchings has their trip permutation
     for n in range(1, 7):
         for pi in enumerate_decorated(n):
             G = graph_of_perm(pi)
             assert is_reduced(G) == "reduced", pi
+            assert perm_of_graph(G) == pi, pi
             inner = sum(1 for f in faces(G) if not f.is_outer)
             assert inner - 1 == cell_dim_of_perm(pi), pi
 
@@ -247,14 +299,7 @@ def test_is_reduced_rejects_non_reduced_graphs():
         assert not padded.has_parallel_edges()
         assert is_reduced(padded) == "not_reduced"
     # an all-white inner face: the trip around it never meets the boundary
-    round_trip = PlabicGraph(
-        3, {"W1": "white", "W2": "white", "W3": "white"},
-        [("b1", "W1"), ("b2", "W2"), ("b3", "W3"),
-         ("W1", "W2"), ("W2", "W3"), ("W3", "W1")],
-        {"b1": [(0, 0)], "b2": [(1, 0)], "b3": [(2, 0)],
-         "W1": [(0, 1), (3, 0), (5, 1)], "W2": [(1, 1), (4, 0), (3, 1)],
-         "W3": [(2, 1), (5, 0), (4, 1)]})
-    assert is_reduced(round_trip) == "not_reduced"
+    assert is_reduced(_round_trip()) == "not_reduced"
     # the trip from b1 comes back to b1 around a triangle, not a lollipop
     fixed_point = PlabicGraph(
         1, {"u": "white", "x": "black", "y": "black"},
