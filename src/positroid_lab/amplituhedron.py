@@ -15,11 +15,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from random import Random
 from typing import Sequence
 
 from .cells import sample_cell_matrix
-from .exact import RatMatrix, SignVector, det, kernel_basis, maximal_minors, rank, var, varbar
+from .exact import (RatMatrix, SignVector, _det, _integer_rows, kernel_basis, maximal_minors,
+                    rank, var, varbar)
 from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
 from .perms import top_cell_permutation
@@ -47,9 +49,9 @@ __all__ = [
 
 class ZMatrix:
     """n x p matrix with strictly positive maximal minors; ``audits`` keeps
-    the sampled points of its tiling audits per (k, samples, seed)."""
+    its audit samples per (k, samples, seed), ``minors`` its minor tables."""
 
-    __slots__ = ("mat", "n", "p", "audits")
+    __slots__ = ("mat", "n", "p", "audits", "minors")
 
     def __init__(self, mat: RatMatrix):
         self.mat = mat
@@ -60,9 +62,20 @@ class ZMatrix:
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
         self.audits: dict[tuple[int, int, int], list[AmplituhedronPoint]] = {}
+        self.minors: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.mat.row(i - 1)
+
+    def minor_table(self, I: tuple[int, ...]) -> tuple[list[int], int]:
+        """The m x m minors of rows I, each scaled by its denominator lcm d_i,
+        on the m-column sets in lexicographic order, and the product of the d_i."""
+        got = self.minors.get(I)
+        if got is None:
+            a, scale = _integer_rows(self.mat.submatrix([i - 1 for i in I], range(self.p)))
+            got = self.minors[I] = ([_det([[row[c - 1] for c in J] for row in a])
+                                     for J in subsets(self.p, len(I))], scale)
+        return got
 
     def hat_row(self, i: int) -> tuple[Fraction, ...]:
         """Twisted row: (-1)^(p-1) times row i."""
@@ -103,9 +116,6 @@ class AmplituhedronPoint:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rows(self):
-        return [list(self.Y.row(r)) for r in range(self.Y.rows)]
-
     def to_json(self) -> dict:
         return {"k": self.k, "m": self.m, "Y": self.Y.to_json()}
 
@@ -126,14 +136,23 @@ class _Signs:
     """One point against one Z: its matrix ``Y``, its twistor evaluator
     ``tw``, and, built on first use, the m = 2 sign masks and flip sets.
 
-    ``tw`` keeps its values in ``memo`` under the sorted index tuple; a miss
-    is one determinant, and an unsorted I flips the sign by parity.  In a
-    mask, bit (h-1)*n + (j-1) stands for the pair h < j."""
+    ``tw`` keeps its values in ``memo`` under the sorted index tuple, and an
+    unsorted I flips the sign by parity.  A miss is det[Y; Z_I] by Laplace
+    expansion along Z_I's rows: over the m-column sets J, the integer dot
+    product of Y's minors off J, signed here once by (-1)^(k+1+..+p + sum J),
+    with Z_I's minors on J (``ZMatrix.minor_table``), as one Fraction.  In
+    a mask, bit (h-1)*n + (j-1) stands for the pair h < j."""
 
     def __init__(self, Y: RatMatrix, Z: ZMatrix, memo: dict):
         self.Y, self.Z = Y, Z
-        rows = [Y.row(r) for r in range(Y.rows)]
-        size, n = Z.p - Y.rows, Z.n
+        k, p, n = Y.rows, Z.p, Z.n
+        size = p - k
+        if size < 0 or k and Y.cols != p:
+            raise ValueError(f"Y must have {p} columns and at most {p} rows")
+        a, scale = _integer_rows(Y)
+        ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J))
+                * _det([[row[c - 1] for c in range(1, p + 1) if c not in J] for row in a])
+                for J in subsets(p, size)]
 
         def tw(I: Sequence[int]) -> Fraction:
             if len(I) != size:
@@ -146,7 +165,8 @@ class _Signs:
             if val is None:
                 if len(set(J)) < size:
                     return Fraction(0)
-                val = memo[J] = det(RatMatrix.from_rows(rows + [Z.row(j) for j in J]))
+                zmin, zscale = Z.minor_table(J)
+                val = memo[J] = Fraction(sum(map(mul, ymin, zmin)), scale * zscale)
             return val if J == tuple(I) or perm_sign(I) > 0 else -val
 
         self.tw = tw

@@ -4,7 +4,9 @@ All entries are ``fractions.Fraction``; nothing here ever rounds.  One
 fraction-free (Bareiss) elimination gives the rank, kernel and determinant
 of integer rows (``integer_rank``, ``integer_kernel``, ``integer_det``);
 ``rank``, ``kernel_basis``, ``det`` and ``maximal_minors`` run it on rows
-cleared of denominators once.  The sign
+cleared of denominators once.  ``RatMatrix.matmul`` scales each left row by
+its own denominator lcm and the right factor by one common lcm: an entry
+is one ``Fraction`` of an integer dot product.  The sign
 variation statistics ``var`` and ``varbar`` are the workhorses behind the
 Gantmakher-Krein style tests elsewhere in the package.
 """
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .util import rat_from_str, rat_to_str, sign
@@ -64,12 +67,11 @@ class RatMatrix:
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        b, D = _integer_row(other._entries)
+        cols = [b[j::other.cols] for j in range(other.cols)]
         out = []
-        ocols = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(a * b for a, b in zip(r, ocols[j])))
+        for a, d in map(_integer_row, map(self.row, range(self.rows))):
+            out.extend(Fraction(sum(map(mul, a, c)), d * D) for c in cols)
         return RatMatrix(self.rows, other.cols, out)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -104,15 +106,17 @@ class RatMatrix:
         return cls.from_rows([[rat_from_str(x) for x in row] for row in data])
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``row`` scaled to integers by the lcm d of its denominators, and d."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
 def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
     """M's rows, each scaled to integers by the lcm of its denominators, and
     the product of those scales."""
-    a, scale = [], 1
-    for row in map(M.row, range(M.rows)):
-        d = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return a, scale
+    rows = [_integer_row(M.row(i)) for i in range(M.rows)]
+    return [a for a, _ in rows], prod(d for _, d in rows)
 
 
 def _eliminate(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:

@@ -381,15 +381,16 @@ def matchings(G: PlabicGraph) -> tuple[Matching, ...]:
         raise ValueError("matchings need a bipartite graph with white vertices "
                          "at the boundary (run bipartize first)")
     internal = G.internal_vertices()
+    # every chosen edge has an internal end, so at most one boundary label
+    label = [next((G.boundary_label(w) for w in ends if G.is_boundary(w)), None)
+             for ends in G.edges]
     out: list[Matching] = []
 
     def recurse(pos: int, covered: set[str], chosen: list[int]):
         while pos < len(internal) and internal[pos] in covered:
             pos += 1
         if pos == len(internal):
-            labels = frozenset(G.boundary_label(w)
-                               for e in chosen for w in G.edges[e]
-                               if G.is_boundary(w))
+            labels = frozenset(label[e] for e in chosen if label[e] is not None)
             out.append(Matching(frozenset(chosen), labels))
             return
         v = internal[pos]

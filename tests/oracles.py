@@ -1,13 +1,18 @@
 """Slow reference implementations that the fast paths in ``src/`` replaced.
 
 ``fraction_det`` is Bareiss elimination carried out in ``Fraction``
-arithmetic; ``fraction_rref`` is the ``Fraction`` Gauss-Jordan elimination
-that ``exact.rank`` and ``exact.kernel_basis`` ran on before the integer
-elimination; ``rank_decorated_permutation`` reads the decorated
+arithmetic; ``fraction_matmul`` is the ``Fraction`` row-by-column product
+that ``RatMatrix.matmul`` ran before it multiplied integer rows, and the
+tests compare the two; ``fraction_rref`` is the ``Fraction`` Gauss-Jordan
+elimination that ``exact.rank`` and ``exact.kernel_basis`` ran on before
+the integer elimination; ``rank_decorated_permutation`` reads the decorated
 permutation of a totally nonnegative matrix off ranks of column spans;
 ``realized_positroid`` takes the support of all minors of a certified
 realization of a cell; ``twistor_via_expansion`` evaluates a twistor
-through the Plücker coordinates of a preimage of the point;
+through the Plücker coordinates of a preimage of the point (the other
+twistor oracle, one ``exact.det`` of Y stacked over Z_I as ``amplituhedron``
+took it before its minor tables, is ``_stacked_det`` in the amplituhedron
+tests);
 ``varbar_bruteforce`` tries every sign completion; ``zero_one_directions``
 lists every signed 0/1 vector as a candidate wall normal.  The tests
 compare ``exact.det``, ``exact.rank``, ``exact.kernel_basis``,
@@ -142,6 +147,15 @@ def fraction_det(M: RatMatrix) -> Fraction:
             a[i][k] = Fraction(0)
         prev = a[k][k]
     return sgn * a[n - 1][n - 1]
+
+
+def fraction_matmul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """A B with every entry summed in Fraction arithmetic."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    cols = [B.col(j) for j in range(B.cols)]
+    return RatMatrix(A.rows, B.cols, [sum((a * b for a, b in zip(A.row(i), c)), Fraction(0))
+                                      for i in range(A.rows) for c in cols])
 
 
 def fraction_rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:

@@ -186,18 +186,80 @@ def test_point_memo_keeps_each_Z_apart():
     assert Y.memo[Z1] != Y.memo[Z2]
 
 
-def test_gr26_point_needs_one_determinant_per_twistor(monkeypatch):
+def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
+    """The (2, 6) sweep calls exact.det under no module name that holds it.
+    Z keeps at most 15 minor tables, built on the first point and reused
+    unchanged by the second, and each point takes one list of Y minors:
+    C(4, 2) = 6 calls of the integer kernel."""
+    import sys
+
     Z, tiles, ws, seeds = _gr26_setup()
-    calls = []
+    rng = Random(3)
+    Y1, Y2 = (amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
+              for _ in range(2))
+    dets, minors = [], []
 
     def counting_det(M):
-        calls.append(M)
+        dets.append(M)
         return det(M)
 
-    monkeypatch.setattr(amplituhedron, "det", counting_det)
-    Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 6), Random(3)), Z)
-    _gr26_sweep(Y, Z, tiles, ws, seeds)
-    assert 0 < len(calls) <= 15
+    def counting_minor(a, kernel=amplituhedron._det):
+        minors.append(a)
+        return kernel(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("positroid_lab") and getattr(mod, "det", None) is det:
+            monkeypatch.setattr(mod, "det", counting_det)
+    monkeypatch.setattr(amplituhedron, "_det", counting_minor)
+    assert Z.minors == {}
+    first = _gr26_sweep(Y1, Z, tiles, ws, seeds)
+    tables = dict(Z.minors)
+    assert 0 < len(tables) <= 15
+    assert all(len(I) == 2 and list(I) == sorted(I) for I in tables)
+    assert len(minors) == 6 * len(tables) + 6
+    minors.clear()
+    second = _gr26_sweep(Y2, Z, tiles, ws, seeds)
+    assert len(minors) == 6
+    assert Z.minors.keys() == tables.keys()
+    assert all(Z.minors[I] is tables[I] for I in tables)
+    assert dets == []
+    assert list(Y1.signs) == list(Y2.signs) == [Z]
+    assert first[0].count(True) >= 1 and second[0].count(True) >= 1
+
+
+def _random_rational_rows(rng: Random, r: int, c: int) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 8])) for _ in range(c)]
+            for _ in range(r)]
+
+
+@pytest.mark.parametrize("k,m,n", [(0, 1, 3), (2, 1, 5), (0, 2, 4), (1, 2, 5), (2, 2, 6),
+                                   (1, 3, 5), (2, 3, 6), (0, 4, 5), (1, 4, 6)])
+def test_minor_table_twistors_match_stacked_det_on_every_ordered_index(k, m, n):
+    """Every ordered I, repeats included, against one determinant of Y over
+    Z_I: Z with non-integer rational rows (each moment-curve row at rational
+    nodes times a positive rational, so every maximal minor stays
+    positive), raw Y with negative entries, images of points, and a Y that
+    holds a row of Z."""
+    p = k + m
+    rng = Random(100 * k + 10 * m + n)
+    nodes = [Fraction(2 * i + 1, 3) for i in range(n)]
+    Z = ZMatrix(RatMatrix.from_rows([[Fraction(i + 1, 2 * i + 3) * t ** j for j in range(p)]
+                                     for i, t in enumerate(nodes)]))
+    assert any(x.denominator > 1 for i in range(1, n + 1) for x in Z.row(i))
+    Ys = [RatMatrix.from_rows(_random_rational_rows(rng, k, p)) for _ in range(3)]
+    if k:
+        Ys += [amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
+               for _ in range(2)]
+        held = RatMatrix.from_rows([list(Z.row(2))] + _random_rational_rows(rng, k - 1, p))
+        Ys.append(held)
+    assert k == 0 or any(x < 0 for Y in Ys[:3] for r in range(k) for x in Y.row(r))
+    for Y in Ys:
+        raw = Y.Y if isinstance(Y, AmplituhedronPoint) else Y
+        for I in product(range(1, n + 1), repeat=m):
+            assert twistor(Y, Z, I) == _stacked_det(raw, Z, I), (raw, I)
+    if k:
+        assert all(twistor(held, Z, I) == 0 for I in product(range(1, n + 1), repeat=m)
+                   if 2 in I)
 
 
 def test_tile_tests_read_arc_areas_off_the_triangulation(monkeypatch):
@@ -350,6 +412,16 @@ def test_twistor_rejects_index_outside_range(I):
     bad = next(i for i in I if not 1 <= i <= 6)
     with pytest.raises(ValueError, match=rf"index {bad} is outside 1\.\.6"):
         twistor(Y, Z, I)
+
+
+@pytest.mark.parametrize("rows,I", [([[1, 0, 0, 0, 0]], (1, 2, 3)), ([[1, 0, 0]], (1, 2, 3)),
+                                    ([[1, 0, 0, 0]] * 5, ())])
+def test_twistor_refuses_y_of_another_shape(rows, I):
+    """Y needs the p columns of Z: the minors of a wider Y would drop its
+    last columns, and a narrower one has no minor on some column sets."""
+    Z = make_positive_Z(6, 4, list(range(6)))
+    with pytest.raises(ValueError, match="Y must have 4 columns and at most 4 rows"):
+        twistor(RatMatrix.from_rows(rows), Z, I)
 
 
 def test_twistor_plucker_relation():

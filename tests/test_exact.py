@@ -21,7 +21,7 @@ from positroid_lab.exact import (
 )
 from positroid_lab.util import rat_from_str
 
-from oracles import fraction_det, fraction_rref, varbar_bruteforce
+from oracles import fraction_det, fraction_matmul, fraction_rref, varbar_bruteforce
 
 
 def test_det_identity():
@@ -294,3 +294,29 @@ def test_integer_rank_kernel_det_match_fraction_oracles():
 def test_integer_det_rejects_non_square():
     with pytest.raises(ValueError):
         integer_det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_integer_matmul_matches_fraction_products():
+    rng = Random(20)
+    pinned = [
+        (RatMatrix.from_rows([[Fraction(1, 2), Fraction(-2, 3), 3]]),       # 1 x n
+         RatMatrix.from_rows([[Fraction(5, 4)], [7], [Fraction(-1, 6)]])),  # n x 1
+        (RatMatrix.from_rows([[Fraction(-3, 8)], [2], [0]]),                 # n x 1
+         RatMatrix.from_rows([[Fraction(1, 3), -4, Fraction(9, 10)]])),      # 1 x n
+        (RatMatrix.from_rows([[1, -2, 3], [0, 0, 0], [4, 5, -6]]),          # a zero row
+         RatMatrix.from_rows([[Fraction(1, 2), 1], [Fraction(-1, 3), 0], [2, Fraction(7, 5)]])),
+        (RatMatrix.from_rows([[2, -1], [3, 5]]), RatMatrix.from_rows([[4, 0, -7], [1, 1, 9]])),
+    ]
+    for A, B in pinned:
+        assert A.matmul(B) == fraction_matmul(A, B)
+    for _ in range(200):
+        r, c, q = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        A, B = _random_rational_matrix(rng, r, c), _random_rational_matrix(rng, c, q)
+        AB = A.matmul(B)
+        assert (AB.rows, AB.cols) == (r, q)
+        assert AB == fraction_matmul(A, B)
+        Ai = RatMatrix.from_rows(_random_integer_rows(rng, r, c))
+        assert Ai.matmul(B) == fraction_matmul(Ai, B)
+        assert all(x.denominator == 1 for x in Ai.matmul(Ai.transpose()).row(0))
+    with pytest.raises(ValueError):
+        RatMatrix.identity(2).matmul(RatMatrix.identity(3))
