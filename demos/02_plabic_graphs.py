@@ -5,13 +5,15 @@ supports spell out its positroid; weighting the edges sweeps out every
 point of the cell, and local moves never change the decorated trips.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
-from positroid_lab import fixtures
 from positroid_lab.cells import cell_dimension
 from positroid_lab.grassmann import matroid_of
 from positroid_lab.plabic import (
+    PlabicGraph,
     apply_move,
     bipartize,
     boundary_measurement,
@@ -22,7 +24,12 @@ from positroid_lab.plabic import (
     trip_permutation,
 )
 
-G = fixtures.g1()
+
+def load(name: str) -> PlabicGraph:
+    return PlabicGraph.from_json(json.loads((Path(__file__).parent / name).read_text()))
+
+
+G = load("g1.json")
 print("graph:", G)
 print("trip permutation:", trip_permutation(G))
 
@@ -44,7 +51,7 @@ print("  matroid unchanged:", matroid_of(Pw).bases == positroid_of_graph(G).base
 print("cell dimension from the Grassmann necklace of the positroid:", cell_dimension(G))
 
 print("\nthe nine-boundary drawn graph:")
-big = fixtures.fig_plabic_graph()
+big = load("fig_plabic_graph.json")
 print("  trips:", trip_permutation(big))
 
 print("\napplying six random local moves, trips after each:")

@@ -16,6 +16,7 @@ from positroid_lab.cluster import (
     cluster_adjacency_check,
     mutate,
 )
+from positroid_lab.grassmann import matrix_of_plucker
 from positroid_lab.plabic import boundary_measurement, dual_graph_of_triangulation, t_dual_graph
 from positroid_lab.triangulations import BicoloredTriangulation, flip, flippable_arcs
 
@@ -50,7 +51,7 @@ print("\npositivity pins the tile:")
 # the T-dual of its dual tree
 G = t_dual_graph(dual_graph_of_triangulation(Q))
 weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
-Yt = amp_map(boundary_measurement(G, weights), Z)
+Yt = amp_map(matrix_of_plucker(boundary_measurement(G, weights)), Z)
 print("  values on a tile sample all positive:",
       all(v != "boundary" and v > 0 for v in SQ.evaluate(Yt, Z).values()))
 

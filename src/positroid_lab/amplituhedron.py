@@ -20,9 +20,9 @@ from random import Random
 from typing import Sequence
 
 from .cells import sample_cell_matrix
-from .exact import (RatMatrix, SignVector, _det, _integer_rows, kernel_basis, maximal_minors,
-                    rank, var, varbar)
-from .grassmann import PluckerVector, matrix_of_plucker, plucker_of_matrix
+from .exact import (RatMatrix, SignVector, _integer_rows, integer_minors, kernel_basis, rank,
+                    var, varbar)
+from .grassmann import plucker_of_matrix
 from .hypersimplex import WSimplex, verify_tiling
 from .perms import top_cell_permutation
 from .triangulations import BicoloredTriangulation
@@ -58,7 +58,8 @@ class ZMatrix:
         self.n, self.p = mat.rows, mat.cols
         if self.p > self.n:
             raise ValueError("need p <= n")
-        for I, m in maximal_minors(mat.transpose()).items():
+        cols = _integer_rows(mat.transpose())[0]
+        for I, m in zip(subsets(self.n, self.p), integer_minors(cols, self.n)):
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
         self.audits: dict[tuple[int, int, int], list[AmplituhedronPoint]] = {}
@@ -73,8 +74,7 @@ class ZMatrix:
         got = self.minors.get(I)
         if got is None:
             a, scale = _integer_rows(self.mat.submatrix([i - 1 for i in I], range(self.p)))
-            got = self.minors[I] = ([_det([[row[c - 1] for c in J] for row in a])
-                                     for J in subsets(self.p, len(I))], scale)
+            got = self.minors[I] = (integer_minors(a, self.p), scale)
         return got
 
     def hat_row(self, i: int) -> tuple[Fraction, ...]:
@@ -107,29 +107,25 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
 
 @dataclass(frozen=True)
 class AmplituhedronPoint:
-    """Y = C Z; per ZMatrix, ``memo`` keeps its twistors by sorted index and
-    ``signs`` its sign record, which reads them."""
+    """Y = C Z; ``signs`` keeps its sign record per ZMatrix."""
 
     Y: RatMatrix
     k: int
     m: int
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"k": self.k, "m": self.m, "Y": self.Y.to_json()}
 
 
-def amp_map(C, Z: ZMatrix) -> AmplituhedronPoint:
-    """Y = C Z for a totally nonnegative C (matrix or coordinate vector)."""
-    Cmat = matrix_of_plucker(C) if isinstance(C, PluckerVector) else C
-    if Cmat.cols != Z.n:
+def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
+    """Y = C Z for a totally nonnegative matrix C."""
+    if C.cols != Z.n:
         raise ValueError("column count of C must match the rows of Z")
-    Y = Cmat.matmul(Z.mat)
-    k = Cmat.rows
-    if rank(Y) != k:
+    Y = C.matmul(Z.mat)
+    if rank(Y) != C.rows:
         raise RuntimeError("image lost rank; input was not in the domain")
-    return AmplituhedronPoint(Y, k, Z.p - k)
+    return AmplituhedronPoint(Y, C.rows, Z.p - C.rows)
 
 
 class _Signs:
@@ -140,19 +136,20 @@ class _Signs:
     unsorted I flips the sign by parity.  A miss is det[Y; Z_I] by Laplace
     expansion along Z_I's rows: over the m-column sets J, the integer dot
     product of Y's minors off J, signed here once by (-1)^(k+1+..+p + sum J),
-    with Z_I's minors on J (``ZMatrix.minor_table``), as one Fraction.  In
+    with Z_I's minors on J (``ZMatrix.minor_table``), as one Fraction.  Over
+    the J in lexicographic order, the sets off J are the k-sets in reverse.  In
     a mask, bit (h-1)*n + (j-1) stands for the pair h < j."""
 
-    def __init__(self, Y: RatMatrix, Z: ZMatrix, memo: dict):
+    def __init__(self, Y: RatMatrix, Z: ZMatrix):
         self.Y, self.Z = Y, Z
         k, p, n = Y.rows, Z.p, Z.n
         size = p - k
         if size < 0 or k and Y.cols != p:
             raise ValueError(f"Y must have {p} columns and at most {p} rows")
         a, scale = _integer_rows(Y)
-        ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J))
-                * _det([[row[c - 1] for c in range(1, p + 1) if c not in J] for row in a])
-                for J in subsets(p, size)]
+        ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J)) * y
+                for J, y in zip(subsets(p, size), reversed(integer_minors(a, p)))]
+        memo = self.memo = {}
 
         def tw(I: Sequence[int]) -> Fraction:
             if len(I) != size:
@@ -205,13 +202,13 @@ class _Signs:
 
 def _signs(Y, Z: ZMatrix) -> _Signs:
     """Y's sign record against Z.  A point keeps one per ZMatrix (by
-    identity: it defines no __eq__) next to the values in its ``memo``; a
-    raw matrix gets a fresh one for the caller only."""
+    identity: it defines no __eq__); a raw matrix gets a fresh one for the
+    caller only."""
     if not isinstance(Y, AmplituhedronPoint):
-        return _Signs(Y, Z, {})
+        return _Signs(Y, Z)
     rec = Y.signs.get(Z)
     if rec is None:
-        rec = Y.signs[Z] = _Signs(Y.Y, Z, Y.memo.setdefault(Z, {}))
+        rec = Y.signs[Z] = _Signs(Y.Y, Z)
     return rec
 
 

@@ -35,7 +35,7 @@ from .hypersimplex import (
     verify_tiling,
 )
 from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
-from .plabic import PlabicGraph, bipartize, matchings, trip_permutation
+from .plabic import PlabicGraph, bipartite_matchings, trip_permutation
 from .triangulations import (
     BicoloredTriangulation,
     fan_triangulation,
@@ -222,7 +222,7 @@ def cmd_cell(args) -> int:
                               for P in points]
     if args.matchings:
         payload["matchings"] = [{"boundary": sorted(m.boundary), "edges": sorted(m.edges)}
-                                for m in matchings(bipartize(G)[0])]
+                                for m in bipartite_matchings(G)[1]]
     _emit(args, payload)
     return 0
 
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in ("sample", "count", "samples"):
+        for name in ("sample", "count", "samples", "m"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must not be negative")
         return args.func(args)

@@ -1,14 +1,15 @@
 """Exact rational matrices, one integer elimination, and sign variation.
 
 All entries are ``fractions.Fraction``; nothing here ever rounds.  One
-fraction-free (Bareiss) elimination gives the rank, kernel and determinant
-of integer rows (``integer_rank``, ``integer_kernel``, ``integer_det``);
-``rank``, ``kernel_basis``, ``det`` and ``maximal_minors`` run it on rows
-cleared of denominators once.  ``RatMatrix.matmul`` scales each left row by
-its own denominator lcm and the right factor by one common lcm: an entry
-is one ``Fraction`` of an integer dot product.  The sign
-variation statistics ``var`` and ``varbar`` are the workhorses behind the
-Gantmakher-Krein style tests elsewhere in the package.
+fraction-free (Bareiss) elimination gives the rank, kernel, determinant
+and maximal minors of integer rows (``integer_rank``, ``integer_kernel``,
+``integer_det``, ``integer_minors``); ``rank``, ``kernel_basis``, ``det``
+and ``maximal_minors`` run it on rows cleared of denominators once.
+``RatMatrix.matmul`` scales each left row by its own denominator lcm and
+the right factor by one common lcm: an entry is one ``Fraction`` of an
+integer dot product.  The sign variation statistics ``var`` and
+``varbar`` are the workhorses behind the Gantmakher-Krein style tests
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -200,6 +201,12 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     return _kernel([list(row) for row in rows], cols)[0]
 
 
+def integer_minors(a: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Every k x k column minor of the k integer rows ``a`` of length n, on
+    the column sets in lexicographic order."""
+    return [_det([[row[j] for j in I] for row in a]) for I in combinations(range(n), len(a))]
+
+
 def det(M: RatMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination over the integers."""
     if M.rows != M.cols:
@@ -215,8 +222,8 @@ def maximal_minors(M: RatMatrix) -> dict[tuple[int, ...], Fraction]:
     if k > n:
         raise ValueError("need k <= n")
     a, scale = _integer_rows(M)
-    return {tuple(j + 1 for j in I): Fraction(_det([[row[j] for j in I] for row in a]), scale)
-            for I in combinations(range(n), k)}
+    return {tuple(j + 1 for j in I): Fraction(m, scale)
+            for I, m in zip(combinations(range(n), k), integer_minors(a, n))}
 
 
 def rank(M: RatMatrix) -> int:

@@ -243,9 +243,7 @@ def _resolve_tiles(tiles, k_plus_1: int, n: int):
     by_bases = {frozenset(rec.matroid.bases): rec for rec in catalog.values()}
     resolved = []
     for t in tiles:
-        if isinstance(t, TileRecord):
-            resolved.append((t.perm, t.matroid, True))
-        elif isinstance(t, DecoratedPermutation):
+        if isinstance(t, DecoratedPermutation):
             if t in catalog:
                 resolved.append((t, catalog[t].matroid, True))
             else:

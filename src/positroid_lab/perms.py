@@ -236,18 +236,13 @@ def parse_decorated(text: str, fixed_default: str | None = None) -> DecoratedPer
     return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
 
 
-def enumerate_decorated(n: int, k: int | None = None, loopless: bool = False,
-                        coloopless: bool = False):
+def enumerate_decorated(n: int, k: int | None = None):
     """All decorated permutations on [n], optionally filtered by type."""
     for images in permutations(range(1, n + 1)):
         fixed = [i + 1 for i, v in enumerate(images) if v == i + 1]
         for mask in range(1 << len(fixed)):
             loops = frozenset(f for b, f in enumerate(fixed) if mask >> b & 1)
             coloops = frozenset(fixed) - loops
-            if loopless and loops:
-                continue
-            if coloopless and coloops:
-                continue
             pi = DecoratedPermutation(images, loops, coloops)
             if k is None or type_of(pi)[0] == k:
                 yield pi

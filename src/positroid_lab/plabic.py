@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Hashable, Iterator, Mapping, Sequence
 
-from .grassmann import Matroid, PluckerVector, matroid_of
+from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
 from .triangulations import BicoloredTriangulation
 
@@ -42,7 +42,7 @@ def boundary_id(i: int) -> str:
 class PlabicGraph:
     """Immutable plabic graph with a rotation-system embedding."""
 
-    __slots__ = ("n", "colors", "edges", "rotations", "_incident")
+    __slots__ = ("n", "colors", "edges", "rotations", "_incident", "_matchings")
 
     def __init__(self, n: int, colors: Mapping[str, str],
                  edges: Sequence[tuple[str, str]],
@@ -52,7 +52,7 @@ class PlabicGraph:
         self.edges = tuple((str(u), str(v)) for u, v in edges)
         self.rotations = {str(v): tuple((int(e), int(s)) for e, s in rot)
                           for v, rot in rotations.items()}
-        self._incident = None
+        self._incident = self._matchings = None
         self._validate()
 
     @classmethod
@@ -65,37 +65,6 @@ class PlabicGraph:
         return cls(n, colors, list(edges.values()),
                    {v: [(index[key], side) for key, side in rot]
                     for v, rot in rotations.items()})
-
-    @classmethod
-    def build(cls, n: int, colors: Mapping[str, str],
-              edges: Sequence[tuple[str, str]],
-              rotations: Mapping[str, Sequence[str]] | None = None) -> "PlabicGraph":
-        """Build from an edge list plus clockwise neighbour-name orderings.
-
-        Parallel edges repeat the neighbour's name; the j-th mention at one
-        endpoint is paired with the j-th from the end at the other, the way
-        nested parallel edges sit in a disk.
-        """
-        edges = [(str(u), str(v)) for u, v in edges]
-        pairs = [tuple(sorted(e)) for e in edges]
-        if rotations is not None and len(pairs) != len(set(pairs)):
-            raise ValueError("neighbour-name rotations cannot disambiguate "
-                             "parallel edges; supply dart rotations instead")
-        incident: dict[str, list[Dart]] = {}
-        for idx, (u, v) in enumerate(edges):
-            incident.setdefault(u, []).append((idx, 0))
-            incident.setdefault(v, []).append((idx, 1))
-        rot_darts: dict[str, list[Dart]] = {}
-        for vtx, inc in incident.items():
-            if rotations is None or vtx not in rotations:
-                rot_darts[vtx] = list(inc)
-                continue
-            order = [str(x) for x in rotations[vtx]]
-            by_name = {edges[d[0]][1 - d[1]]: d for d in inc}
-            if sorted(order) != sorted(by_name):
-                raise ValueError(f"rotation at {vtx} must name each neighbour once")
-            rot_darts[vtx] = [by_name[name] for name in order]
-        return cls(n, colors, edges, rot_darts)
 
     def _validate(self):
         inc = self.incident()
@@ -206,22 +175,14 @@ class PlabicGraph:
         if not _list_of(edges, lambda e: _list_of(e, _is_str) and len(e) == 2):
             raise ValueError(f"edges must be a list of [u, v] name pairs, not {edges!r}")
         colors = {rec["id"]: rec.get("color") for rec in vertices}
-        edges = [tuple(e) for e in edges]
-        if "rotations" in data:
-            rotations = data["rotations"]
-            if not (isinstance(rotations, dict) and all(
-                    _list_of(rot, lambda d: _list_of(d, _is_int) and len(d) == 2)
-                    for rot in rotations.values())):
-                raise ValueError("rotations must map each vertex to a list of "
-                                 f"[edge, side] darts, not {rotations!r}")
-            return cls(n, colors, edges, {v: [tuple(d) for d in rot]
-                                          for v, rot in rotations.items()})
-        neighbors = data.get("neighbors")
-        if neighbors is not None and not (isinstance(neighbors, dict) and all(
-                _list_of(names, _is_str) for names in neighbors.values())):
-            raise ValueError("neighbors must map each vertex to a list of names, "
-                             f"not {neighbors!r}")
-        return cls.build(n, colors, edges, neighbors)
+        rotations = data["rotations"]
+        if not (isinstance(rotations, dict) and all(
+                _list_of(rot, lambda d: _list_of(d, _is_int) and len(d) == 2)
+                for rot in rotations.values())):
+            raise ValueError("rotations must map each vertex to a list of "
+                             f"[edge, side] darts, not {rotations!r}")
+        return cls(n, colors, [tuple(e) for e in edges],
+                   {v: [tuple(d) for d in rot] for v, rot in rotations.items()})
 
     def to_dot(self) -> str:
         lines = ["graph plabic {", "  layout=neato;"]
@@ -411,19 +372,29 @@ def matchings(G: PlabicGraph) -> tuple[Matching, ...]:
     return tuple(out)
 
 
+def bipartite_matchings(G: PlabicGraph) -> tuple[dict[int, int], tuple[Matching, ...]]:
+    """The weight-edge map of ``bipartize(G)`` and its matchings, which must
+    exist; enumerated once per graph and kept on it."""
+    if G._matchings is None:
+        H, wmap = bipartize(G)
+        ms = matchings(H)
+        if not ms:
+            raise ValueError("graph has no almost perfect matching")
+        G._matchings = wmap, ms
+    return G._matchings
+
+
 def positroid_of_graph(G: PlabicGraph) -> Matroid:
     """Bases are the boundary supports of the almost perfect matchings: the
     support of the unit-weight measurement, whose every term is positive."""
-    return matroid_of(boundary_measurement(G))
+    ms = bipartite_matchings(G)[1]
+    return Matroid(G.n, len(ms[0].boundary), frozenset(m.boundary for m in ms))
 
 
 def matching_monomials(G: PlabicGraph) -> tuple[int, list[tuple[tuple[int, ...], frozenset[int]]]]:
     """Per matching: (sorted boundary support, original edges carrying weight)."""
-    H, wmap = bipartize(G)
+    wmap, ms = bipartite_matchings(G)
     back = {seg: old for old, seg in wmap.items()}
-    ms = matchings(H)
-    if not ms:
-        raise ValueError("graph has no almost perfect matching")
     k = len(ms[0].boundary)
     return k, [(tuple(sorted(m.boundary)),
                 frozenset(back[e] for e in m.edges if e in back))

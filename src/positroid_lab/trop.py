@@ -58,7 +58,7 @@ class HeightVector:
     def make(cls, k: int, n: int, table) -> "HeightVector":
         order = subsets(n, k)
         if isinstance(table, dict):
-            vals = [Fraction(table.get(I, table.get(subset_key(I), 0))) for I in order]
+            vals = [Fraction(table.get(I, 0)) for I in order]
         else:
             vals = [Fraction(x) for x in table]
             if len(vals) != len(order):

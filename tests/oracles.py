@@ -87,6 +87,7 @@ from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
     is_tnn,
+    matrix_of_plucker,
     matroid_of,
     plucker_of_matrix,
 )
@@ -587,8 +588,7 @@ def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
     the boundary-measurement parameterization of its cell."""
     G = t_dual_graph(dual_graph_of_triangulation(T))
     weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
-    P = boundary_measurement(G, weights)
-    return amp_map(P, Z)
+    return amp_map(matrix_of_plucker(boundary_measurement(G, weights)), Z)
 
 
 def noncrossing(arcs: Sequence) -> bool:
@@ -615,7 +615,7 @@ def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,
                 P = boundary_measurement(G, weights)
             except ValueError:
                 continue
-            out.append(amp_map(P, Z))
+            out.append(amp_map(matrix_of_plucker(P), Z))
     return out
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from random import Random
 
-from positroid_lab import fixtures
 from positroid_lab.amplituhedron import (
     amp_map,
     b_point,
@@ -68,6 +67,7 @@ from positroid_lab.trop import (
     regular_subdivision,
 )
 
+import graphs
 from lp import point_in_hull
 from oracles import (
     enumerate_bicolored,
@@ -111,15 +111,15 @@ def test_criterion_02_sign_variation():
 
 
 def test_criterion_03_plabic_fixtures_and_move_invariance():
-    assert trip_permutation(fixtures.fig_plabic_graph()) == \
+    assert trip_permutation(graphs.fig_plabic_graph()) == \
         parse_decorated("(8,5,9,2,3,6_,4,1,7)")
-    H, _ = bipartize(fixtures.g1())
+    H, _ = bipartize(graphs.g1())
     ms = matchings(H)
     assert len(ms) == 5
     assert sorted(tuple(sorted(m.boundary)) for m in ms) == \
         [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
     rng = Random(7)
-    G = fixtures.fig_plabic_graph()
+    G = graphs.fig_plabic_graph()
     pi = trip_permutation(G)
     cap = len(G.internal_vertices()) + 6
     for _ in range(200):
@@ -135,14 +135,14 @@ def test_criterion_03_plabic_fixtures_and_move_invariance():
 
 def test_criterion_04_measurement_and_dimensions():
     rng = Random(0)
-    for G in (fixtures.g1(), fixtures.nine_gon_fan(), fixtures.fig_plabic_graph()):
+    for G in (graphs.g1(), graphs.nine_gon_fan(), graphs.fig_plabic_graph()):
         M = positroid_of_graph(G)
         for _ in range(100):
             w = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
             P = boundary_measurement(G, w)
             assert is_tnn(P)
             assert matroid_of(P).bases == M.bases
-    graphs = 0
+    counted = 0
     for n in range(3, 7):
         for k in range(1, n - 1):
             for S in enumerate_subdivisions(n, k):
@@ -150,9 +150,9 @@ def test_criterion_04_measurement_and_dimensions():
 
                 G = t_dual_graph(dual_graph_of_triangulation(class_representative(S)))
                 assert jacobian_cell_dimension(G, trials=2, seed=1) == 2 * k
-                graphs += 1
+                counted += 1
     report(4, f"measurement TNN with stable matroid (300 draws); image "
-              f"dimension 2k on {graphs} tile cells up to n=6")
+              f"dimension 2k on {counted} tile cells up to n=6")
 
 
 def test_criterion_05_hypersimplex_tilings():
@@ -227,10 +227,10 @@ def test_criterion_08_t_duality():
     }
     for src, dst in pairs.items():
         assert t_dual(parse_decorated(src)) == parse_decorated(dst)
-    G9 = fixtures.nine_gon_fan()
+    G9 = graphs.nine_gon_fan()
     assert trip_permutation(t_dual_graph(G9)) == t_dual(trip_permutation(G9))
     assert trip_permutation(t_dual_graph(G9)) == \
-        trip_permutation(fixtures.fig_plabic_graph())
+        trip_permutation(graphs.fig_plabic_graph())
     checked = 0
     for n in (3, 4, 5, 6):
         for k in range(0, n - 1):

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from positroid_lab import amplituhedron
+from positroid_lab import amplituhedron, exact
 from positroid_lab.amplituhedron import (
     AmplituhedronPoint,
     ZMatrix,
@@ -140,8 +140,8 @@ def test_memoized_twistor_matches_det_and_expansion(k, n, m):
             assert twistor(Y, Z, I) == expected
             assert twistor(Y.Y, Z, I) == expected
             assert twistor_via_expansion(plucker_of_matrix(C), Z, I) == expected
-        assert len(Y.memo[Z]) == len(list(combinations(range(n), m)))
-        assert all(list(I) == sorted(I) for I in Y.memo[Z])
+        assert len(Y.signs[Z].memo) == len(list(combinations(range(n), m)))
+        assert all(list(I) == sorted(I) for I in Y.signs[Z].memo)
 
 
 def _gr26_sweep(Y, Z, tiles, ws, seeds):
@@ -182,8 +182,8 @@ def test_point_memo_keeps_each_Z_apart():
     for I in product(range(1, 6), repeat=2):
         assert twistor(Y, Z1, I) == _stacked_det(Y.Y, Z1, I)
         assert twistor(Y, Z2, I) == _stacked_det(Y.Y, Z2, I)
-    assert set(Y.memo) == {Z1, Z2}
-    assert Y.memo[Z1] != Y.memo[Z2]
+    assert set(Y.signs) == {Z1, Z2}
+    assert Y.signs[Z1].memo != Y.signs[Z2].memo
 
 
 def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
@@ -203,14 +203,14 @@ def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
         dets.append(M)
         return det(M)
 
-    def counting_minor(a, kernel=amplituhedron._det):
+    def counting_minor(a, kernel=exact._det):
         minors.append(a)
         return kernel(a)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("positroid_lab") and getattr(mod, "det", None) is det:
             monkeypatch.setattr(mod, "det", counting_det)
-    monkeypatch.setattr(amplituhedron, "_det", counting_minor)
+    monkeypatch.setattr(exact, "_det", counting_minor)
     assert Z.minors == {}
     first = _gr26_sweep(Y1, Z, tiles, ws, seeds)
     tables = dict(Z.minors)

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from positroid_lab import fixtures
 from positroid_lab.amplituhedron import make_positive_Z
 from positroid_lab.cells import cell_dim_of_perm, graph_of_perm
 from positroid_lab.cli import main
 from positroid_lab.perms import enumerate_decorated
 from positroid_lab.trop import HeightVector
 
+import graphs
 from test_plabic import NON_REDUCED_CELLS, _crossed
 
 
@@ -46,12 +46,50 @@ def test_cell_rerun_bit_identical(capsys):
 
 def test_cell_graph_matchings(capsys, tmp_path):
     path = tmp_path / "g1.json"
-    path.write_text(json.dumps(fixtures.g1().to_json()))
+    path.write_text(json.dumps(graphs.g1().to_json()))
     code, out = run(capsys, "cell", "--graph", str(path), "--matchings")
     assert code == 0
     data = json.loads(out)
     assert data["trip_permutation"] == "(3,1,4,2)"
     assert len(data["matchings"]) == 5
+
+
+def test_cell_graph_matchings_enumerates_the_matchings_once(capsys, monkeypatch):
+    """One enumeration serves the matching positroid and the printed list,
+    under every module name that holds ``plabic.matchings``."""
+    import sys
+
+    from positroid_lab import plabic
+
+    calls, original = [], plabic.matchings
+
+    def counting(H):
+        calls.append(H)
+        return original(H)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("positroid_lab") and getattr(mod, "matchings", None) is original:
+            monkeypatch.setattr(mod, "matchings", counting)
+    code, out = run(capsys, "cell", "--graph", str(graphs.DEMOS / "g1.json"), "--matchings")
+    assert code == 0 and len(json.loads(out)["matchings"]) == 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kept", ["edges", "neighbors"])
+def test_graph_file_without_rotations_exits_2(capsys, tmp_path, kept):
+    """Dart ``rotations`` are the one embedding a graph file gives: neither
+    the edge list alone nor the neighbour names ``to_json`` writes stand in
+    for them."""
+    data = graphs.g1().to_json()
+    del data["rotations"]
+    if kept == "edges":
+        del data["neighbors"]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert main(["cell", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: missing key 'rotations' in {path}\n"
 
 
 def _graph_file(tmp_path, G) -> str:
@@ -81,7 +119,7 @@ def test_cell_graph_of_every_bridge_graph_prints_its_permutation(capsys, tmp_pat
             assert data["dimension"] == cell_dim_of_perm(pi)
 
 
-@pytest.mark.parametrize("graph", [fixtures.g1, NON_REDUCED_CELLS[0][0]], ids=["g1", "bridged"])
+@pytest.mark.parametrize("graph", [graphs.g1, NON_REDUCED_CELLS[0][0]], ids=["g1", "bridged"])
 def test_cell_graph_samples_its_cell(capsys, tmp_path, graph):
     code, out = run(capsys, "cell", "--graph", _graph_file(tmp_path, graph()), "--sample", "2",
                     "--seed", "3")
@@ -115,6 +153,8 @@ def test_cell_graph_with_a_vertex_named_like_a_bipartize_vertex(capsys, tmp_path
         "n": 2,
         "vertices": [{"id": "x0", "color": "white"}, {"id": "y", "color": "white"}],
         "edges": [["b1", "x0"], ["x0", "y"], ["y", "b2"]],
+        "rotations": {"b1": [[0, 0]], "x0": [[0, 1], [1, 0]], "y": [[1, 1], [2, 0]],
+                      "b2": [[2, 1]]},
     }))
     code, out = run(capsys, "cell", "--graph", str(path))
     assert code == 0
@@ -123,7 +163,7 @@ def test_cell_graph_with_a_vertex_named_like_a_bipartize_vertex(capsys, tmp_path
 
 def test_cell_graph_dot_and_tikz(capsys, tmp_path):
     path = tmp_path / "g1.json"
-    path.write_text(json.dumps(fixtures.g1().to_json()))
+    path.write_text(json.dumps(graphs.g1().to_json()))
     code, out = run(capsys, "cell", "--graph", str(path), "--format", "dot")
     assert code == 0 and out.startswith("graph")
     code, out = run(capsys, "cell", "--graph", str(path), "--format", "tikz")
@@ -322,6 +362,7 @@ def test_black_polygon_tile_lists_no_triangulations(capsys, tmp_path):
     ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,1,4_)", "--count", "-1"],
     ["amp", "verify-tiling", "--file", "TILING", "--z", "vandermonde:0,1,2,3",
      "--samples", "-1"],
+    ["amp", "sample", "--n", "5", "--k", "2", "--m", "-1", "--cell", "(3,4,5,1,2)"],
 ])
 def test_negative_counts_exit_2(capsys, tmp_path, argv):
     p = tmp_path / "amp.json"
@@ -481,7 +522,7 @@ def test_cell_samples_take_their_minors_once(capsys, monkeypatch):
     ("perm record a number", {"space": "hypersimplex", "k": 1, "n": 4,
                               "tiles": [{"perm": 5}, {"perm": "(2,4,1,3)"}]},
      ["tilings", "--verify", "FILE"]),
-    ("vertices not a list", dict(fixtures.g1().to_json(), vertices=5),
+    ("vertices not a list", dict(graphs.g1().to_json(), vertices=5),
      ["cell", "--graph", "FILE"]),
     ("height keys not 2-subsets of [4]",
      {"k": 2, "n": 4, "heights": {"9,9": "1", "1,2,3": "4"}},
@@ -732,7 +773,7 @@ FUZZ_CASES = {
                           ["amp", "verify-tiling", "--file", "FILE",
                            "--z", "vandermonde:0,1,2,3", "--samples", "3"],
                           ("tiles", 0)),
-    "cell-graph": (fixtures.g1().to_json(), ["cell", "--graph", "FILE"],
+    "cell-graph": (graphs.g1().to_json(), ["cell", "--graph", "FILE"],
                    ("vertices", 1)),
     "amp-sample-z-file": (make_positive_Z(4, 3, range(4)).to_json(),
                           ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)",

@@ -66,15 +66,15 @@ def test_t_dual_rejects_loops():
 def test_t_dual_bijection_small_n():
     for n in range(2, 7):
         for k_plus_1 in range(1, n + 1):
-            loopless = [p for p in enumerate_decorated(n, k=k_plus_1, loopless=True)]
+            loopless = [p for p in enumerate_decorated(n, k=k_plus_1) if not p.loops]
             images = [t_dual(p) for p in loopless]
             assert len(set(images)) == len(images)
             for q in images:
                 assert q.is_coloopless()
                 assert type_of(q)[0] == k_plus_1 - 1
                 assert t_dual_inverse(q) in loopless
-            coloopless = [p for p in enumerate_decorated(n, k=k_plus_1 - 1,
-                                                         coloopless=True)]
+            coloopless = [p for p in enumerate_decorated(n, k=k_plus_1 - 1)
+                          if p.is_coloopless()]
             assert set(images) == set(coloopless)
 
 
@@ -88,7 +88,7 @@ def test_closure_reflexive_and_subset():
 
 
 def test_t_dual_preserves_closure_order_exhaustive_24():
-    loopless = list(enumerate_decorated(4, k=2, loopless=True))
+    loopless = [p for p in enumerate_decorated(4, k=2) if not p.loops]
     for mu in loopless:
         for pi in loopless:
             assert closure_leq(mu, pi) == closure_leq(t_dual(mu), t_dual(pi))

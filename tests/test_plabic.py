@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-from positroid_lab import fixtures
 from positroid_lab.cells import (
     _bridge_insert_graph,
     _empty_graph,
@@ -36,16 +35,17 @@ from positroid_lab.plabic import (
 )
 from positroid_lab.triangulations import BicoloredTriangulation
 
+import graphs
 from move_search import canonical_form, search_is_reduced
 from oracles import corner_and_center_graph, enumerate_bicolored, jacobian_cell_dimension
 
 
 def test_trip_permutation_g1():
-    assert trip_permutation(fixtures.g1()) == parse_decorated("(3,1,4,2)")
+    assert trip_permutation(graphs.g1()) == parse_decorated("(3,1,4,2)")
 
 
 def test_trip_permutation_nine_vertex_fixture():
-    assert trip_permutation(fixtures.fig_plabic_graph()) == \
+    assert trip_permutation(graphs.fig_plabic_graph()) == \
         parse_decorated("(8,5,9,2,3,6_,4,1,7)")
 
 
@@ -57,29 +57,29 @@ def test_trip_single_white_lollipop():
 
 
 def test_g1_matchings_and_positroid():
-    H, _ = bipartize(fixtures.g1())
+    H, _ = bipartize(graphs.g1())
     ms = matchings(H)
     assert len(ms) == 5
     supports = sorted(tuple(sorted(m.boundary)) for m in ms)
     assert supports == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
-    M = positroid_of_graph(fixtures.g1())
+    M = positroid_of_graph(graphs.g1())
     assert M.sorted_bases() == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
 
 def test_matchings_requires_bipartite():
     with pytest.raises(ValueError):
-        matchings(fixtures.g1().__class__(
+        matchings(graphs.g1().__class__(
             1, {"t": "black"}, [("b1", "t")], {"b1": [(0, 0)], "t": [(0, 1)]}))
 
 
 def test_boundary_measurement_unit_weights():
-    P = boundary_measurement(fixtures.g1())
+    P = boundary_measurement(graphs.g1())
     vals = [P.coord(I) for I in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
     assert vals == [1, 1, 1, 1, 1, 0]
 
 
 def test_boundary_measurement_scaling_projective():
-    G = fixtures.g1()
+    G = graphs.g1()
     P1 = boundary_measurement(G)
     t = Fraction(7, 2)
     P2 = boundary_measurement(G, {e: t for e in range(len(G.edges))})
@@ -88,7 +88,7 @@ def test_boundary_measurement_scaling_projective():
 
 def test_boundary_measurement_rejects_negative_weight():
     with pytest.raises(ValueError):
-        boundary_measurement(fixtures.g1(), {0: Fraction(-1)})
+        boundary_measurement(graphs.g1(), {0: Fraction(-1)})
 
 
 def test_boundary_measurement_lollipops_only():
@@ -101,7 +101,7 @@ def test_boundary_measurement_lollipops_only():
 
 def test_measurement_matroid_matches_graph_positroid():
     rng = Random(0)
-    for G in (fixtures.g1(), fixtures.nine_gon_fan()):
+    for G in (graphs.g1(), graphs.nine_gon_fan()):
         M = positroid_of_graph(G)
         for _ in range(15):
             w = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
@@ -112,7 +112,7 @@ def test_measurement_matroid_matches_graph_positroid():
 
 def test_measurement_realizes_trip_permutation():
     rng = Random(1)
-    for G in (fixtures.g1(), fixtures.nine_gon_fan()):
+    for G in (graphs.g1(), graphs.nine_gon_fan()):
         pi = trip_permutation(G)
         w = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
         C = matrix_of_plucker(boundary_measurement(G, w))
@@ -120,7 +120,7 @@ def test_measurement_realizes_trip_permutation():
 
 
 def test_cell_dimension_g1():
-    assert cell_dimension(fixtures.g1()) == 3
+    assert cell_dimension(graphs.g1()) == 3
 
 
 def test_cell_dimension_lollipops_zero():
@@ -140,7 +140,7 @@ def test_cell_dimension_hat_graph_is_2k():
 
 def test_moves_preserve_trip_permutation_random_walk():
     rng = Random(7)
-    G = fixtures.fig_plabic_graph()
+    G = graphs.fig_plabic_graph()
     pi = trip_permutation(G)
     cap = len(G.internal_vertices()) + 6
     applied = 0
@@ -175,7 +175,7 @@ def test_m1_square_move_toggles_colors():
 
 
 def test_m2_merge_split_inverse():
-    G = fixtures.g1()
+    G = graphs.g1()
     merged = None
     for move, site in enumerate_move_sites(G):
         if move == "M2_split":
@@ -192,7 +192,7 @@ def test_m2_merge_split_inverse():
 
 
 def test_is_reduced_verdicts():
-    assert is_reduced(fixtures.g1()) == "reduced"
+    assert is_reduced(graphs.g1()) == "reduced"
     colors = {"u": "black", "v": "white"}
     edges = [("b1", "u"), ("u", "v"), ("u", "v"), ("v", "b2")]
     rot = {"b1": [(0, 0)], "b2": [(3, 1)],
@@ -234,8 +234,10 @@ def _crossed() -> PlabicGraph:
     """Two white vertices on the chords 13 and 24, which cross: the matching
     matroid {12, 14, 23, 34} has parallel classes 13 and 24 and is not a
     positroid."""
-    return PlabicGraph.build(4, {"W1": "white", "W2": "white"},
-                             [("b1", "W1"), ("b3", "W1"), ("b2", "W2"), ("b4", "W2")])
+    return PlabicGraph(4, {"W1": "white", "W2": "white"},
+                       [("b1", "W1"), ("b3", "W1"), ("b2", "W2"), ("b4", "W2")],
+                       {"b1": [(0, 0)], "b3": [(1, 0)], "b2": [(2, 0)], "b4": [(3, 0)],
+                        "W1": [(0, 1), (1, 1)], "W2": [(2, 1), (3, 1)]})
 
 
 def _bridged(colours, bridges) -> PlabicGraph:
@@ -315,7 +317,7 @@ def test_is_reduced_rejects_non_reduced_graphs():
 
 
 def test_is_reduced_agrees_with_move_search():
-    assert search_is_reduced(fixtures.g1(), depth=50, size_slack=1) == "reduced"
+    assert search_is_reduced(graphs.g1(), depth=50, size_slack=1) == "reduced"
     definite = 0
     for seed in range(40):
         rng = Random(seed)
@@ -397,13 +399,13 @@ def test_t_dual_of_the_dual_tree_is_the_corner_and_center_graph():
 
 
 def test_t_dual_graph_nine_gon_pair():
-    G = fixtures.nine_gon_fan()
+    G = graphs.nine_gon_fan()
     assert trip_permutation(G) == parse_decorated("(5,9,2,3,6,4,1,7,8)")
     assert trip_permutation(t_dual_graph(G)) == parse_decorated("(8,5,9,2,3,6_,4,1,7)")
 
 
 def test_t_dual_graph_rejects_non_trivalent_black():
-    G = fixtures.g1()  # its black vertex is trivalent; split one edge off it
+    G = graphs.g1()  # its black vertex is trivalent; split one edge off it
     # onto a new black vertex of degree 2
     H = apply_move(G, "M2_split", ("B", 0, 1))
     with pytest.raises(ValueError):
@@ -419,7 +421,7 @@ def test_t_dual_tripod():
 
 
 def test_graph_json_round_trip():
-    G = fixtures.g1()
+    G = graphs.g1()
     H = PlabicGraph.from_json(G.to_json())
     assert canonical_form(H) == canonical_form(G)
     assert G.to_dot().startswith("graph")
@@ -428,7 +430,8 @@ def test_graph_json_round_trip():
 
 def test_from_keyed_numbers_edges_in_dict_order():
     # b1 - w - b2, then edge 0 subdivided by a black vertex m0 by hand
-    G = PlabicGraph.build(2, {"w": "white"}, [("b1", "w"), ("w", "b2")])
+    G = PlabicGraph(2, {"w": "white"}, [("b1", "w"), ("w", "b2")],
+                    {"b1": [(0, 0)], "w": [(0, 1), (1, 0)], "b2": [(1, 1)]})
     edges = dict(enumerate(G.edges))
     del edges[0]
     edges["in"] = ("b1", "m0")
@@ -447,6 +450,8 @@ def test_bipartize_skips_vertex_names_the_graph_uses():
         "n": 2,
         "vertices": [{"id": "x0", "color": "white"}, {"id": "y", "color": "white"}],
         "edges": [["b1", "x0"], ["x0", "y"], ["y", "b2"]],
+        "rotations": {"b1": [[0, 0]], "x0": [[0, 1], [1, 0]], "y": [[1, 1], [2, 0]],
+                      "b2": [[2, 1]]},
     })
     H, weight_edge = bipartize(G)
     assert H.internal_vertices() == ["x0", "x1", "y"]
@@ -456,7 +461,7 @@ def test_bipartize_skips_vertex_names_the_graph_uses():
 
 
 def test_faces_count_euler():
-    G = fixtures.g1()
+    G = graphs.g1()
     fs = faces(G)
     assert sum(1 for f in fs if f.is_outer) == 1
     assert len(fs) == 5  # four inner faces plus the outer one
@@ -486,7 +491,7 @@ def test_matchings_can_be_empty():
 def test_trip_invariant_across_exhausted_move_class():
     # walk the whole size-capped move class of the quadrilateral graph and
     # check the decorated trips of every member
-    G0 = fixtures.g1()
+    G0 = graphs.g1()
     pi = trip_permutation(G0)
     cap = len(G0.internal_vertices()) + 1
     seen = {canonical_form(G0)}
