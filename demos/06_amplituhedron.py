@@ -13,7 +13,6 @@ from positroid_lab.amplituhedron import (
     m1_membership,
     m2_interior_test,
     make_positive_Z,
-    sample_interior_point,
     sign_stratum,
     tile_membership_m2,
     twistor_table,
@@ -23,7 +22,7 @@ from positroid_lab.amplituhedron import (
 from positroid_lab.cells import sample_cell_matrix
 from positroid_lab.exact import RatMatrix
 from positroid_lab.hypersimplex import enumerate_D
-from positroid_lab.perms import parse_decorated
+from positroid_lab.perms import parse_decorated, top_cell_permutation
 from positroid_lab.triangulations import BicoloredTriangulation
 
 Z = make_positive_Z(4, 3, [0, 1, 2, 3])
@@ -44,7 +43,7 @@ print("\nsign-flip chambers over 400 interior samples:")
 rng = Random(42)
 tally = {}
 for _ in range(400):
-    Yi = sample_interior_point(1, 4, Z, rng)
+    Yi = amp_map(sample_cell_matrix(top_cell_permutation(1, 4), rng), Z)
     s = sign_stratum(Yi, Z)
     if 0 in s.entries:
         continue
@@ -53,11 +52,11 @@ for _ in range(400):
 for w, c in sorted(tally.items()):
     print(f"  chamber of {w}: {c} samples")
 
-print("\ntiling verification:")
-rep = verify_amp_tiling_m2([T123, T134], Z, samples=30, seed=5)
+print("\ntiling verification, audited on one exact point inside each tile:")
+rep = verify_amp_tiling_m2([T123, T134], Z)
 print("  both triangles of one diagonal:", rep.valid)
-rep_bad = verify_amp_tiling_m2([T123], Z, samples=5, seed=5)
-print("  single triangle:", rep_bad.valid, "|", rep_bad.violations[0])
+rep_bad = verify_amp_tiling_m2([T123], Z)
+print("  single triangle:", rep_bad.valid, "|", rep_bad.violations[-1])
 
 print("\none extra dimension instead of two (m = 1):")
 Z1 = make_positive_Z(5, 3, [0, 1, 2, 3, 4])

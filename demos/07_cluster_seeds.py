@@ -9,7 +9,8 @@ one quiver mutation, numerically checkable on sample points.
 from fractions import Fraction
 from random import Random
 
-from positroid_lab.amplituhedron import amp_map, make_positive_Z, sample_interior_point
+from positroid_lab.amplituhedron import amp_map, make_positive_Z
+from positroid_lab.cells import sample_cell_matrix
 from positroid_lab.cluster import (
     black_polygons,
     build_seed,
@@ -17,6 +18,7 @@ from positroid_lab.cluster import (
     mutate,
 )
 from positroid_lab.grassmann import matrix_of_plucker
+from positroid_lab.perms import top_cell_permutation
 from positroid_lab.plabic import boundary_measurement, dual_graph_of_triangulation, t_dual_graph
 from positroid_lab.triangulations import BicoloredTriangulation, flip, flippable_arcs
 
@@ -43,7 +45,8 @@ Sm = mutate(SQ, (1, 3), new_key=(2, 4))
 print("  quivers agree after relabeling:", Sm.arrow_multiset() == Sf.arrow_multiset())
 rng = Random(2)
 agree = all(Sf.evaluate(Y, Z) == Sm.evaluate(Y, Z)
-            for Y in (sample_interior_point(2, 4, Z, rng) for _ in range(10)))
+            for Y in (amp_map(sample_cell_matrix(top_cell_permutation(2, 4), rng), Z)
+                      for _ in range(10)))
 print("  evaluated clusters agree on 10 sample points:", agree)
 
 print("\npositivity pins the tile:")

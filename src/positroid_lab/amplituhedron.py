@@ -11,20 +11,18 @@ only their signs, which a point keeps per Z as bit masks.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
-from random import Random
+from functools import cached_property, reduce
+from operator import mul, or_
 from typing import Sequence
 
-from .cells import sample_cell_matrix
+from .cells import cell_dim_of_perm, matrix_realization
 from .exact import (RatMatrix, SignVector, _integer_rows, integer_minors, kernel_basis, rank,
                     var, varbar)
 from .grassmann import plucker_of_matrix
-from .hypersimplex import WSimplex, verify_tiling
-from .perms import top_cell_permutation
+from .hypersimplex import WSimplex, tile_catalog, verify_tiling
+from .perms import t_dual
 from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, subsets
 
@@ -43,15 +41,14 @@ __all__ = [
     "w_chamber_membership",
     "verify_amp_tiling_m2",
     "b_point",
-    "sample_interior_point",
 ]
 
 
 class ZMatrix:
-    """n x p matrix with strictly positive maximal minors; ``audits`` keeps
-    its audit samples per (k, samples, seed), ``minors`` its minor tables."""
+    """n x p matrix with strictly positive maximal minors; ``witnesses``
+    keeps its m = 2 tile witnesses (see ``_held``), ``minors`` its minor tables."""
 
-    __slots__ = ("mat", "n", "p", "audits", "minors")
+    __slots__ = ("mat", "n", "p", "witnesses", "minors")
 
     def __init__(self, mat: RatMatrix):
         self.mat = mat
@@ -62,7 +59,7 @@ class ZMatrix:
         for I, m in zip(subsets(self.n, self.p), integer_minors(cols, self.n)):
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
-        self.audits: dict[tuple[int, int, int], list[AmplituhedronPoint]] = {}
+        self.witnesses: tuple[list[AmplituhedronPoint], dict] | None = None
         self.minors: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def row(self, i: int) -> tuple[Fraction, ...]:
@@ -353,7 +350,6 @@ class AmpTilingReport:
     hypersimplex_report: object
     sample_audit_ok: bool
     violations: list[str]
-    hit_counts: dict[int, int]  # open tiles hit -> number of samples
 
     def to_json(self) -> dict:
         return {
@@ -364,46 +360,56 @@ class AmpTilingReport:
             "hypersimplex": self.hypersimplex_report.to_json(),
             "sample_audit_ok": self.sample_audit_ok,
             "violations": self.violations,
-            "hit_counts": {str(h): c for h, c in sorted(self.hit_counts.items())},
         }
 
 
-def sample_interior_point(k: int, n: int, Z: ZMatrix,
-                          rng: Random) -> AmplituhedronPoint:
-    """Image of a random totally positive point (certified top-cell sample)."""
-    C = sample_cell_matrix(top_cell_permutation(k, n), rng)
-    return amp_map(C, Z)
+def _held(Z: ZMatrix, T: BicoloredTriangulation) -> tuple[int, int]:
+    """Bit masks, over the tile catalog of type (p - 2, n), of the witnesses
+    that T's closed and open tile hold; Z keeps the witnesses and each T's
+    masks.  A tile's witness is the Z-image of its T-dual cell at unit
+    bridge parameters: a tile is the image of its T-dual cell
+    (Parisi-Sherman-Bennett-Williams), so the witness is in the open tile."""
+    if Z.witnesses is None:
+        cells = [t_dual(pi) for pi in tile_catalog(Z.p - 1, Z.n)]
+        Z.witnesses = ([amp_map(matrix_realization(c, [1] * cell_dim_of_perm(c)), Z)
+                        for c in cells], {})
+    points, held = Z.witnesses
+    if T not in held:
+        got = [tile_membership_m2(Y, Z, T) for Y in points]
+        held[T] = (sum(1 << j for j, v in enumerate(got) if v is not False),
+                   sum(1 << j for j, v in enumerate(got) if v is True))
+    return held[T]
 
 
-def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
-                         samples: int = 50, seed: int = 0) -> AmpTilingReport:
+def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation],
+                         Z: ZMatrix) -> AmpTilingReport:
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
-    then audit geometrically: every sampled interior point must land in
-    exactly one open tile; ``hit_counts`` tallies the samples by hits.
+    then audit geometrically on the witness of every catalog tile: a listed
+    tile holds its own witness strictly, no other listed tile holds it even
+    on its boundary, and every witness lies in some closed listed tile.
     The type (k, n) = (p - 2, n) is read off Z; a tile of another type is a
-    violation and stays out of the audit.  The samples depend on k, Z and
-    the seed only, so Z draws them once for every tiling audited against it."""
+    violation and stays out of the audit."""
     k, n = Z.p - 2, Z.n
     if k < 0:
         raise ValueError(f"m = 2 tiles need Z with p >= 2 columns, not {Z.p}")
-    points = Z.audits.get((k, samples, seed))
-    if points is None:
-        rng = Random(seed)
-        points = [sample_interior_point(k, n, Z, rng) for _ in range(samples)]
-        Z.audits[k, samples, seed] = points
     violations = [f"tile {T!r} has mismatched type" for T in tiles if (T.n, T.k) != (n, k)]
     hrep = verify_tiling(tiles, k + 1, n)
     if not hrep.valid:
         violations.extend("T-dual: " + v for v in hrep.violations)
     typed = [T for T in tiles if (T.n, T.k) == (n, k)]
-    hit_counts = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True
-                             for T in typed) for Y in points)
-    missed = len(points) - hit_counts[1]
-    if missed:
-        violations.append(f"{missed} of {len(points)} samples did not hit exactly one "
-                          f"open tile")
-    return AmpTilingReport(not violations, k, n, list(tiles), hrep,
-                           not missed, violations, dict(hit_counts))
+    labels = list(tile_catalog(k + 1, n))
+    own = [labels.index(T.subdivision.trip_permutation()) for T in typed]
+    held = [_held(Z, T) for T in typed]
+    covered = reduce(or_, (closed for closed, _ in held), 0)
+    audit = [f"no listed tile holds the witness of tile {t_dual(pi)!r}"
+             for j, pi in enumerate(labels) if not covered >> j & 1]
+    for i, a in enumerate(own):
+        if not held[i][1] >> a & 1:
+            audit.append(f"tile {t_dual(labels[a])!r} does not hold its witness strictly")
+        audit.extend(f"tile {t_dual(labels[b])!r} holds the witness of tile {t_dual(labels[a])!r}"
+                     for j, b in enumerate(own) if j != i and held[j][0] >> a & 1)
+    violations.extend(audit)
+    return AmpTilingReport(not violations, k, n, list(tiles), hrep, not audit, violations)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Command-line surface: cells, tilings, tropical subdivisions, membership.
 
 Exit codes: 0 success / verified, 1 mathematical verification failure,
-2 malformed input.  Every randomized command embeds its seed in the
-output so reruns are bit-identical.
+2 malformed input.  Only ``cell --sample`` and ``amp sample`` are
+randomized; they embed their seed in the output so reruns are
+bit-identical.  The amplituhedron tiling audits are deterministic.
 """
 
 from __future__ import annotations
@@ -263,13 +264,11 @@ def cmd_tilings(args) -> int:
     if args.space == "hypersimplex":
         _emit(args, payload)
         return 0
-    # amplituhedron tilings via duality, with a sampled audit when Z is given
-    payload["seed"] = args.seed
+    # amplituhedron tilings via duality, audited on the tile witnesses when Z is given
     if args.z:
         Z = _parse_z(args.z, n, args.k + 2)
         if "tilings" in payload:
-            audits = [verify_amp_tiling_m2([recs[i].triangulation for i in sol], Z,
-                                           samples=args.samples, seed=args.seed).valid
+            audits = [verify_amp_tiling_m2([recs[i].triangulation for i in sol], Z).valid
                       for sol in tilings]
             payload["audited"] = audits
             if not all(audits):
@@ -345,7 +344,7 @@ def _verify_file(args, path: str, space: str | None) -> int:
     else:
         tris = [_tile_triangulation(t, k, n) for t in tiles]
         Z = _parse_z(args.z, n, k + 2)
-        rep = verify_amp_tiling_m2(tris, Z, samples=args.samples, seed=args.seed)
+        rep = verify_amp_tiling_m2(tris, Z)
     _emit(args, rep.to_json())
     return 0 if rep.valid else 1
 
@@ -362,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed of cell --sample and amp sample; ignored elsewhere")
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument("--format", choices=["json", "text"], default="json")
     common = [seeded, formats]
@@ -384,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count and list the tilings of a type, or verify or "
                             "T-dualize a tiling file",
                        description="With --k and --n: the count of tilings, always, and "
-                                   "the tilings themselves (with their audits under --z) "
-                                   f"only when there are at most {TILINGS_LISTED_UP_TO}.")
+                                   "the tilings themselves only when there are at most "
+                                   f"{TILINGS_LISTED_UP_TO}.  Under --space amplituhedron "
+                                   "and --z, each listed tiling is also audited on one "
+                                   "exact witness point per tile.  Nothing here is random.")
     p.add_argument("--space", choices=["hypersimplex", "amplituhedron"],
                    default="hypersimplex")
     p.add_argument("--k", type=int, help="amplituhedron k (hypersimplex rank k+1)")
@@ -393,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", help="vandermonde:<nodes> or file:<path>")
     p.add_argument("--verify", help="verify the tiling in this JSON file")
     p.add_argument("--t-dual", dest="t_dual", help="convert a tiling file across the duality")
-    p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_tilings)
 
     p = sub.add_parser("trop", parents=[formats],
@@ -414,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("verify-tiling", parents=common)
     p.add_argument("--file", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_amp_verify)
     return ap
 
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in ("sample", "count", "samples", "m"):
+        for name in ("sample", "count", "m"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must not be negative")
         return args.func(args)

@@ -238,26 +238,16 @@ class TilingReport:
 
 
 def _resolve_tiles(tiles, k_plus_1: int, n: int):
-    """Tiles may be decorated permutations, triangulations, or matroids."""
+    """Tiles may be decorated permutations or triangulations; each resolves
+    to its permutation, its positroid and whether the catalog has it."""
     catalog = tile_catalog(k_plus_1, n)
-    by_bases = {frozenset(rec.matroid.bases): rec for rec in catalog.values()}
     resolved = []
     for t in tiles:
-        if isinstance(t, DecoratedPermutation):
-            if t in catalog:
-                resolved.append((t, catalog[t].matroid, True))
-            else:
-                M = positroid_of_perm(t)
-                resolved.append((t, M, frozenset(M.bases) in by_bases))
-        elif isinstance(t, BicoloredTriangulation):
-            pi = t.subdivision.trip_permutation()
-            resolved.append((pi, positroid_of_perm(pi), pi in catalog))
-        elif isinstance(t, Matroid):
-            rec = by_bases.get(frozenset(t.bases))
-            pi = rec.perm if rec else None
-            resolved.append((pi, t, rec is not None))
-        else:
+        if isinstance(t, BicoloredTriangulation):
+            t = t.subdivision.trip_permutation()
+        elif not isinstance(t, DecoratedPermutation):
             raise TypeError(f"cannot interpret tile {t!r}")
+        resolved.append((t, positroid_of_perm(t), t in catalog))
     return resolved
 
 

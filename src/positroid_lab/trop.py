@@ -361,18 +361,22 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
     exact witness tilt whose argmin reproduces the cell: by the wall walk,
     audited as an exact cover of the staircase simplices, on positive
     tropical heights, and by the facet walk, audited by volume, on all
-    others and whenever the wall walk fails its audit."""
+    others.  A failed audit raises RuntimeError."""
     n, k = P.n, P.k
     if k == 0 or k == n:
         only = subsets(n, k)[0]
         return Subdivision(k, n, (SubdivisionCell(frozenset([only]),
                                                   tuple([Fraction(0)] * n)),))
-    cells = _cells_by_wall_search(P) if is_positive_tropical(P) else []
-    D = enumerate_D(k, n)
-    masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
-    # an exact cover: the union is all of D and no simplex is counted twice
-    if (reduce(or_, masks, 0) != (1 << len(D)) - 1
-            or sum(mask.bit_count() for mask in masks) != len(D)):
+    if is_positive_tropical(P):
+        cells = _cells_by_wall_search(P)
+        D = enumerate_D(k, n)
+        masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+        # an exact cover: the union is all of D and no simplex is counted twice
+        if (reduce(or_, masks, 0) != (1 << len(D)) - 1
+                or sum(mask.bit_count() for mask in masks) != len(D)):
+            raise RuntimeError("wall walk cells are not an exact cover of the "
+                               "staircase simplices")
+    else:
         cells = _cells_by_facet_walk(P)
     for cell in cells:
         if argmin_face(P, cell.witness) != cell.vertices:

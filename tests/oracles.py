@@ -57,7 +57,10 @@ amplituhedron tile by hand, a black vertex at each corner of the n-gon and
 a white vertex inside each black triangle; the library gets it as the
 ``plabic.t_dual_graph`` of the dual tree, which is compared with it.
 ``sample_tile_point`` and ``_boundary_samples`` weight the edges of that
-T-dual graph.  ``per_arc_tile_membership`` looks up the twistor of each arc
+T-dual graph.  ``sample_interior_point`` maps a random top-cell point, and
+``sampled_tiling_audit`` is the audit that ``verify_amp_tiling_m2`` ran on
+seeded such samples before it took one witness per tile; the witness audit
+is compared with it.  ``per_arc_tile_membership`` looks up the twistor of each arc
 of a tile in turn and compares it as a ``Fraction``, and
 ``walked_flip_sets`` and ``walked_chamber_membership`` walk the twisted
 sequence of every a twistor by twistor, as ``amplituhedron`` did before a
@@ -67,6 +70,7 @@ point kept its sign masks; ``tile_membership_m2`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -78,6 +82,7 @@ from positroid_lab.amplituhedron import (
     AmplituhedronPoint,
     ZMatrix,
     amp_map,
+    tile_membership_m2,
     twistor,
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
@@ -100,7 +105,7 @@ from positroid_lab.hypersimplex import (
     tile_catalog,
     w_simplex,
 )
-from positroid_lab.perms import DecoratedPermutation
+from positroid_lab.perms import DecoratedPermutation, top_cell_permutation
 from positroid_lab.plabic import (
     PlabicGraph,
     boundary_id,
@@ -589,6 +594,26 @@ def sample_tile_point(T: BicoloredTriangulation, Z: ZMatrix,
     G = t_dual_graph(dual_graph_of_triangulation(T))
     weights = {e: Fraction(rng.randint(1, 1000)) for e in range(len(G.edges))}
     return amp_map(matrix_of_plucker(boundary_measurement(G, weights)), Z)
+
+
+def sample_interior_point(k: int, n: int, Z: ZMatrix,
+                          rng: Random) -> AmplituhedronPoint:
+    """Image of a random totally positive point (certified top-cell sample)."""
+    return amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
+
+
+def sampled_tiling_audit(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix,
+                         samples: int, seed: int) -> dict[int, int]:
+    """The number of samples by the number of open tiles of Z's type that
+    hold them: ``samples`` interior points drawn from ``seed``.  A tiling
+    puts every point in exactly one open tile, so a tiling gives
+    {1: samples}; a point on a wall is not expected at random."""
+    k, n = Z.p - 2, Z.n
+    rng = Random(seed)
+    typed = [T for T in tiles if (T.n, T.k) == (n, k)]
+    hits = Counter(sum(tile_membership_m2(Y, Z, T, strict=True) is True for T in typed)
+                   for Y in (sample_interior_point(k, n, Z, rng) for _ in range(samples)))
+    return dict(hits)
 
 
 def noncrossing(arcs: Sequence) -> bool:

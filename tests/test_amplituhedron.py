@@ -16,8 +16,6 @@ from positroid_lab.amplituhedron import (
     m1_membership,
     m2_interior_test,
     make_positive_Z,
-    sample_cell_matrix,
-    sample_interior_point,
     sign_stratum,
     tile_membership_m2,
     twistor,
@@ -25,13 +23,14 @@ from positroid_lab.amplituhedron import (
     verify_amp_tiling_m2,
     w_chamber_membership,
 )
-from positroid_lab.cells import cell_dim_of_perm, matrix_realization
+from positroid_lab.cells import cell_dim_of_perm, matrix_realization, sample_cell_matrix
 from positroid_lab.cluster import build_seed
 from positroid_lab.exact import RatMatrix, det, rank, varbar
 from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
 from positroid_lab.hypersimplex import (
     cover_mask,
     enumerate_D,
+    enumerate_tiling_indices,
     enumerate_tilings,
     tile_catalog,
     w_simplex,
@@ -39,7 +38,7 @@ from positroid_lab.hypersimplex import (
 from positroid_lab.perms import (
     enumerate_decorated,
     make,
-    parse_decorated,
+    t_dual,
     top_cell_permutation,
     type_of,
 )
@@ -47,7 +46,9 @@ from positroid_lab.triangulations import BicoloredTriangulation, area
 
 from oracles import (
     per_arc_tile_membership,
+    sample_interior_point,
     sample_tile_point,
+    sampled_tiling_audit,
     simplex_in_positroid,
     twistor_via_expansion,
     walked_chamber_membership,
@@ -590,50 +591,120 @@ def test_w_chamber_boundary_reported():
 
 
 def test_verify_amp_tilings_quadrilateral():
-    rep = verify_amp_tiling_m2([T123, T134], Z4, samples=25, seed=3)
+    rep = verify_amp_tiling_m2([T123, T134], Z4)
     assert rep.valid and rep.sample_audit_ok
-    rep2 = verify_amp_tiling_m2([T124, T234], Z4, samples=25, seed=3)
+    rep2 = verify_amp_tiling_m2([T124, T234], Z4)
     assert rep2.valid
-    rep3 = verify_amp_tiling_m2([T123], Z4, samples=5, seed=3)
+    rep3 = verify_amp_tiling_m2([T123], Z4)
     assert not rep3.valid
-    rep4 = verify_amp_tiling_m2([T123, T234], Z4, samples=25, seed=3)
-    assert not rep4.valid
+    rep4 = verify_amp_tiling_m2([T123, T234], Z4)
+    assert not rep4.valid and not rep4.sample_audit_ok
+
+
+FAN5 = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),
+        BicoloredTriangulation.make(5, black=[(1, 3, 4)], white=[(1, 2, 3), (1, 4, 5)]),
+        BicoloredTriangulation.make(5, black=[(1, 4, 5)], white=[(1, 2, 3), (1, 3, 4)])]
 
 
 def test_verify_amp_tiling_audits_every_sample():
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
-    tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),
-            BicoloredTriangulation.make(5, black=[(1, 3, 4)], white=[(1, 2, 3), (1, 4, 5)]),
-            BicoloredTriangulation.make(5, black=[(1, 4, 5)], white=[(1, 2, 3), (1, 3, 4)])]
-    rep = verify_amp_tiling_m2(tris, Z, samples=20, seed=1)
-    assert rep.valid and rep.hit_counts == {1: 20}
-    assert rep.to_json()["hit_counts"] == {"1": 20}
-    dropped = verify_amp_tiling_m2([tris[0], tris[2]], Z, samples=20, seed=1)
+    rep = verify_amp_tiling_m2(FAN5, Z)
+    assert rep.valid and rep.sample_audit_ok and "hit_counts" not in rep.to_json()
+    assert sampled_tiling_audit(FAN5, Z, 20, 1) == {1: 20}
+    # 20 samples at seed 1 miss the tile with black triangle (1,2,3) ...
+    assert sampled_tiling_audit(FAN5[1:], Z, 20, 1) == {1: 20}
+    # ... and its witness does not
+    dropped = verify_amp_tiling_m2(FAN5[1:], Z)
     assert not dropped.valid and not dropped.sample_audit_ok
-    assert sum(dropped.hit_counts.values()) == 20
-    missed = dropped.hit_counts[0]
-    assert missed > 0 and set(dropped.hit_counts) <= {0, 1}
-    assert f"{missed} of 20 samples did not hit exactly one open tile" in dropped.violations
+    label = t_dual(FAN5[0].subdivision.trip_permutation())
+    assert f"no listed tile holds the witness of tile {label!r}" in dropped.violations
+
+
+def test_verify_amp_tiling_names_a_tile_that_holds_another_witness():
+    Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
+    T = BicoloredTriangulation.make(5, black=[(1, 2, 4)], white=[(2, 3, 4), (1, 4, 5)])
+    rep = verify_amp_tiling_m2(FAN5 + [T], Z)
+    name = repr(t_dual(T.subdivision.trip_permutation()))
+    audit = [v for v in rep.violations if not v.startswith("T-dual:")]
+    assert not rep.sample_audit_ok and audit
+    assert all(v.startswith(f"tile {name} holds the witness of tile ")
+               or v.endswith(f"holds the witness of tile {name}") for v in audit)
+
+
+def _witness_types():
+    rng = Random(22)
+    for k, n in [(1, 5), (1, 6), (2, 6), (1, 7)]:
+        nodes = [list(range(n))] + [sorted(rng.sample(range(3 * n), n)) for _ in range(2)]
+        for ts in nodes:
+            yield k, n, ts
+
+
+@pytest.mark.parametrize("k, n, nodes", list(_witness_types()))
+def test_witness_audit_passes_every_tiling_and_flags_every_drop(k, n, nodes):
+    Z = make_positive_Z(n, k + 2, nodes)
+    recs = tuple(tile_catalog(k + 1, n).values())
+    tilings = enumerate_tiling_indices(k + 1, n)
+    assert tilings
+    for sol in tilings:
+        tris = [recs[i].triangulation for i in sol]
+        rep = verify_amp_tiling_m2(tris, Z)
+        assert rep.valid and rep.sample_audit_ok, rep.violations
+        for d in range(len(tris)):
+            dropped = verify_amp_tiling_m2(tris[:d] + tris[d + 1:], Z)
+            assert not dropped.sample_audit_ok
+            kinds = {v.startswith("T-dual:") for v in dropped.violations}
+            assert kinds == {True, False}
+
+
+def test_witness_audit_agrees_with_the_sampled_oracle():
+    # on tilings the samples each hit one open tile; wherever the samples
+    # find a gap or an overlap, a witness does too
+    Z = make_positive_Z(6, 4, [0, 1, 3, 4, 7, 8])
+    recs = tuple(tile_catalog(3, 6).values())
+    tilings = enumerate_tiling_indices(3, 6)[:12]
+    for sol in tilings:
+        tris = [recs[i].triangulation for i in sol]
+        assert sampled_tiling_audit(tris, Z, 10, 5) == {1: 10}
+        assert verify_amp_tiling_m2(tris, Z).sample_audit_ok
+    flagged = 0
+    for sol in tilings[:4]:
+        for other in recs:
+            tris = [recs[i].triangulation for i in sol][1:] + [other.triangulation]
+            if sampled_tiling_audit(tris, Z, 10, 5) != {1: 10}:
+                flagged += 1
+                assert not verify_amp_tiling_m2(tris, Z).sample_audit_ok
+    assert flagged
 
 
 def test_verify_amp_tiling_draws_audit_points_once_per_z(monkeypatch):
     calls = []
-    original = amplituhedron.sample_interior_point
+    original = amplituhedron.matrix_realization
 
-    def counting(*args):
-        calls.append(args[:2])
-        return original(*args)
+    def counting(pi, params):
+        calls.append(pi)
+        return original(pi, params)
 
-    monkeypatch.setattr(amplituhedron, "sample_interior_point", counting)
+    monkeypatch.setattr(amplituhedron, "matrix_realization", counting)
     Z = make_positive_Z(4, 3, [0, 1, 2, 3])
-    reps = [verify_amp_tiling_m2(tiles, Z, samples=5, seed=3)
+    reps = [verify_amp_tiling_m2(tiles, Z)
             for tiles in ([T123, T134], [T124, T234], [T123])]
-    assert calls == [(1, 4)] * 5
+    # one witness per tile of type (1,4), at unit bridge parameters
+    assert calls == [t_dual(pi) for pi in tile_catalog(2, 4)]
     assert [r.valid for r in reps] == [True, True, False]
-    verify_amp_tiling_m2([T123, T134], Z, samples=5, seed=4)
-    verify_amp_tiling_m2([T123, T134], make_positive_Z(4, 3, [0, 1, 2, 3]),
-                         samples=5, seed=3)
-    assert calls == [(1, 4)] * 15
+    verify_amp_tiling_m2([T123, T134], make_positive_Z(4, 3, [0, 1, 2, 3]))
+    assert len(calls) == 2 * len(tile_catalog(2, 4)) == 8
+
+
+def test_tile_witnesses_lie_in_their_open_tiles():
+    for k, n in [(1, 5), (2, 6), (3, 7)]:
+        Z = make_positive_Z(n, k + 2, range(n))
+        recs = tile_catalog(k + 1, n).values()
+        for j, rec in enumerate(recs):
+            closed, strict = amplituhedron._held(Z, rec.triangulation)
+            assert strict >> j & 1 and closed & strict == strict
+        points, held = Z.witnesses
+        assert len(points) == len(held) == len(recs)
+        assert all(m2_interior_test(Y, Z) for Y in points)
 
 
 def test_verify_amp_tiling_reads_its_type_off_z():
@@ -641,11 +712,11 @@ def test_verify_amp_tiling_reads_its_type_off_z():
     # tiles, against a Z of p = 4
     Z = make_positive_Z(4, 4, [0, 1, 2, 3])
     T2 = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
-    rep = verify_amp_tiling_m2([T123, T2], Z, samples=3, seed=0)
+    rep = verify_amp_tiling_m2([T123, T2], Z)
     assert (rep.k, rep.n) == (2, 4) and not rep.valid
     assert rep.violations[0] == f"tile {T123!r} has mismatched type"
-    assert rep.hit_counts == {1: 3}  # the (2,4) tile alone is audited
-    empty = verify_amp_tiling_m2([], Z4, samples=2, seed=0)
+    assert rep.sample_audit_ok  # the (2,4) tile alone is audited
+    empty = verify_amp_tiling_m2([], Z4)
     assert not empty.valid and "T-dual: simplex of w=1324 uncovered" in empty.violations
     with pytest.raises(ValueError, match="p >= 2"):
         verify_amp_tiling_m2([T123], make_positive_Z(4, 1, [0, 1, 2, 3]))
@@ -653,20 +724,16 @@ def test_verify_amp_tiling_reads_its_type_off_z():
 
 def test_verify_amp_tiling_reports_a_tile_of_another_n():
     T5 = BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)])
-    rep = verify_amp_tiling_m2([T123, T134, T5], Z4, samples=3, seed=0)
+    rep = verify_amp_tiling_m2([T123, T134, T5], Z4)
     assert (rep.k, rep.n) == (1, 4) and not rep.valid
     assert rep.violations[0] == f"tile {T5!r} has mismatched type"
     assert any(v.startswith("T-dual: tile ") and v.endswith("has wrong type (2,5)")
                for v in rep.violations)
-    assert rep.hit_counts == {1: 3}  # the two (1,4) tiles alone are audited
+    assert rep.sample_audit_ok  # the two (1,4) tiles alone are audited
 
 
 def test_verify_amp_tiling_25():
-    Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
-    tris = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),
-            BicoloredTriangulation.make(5, black=[(1, 3, 4)], white=[(1, 2, 3), (1, 4, 5)]),
-            BicoloredTriangulation.make(5, black=[(1, 4, 5)], white=[(1, 2, 3), (1, 3, 4)])]
-    rep = verify_amp_tiling_m2(tris, Z, samples=25, seed=1)
+    rep = verify_amp_tiling_m2(FAN5, make_positive_Z(5, 3, [0, 1, 2, 3, 4]))
     assert rep.valid
 
 

@@ -16,7 +16,7 @@ from positroid_lab.cells import (
     sample_cell_matrix,
 )
 from positroid_lab.grassmann import decorated_permutation_of, plucker_of_matrix, is_tnn
-from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation, type_of
+from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.plabic import positroid_of_graph, trip_permutation
 
 from oracles import jacobian_cell_dimension, rotated_realization

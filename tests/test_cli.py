@@ -180,10 +180,10 @@ def test_tilings_hypersimplex(capsys):
 
 def test_tilings_amplituhedron_with_audit(capsys):
     code, out = run(capsys, "tilings", "--space", "amplituhedron", "--k", "1",
-                    "--n", "4", "--z", "vandermonde:0,1,2,3", "--samples", "5")
+                    "--n", "4", "--z", "vandermonde:0,1,2,3")
     assert code == 0
     data = json.loads(out)
-    assert data["count"] == 2 and all(data["audited"])
+    assert data["count"] == 2 and all(data["audited"]) and "seed" not in data
 
 
 def test_tilings_verify_good_and_bad(capsys, tmp_path):
@@ -260,7 +260,7 @@ def test_amp_verify_tiling(capsys, tmp_path):
     p = tmp_path / "amp.json"
     p.write_text(json.dumps(data))
     code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
-                    "--z", "vandermonde:0,1,2,3", "--samples", "5")
+                    "--z", "vandermonde:0,1,2,3")
     assert code == 0 and json.loads(out)["valid"]
 
 
@@ -360,17 +360,39 @@ def test_black_polygon_tile_lists_no_triangulations(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["cell", "--perm", "(3,1,4,2)", "--sample", "-1"],
     ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,1,4_)", "--count", "-1"],
-    ["amp", "verify-tiling", "--file", "TILING", "--z", "vandermonde:0,1,2,3",
-     "--samples", "-1"],
+    ["cell", "--graph", "demos/g1.json", "--sample", "-1"],
     ["amp", "sample", "--n", "5", "--k", "2", "--m", "-1", "--cell", "(3,4,5,1,2)"],
 ])
-def test_negative_counts_exit_2(capsys, tmp_path, argv):
-    p = tmp_path / "amp.json"
-    p.write_text(json.dumps({"space": "amplituhedron", "k": 1, "n": 4,
-                             "tiles": [{"black_polygons": [[1, 2, 3]]},
-                                       {"black_polygons": [[1, 3, 4]]}]}))
-    assert main([str(p) if a == "TILING" else a for a in argv]) == 2
+def test_negative_counts_exit_2(capsys, argv):
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--space", "amplituhedron", "--k", "1", "--n", "4",
+     "--z", "vandermonde:0,1,2,3", "--samples", "5"],
+    ["amp", "verify-tiling", "--file", "demos/tiling_square.json",
+     "--z", "vandermonde:0,1,2,3", "--samples", "5"],
+])
+def test_the_audits_take_no_sample_count(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "positroid_lab.cli", *argv], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --samples 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_amp_verify_tiling_does_not_read_the_seed(capsys):
+    outs = [run(capsys, "amp", "verify-tiling", "--file", "demos/tiling_square.json",
+                "--z", "vandermonde:0,1,3,4", "--seed", seed) for seed in ("5", "6")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_round_trip_emitted_json(capsys):
@@ -383,28 +405,32 @@ def test_round_trip_emitted_json(capsys):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    ("1", "0b26efa83f746946b80286484e8fae2b4ebab2faf89dddd6510db4c11fc333c2"),
-    ("4", "d3a65fcb3791ca396ed757a51e70894cd04b0539a31359765cefc98876b93003"),
+    ("1", "c6d1d431da4c17b74ca8fa9ca5540bf9bc2c00524b4bc8d27c5b5dc992b35e36"),
+    ("4", "c6d1d431da4c17b74ca8fa9ca5540bf9bc2c00524b4bc8d27c5b5dc992b35e36"),
 ])
 def test_amplituhedron_tilings_draw_audit_points_once(capsys, monkeypatch, seed, digest):
     import hashlib
 
     from positroid_lab import amplituhedron
+    from positroid_lab.hypersimplex import tile_catalog
+    from positroid_lab.perms import t_dual
 
     calls = []
-    original = amplituhedron.sample_interior_point
+    original = amplituhedron.matrix_realization
 
-    def counting(*args):
-        calls.append(args[:2])
-        return original(*args)
+    def counting(pi, params):
+        calls.append(pi)
+        return original(pi, params)
 
-    monkeypatch.setattr(amplituhedron, "sample_interior_point", counting)
+    monkeypatch.setattr(amplituhedron, "matrix_realization", counting)
     code, out = run(capsys, "tilings", "--space", "amplituhedron", "--k", "1", "--n", "6",
-                    "--z", "vandermonde:0,1,2,3,4,5", "--samples", "25", "--seed", seed)
+                    "--z", "vandermonde:0,1,2,3,4,5", "--seed", seed)
     assert code == 0
     assert len(json.loads(out)["audited"]) == 14
-    assert calls == [(1, 6)] * 25
-    # stdout of the version that drew the points again for every tiling
+    # one witness per tile of type (1,6), for all 14 tilings
+    assert calls == [t_dual(pi) for pi in tile_catalog(2, 6)]
+    # stdout of the version that drew seeded audit points, less its "seed"
+    # key; no seed changes it
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -428,10 +454,10 @@ def test_sampled_realizations_are_pinned(capsys, argv, digest):
     (["tilings", "--space", "hypersimplex", "--k", "2", "--n", "7"],
      "d4a967a82480f058ce58d6c5ff32f4c76e5204261d8fb488fb55203e0d972cc6"),
     (["tilings", "--space", "amplituhedron", "--k", "2", "--n", "6"],
-     "715646c7aa7f2761ad371e3ea3f77cd077dba0b2f630a61a0426b123baef66e1"),
+     "e5556aa7189f9a86c4685b48016de8243ae8036ddcb43b4ba010379050365dd3"),
     (["tilings", "--space", "amplituhedron", "--k", "2", "--n", "6",
       "--z", "vandermonde:0,1,2,3,4,5"],
-     "7ea1013f1e096e590a304f42484fdd205a2bc140179245eb6acbb149782a4a7a"),
+     "90156ef3a5d2051b121abd8225ea307145b87a46dacef6406611361c3e3191a7"),
     (["tilings", "--space", "hypersimplex", "--k", "2", "--n", "6", "--format", "text"],
      "2163ae47b8d76e1936f06e125c7709d3defafb3282dc52ec748873b3e963a361"),
 ])
@@ -441,7 +467,8 @@ def test_listed_tilings_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     # stdout of the version that built a Tiling per tile set and labelled
-    # its tiles by hashing their permutations
+    # its tiles by hashing their permutations, less the "seed" key that
+    # amplituhedron tilings printed then
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -450,9 +477,8 @@ def test_listed_tilings_are_pinned(capsys, argv, digest):
      "4ee84ae756739cbe72f0618ebd5d294166faca30c96789397070657cd4f042a5"),
     (["tilings", "--verify", "FILE"],
      "899e9e19371aa320d1a110cd1eb721dc259a94a6d68b620787953abed5d54524"),
-    (["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3,4,5,6",
-      "--samples", "5"],
-     "587fb47888eaf9c373871118020565defb11c6655ce26505223cfd61283753fd"),
+    (["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3,4,5,6"],
+     "13caacdafce464836d6ff6cf93dc302284b37f243e4ad03e6378249cc77259f2"),
 ])
 def test_black_polygon_tilings_are_pinned(capsys, tmp_path, argv, digest):
     import hashlib
@@ -466,7 +492,7 @@ def test_black_polygon_tilings_are_pinned(capsys, tmp_path, argv, digest):
     code, out = run(capsys, *[str(p) if a == "FILE" else a for a in argv])
     assert code == 0
     # stdout of the version that labelled each tile by the trips of its
-    # dual plabic tree
+    # dual plabic tree, less the "hit_counts" key of the sampled audit
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -570,7 +596,7 @@ def test_library_tiling_file_verifies_under_both_verify_commands(capsys, tmp_pat
     code, out = run(capsys, "tilings", "--verify", str(p))
     assert code == 0 and json.loads(out)["valid"]
     code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
-                    "--z", "vandermonde:0,1,2,3,4,5", "--samples", "3")
+                    "--z", "vandermonde:0,1,2,3,4,5")
     report = json.loads(out)
     assert code == 0 and report["valid"] and (report["k"], report["n"]) == (2, 6)
 
@@ -592,12 +618,14 @@ def test_amp_verify_tiling_reports_tiles_of_another_type(capsys, tmp_path):
                              "tiles": [{"black_polygons": [[1, 2, 3]]},
                                        {"black_polygons": [[1, 3, 4]]}]}))
     code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
-                    "--z", "vandermonde:0,1,2,3", "--samples", "3")
+                    "--z", "vandermonde:0,1,2,3")
     report = json.loads(out)
     assert code == 1 and not report["valid"] and (report["k"], report["n"]) == (2, 4)
     assert sum("mismatched type" in v for v in report["violations"]) == 2
-    # no point of A(4,2,2) lies in a tile of type (1,4)
-    assert report["hit_counts"] == {"0": 3}
+    # no tile of type (2,4) is listed, so none holds the witness of the one
+    # (2,4) tile, A(4,2,2) itself
+    assert not report["sample_audit_ok"] and "hit_counts" not in report
+    assert report["violations"][-1] == "no listed tile holds the witness of tile (3,4,1,2)"
 
 
 @pytest.mark.parametrize("argv", [
@@ -764,14 +792,14 @@ FUZZ_CASES = {
              ["trop", "--heights", "FILE"], ("heights",)),
     "tilings-verify": (_PERM_TILES, ["tilings", "--verify", "FILE"], ("tiles", 0)),
     "tilings-verify-amplituhedron": (_POLYGON_TILES,
-                                     ["tilings", "--verify", "FILE", "--samples", "3"],
+                                     ["tilings", "--verify", "FILE"],
                                      ("tiles", 0)),
     "tilings-t-dual": (_PERM_TILES, ["tilings", "--t-dual", "FILE"], ("tiles", 1)),
     "tilings-t-dual-polygons": (_POLYGON_TILES, ["tilings", "--t-dual", "FILE"],
                                 ("tiles", 0)),
     "amp-verify-tiling": (_POLYGON_TILES,
                           ["amp", "verify-tiling", "--file", "FILE",
-                           "--z", "vandermonde:0,1,2,3", "--samples", "3"],
+                           "--z", "vandermonde:0,1,2,3"],
                           ("tiles", 0)),
     "cell-graph": (graphs.g1().to_json(), ["cell", "--graph", "FILE"],
                    ("vertices", 1)),

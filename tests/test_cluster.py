@@ -4,11 +4,7 @@ from random import Random
 
 import pytest
 
-from positroid_lab.amplituhedron import (
-    make_positive_Z,
-    sample_interior_point,
-    twistor,
-)
+from positroid_lab.amplituhedron import make_positive_Z, twistor
 from positroid_lab.cluster import (
     black_polygons,
     build_seed,
@@ -22,7 +18,8 @@ from positroid_lab.triangulations import (
     flippable_arcs,
 )
 
-from oracles import enumerate_bicolored, noncrossing, sample_tile_point, sampled_adjacency
+from oracles import (enumerate_bicolored, noncrossing, sample_interior_point, sample_tile_point,
+                     sampled_adjacency)
 
 
 def flipped_arc(T, arc):

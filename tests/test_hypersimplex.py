@@ -6,9 +6,9 @@ from random import Random
 
 import pytest
 
-from positroid_lab.cells import positroid_of_perm, sample_cell_matrix
+from positroid_lab.cells import positroid_of_perm
 from positroid_lab.exact import RatMatrix
-from positroid_lab.grassmann import Matroid, plucker_of_matrix, uniform_matroid
+from positroid_lab.grassmann import plucker_of_matrix, uniform_matroid
 from positroid_lab.hypersimplex import (
     binomial,
     count_tilings,
@@ -378,10 +378,13 @@ def test_verify_tiling_accepts_triangulation_and_matroid_inputs():
     T1 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
     T2 = BicoloredTriangulation.make(4, black=[(1, 3, 4)], white=[(1, 2, 3)])
     assert verify_tiling([T1, T2], 2, 4).valid
-    M1 = positroid_of_perm(parse_decorated("(3,1,4,2)"))
-    M2 = positroid_of_perm(parse_decorated("(2,4,1,3)"))
-    assert verify_tiling([M1, M2], 2, 4).valid
-    assert not verify_tiling([M1, M1], 2, 4).valid
+    assert not verify_tiling([T1, T1], 2, 4).valid
+
+
+def test_verify_tiling_refuses_a_matroid_tile():
+    M = positroid_of_perm(parse_decorated("(3,1,4,2)"))
+    with pytest.raises(TypeError, match="cannot interpret tile"):
+        verify_tiling([M], 2, 4)
 
 
 def test_moment_map_thousand_samples_inside_tiles():

@@ -16,7 +16,6 @@ from positroid_lab.cells import (
     perm_of_graph,
     positroid_of_perm,
 )
-from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import decorated_permutation_of, is_tnn, matrix_of_plucker, matroid_of
 from positroid_lab.perms import enumerate_decorated, parse_decorated, t_dual, top_cell_permutation
 from positroid_lab.plabic import (

@@ -30,7 +30,6 @@ from positroid_lab.trop import (
     positivity_violation,
     random_positive_tropical,
     regular_subdivision,
-    walls,
 )
 from positroid_lab.util import subsets
 
@@ -321,10 +320,10 @@ def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
 def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n, count):
-    def no_fallback(P):
-        raise AssertionError("the audit fell back to the facet walk")
+    def facet_walk(P):
+        raise AssertionError("positive heights took the facet walk")
 
-    monkeypatch.setattr(trop, "_cells_by_facet_walk", no_fallback)
+    monkeypatch.setattr(trop, "_cells_by_facet_walk", facet_walk)
     D = enumerate_D(k, n)
     rng = Random(1)
     for _ in range(count):
@@ -344,8 +343,21 @@ def test_audit_rejects_a_double_cover(monkeypatch):
     assert [cover_mask(D, c.matroid(2, 5)).bit_count() for c in cells] == [5, 3, 3]
     for fake in ([cells[0], cells[1], cells[1]], cells + [cells[1]]):
         monkeypatch.setattr(trop, "_cells_by_wall_search", lambda P: fake)
-        got = regular_subdivision(P).cells
-        assert len(got) == 3 and {c.vertices for c in got} == {c.vertices for c in cells}
+        with pytest.raises(RuntimeError, match="not an exact cover"):
+            regular_subdivision(P)
+
+
+def test_audit_rejects_a_dropped_cell(monkeypatch):
+    # positive heights have one path: a wall walk that misses a cell raises
+    # and is not retried by the facet walk
+    P = random_positive_tropical(3, 6, Random(2))
+    cells = trop._cells_by_wall_search(P)
+    assert len(cells) > 1
+    for i in range(len(cells)):
+        monkeypatch.setattr(trop, "_cells_by_wall_search",
+                            lambda P: cells[:i] + cells[i + 1:])
+        with pytest.raises(RuntimeError, match="not an exact cover"):
+            regular_subdivision(P)
 
 
 def test_positive_tropical_sampler_never_rejects():
