@@ -12,11 +12,12 @@ from positroid_lab.cells import cell_dim_of_perm, positroid_of_perm, sample_cell
 from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import (
     decorated_permutation_of,
-    gk_test,
     is_tnn,
     is_tp,
+    is_tp_by_sign_variation,
     matroid_of,
     plucker_of_matrix,
+    vandermonde_matrix,
 )
 
 C = RatMatrix.from_rows([[1, 0, -1, -2], [0, 1, 2, 4]])
@@ -34,10 +35,12 @@ print("totally nonnegative:", is_tnn(P), "| totally positive:", is_tp(P))
 pi = decorated_permutation_of(C)
 print("decorated permutation of the cell:", pi)
 
-print("\nsampled sign-variation evidence (never a proof, only a cross-check):")
-rep = gk_test(C, mode="tnn", trials=30, seed=1)
-print(f"  {rep.samples} samples, row space ok: {rep.row_space_ok}, "
-      f"kernel ok: {rep.kernel_ok}, exact verdict tnn: {rep.exact_tnn}")
+print("\nsign variation decides positivity exactly (Gantmakher-Krein, Karp):")
+print("the row-space vector vanishing on each (k-1)-subset of the columns")
+print("is unique up to scale and has varbar <= k-1")
+print("  this matrix totally positive:", is_tp_by_sign_variation(C))
+V = vandermonde_matrix(2, [1, 2, 3, 4])
+print("  the Vandermonde matrix at 1, 2, 3, 4:", is_tp_by_sign_variation(V))
 
 print("\nrebuilding the cell from its permutation:")
 print("  positroid:", positroid_of_perm(pi).sorted_bases())

@@ -34,7 +34,7 @@ print("\nzero heights collapse to a single cell:")
 D0 = regular_subdivision(HeightVector.make(2, 4, {}))
 print("  cells:", len(D0.cells), "finest:", is_finest(D0))
 
-bad = HeightVector.make(2, 4, [0, 1, 0, 0, 1, 0])
+bad = HeightVector.make(2, 4, {(1, 3): 1, (2, 4): 1})
 print("\nheights breaking the exchange:")
 print("  violation at (S; a,b,c,d) =", positivity_violation(bad))
 Dbad = regular_subdivision(bad)

@@ -45,7 +45,7 @@ tally = {}
 for _ in range(400):
     Yi = amp_map(sample_cell_matrix(top_cell_permutation(1, 4), rng), Z)
     s = sign_stratum(Yi, Z)
-    if 0 in s.entries:
+    if "0" in s:
         continue
     w = next(w for w in enumerate_D(2, 4) if w_chamber_membership(Yi, Z, w) is True)
     tally["".join(map(str, w.w))] = tally.get("".join(map(str, w.w)), 0) + 1

@@ -18,13 +18,13 @@ from operator import mul, or_
 from typing import Sequence
 
 from .cells import cell_dim_of_perm, matrix_realization
-from .exact import (RatMatrix, SignVector, _integer_rows, integer_minors, kernel_basis, rank,
+from .exact import (RatMatrix, _integer_rows, integer_minors, kernel_basis, rank,
                     var, varbar)
 from .grassmann import plucker_of_matrix
 from .hypersimplex import WSimplex, tile_catalog, verify_tiling
 from .perms import t_dual
 from .triangulations import BicoloredTriangulation
-from .util import perm_sign, rat_to_str, subsets
+from .util import perm_sign, rat_to_str, sign, subsets
 
 __all__ = [
     "ZMatrix",
@@ -225,13 +225,15 @@ def twistor_table_json(table) -> dict[str, str]:
     return {",".join(map(str, I)): rat_to_str(v) for I, v in table.items()}
 
 
-def sign_stratum(Y, Z: ZMatrix) -> SignVector:
-    """Projective sign vector of all twistors, indexed lexicographically."""
+def sign_stratum(Y, Z: ZMatrix) -> str:
+    """Signs of all twistors in lex order as a "+-0" string, scaled so the
+    first nonzero one is "+"."""
     table = twistor_table(Y, Z)
     vals = [table[I] for I in sorted(table)]
-    if all(v == 0 for v in vals):
+    lead = sign(next((v for v in vals if v), 0))
+    if lead == 0:
         raise RuntimeError("all twistors vanish; Y is degenerate against Z")
-    return SignVector(vals, projective=True)
+    return "".join("0+-"[sign(v) * lead] for v in vals)
 
 
 def m1_membership(Y, Z: ZMatrix) -> bool:

@@ -315,7 +315,7 @@ def cmd_amp_sample(args) -> int:
         rec = {
             "Y": Y.Y.to_json(),
             "twistors": twistor_table_json(twistor_table(Y, Z)),
-            "sign_stratum": sign_stratum(Y, Z).to_json(),
+            "sign_stratum": sign_stratum(Y, Z),
         }
         if m == 1:
             rec["m1_membership"] = m1_membership(Y, Z)

@@ -266,44 +266,3 @@ def varbar(v: Sequence) -> int:
         else:
             total += gap
     return total
-
-
-class SignVector:
-    """Sequence over {-1, 0, +1}; projective form has first nonzero +."""
-
-    __slots__ = ("entries", "projective")
-
-    def __init__(self, values: Iterable, projective: bool = True):
-        ent = tuple(sign(x) for x in values)
-        if projective:
-            for s in ent:
-                if s != 0:
-                    if s < 0:
-                        ent = tuple(-x for x in ent)
-                    break
-        self.entries = ent
-        self.projective = projective
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignVector)
-            and self.entries == other.entries
-            and self.projective == other.projective
-        )
-
-    def __hash__(self):
-        return hash((self.entries, self.projective))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        glyph = {1: "+", -1: "-", 0: "0"}
-        return "(" + "".join(glyph[s] for s in self.entries) + ")"
-
-    def to_json(self) -> str:
-        glyph = {1: "+", -1: "-", 0: "0"}
-        return "".join(glyph[s] for s in self.entries)

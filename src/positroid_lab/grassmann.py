@@ -3,8 +3,8 @@
 A point of Gr(k, n) is stored projectively as its full list of maximal
 minors.  Total nonnegativity/positivity, the matroid of a point, and the
 decorated permutation attached to a totally nonnegative matrix all live
-here, together with a sampled sign-variation test in the spirit of
-Gantmakher and Krein.
+here, together with the exact sign-variation test for total positivity of
+Gantmakher-Krein and Karp.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from random import Random
 from typing import Sequence
 
-from .exact import RatMatrix, kernel_basis, maximal_minors, var, varbar
+from .exact import RatMatrix, kernel_basis, maximal_minors, rank, varbar
 from .perms import DecoratedPermutation, perm_of_necklace
 from .util import (
     perm_sign,
     rat_from_str,
     rat_to_str,
-    random_signed_rational,
     subset_from_key,
     subset_key,
     subsets,
@@ -301,80 +299,29 @@ def permutation_of_plucker(P: PluckerVector) -> DecoratedPermutation:
     return perm_of_necklace(necklace_of_bases(bases, P.n))
 
 
-@dataclass
-class GKReport:
-    """Outcome of the sampled sign-variation test (one-sided evidence only)."""
+def is_tp_by_sign_variation(C: RatMatrix) -> bool:
+    """Whether the row space of C is totally positive, decided by sign
+    variation on finitely many of its vectors.
 
-    mode: str
-    trials: int
-    seed: int
-    k: int
-    n: int
-    row_space_ok: bool
-    kernel_ok: bool
-    witness: list | None
-    exact_tnn: bool
-    exact_tp: bool
-    consistent: bool
-    samples: int = 0
-
-    def to_json(self) -> dict:
-        out = dict(self.__dict__)
-        if self.witness is not None:
-            out["witness"] = [rat_to_str(x) for x in self.witness]
-        return out
-
-
-def gk_test(C: RatMatrix, mode: str = "tnn", trials: int = 50,
-            seed: int = 0) -> GKReport:
-    """Sample sign variation over the row space and the kernel of C.
-
-    For mode "tnn" every sampled row-space vector should have var <= k-1
-    and every sampled nonzero kernel vector varbar >= k; mode "tp" uses
-    varbar <= k-1 and var >= k.  A sampled pass proves nothing universal;
-    the exact verdict from the minors rides along for cross-checking.
+    Gantmakher and Krein: a point of Gr(k, n) is totally positive exactly
+    when every nonzero vector of it has varbar <= k - 1.  Karp (arXiv
+    1503.05622) shows one vector per (k - 1)-subset S of the columns is
+    enough: the vector vanishing on S must be unique up to scale and obey
+    the bound.  Raises ValueError when C has rank below k.
     """
-    if mode not in ("tnn", "tp"):
-        raise ValueError("mode must be 'tnn' or 'tp'")
-    k, n = C.rows, C.cols
-    P = plucker_of_matrix(C)
-    rng = Random(seed)
-    K = kernel_basis(C)
-    row_ok, ker_ok = True, True
-    witness = None
-    samples = 0
-    for _ in range(trials):
-        coeffs = [random_signed_rational(rng) for _ in range(k)]
-        v = [sum(c * C.entry(r, j) for r, c in enumerate(coeffs)) for j in range(n)]
-        if all(x == 0 for x in v):
-            continue
-        samples += 1
-        bad = (var(v) > k - 1) if mode == "tnn" else (varbar(v) > k - 1)
-        if bad:
-            row_ok = False
-            if witness is None:
-                witness = v
-        if K.rows:
-            wc = [random_signed_rational(rng) for _ in range(K.rows)]
-            w = [sum(c * K.entry(r, j) for r, c in enumerate(wc)) for j in range(n)]
-            if any(x != 0 for x in w):
-                ok = (varbar(w) >= k) if mode == "tnn" else (var(w) >= k)
-                if not ok:
-                    ker_ok = False
-                    if witness is None:
-                        witness = w
-    exact_tnn, exact_tp = is_tnn(P), is_tp(P)
-    target = exact_tnn if mode == "tnn" else exact_tp
-    sampled_pass = row_ok and ker_ok
-    # sampling can only refute; a refutation must not happen on a true positive
-    consistent = (not target) or sampled_pass
-    return GKReport(mode, trials, seed, k, n, row_ok, ker_ok, witness,
-                    exact_tnn, exact_tp, consistent, samples)
-
-
-def random_matrix(rows: int, cols: int, rng: Random, hi: int = 1000) -> RatMatrix:
-    return RatMatrix(rows, cols,
-                     [random_signed_rational(rng, hi) for _ in range(rows * cols)])
+    k = C.rows
+    if rank(C) < k:
+        raise ValueError("matrix is rank deficient: all maximal minors vanish")
+    if k == 0:
+        return True
+    for S in combinations(range(C.cols), k - 1):
+        K = kernel_basis(C.columns(S).transpose())
+        if K.rows != 1:
+            return False
+        v = RatMatrix(1, k, K.row(0)).matmul(C).row(0)
+        if varbar(v) > k - 1:
+            return False
+    return True
 
 
 def vandermonde_matrix(k: int, nodes: Sequence) -> RatMatrix:

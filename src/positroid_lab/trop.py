@@ -41,7 +41,6 @@ __all__ = [
     "is_finest",
     "octahedra_all_subdivided",
     "walls",
-    "interior_face_count",
     "random_positive_tropical",
 ]
 
@@ -55,15 +54,9 @@ class HeightVector:
     heights: tuple[Fraction, ...]  # aligned with subsets(n, k) in lex order
 
     @classmethod
-    def make(cls, k: int, n: int, table) -> "HeightVector":
-        order = subsets(n, k)
-        if isinstance(table, dict):
-            vals = [Fraction(table.get(I, 0)) for I in order]
-        else:
-            vals = [Fraction(x) for x in table]
-            if len(vals) != len(order):
-                raise ValueError(f"expected {len(order)} heights")
-        return cls(k, n, tuple(vals))
+    def make(cls, k: int, n: int, table: dict) -> "HeightVector":
+        """Heights from a table of k-subsets; absent subsets get 0."""
+        return cls(k, n, tuple(Fraction(table.get(I, 0)) for I in subsets(n, k)))
 
     def table(self) -> dict[Subset, Fraction]:
         return dict(zip(subsets(self.n, self.k), self.heights))
@@ -402,6 +395,8 @@ def octahedra_all_subdivided(D: Subdivision) -> bool:
 def is_finest(D: Subdivision) -> bool:
     """Finest positroid subdivision test by cell count, cross-checked on
     octahedral faces when those exist."""
+    if D.k in (0, D.n):
+        return True  # a point hypersimplex has one cell and nothing finer
     by_count = len(D.cells) == comb(D.n - 2, D.k - 1)
     if D.k >= 2 and D.n - D.k >= 2:
         octa = octahedra_all_subdivided(D)
@@ -422,20 +417,10 @@ def walls(D: Subdivision) -> list[frozenset[Subset]]:
     return sorted(out, key=sorted)
 
 
-def interior_face_count(D: Subdivision, c: int) -> int:
-    """Interior faces of dimension n - c, implemented for c = 1, 2."""
-    if c == 1:
-        return len(D.cells)
-    if c == 2:
-        return len(walls(D))
-    raise NotImplementedError("only codimensions 1 and 2 are tabulated")
-
-
-def random_positive_tropical(k: int, n: int, rng: Random,
-                             hi: int = 40) -> HeightVector:
+def random_positive_tropical(k: int, n: int, rng: Random) -> HeightVector:
     """Valuations of a totally positive point: from the coordinate point of
     {1..k}, sweeps of bridges x_j += t x_i (i = 1..n, j = i mod n + 1,
-    val(t) drawn from 0..hi) until every coordinate is finite, at most k
+    val(t) drawn from 0..40) until every coordinate is finite, at most k
     sweeps.  A bridge adds t * Delta_{I-j+i} to Delta_I when j is in I and
     i is not; on a totally nonnegative point nothing cancels, so P_I
     becomes min(P_I, val(t) + P_{I-j+i}) and the result is positive."""
@@ -444,7 +429,7 @@ def random_positive_tropical(k: int, n: int, rng: Random,
     while None in P.values():
         for i in range(1, n + 1):
             j = i % n + 1
-            w = rng.randint(0, hi)
+            w = rng.randint(0, 40)
             before = dict(P)
             for I in P:
                 if j not in I or i in I:

@@ -1,10 +1,9 @@
-"""Shared helpers: rational serialization, seeded sampling, small iterators."""
+"""Shared helpers: rational serialization, signs, small iterators."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from random import Random
 from typing import Iterable, Sequence
 
 
@@ -48,13 +47,6 @@ def subset_from_key(s: str) -> tuple[int, ...]:
     if s == "":
         return ()
     return tuple(sorted(int(t) for t in s.split(",")))
-
-
-def random_signed_rational(rng: Random, hi: int = 1000) -> Fraction:
-    v = 0
-    while v == 0:
-        v = rng.randint(-hi, hi)
-    return Fraction(v)
 
 
 def perm_sign(seq: Sequence[int]) -> int:

@@ -223,10 +223,20 @@ def test_trop_positive_and_violation(capsys, tmp_path):
     assert data["positive_tropical"] and data["finest"]
     assert len(data["cells"]) == 2
     p2 = tmp_path / "hbad.json"
-    p2.write_text(json.dumps(HeightVector.make(2, 4, [0, 1, 0, 0, 1, 0]).to_json()))
+    p2.write_text(json.dumps(HeightVector.make(2, 4, {(1, 3): 1, (2, 4): 1}).to_json()))
     code, out = run(capsys, "trop", "--heights", str(p2))
     assert code == 1
     assert json.loads(out)["violation"]["quad"] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("k, n", [(0, 3), (1, 1), (0, 0), (3, 3)])
+def test_trop_on_a_point_hypersimplex(capsys, tmp_path, k, n):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"k": k, "n": n, "heights": {}}))
+    code, out = run(capsys, "trop", "--heights", str(p))
+    assert code == 0
+    data = json.loads(out)
+    assert data["finest"] is True and len(data["cells"]) == 1
 
 
 def test_amp_sample(capsys):

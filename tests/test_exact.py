@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from positroid_lab.exact import (
     RatMatrix,
-    SignVector,
     det,
     integer_det,
     integer_kernel,
@@ -19,6 +18,7 @@ from positroid_lab.exact import (
     var,
     varbar,
 )
+from positroid_lab.amplituhedron import amp_map, make_positive_Z, sign_stratum
 from positroid_lab.util import rat_from_str
 
 from oracles import fraction_det, fraction_matmul, fraction_rref, varbar_bruteforce
@@ -106,11 +106,13 @@ def test_var_le_varbar_le_len(v):
 
 
 def test_sign_vector_projective_normalization():
-    s = SignVector([-2, 0, 3, -1])
-    assert s.entries == (1, 0, -1, 1)
-    assert s == SignVector([4, 0, -6, 2])
-    t = SignVector([-2, 0, 3, -1], projective=False)
-    assert t.entries == (-1, 0, 1, -1)
+    # A sign vector is the "+-0" string of sign_stratum, scaled so the first
+    # nonzero sign is "+"; zeros are kept in place.
+    Z = make_positive_Z(4, 3, [0, 1, 2, 3])
+    # twistors (-2, -2, 0, 0, 2, 2)
+    assert sign_stratum(amp_map(RatMatrix.from_rows([[0, 1, -1, 0]]), Z), Z) == "++00--"
+    assert sign_stratum(amp_map(RatMatrix.from_rows([[0, -2, 2, 0]]), Z), Z) == "++00--"
+    assert sign_stratum(amp_map(RatMatrix.from_rows([[-1, 0, 0, 0]]), Z), Z) == "000+++"
 
 
 def test_matrix_json_round_trip():

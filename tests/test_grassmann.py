@@ -1,4 +1,4 @@
-"""Plücker vectors, matroids, positivity, and the sampled variation test."""
+"""Plücker vectors, matroids, positivity, and the sign-variation test."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,28 +9,27 @@ import pytest
 from positroid_lab import exact
 from positroid_lab.amplituhedron import ZMatrix
 from positroid_lab.cells import sample_cell_matrix
-from positroid_lab.exact import RatMatrix, maximal_minors
+from positroid_lab.exact import RatMatrix, kernel_basis, maximal_minors, var, varbar
 from positroid_lab.grassmann import (
-    GKReport,
     Matroid,
     PluckerVector,
     decorated_permutation_of,
     exchange_quads,
-    gk_test,
     is_positroid,
     is_tnn,
     is_tp,
+    is_tp_by_sign_variation,
     matrix_of_plucker,
     matroid_of,
     necklace_of_bases,
     plucker_of_matrix,
     positroid_of_necklace,
-    random_matrix,
     three_term_relation_holds,
     uniform_matroid,
     vandermonde_matrix,
 )
-from positroid_lab.perms import enumerate_decorated, necklace, parse_decorated
+from positroid_lab.perms import (enumerate_decorated, necklace, parse_decorated,
+                                 top_cell_permutation)
 
 from oracles import fraction_det, rank_decorated_permutation, realized_positroid
 
@@ -158,25 +157,90 @@ def test_plucker_projective_invariance_under_row_ops():
     assert plucker_of_matrix(L.matmul(C)) == plucker_of_matrix(C)
 
 
+def test_sign_variation_tp_pinned_and_vandermonde():
+    assert not is_tp_by_sign_variation(pinned_matrix())  # TNN, p34 = 0
+    assert is_tp_by_sign_variation(vandermonde_matrix(2, [1, 2, 3, 4]))
+    assert is_tp_by_sign_variation(vandermonde_matrix(3, [-2, 0, 1, 5, 7]))
+    assert not is_tp_by_sign_variation(RatMatrix.from_rows([[1, 0, 1], [0, 1, -1]]))
+    assert is_tp_by_sign_variation(RatMatrix.zero(0, 4))
+
+
+def test_sign_variation_refuses_rank_deficient_input():
+    for rows in ([[1, 2, 3], [2, 4, 6]], [[0, 0, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            is_tp_by_sign_variation(RatMatrix.from_rows(rows))
+
+
+def test_sign_variation_decides_tp_on_every_cell_up_to_n6():
+    count = 0
+    for n in range(7):
+        rng = Random(n)
+        for pi in enumerate_decorated(n):
+            C = sample_cell_matrix(pi, rng)
+            assert is_tp_by_sign_variation(C) == is_tp(plucker_of_matrix(C))
+            count += 1
+    assert count == 2372
+
+
+def test_sign_variation_decides_tp_on_random_integer_matrices():
+    rng = Random(23)
+    seen = {True: 0, False: 0, "deficient": 0}
+    for _ in range(2400):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        if rng.random() < 0.5:  # a totally positive point, in either orientation
+            C = sample_cell_matrix(top_cell_permutation(k, n), rng)
+            sign = rng.choice((-1, 1))
+            C = RatMatrix.from_rows([[sign * x for x in C.row(0)]] + C.row_list()[1:])
+        else:
+            C = RatMatrix(k, n, [rng.choice((0, 0, 1, 2, 5, -1, -3)) for _ in range(k * n)])
+        if exact.rank(C) < k:
+            with pytest.raises(ValueError):
+                is_tp_by_sign_variation(C)
+            seen["deficient"] += 1
+            continue
+        verdict = is_tp_by_sign_variation(C)
+        assert verdict == is_tp(plucker_of_matrix(C))
+        seen[verdict] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def sampled_var_witness(C: RatMatrix, rng: Random, trials: int) -> list | None:
+    """A sampled vector refuting Gantmakher-Krein for TNN, else None: a
+    row-space vector with var > k - 1 or a kernel vector with varbar < k.
+    No finite vector test for TNN is known, so this check is one-sided."""
+    k, n = C.rows, C.cols
+    K = kernel_basis(C)
+    for _ in range(trials):
+        for M, bad in ((C, lambda v: var(v) > k - 1), (K, lambda v: varbar(v) < k)):
+            c = [rng.choice((-1, 1)) * rng.randint(1, 1000) for _ in range(M.rows)]
+            v = [sum(x * M.entry(r, j) for r, x in enumerate(c)) for j in range(n)]
+            if any(v) and bad(v):
+                return v
+    return None
+
+
+def test_sampled_gk_check_is_one_sided_on_tnn_points():
+    rng = Random(5)
+    for n in range(1, 6):
+        for pi in enumerate_decorated(n):
+            assert sampled_var_witness(sample_cell_matrix(pi, rng), rng, 10) is None
+
+
 def test_gk_test_tnn_pinned():
-    rep = gk_test(pinned_matrix(), "tnn", trials=40, seed=1)
-    assert isinstance(rep, GKReport)
-    assert rep.exact_tnn and not rep.exact_tp
-    assert rep.row_space_ok and rep.kernel_ok and rep.consistent
-
-
-def test_gk_test_tp_vandermonde():
-    rep = gk_test(vandermonde_matrix(2, [1, 2, 3, 4]), "tp", trials=40, seed=2)
-    assert rep.exact_tp and rep.row_space_ok and rep.kernel_ok and rep.consistent
+    C = pinned_matrix()
+    P = plucker_of_matrix(C)
+    assert is_tnn(P) and not is_tp(P)
+    assert not is_tp_by_sign_variation(C)
+    assert sampled_var_witness(C, Random(1), 40) is None
 
 
 def test_gk_test_finds_witness_on_negative_minor():
     C = RatMatrix.from_rows([[1, 0, 1], [0, 1, -1]])  # p23 = -1
-    rep = gk_test(C, "tnn", trials=200, seed=3)
-    assert not rep.exact_tnn
-    assert not (rep.row_space_ok and rep.kernel_ok)
-    assert rep.witness is not None
-    assert rep.consistent
+    assert not is_tnn(plucker_of_matrix(C))
+    witness = sampled_var_witness(C, Random(3), 200)
+    assert witness is not None
+    assert var(witness) > C.rows - 1 or varbar(witness) < C.rows
 
 
 def test_plucker_json_round_trip():
@@ -185,13 +249,23 @@ def test_plucker_json_round_trip():
     assert P.to_json()["coords"]["1,2"] == "1/1"
 
 
+def random_matrix(rows: int, cols: int, rng: Random) -> RatMatrix:
+    """Independent nonzero integer entries in [-9, 9]; a zero is redrawn."""
+    entries = []
+    while len(entries) < rows * cols:
+        v = rng.randint(-9, 9)
+        if v:
+            entries.append(v)
+    return RatMatrix(rows, cols, entries)
+
+
 def test_basis_exchange_holds_for_sampled_matroids_up_to_n8():
     rng = Random(14)
     for (k, n) in [(2, 6), (3, 7), (3, 8)]:
         for _ in range(3):
             while True:
                 try:
-                    C = random_matrix(k, n, rng, hi=9)
+                    C = random_matrix(k, n, rng)
                     M = matroid_of(plucker_of_matrix(C))
                     break
                 except ValueError:

@@ -1,4 +1,5 @@
-"""Every imported name is used: a removal leaves no import behind."""
+"""Every imported name is used and every exported name exists: a removal
+leaves no import and no ``__all__`` entry behind."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "positroid_lab").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
+SOURCES = [p for p in MODULES if p.parent.name == "positroid_lab"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +33,25 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def undefined_exports(source: str) -> list[str]:
+    """Entries of the module's ``__all__`` that no top-level definition,
+    assignment or import binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 def test_the_scan_sees_every_module():
     assert len(MODULES) > 25
 
@@ -45,3 +66,14 @@ def test_the_scan_finds_an_unused_import():
               "from a import b, c as d\n__all__ = ['b']\n")
     assert unused_imports(source) == ["d (line 3)", "os (line 2)"]
     assert unused_imports(source + "os.sep, d\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_the_export_scan_finds_a_stale_entry():
+    source = ("from a import b\nc: int = 1\ndef d(): pass\nclass E: pass\n"
+              "__all__ = ['b', 'c', 'd', 'E', 'gone']\n")
+    assert undefined_exports(source) == ["gone"]
