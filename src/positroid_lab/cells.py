@@ -21,8 +21,8 @@ from .exact import RatMatrix
 from .grassmann import (
     Matroid,
     PluckerVector,
+    decorated_permutation_of,
     necklace_of_bases,
-    permutation_of_plucker,
     plucker_of_matrix,
     positroid_of_necklace,
 )
@@ -199,76 +199,70 @@ def graph_of_perm(pi: DecoratedPermutation) -> PlabicGraph:
 
 
 def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
-    """Exact totally nonnegative matrix whose point lies in the cell of pi,
-    one positive rational of ``params`` per bridge; see ``_realize``."""
-    return _realize(pi, params)[0]
-
-
-def _realize(pi: DecoratedPermutation,
-             params: list[Fraction]) -> tuple[RatMatrix, PluckerVector]:
-    """Exact totally nonnegative matrix whose point lies in the cell of pi,
-    with the Plücker vector that certified it.
+    """Exact totally nonnegative matrix whose point lies in the cell of pi.
 
     ``params`` supplies one positive rational per bridge (dimension many).
-    The peeling is replayed on plain rows: a loop at i inserts a zero
-    column at i; a coloop at i negates the old columns from i on, inserts
-    a zero column at i and appends the row e_i, so expanding a minor on
-    columns J (i p-th in J) along the new row gives the sign
-    (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a bridge adds t c_i to c_{i+1}.  The
-    result is certified by recomputing its decorated permutation from its
-    maximal minors.
+    The peeling is replayed on integer rows over one common denominator D:
+    a loop at i inserts a zero column at i; a coloop at i negates the old
+    columns from i on, inserts a zero column at i and appends the row
+    D e_i, so expanding a minor on columns J (i p-th in J) along the new
+    row gives the sign (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a bridge
+    t = p/q adds t c_i to c_{i+1}: every row is scaled by q, p times the
+    old c_i is added to c_{i+1}, and D becomes q D.  The result is
+    certified by recomputing its decorated permutation from its maximal
+    minors.
     """
     steps = bridge_decomposition(pi)
-    nbridges = sum(1 for s in steps if s[0] == "bridge")
+    nbridges = cell_dim_of_perm(pi)
     if len(params) != nbridges:
         raise ValueError(f"cell of {pi} needs {nbridges} parameters")
     if any(t <= 0 for t in params):
         raise ValueError("bridge parameters must be positive")
-    rows: list[list[Fraction]] = []
-    n, pidx, zero = 0, nbridges, Fraction(0)
+    rows: list[list[int]] = []
+    n, pidx, D = 0, nbridges, 1
     for step in reversed(steps):
         i = step[1]
         if step[0] == "bridge":
             pidx -= 1
             t = Fraction(params[pidx])
-            for row in rows:
-                row[i] += t * row[i - 1]
+            p, q = t.numerator, t.denominator
+            scaled = rows if q == 1 else [[q * x for x in row] for row in rows]
+            for new, old in zip(scaled, rows):
+                new[i] += p * old[i - 1]
+            rows, D = scaled, q * D
         elif step[2] == "black":
             for row in rows:
-                row.insert(i - 1, zero)
+                row.insert(i - 1, 0)
             n += 1
         else:
             for row in rows:
-                row[i - 1:] = [zero] + [-x for x in row[i - 1:]]
+                row[i - 1:] = [0] + [-x for x in row[i - 1:]]
             n += 1
-            rows.append([Fraction(int(j == i)) for j in range(1, n + 1)])
-    C = RatMatrix(len(rows), n, [x for row in rows for x in row])
-    P = plucker_of_matrix(C)
-    got = permutation_of_plucker(P)
+            rows.append([D if j == i else 0 for j in range(1, n + 1)])
+    C = RatMatrix(len(rows), n, [Fraction(x, D) for row in rows for x in row])
+    got = decorated_permutation_of(C)
     if got != pi:
         raise RuntimeError(f"realization of {pi} landed in cell {got}")
-    return C, P
+    return C
 
 
 def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
-    """Random interior point of the cell as a matrix; see ``sample_cell_point``."""
-    return sample_cell_point(pi, rng)[0]
-
-
-def sample_cell_point(pi: DecoratedPermutation,
-                      rng: Random) -> tuple[RatMatrix, PluckerVector]:
-    """Random interior point of the cell, exact and certified, as a matrix
-    and the Plücker vector that certified it.
+    """Random interior point of the cell, exact and certified.
 
     Parameters are ratios of uniform integers so products of them spread
     both above and below 1; plain integer parameters pile up in one corner
     of the cell and starve whole chambers downstream.
     """
-    steps = bridge_decomposition(pi)
-    nbridges = sum(1 for s in steps if s[0] == "bridge")
     params = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
-              for _ in range(nbridges)]
-    return _realize(pi, params)
+              for _ in range(cell_dim_of_perm(pi))]
+    return matrix_realization(pi, params)
+
+
+def sample_cell_point(pi: DecoratedPermutation,
+                      rng: Random) -> tuple[RatMatrix, PluckerVector]:
+    """``sample_cell_matrix`` and the Plücker vector of its point."""
+    C = sample_cell_matrix(pi, rng)
+    return C, plucker_of_matrix(C)
 
 
 @lru_cache(maxsize=None)

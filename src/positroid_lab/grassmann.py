@@ -12,9 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
-from .exact import RatMatrix, kernel_basis, maximal_minors, rank, varbar
+from .exact import (
+    RatMatrix,
+    _integer_rows,
+    integer_minors,
+    kernel_basis,
+    maximal_minors,
+    rank,
+    varbar,
+)
 from .perms import DecoratedPermutation, perm_of_necklace
 from .util import (
     perm_sign,
@@ -196,8 +205,10 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
 
     Row r, column j holds the signed coordinate of the index sequence
     obtained from the chart basis with its r-th element replaced by j; on
-    the chart columns this is p_I0 times the identity.  Raises ValueError
-    when P is not a point of the Grassmannian.
+    the chart columns this is p_I0 times the identity.  The minors m_J of
+    its rows, cleared to integers, must be proportional to P's coordinates
+    q_J, cleared to integers: m_J q_I0 = q_J m_I0 for every J.  Raises
+    ValueError when P is not a point of the Grassmannian.
     """
     k, n = P.k, P.n
     if k == 0:
@@ -213,7 +224,10 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
             row.append(Fraction(0) if s == 0 else s * P.coord(seq))
         rows.append(row)
     C = RatMatrix.from_rows(rows)
-    if plucker_of_matrix(C) != P:
+    minors = dict(zip(subsets(n, k), integer_minors(_integer_rows(C)[0], n)))
+    L = lcm(*(v.denominator for v in P.coords.values()))
+    q = {I: v.numerator * (L // v.denominator) for I, v in P.coords.items()}
+    if any(minors[I] * q[I0] != q[I] * minors[I0] for I in q):
         raise ValueError("coordinates fail the Pluecker relations; "
                          "not a point of the Grassmannian")
     return C
@@ -285,18 +299,30 @@ def is_positroid(M: Matroid) -> bool:
 
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
     """Decorated permutation of a totally nonnegative matrix, read off its
-    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17)."""
-    return permutation_of_plucker(plucker_of_matrix(C))
+    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
 
-
-def permutation_of_plucker(P: PluckerVector) -> DecoratedPermutation:
-    """Decorated permutation of a totally nonnegative point, read off the
-    Grassmann necklace of its bases, the nonzero Plücker coordinates."""
-    if not is_tnn(P):
+    The maximal minors are taken once, on C's rows cleared to integers.
+    Some minor must be nonzero, and every nonzero one must have the sign
+    of the first.  I_i is then the first column set with a nonzero minor in
+    the lexicographic order of the cyclic order i < i+1 < ... < i-1.
+    """
+    k, n = C.rows, C.cols
+    minors = integer_minors(_integer_rows(C)[0], n)
+    lead = next((m for m in minors if m), 0)
+    if not lead:
+        raise ValueError("matrix is rank deficient: all maximal minors vanish")
+    if (min(minors) if lead > 0 else -max(minors)) < 0:
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
-    bases = [I for I, v in P.coords.items() if v != 0]
-    return perm_of_necklace(necklace_of_bases(bases, P.n))
+    bases = {I for I, m in zip(subsets(n, k), minors) if m}
+    necklace = []
+    for i in range(1, n + 1):
+        for J in combinations([*range(i, n + 1), *range(1, i)], k):
+            I = tuple(sorted(J))
+            if I in bases:
+                necklace.append(I)
+                break
+    return perm_of_necklace(tuple(necklace))
 
 
 def is_tp_by_sign_variation(C: RatMatrix) -> bool:

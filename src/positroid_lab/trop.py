@@ -9,7 +9,7 @@ of a cell across cyclic-interval walls for positive tropical heights and
 across the facets of simplex cells for all others.  The walk runs on
 integers: the gaps of each tilt over one positive denominator and the
 tables u . e_I of each direction; only the witness tilts are fractions, and
-``argmin_face`` certifies each cell afresh in fractions.
+``argmin_face`` certifies each cell afresh on integer gaps.
 """
 
 from __future__ import annotations
@@ -160,9 +160,21 @@ def _face(gaps: dict) -> frozenset[Subset]:
 
 
 def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
-    """Face of the subdivision selected by tilt y: argmin of P_I - y . e_I."""
+    """Face of the subdivision selected by tilt y: argmin of P_I - y . e_I.
+
+    The heights are scaled to integers L P_I by the lcm L of their
+    denominators, and y to integers M y_i by the lcm M of its own; the
+    gaps M L P_I - L M y . e_I are then compared as integers.  Raises
+    ValueError unless y has n entries.
+    """
+    if len(y) != P.n:
+        raise ValueError(f"a tilt needs n = {P.n} entries, not {len(y)}")
     y = [Fraction(t) for t in y]
-    return _face({I: h - sum(y[i - 1] for i in I) for I, h in P.table().items()})
+    M = lcm(*(t.denominator for t in y))
+    L = lcm(*(h.denominator for h in P.heights))
+    LMy = [0] + [L * t.numerator * (M // t.denominator) for t in y]  # LMy[i] = L M y_i
+    return _face({I: M * h.numerator * (L // h.denominator) - sum(map(LMy.__getitem__, I))
+                  for I, h in zip(subsets(P.n, P.k), P.heights)})
 
 
 def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int]):

@@ -6,7 +6,10 @@ that ``RatMatrix.matmul`` ran before it multiplied integer rows, and the
 tests compare the two; ``fraction_rref`` is the ``Fraction`` Gauss-Jordan
 elimination that ``exact.rank`` and ``exact.kernel_basis`` ran on before
 the integer elimination; ``rank_decorated_permutation`` reads the decorated
-permutation of a totally nonnegative matrix off ranks of column spans;
+permutation of a totally nonnegative matrix off ranks of column spans, and
+``permutation_of_plucker`` off the necklace of the nonzero ``Fraction``
+minors of its Plücker vector, as ``grassmann.decorated_permutation_of`` did
+before it took integer minors;
 ``realized_positroid`` takes the support of all minors of a certified
 realization of a cell; ``twistor_via_expansion`` evaluates a twistor
 through the Plücker coordinates of a preimage of the point (the other
@@ -29,8 +32,10 @@ rotation of w afresh, as ``hypersimplex.w_simplex`` did before it toggled
 them in one pass.  ``resumming_wall_search`` is the cyclic-interval wall
 search of ``trop`` as it ran before each tilt kept a gap table: every shot
 re-sums the tilt and the direction over every k-subset and takes the next
-face from ``trop.argmin_face``; ``trop._cells_by_wall_search`` is compared
-with it.  ``span_scan`` is the complete lower-hull scan over every n-subset
+face from ``fraction_argmin_face``, the argmin of P_I - y . e_I summed in
+``Fraction``s that ``trop.argmin_face`` took before it compared integer
+gaps; ``trop._cells_by_wall_search`` and ``trop.argmin_face`` are compared
+with them.  ``span_scan`` is the complete lower-hull scan over every n-subset
 of vertices that ``trop.regular_subdivision`` ran on heights that are not
 positive tropical before the facet walk; ``regular_subdivision`` is
 compared with it.  Both take affine ranks with ``fraction_rref``, never
@@ -94,6 +99,7 @@ from positroid_lab.grassmann import (
     is_tnn,
     matrix_of_plucker,
     matroid_of,
+    necklace_of_bases,
     plucker_of_matrix,
 )
 from positroid_lab.hypersimplex import (
@@ -105,7 +111,7 @@ from positroid_lab.hypersimplex import (
     tile_catalog,
     w_simplex,
 )
-from positroid_lab.perms import DecoratedPermutation, top_cell_permutation
+from positroid_lab.perms import DecoratedPermutation, perm_of_necklace, top_cell_permutation
 from positroid_lab.plabic import (
     PlabicGraph,
     boundary_id,
@@ -123,7 +129,6 @@ from positroid_lab.trop import (
     HeightVector,
     SubdivisionCell,
     _interval_directions,
-    argmin_face,
 )
 from positroid_lab.util import sign, subsets
 
@@ -223,6 +228,16 @@ def rank_decorated_permutation(C: RatMatrix) -> DecoratedPermutation:
                 images[i - 1] = j
                 break
     return DecoratedPermutation(tuple(images), frozenset(loops), frozenset(coloops))
+
+
+def permutation_of_plucker(P: PluckerVector) -> DecoratedPermutation:
+    """Decorated permutation of a totally nonnegative point, read off the
+    Grassmann necklace of its bases, the nonzero ``Fraction`` coordinates."""
+    if not is_tnn(P):
+        raise ValueError("decorated permutation is only defined on the "
+                         "totally nonnegative part")
+    bases = [I for I, v in P.coords.items() if v != 0]
+    return perm_of_necklace(necklace_of_bases(bases, P.n))
 
 
 def realized_positroid(pi: DecoratedPermutation) -> Matroid:
@@ -427,6 +442,14 @@ def _fraction_aff_rank(n: int, sets) -> int:
         [[Fraction(int(i in I)) for i in range(1, n + 1)] for I in sets]))[1]) - 1
 
 
+def fraction_argmin_face(P: HeightVector, y) -> frozenset:
+    """The vertices I of least P_I - y . e_I, summed in ``Fraction``s."""
+    y = [Fraction(t) for t in y]
+    gaps = {I: h - sum(y[i - 1] for i in I) for I, h in P.table().items()}
+    low = min(gaps.values())
+    return frozenset(I for I, g in gaps.items() if g == low)
+
+
 def _resumming_shoot(tab: dict, face: frozenset, y: list, u) -> list | None:
     """Move the tilt y along u until a vertex outside ``face`` ties the
     argmin: the next tilt, or None when no vertex J outside has u . e_J
@@ -453,7 +476,7 @@ def _resumming_grow_to_cell(P: HeightVector, tab: dict, directions) -> tuple:
     until the argmin face is full-dimensional (0 < k < n); returns (cell,
     witness)."""
     y = [Fraction(0)] * P.n
-    face = argmin_face(P, y)
+    face = fraction_argmin_face(P, y)
     while _fraction_aff_rank(P.n, sorted(face)) < P.n - 1:
         for u in directions:
             if len({sum(u[i - 1] for i in I) for I in face}) != 1:
@@ -461,7 +484,7 @@ def _resumming_grow_to_cell(P: HeightVector, tab: dict, directions) -> tuple:
             y2 = _resumming_shoot(tab, face, y, u)
             if y2 is None:
                 continue
-            face2 = argmin_face(P, y2)
+            face2 = fraction_argmin_face(P, y2)
             if face <= face2 and face2 != face:
                 y, face = y2, face2
                 break
@@ -490,7 +513,7 @@ def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
             y2 = _resumming_shoot(tab, cell, y, u)
             if y2 is None:
                 continue
-            nb = argmin_face(P, y2)
+            nb = fraction_argmin_face(P, y2)
             if nb not in cells and _fraction_aff_rank(n, sorted(nb)) == n - 1:
                 cells[nb] = y2
                 queue.append(nb)

@@ -158,6 +158,22 @@ def test_positroid_paths_take_no_minor_realization_or_matching(monkeypatch):
     assert calls == []
 
 
+def test_realization_takes_no_fraction_minor_or_necklace_scan(monkeypatch):
+    from positroid_lab import grassmann
+
+    calls = _count_calls(monkeypatch, [(grassmann, "maximal_minors"),
+                                       (grassmann, "plucker_of_matrix"),
+                                       (grassmann, "necklace_of_bases")])
+    for k in (2, 3):
+        pi = top_cell_permutation(k, 6)
+        C = matrix_realization(pi, [Fraction(j + 2, j + 1) for j in range(k * (6 - k))])
+        assert (C.rows, C.cols) == (k, 6)
+    assert calls == []
+    # the wrappers count: a Plücker vector of the point takes its minors once
+    grassmann.plucker_of_matrix(C)
+    assert calls == ["plucker_of_matrix", "maximal_minors"]
+
+
 def test_perms_and_trop_import_nothing_from_cells():
     import ast
     import inspect

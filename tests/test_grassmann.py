@@ -31,7 +31,12 @@ from positroid_lab.grassmann import (
 from positroid_lab.perms import (enumerate_decorated, necklace, parse_decorated,
                                  top_cell_permutation)
 
-from oracles import fraction_det, rank_decorated_permutation, realized_positroid
+from oracles import (
+    fraction_det,
+    permutation_of_plucker,
+    rank_decorated_permutation,
+    realized_positroid,
+)
 
 
 def test_exchange_quads_order():
@@ -134,6 +139,16 @@ def test_decorated_permutation_rejects_non_tnn():
     bad = RatMatrix.from_rows([[1, 0, 1], [0, 1, 1]])  # p23 = -1
     with pytest.raises(ValueError):
         decorated_permutation_of(bad)
+    # minors p12, p13, p24, p34 = 1, 1, -1, -1, then with either lead sign
+    for rows in ([[1, 0, 0, 1], [0, 1, 1, 0]], [[-1, 0, 0, -1], [0, 1, 1, 0]]):
+        with pytest.raises(ValueError, match="totally nonnegative"):
+            decorated_permutation_of(RatMatrix.from_rows(rows))
+
+
+def test_decorated_permutation_refuses_a_rank_deficient_matrix():
+    C = RatMatrix.from_rows([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)]])
+    with pytest.raises(ValueError, match="rank deficient"):
+        decorated_permutation_of(C)
 
 
 def test_matrix_of_plucker_round_trip():
@@ -149,6 +164,25 @@ def test_matrix_of_plucker_rejects_non_grassmannian_vector():
     assert not three_term_relation_holds(P)
     with pytest.raises(ValueError):
         matrix_of_plucker(P)
+
+
+def test_matrix_of_plucker_checks_values_not_only_the_support():
+    # p13 p24 = p12 p34 + p14 p23 needs p34 = 1 here; 3 keeps the support
+    coords = {(1, 2): 1, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 2, (3, 4): 3}
+    with pytest.raises(ValueError, match="Pluecker relations"):
+        matrix_of_plucker(PluckerVector(2, 4, coords))
+    P = PluckerVector(2, 4, {**coords, (3, 4): 1})
+    assert plucker_of_matrix(matrix_of_plucker(P)) == P
+
+
+def test_matrix_of_plucker_round_trip_on_rational_points():
+    rng = Random(3)
+    for pi in [parse_decorated("(4,5,6,1,2,3)"), parse_decorated("(3,2^,4,5,6,1)"),
+               parse_decorated("(4,5,3_,6,1,2)"), top_cell_permutation(4, 7)]:
+        P = plucker_of_matrix(sample_cell_matrix(pi, rng))
+        assert any(v.denominator > 1 for v in P.coords.values())
+        for c in (1, Fraction(-3, 7)):
+            assert plucker_of_matrix(matrix_of_plucker(P.scale(c))) == P
 
 
 def test_plucker_projective_invariance_under_row_ops():
@@ -289,6 +323,14 @@ def test_necklace_permutation_matches_rank_oracle_up_to_n6():
         for pi in enumerate_decorated(n):
             C = sample_cell_matrix(pi, Random(n))
             assert decorated_permutation_of(C) == pi == rank_decorated_permutation(C)
+            assert permutation_of_plucker(plucker_of_matrix(C)) == pi
+            if C.rows:
+                # one negated row flips every minor: a TNN point in negative orientation
+                rows = C.row_list()
+                rows[0] = [-x for x in rows[0]]
+                D = RatMatrix.from_rows(rows)
+                assert decorated_permutation_of(D) == pi
+                assert permutation_of_plucker(plucker_of_matrix(D)) == pi
             support = matroid_of(plucker_of_matrix(C)).bases
             assert positroid_of_perm(pi).bases == support
             assert necklace(pi) == necklace_of_bases(support, n)

@@ -1,5 +1,6 @@
 """Positive tropical heights and their regular subdivisions."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -9,7 +10,7 @@ from random import Random
 
 import pytest
 
-from oracles import resumming_wall_search, span_scan, zero_one_directions
+from oracles import fraction_argmin_face, resumming_wall_search, span_scan, zero_one_directions
 from positroid_lab import trop
 from positroid_lab.exact import RatMatrix, det
 from positroid_lab.hypersimplex import (
@@ -389,6 +390,60 @@ def test_sampled_witness_faces_consistent():
         y = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(5)]
         face = argmin_face(P, y)
         assert any(face <= c.vertices for c in D.cells)
+
+
+def test_argmin_face_refuses_a_tilt_of_the_wrong_length():
+    P = HeightVector.make(2, 4, {(1, 2): 1})
+    assert argmin_face(P, [0, 0, 0, 0]) == frozenset(subsets(4, 2)) - {(1, 2)}
+    for y in ([0, 0, 0, 0, 5, 7], [0, 0, 0]):
+        with pytest.raises(ValueError, match=f"n = 4 entries, not {len(y)}"):
+            argmin_face(P, y)
+
+
+def _argmin_heights():
+    """The heights of this module: the pinned ones, positive tropical and
+    generic integer draws, and rational ones with denominators 2..7."""
+    pinned = [HeightVector.make(2, 4, {(1, 2): 1}), HeightVector.make(2, 4, {}),
+              HeightVector.make(2, 4, {(1, 4): 1, (2, 3): 1}),
+              HeightVector.make(1, 3, {(1,): 5, (2,): -2, (3,): 0}),
+              HeightVector.make(2, 4, OCTAHEDRON_SPLIT),
+              HeightVector.make(2, 4, {I: Fraction(h, 10 ** 12)
+                                       for I, h in OCTAHEDRON_SPLIT.items()}),
+              HeightVector.make(2, 5, dict(zip(subsets(5, 2), [0, 1, 0, 2, 1, 0, 0, 1, 2, 0]))),
+              HeightVector.make(3, 6, {(1, 3, 5): 1}),
+              HeightVector.make(2, 4, {(1, 2): Fraction(3, 7)})]
+    rng = Random(4)
+    drawn = [random_positive_tropical(k, n, rng)
+             for k, n in [(2, 4), (2, 5), (3, 5), (3, 6), (2, 7)] for _ in range(2)]
+    drawn += [_random_heights(k, n, rng, 10 ** 9) for k, n in [(2, 5), (3, 6)]]
+    drawn += [_rational_heights(k, n, rng, positive)
+              for k, n in [(2, 5), (3, 6)] for positive in (True, False)]
+    return pinned + drawn
+
+
+def test_integer_argmin_matches_the_fraction_oracle():
+    subdivisions = [(P, regular_subdivision(P).cells) for P in _argmin_heights()]
+    cells = 0
+    for P, found in subdivisions:
+        for c in found:
+            assert argmin_face(P, c.witness) == fraction_argmin_face(P, c.witness) == c.vertices
+            cells += 1
+    assert cells > 50
+    rng = Random(5)
+    sizes = Counter()
+    for draw in range(500):
+        P, found = rng.choice(subdivisions)
+        if draw % 2:
+            y = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                 for _ in range(P.n)]
+        else:
+            # a witness moved along a 0/1 direction keeps ties on a face of its cell
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 50))
+            y = [w + t * rng.randint(0, 1) for w in rng.choice(found).witness]
+        face = argmin_face(P, y)
+        assert face == fraction_argmin_face(P, y)
+        sizes[len(face) > 1] += 1
+    assert sizes[True] > 100 and sizes[False] > 100
 
 
 def test_cells_cover_every_vertex():
