@@ -23,6 +23,7 @@ from .grassmann import (
     PluckerVector,
     decorated_permutation_of,
     necklace_of_bases,
+    perm_of_minors,
     plucker_of_matrix,
     positroid_of_necklace,
 )
@@ -198,20 +199,14 @@ def graph_of_perm(pi: DecoratedPermutation) -> PlabicGraph:
     return G
 
 
-def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
-    """Exact totally nonnegative matrix whose point lies in the cell of pi.
-
-    ``params`` supplies one positive rational per bridge (dimension many).
-    The peeling is replayed on integer rows over one common denominator D:
-    a loop at i inserts a zero column at i; a coloop at i negates the old
-    columns from i on, inserts a zero column at i and appends the row
-    D e_i, so expanding a minor on columns J (i p-th in J) along the new
-    row gives the sign (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a bridge
-    t = p/q adds t c_i to c_{i+1}: every row is scaled by q, p times the
-    old c_i is added to c_{i+1}, and D becomes q D.  The result is
-    certified by recomputing its decorated permutation from its maximal
-    minors.
-    """
+def _replay(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
+    """The peeling of pi replayed on integer rows over one common
+    denominator D: a loop at i inserts a zero column at i; a coloop at i
+    negates the old columns from i on, inserts a zero column at i and
+    appends the row D e_i, so expanding a minor on columns J (i p-th in J)
+    along the new row gives the sign (-1)^((k+1)+p) (-1)^(k+1-p) = +1; a
+    bridge t = p/q adds t c_i to c_{i+1}: every row is scaled by q, p times
+    the old c_i is added to c_{i+1}, and D becomes q D."""
     steps = bridge_decomposition(pi)
     nbridges = cell_dim_of_perm(pi)
     if len(params) != nbridges:
@@ -239,30 +234,50 @@ def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatM
                 row[i - 1:] = [0] + [-x for x in row[i - 1:]]
             n += 1
             rows.append([D if j == i else 0 for j in range(1, n + 1)])
-    C = RatMatrix(len(rows), n, [Fraction(x, D) for row in rows for x in row])
-    got = decorated_permutation_of(C)
+    return RatMatrix(len(rows), n, [Fraction(x, D) for row in rows for x in row])
+
+
+def _check_cell(pi: DecoratedPermutation, got: DecoratedPermutation) -> None:
     if got != pi:
         raise RuntimeError(f"realization of {pi} landed in cell {got}")
+
+
+def matrix_realization(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
+    """Exact totally nonnegative matrix whose point lies in the cell of pi.
+
+    ``params`` supplies one positive rational per bridge (dimension many);
+    the peeling is replayed on integer rows (``_replay``).  The result is
+    certified by recomputing its decorated permutation from its maximal
+    minors.
+    """
+    C = _replay(pi, params)
+    _check_cell(pi, decorated_permutation_of(C))
     return C
 
 
-def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
-    """Random interior point of the cell, exact and certified.
+def _draw(pi: DecoratedPermutation, rng: Random) -> list[Fraction]:
+    """One bridge parameter per dimension, each a ratio of uniform integers,
+    so products of them spread both above and below 1; plain integer
+    parameters pile up in one corner of the cell and starve whole chambers
+    downstream."""
+    return [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+            for _ in range(cell_dim_of_perm(pi))]
 
-    Parameters are ratios of uniform integers so products of them spread
-    both above and below 1; plain integer parameters pile up in one corner
-    of the cell and starve whole chambers downstream.
-    """
-    params = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
-              for _ in range(cell_dim_of_perm(pi))]
-    return matrix_realization(pi, params)
+
+def sample_cell_matrix(pi: DecoratedPermutation, rng: Random) -> RatMatrix:
+    """Random interior point of the cell, exact and certified."""
+    return matrix_realization(pi, _draw(pi, rng))
 
 
 def sample_cell_point(pi: DecoratedPermutation,
                       rng: Random) -> tuple[RatMatrix, PluckerVector]:
-    """``sample_cell_matrix`` and the Plücker vector of its point."""
-    C = sample_cell_matrix(pi, rng)
-    return C, plucker_of_matrix(C)
+    """``sample_cell_matrix`` and the Plücker vector of its point, whose
+    minors also certify it: the signs of its coordinates are those of the
+    integer minors."""
+    C = _replay(pi, _draw(pi, rng))
+    P = plucker_of_matrix(C)
+    _check_cell(pi, perm_of_minors([v.numerator for v in P.coords.values()], C.rows, C.cols))
+    return C, P
 
 
 @lru_cache(maxsize=None)

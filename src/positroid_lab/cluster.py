@@ -4,16 +4,19 @@ Each black polygon of a triangulated n-gon contributes cluster variables:
 one per arc of its triangulation apart from a distinguished boundary arc,
 frozen on the remaining boundary arcs and mutable on internal diagonals.
 Variables evaluate to signed twistor ratios; flipping a diagonal matches
-seed mutation, which the tests check numerically.
+seed mutation, which the tests check numerically.  Seeds are immutable, so
+``build_seed`` keeps one per triangulation and distinguished arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
-from .amplituhedron import ZMatrix, twistor
+from .amplituhedron import ZMatrix, _signs
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 
+Twistor = Callable[[tuple[int, ...]], Fraction]
+
+
 @dataclass(frozen=True)
 class ArcVariable:
     """Signed twistor ratio attached to an arc of a black polygon."""
@@ -50,10 +56,14 @@ class ArcVariable:
 
     def evaluate(self, Y, Z: ZMatrix):
         """(-1)^(arc_area - dist_area) times the ratio of the two twistors."""
-        den = twistor(Y, Z, self.dist_arc)
+        return self.value(_signs(Y, Z).tw)
+
+    def value(self, tw: Twistor):
+        """``evaluate`` on the twistors ``tw`` of one point against one Z."""
+        den = tw(self.dist_arc)
         if den == 0:
             return "boundary"
-        ratio = twistor(Y, Z, self.arc) / den
+        ratio = tw(self.arc) / den
         return -ratio if (self.arc_area - self.dist_area) % 2 else ratio
 
     def label(self) -> str:
@@ -69,18 +79,21 @@ class ExchangeVariable:
     old: object
 
     def evaluate(self, Y, Z: ZMatrix):
+        return self.value(_signs(Y, Z).tw)
+
+    def value(self, tw: Twistor):
         vals_in, vals_out = Fraction(1), Fraction(1)
         for v in self.incoming:
-            x = v.evaluate(Y, Z)
+            x = v.value(tw)
             if x == "boundary":
                 return "boundary"
             vals_in *= x
         for v in self.outgoing:
-            x = v.evaluate(Y, Z)
+            x = v.value(tw)
             if x == "boundary":
                 return "boundary"
             vals_out *= x
-        denom = self.old.evaluate(Y, Z)
+        denom = self.old.value(tw)
         if denom == "boundary" or denom == 0:
             return "boundary"
         return (vals_in + vals_out) / denom
@@ -89,14 +102,19 @@ class ExchangeVariable:
         return f"mu({self.old.label()})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seed:
-    """Quiver on arc-labelled vertices with attached variables."""
+    """Quiver on arc-labelled vertices with attached variables; ``arrows``
+    and ``variables`` are read-only copies of the mappings given."""
 
     keys: tuple[Arc, ...]
     frozen: frozenset[Arc]
-    arrows: dict[tuple[Arc, Arc], int]
-    variables: dict[Arc, object]
+    arrows: Mapping[tuple[Arc, Arc], int]
+    variables: Mapping[Arc, object]
+
+    def __post_init__(self):
+        object.__setattr__(self, "arrows", MappingProxyType(dict(self.arrows)))
+        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
 
     def mutable_keys(self) -> list[Arc]:
         return [k for k in self.keys if k not in self.frozen]
@@ -108,7 +126,8 @@ class Seed:
         return frozenset((u, v, m) for (u, v), m in sorted(self.arrows.items()) if m)
 
     def evaluate(self, Y, Z: ZMatrix) -> dict[Arc, object]:
-        return {k: self.variables[k].evaluate(Y, Z) for k in self.keys}
+        tw = _signs(Y, Z).tw
+        return {k: self.variables[k].value(tw) for k in self.keys}
 
     def to_json(self) -> dict:
         return {
@@ -134,24 +153,34 @@ def build_seed(T: BicoloredTriangulation,
 
     The extended cluster has size 2k: each black polygon with v vertices
     carries 2(v - 2) arcs once its distinguished boundary arc is dropped.
+    The seed is kept per T and the distinguished arcs, so a second call
+    returns the same (immutable) seed.
     """
-    polys = black_polygons(T)
-    dist = dict(default_distinguished(T))
-    if distinguished:
-        for poly, arc in distinguished.items():
-            poly = tuple(sorted(poly))
-            arc = (min(arc), max(arc))
-            if poly not in dist:
-                raise ValueError(f"{poly} is not a black polygon")
-            if arc not in polygon_sides(poly):
-                raise ValueError(f"{arc} is not a boundary arc of {poly}")
-            dist[poly] = arc
+    if not distinguished:
+        return _seed(T)
+    default = default_distinguished(T)
+    dist = dict(default)
+    for poly, arc in distinguished.items():
+        poly = tuple(sorted(poly))
+        arc = (min(arc), max(arc))
+        if poly not in dist:
+            raise ValueError(f"{poly} is not a black polygon")
+        if arc not in polygon_sides(poly):
+            raise ValueError(f"{arc} is not a boundary arc of {poly}")
+        dist[poly] = arc
+    return _seed(T) if dist == default else _seed(T, tuple(sorted(dist.items())))
+
+
+@lru_cache(maxsize=None)
+def _seed(T: BicoloredTriangulation, dist_items: tuple | None = None) -> Seed:
+    """``build_seed`` with all distinguished arcs as (polygon, arc) items,
+    or the default ones."""
+    dist = dict(dist_items) if dist_items else default_distinguished(T)
     areas = dict(T.arc_areas)
     keys: list[Arc] = []
     frozen: set[Arc] = set()
     variables: dict[Arc, object] = {}
-    owner: dict[Arc, tuple[int, ...]] = {}
-    for poly in polys:
+    for poly in black_polygons(T):
         pset = set(poly)
         boundary = set(polygon_sides(poly))
         arcs_in_poly = set()
@@ -164,7 +193,6 @@ def build_seed(T: BicoloredTriangulation,
             if arc == d:
                 continue
             keys.append(arc)
-            owner[arc] = poly
             if arc in boundary:
                 frozen.add(arc)
             variables[arc] = ArcVariable(arc, areas[arc], d, areas[d])

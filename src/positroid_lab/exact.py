@@ -1,10 +1,12 @@
 """Exact rational matrices, one integer elimination, and sign variation.
 
 All entries are ``fractions.Fraction``; nothing here ever rounds.  One
-fraction-free (Bareiss) elimination gives the rank, kernel, determinant
-and maximal minors of integer rows (``integer_rank``, ``integer_kernel``,
-``integer_det``, ``integer_minors``); ``rank``, ``kernel_basis``, ``det``
-and ``maximal_minors`` run it on rows cleared of denominators once.
+fraction-free (Bareiss) elimination gives the rank, kernel and determinant
+of integer rows (``integer_rank``, ``integer_kernel``, ``integer_det``);
+``rank``, ``kernel_basis`` and ``det`` run it on rows cleared of
+denominators once.  Every maximal minor of k integer rows comes from one
+Laplace table (``integer_minors``), and ``maximal_minors`` takes it on
+rows cleared once.
 ``RatMatrix.matmul`` scales each left row by its own denominator lcm and
 the right factor by one common lcm: an entry is one ``Fraction`` of an
 integer dot product.  The sign variation statistics ``var`` and
@@ -15,6 +17,7 @@ elsewhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 from operator import mul
@@ -201,10 +204,34 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     return _kernel([list(row) for row in rows], cols)[0]
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(k: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For each r = 1..k and each r-set S of the n columns in lexicographic
+    order, the terms (c, i) of the expansion of the minor of rows 1..r on S
+    along row r: c is the column S_p, plus n when the sign (-1)^(r-1+p) is
+    negative, and i the lexicographic index of S minus S_p among the
+    (r-1)-sets."""
+    plan, index = [], {(): 0}
+    for r in range(1, k + 1):
+        sets = list(combinations(range(n), r))
+        plan.append(tuple(tuple((S[p] + n * ((r - 1 + p) % 2), index[S[:p] + S[p + 1:]])
+                                for p in range(r)) for S in sets))
+        index = {S: i for i, S in enumerate(sets)}
+    return tuple(plan)
+
+
 def integer_minors(a: Sequence[Sequence[int]], n: int) -> list[int]:
     """Every k x k column minor of the k integer rows ``a`` of length n, on
-    the column sets in lexicographic order."""
-    return [_det([[row[j] for j in I] for row in a]) for I in combinations(range(n), len(a))]
+    the column sets in lexicographic order.  The minors of rows 1..r on all
+    r-sets are expanded along row r from those of rows 1..r-1, with no
+    division: sum over r <= k of r C(n, r) products, at most n 2^(n-1)."""
+    if any(len(row) != n for row in a):
+        raise ValueError(f"every row needs {n} entries")
+    minors = [1]
+    for row, level in zip(a, _laplace_plan(len(a), n)):
+        signed = [*row, *[-x for x in row]]
+        minors = [sum([signed[c] * minors[i] for c, i in terms]) for terms in level]
+    return minors
 
 
 def det(M: RatMatrix) -> Fraction:

@@ -298,16 +298,20 @@ def is_positroid(M: Matroid) -> bool:
 
 
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
-    """Decorated permutation of a totally nonnegative matrix, read off its
-    Grassmann necklace (Postnikov, arXiv math/0609764, §16-17).
+    """Decorated permutation of a totally nonnegative matrix, read off the
+    maximal minors of its rows cleared to integers once (``perm_of_minors``)."""
+    return perm_of_minors(integer_minors(_integer_rows(C)[0], C.cols), C.rows, C.cols)
 
-    The maximal minors are taken once, on C's rows cleared to integers.
+
+def perm_of_minors(minors: Sequence, k: int, n: int) -> DecoratedPermutation:
+    """Decorated permutation of the point of Gr(k, n) with these maximal
+    minors, on the k-sets in lexicographic order, read off its Grassmann
+    necklace (Postnikov, arXiv math/0609764, §16-17).
+
     Some minor must be nonzero, and every nonzero one must have the sign
     of the first.  I_i is then the first column set with a nonzero minor in
     the lexicographic order of the cyclic order i < i+1 < ... < i-1.
     """
-    k, n = C.rows, C.cols
-    minors = integer_minors(_integer_rows(C)[0], n)
     lead = next((m for m in minors if m), 0)
     if not lead:
         raise ValueError("matrix is rank deficient: all maximal minors vanish")

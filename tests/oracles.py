@@ -1,12 +1,15 @@
 """Slow reference implementations that the fast paths in ``src/`` replaced.
 
 ``fraction_det`` is Bareiss elimination carried out in ``Fraction``
-arithmetic; ``fraction_matmul`` is the ``Fraction`` row-by-column product
-that ``RatMatrix.matmul`` ran before it multiplied integer rows, and the
-tests compare the two; ``fraction_rref`` is the ``Fraction`` Gauss-Jordan
-elimination that ``exact.rank`` and ``exact.kernel_basis`` ran on before
-the integer elimination; ``rank_decorated_permutation`` reads the decorated
-permutation of a totally nonnegative matrix off ranks of column spans, and
+arithmetic; ``bareiss_minors`` takes every maximal minor of integer rows
+by one integer Bareiss elimination each, as ``exact.integer_minors`` did
+before its Laplace table; ``fraction_matmul`` is the ``Fraction``
+row-by-column product that ``RatMatrix.matmul`` ran before it multiplied
+integer rows, and the tests compare the two; ``fraction_rref`` is the
+``Fraction`` Gauss-Jordan elimination that ``exact.rank`` and
+``exact.kernel_basis`` ran on before the integer elimination;
+``rank_decorated_permutation`` reads the decorated permutation of a
+totally nonnegative matrix off ranks of column spans, and
 ``permutation_of_plucker`` off the necklace of the nonzero ``Fraction``
 minors of its Plücker vector, as ``grassmann.decorated_permutation_of`` did
 before it took integer minors;
@@ -19,9 +22,10 @@ tests);
 ``varbar_bruteforce`` tries every sign completion; ``zero_one_directions``
 lists every signed 0/1 vector as a candidate wall normal.  The tests
 compare ``exact.det``, ``exact.rank``, ``exact.kernel_basis``,
-``exact.maximal_minors``, ``grassmann.decorated_permutation_of``,
-``cells.positroid_of_perm``, ``amplituhedron.twistor``, ``exact.varbar``
-and the cyclic-interval wall search of ``trop`` with them.  ``scan_verify_tiling`` and
+``exact.integer_minors``, ``exact.maximal_minors``,
+``grassmann.decorated_permutation_of``, ``cells.positroid_of_perm``,
+``amplituhedron.twistor``, ``exact.varbar`` and the cyclic-interval wall
+search of ``trop`` with them.  ``scan_verify_tiling`` and
 ``frozenset_tilings`` are the tiling verification and enumeration that
 scanned every tile per simplex, over lists and frozensets, before
 ``hypersimplex.cover_mask``; ``verify_tiling`` and ``enumerate_tilings``
@@ -92,7 +96,7 @@ from positroid_lab.amplituhedron import (
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
 from positroid_lab.cluster import AdjacencyReport
-from positroid_lab.exact import RatMatrix, det, kernel_basis, rank
+from positroid_lab.exact import RatMatrix, det, integer_det, kernel_basis, rank
 from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
@@ -158,6 +162,13 @@ def fraction_det(M: RatMatrix) -> Fraction:
             a[i][k] = Fraction(0)
         prev = a[k][k]
     return sgn * a[n - 1][n - 1]
+
+
+def bareiss_minors(a: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Every k x k column minor of the k integer rows ``a``, on the column
+    sets in lexicographic order, one Bareiss elimination each."""
+    return [integer_det([[row[j] for j in I] for row in a])
+            for I in combinations(range(n), len(a))]
 
 
 def fraction_matmul(A: RatMatrix, B: RatMatrix) -> RatMatrix:

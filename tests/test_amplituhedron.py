@@ -190,8 +190,9 @@ def test_point_memo_keeps_each_Z_apart():
 def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
     """The (2, 6) sweep calls exact.det under no module name that holds it.
     Z keeps at most 15 minor tables, built on the first point and reused
-    unchanged by the second, and each point takes one list of Y minors:
-    C(4, 2) = 6 calls of the integer kernel."""
+    unchanged by the second.  The minors kernel runs once per new Z table
+    on the first point, for none on the second, and once per point for the
+    list of Y minors."""
     import sys
 
     Z, tiles, ws, seeds = _gr26_setup()
@@ -199,28 +200,33 @@ def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
     Y1, Y2 = (amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
               for _ in range(2))
     dets, minors = [], []
+    kernel = exact.integer_minors
 
     def counting_det(M):
         dets.append(M)
         return det(M)
 
-    def counting_minor(a, kernel=exact._det):
-        minors.append(a)
-        return kernel(a)
+    def counting_minors(a, n):
+        minors.append(kernel(a, n))
+        return minors[-1]
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("positroid_lab") and getattr(mod, "det", None) is det:
-            monkeypatch.setattr(mod, "det", counting_det)
-    monkeypatch.setattr(exact, "_det", counting_minor)
+        if name.startswith("positroid_lab"):
+            if getattr(mod, "det", None) is det:
+                monkeypatch.setattr(mod, "det", counting_det)
+            if getattr(mod, "integer_minors", None) is kernel:
+                monkeypatch.setattr(mod, "integer_minors", counting_minors)
     assert Z.minors == {}
     first = _gr26_sweep(Y1, Z, tiles, ws, seeds)
     tables = dict(Z.minors)
     assert 0 < len(tables) <= 15
     assert all(len(I) == 2 and list(I) == sorted(I) for I in tables)
-    assert len(minors) == 6 * len(tables) + 6
+    z_lists = [table for table, _ in tables.values()]
+    assert len(minors) == len(tables) + 1
+    assert all(any(m is table for m in minors) for table in z_lists)
     minors.clear()
     second = _gr26_sweep(Y2, Z, tiles, ws, seeds)
-    assert len(minors) == 6
+    assert len(minors) == 1 and not any(minors[0] is table for table in z_lists)
     assert Z.minors.keys() == tables.keys()
     assert all(Z.minors[I] is tables[I] for I in tables)
     assert dets == []

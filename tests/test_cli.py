@@ -533,20 +533,32 @@ def test_tilings_of_rank_three_on_eight_are_counted(capsys):
 
 
 def test_cell_samples_take_their_minors_once(capsys, monkeypatch):
-    from positroid_lab import grassmann
+    """One table of minors per sample serves both its certificate and its
+    Plücker vector."""
+    import sys
 
-    calls = []
-    original = grassmann.maximal_minors
+    from positroid_lab import exact, grassmann
+
+    calls, tables = [], []
+    original, kernel = grassmann.maximal_minors, exact.integer_minors
 
     def counting(C):
         calls.append((C.rows, C.cols))
         return original(C)
 
+    def counting_kernel(a, n):
+        tables.append((len(a), n))
+        return kernel(a, n)
+
     # every Pluecker vector is taken through this one name
     monkeypatch.setattr(grassmann, "maximal_minors", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("positroid_lab") and getattr(mod, "integer_minors", None) is kernel:
+            monkeypatch.setattr(mod, "integer_minors", counting_kernel)
     code, out = run(capsys, "cell", "--perm", "(5,6,7,8,1,2,3,4)", "--sample", "3")
     assert code == 0 and len(json.loads(out)["samples"]) == 3
     assert calls == [(4, 8)] * 3
+    assert tables == [(4, 8)] * 3
 
 
 @pytest.mark.parametrize("name, data, argv", [

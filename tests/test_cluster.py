@@ -238,3 +238,48 @@ def test_seed_json():
     payload = build_seed(T).to_json()
     assert {"arc", "frozen", "label"} <= set(payload["vertices"][0].keys())
     assert payload["arrows"]
+
+
+def test_seeds_are_shared_and_read_only():
+    from dataclasses import FrozenInstanceError
+
+    T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
+    S = build_seed(T)
+    assert build_seed(T) is S
+    assert build_seed(T, default_distinguished(T)) is S
+    assert build_seed(T, {(1, 2, 3, 4): (2, 3)}) is build_seed(T, {(4, 3, 2, 1): (3, 2)})
+    assert build_seed(T, {(1, 2, 3, 4): (2, 3)}) is not S
+    before = S.to_json()
+    with pytest.raises(TypeError):
+        S.arrows[((1, 2), (1, 3))] = 5
+    with pytest.raises(TypeError):
+        del S.variables[(1, 3)]
+    with pytest.raises(FrozenInstanceError):
+        S.keys = ()
+    Sm = mutate(S, (1, 3), new_key=(2, 4))
+    assert Sm is not S and S.to_json() == before and build_seed(T) is S
+    with pytest.raises(TypeError):
+        Sm.variables[(2, 4)] = Sm.variables[Sm.keys[0]]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_memoized_seeds_equal_fresh_builds_on_every_tile(n):
+    from positroid_lab import cluster
+    from positroid_lab.amplituhedron import amp_map
+    from positroid_lab.cells import sample_cell_matrix
+    from positroid_lab.hypersimplex import tile_catalog
+    from positroid_lab.perms import top_cell_permutation
+
+    Z = make_positive_Z(n, 4, list(range(n)))
+    rng = Random(n)
+    points = [amp_map(sample_cell_matrix(top_cell_permutation(2, n), rng), Z)
+              for _ in range(3)]
+    tiles = [rec.triangulation for rec in tile_catalog(3, n).values()]
+    for T in tiles:
+        S, fresh = build_seed(T), cluster._seed.__wrapped__(T)
+        assert S is build_seed(T) and S is not fresh
+        assert S.to_json() == fresh.to_json(), T
+        for Y in points:
+            assert S.evaluate(Y, Z) == fresh.evaluate(Y, Z), T
+            assert S.evaluate(Y.Y, Z) == S.evaluate(Y, Z), T
+    assert len(tiles) == (48 if n == 6 else 161)

@@ -1,7 +1,8 @@
 """Exact linear algebra and sign variation."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from positroid_lab.exact import (
     det,
     integer_det,
     integer_kernel,
+    integer_minors,
     integer_rank,
     kernel_basis,
     rank,
@@ -21,7 +23,8 @@ from positroid_lab.exact import (
 from positroid_lab.amplituhedron import amp_map, make_positive_Z, sign_stratum
 from positroid_lab.util import rat_from_str
 
-from oracles import fraction_det, fraction_matmul, fraction_rref, varbar_bruteforce
+from oracles import (bareiss_minors, fraction_det, fraction_matmul, fraction_rref,
+                     varbar_bruteforce)
 
 
 def test_det_identity():
@@ -291,6 +294,36 @@ def test_integer_rank_kernel_det_match_fraction_oracles():
         deficient += len(pivots) < min(r, c)
         zero_rows += [0] * c in rows and c > 0
     assert len(shapes) >= 300 and deficient >= 40 and zero_rows >= 40
+
+
+def test_integer_minors_match_bareiss_per_minor_and_sympy():
+    import sympy
+
+    rng = Random(25)
+    zeros = negatives = 0
+    for n in range(8):
+        for k in range(n + 3):
+            for _ in range(8):
+                rows = _random_integer_rows(rng, k, n)
+                got = integer_minors(rows, n)
+                assert got == bareiss_minors(rows, n), rows
+                assert len(got) == comb(n, k) and all(type(m) is int for m in got), rows
+                zeros += 0 in got
+                negatives += any(m < 0 for m in got)
+    assert integer_minors([], 4) == [1] and integer_minors([[1, 2]] * 3, 2) == []
+    assert zeros >= 100 and negatives >= 100
+    for _ in range(3):
+        rows = _random_integer_rows(rng, 4, 8)
+        S = sympy.Matrix(rows)
+        assert integer_minors(rows, 8) == [int(S.extract(list(range(4)), list(I)).det())
+                                           for I in combinations(range(8), 4)], rows
+
+
+def test_integer_minors_reject_rows_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        integer_minors([[1, 2, 3], [4, 5]], 3)
+    with pytest.raises(ValueError):
+        integer_minors([[1, 2, 3]], 2)
 
 
 def test_integer_det_rejects_non_square():
