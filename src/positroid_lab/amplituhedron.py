@@ -5,8 +5,9 @@ small Grassmannian; twistor coordinates (determinants against rows of Z)
 are the working coordinates there.  Membership tests for one and two
 extra dimensions, the general boundary sign conditions, tile inequalities
 from bicolored triangulations, and sign-flip chambers all start from them.
-The twistors are exact rationals; the m = 2 tile and chamber verdicts read
-only their signs, which a point keeps per Z as bit masks.
+A point keeps its twistors per Z as integer Laplace sums over positive
+scales; the m = 2 tile and chamber verdicts read only their signs, as bit
+masks, and a Fraction is built only for a caller that asks for a value.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import prod
 from operator import mul, or_
 from typing import Sequence
 
 from .cells import cell_dim_of_perm, matrix_realization
-from .exact import (RatMatrix, _integer_rows, integer_minors, kernel_basis, rank,
-                    var, varbar)
+from .exact import RatMatrix, integer_minors, kernel_basis, rank, var, varbar
 from .grassmann import plucker_of_matrix
 from .hypersimplex import WSimplex, tile_catalog, verify_tiling
 from .perms import t_dual
@@ -55,8 +56,7 @@ class ZMatrix:
         self.n, self.p = mat.rows, mat.cols
         if self.p > self.n:
             raise ValueError("need p <= n")
-        cols = _integer_rows(mat.transpose())[0]
-        for I, m in zip(subsets(self.n, self.p), integer_minors(cols, self.n)):
+        for I, m in zip(subsets(self.n, self.p), integer_minors(mat.transpose().ints, self.n)):
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
         self.witnesses: tuple[list[AmplituhedronPoint], dict] | None = None
@@ -66,22 +66,20 @@ class ZMatrix:
         return self.mat.row(i - 1)
 
     def minor_table(self, I: tuple[int, ...]) -> tuple[list[int], int]:
-        """The m x m minors of rows I, each scaled by its denominator lcm d_i,
-        on the m-column sets in lexicographic order, and the product of the d_i."""
+        """The m x m minors of the integer rows I, each row over its
+        denominator d_i, on the m-column sets in lexicographic order, and the
+        product of the d_i."""
         got = self.minors.get(I)
         if got is None:
-            a, scale = _integer_rows(self.mat.submatrix([i - 1 for i in I], range(self.p)))
-            got = self.minors[I] = (integer_minors(a, self.p), scale)
+            M = self.mat
+            got = self.minors[I] = (integer_minors([M.ints[i - 1] for i in I], self.p),
+                                    prod(M.dens[i - 1] for i in I))
         return got
 
-    def hat_row(self, i: int) -> tuple[Fraction, ...]:
-        """Twisted row: (-1)^(p-1) times row i."""
-        s = Fraction(-1) ** (self.p - 1)
-        return tuple(s * x for x in self.mat.row(i - 1))
-
     def twisted_shift(self) -> "ZMatrix":
+        """Rows 2..n, then the twisted row (-1)^(p-1) Z_1."""
         rows = [list(self.row(i)) for i in range(2, self.n + 1)]
-        rows.append(list(self.hat_row(1)))
+        rows.append([(-1) ** (self.p - 1) * x for x in self.row(1)])
         return ZMatrix(RatMatrix.from_rows(rows))
 
     def to_json(self) -> list[list[str]]:
@@ -116,26 +114,31 @@ class AmplituhedronPoint:
 
 
 def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
-    """Y = C Z for a totally nonnegative matrix C."""
+    """Y = C Z for a totally nonnegative matrix C, with its sign record
+    against Z.  Y has full rank k exactly when k <= p and one of its
+    k x k minors, which the record keeps, is nonzero."""
     if C.cols != Z.n:
         raise ValueError("column count of C must match the rows of Z")
-    Y = C.matmul(Z.mat)
-    if rank(Y) != C.rows:
+    Y = AmplituhedronPoint(C.matmul(Z.mat), C.rows, Z.p - C.rows)
+    if C.rows > Z.p or not any(_signs(Y, Z).ymin):
         raise RuntimeError("image lost rank; input was not in the domain")
-    return AmplituhedronPoint(Y, C.rows, Z.p - C.rows)
+    return Y
 
 
 class _Signs:
-    """One point against one Z: its matrix ``Y``, its twistor evaluator
-    ``tw``, and, built on first use, the m = 2 sign masks and flip sets.
+    """One point against one Z: its matrix ``Y``, its twistors as exact
+    pairs ``pair(I) = (num, den)`` with den > 0, and, built on first use,
+    the m = 2 sign masks and flip sets.  ``ymin`` is the list of Y's signed
+    k x k minors, all zero exactly when Y has rank below k.
 
-    ``tw`` keeps its values in ``memo`` under the sorted index tuple, and an
-    unsorted I flips the sign by parity.  A miss is det[Y; Z_I] by Laplace
+    ``memo`` keeps each pair under the sorted index tuple, and an unsorted
+    I flips the sign of num by parity.  A miss is det[Y; Z_I] by Laplace
     expansion along Z_I's rows: over the m-column sets J, the integer dot
-    product of Y's minors off J, signed here once by (-1)^(k+1+..+p + sum J),
-    with Z_I's minors on J (``ZMatrix.minor_table``), as one Fraction.  Over
-    the J in lexicographic order, the sets off J are the k-sets in reverse.  In
-    a mask, bit (h-1)*n + (j-1) stands for the pair h < j."""
+    product of the minors of Y's integer rows off J, signed here once by
+    (-1)^(k+1+..+p + sum J), with Z_I's minors on J (``ZMatrix.minor_table``),
+    over the product of both scales.  Over the J in lexicographic order, the
+    sets off J are the k-sets in reverse.  In a mask, bit (h-1)*n + (j-1)
+    stands for the pair h < j."""
 
     def __init__(self, Y: RatMatrix, Z: ZMatrix):
         self.Y, self.Z = Y, Z
@@ -143,35 +146,35 @@ class _Signs:
         size = p - k
         if size < 0 or k and Y.cols != p:
             raise ValueError(f"Y must have {p} columns and at most {p} rows")
-        a, scale = _integer_rows(Y)
-        ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J)) * y
-                for J, y in zip(subsets(p, size), reversed(integer_minors(a, p)))]
+        scale, minors = prod(Y.dens), reversed(integer_minors(Y.ints, p))
+        ymin = self.ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J)) * y
+                            for J, y in zip(subsets(p, size), minors)]
         memo = self.memo = {}
 
-        def tw(I: Sequence[int]) -> Fraction:
+        def pair(I: Sequence[int]) -> tuple[int, int]:
             if len(I) != size:
                 raise ValueError("index set has the wrong size")
             for i in I:
                 if not 1 <= i <= n:
                     raise ValueError(f"twistor index {i} is outside 1..{n}")
             J = tuple(sorted(I))
-            val = memo.get(J)
-            if val is None:
+            got = memo.get(J)
+            if got is None:
                 if len(set(J)) < size:
-                    return Fraction(0)
+                    return 0, 1
                 zmin, zscale = Z.minor_table(J)
-                val = memo[J] = Fraction(sum(map(mul, ymin, zmin)), scale * zscale)
-            return val if J == tuple(I) or perm_sign(I) > 0 else -val
+                got = memo[J] = (sum(map(mul, ymin, zmin)), scale * zscale)
+            return got if J == tuple(I) or perm_sign(I) > 0 else (-got[0], got[1])
 
-        self.tw = tw
+        self.pair = pair
 
     @cached_property
     def masks(self) -> tuple[int, int]:
         """(neg, zero): the pairs h < j with <Y Z_h Z_j> negative, and zero."""
-        n, tw = self.Z.n, self.tw
+        n, pair = self.Z.n, self.pair
         neg = zero = 0
         for h, j in subsets(n, 2):
-            val = tw((h, j))
+            val = pair((h, j))[0]
             if val < 0:
                 neg |= 1 << ((h - 1) * n + j - 1)
             elif val == 0:
@@ -211,14 +214,15 @@ def _signs(Y, Z: ZMatrix) -> _Signs:
 
 def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
     """Determinant of Y's rows stacked over the rows of Z named by I, in
-    the given order.  A twisted row Z.hat_row(i) in place of Z_i only
+    the given order.  The twisted row (-1)^(p-1) Z_i in place of Z_i only
     multiplies it by (-1)^(p-1)."""
-    return _signs(Y, Z).tw(I)
+    return Fraction(*_signs(Y, Z).pair(I))
 
 
 def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
+    """Every twistor on a sorted index set, as one Fraction each."""
     rec = _signs(Y, Z)
-    return {I: rec.tw(I) for I in subsets(Z.n, Z.p - rec.Y.rows)}
+    return {I: Fraction(*rec.pair(I)) for I in subsets(Z.n, Z.p - rec.Y.rows)}
 
 
 def twistor_table_json(table) -> dict[str, str]:
@@ -228,8 +232,8 @@ def twistor_table_json(table) -> dict[str, str]:
 def sign_stratum(Y, Z: ZMatrix) -> str:
     """Signs of all twistors in lex order as a "+-0" string, scaled so the
     first nonzero one is "+"."""
-    table = twistor_table(Y, Z)
-    vals = [table[I] for I in sorted(table)]
+    rec = _signs(Y, Z)
+    vals = [rec.pair(I)[0] for I in subsets(Z.n, Z.p - rec.Y.rows)]
     lead = sign(next((v for v in vals if v), 0))
     if lead == 0:
         raise RuntimeError("all twistors vanish; Y is degenerate against Z")
@@ -239,10 +243,10 @@ def sign_stratum(Y, Z: ZMatrix) -> str:
 def m1_membership(Y, Z: ZMatrix) -> bool:
     """One extra dimension: completed sign variation of (<YZ_i>) equals k."""
     rec = _signs(Y, Z)
-    k, tw = rec.Y.rows, rec.tw
+    k, pair = rec.Y.rows, rec.pair
     if Z.p != k + 1:
         raise ValueError("m1 test needs p = k + 1")
-    seq = [tw((i,)) for i in range(1, Z.n + 1)]
+    seq = [pair((i,))[0] for i in range(1, Z.n + 1)]
     return varbar(seq) == k
 
 
@@ -280,26 +284,26 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     sequence <Y Z_1 .. Z_{m-1} Z_j> for j = m..n makes exactly k flips.
     """
     rec = _signs(Y, Z)
-    k, tw = rec.Y.rows, rec.tw
+    k, pair = rec.Y.rows, rec.pair
     m = Z.p - k
     n = Z.n
     r = m // 2
     if m % 2 == 0:
         for I in _consecutive_pair_sets(1, n, r):
-            if tw(I) <= 0:
+            if pair(I)[0] <= 0:
                 return False
         for I in _consecutive_pair_sets(2, n - 1, r - 1):
-            if (-1) ** (Z.p - 1) * tw(I + (n, 1)) <= 0:
+            if (-1) ** (Z.p - 1) * pair(I + (n, 1))[0] <= 0:
                 return False
     else:
-        sign_k = Fraction(-1) ** k
+        sign_k = (-1) ** k
         for I in _consecutive_pair_sets(2, n, r):
-            if sign_k * tw((1,) + I) <= 0:
+            if sign_k * pair((1,) + I)[0] <= 0:
                 return False
         for I in _consecutive_pair_sets(1, n - 1, r):
-            if tw(I + (n,)) <= 0:
+            if pair(I + (n,))[0] <= 0:
                 return False
-    seq = [tw(tuple(range(1, m)) + (j,)) for j in range(m, n + 1)]
+    seq = [pair(tuple(range(1, m)) + (j,))[0] for j in range(m, n + 1)]
     return var(seq) == k
 
 

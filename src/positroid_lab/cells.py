@@ -234,7 +234,7 @@ def _replay(pi: DecoratedPermutation, params: list[Fraction]) -> RatMatrix:
                 row[i - 1:] = [0] + [-x for x in row[i - 1:]]
             n += 1
             rows.append([D if j == i else 0 for j in range(1, n + 1)])
-    return RatMatrix(len(rows), n, [Fraction(x, D) for row in rows for x in row])
+    return RatMatrix.from_integer_rows(rows, [D] * len(rows), n)
 
 
 def _check_cell(pi: DecoratedPermutation, got: DecoratedPermutation) -> None:

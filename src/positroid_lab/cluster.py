@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-Twistor = Callable[[tuple[int, ...]], Fraction]
+Twistor = Callable[[tuple[int, ...]], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,17 @@ class ArcVariable:
 
     def evaluate(self, Y, Z: ZMatrix):
         """(-1)^(arc_area - dist_area) times the ratio of the two twistors."""
-        return self.value(_signs(Y, Z).tw)
+        return self.value(_signs(Y, Z).pair)
 
     def value(self, tw: Twistor):
-        """``evaluate`` on the twistors ``tw`` of one point against one Z."""
-        den = tw(self.dist_arc)
-        if den == 0:
+        """``evaluate`` on one point's twistors against one Z, as pairs
+        ``tw(I) = (num, den)`` with den > 0: one Fraction of two pairs."""
+        dist_num, dist_den = tw(self.dist_arc)
+        if not dist_num:
             return "boundary"
-        ratio = tw(self.arc) / den
-        return -ratio if (self.arc_area - self.dist_area) % 2 else ratio
+        num, den = tw(self.arc)
+        sgn = -1 if (self.arc_area - self.dist_area) % 2 else 1
+        return Fraction(sgn * num * dist_den, den * dist_num)
 
     def label(self) -> str:
         return f"x{self.arc[0]}{self.arc[1]}"
@@ -79,7 +81,7 @@ class ExchangeVariable:
     old: object
 
     def evaluate(self, Y, Z: ZMatrix):
-        return self.value(_signs(Y, Z).tw)
+        return self.value(_signs(Y, Z).pair)
 
     def value(self, tw: Twistor):
         vals_in, vals_out = Fraction(1), Fraction(1)
@@ -126,7 +128,7 @@ class Seed:
         return frozenset((u, v, m) for (u, v), m in sorted(self.arrows.items()) if m)
 
     def evaluate(self, Y, Z: ZMatrix) -> dict[Arc, object]:
-        tw = _signs(Y, Z).tw
+        tw = _signs(Y, Z).pair
         return {k: self.variables[k].value(tw) for k in self.keys}
 
     def to_json(self) -> dict:

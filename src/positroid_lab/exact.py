@@ -1,17 +1,16 @@
 """Exact rational matrices, one integer elimination, and sign variation.
 
-All entries are ``fractions.Fraction``; nothing here ever rounds.  One
-fraction-free (Bareiss) elimination gives the rank, kernel and determinant
-of integer rows (``integer_rank``, ``integer_kernel``, ``integer_det``);
-``rank``, ``kernel_basis`` and ``det`` run it on rows cleared of
-denominators once.  Every maximal minor of k integer rows comes from one
-Laplace table (``integer_minors``), and ``maximal_minors`` takes it on
-rows cleared once.
-``RatMatrix.matmul`` scales each left row by its own denominator lcm and
-the right factor by one common lcm: an entry is one ``Fraction`` of an
-integer dot product.  The sign variation statistics ``var`` and
-``varbar`` are the workhorses behind the Gantmakher-Krein style tests
-elsewhere in the package.
+A ``RatMatrix`` keeps each row as integers over one positive denominator
+in lowest terms, and builds ``fractions.Fraction`` entries only when
+asked; nothing here ever rounds.  One fraction-free (Bareiss) elimination
+gives the rank, kernel and determinant of integer rows (``integer_rank``,
+``integer_kernel``, ``integer_det``); ``rank``, ``kernel_basis`` and
+``det`` run it on copies of the stored rows.  Every maximal minor of k
+integer rows comes from one Laplace table (``integer_minors``), and
+``maximal_minors`` takes it on the stored rows.  ``RatMatrix.matmul``
+multiplies the left factor's integer rows by the right factor's columns
+cleared over one denominator.  The sign variation statistics ``var`` and
+``varbar`` serve the Gantmakher-Krein style tests elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,15 +26,23 @@ from .util import rat_from_str, rat_to_str, sign
 
 
 class RatMatrix:
-    """Immutable dense matrix over Q, stored row-major."""
+    """Immutable dense matrix over Q.  Row i is kept as the integers
+    ``ints[i]`` over one denominator ``dens[i]`` in lowest terms: d > 0 and
+    gcd(row, d) = 1, so d is the lcm of the row's reduced denominators.
+    Equal matrices keep equal rows whatever they were built from; ``row``,
+    ``entry`` and ``to_json`` build reduced ``Fraction``s only when asked."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "ints", "dens")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
+        ent = [x if isinstance(x, Fraction) else Fraction(x) for x in entries]
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        self.rows, self.cols, self._entries = rows, cols, ent
+        split = [ent[i * cols:(i + 1) * cols] for i in range(rows)]
+        self.rows, self.cols = rows, cols
+        self.dens = tuple(lcm(*(x.denominator for x in row)) for row in split)
+        self.ints = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                          for row, d in zip(split, self.dens))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -45,55 +52,78 @@ class RatMatrix:
         return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
+    def from_integer_rows(cls, ints: Sequence[Sequence[int]], dens: Sequence[int],
+                          cols: int) -> "RatMatrix":
+        """The matrix with row i equal to ints[i] / dens[i]: integer rows of
+        length ``cols`` over nonzero integer denominators."""
+        if len(ints) != len(dens) or not all(dens) or any(len(row) != cols for row in ints):
+            raise ValueError(f"need a nonzero denominator per row and {cols} entries per row")
+        out, outd = [], []
+        for row, d in zip(ints, dens):
+            g = gcd(*row, d) if d > 0 else -gcd(*row, d)
+            out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+            outd.append(d // g)
+        M = object.__new__(cls)
+        M.rows, M.cols, M.ints, M.dens = len(out), cols, tuple(out), tuple(outd)
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls(rows, cols, [0] * (rows * cols))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._entries[i * self.cols + j]
+        return Fraction(self.ints[i][j], self.dens[i])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        d = self.dens[i]
+        return tuple(Fraction(x, d) for x in self.ints[i])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _cleared_cols(self) -> tuple[list[list[int]], int]:
+        """The columns as integers over one denominator D, the lcm of the
+        rows' denominators, and D."""
+        D = lcm(*self.dens)
+        return [[row[j] * (D // d) for row, d in zip(self.ints, self.dens)]
+                for j in range(self.cols)], D
+
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, [self.entry(i, j) for j in range(self.cols)
-                                                for i in range(self.rows)])
+        cols, D = self._cleared_cols()
+        return RatMatrix.from_integer_rows(cols, [D] * self.cols, self.rows)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
+        """Each integer row a over d of the left factor times the right
+        factor's columns c cleared over one D: row a.c over d D."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        b, D = _integer_row(other._entries)
-        cols = [b[j::other.cols] for j in range(other.cols)]
-        out = []
-        for a, d in map(_integer_row, map(self.row, range(self.rows))):
-            out.extend(Fraction(sum(map(mul, a, c)), d * D) for c in cols)
-        return RatMatrix(self.rows, other.cols, out)
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        return self.matmul(other)
+        cols, D = other._cleared_cols()
+        return RatMatrix.from_integer_rows(
+            [[sum(map(mul, a, c)) for c in cols] for a in self.ints],
+            [d * D for d in self.dens], other.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        out = [self.entry(i, j) for i in row_idx for j in col_idx]
-        return RatMatrix(len(row_idx), len(col_idx), out)
+        return RatMatrix.from_integer_rows(
+            [[self.ints[i][j] for j in col_idx] for i in row_idx],
+            [self.dens[i] for i in row_idx], len(col_idx))
 
     def columns(self, col_idx: Sequence[int]) -> "RatMatrix":
         return self.submatrix(range(self.rows), col_idx)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self._entries == other._entries)
+                and self.cols == other.cols and self.ints == other.ints
+                and self.dens == other.dens)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, self.ints, self.dens))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -108,19 +138,6 @@ class RatMatrix:
         if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
             raise ValueError("a matrix is a list of rows of rationals as strings")
         return cls.from_rows([[rat_from_str(x) for x in row] for row in data])
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``row`` scaled to integers by the lcm d of its denominators, and d."""
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row], d
-
-
-def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
-    """M's rows, each scaled to integers by the lcm of its denominators, and
-    the product of those scales."""
-    rows = [_integer_row(M.row(i)) for i in range(M.rows)]
-    return [a for a, _ in rows], prod(d for _, d in rows)
 
 
 def _eliminate(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:
@@ -182,8 +199,8 @@ def _kernel(a: list[list[int]], cols: int) -> tuple[list[list[int]], int]:
     return out, abs(d)
 
 
-# The integer entry points copy their rows; the RatMatrix functions below
-# hand their freshly scaled rows straight to the elimination.
+# Every entry point copies its rows before the elimination, which works in
+# place: the RatMatrix functions below copy the stored integer rows.
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square matrix of integer rows."""
@@ -238,31 +255,30 @@ def det(M: RatMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination over the integers."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    a, scale = _integer_rows(M)
-    return Fraction(_det(a), scale)
+    return Fraction(_det([list(row) for row in M.ints]), prod(M.dens))
 
 
 def maximal_minors(M: RatMatrix) -> dict[tuple[int, ...], Fraction]:
     """Every k x k column minor of a k x n matrix, keyed by its 1-based
-    column set in lexicographic order; the rows are scaled to integers once."""
+    column set in lexicographic order, from the minors of M's integer rows."""
     k, n = M.rows, M.cols
     if k > n:
         raise ValueError("need k <= n")
-    a, scale = _integer_rows(M)
+    scale = prod(M.dens)
     return {tuple(j + 1 for j in I): Fraction(m, scale)
-            for I, m in zip(combinations(range(n), k), integer_minors(a, n))}
+            for I, m in zip(combinations(range(n), k), integer_minors(M.ints, n))}
 
 
 def rank(M: RatMatrix) -> int:
-    return len(_eliminate(_integer_rows(M)[0])[0])
+    return len(_eliminate([list(row) for row in M.ints])[0])
 
 
 def kernel_basis(M: RatMatrix) -> RatMatrix:
     """Rows span the right null space {x : Mx = 0}; row count = cols - rank.
     One row per free column f of the reduced row echelon form: 1 at f and
     minus the echelon entries of column f at the pivots."""
-    K, d = _kernel(_integer_rows(M)[0], M.cols)
-    return RatMatrix(len(K), M.cols, [Fraction(x, d) for v in K for x in v])
+    K, d = _kernel([list(row) for row in M.ints], M.cols)
+    return RatMatrix.from_integer_rows(K, [d] * len(K), M.cols)
 
 
 def var(v: Sequence) -> int:

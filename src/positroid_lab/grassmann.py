@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .exact import (
     RatMatrix,
-    _integer_rows,
     integer_minors,
     kernel_basis,
     maximal_minors,
@@ -115,15 +114,6 @@ class Matroid:
     def is_basis(self, I) -> bool:
         return frozenset(I) in self.bases
 
-    def satisfies_basis_exchange(self) -> bool:
-        """Brute-force check of the exchange axiom; fine at desk sizes."""
-        for B1 in self.bases:
-            for B2 in self.bases:
-                for b1 in B1 - B2:
-                    if not any((B1 - {b1}) | {b2} in self.bases for b2 in B2 - B1):
-                        return False
-        return True
-
     def loops(self) -> frozenset[int]:
         used = set().union(*self.bases)
         return frozenset(set(range(1, self.n + 1)) - used)
@@ -143,10 +133,6 @@ class Matroid:
         body = ",".join("".join(map(str, B)) if self.n < 10 else str(B)
                         for B in self.sorted_bases())
         return f"Matroid(k={self.k}, n={self.n}, bases={{{body}}})"
-
-
-def uniform_matroid(k: int, n: int) -> Matroid:
-    return Matroid(n, k, frozenset(frozenset(I) for I in subsets(n, k)))
 
 
 def plucker_of_matrix(C: RatMatrix) -> PluckerVector:
@@ -192,14 +178,6 @@ def exchange_quads(n: int, k: int):
             yield (S, *quad)
 
 
-def three_term_relation_holds(P: PluckerVector) -> bool:
-    """p_Sac p_Sbd = p_Sab p_Scd + p_Sad p_Sbc for all S and a<b<c<d."""
-    return all(P.coord(S + (a, c)) * P.coord(S + (b, d))
-               == P.coord(S + (a, b)) * P.coord(S + (c, d))
-               + P.coord(S + (a, d)) * P.coord(S + (b, c))
-               for S, a, b, c, d in exchange_quads(P.n, P.k))
-
-
 def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
     """Recover a k x n representative, exact, via a chart where p_I0 != 0.
 
@@ -224,7 +202,7 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
             row.append(Fraction(0) if s == 0 else s * P.coord(seq))
         rows.append(row)
     C = RatMatrix.from_rows(rows)
-    minors = dict(zip(subsets(n, k), integer_minors(_integer_rows(C)[0], n)))
+    minors = dict(zip(subsets(n, k), integer_minors(C.ints, n)))
     L = lcm(*(v.denominator for v in P.coords.values()))
     q = {I: v.numerator * (L // v.denominator) for I, v in P.coords.items()}
     if any(minors[I] * q[I0] != q[I] * minors[I0] for I in q):
@@ -299,8 +277,8 @@ def is_positroid(M: Matroid) -> bool:
 
 def decorated_permutation_of(C: RatMatrix) -> DecoratedPermutation:
     """Decorated permutation of a totally nonnegative matrix, read off the
-    maximal minors of its rows cleared to integers once (``perm_of_minors``)."""
-    return perm_of_minors(integer_minors(_integer_rows(C)[0], C.cols), C.rows, C.cols)
+    maximal minors of its integer rows (``perm_of_minors``)."""
+    return perm_of_minors(integer_minors(C.ints, C.cols), C.rows, C.cols)
 
 
 def perm_of_minors(minors: Sequence, k: int, n: int) -> DecoratedPermutation:
@@ -348,7 +326,7 @@ def is_tp_by_sign_variation(C: RatMatrix) -> bool:
         K = kernel_basis(C.columns(S).transpose())
         if K.rows != 1:
             return False
-        v = RatMatrix(1, k, K.row(0)).matmul(C).row(0)
+        v = K.matmul(C).row(0)
         if varbar(v) > k - 1:
             return False
     return True

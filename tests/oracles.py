@@ -5,9 +5,17 @@ arithmetic; ``bareiss_minors`` takes every maximal minor of integer rows
 by one integer Bareiss elimination each, as ``exact.integer_minors`` did
 before its Laplace table; ``fraction_matmul`` is the ``Fraction``
 row-by-column product that ``RatMatrix.matmul`` ran before it multiplied
-integer rows, and the tests compare the two; ``fraction_rref`` is the
-``Fraction`` Gauss-Jordan elimination that ``exact.rank`` and
-``exact.kernel_basis`` ran on before the integer elimination;
+integer rows, and the tests compare the two; ``cleared_rows``,
+``fraction_entry_matmul``, ``fraction_twistor_table`` and
+``fraction_arc_value`` are the paths that ran on ``Fraction`` entries
+before a ``RatMatrix`` kept integer rows and a point kept its twistors as
+integer pairs: clearing each row of entries, one ``Fraction`` per product
+entry, one ``Fraction`` per memoized twistor and one ``Fraction`` division
+per cluster variable; ``RatMatrix``, ``twistor_table`` and
+``Seed.evaluate`` are compared with them on every cell with n <= 6;
+``fraction_rref`` is the ``Fraction`` Gauss-Jordan elimination that
+``exact.rank`` and ``exact.kernel_basis`` ran on before the integer
+elimination;
 ``rank_decorated_permutation`` reads the decorated permutation of a
 totally nonnegative matrix off ranks of column spans, and
 ``permutation_of_plucker`` off the necklace of the nonzero ``Fraction``
@@ -19,7 +27,10 @@ through the Plücker coordinates of a preimage of the point (the other
 twistor oracle, one ``exact.det`` of Y stacked over Z_I as ``amplituhedron``
 took it before its minor tables, is ``_stacked_det`` in the amplituhedron
 tests);
-``varbar_bruteforce`` tries every sign completion; ``zero_one_directions``
+``varbar_bruteforce`` tries every sign completion;
+``uniform_matroid``, ``satisfies_basis_exchange`` (the exchange axiom,
+brute force) and ``three_term_relation_holds`` (every three-term Plücker
+relation) serve the tests only; ``zero_one_directions``
 lists every signed 0/1 vector as a candidate wall normal.  The tests
 compare ``exact.det``, ``exact.rank``, ``exact.kernel_basis``,
 ``exact.integer_minors``, ``exact.maximal_minors``,
@@ -83,6 +94,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from random import Random
@@ -96,10 +109,12 @@ from positroid_lab.amplituhedron import (
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
 from positroid_lab.cluster import AdjacencyReport
-from positroid_lab.exact import RatMatrix, det, integer_det, kernel_basis, rank
+from positroid_lab.exact import (RatMatrix, det, integer_det, integer_minors, kernel_basis,
+                                 rank)
 from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
+    exchange_quads,
     is_tnn,
     matrix_of_plucker,
     matroid_of,
@@ -178,6 +193,89 @@ def fraction_matmul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     cols = [B.col(j) for j in range(B.cols)]
     return RatMatrix(A.rows, B.cols, [sum((a * b for a, b in zip(A.row(i), c)), Fraction(0))
                                       for i in range(A.rows) for c in cols])
+
+
+def cleared_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each Fraction row scaled to integers by the lcm of its denominators,
+    and the product of those lcms: the clearing that ``RatMatrix`` did on
+    its ``Fraction`` entries before it kept integer rows."""
+    out, scale = [], 1
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return out, scale
+
+
+def fraction_entry_matmul(A: Sequence[Sequence[Fraction]],
+                          B: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The product of two matrices of Fraction rows as ``RatMatrix.matmul``
+    built it from Fraction entries: each left row cleared by its own lcm d,
+    the whole right factor by one lcm D, and each entry one
+    Fraction(a . c, d D)."""
+    D = lcm(*(x.denominator for row in B for x in row))
+    cols = [[x.numerator * (D // x.denominator) for x in col] for col in zip(*B)]
+    out = []
+    for row in A:
+        (a,), d = cleared_rows([row])
+        out.append([Fraction(sum(map(mul, a, c)), d * D) for c in cols])
+    return out
+
+
+def fraction_twistor_table(Y: Sequence[Sequence[Fraction]], Z: ZMatrix) -> dict:
+    """Every twistor <Y Z_I> on a sorted I as the Fraction that the point's
+    memo held before it kept integer pairs: the Laplace sum of Y's signed
+    minors (its Fraction rows cleared once) against the minors of the rows
+    Z_I (cleared the same way), over the product of both scales."""
+    k, p = len(Y), Z.p
+    a, scale = cleared_rows(Y)
+    ymin = [(-1) ** (sum(range(k + 1, p + 1)) + sum(J)) * y
+            for J, y in zip(subsets(p, p - k), reversed(integer_minors(a, p)))]
+    table = {}
+    for I in subsets(Z.n, p - k):
+        zmin, zscale = _fraction_z_minors(Z, I)
+        table[I] = Fraction(sum(map(mul, ymin, zmin)), scale * zscale)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _fraction_z_minors(Z: ZMatrix, I: tuple[int, ...]) -> tuple[list[int], int]:
+    """The minors of the rows Z_I cleared of their Fraction entries, and
+    their scale, kept per Z (by identity) and I."""
+    z, zscale = cleared_rows([Z.row(i) for i in I])
+    return integer_minors(z, Z.p), zscale
+
+
+def fraction_arc_value(v, table: dict):
+    """An ``ArcVariable`` on a table of Fraction twistors, one Fraction
+    division, as ``ArcVariable.value`` took it before it read integer pairs."""
+    den = table[v.dist_arc]
+    if den == 0:
+        return "boundary"
+    ratio = table[v.arc] / den
+    return -ratio if (v.arc_area - v.dist_area) % 2 else ratio
+
+
+def uniform_matroid(k: int, n: int) -> Matroid:
+    return Matroid(n, k, frozenset(frozenset(I) for I in subsets(n, k)))
+
+
+def satisfies_basis_exchange(M: Matroid) -> bool:
+    """Brute-force check of the basis exchange axiom; fine at desk sizes."""
+    for B1 in M.bases:
+        for B2 in M.bases:
+            for b1 in B1 - B2:
+                if not any((B1 - {b1}) | {b2} in M.bases for b2 in B2 - B1):
+                    return False
+    return True
+
+
+def three_term_relation_holds(P: PluckerVector) -> bool:
+    """p_Sac p_Sbd = p_Sab p_Scd + p_Sad p_Sbc for all S and a<b<c<d."""
+    return all(P.coord(S + (a, c)) * P.coord(S + (b, d))
+               == P.coord(S + (a, b)) * P.coord(S + (c, d))
+               + P.coord(S + (a, d)) * P.coord(S + (b, c))
+               for S, a, b, c, d in exchange_quads(P.n, P.k))
 
 
 def fraction_rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:

@@ -25,8 +25,9 @@ from positroid_lab.amplituhedron import (
 )
 from positroid_lab.cells import cell_dim_of_perm, matrix_realization, sample_cell_matrix
 from positroid_lab.cluster import build_seed
-from positroid_lab.exact import RatMatrix, det, rank, varbar
-from positroid_lab.grassmann import plucker_of_matrix, vandermonde_matrix
+from positroid_lab.exact import RatMatrix, det, integer_minors, rank, varbar
+from positroid_lab.grassmann import (decorated_permutation_of, perm_of_minors,
+                                     plucker_of_matrix, vandermonde_matrix)
 from positroid_lab.hypersimplex import (
     cover_mask,
     enumerate_D,
@@ -43,8 +44,13 @@ from positroid_lab.perms import (
     type_of,
 )
 from positroid_lab.triangulations import BicoloredTriangulation, area
+from positroid_lab.util import rat_to_str
 
 from oracles import (
+    cleared_rows,
+    fraction_arc_value,
+    fraction_entry_matmul,
+    fraction_twistor_table,
     per_arc_tile_membership,
     sample_interior_point,
     sample_tile_point,
@@ -85,6 +91,19 @@ def test_amp_map_unit_vector_hits_Z_row():
     C = RatMatrix.from_rows([[1, 0, 0, 0]])
     Y = amp_map(C, Z4)
     assert tuple(Y.Y.row(0)) == Z4.row(1)
+
+
+@pytest.mark.parametrize("C,Z", [
+    # k > p: three rows against Z with two columns
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], make_positive_Z(4, 2, [0, 1, 2, 3])),
+    # C Z = 0: the fourth difference kills the cubic moment curve
+    ([[1, -4, 6, -4, 1, 0]], make_positive_Z(6, 4, range(6))),
+    # Y of rank 1: the second row is the first plus that difference
+    ([[1, 0, 0, 0, 0, 0], [2, -4, 6, -4, 1, 0]], make_positive_Z(6, 4, range(6))),
+], ids=["k-above-p", "image-zero", "image-rank-1"])
+def test_amp_map_refuses_an_image_of_lower_rank(C, Z):
+    with pytest.raises(RuntimeError, match=r"^image lost rank; input was not in the domain$"):
+        amp_map(RatMatrix.from_rows(C), Z)
 
 
 def test_amp_map_square_Z_projective_identity():
@@ -145,6 +164,57 @@ def test_memoized_twistor_matches_det_and_expansion(k, n, m):
         assert all(list(I) == sorted(I) for I in Y.signs[Z].memo)
 
 
+def _same_matrix(M: RatMatrix, rows: list[list[Fraction]]) -> None:
+    """M equals the matrix built from the Fraction entries ``rows`` on
+    ==, hash, row(), entry() and to_json()."""
+    F = RatMatrix(len(rows), M.cols, [x for row in rows for x in row])
+    assert M == F and hash(M) == hash(F)
+    assert [list(M.row(i)) for i in range(M.rows)] == rows
+    assert all(type(x) is Fraction for i in range(M.rows) for x in M.row(i))
+    assert all(M.entry(i, j) == x for i, row in enumerate(rows) for j, x in enumerate(row))
+    assert M.to_json() == [[rat_to_str(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_integer_rows_and_twistor_pairs_match_the_fraction_paths(n):
+    """Every cell with this n, at unit bridge parameters and at one seeded
+    draw: the integer replay equals the matrix built from its Fraction
+    entries, and its decorated permutation is the one read off the minors
+    of those entries' rows cleared again.
+    Where k + 2 <= n, Y = C Z (Z on the moment curve) equals the product
+    built from Fraction entries, its twistor table equals the Fraction
+    memo, and every default seed of type (k, n) evaluates to the Fraction
+    ratios of that table."""
+    rng, checked, Zs = Random(n), 0, {}
+    for pi in enumerate_decorated(n):
+        dim = cell_dim_of_perm(pi)
+        for params in ([1] * dim, [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+                                   for _ in range(dim)]):
+            C = matrix_realization(pi, params)
+            F = C.row_list()
+            _same_matrix(C, F)
+            k = C.rows
+            perm = perm_of_minors(integer_minors(cleared_rows(F)[0], n), k, n)
+            assert decorated_permutation_of(C) == perm == pi
+            if k + 2 > n:
+                continue
+            if k not in Zs:
+                seeds = ([build_seed(rec.triangulation) for rec in tile_catalog(k + 1, n).values()]
+                         if n >= 3 else [])
+                Zs[k] = make_positive_Z(n, k + 2, range(n)), seeds
+            Z, seeds = Zs[k]
+            Y = amp_map(C, Z)
+            rows = fraction_entry_matmul(C.row_list(), Z.mat.row_list())
+            _same_matrix(Y.Y, rows)
+            table = fraction_twistor_table(rows, Z)
+            assert twistor_table(Y, Z) == table
+            for S in seeds:
+                assert S.evaluate(Y, Z) == {key: fraction_arc_value(S.variables[key], table)
+                                            for key in S.keys}
+            checked += 1
+    assert checked == [0, 0, 2, 16, 98, 588, 3786][n]
+
+
 def _gr26_sweep(Y, Z, tiles, ws, seeds):
     """Every m = 2 verdict the (2, 6) sweep asks of one point."""
     return ([tile_membership_m2(Y, Z, T, strict=True) for T in tiles],
@@ -188,17 +258,16 @@ def test_point_memo_keeps_each_Z_apart():
 
 
 def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
-    """The (2, 6) sweep calls exact.det under no module name that holds it.
-    Z keeps at most 15 minor tables, built on the first point and reused
-    unchanged by the second.  The minors kernel runs once per new Z table
-    on the first point, for none on the second, and once per point for the
-    list of Y minors."""
+    """Mapping and sweeping a (2, 6) point calls exact.det under no module
+    name that holds it.  Z keeps at most 15 minor tables, built on the
+    first point and reused unchanged by the second.  The minors kernel runs
+    once per new Z table on the first point, for none on the second, and
+    once per point for the list of Y minors, which amp_map takes."""
     import sys
 
     Z, tiles, ws, seeds = _gr26_setup()
     rng = Random(3)
-    Y1, Y2 = (amp_map(sample_cell_matrix(top_cell_permutation(2, 6), rng), Z)
-              for _ in range(2))
+    C1, C2 = (sample_cell_matrix(top_cell_permutation(2, 6), rng) for _ in range(2))
     dets, minors = [], []
     kernel = exact.integer_minors
 
@@ -216,7 +285,8 @@ def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
                 monkeypatch.setattr(mod, "det", counting_det)
             if getattr(mod, "integer_minors", None) is kernel:
                 monkeypatch.setattr(mod, "integer_minors", counting_minors)
-    assert Z.minors == {}
+    Y1 = amp_map(C1, Z)
+    assert Z.minors == {} and len(minors) == 1
     first = _gr26_sweep(Y1, Z, tiles, ws, seeds)
     tables = dict(Z.minors)
     assert 0 < len(tables) <= 15
@@ -225,6 +295,8 @@ def test_gr26_points_take_no_det_and_share_the_z_minor_tables(monkeypatch):
     assert len(minors) == len(tables) + 1
     assert all(any(m is table for m in minors) for table in z_lists)
     minors.clear()
+    Y2 = amp_map(C2, Z)
+    assert len(minors) == 1
     second = _gr26_sweep(Y2, Z, tiles, ws, seeds)
     assert len(minors) == 1 and not any(minors[0] is table for table in z_lists)
     assert Z.minors.keys() == tables.keys()

@@ -239,18 +239,32 @@ def test_rectangular_det_rank_kernel_match_fraction_oracles_and_sympy():
     assert deficient >= 40
 
 
-def test_ratmatrix_keeps_fraction_entries_by_identity():
+def test_ratmatrix_keeps_canonical_integer_rows():
+    """Each row is integers over its denominator lcm, in lowest terms, and
+    every view of it gives the entries' values as reduced Fractions."""
     xs = [Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(0), Fraction(9, 4), Fraction(1)]
     M = RatMatrix(2, 3, xs)
-    assert all(a is b for a, b in zip(M.row(0) + M.row(1), xs))
+    assert M.ints == ((7, -42, 15), (0, 9, 4)) and M.dens == (21, 4)
+    assert list(M.row(0) + M.row(1)) == xs
+    assert all(type(x) is Fraction for x in M.row(0) + M.row(1))
     C = M.columns([2, 0])
-    assert C.entry(0, 0) is xs[2] and C.entry(1, 1) is xs[3]
+    assert C.row_list() == [[xs[2], xs[0]], [xs[5], xs[3]]]
+    assert C.ints == ((15, 7), (1, 0)) and C.dens == (21, 1)
     S = M.submatrix([1], [1, 2])
-    assert S.entry(0, 0) is xs[4] and S.entry(0, 1) is xs[5]
+    assert S.row_list() == [[xs[4], xs[5]]] and S.dens == (4,)
     T = M.transpose()
-    assert all(T.entry(j, i) is M.entry(i, j) for i in range(2) for j in range(3))
+    assert all(T.entry(j, i) == M.entry(i, j) for i in range(2) for j in range(3))
+    assert T.col(1) == M.row(1) and T.transpose() == M
     F = RatMatrix.from_rows(M.row_list())
-    assert all(a is b for a, b in zip(F.row(0) + F.row(1), xs))
+    assert F == M and hash(F) == hash(M) and F.to_json() == M.to_json()
+    # the same values over other denominators give the same rows
+    G = RatMatrix.from_integer_rows([[14, -84, 30], [0, -27, -12]], [42, -12], 3)
+    assert G == M and hash(G) == hash(M) and repr(G) == repr(M)
+    assert RatMatrix.from_integer_rows([[0, 0]], [5], 2).dens == (1,)
+    with pytest.raises(ValueError):
+        RatMatrix.from_integer_rows([[1, 2]], [0], 2)
+    with pytest.raises(ValueError):
+        RatMatrix.from_integer_rows([[1, 2]], [1], 3)
     N = RatMatrix.from_rows([[1, -2], [0, 7]])
     assert all(type(x) is Fraction for x in N.row(0) + N.row(1))
     assert N.row_list() == [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(7)]]

@@ -8,7 +8,7 @@ import pytest
 
 from positroid_lab.cells import positroid_of_perm
 from positroid_lab.exact import RatMatrix
-from positroid_lab.grassmann import plucker_of_matrix, uniform_matroid
+from positroid_lab.grassmann import plucker_of_matrix
 from positroid_lab.hypersimplex import (
     binomial,
     count_tilings,
@@ -40,6 +40,7 @@ from oracles import (
     scan_verify_tiling,
     scanned_D,
     simplex_in_positroid,
+    uniform_matroid,
 )
 
 

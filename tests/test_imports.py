@@ -77,3 +77,36 @@ def test_the_export_scan_finds_a_stale_entry():
     source = ("from a import b\nc: int = 1\ndef d(): pass\nclass E: pass\n"
               "__all__ = ['b', 'c', 'd', 'E', 'gone']\n")
     assert undefined_exports(source) == ["gone"]
+
+
+def private_exact_imports(source: str) -> list[str]:
+    """Underscore-prefixed names that the module takes from ``exact``, by
+    ``from .exact import _x`` or as ``exact._x`` after ``from . import exact``."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module.split(".")[-1] == "exact" or module.endswith("positroid_lab.exact"):
+                found += [f"{a.name} (line {node.lineno})" for a in node.names
+                          if a.name.startswith("_")]
+            elif module in (".", "positroid_lab"):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "exact")
+    found += [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact.py"],
+                         ids=lambda p: p.name)
+def test_no_module_takes_a_private_name_from_exact(path):
+    assert private_exact_imports(path.read_text()) == []
+
+
+def test_the_private_scan_finds_a_leak():
+    source = ("from .exact import RatMatrix, _integer_rows\n"
+              "from . import exact as ex\nex._eliminate([])\nex.det\n"
+              "from .grassmann import _lead_positive\n")
+    assert private_exact_imports(source) == ["_integer_rows (line 1)", "_eliminate (line 3)"]
+    assert private_exact_imports("from positroid_lab.exact import _det\n") == ["_det (line 1)"]
