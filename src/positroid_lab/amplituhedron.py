@@ -152,6 +152,10 @@ class _Signs:
         memo = self.memo = {}
 
         def pair(I: Sequence[int]) -> tuple[int, int]:
+            # a memo key is a sorted, valid I, so a hit needs no check
+            got = memo.get(tuple(I))
+            if got is not None:
+                return got
             if len(I) != size:
                 raise ValueError("index set has the wrong size")
             for i in I:

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
+from . import obs
 from .amplituhedron import (
     ZMatrix,
     amp_map,
@@ -365,9 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed of cell --sample and amp sample; ignored elsewhere")
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument("--format", choices=["json", "text"], default="json")
-    common = [seeded, formats]
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true",
+                       help="write the run's counters and seed to stderr as one JSON object")
+    common = [seeded, formats, stats]
 
-    p = sub.add_parser("cell", parents=[seeded],
+    p = sub.add_parser("cell", parents=[seeded, stats],
                        help="positroid data of a cell from a permutation or graph file")
     p.add_argument("--format", choices=["json", "text", "dot", "tikz"], default="json",
                    help="dot and tikz draw a --graph")
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-dual", dest="t_dual", help="convert a tiling file across the duality")
     p.set_defaults(func=cmd_tilings)
 
-    p = sub.add_parser("trop", parents=[formats],
+    p = sub.add_parser("trop", parents=[formats, stats],
                        help="positivity check and regular subdivision of a heights file")
     p.add_argument("--heights", required=True, help="path to a heights JSON file")
     p.set_defaults(func=cmd_trop)
@@ -421,6 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.stats:
+        obs.start()
     try:
         for name in ("sample", "count", "m"):
             if getattr(args, name, 0) < 0:
@@ -429,6 +435,12 @@ def main(argv=None) -> int:
     except (InputError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if args.stats:
+            # only cell --sample and amp sample draw from the seed
+            seeded = args.func is cmd_amp_sample or args.func is cmd_cell and args.sample
+            print(json.dumps({"seed": args.seed if seeded else None, "counters": obs.stop()}),
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 A ``RatMatrix`` keeps each row as integers over one positive denominator
 in lowest terms, and builds ``fractions.Fraction`` entries only when
 asked; nothing here ever rounds.  One fraction-free (Bareiss) elimination
-gives the rank, kernel and determinant of integer rows (``integer_rank``,
-``integer_kernel``, ``integer_det``); ``rank``, ``kernel_basis`` and
+gives the rank, kernel, determinant and adjugate of integer rows
+(``integer_rank``, ``integer_kernel``, ``integer_det``,
+``integer_adjugate``); ``rank``, ``kernel_basis`` and
 ``det`` run it on copies of the stored rows.  Every maximal minor of k
 integer rows comes from one Laplace table (``integer_minors``), and
 ``maximal_minors`` takes it on the stored rows.  ``RatMatrix.matmul``
@@ -219,6 +220,22 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     of integer rows: the rows of ``kernel_basis``, each scaled by |d| (d the
     last pivot of the full elimination), so |d| at its free column."""
     return _kernel([list(row) for row in rows], cols)[0]
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """The adjugate and determinant of a square matrix A of integer rows, or
+    None when A is singular.  One full elimination of [A | I] ends as
+    [d I | d A^-1] with d = sgn det A, sgn that of its row swaps, so
+    adj A = sgn d A^-1 is read off its right block."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("adjugate requires a square matrix")
+    a = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
+    pivots, sgn = _eliminate(a, full=True)
+    if pivots != list(range(n)):
+        return None
+    adj = [row[n:] if sgn > 0 else [-x for x in row[n:]] for row in a]
+    return adj, sgn * a[-1][n - 1] if n else 1
 
 
 @lru_cache(maxsize=None)

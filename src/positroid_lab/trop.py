@@ -7,9 +7,11 @@ positroid polytopes, and the finest ones are exactly the moment-map
 tilings.  One walk finds the cells of every subdivision, shooting the tilt
 of a cell across cyclic-interval walls for positive tropical heights and
 across the facets of simplex cells for all others.  The walk runs on
-integers: the gaps of each tilt over one positive denominator and the
-tables u . e_I of each direction; only the witness tilts are fractions, and
-``argmin_face`` certifies each cell afresh on integer gaps.
+integers: each tilt and its gaps over one positive denominator each, the
+tables u . e_I of each direction, and a simplex's facet normals and |det|
+off one elimination (``integer_adjugate``).  The witness tilts become
+fractions once per cell, and ``argmin_face`` certifies each cell afresh
+on integer gaps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from math import comb, gcd, lcm
 from operator import or_
 from random import Random
 
-from .exact import RatMatrix, integer_det, integer_kernel, integer_rank, kernel_basis
+from . import obs
+from .exact import RatMatrix, integer_adjugate, integer_kernel, integer_rank, kernel_basis
 from .grassmann import Matroid, exchange_quads, is_positroid
 from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
@@ -185,7 +188,7 @@ def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int
     ratios compared by cross-multiplying, and the next face (the vertices of
     ``face`` with d = b and the J that attain t), or None when no d_J
     exceeds b, so that none ever ties."""
-    b = max(d[I] for I in face)
+    b = max(map(d.__getitem__, face))
     g0 = gaps[next(iter(face))]
     N = M = None
     hits: list[Subset] = []
@@ -202,55 +205,68 @@ def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int
     return (N, M), frozenset([I for I in face if d[I] == b] + hits)
 
 
-def _moved(y: list[Fraction], gaps: dict[Subset, int], q: int, u: list[int],
+def _moved(Y: list[int], r: int, gaps: dict[Subset, int], q: int, u: list[int],
            d: dict[Subset, int], step: tuple[int, int]):
-    """The tilt y + t u for t = N / (q M), and its gaps g_I - t d_I as the
-    integers G_I M - N d_I over q M, divided by their gcd."""
+    """The tilt y + t u for t = N / (q M), and its gaps g_I - t d_I, all on
+    integers: y = Y / r becomes (Y q M + N r u) / (r q M) and the gaps the
+    integers G_I M - N d_I over q M, each divided by its gcd."""
     N, M = step
     q *= M
-    t = Fraction(N, q)
+    Nr = N * r
+    Y = [a * q + Nr * x for a, x in zip(Y, u)]
+    r *= q
+    c = gcd(r, *Y)
+    if c > 1:
+        Y, r = [a // c for a in Y], r // c
     gaps = {I: g * M - N * d[I] for I, g in gaps.items()}
     c = gcd(q, *gaps.values())
     if c > 1:
         gaps, q = {I: g // c for I, g in gaps.items()}, q // c
-    return [yi + t * ui for yi, ui in zip(y, u)], gaps, q
+    return Y, r, gaps, q
 
 
-def _step(vertices, u) -> tuple:
-    """A direction u, scaled to integers by the lcm of its denominators (a
-    positive multiple: the same faces, t rescaled), and its table
-    d_I = u . e_I over the vertices."""
-    m = lcm(*(x.denominator for x in u))
-    u = [x.numerator * (m // x.denominator) for x in u]
-    return u, {I: sum(u[i - 1] for i in I) for I in vertices}
+@lru_cache(maxsize=None)
+def _index(k: int, n: int) -> dict[Subset, tuple[int, ...]]:
+    """Each k-subset I of [n], in lexicographic order, with its 0-based
+    indices."""
+    return {I: tuple(i - 1 for i in I) for I in subsets(n, k)}
+
+
+def _step(index: dict[Subset, tuple[int, ...]], u: list[int]) -> tuple:
+    """An integer direction u and its table d_I = u . e_I over the vertices
+    of ``index``, summed over their 0-based indices."""
+    at = u.__getitem__
+    return u, {I: sum(map(at, ix)) for I, ix in index.items()}
 
 
 def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
     """From the flat tilt, whose gaps are the heights, shoot along the first
     (u, d) of ``directions(face)`` constant on the face that hits, until the
-    face is full-dimensional (0 < k < n); returns the cell and its witness
-    tilt, gaps and their denominator."""
-    y = [Fraction(0)] * n
+    face is full-dimensional (0 < k < n); returns the cell and its state."""
+    Y, r = [0] * n, 1
     face = _face(gaps)
     while _aff_rank_sets(n, sorted(face)) < n - 1:
         for u, d in directions(face):
             shot = _shoot(gaps, face, d) if len({d[I] for I in face}) == 1 else None
             if shot is not None:
                 step, face = shot
-                y, gaps, q = _moved(y, gaps, q, u, d, step)
+                Y, r, gaps, q = _moved(Y, r, gaps, q, u, d, step)
                 break
         else:
             raise RuntimeError("no direction grows a full-dimensional cell")
-    return face, (y, gaps, q)
+    return face, (Y, r, gaps, q)
 
 
 def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
     """Grow a cell from the heights ``tab``, as integers L P_I over the lcm L
     of their denominators, then shoot from each cell found along every
     (u, d) of ``directions(cell)``; a face reached is a new cell when it is
-    full-dimensional and not yet found.  Returns each cell with its witness
-    tilt y and that tilt's gap table as integers G_I over one q > 0:
-    G_I / q = P_I - y . e_I."""
+    full-dimensional and not yet found.  Returns each cell's state: its
+    witness tilt y = Y / r as integers over one r > 0, and that tilt's gap
+    table as integers G_I over one q > 0, G_I / q = P_I - y . e_I, each
+    pair in lowest terms.  The faces reached that are not full-dimensional
+    add to the ``trop.flat_faces`` record; only the wall walk meets any, as
+    the facet walk reaches a facet and the vertices off its plane."""
     L = lcm(*(h.denominator for h in tab.values()))
     start, state = _grow_to_cell(
         n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
@@ -259,7 +275,7 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
     queue = [start]
     while queue:
         cell = queue.pop()
-        y, gaps, q = cells[cell]
+        Y, r, gaps, q = cells[cell]
         for u, d in directions(cell):
             shot = _shoot(gaps, cell, d)
             if shot is None:
@@ -268,10 +284,11 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
             if nb in cells or nb in flat:
                 continue
             if _aff_rank_sets(n, sorted(nb)) == n - 1:
-                cells[nb] = _moved(y, gaps, q, u, d, step)
+                cells[nb] = _moved(Y, r, gaps, q, u, d, step)
                 queue.append(nb)
             else:
                 flat.add(nb)
+    obs.count("trop.flat_faces", len(flat))
     return cells
 
 
@@ -279,7 +296,7 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
 def _interval_steps(k: int, n: int) -> tuple:
     """(u, d) for every cyclic-interval direction u, d_I = u . e_I over the
     k-subsets I: they depend on (k, n) only, so they are tabulated once."""
-    return tuple(_step(subsets(n, k), u) for u in _interval_directions(n))
+    return tuple(_step(_index(k, n), u) for u in _interval_directions(n))
 
 
 def _interval_directions(n: int) -> list[list[int]]:
@@ -304,58 +321,65 @@ def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
     polytopes, cut out by these directions."""
     steps = _interval_steps(P.k, P.n)
     cells = _walk(P.n, P.table(), lambda face: steps)
-    return [SubdivisionCell(c, tuple(cells[c][0])) for c in sorted(cells, key=sorted)]
+    return [SubdivisionCell(c, tuple(Fraction(a, cells[c][1]) for a in cells[c][0]))
+            for c in sorted(cells, key=sorted)]
 
 
 def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     """Gift-wrap the lower hull of P + eps r along the facet normals of its
-    simplex cells.  With r = 0 these simplices are the cells of P, each with
-    its walk tilt less y_n as witness; otherwise each simplex is merged into
-    the cell of P that its plane selects, with y_n = 0 in the witness.
-    r = 0 until a cell is not a simplex; then a seeded integer r is drawn
-    afresh, and eps is halved when a plane misses its simplex, so the cells
-    do not depend on r.  Cells of a regular triangulation do not overlap,
-    so none is missing once their volumes |det|/k add up to
-    A(n-1, k-1) = len(enumerate_D(k, n))."""
+    simplex cells, read with |det| off one elimination per simplex.  With
+    r = 0 these simplices are the cells of P, each with its walk tilt less
+    y_n as witness; otherwise each simplex is merged into the cell of P that
+    its plane selects, with y_n = 0 in the witness.  r = 0 until a cell is
+    not a simplex; then a seeded integer r is drawn afresh, and eps is
+    halved when a plane misses its simplex, so the cells do not depend on r.
+    Cells of a regular triangulation do not overlap, so none is missing once
+    their volumes |det|/k add up to A(n-1, k-1) = len(enumerate_D(k, n))."""
     n, k = P.n, P.k
-    tab = P.table()
+    tab, index = P.table(), _index(k, n)
+    dets: dict[frozenset[Subset], int] = {}  # |det| of each simplex visited
 
     def directions(face):
         E = _indicator_rows(n, sorted(face))
+        got = integer_adjugate(E) if len(face) == n else None
+        if got is not None:
+            # u . e_I is 0 on the simplex but at v, where it is -|det E|:
+            # the columns of -sign(det E) adj(E)
+            adj, det = got
+            dets[face], s = abs(det), -1 if det > 0 else 1
+            return [_step(index, [s * x for x in col]) for col in zip(*adj)]
         K = integer_kernel(E, n)
-        if K:  # not full-dimensional: grow along +-u, 0 on the face
-            return [_step(tab, u) for u in (K[0], [-x for x in K[0]])]
-        if len(face) != n:
-            return []
-        # u . e_I is 0 on the simplex but at v, where it is -|det E|: the
-        # columns of -adj(E) sign(det E), the integer kernel of [E | 1]
-        K = integer_kernel([e + [int(j == r) for j in range(n)] for r, e in enumerate(E)], 2 * n)
-        return [_step(tab, v[:n]) for v in K]
+        # not full-dimensional: grow along +-u, 0 on the face
+        return [_step(index, u) for u in (K[0], [-x for x in K[0]])] if K else []
 
     rng, r, eps = Random(0), None, Fraction(1, 10 ** 7)
     while True:
+        obs.count("trop.facet_walk.walks")
         Q = tab if r is None else {I: h + eps * r[I] for I, h in tab.items()}
         walked = _walk(n, Q, directions)
         if any(len(s) != n for s in walked):
             r = {I: rng.randint(1, 1000) for I in tab}
             continue
-        volume = sum(abs(integer_det(_indicator_rows(n, sorted(s)))) for s in walked)
+        # the walk took the directions, and so the |det|, of every cell it found
+        volume = sum(dets[s] for s in walked)
         if volume != k * len(enumerate_D(k, n)):
             raise RuntimeError("the facet walk missed a simplex")
+        if r is None:
+            # s is a cell of P, and its tilt y solves the kernel's system
+            # below up to a multiple of 1, which y_n = 0 takes out
+            return [SubdivisionCell(s, tuple(Fraction(a - Y[-1], den) for a in Y))
+                    for s, (Y, den, _, _) in sorted(walked.items(), key=lambda c: sorted(c[0]))]
         cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
-        for s, (y, _, _) in walked.items():
-            # unperturbed, s is a cell of P, and its tilt y solves the kernel's
-            # system below up to a multiple of 1, which y_n = 0 takes out
-            face = s
-            if r is not None:
-                # the y with P_I = y . e_I on s, from the kernel of [E | -P]
-                s = sorted(s)
-                y = kernel_basis(RatMatrix.from_rows(
-                    [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
-                face = argmin_face(P, y)
-                if not face.issuperset(s):
-                    eps /= 2
-                    break
+        for s in walked:
+            # the y with P_I = y . e_I on s, from the kernel of [E | -P]
+            s = sorted(s)
+            y = kernel_basis(RatMatrix.from_rows(
+                [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
+            face = argmin_face(P, y)
+            if not face.issuperset(s):
+                obs.count("trop.facet_walk.eps_halved")
+                eps /= 2
+                break
             cells.setdefault(face, tuple(x - y[-1] for x in y))
         else:
             return [SubdivisionCell(c, cells[c]) for c in sorted(cells, key=sorted)]
@@ -373,6 +397,7 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
         return Subdivision(k, n, (SubdivisionCell(frozenset([only]),
                                                   tuple([Fraction(0)] * n)),))
     if is_positive_tropical(P):
+        obs.count("trop.wall_walk")
         cells = _cells_by_wall_search(P)
         D = enumerate_D(k, n)
         masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
@@ -382,7 +407,9 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
             raise RuntimeError("wall walk cells are not an exact cover of the "
                                "staircase simplices")
     else:
+        obs.count("trop.facet_walk")
         cells = _cells_by_facet_walk(P)
+    obs.count("trop.cells", len(cells))
     for cell in cells:
         if argmin_face(P, cell.witness) != cell.vertices:
             raise RuntimeError("witness does not certify its cell")

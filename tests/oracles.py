@@ -50,8 +50,14 @@ re-sums the tilt and the direction over every k-subset and takes the next
 face from ``fraction_argmin_face``, the argmin of P_I - y . e_I summed in
 ``Fraction``s that ``trop.argmin_face`` took before it compared integer
 gaps; ``trop._cells_by_wall_search`` and ``trop.argmin_face`` are compared
-with them.  ``span_scan`` is the complete lower-hull scan over every n-subset
-of vertices that ``trop.regular_subdivision`` ran on heights that are not
+with them.  ``fraction_step``, ``fraction_moved`` and ``kernel_directions``
+are the facet walk's steps as they ran before one integer elimination per
+simplex and an integer tilt: a direction scaled by the lcm of its
+denominators, the tilt moved in ``Fraction``s, and the facet normals of a
+simplex from the integer kernel of [E | 1] after a kernel of E that came
+out empty; every step of the facet walk is compared with them.
+``span_scan`` is the complete lower-hull scan over every n-subset of
+vertices that ``trop.regular_subdivision`` ran on heights that are not
 positive tropical before the facet walk; ``regular_subdivision`` is
 compared with it.  Both take affine ranks with ``fraction_rref``, never
 with the integer rank of ``trop``.  ``jacobian_cell_dimension`` is the
@@ -94,7 +100,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -109,8 +115,8 @@ from positroid_lab.amplituhedron import (
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
 from positroid_lab.cluster import AdjacencyReport
-from positroid_lab.exact import (RatMatrix, det, integer_det, integer_minors, kernel_basis,
-                                 rank)
+from positroid_lab.exact import (RatMatrix, det, integer_det, integer_kernel, integer_minors,
+                                 kernel_basis, rank)
 from positroid_lab.grassmann import (
     Matroid,
     PluckerVector,
@@ -627,6 +633,45 @@ def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
                 cells[nb] = y2
                 queue.append(nb)
     return [SubdivisionCell(c, tuple(cells[c])) for c in sorted(cells, key=sorted)]
+
+
+def fraction_step(vertices, u) -> tuple:
+    """A direction u, scaled to integers by the lcm of its denominators (a
+    positive multiple: the same faces, t rescaled), and its table
+    d_I = u . e_I over the vertices, as ``trop._step`` took it before every
+    direction of the walks was an integer vector."""
+    m = lcm(*(Fraction(x).denominator for x in u))
+    u = [Fraction(x).numerator * (m // Fraction(x).denominator) for x in u]
+    return u, {I: sum(u[i - 1] for i in I) for I in vertices}
+
+
+def fraction_moved(y: list, gaps: dict, q: int, u: list, d: dict, step: tuple):
+    """The tilt y + t u for t = N / (q M) in ``Fraction``s, and its gaps
+    g_I - t d_I as the integers G_I M - N d_I over q M, divided by their
+    gcd, as ``trop._moved`` took them before it kept y on integers."""
+    N, M = step
+    q *= M
+    t = Fraction(N, q)
+    gaps = {I: g * M - N * d[I] for I, g in gaps.items()}
+    c = gcd(q, *gaps.values())
+    if c > 1:
+        gaps, q = {I: g // c for I, g in gaps.items()}, q // c
+    return [yi + t * ui for yi, ui in zip(y, u)], gaps, q
+
+
+def kernel_directions(n: int, vertices, face) -> list:
+    """The facet walk's directions from a face, by two integer kernels as
+    ``trop._cells_by_facet_walk`` took them before one elimination per
+    simplex: +-u, 0 on the face, when it is not full-dimensional; else, on a
+    simplex, the facet normals from the integer kernel of [E | 1]."""
+    E = [[int(i in I) for i in range(1, n + 1)] for I in sorted(face)]
+    K = integer_kernel(E, n)
+    if K:
+        return [fraction_step(vertices, u) for u in (K[0], [-x for x in K[0]])]
+    if len(face) != n:
+        return []
+    K = integer_kernel([e + [int(j == r) for j in range(n)] for r, e in enumerate(E)], 2 * n)
+    return [fraction_step(vertices, v[:n]) for v in K]
 
 
 def span_scan(P: HeightVector) -> list[SubdivisionCell]:

@@ -493,6 +493,30 @@ def test_twistor_rejects_index_outside_range(I):
         twistor(Y, Z, I)
 
 
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 6), (3, 7)])
+def test_pair_memo_hit_equals_the_checked_pair(k, n):
+    Z = make_positive_Z(n, k + 2, list(range(n)))
+    rng = Random(k)
+    for hit_first in (True, False):
+        Y = amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
+        rec = amplituhedron._signs(Y, Z)
+        for J in combinations(range(1, n + 1), 2):
+            # the reversed J misses the memo and goes through every check
+            if hit_first:
+                rec.pair(J)
+            assert (J in rec.memo) == hit_first
+            num, den = rec.pair(J[::-1])
+            assert J in rec.memo and rec.pair(J) == rec.memo[J] == (-num, den)
+            assert Fraction(num, den) == -twistor(Y, Z, J) == twistor(Y, Z, J[::-1])
+    # pair and twistor keep every size, range and order check
+    for I in [(1,), (1, 2, 3), (0, 2), (2, n + 1)]:
+        with pytest.raises(ValueError):
+            twistor(Y, Z, I)
+        with pytest.raises(ValueError):
+            rec.pair(I)
+    assert rec.pair((2, 2)) == (0, 1) and (2, 2) not in rec.memo
+
+
 @pytest.mark.parametrize("rows,I", [([[1, 0, 0, 0, 0]], (1, 2, 3)), ([[1, 0, 0]], (1, 2, 3)),
                                     ([[1, 0, 0, 0]] * 5, ())])
 def test_twistor_refuses_y_of_another_shape(rows, I):

@@ -1,9 +1,11 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from positroid_lab import obs
 from positroid_lab.amplituhedron import make_positive_Z
 from positroid_lab.cells import cell_dim_of_perm, graph_of_perm
 from positroid_lab.cli import main
@@ -871,3 +873,40 @@ def test_cli_contract_under_one_replaced_value(tmp_path, command, data):
                 or False in verdict.get("audited", ()))
     if code == 2:
         assert err.getvalue().startswith("input error:")
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["cell", "--perm", "(3,1,4,2)", "--sample", "2", "--seed", "5"], 5),
+    (["cell", "--graph", str(DEMOS / "g1.json"), "--matchings", "--seed", "3"], None),
+    (["tilings", "--space", "amplituhedron", "--k", "1", "--n", "5",
+      "--z", "vandermonde:0,1,2,3,4"], None),
+    (["tilings", "--verify", str(DEMOS / "tiling_square.json"), "--format", "text"], None),
+    (["trop", "--heights", str(DEMOS / "heights_two_pyramids.json")], None),
+    (["amp", "sample", "--n", "5", "--k", "2", "--cell", "(3,4,5,1,2)", "--count", "2",
+      "--seed", "7"], 7),
+    (["amp", "verify-tiling", "--file", str(DEMOS / "tiling_square.json"),
+      "--z", "vandermonde:0,1,2,3", "--seed", "2"], None),
+    (["amp", "sample", "--n", "5", "--k", "1", "--cell", "(3,4,5,1,2)", "--seed", "4"], 4),
+], ids=["cell", "cell-graph", "tilings", "tilings-verify", "trop", "amp-sample",
+        "amp-verify", "input-error"])
+def test_stats_write_one_json_object_to_stderr_and_leave_stdout_alone(capsys, argv, seed):
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == code
+    stats = capsys.readouterr()
+    assert stats.out == plain.out
+    assert stats.err.startswith(plain.err)
+    record = json.loads(stats.err[len(plain.err):])
+    assert record["seed"] == seed and isinstance(record["counters"], dict)
+    assert not obs.enabled and main(argv) == code and capsys.readouterr() == plain
+
+
+def test_trop_stats_name_the_walk_and_count_its_cells(capsys, tmp_path):
+    code = main(["trop", "--heights", str(DEMOS / "heights_two_pyramids.json"), "--stats"])
+    captured = capsys.readouterr()
+    assert code == 0 and len(json.loads(captured.out)["cells"]) == 2
+    assert json.loads(captured.err) == {
+        "seed": None, "counters": {"trop.cells": 2, "trop.flat_faces": 0, "trop.wall_walk": 1}}

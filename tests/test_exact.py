@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from positroid_lab.exact import (
     RatMatrix,
     det,
+    integer_adjugate,
     integer_det,
     integer_kernel,
     integer_minors,
@@ -308,6 +310,45 @@ def test_integer_rank_kernel_det_match_fraction_oracles():
         deficient += len(pivots) < min(r, c)
         zero_rows += [0] * c in rows and c > 0
     assert len(shapes) >= 300 and deficient >= 40 and zero_rows >= 40
+
+
+def test_integer_adjugate_times_its_matrix_is_the_det():
+    import sympy
+
+    rng = Random(31)
+    singular = 0
+    for n in range(8):
+        for _ in range(24):
+            rows = _random_integer_rows(rng, n, n)
+            before = [list(row) for row in rows]
+            got, d = integer_adjugate(rows), integer_det(rows)
+            assert rows == before, rows  # the rows are not eliminated in place
+            if d == 0:
+                assert got is None, rows
+                singular += 1
+                continue
+            adj, got_det = got
+            assert got_det == d and all(type(x) is int for row in adj for x in row), rows
+            scalar = [[d * (i == j) for j in range(n)] for i in range(n)]
+            assert [[sum(map(mul, row, col)) for col in zip(*adj)] for row in rows] == scalar
+            assert [[sum(map(mul, row, col)) for col in zip(*rows)] for row in adj] == scalar
+            if n in (3, 7):
+                assert adj == sympy.Matrix(rows).adjugate().tolist(), rows
+    assert singular >= 20
+    zero_one = 0
+    for n in range(1, 4):
+        for bits in product((0, 1), repeat=n * n):
+            rows = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+            got = integer_adjugate(rows)
+            if integer_det(rows) == 0:
+                assert got is None, rows
+                zero_one += 1
+            else:
+                assert got[1] == integer_det(rows), rows
+    assert zero_one == 1 + 10 + 338  # the singular 0/1 matrices of size 1, 2 and 3
+    assert integer_adjugate([]) == ([], 1)
+    with pytest.raises(ValueError):
+        integer_adjugate([[1, 2, 3], [4, 5, 6]])
 
 
 def test_integer_minors_match_bareiss_per_minor_and_sympy():

@@ -4,15 +4,16 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 from random import Random
 
 import pytest
 
-from oracles import fraction_argmin_face, resumming_wall_search, span_scan, zero_one_directions
-from positroid_lab import trop
-from positroid_lab.exact import RatMatrix, det
+from oracles import (fraction_argmin_face, fraction_moved, fraction_step, kernel_directions,
+                     resumming_wall_search, span_scan, zero_one_directions)
+from positroid_lab import exact, obs, trop
+from positroid_lab.exact import RatMatrix, det, integer_det
 from positroid_lab.hypersimplex import (
     binomial,
     cover_mask,
@@ -117,18 +118,26 @@ def _random_heights(k, n, rng, hi):
     return HeightVector.make(k, n, {I: rng.randint(0, hi) for I in subsets(n, k)})
 
 
-@pytest.mark.parametrize("k, n, count", [(2, 4, 6), (2, 5, 5), (2, 6, 3), (3, 6, 1)])
-def test_facet_walk_matches_span_scan_on_generic_heights(k, n, count):
+GENERIC_DRAWS = [(2, 4, 6), (2, 5, 5), (2, 6, 3), (3, 6, 1)]
+
+
+def _generic_draws(k, n, count):
     rng = Random(11)
-    for _ in range(count):
-        P = _random_heights(k, n, rng, 10 ** 9)
+    return [_random_heights(k, n, rng, 10 ** 9) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k, n, count", GENERIC_DRAWS)
+def test_facet_walk_matches_span_scan_on_generic_heights(k, n, count):
+    for P in _generic_draws(k, n, count):
         assert not is_positive_tropical(P)
         D = regular_subdivision(P)
         assert len(D.cells) <= eulerian(k - 1, n - 1)
         assert list(D.cells) == span_scan(P)  # vertices, witnesses and order
 
 
-def test_facet_walk_merges_the_simplices_of_degenerate_heights():
+def _degenerate_draws():
+    """Heights that are not positive tropical and not generic: entries in
+    0..2 and the octahedron split, also scaled down to 10^-12."""
     rng = Random(4)
     draws = [HeightVector.make(2, 4, OCTAHEDRON_SPLIT)]
     for (k, n, count) in [(2, 4, 4), (2, 5, 4), (2, 6, 2)]:
@@ -140,13 +149,89 @@ def test_facet_walk_merges_the_simplices_of_degenerate_heights():
         draws += found
     # tiny heights: eps is halved many times before each simplex lies in a cell
     tiny = {I: Fraction(h, 10 ** 12) for I, h in OCTAHEDRON_SPLIT.items()}
-    draws.append(HeightVector.make(2, 4, tiny))
+    return draws + [HeightVector.make(2, 4, tiny)]
+
+
+def test_facet_walk_merges_the_simplices_of_degenerate_heights():
     merged = 0
-    for P in draws:
+    for P in _degenerate_draws():
         cells = regular_subdivision(P).cells
         merged += any(len(c.vertices) > P.n for c in cells)
         assert list(cells) == span_scan(P)  # vertices, witnesses and order
     assert merged >= 8
+
+
+def _check_walk_steps(monkeypatch, draws):
+    """Regular subdivisions of ``draws`` with every direction table of the
+    facet walk compared with the two-kernel oracle, every move of a tilt
+    with the ``Fraction`` one, and every |det| the walk recorded with
+    ``integer_det``."""
+    walk, moved, adjugate = trop._walk, trop._moved, trop.integer_adjugate
+    dets, walks, counts = {}, [], Counter()
+
+    def recording_adjugate(E):
+        got = adjugate(E)
+        if got is not None:
+            dets[tuple(map(tuple, E))] = got[1]
+        return got
+
+    def checked_moved(Y, r, G, q, u, d, step):
+        got = moved(Y, r, G, q, u, d, step)
+        y, G2, q2 = fraction_moved([Fraction(a, r) for a in Y], G, q, u, d, step)
+        assert got[2:] == (G2, q2) and trop._face(got[2]) == trop._face(G2)
+        assert [Fraction(a, got[1]) for a in got[0]] == y
+        counts["moved"] += 1
+        return got
+
+    def checked_walk(n, tab, directions):
+        def checked(face):
+            got = directions(face)
+            assert got == kernel_directions(n, tab, face)
+            counts["directions"] += 1
+            return got
+
+        walks.append(walk(n, tab, checked))
+        return walks[-1]
+
+    monkeypatch.setattr(trop, "integer_adjugate", recording_adjugate)
+    monkeypatch.setattr(trop, "_moved", checked_moved)
+    monkeypatch.setattr(trop, "_walk", checked_walk)
+    for P in draws:
+        walks.clear()
+        regular_subdivision(P)
+        rows = [tuple(tuple(int(i in I) for i in range(1, P.n + 1)) for I in sorted(s))
+                for s in walks[-1]]  # the walk that passed the audit
+        assert all(E in dets for E in rows)
+    assert all(det == integer_det(E) for E, det in dets.items())
+    return counts
+
+
+@pytest.mark.parametrize("k, n, count", GENERIC_DRAWS)
+def test_facet_walk_steps_match_the_kernel_and_fraction_oracles(monkeypatch, k, n, count):
+    counts = _check_walk_steps(monkeypatch, _generic_draws(k, n, count))
+    assert counts["moved"] >= count * (n - 1) and counts["directions"] >= count * n
+
+
+def test_degenerate_facet_walk_steps_match_the_kernel_and_fraction_oracles(monkeypatch):
+    counts = _check_walk_steps(monkeypatch, _degenerate_draws())
+    assert counts["moved"] > 100
+
+
+def test_facet_walk_takes_one_elimination_per_simplex_visit(monkeypatch):
+    eliminations, adjugates = [], []
+    eliminate, adjugate = exact._eliminate, trop.integer_adjugate
+    monkeypatch.setattr(exact, "_eliminate",
+                        lambda a, full=False: eliminations.append(a) or eliminate(a, full))
+    monkeypatch.setattr(trop, "integer_adjugate",
+                        lambda E: adjugates.append(E) or adjugate(E))
+    rng = Random(0)
+    for _ in range(5):
+        P = _random_heights(2, 5, rng, 10 ** 9)
+        eliminations.clear()
+        adjugates.clear()
+        cells = regular_subdivision(P).cells
+        assert len(cells) == len(adjugates) == eulerian(1, 4)
+        assert len(eliminations) <= 30
 
 
 def test_facet_walk_does_not_depend_on_the_perturbation(monkeypatch):
@@ -292,9 +377,11 @@ def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
             regular_subdivision(P)
     assert len(walks) >= 6
     for tab, cells in walks:
-        for cell, (y, G, q) in cells.items():
-            assert type(q) is int and q > 0
+        for cell, (Y, r, G, q) in cells.items():
+            assert type(q) is int and q > 0 and type(r) is int and r > 0
+            assert all(type(a) is int for a in Y) and gcd(r, *Y) == 1
             assert G.keys() == tab.keys() and all(type(g) is int for g in G.values())
+            y = [Fraction(a, r) for a in Y]
             for I, h in tab.items():
                 assert Fraction(G[I], q) == h - sum(y[i - 1] for i in I)
             assert trop._face(G) == cell
@@ -303,24 +390,29 @@ def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
 def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
     rng = Random(12)
     P = random_positive_tropical(3, 6, rng)
-    tab = P.table()
-    cells = trop._walk(6, tab, lambda face: [trop._step(tab, u)
+    tab, index = P.table(), trop._index(3, 6)
+    cells = trop._walk(6, tab, lambda face: [trop._step(index, u)
                                              for u in trop._interval_directions(6)])
     rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(6)]
                 for _ in range(20)]
     for w in zero_one_directions(6) + rational:
         w = [Fraction(rng.randint(1, 9), rng.randint(2, 7)) * x for x in w]
         m = 3 * lcm(*(x.denominator for x in w))
-        u, d = trop._step(tab, w)
-        ui, di = trop._step(tab, [int(m * x) for x in w])
+        # the oracle scales w to integers by the lcm of its denominators
+        u, d = fraction_step(tab, w)
+        assert trop._step(index, u) == (u, d)
+        ui, di = trop._step(index, [int(m * x) for x in w])
         assert all(type(x) is int for x in u + list(d.values()))
-        for cell, (y, G, q) in cells.items():
+        for cell, (Y, r, G, q) in cells.items():
             shot, shot_i = trop._shoot(G, cell, d), trop._shoot(G, cell, di)
             assert (shot is None) == (shot_i is None)
             if shot is not None:
                 assert shot[1] == shot_i[1]
-                assert (trop._moved(y, G, q, u, d, shot[0])
-                        == trop._moved(y, G, q, ui, di, shot_i[0]))
+                got = trop._moved(Y, r, G, q, u, d, shot[0])
+                assert got == trop._moved(Y, r, G, q, ui, di, shot_i[0])
+                # the integer tilt is the Fraction tilt moved along w's multiple
+                y, G2, q2 = fraction_moved([Fraction(a, r) for a in Y], G, q, u, d, shot[0])
+                assert got[2:] == (G2, q2) and [Fraction(a, got[1]) for a in got[0]] == y
 
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
@@ -506,3 +598,29 @@ def test_positive_instance_26():
     for c in D.cells:
         covered |= set(c.vertices)
     assert covered == set(subsets(6, 2))
+
+
+def test_run_records_name_the_walk_its_restarts_and_its_cells():
+    tiny = HeightVector.make(2, 4, {I: Fraction(h, 10 ** 12)
+                                    for I, h in OCTAHEDRON_SPLIT.items()})
+    generic = _random_heights(2, 5, Random(0), 10 ** 9)
+    positive = random_positive_tropical(3, 6, Random(0))
+    records = []
+    for P in (tiny, generic, positive):
+        obs.start()
+        try:
+            regular_subdivision(P)
+        finally:
+            records.append(obs.stop())
+    # the tiny heights walk unperturbed, then perturbed once and once more
+    # per halving of eps; the generic ones walk once.  The facet walk only
+    # reaches full-dimensional faces, so every flat face is the wall walk's
+    assert records[0] == {"trop.cells": 2, "trop.facet_walk": 1, "trop.facet_walk.walks": 24,
+                          "trop.facet_walk.eps_halved": 22, "trop.flat_faces": 0}
+    assert records[1] == {"trop.cells": eulerian(1, 4), "trop.facet_walk": 1,
+                          "trop.facet_walk.walks": 1, "trop.flat_faces": 0}
+    assert records[2] == {"trop.cells": len(regular_subdivision(positive).cells),
+                          "trop.wall_walk": 1, "trop.flat_faces": 28}
+    # off, nothing is counted
+    regular_subdivision(tiny)
+    assert obs.counters == records[2] and not obs.enabled
