@@ -214,8 +214,12 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
 def necklace_of_bases(bases, n: int) -> tuple[tuple[int, ...], ...]:
     """(I_1, ..., I_n): I_i is the basis lexicographically least in the
     cyclic order i < i+1 < ... < i-1, which for a matroid is its least
-    basis in the Gale order <=_i."""
-    return tuple(tuple(sorted(min(bases, key=lambda B: sorted((b - i) % n for b in B))))
+    basis in the Gale order <=_i: the largest mask sum 2^(n - b), b in B,
+    rotated left by i - 1 within n bits (b at place p of <_i gives 2^(n-1-p))."""
+    full = (1 << n) - 1
+    masks = {sum(1 << (n - b) for b in B): B for B in bases}
+    return tuple(tuple(sorted(masks[max(masks, key=lambda r: (
+        (r << (i - 1)) | (r >> (n - i + 1))) & full)]))
                  for i in range(1, n + 1))
 
 

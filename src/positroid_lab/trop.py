@@ -5,13 +5,14 @@ of the lift gives a regular subdivision.  Heights satisfying the positive
 three-term tropical exchange produce subdivisions all of whose faces are
 positroid polytopes, and the finest ones are exactly the moment-map
 tilings.  One walk finds the cells of every subdivision, shooting the tilt
-of a cell across cyclic-interval walls for positive tropical heights and
-across the facets of simplex cells for all others.  The walk runs on
-integers: each tilt and its gaps over one positive denominator each, the
-tables u . e_I of each direction, and a simplex's facet normals and |det|
-off one elimination (``integer_adjugate``).  The witness tilts become
-fractions once per cell, and ``argmin_face`` certifies each cell afresh
-on integer gaps.
+of a cell across cyclic-interval walls (n(n - 1) normals, one per class
+modulo (1, ..., 1)) for positive tropical heights and across the facets of
+simplex cells for all others.  The walk runs on integers: each tilt and its
+gaps over one positive denominator each, the tables u . e_I of each
+direction, and a simplex's facet normals and |det| off one elimination
+(``integer_adjugate``).  The witness tilts become fractions once per cell,
+and each cell is certified afresh on integer gaps, on heights scaled to
+integers once per subdivision as for the exchange check.
 """
 
 from __future__ import annotations
@@ -97,18 +98,32 @@ class HeightVector:
         return cls.make(k, n, table)
 
 
+def _scaled(P: HeightVector) -> tuple[int, list[int]]:
+    """The lcm L of the heights' denominators and the L P_I, I in lex order."""
+    L = lcm(*(h.denominator for h in P.heights))
+    return L, [h.numerator * (L // h.denominator) for h in P.heights]
+
+
+@lru_cache(maxsize=None)
+def _quad_plan(k: int, n: int) -> tuple:
+    """Each exchange quad (S, a, b, c, d) with the lexicographic positions
+    of Sac, Sbd, Sab, Scd, Sad and Sbc among the k-subsets."""
+    at = {I: p for p, I in enumerate(subsets(n, k))}
+    return tuple(((S, a, b, c, d), *(at[tuple(sorted(S + pair))] for pair in
+                                     ((a, c), (b, d), (a, b), (c, d), (a, d), (b, c))))
+                 for S, a, b, c, d in exchange_quads(n, k))
+
+
 def positivity_violation(P: HeightVector):
     """First (S; a, b, c, d) where the positive exchange fails, else None.
 
-    The requirement: P_Sac + P_Sbd equals min(P_Sab + P_Scd, P_Sad + P_Sbc).
+    The requirement, on the integers L P_I: L P_Sac + L P_Sbd equals
+    min(L P_Sab + L P_Scd, L P_Sad + L P_Sbc).
     """
-    tab = P.table()
-    for S, a, b, c, d in exchange_quads(P.n, P.k):
-        mid = tab[tuple(sorted(S + (a, c)))] + tab[tuple(sorted(S + (b, d)))]
-        lo = min(tab[tuple(sorted(S + (a, b)))] + tab[tuple(sorted(S + (c, d)))],
-                 tab[tuple(sorted(S + (a, d)))] + tab[tuple(sorted(S + (b, c)))])
-        if mid != lo:
-            return (S, a, b, c, d)
+    H = _scaled(P)[1]
+    for quad, ac, bd, ab, cd, ad, bc in _quad_plan(P.k, P.n):
+        if H[ac] + H[bd] != min(H[ab] + H[cd], H[ad] + H[bc]):
+            return quad
     return None
 
 
@@ -164,20 +179,20 @@ def _face(gaps: dict) -> frozenset[Subset]:
 
 def argmin_face(P: HeightVector, y) -> frozenset[Subset]:
     """Face of the subdivision selected by tilt y: argmin of P_I - y . e_I.
-
-    The heights are scaled to integers L P_I by the lcm L of their
-    denominators, and y to integers M y_i by the lcm M of its own; the
-    gaps M L P_I - L M y . e_I are then compared as integers.  Raises
-    ValueError unless y has n entries.
-    """
+    Raises ValueError unless y has n entries."""
     if len(y) != P.n:
         raise ValueError(f"a tilt needs n = {P.n} entries, not {len(y)}")
-    y = [Fraction(t) for t in y]
+    return _argmin(P, _scaled(P), [Fraction(t) for t in y])
+
+
+def _argmin(P: HeightVector, scaled: tuple[int, list[int]], y) -> frozenset[Subset]:
+    """``argmin_face`` of the n rationals y on ``scaled = _scaled(P)``: the
+    gaps M L P_I - L M y . e_I, M the lcm of y's denominators, as integers."""
+    L, H = scaled
     M = lcm(*(t.denominator for t in y))
-    L = lcm(*(h.denominator for h in P.heights))
-    LMy = [0] + [L * t.numerator * (M // t.denominator) for t in y]  # LMy[i] = L M y_i
-    return _face({I: M * h.numerator * (L // h.denominator) - sum(map(LMy.__getitem__, I))
-                  for I, h in zip(subsets(P.n, P.k), P.heights)})
+    LMy = [L * t.numerator * (M // t.denominator) for t in y]  # LMy[i - 1] = L M y_i
+    at = LMy.__getitem__
+    return _face({I: M * h - sum(map(at, ix)) for (I, ix), h in zip(_index(P.k, P.n).items(), H)})
 
 
 def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int]):
@@ -257,61 +272,67 @@ def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
     return face, (Y, r, gaps, q)
 
 
-def _walk(n: int, tab: dict[Subset, Fraction], directions) -> dict:
+def _walk(n: int, tab: dict[Subset, Fraction], directions, ranked: bool = True) -> dict:
     """Grow a cell from the heights ``tab``, as integers L P_I over the lcm L
     of their denominators, then shoot from each cell found along every
     (u, d) of ``directions(cell)``; a face reached is a new cell when it is
     full-dimensional and not yet found.  Returns each cell's state: its
     witness tilt y = Y / r as integers over one r > 0, and that tilt's gap
     table as integers G_I over one q > 0, G_I / q = P_I - y . e_I, each
-    pair in lowest terms.  The faces reached that are not full-dimensional
-    add to the ``trop.flat_faces`` record; only the wall walk meets any, as
-    the facet walk reaches a facet and the vertices off its plane."""
+    pair in lowest terms.  ``ranked`` false takes every face reached as
+    full-dimensional, as from a facet and vertices off its plane.  The shots
+    add to ``trop.shots``, the faces found flat to ``trop.flat_faces``."""
     L = lcm(*(h.denominator for h in tab.values()))
     start, state = _grow_to_cell(
         n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
     cells = {start: state}
     flat: set[frozenset[Subset]] = set()  # faces reached that are not cells
-    queue = [start]
+    queue, shots = [start], 0
     while queue:
         cell = queue.pop()
         Y, r, gaps, q = cells[cell]
-        for u, d in directions(cell):
+        steps = directions(cell)
+        shots += len(steps)
+        for u, d in steps:
             shot = _shoot(gaps, cell, d)
             if shot is None:
                 continue
             step, nb = shot
             if nb in cells or nb in flat:
                 continue
-            if _aff_rank_sets(n, sorted(nb)) == n - 1:
+            if not ranked or _aff_rank_sets(n, sorted(nb)) == n - 1:
                 cells[nb] = _moved(Y, r, gaps, q, u, d, step)
                 queue.append(nb)
             else:
                 flat.add(nb)
+    obs.count("trop.shots", shots)
     obs.count("trop.flat_faces", len(flat))
     return cells
 
 
 @lru_cache(maxsize=None)
 def _interval_steps(k: int, n: int) -> tuple:
-    """(u, d) for every cyclic-interval direction u, d_I = u . e_I over the
-    k-subsets I: they depend on (k, n) only, so they are tabulated once."""
+    """(u, d) for each cyclic-interval direction u of ``_interval_directions``,
+    d_I = u . e_I over the k-subsets I: they depend on (k, n) only, so they
+    are tabulated once."""
     return tuple(_step(_index(k, n), u) for u in _interval_directions(n))
 
 
 def _interval_directions(n: int) -> list[list[int]]:
-    """The indicator vectors of the n(n - 1) proper cyclic intervals of [n]
-    and their negatives, by size and then lexicographically.  Positroid
-    polytopes are cut out by inequalities on cyclic intervals
-    (Ardila-Rincon-Williams), so these are the normals of every wall of a
-    positroidal subdivision."""
+    """e_S and -e_S for the proper cyclic intervals S of [n] with 2|S| < n,
+    or 2|S| = n and 1 in S, by size and then lexicographically: one per
+    class modulo (1, ..., 1), n(n - 1) in all.  Positroid polytopes are cut
+    out by inequalities on cyclic intervals (Ardila-Rincon-Williams), so
+    these are the normals of every wall of a positroidal subdivision; as
+    e_S = 1 - e_{[n]-S}, the S left out shoot to the same faces."""
     out = []
-    for size in range(1, n):
+    for size in range(1, n // 2 + 1):
         for S in sorted(tuple(sorted((i + t) % n + 1 for t in range(size)))
                         for i in range(n)):
-            u = [int(i in S) for i in range(1, n + 1)]
-            out.append(u)
-            out.append([-x for x in u])
+            if 2 * size < n or S[0] == 1:
+                u = [int(i in S) for i in range(1, n + 1)]
+                out.append(u)
+                out.append([-x for x in u])
     return out
 
 
@@ -336,7 +357,7 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     Cells of a regular triangulation do not overlap, so none is missing once
     their volumes |det|/k add up to A(n-1, k-1) = len(enumerate_D(k, n))."""
     n, k = P.n, P.k
-    tab, index = P.table(), _index(k, n)
+    tab, index, scaled = P.table(), _index(k, n), _scaled(P)
     dets: dict[frozenset[Subset], int] = {}  # |det| of each simplex visited
 
     def directions(face):
@@ -356,7 +377,7 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     while True:
         obs.count("trop.facet_walk.walks")
         Q = tab if r is None else {I: h + eps * r[I] for I, h in tab.items()}
-        walked = _walk(n, Q, directions)
+        walked = _walk(n, Q, directions, ranked=False)
         if any(len(s) != n for s in walked):
             r = {I: rng.randint(1, 1000) for I in tab}
             continue
@@ -375,7 +396,7 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
             s = sorted(s)
             y = kernel_basis(RatMatrix.from_rows(
                 [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
-            face = argmin_face(P, y)
+            face = _argmin(P, scaled, y)
             if not face.issuperset(s):
                 obs.count("trop.facet_walk.eps_halved")
                 eps /= 2
@@ -410,8 +431,9 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
         obs.count("trop.facet_walk")
         cells = _cells_by_facet_walk(P)
     obs.count("trop.cells", len(cells))
+    scaled = _scaled(P)
     for cell in cells:
-        if argmin_face(P, cell.witness) != cell.vertices:
+        if _argmin(P, scaled, cell.witness) != cell.vertices:
             raise RuntimeError("witness does not certify its cell")
     return Subdivision(k, n, tuple(cells))
 

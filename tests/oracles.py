@@ -28,6 +28,16 @@ twistor oracle, one ``exact.det`` of Y stacked over Z_I as ``amplituhedron``
 took it before its minor tables, is ``_stacked_det`` in the amplituhedron
 tests);
 ``varbar_bruteforce`` tries every sign completion;
+``sorted_key_necklace`` reads each I_i of a Grassmann necklace as the basis
+of least sorted cyclic places, with one ``sorted`` key per basis, as
+``grassmann.necklace_of_bases`` did before it compared rotated bit masks;
+``fraction_positivity_violation`` is the three-term exchange check summed
+in ``Fraction``s, as ``trop.positivity_violation`` ran before it scaled the
+heights to integers once and walked a quad plan per (k, n);
+``full_interval_directions`` lists both directions of each class modulo
+(1, ..., 1), the 2n(n - 1) that ``trop._interval_directions`` gave before
+it kept one per class; the necklace reader, the exchange check and the
+wall search (on the reduced list) are compared with them;
 ``uniform_matroid``, ``satisfies_basis_exchange`` (the exchange axiom,
 brute force) and ``three_term_relation_holds`` (every three-term Plücker
 relation) serve the tests only; ``zero_one_directions``
@@ -46,7 +56,8 @@ by insertion.  ``rotation_descent_sets`` takes the descents of each
 rotation of w afresh, as ``hypersimplex.w_simplex`` did before it toggled
 them in one pass.  ``resumming_wall_search`` is the cyclic-interval wall
 search of ``trop`` as it ran before each tilt kept a gap table: every shot
-re-sums the tilt and the direction over every k-subset and takes the next
+re-sums the tilt and the direction over every k-subset, along the
+``full_interval_directions``, and takes the next
 face from ``fraction_argmin_face``, the argmin of P_I - y . e_I summed in
 ``Fraction``s that ``trop.argmin_face`` took before it compared integer
 gaps; ``trop._cells_by_wall_search`` and ``trop.argmin_face`` are compared
@@ -124,7 +135,6 @@ from positroid_lab.grassmann import (
     is_tnn,
     matrix_of_plucker,
     matroid_of,
-    necklace_of_bases,
     plucker_of_matrix,
 )
 from positroid_lab.hypersimplex import (
@@ -150,11 +160,7 @@ from positroid_lab.triangulations import (
     BicoloredTriangulation,
     arcs_cross,
 )
-from positroid_lab.trop import (
-    HeightVector,
-    SubdivisionCell,
-    _interval_directions,
-)
+from positroid_lab.trop import HeightVector, SubdivisionCell
 from positroid_lab.util import sign, subsets
 
 
@@ -352,7 +358,7 @@ def permutation_of_plucker(P: PluckerVector) -> DecoratedPermutation:
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
     bases = [I for I, v in P.coords.items() if v != 0]
-    return perm_of_necklace(necklace_of_bases(bases, P.n))
+    return perm_of_necklace(sorted_key_necklace(bases, P.n))
 
 
 def realized_positroid(pi: DecoratedPermutation) -> Matroid:
@@ -456,6 +462,40 @@ def varbar_bruteforce(v: Sequence) -> int:
             w[p] = s
         best = max(best, sum(1 for a, b in zip(w, w[1:]) if a != b))
     return best
+
+
+def sorted_key_necklace(bases, n: int) -> tuple[tuple[int, ...], ...]:
+    """(I_1, ..., I_n): I_i is the basis whose sorted places in the cyclic
+    order i < i+1 < ... < i-1 come first lexicographically."""
+    return tuple(tuple(sorted(min(bases, key=lambda B: sorted((b - i) % n for b in B))))
+                 for i in range(1, n + 1))
+
+
+def fraction_positivity_violation(P: HeightVector):
+    """First (S; a, b, c, d) where P_Sac + P_Sbd differs from
+    min(P_Sab + P_Scd, P_Sad + P_Sbc), summed in ``Fraction``s, else None."""
+    tab = P.table()
+    for S, a, b, c, d in exchange_quads(P.n, P.k):
+        mid = tab[tuple(sorted(S + (a, c)))] + tab[tuple(sorted(S + (b, d)))]
+        lo = min(tab[tuple(sorted(S + (a, b)))] + tab[tuple(sorted(S + (c, d)))],
+                 tab[tuple(sorted(S + (a, d)))] + tab[tuple(sorted(S + (b, c)))])
+        if mid != lo:
+            return (S, a, b, c, d)
+    return None
+
+
+def full_interval_directions(n: int) -> list[list[int]]:
+    """The indicator vectors of all n(n - 1) proper cyclic intervals of [n]
+    and their negatives, by size and then lexicographically: 2n(n - 1)
+    directions, two per class modulo (1, ..., 1)."""
+    out = []
+    for size in range(1, n):
+        for S in sorted(tuple(sorted((i + t) % n + 1 for t in range(size)))
+                        for i in range(n)):
+            u = [int(i in S) for i in range(1, n + 1)]
+            out.append(u)
+            out.append([-x for x in u])
+    return out
 
 
 def zero_one_directions(n: int) -> list[list[Fraction]]:
@@ -615,7 +655,7 @@ def resumming_wall_search(P: HeightVector) -> list[SubdivisionCell]:
     every shot re-sums over every k-subset."""
     n = P.n
     tab = P.table()
-    directions = _interval_directions(n)
+    directions = full_interval_directions(n)
     start, y0 = _resumming_grow_to_cell(P, tab, directions)
     cells = {start: y0}
     queue = [start]

@@ -909,4 +909,5 @@ def test_trop_stats_name_the_walk_and_count_its_cells(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 0 and len(json.loads(captured.out)["cells"]) == 2
     assert json.loads(captured.err) == {
-        "seed": None, "counters": {"trop.cells": 2, "trop.flat_faces": 0, "trop.wall_walk": 1}}
+        "seed": None, "counters": {"trop.cells": 2, "trop.flat_faces": 0, "trop.shots": 24,
+                                   "trop.wall_walk": 1}}

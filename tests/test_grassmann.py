@@ -35,6 +35,7 @@ from oracles import (
     rank_decorated_permutation,
     realized_positroid,
     satisfies_basis_exchange,
+    sorted_key_necklace,
     three_term_relation_holds,
     uniform_matroid,
 )
@@ -356,6 +357,32 @@ def test_is_positroid_matches_realized_catalog(k, n, matroids, positroids):
         assert is_positroid(M) == (M.bases in catalog), M
         seen += satisfies_basis_exchange(M)
     assert seen == matroids
+
+
+def test_necklace_of_bases_matches_the_sorted_key_oracle():
+    from positroid_lab.cells import positroid_catalog
+
+    positroids = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for bases in positroid_catalog(k, n):
+                assert necklace_of_bases(bases, n) == sorted_key_necklace(bases, n)
+                positroids += 1
+    assert positroids == 2371
+    # seeded families of k-sets, most of them not matroids, and {13, 24}
+    rng = Random(16)
+    families = [(4, 2, frozenset({frozenset({1, 3}), frozenset({2, 4})}))]
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        k = rng.randint(2, n - 2)
+        subs = list(combinations(range(1, n + 1), k))
+        families.append((n, k, frozenset(frozenset(I) for I in
+                                         rng.sample(subs, rng.randint(1, len(subs))))))
+    others = 0
+    for n, k, bases in families:
+        assert necklace_of_bases(bases, n) == sorted_key_necklace(bases, n)
+        others += not satisfies_basis_exchange(Matroid(n, k, bases))
+    assert others > 200
 
 
 def test_is_positroid_rejects_a_gale_cut_non_matroid():

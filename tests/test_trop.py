@@ -10,7 +10,8 @@ from random import Random
 
 import pytest
 
-from oracles import (fraction_argmin_face, fraction_moved, fraction_step, kernel_directions,
+from oracles import (fraction_argmin_face, fraction_moved, fraction_positivity_violation,
+                     fraction_step, full_interval_directions, kernel_directions,
                      resumming_wall_search, span_scan, zero_one_directions)
 from positroid_lab import exact, obs, trop
 from positroid_lab.exact import RatMatrix, det, integer_det
@@ -183,14 +184,14 @@ def _check_walk_steps(monkeypatch, draws):
         counts["moved"] += 1
         return got
 
-    def checked_walk(n, tab, directions):
+    def checked_walk(n, tab, directions, **kw):
         def checked(face):
             got = directions(face)
             assert got == kernel_directions(n, tab, face)
             counts["directions"] += 1
             return got
 
-        walks.append(walk(n, tab, checked))
+        walks.append(walk(n, tab, checked, **kw))
         return walks[-1]
 
     monkeypatch.setattr(trop, "integer_adjugate", recording_adjugate)
@@ -231,7 +232,8 @@ def test_facet_walk_takes_one_elimination_per_simplex_visit(monkeypatch):
         adjugates.clear()
         cells = regular_subdivision(P).cells
         assert len(cells) == len(adjugates) == eulerian(1, 4)
-        assert len(eliminations) <= 30
+        # one adjugate per simplex and a rank per face grown to the first
+        assert len(eliminations) <= 20
 
 
 def test_facet_walk_does_not_depend_on_the_perturbation(monkeypatch):
@@ -254,8 +256,8 @@ def test_facet_walk_certifies_generic_37_heights():
 def test_facet_walk_audit_rejects_a_dropped_simplex(monkeypatch):
     walk = trop._walk
 
-    def dropping(*args):
-        cells = walk(*args)
+    def dropping(*args, **kw):
+        cells = walk(*args, **kw)
         del cells[next(iter(cells))]
         return cells
 
@@ -264,15 +266,50 @@ def test_facet_walk_audit_rejects_a_dropped_simplex(monkeypatch):
         regular_subdivision(_random_heights(2, 5, Random(0), 10 ** 9))
 
 
+def _constant_class(u) -> tuple:
+    """u less u_1 (1, ..., 1): equal for two vectors exactly when they
+    differ by a constant vector."""
+    return tuple(x - u[0] for x in u)
+
+
 def test_interval_directions_are_cyclic_interval_indicators():
     for n in range(2, 9):
         intervals = {frozenset((i + t) % n + 1 for t in range(size))
                      for i in range(n) for size in range(1, n)}
         expected = [u for u in zero_one_directions(n)
                     if frozenset(i + 1 for i, x in enumerate(u) if x) in intervals]
+        full = full_interval_directions(n)
+        assert len(full) == 2 * n * (n - 1) and full == expected
+        # the first member of each class modulo (1, ..., 1), in the same order
+        firsts = {}
+        for u in full:
+            firsts.setdefault(_constant_class(u), u)
         got = trop._interval_directions(n)
-        assert len(got) == 2 * n * (n - 1) == len(expected)
-        assert got == expected
+        assert got == list(firsts.values()) and len(got) == n * (n - 1)
+        assert len({_constant_class(u) for u in got}) == len(got)
+        assert all(type(x) is int for u in got for x in u)
+
+
+def _wall_search_along(monkeypatch, P, directions):
+    """``trop._cells_by_wall_search(P)`` shooting along the integer vectors
+    of ``directions(n)`` in place of the cached cyclic-interval steps, and
+    its run record."""
+    calls = []
+
+    def steps(k, n):
+        calls.append((k, n))
+        return tuple(trop._step(trop._index(k, n), [int(x) for x in u])
+                     for u in directions(n))
+
+    with monkeypatch.context() as m:
+        m.setattr(trop, "_interval_steps", steps)
+        obs.start()
+        try:
+            cells = trop._cells_by_wall_search(P)
+        finally:
+            record = obs.stop()
+    assert calls == [(P.k, P.n)]
+    return cells, record
 
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6), (3, 7, 3)])
@@ -281,10 +318,49 @@ def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
     for _ in range(count):
         P = random_positive_tropical(k, n, rng)
         fast = trop._cells_by_wall_search(P)
-        with monkeypatch.context() as m:
-            m.setattr(trop, "_interval_directions", zero_one_directions)
-            slow = trop._cells_by_wall_search(P)
+        slow, _ = _wall_search_along(monkeypatch, P, zero_one_directions)
         assert fast == slow
+        assert trop._cells_by_wall_search(P) == fast  # the cached steps are untouched
+
+
+@pytest.mark.parametrize("k, n, count",
+                         [(2, 4, 8), (2, 5, 6), (3, 6, 6), (2, 7, 3), (3, 7, 2), (4, 8, 1)])
+def test_wall_search_matches_the_full_interval_list(monkeypatch, k, n, count):
+    rng = Random(14)
+    for _ in range(count):
+        P = random_positive_tropical(k, n, rng)
+        obs.start()
+        try:
+            fast = trop._cells_by_wall_search(P)
+        finally:
+            record = obs.stop()
+        slow, full = _wall_search_along(monkeypatch, P, full_interval_directions)
+        assert fast == slow  # vertices, witnesses and order
+        assert record["trop.flat_faces"] == full["trop.flat_faces"]
+        assert 2 * record["trop.shots"] == full["trop.shots"] == len(fast) * 2 * n * (n - 1)
+
+
+def test_positivity_violation_matches_the_fraction_oracle():
+    rng = Random(15)
+    draws = []
+    for k, n in [(1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (2, 7), (3, 7), (4, 8), (4, 5)]:
+        for _ in range(4):
+            # fractional and negative, degenerate, and positive with denominators
+            draws.append(HeightVector.make(k, n, {
+                I: Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for I in subsets(n, k)}))
+            draws.append(HeightVector.make(k, n, {I: rng.randint(0, 2) for I in subsets(n, k)}))
+            draws.append(_rational_heights(k, n, rng, True))
+    # every single-entry perturbation of a positive draw
+    P = random_positive_tropical(3, 6, rng)
+    for I, h in P.table().items():
+        for delta in (-1, Fraction(1, 3), 1):
+            draws.append(HeightVector.make(3, 6, {**P.table(), I: h + delta}))
+    verdicts = Counter()
+    for Q in draws:
+        got = positivity_violation(Q)
+        assert got == fraction_positivity_violation(Q)
+        verdicts[got is None] += 1
+    assert verdicts[True] > 40 and verdicts[False] > 100
 
 
 @pytest.mark.parametrize("k, n, count",
@@ -298,35 +374,42 @@ def test_wall_search_matches_resumming_oracle(k, n, count):
         assert fast == slow  # vertices, witnesses and order
 
 
-def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
-    calls = []
-    original = trop.argmin_face
+def _count_argmins(monkeypatch):
+    """Record the tilt of every ``trop._argmin`` call and the heights of
+    every ``trop._scaled`` call."""
+    calls, scalings = [], []
+    argmin, scaled = trop._argmin, trop._scaled
 
-    def counting(P, y):
+    def counting(P, got, y):
+        assert got == scaled(P)
         calls.append(y)
-        return original(P, y)
+        return argmin(P, got, y)
 
-    monkeypatch.setattr(trop, "argmin_face", counting)
+    monkeypatch.setattr(trop, "_argmin", counting)
+    monkeypatch.setattr(trop, "_scaled", lambda P: scalings.append(P) or scaled(P))
+    return calls, scalings
+
+
+def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
+    calls, scalings = _count_argmins(monkeypatch)
     rng = Random(3)
     for (k, n) in [(2, 5), (3, 6), (2, 7)]:
         P = random_positive_tropical(k, n, rng)
         trop._cells_by_wall_search(P)
-        assert calls == []
-        # regular_subdivision certifies each cell once, from scratch
+        assert calls == [] and scalings == []
+        # regular_subdivision certifies each cell once, from scratch, on the
+        # heights scaled once for the exchange check and once for the cells
         cells = regular_subdivision(P).cells
-        assert calls == [c.witness for c in cells]
+        assert calls == [c.witness for c in cells] and scalings == [P, P]
         calls.clear()
+        scalings.clear()
+    # the public argmin_face scales the heights on every call
+    assert argmin_face(P, cells[0].witness) == cells[0].vertices
+    assert calls == [list(cells[0].witness)] and scalings == [P]
 
 
 def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
-    calls = []
-    original = trop.argmin_face
-
-    def counting(P, y):
-        calls.append(y)
-        return original(P, y)
-
-    monkeypatch.setattr(trop, "argmin_face", counting)
+    calls, scalings = _count_argmins(monkeypatch)
     rng = Random(6)
     for (k, n) in [(2, 5), (2, 6), (3, 6)]:
         P = _random_heights(k, n, rng, 10 ** 9)
@@ -338,9 +421,10 @@ def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
         assert calls == [c.witness for c in cells]
         calls.clear()
     # degenerate heights are walked perturbed, and each of the four simplices
-    # is merged into its cell through argmin_face
+    # is merged into its cell through one argmin, on heights scaled once
+    scalings.clear()
     cells = trop._cells_by_facet_walk(HeightVector.make(2, 4, OCTAHEDRON_SPLIT))
-    assert len(cells) == 2 and len(calls) >= 4
+    assert len(cells) == 2 and len(calls) >= 4 and len(scalings) == 1
 
 
 def _rational_heights(k, n, rng, positive):
@@ -362,8 +446,8 @@ def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
     walks = []
     original = trop._walk
 
-    def recording(n, tab, directions):
-        cells = original(n, tab, directions)
+    def recording(n, tab, directions, **kw):
+        cells = original(n, tab, directions, **kw)
         walks.append((tab, cells))
         return cells
 
@@ -614,13 +698,18 @@ def test_run_records_name_the_walk_its_restarts_and_its_cells():
             records.append(obs.stop())
     # the tiny heights walk unperturbed, then perturbed once and once more
     # per halving of eps; the generic ones walk once.  The facet walk only
-    # reaches full-dimensional faces, so every flat face is the wall walk's
+    # reaches full-dimensional faces, so every flat face is the wall walk's.
+    # The facet walk shoots n facets per simplex, summed over its walks, and
+    # the wall walk n(n - 1) directions per cell
     assert records[0] == {"trop.cells": 2, "trop.facet_walk": 1, "trop.facet_walk.walks": 24,
-                          "trop.facet_walk.eps_halved": 22, "trop.flat_faces": 0}
+                          "trop.facet_walk.eps_halved": 22, "trop.flat_faces": 0,
+                          "trop.shots": 368}
     assert records[1] == {"trop.cells": eulerian(1, 4), "trop.facet_walk": 1,
-                          "trop.facet_walk.walks": 1, "trop.flat_faces": 0}
-    assert records[2] == {"trop.cells": len(regular_subdivision(positive).cells),
-                          "trop.wall_walk": 1, "trop.flat_faces": 28}
+                          "trop.facet_walk.walks": 1, "trop.flat_faces": 0,
+                          "trop.shots": 5 * eulerian(1, 4)}
+    assert records[2] == {"trop.cells": 6, "trop.wall_walk": 1, "trop.flat_faces": 28,
+                          "trop.shots": 180}
+    assert len(regular_subdivision(positive).cells) == 6
     # off, nothing is counted
     regular_subdivision(tiny)
     assert obs.counters == records[2] and not obs.enabled
