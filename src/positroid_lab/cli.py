@@ -1,15 +1,17 @@
 """Command-line surface: cells, tilings, tropical subdivisions, membership.
 
 Exit codes: 0 success / verified, 1 mathematical verification failure,
-2 malformed input.  Only ``cell --sample`` and ``amp sample`` are
-randomized; they embed their seed in the output so reruns are
-bit-identical.  The amplituhedron tiling audits are deterministic.
+2 malformed input, 141 (SIGPIPE's in a shell) when stdout closed early.
+Only ``cell --sample`` and ``amp sample`` are randomized; they embed their
+seed in the output so reruns are bit-identical.  The amplituhedron tiling
+audits are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from random import Random
@@ -262,21 +264,14 @@ def cmd_tilings(args) -> int:
         if len(tilings) != count:
             raise RuntimeError(f"listed {len(tilings)} tilings but counted {count}")
         payload["tilings"] = [[label[i] for i in sol] for sol in tilings]
-    if args.space == "hypersimplex":
-        _emit(args, payload)
-        return 0
     # amplituhedron tilings via duality, audited on the tile witnesses when Z is given
-    if args.z:
+    if args.space == "amplituhedron" and args.z:
         Z = _parse_z(args.z, n, args.k + 2)
         if "tilings" in payload:
-            audits = [verify_amp_tiling_m2([recs[i].triangulation for i in sol], Z).valid
-                      for sol in tilings]
-            payload["audited"] = audits
-            if not all(audits):
-                _emit(args, payload)
-                return 1
+            payload["audited"] = [verify_amp_tiling_m2([recs[i].triangulation for i in sol],
+                                                       Z).valid for sol in tilings]
     _emit(args, payload)
-    return 0
+    return 0 if all(payload.get("audited", ())) else 1
 
 
 def cmd_trop(args) -> int:
@@ -431,10 +426,15 @@ def main(argv=None) -> int:
         for name in ("sample", "count", "m"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name} must not be negative")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InputError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if args.stats:
             # only cell --sample and amp sample draw from the seed

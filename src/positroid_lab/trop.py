@@ -1,18 +1,18 @@
 """Positive tropical Plücker vectors and the subdivisions they induce.
 
-A height vector lifts the hypersimplex vertices; projecting the lower hull
-of the lift gives a regular subdivision.  Heights satisfying the positive
+A height vector lifts the hypersimplex vertices; projecting the lower hull of
+the lift gives a regular subdivision.  Heights satisfying the positive
 three-term tropical exchange produce subdivisions all of whose faces are
-positroid polytopes, and the finest ones are exactly the moment-map
-tilings.  One walk finds the cells of every subdivision, shooting the tilt
-of a cell across cyclic-interval walls (n(n - 1) normals, one per class
-modulo (1, ..., 1)) for positive tropical heights and across the facets of
-simplex cells for all others.  The walk runs on integers: each tilt and its
-gaps over one positive denominator each, the tables u . e_I of each
-direction, and a simplex's facet normals and |det| off one elimination
-(``integer_adjugate``).  The witness tilts become fractions once per cell,
-and each cell is certified afresh on integer gaps, on heights scaled to
-integers once per subdivision as for the exchange check.
+positroid polytopes, and the finest ones are exactly the moment-map tilings.
+One walk finds the cells of every subdivision, shooting the tilt of a cell
+across cyclic-interval walls (n(n - 1) normals, one per class modulo
+(1, ..., 1)) for positive tropical heights, and for all others across the
+simplex facets of P + εr, a fixed lift r breaking P's ties.  The walk runs
+on integers: each tilt and its gaps over one positive denominator each, the
+tables u . e_I of each direction, and a simplex's facet normals and |det|
+off one elimination (``integer_adjugate``).  The witness tilts become
+fractions once per cell, and each cell is certified afresh on integer gaps,
+on heights scaled to integers once per subdivision as for the exchange check.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, gcd, lcm
-from operator import or_
+from math import comb, gcd, isqrt, lcm
+from operator import mul, or_
 from random import Random
 
 from . import obs
-from .exact import RatMatrix, integer_adjugate, integer_kernel, integer_rank, kernel_basis
+from .exact import integer_adjugate, integer_kernel, integer_rank
 from .grassmann import Matroid, exchange_quads, is_positroid
 from .hypersimplex import cover_mask, enumerate_D
 from .util import rat_from_str, rat_to_str, subset_from_key, subset_key, subsets
@@ -160,14 +160,10 @@ class Subdivision:
         }
 
 
-def _indicator_rows(n: int, sets) -> list[list[int]]:
-    """The rows e_I of the given k-subsets."""
-    return [[int(i in I) for i in range(1, n + 1)] for I in sets]
-
-
 def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
     """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them."""
-    return integer_rank(_indicator_rows(n, sets)) - 1
+    rows = _rows(len(sets[0]), n)
+    return integer_rank([rows[I] for I in sets]) - 1
 
 
 def _face(gaps: dict) -> frozenset[Subset]:
@@ -195,14 +191,14 @@ def _argmin(P: HeightVector, scaled: tuple[int, list[int]], y) -> frozenset[Subs
     return _face({I: M * h - sum(map(at, ix)) for (I, ix), h in zip(_index(P.k, P.n).items(), H)})
 
 
-def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int]):
+def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int], narrow=None):
     """Move the tilt along u, each gap g_I = G_I / q moving as g_I - t d_I
     (d_I = u . e_I), until a vertex J off ``face`` ties the face's equal,
     least gaps: t q is the least (G_J - G_face) / (d_J - b) over the J with
     d_J > b, b the largest d on ``face``.  Returns t q as a pair (N, M), the
     ratios compared by cross-multiplying, and the next face (the vertices of
-    ``face`` with d = b and the J that attain t), or None when no d_J
-    exceeds b, so that none ever ties."""
+    ``face`` with d = b and the J that attain t, narrowed by ``narrow(face,
+    hits, d, b)`` if several), or None when no d_J exceeds b: none ties."""
     b = max(map(d.__getitem__, face))
     g0 = gaps[next(iter(face))]
     N = M = None
@@ -217,6 +213,8 @@ def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int
                 hits.append(J)
     if N is None:
         return None
+    if narrow is not None and len(hits) > 1:
+        hits = narrow(face, hits, d, b)
     return (N, M), frozenset([I for I in face if d[I] == b] + hits)
 
 
@@ -247,6 +245,12 @@ def _index(k: int, n: int) -> dict[Subset, tuple[int, ...]]:
     return {I: tuple(i - 1 for i in I) for I in subsets(n, k)}
 
 
+@lru_cache(maxsize=None)
+def _rows(k: int, n: int) -> dict[Subset, tuple[int, ...]]:
+    """Each k-subset I of [n], in lexicographic order, with its 0/1 row e_I."""
+    return {I: tuple(int(i in I) for i in range(1, n + 1)) for I in subsets(n, k)}
+
+
 def _step(index: dict[Subset, tuple[int, ...]], u: list[int]) -> tuple:
     """An integer direction u and its table d_I = u . e_I over the vertices
     of ``index``, summed over their 0-based indices."""
@@ -272,19 +276,22 @@ def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
     return face, (Y, r, gaps, q)
 
 
-def _walk(n: int, tab: dict[Subset, Fraction], directions, ranked: bool = True) -> dict:
+def _walk(n: int, tab: dict[Subset, Fraction], directions, lift=None, narrow=None) -> dict:
     """Grow a cell from the heights ``tab``, as integers L P_I over the lcm L
     of their denominators, then shoot from each cell found along every
     (u, d) of ``directions(cell)``; a face reached is a new cell when it is
     full-dimensional and not yet found.  Returns each cell's state: its
     witness tilt y = Y / r as integers over one r > 0, and that tilt's gap
     table as integers G_I over one q > 0, G_I / q = P_I - y . e_I, each
-    pair in lowest terms.  ``ranked`` false takes every face reached as
-    full-dimensional, as from a facet and vertices off its plane.  The shots
-    add to ``trop.shots``, the faces found flat to ``trop.flat_faces``."""
+    pair in lowest terms.  With a ``lift``, the walk starts from the lift's
+    cell inside the first one, takes every face reached as full-dimensional
+    and breaks ties by ``narrow`` (``_shoot``).  Shots add to ``trop.shots``,
+    flat faces to ``trop.flat_faces``."""
     L = lcm(*(h.denominator for h in tab.values()))
     start, state = _grow_to_cell(
         n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
+    if lift is not None and len(start) > n:
+        start = _grow_to_cell(n, {I: lift[I] for I in start}, 1, directions)[0]
     cells = {start: state}
     flat: set[frozenset[Subset]] = set()  # faces reached that are not cells
     queue, shots = [start], 0
@@ -294,13 +301,13 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions, ranked: bool = True) 
         steps = directions(cell)
         shots += len(steps)
         for u, d in steps:
-            shot = _shoot(gaps, cell, d)
+            shot = _shoot(gaps, cell, d, narrow)
             if shot is None:
                 continue
             step, nb = shot
             if nb in cells or nb in flat:
                 continue
-            if not ranked or _aff_rank_sets(n, sorted(nb)) == n - 1:
+            if lift is not None or _aff_rank_sets(n, sorted(nb)) == n - 1:
                 cells[nb] = _moved(Y, r, gaps, q, u, d, step)
                 queue.append(nb)
             else:
@@ -346,64 +353,61 @@ def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
             for c in sorted(cells, key=sorted)]
 
 
+def _lift(k: int, n: int) -> dict[Subset, int]:
+    """r_I = B^p, p the lexicographic position of I, B = isqrt(n^n) + 2: a
+    circuit of the e_I has integer coefficients below B - 1 (Hadamard), so
+    none lifts flat, and r triangulates every set of vertices."""
+    B = isqrt(n ** n) + 2
+    return {I: B ** p for p, I in enumerate(subsets(n, k))}
+
+
 def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
-    """Gift-wrap the lower hull of P + eps r along the facet normals of its
-    simplex cells, read with |det| off one elimination per simplex.  With
-    r = 0 these simplices are the cells of P, each with its walk tilt less
-    y_n as witness; otherwise each simplex is merged into the cell of P that
-    its plane selects, with y_n = 0 in the witness.  r = 0 until a cell is
-    not a simplex; then a seeded integer r is drawn afresh, and eps is
-    halved when a plane misses its simplex, so the cells do not depend on r.
-    Cells of a regular triangulation do not overlap, so none is missing once
-    their volumes |det|/k add up to A(n-1, k-1) = len(enumerate_D(k, n))."""
+    """Gift-wrap the lower hull of P + εr (ε > 0 infinitesimal, r the
+    ``_lift``) along the facet normals of its simplices, with |det| off one
+    elimination each.  That hull triangulates the subdivision of P
+    (Edelsbrunner-Mücke; De Loera-Rambau-Santos), so the walk moves P's
+    tilt alone, and ``narrow`` picks the J that tie a shot from simplex s of
+    least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E.  A simplex
+    lies in the cell its gaps select, witnessed by its tilt less y_n.  Cells
+    of a triangulation do not overlap, so none is missing once the |det|/k
+    of the simplices (a face that is no simplex, under a lift that is not
+    generic, has none) add up to A(n-1, k-1) = len(enumerate_D(k, n)).
+    Narrowed shots add to ``trop.facet_walk.ties``."""
     n, k = P.n, P.k
-    tab, index, scaled = P.table(), _index(k, n), _scaled(P)
-    dets: dict[frozenset[Subset], int] = {}  # |det| of each simplex visited
+    rows, index, lift = _rows(k, n), _index(k, n), _lift(k, n)
+    planes: dict[frozenset[Subset], tuple[list[list[int]], int]] = {}  # adj E, det E
+    ties: list[frozenset[Subset]] = []  # the simplices of the shots narrowed
 
     def directions(face):
-        E = _indicator_rows(n, sorted(face))
+        E = [rows[I] for I in sorted(face)]
         got = integer_adjugate(E) if len(face) == n else None
         if got is not None:
             # u . e_I is 0 on the simplex but at v, where it is -|det E|:
             # the columns of -sign(det E) adj(E)
-            adj, det = got
-            dets[face], s = abs(det), -1 if det > 0 else 1
+            planes[face] = adj, det = got
+            s = -1 if det > 0 else 1
             return [_step(index, [s * x for x in col]) for col in zip(*adj)]
         K = integer_kernel(E, n)
         # not full-dimensional: grow along +-u, 0 on the face
         return [_step(index, u) for u in (K[0], [-x for x in K[0]])] if K else []
 
-    rng, r, eps = Random(0), None, Fraction(1, 10 ** 7)
-    while True:
-        obs.count("trop.facet_walk.walks")
-        Q = tab if r is None else {I: h + eps * r[I] for I, h in tab.items()}
-        walked = _walk(n, Q, directions, ranked=False)
-        if any(len(s) != n for s in walked):
-            r = {I: rng.randint(1, 1000) for I in tab}
-            continue
-        # the walk took the directions, and so the |det|, of every cell it found
-        volume = sum(dets[s] for s in walked)
-        if volume != k * len(enumerate_D(k, n)):
-            raise RuntimeError("the facet walk missed a simplex")
-        if r is None:
-            # s is a cell of P, and its tilt y solves the kernel's system
-            # below up to a multiple of 1, which y_n = 0 takes out
-            return [SubdivisionCell(s, tuple(Fraction(a - Y[-1], den) for a in Y))
-                    for s, (Y, den, _, _) in sorted(walked.items(), key=lambda c: sorted(c[0]))]
-        cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
-        for s in walked:
-            # the y with P_I = y . e_I on s, from the kernel of [E | -P]
-            s = sorted(s)
-            y = kernel_basis(RatMatrix.from_rows(
-                [e + [-tab[I]] for e, I in zip(_indicator_rows(n, s), s)])).row(0)[:n]
-            face = _argmin(P, scaled, y)
-            if not face.issuperset(s):
-                obs.count("trop.facet_walk.eps_halved")
-                eps /= 2
-                break
-            cells.setdefault(face, tuple(x - y[-1] for x in y))
-        else:
-            return [SubdivisionCell(c, cells[c]) for c in sorted(cells, key=sorted)]
+    def narrow(s, hits, d, b):
+        ties.append(s)
+        adj, det = planes[s]
+        w = [sum(map(mul, row, map(lift.get, sorted(s)))) for row in adj]  # det z
+        ratio = {J: Fraction(det * lift[J] - sum(w[i] for i in index[J]), det * (d[J] - b))
+                 for J in hits}
+        low = min(ratio.values())
+        return [J for J in hits if ratio[J] == low]
+
+    walked = _walk(n, P.table(), directions, lift=lift, narrow=narrow)
+    obs.count("trop.facet_walk.ties", len(ties))
+    if sum(abs(planes[s][1]) for s in walked if s in planes) != k * len(enumerate_D(k, n)):
+        raise RuntimeError("the facet walk missed a simplex")
+    cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
+    for Y, den, gaps, _ in walked.values():
+        cells.setdefault(_face(gaps), tuple(Fraction(a - Y[-1], den) for a in Y))
+    return [SubdivisionCell(c, cells[c]) for c in sorted(cells, key=sorted)]
 
 
 def regular_subdivision(P: HeightVector) -> Subdivision:
@@ -469,13 +473,9 @@ def is_finest(D: Subdivision) -> bool:
 
 def walls(D: Subdivision) -> list[frozenset[Subset]]:
     """Shared codimension-one faces between pairs of cells."""
-    out = set()
-    for i in range(len(D.cells)):
-        for j in range(i + 1, len(D.cells)):
-            shared = D.cells[i].vertices & D.cells[j].vertices
-            if shared and _aff_rank_sets(D.n, sorted(shared)) == D.n - 2:
-                out.add(frozenset(shared))
-    return sorted(out, key=sorted)
+    shared = {a.vertices & b.vertices for a, b in combinations(D.cells, 2)}
+    return sorted((s for s in shared if s and _aff_rank_sets(D.n, sorted(s)) == D.n - 2),
+                  key=sorted)
 
 
 def random_positive_tropical(k: int, n: int, rng: Random) -> HeightVector:

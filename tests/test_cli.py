@@ -401,6 +401,26 @@ def test_the_audits_take_no_sample_count(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_reader_closing_early_meets_exit_141_and_no_traceback():
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # 3.4 MB of JSON: far more than a pipe holds, so the writer meets the closed end
+    argv = ["tilings", "--space", "hypersimplex", "--k", "2", "--n", "7", "--stats"]
+    proc = subprocess.Popen([sys.executable, "-m", "positroid_lab.cli", *argv], cwd=root,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(64).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+    # --stats still writes its one object to stderr
+    assert json.loads(err) == {"seed": None, "counters": {}}
+
+
 def test_amp_verify_tiling_does_not_read_the_seed(capsys):
     outs = [run(capsys, "amp", "verify-tiling", "--file", "demos/tiling_square.json",
                 "--z", "vandermonde:0,1,3,4", "--seed", seed) for seed in ("5", "6")]

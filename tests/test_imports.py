@@ -110,3 +110,34 @@ def test_the_private_scan_finds_a_leak():
               "from .grassmann import _lead_positive\n")
     assert private_exact_imports(source) == ["_integer_rows (line 1)", "_eliminate (line 3)"]
     assert private_exact_imports("from positroid_lab.exact import _det\n") == ["_det (line 1)"]
+
+
+def _is_literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def seeded_draws(source: str) -> list[str]:
+    """``Random(...)`` calls, by name or as ``random.Random``, whose seed is
+    a literal: a draw fixed in the code, which an exact algorithm must not
+    hide (the CLI seeds from ``--seed``, a name)."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == "Random"
+            and any(map(_is_literal, [*node.args, *(kw.value for kw in node.keywords)]))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_draws_from_a_literal_seed(path):
+    assert seeded_draws(path.read_text()) == []
+
+
+def test_the_seed_scan_finds_a_literal_seed():
+    source = ("import random\nfrom random import Random\nrng = Random(0)\n"
+              "other = random.Random(x=-7)\nrng = Random(seed)\nrng = Random()\n"
+              "def f(rng: Random): pass\n")
+    assert seeded_draws(source) == ["Random(0) (line 3)", "random.Random(x=-7) (line 4)"]

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import or_
 from random import Random
@@ -148,7 +148,7 @@ def _degenerate_draws():
             if not is_positive_tropical(P):
                 found.append(P)
         draws += found
-    # tiny heights: eps is halved many times before each simplex lies in a cell
+    # tiny heights: the octahedron split scaled down to 10^-12
     tiny = {I: Fraction(h, 10 ** 12) for I, h in OCTAHEDRON_SPLIT.items()}
     return draws + [HeightVector.make(2, 4, tiny)]
 
@@ -236,12 +236,67 @@ def test_facet_walk_takes_one_elimination_per_simplex_visit(monkeypatch):
         assert len(eliminations) <= 20
 
 
+def _walked_simplices(monkeypatch, draws) -> tuple[list, list]:
+    """The cells of each regular subdivision of ``draws`` and the cells of
+    each ``trop._walk`` it took."""
+    walk, walks = trop._walk, []
+    monkeypatch.setattr(trop, "_walk", lambda *a, **kw: walks.append(walk(*a, **kw)) or walks[-1])
+    cells = [regular_subdivision(P).cells for P in draws]
+    return cells, [set(w) for w in walks]
+
+
 def test_facet_walk_does_not_depend_on_the_perturbation(monkeypatch):
     P = HeightVector.make(2, 5, dict(zip(subsets(5, 2), [0, 1, 0, 2, 1, 0, 0, 1, 2, 0])))
-    cells = regular_subdivision(P).cells
-    assert sorted(len(c.vertices) for c in cells) == [5, 6, 6, 8]
-    monkeypatch.setattr(trop, "Random", lambda seed: Random(seed + 1))
-    assert regular_subdivision(P).cells == cells
+    draws = [P] + _degenerate_draws()
+    cells, simplices = _walked_simplices(monkeypatch, draws)
+    assert sorted(len(c.vertices) for c in cells[0]) == [5, 6, 6, 8]
+    lift = trop._lift
+
+    def reversed_lift(k, n):
+        # the same powers, in reverse lexicographic order: another generic lift
+        r = lift(k, n)
+        return dict(zip(r, reversed(r.values())))
+
+    monkeypatch.setattr(trop, "_lift", reversed_lift)
+    cells2, simplices2 = _walked_simplices(monkeypatch, draws)
+    assert cells2 == cells  # vertices, witnesses and order
+    # though the two lifts triangulate some cells differently
+    assert simplices2 != simplices
+
+
+def test_every_height_takes_one_walk(monkeypatch):
+    draws = _degenerate_draws() + [P for k, n, count in GENERIC_DRAWS
+                                   for P in _generic_draws(k, n, count)]
+    _, walks = _walked_simplices(monkeypatch, draws)
+    assert len(walks) == len(draws)
+
+
+def test_facet_walk_matches_span_scan_on_every_small_degenerate_height(monkeypatch):
+    # every height in 0..2 at (2, 4) that is not positive, and 60 such 0/1
+    # draws at (2, 5)
+    draws = [HeightVector.make(2, 4, dict(zip(subsets(4, 2), h)))
+             for h in product(range(3), repeat=6)]
+    draws = [P for P in draws if not is_positive_tropical(P)]
+    assert len(draws) == 558
+    rng = Random(8)
+    while len(draws) < 558 + 60:
+        P = _random_heights(2, 5, rng, 1)
+        if not is_positive_tropical(P):
+            draws.append(P)
+    cells, walks = _walked_simplices(monkeypatch, draws)
+    assert len(walks) == len(draws)
+    assert all(list(c) == span_scan(P) for P, c in zip(draws, cells))  # and order
+    assert sum(any(len(cell.vertices) > P.n for cell in c) for P, c in zip(draws, cells)) > 100
+
+
+def test_facet_walk_audit_rejects_a_lift_that_is_not_generic(monkeypatch):
+    # a constant lift breaks no tie: the walk meets cells that are not
+    # simplices, which have no facets to shoot across and add no volume
+    monkeypatch.setattr(trop, "_lift", lambda k, n: dict.fromkeys(subsets(n, k), 1))
+    for P in (HeightVector.make(2, 4, OCTAHEDRON_SPLIT),
+              HeightVector.make(2, 5, dict(zip(subsets(5, 2), [0, 1, 0, 2, 1, 0, 0, 1, 2, 0])))):
+        with pytest.raises(RuntimeError, match="missed a simplex"):
+            regular_subdivision(P)
 
 
 def test_facet_walk_certifies_generic_37_heights():
@@ -420,11 +475,11 @@ def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
         cells = regular_subdivision(P).cells
         assert calls == [c.witness for c in cells]
         calls.clear()
-    # degenerate heights are walked perturbed, and each of the four simplices
-    # is merged into its cell through one argmin, on heights scaled once
+    # degenerate heights too: each simplex of the one walk lies in the cell
+    # that its gaps select, with no argmin and no scaling of the heights
     scalings.clear()
     cells = trop._cells_by_facet_walk(HeightVector.make(2, 4, OCTAHEDRON_SPLIT))
-    assert len(cells) == 2 and len(calls) >= 4 and len(scalings) == 1
+    assert len(cells) == 2 and calls == [] and scalings == []
 
 
 def _rational_heights(k, n, rng, positive):
@@ -684,32 +739,36 @@ def test_positive_instance_26():
     assert covered == set(subsets(6, 2))
 
 
-def test_run_records_name_the_walk_its_restarts_and_its_cells():
+def test_run_records_name_the_walk_its_ties_and_its_cells():
     tiny = HeightVector.make(2, 4, {I: Fraction(h, 10 ** 12)
                                     for I, h in OCTAHEDRON_SPLIT.items()})
+    tied = HeightVector.make(2, 5, dict(zip(subsets(5, 2), [0, 1, 0, 2, 1, 0, 0, 1, 2, 0])))
     generic = _random_heights(2, 5, Random(0), 10 ** 9)
     positive = random_positive_tropical(3, 6, Random(0))
     records = []
-    for P in (tiny, generic, positive):
+    for P in (tiny, tied, generic, positive):
         obs.start()
         try:
             regular_subdivision(P)
         finally:
             records.append(obs.stop())
-    # the tiny heights walk unperturbed, then perturbed once and once more
-    # per halving of eps; the generic ones walk once.  The facet walk only
-    # reaches full-dimensional faces, so every flat face is the wall walk's.
-    # The facet walk shoots n facets per simplex, summed over its walks, and
-    # the wall walk n(n - 1) directions per cell
-    assert records[0] == {"trop.cells": 2, "trop.facet_walk": 1, "trop.facet_walk.walks": 24,
-                          "trop.facet_walk.eps_halved": 22, "trop.flat_faces": 0,
-                          "trop.shots": 368}
-    assert records[1] == {"trop.cells": eulerian(1, 4), "trop.facet_walk": 1,
-                          "trop.facet_walk.walks": 1, "trop.flat_faces": 0,
+    # every height takes one walk.  The tiny heights split the octahedron
+    # into two pyramids of two simplices each, and no shot between them
+    # ties; the (2, 5) heights give 4 cells of 11 simplices, and the lift
+    # broke the ties of 10 shots.  The facet walk only reaches
+    # full-dimensional faces, so every flat face is the wall walk's.  The
+    # facet walk shoots n facets per simplex, the wall walk n(n - 1)
+    # directions per cell
+    assert records[0] == {"trop.cells": 2, "trop.facet_walk": 1, "trop.facet_walk.ties": 0,
+                          "trop.flat_faces": 0, "trop.shots": 4 * 4}
+    assert records[1] == {"trop.cells": 4, "trop.facet_walk": 1, "trop.facet_walk.ties": 10,
+                          "trop.flat_faces": 0, "trop.shots": 5 * eulerian(1, 4)}
+    assert records[2] == {"trop.cells": eulerian(1, 4), "trop.facet_walk": 1,
+                          "trop.facet_walk.ties": 0, "trop.flat_faces": 0,
                           "trop.shots": 5 * eulerian(1, 4)}
-    assert records[2] == {"trop.cells": 6, "trop.wall_walk": 1, "trop.flat_faces": 28,
+    assert records[3] == {"trop.cells": 6, "trop.wall_walk": 1, "trop.flat_faces": 28,
                           "trop.shots": 180}
     assert len(regular_subdivision(positive).cells) == 6
     # off, nothing is counted
     regular_subdivision(tiny)
-    assert obs.counters == records[2] and not obs.enabled
+    assert obs.counters == records[3] and not obs.enabled
