@@ -22,6 +22,7 @@ from .grassmann import (
     Matroid,
     PluckerVector,
     decorated_permutation_of,
+    is_positroid,
     necklace_of_bases,
     perm_of_minors,
     plucker_of_matrix,
@@ -280,10 +281,9 @@ def sample_cell_point(pi: DecoratedPermutation,
     return C, P
 
 
-@lru_cache(maxsize=None)
 def positroid_of_perm(pi: DecoratedPermutation) -> Matroid:
     """The positroid of the cell indexed by ``pi``, read off its Grassmann
-    necklace: the bases B with I_i <=_i B for every i."""
+    necklace, in the table of ``positroid_of_necklace``."""
     return positroid_of_necklace(necklace(pi))
 
 
@@ -303,10 +303,9 @@ def perm_of_graph(G: PlabicGraph) -> DecoratedPermutation:
     planar can have, is a ValueError.
     """
     M = positroid_of_graph(G)
-    pi = perm_of_necklace(necklace_of_bases(M.bases, G.n))
-    if positroid_of_perm(pi) != M:
+    if not is_positroid(M):
         raise ValueError("the matching matroid of the graph is not a positroid")
-    return pi
+    return perm_of_necklace(necklace_of_bases(M.bases, M.n))
 
 
 def cell_dimension(G: PlabicGraph) -> int:

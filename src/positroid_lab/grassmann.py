@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from typing import Sequence
@@ -54,9 +55,6 @@ class PluckerVector:
 
     def coord(self, I) -> Fraction:
         return self.coords[tuple(sorted(I))]
-
-    def support(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(I) for I, v in self.coords.items() if v != 0)
 
     def normalized_tuple(self) -> tuple[Fraction, ...]:
         """Scale so the first nonzero coordinate (lex subset order) is 1."""
@@ -211,18 +209,28 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
     return C
 
 
+def _necklace(bases, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """(I_1, ..., I_n) of a set of sorted k-tuples: I_i is the first of them
+    in the lexicographic order of the cyclic order i < i+1 < ... < i-1."""
+    necklace = []
+    for i in range(1, n + 1):
+        for J in combinations([*range(i, n + 1), *range(1, i)], k):
+            I = tuple(sorted(J))
+            if I in bases:
+                necklace.append(I)
+                break
+    return tuple(necklace)
+
+
 def necklace_of_bases(bases, n: int) -> tuple[tuple[int, ...], ...]:
     """(I_1, ..., I_n): I_i is the basis lexicographically least in the
     cyclic order i < i+1 < ... < i-1, which for a matroid is its least
-    basis in the Gale order <=_i: the largest mask sum 2^(n - b), b in B,
-    rotated left by i - 1 within n bits (b at place p of <_i gives 2^(n-1-p))."""
-    full = (1 << n) - 1
-    masks = {sum(1 << (n - b) for b in B): B for B in bases}
-    return tuple(tuple(sorted(masks[max(masks, key=lambda r: (
-        (r << (i - 1)) | (r >> (n - i + 1))) & full)]))
-                 for i in range(1, n + 1))
+    basis in the Gale order <=_i."""
+    sets = {tuple(sorted(B)) for B in bases}
+    return _necklace(sets, len(next(iter(sets))), n)
 
 
+@lru_cache(maxsize=None)
 def positroid_of_necklace(necklace) -> Matroid:
     """{B : I_i <=_i B for all i}: the intersection of the cyclically
     shifted Schubert matroids of a Grassmann necklace, which is the
@@ -231,7 +239,7 @@ def positroid_of_necklace(necklace) -> Matroid:
     I <=_i B holds exactly when each initial interval {i, i+1, ..., i+t}
     of the order <_i holds at most as many elements of B as of I.  The
     intervals are kept as bitmasks with their counts from I, leaving out
-    the counts no k-set can exceed.
+    the counts no k-set can exceed.  The one positroid table, by necklace.
     """
     n = len(necklace)
     k = len(necklace[0]) if necklace else 0
@@ -292,7 +300,7 @@ def perm_of_minors(minors: Sequence, k: int, n: int) -> DecoratedPermutation:
 
     Some minor must be nonzero, and every nonzero one must have the sign
     of the first.  I_i is then the first column set with a nonzero minor in
-    the lexicographic order of the cyclic order i < i+1 < ... < i-1.
+    the lexicographic order of the cyclic order i < ... < i-1 (``_necklace``).
     """
     lead = next((m for m in minors if m), 0)
     if not lead:
@@ -300,15 +308,7 @@ def perm_of_minors(minors: Sequence, k: int, n: int) -> DecoratedPermutation:
     if (min(minors) if lead > 0 else -max(minors)) < 0:
         raise ValueError("decorated permutation is only defined on the "
                          "totally nonnegative part")
-    bases = {I for I, m in zip(subsets(n, k), minors) if m}
-    necklace = []
-    for i in range(1, n + 1):
-        for J in combinations([*range(i, n + 1), *range(1, i)], k):
-            I = tuple(sorted(J))
-            if I in bases:
-                necklace.append(I)
-                break
-    return perm_of_necklace(tuple(necklace))
+    return perm_of_necklace(_necklace({I for I, m in zip(subsets(n, k), minors) if m}, k, n))
 
 
 def is_tp_by_sign_variation(C: RatMatrix) -> bool:

@@ -148,31 +148,23 @@ def enumerate_D(k_plus_1: int, n: int) -> tuple[WSimplex, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cover_table(k_plus_1: int, n: int
-                 ) -> tuple[tuple[WSimplex, ...], int, dict[frozenset[int], int]]:
-    """The staircase simplices, all their bits, and for each (k+1)-subset
-    the bits of the simplices that have it as a vertex."""
+def _cover_table(k_plus_1: int, n: int) -> tuple[int, dict[frozenset[int], int]]:
+    """All bits of the staircase simplices ``enumerate_D(k+1, n)``, and for
+    each (k+1)-subset the bits of the simplices that have it as a vertex."""
     simplices = enumerate_D(k_plus_1, n)
     bits: dict[frozenset[int], int] = {}
     for i, ws in enumerate(simplices):
         for I in ws.I:
             bits[I] = bits.get(I, 0) | 1 << i
-    return simplices, (1 << len(simplices)) - 1, bits
+    return (1 << len(simplices)) - 1, bits
 
 
-def cover_mask(simplices: tuple[WSimplex, ...], M: Matroid) -> int:
-    """Bit i is set exactly when simplices[i] lies in the polytope of M: all
-    bits less those of the vertices that are not bases of M, read from a
-    table built once per (k+1, n).  ``simplices`` must be the staircase
-    ``enumerate_D(k+1, n)``; no bit for another rank, and ValueError for
-    another ground set."""
-    if not simplices:
-        return 0
-    if simplices[0].n != M.n:
-        raise ValueError("sizes do not match")
-    staircase, full, bits = _cover_table(len(simplices[0].I[0]), M.n)
-    if simplices != staircase:
-        raise ValueError("cover masks are read on the staircase simplices of enumerate_D")
+def cover_mask(M: Matroid) -> int:
+    """Bit i is set exactly when the i-th staircase simplex of
+    ``enumerate_D(M.k, M.n)`` lies in the polytope of M: all bits less those
+    of the vertices that are not bases of M, read from a table built once
+    per (k+1, n)."""
+    full, bits = _cover_table(M.k, M.n)
     missed = 0
     for I, b in bits.items():
         if I not in M.bases:
@@ -263,10 +255,8 @@ def verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
             violations.append(f"tile {p} has wrong type ({M.k},{M.n})")
         if not in_catalog:
             violations.append(f"tile {p} is not a moment-map tile")
-    simplices = enumerate_D(k_plus_1, n)
-    masks = [cover_mask(simplices, M) if (M.k, M.n) == (k_plus_1, n) else 0
-             for _, M, _ in resolved]
-    for i, ws in enumerate(simplices):
+    masks = [cover_mask(M) if (M.k, M.n) == (k_plus_1, n) else 0 for _, M, _ in resolved]
+    for i, ws in enumerate(enumerate_D(k_plus_1, n)):
         hits = [p for p, mask in zip(perms, masks) if mask >> i & 1]
         if len(hits) == 0:
             violations.append(f"simplex of w={''.join(map(str, ws.w))} uncovered")
@@ -299,10 +289,9 @@ class Tiling:
 def _tiles_by_least(k_plus_1: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each staircase simplex, the (catalog index, cover mask) of the
     tiles whose least simplex it is, in catalog order."""
-    simplices = enumerate_D(k_plus_1, n)
-    by_least: list[list[tuple[int, int]]] = [[] for _ in simplices]
+    by_least: list[list[tuple[int, int]]] = [[] for _ in enumerate_D(k_plus_1, n)]
     for idx, rec in enumerate(tile_catalog(k_plus_1, n).values()):
-        mask = cover_mask(simplices, rec.matroid)
+        mask = cover_mask(rec.matroid)
         if mask:
             by_least[(mask & -mask).bit_length() - 1].append((idx, mask))
     return tuple(map(tuple, by_least))

@@ -367,16 +367,18 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     elimination each.  That hull triangulates the subdivision of P
     (Edelsbrunner-Mücke; De Loera-Rambau-Santos), so the walk moves P's
     tilt alone, and ``narrow`` picks the J that tie a shot from simplex s of
-    least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E.  A simplex
-    lies in the cell its gaps select, witnessed by its tilt less y_n.  Cells
-    of a triangulation do not overlap, so none is missing once the |det|/k
-    of the simplices (a face that is no simplex, under a lift that is not
-    generic, has none) add up to A(n-1, k-1) = len(enumerate_D(k, n)).
-    Narrowed shots add to ``trop.facet_walk.ties``."""
+    least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E, on integers
+    and with z taken once per simplex.  A simplex lies in the cell its gaps
+    select, witnessed by its tilt less y_n.  Cells of a triangulation do
+    not overlap, so none is missing once the |det|/k of the simplices (a
+    face that is no simplex, under a lift that is not generic, has none) add
+    up to A(n-1, k-1) = len(enumerate_D(k, n)).  Narrowed shots add to
+    ``trop.facet_walk.ties``."""
     n, k = P.n, P.k
     rows, index, lift = _rows(k, n), _index(k, n), _lift(k, n)
     planes: dict[frozenset[Subset], tuple[list[list[int]], int]] = {}  # adj E, det E
     ties: list[frozenset[Subset]] = []  # the simplices of the shots narrowed
+    tilts: dict[frozenset[Subset], tuple[int, list[int]]] = {}  # |det E|, |det E| z
 
     def directions(face):
         E = [rows[I] for I in sorted(face)]
@@ -393,12 +395,19 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
 
     def narrow(s, hits, d, b):
         ties.append(s)
-        adj, det = planes[s]
-        w = [sum(map(mul, row, map(lift.get, sorted(s)))) for row in adj]  # det z
-        ratio = {J: Fraction(det * lift[J] - sum(w[i] for i in index[J]), det * (d[J] - b))
-                 for J in hits}
-        low = min(ratio.values())
-        return [J for J in hits if ratio[J] == low]
+        if s not in tilts:
+            adj, det = planes[s]
+            r_s = [lift[I] if det > 0 else -lift[I] for I in sorted(s)]
+            tilts[s] = abs(det), [sum(map(mul, row, r_s)) for row in adj]
+        D, w = tilts[s]
+        A, m0, low = None, None, []  # least a / m, as in _shoot: the ratio is a / (D m)
+        for J in hits:
+            a, m = D * lift[J] - sum(map(w.__getitem__, index[J])), d[J] - b
+            if A is None or a * m0 < A * m:
+                A, m0, low = a, m, [J]
+            elif a * m0 == A * m:
+                low.append(J)
+        return low
 
     walked = _walk(n, P.table(), directions, lift=lift, narrow=narrow)
     obs.count("trop.facet_walk.ties", len(ties))
@@ -425,7 +434,7 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
         obs.count("trop.wall_walk")
         cells = _cells_by_wall_search(P)
         D = enumerate_D(k, n)
-        masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+        masks = [cover_mask(cell.matroid(k, n)) for cell in cells]
         # an exact cover: the union is all of D and no simplex is counted twice
         if (reduce(or_, masks, 0) != (1 << len(D)) - 1
                 or sum(mask.bit_count() for mask in masks) != len(D)):

@@ -30,7 +30,8 @@ tests);
 ``varbar_bruteforce`` tries every sign completion;
 ``sorted_key_necklace`` reads each I_i of a Grassmann necklace as the basis
 of least sorted cyclic places, with one ``sorted`` key per basis, as
-``grassmann.necklace_of_bases`` did before it compared rotated bit masks;
+``grassmann.necklace_of_bases`` did before it compared rotated bit masks
+and then scanned the k-sets in cyclic lexicographic order;
 ``fraction_positivity_violation`` is the three-term exchange check summed
 in ``Fraction``s, as ``trop.positivity_violation`` ran before it scaled the
 heights to integers once and walked a quad plan per (k, n);

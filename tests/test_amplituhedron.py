@@ -465,7 +465,7 @@ def test_sign_masks_match_the_per_arc_and_walked_oracles(n):
 def test_open_tiles_are_the_t_dual_tiles_that_cover_the_chamber():
     Z, _, ws, _ = _gr26_setup()
     recs = list(tile_catalog(3, 6).values())
-    covers = [cover_mask(ws, rec.matroid) for rec in recs]
+    covers = [cover_mask(rec.matroid) for rec in recs]
     rng = Random(18)
     for _ in range(300):
         Y = sample_interior_point(2, 6, Z, rng)

@@ -15,7 +15,8 @@ from positroid_lab.cells import (
     positroid_of_perm,
     sample_cell_matrix,
 )
-from positroid_lab.grassmann import decorated_permutation_of, plucker_of_matrix, is_tnn
+from positroid_lab.grassmann import (decorated_permutation_of, is_tnn, plucker_of_matrix,
+                                     positroid_of_necklace)
 from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.plabic import positroid_of_graph, trip_permutation
 
@@ -144,16 +145,16 @@ def test_positroid_paths_take_no_minor_realization_or_matching(monkeypatch):
     perms = list(enumerate_decorated(4, k=2))
     calls = _count_calls(monkeypatch, [(exact, "det"), (cells, "matrix_realization"),
                                        (plabic, "matchings")])
-    positroid_of_perm.cache_clear()
+    positroid_of_necklace.cache_clear()
     assert positroid_of_perm(parse_decorated("(3,1,4,2)")).sorted_bases() == \
         [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
     positroid_catalog.cache_clear()
-    positroid_of_perm.cache_clear()
+    positroid_of_necklace.cache_clear()
     assert len(positroid_catalog(3, 6)) == len(list(enumerate_decorated(6, k=3)))
     assert faces_are_positroids(D)
     assert sum(closure_leq(mu, pi) for mu in perms for pi in perms) > len(perms)
     tile_catalog.cache_clear()
-    positroid_of_perm.cache_clear()
+    positroid_of_necklace.cache_clear()
     assert len(tile_catalog(3, 6)) == 48
     assert calls == []
 

@@ -385,6 +385,24 @@ def test_necklace_of_bases_matches_the_sorted_key_oracle():
     assert others > 200
 
 
+def test_minors_and_bases_reach_one_necklace_reader(monkeypatch):
+    from positroid_lab import grassmann
+
+    reader, calls = grassmann._necklace, []
+
+    def counting(bases, k, n):
+        calls.append((sorted(bases), k, n))
+        return reader(bases, k, n)
+
+    pi = parse_decorated("(3,4,1,2,5_)")
+    C = sample_cell_matrix(pi, Random(3))
+    minors = [v.numerator for v in plucker_of_matrix(C).coords.values()]
+    monkeypatch.setattr(grassmann, "_necklace", counting)
+    assert grassmann.perm_of_minors(minors, 2, 5) == pi
+    assert necklace_of_bases(matroid_of(plucker_of_matrix(C)).bases, 5) == necklace(pi)
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
 def test_is_positroid_rejects_a_gale_cut_non_matroid():
     # {13, 24} equals the envelope of its lexicographic minima, but it
     # fails basis exchange, and those minima are no Grassmann necklace

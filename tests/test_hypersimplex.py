@@ -197,18 +197,12 @@ def test_cover_mask_bits_are_the_simplices_in_the_tile():
         for k1 in range(1, n):
             D = enumerate_D(k1, n)
             for rec in tile_catalog(k1, n).values():
-                mask = cover_mask(D, rec.matroid)
+                mask = cover_mask(rec.matroid)
                 assert [i for i in range(len(D)) if mask >> i & 1] == \
                     [i for i, ws in enumerate(D) if simplex_in_positroid(ws, rec.matroid)]
                 assert mask >> len(D) == 0
                 checked += 1
     assert checked == 514
-    D = enumerate_D(3, 6)
-    assert cover_mask(D, uniform_matroid(2, 6)) == 0
-    with pytest.raises(ValueError, match="sizes do not match"):
-        cover_mask(D, uniform_matroid(3, 7))
-    with pytest.raises(ValueError, match="staircase"):
-        cover_mask(D[1:], uniform_matroid(3, 6))
 
 
 @pytest.mark.parametrize("k1, n, count", [(2, n, binomial(2 * (n - 2), n - 2) // (n - 1))

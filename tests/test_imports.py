@@ -1,5 +1,6 @@
-"""Every imported name is used and every exported name exists: a removal
-leaves no import and no ``__all__`` entry behind."""
+"""Every imported name is used, every exported name exists and every
+definition of the library is read: a removal leaves no import, no
+``__all__`` entry and no dead method behind."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "positroid_lab").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
 SOURCES = [p for p in MODULES if p.parent.name == "positroid_lab"]
+READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,6 +80,46 @@ def test_the_export_scan_finds_a_stale_entry():
     source = ("from a import b\nc: int = 1\ndef d(): pass\nclass E: pass\n"
               "__all__ = ['b', 'c', 'd', 'E', 'gone']\n")
     assert undefined_exports(source) == ["gone"]
+
+
+def dead_definitions(library: list[str], readers: list[str]) -> list[str]:
+    """Top-level functions of the ``library`` sources that no reader names,
+    and methods (dunders aside) that no reader reads as an attribute."""
+    attrs, names = set(), set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    dead = []
+    for source in library:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in names | attrs:
+                dead.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                dead += [f"{node.name}.{m.name}" for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                         and m.name not in attrs]
+    return dead
+
+
+def test_every_definition_of_the_library_is_read():
+    assert len(READERS) > len(MODULES) + 10
+    assert dead_definitions([p.read_text() for p in SOURCES],
+                            [p.read_text() for p in READERS]) == []
+
+
+def test_the_definition_scan_finds_a_dead_method():
+    library = ("class P:\n    def __eq__(self, o): pass\n    def used(self): pass\n"
+               "    def support(self): pass\ndef f(): pass\ndef g(): pass\n")
+    readers = [library, "from lib import f\nP().used()\n"]
+    assert dead_definitions([library], readers) == ["P.support", "g"]
+    assert dead_definitions([library], readers + ["x.support\ng()\n"]) == []
+    # a method named only as a plain name is still dead
+    assert dead_definitions([library], readers + ["support\ng\n"]) == ["P.support"]
 
 
 def private_exact_imports(source: str) -> list[str]:

@@ -15,6 +15,7 @@ from oracles import (fraction_argmin_face, fraction_moved, fraction_positivity_v
                      resumming_wall_search, span_scan, zero_one_directions)
 from positroid_lab import exact, obs, trop
 from positroid_lab.exact import RatMatrix, det, integer_det
+from positroid_lab.grassmann import necklace_of_bases, positroid_of_necklace
 from positroid_lab.hypersimplex import (
     binomial,
     cover_mask,
@@ -95,6 +96,20 @@ def test_random_positive_instances_are_positroidal():
             D = regular_subdivision(P)
             assert faces_are_positroids(D)
             assert is_finest(D) == (len(D.cells) == binomial(n - 2, k - 1))
+
+
+def test_faces_are_positroids_builds_one_positroid_per_necklace():
+    rng = Random(0)
+    positroid_of_necklace.cache_clear()
+    cells, necklaces = 0, set()
+    for _ in range(50):
+        D = regular_subdivision(random_positive_tropical(3, 6, rng))
+        assert faces_are_positroids(D)
+        cells += len(D.cells)
+        necklaces.update(necklace_of_bases(c.matroid(3, 6).bases, 6) for c in D.cells)
+    info = positroid_of_necklace.cache_info()
+    assert info.misses == len(necklaces) and info.hits + info.misses == cells
+    assert (cells, len(necklaces)) == (295, 43)
 
 
 def test_non_positive_tropical_can_fail_positroid_check():
@@ -564,7 +579,7 @@ def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n,
     rng = Random(1)
     for _ in range(count):
         cells = regular_subdivision(random_positive_tropical(k, n, rng)).cells
-        masks = [cover_mask(D, cell.matroid(k, n)) for cell in cells]
+        masks = [cover_mask(cell.matroid(k, n)) for cell in cells]
         assert all(a & b == 0 for a, b in combinations(masks, 2))
         assert reduce(or_, masks) == (1 << len(D)) - 1
         assert sum(mask.bit_count() for mask in masks) == eulerian(k - 1, n - 1)
@@ -573,10 +588,9 @@ def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n,
 def test_audit_rejects_a_double_cover(monkeypatch):
     P = random_positive_tropical(2, 5, Random(0))
     cells = trop._cells_by_wall_search(P)
-    D = enumerate_D(2, 5)
     # cells[1] twice in place of cells[2] still counts eulerian(1, 4) simplices;
     # cells[1] once more covers every simplex
-    assert [cover_mask(D, c.matroid(2, 5)).bit_count() for c in cells] == [5, 3, 3]
+    assert [cover_mask(c.matroid(2, 5)).bit_count() for c in cells] == [5, 3, 3]
     for fake in ([cells[0], cells[1], cells[1]], cells + [cells[1]]):
         monkeypatch.setattr(trop, "_cells_by_wall_search", lambda P: fake)
         with pytest.raises(RuntimeError, match="not an exact cover"):
