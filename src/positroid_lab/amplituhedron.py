@@ -76,12 +76,6 @@ class ZMatrix:
                                     prod(M.dens[i - 1] for i in I))
         return got
 
-    def twisted_shift(self) -> "ZMatrix":
-        """Rows 2..n, then the twisted row (-1)^(p-1) Z_1."""
-        rows = [list(self.row(i)) for i in range(2, self.n + 1)]
-        rows.append([(-1) ** (self.p - 1) * x for x in self.row(1)])
-        return ZMatrix(RatMatrix.from_rows(rows))
-
     def to_json(self) -> list[list[str]]:
         return self.mat.to_json()
 

@@ -86,9 +86,6 @@ class RatMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.entry(i, j) for i in range(self.rows))
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def _cleared_cols(self) -> tuple[list[list[int]], int]:
         """The columns as integers over one denominator D, the lcm of the
         rows' denominators, and D."""

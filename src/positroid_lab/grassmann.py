@@ -109,9 +109,6 @@ class Matroid:
             if len(B) != self.k or not B <= ground:
                 raise ValueError(f"bad basis {sorted(B)}")
 
-    def is_basis(self, I) -> bool:
-        return frozenset(I) in self.bases
-
     def loops(self) -> frozenset[int]:
         used = set().union(*self.bases)
         return frozenset(set(range(1, self.n + 1)) - used)

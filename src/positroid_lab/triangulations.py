@@ -286,21 +286,23 @@ def _rooted_subdivisions(i: int, j: int, black: bool, k: int) -> tuple[tuple, ..
     whose cell on the side (i, j) is black (or white), as pairs (black
     polygons, white polygons).  That cell keeps i, j and some vertices in
     between; the polygon cut off under each of its other sides is
-    subdivided in turn, with the other colour on that side."""
+    subdivided in turn, with the other colour on that side.  A black cell
+    takes r of the k triangles, and under a white one each cut-off polygon
+    takes at least one, so no cell over budget is subdivided."""
     out = []
-    for r in range(1, j - i):
+    for r in range(1, min(j - i, k + 1) if black else j - i):
+        rest = k - r if black else k
         for mid in combinations(range(i + 1, j), r):
             cell = (i, *mid, j)
-            rest = k - (r if black else 0)
-            if rest < 0:
+            cuts = [(a, b) for a, b in zip(cell, cell[1:]) if b - a >= 2]
+            if not black and len(cuts) > rest:
                 continue
             partial = [(0, (cell,), ()) if black else (0, (), (cell,))]
-            for a, b in zip(cell, cell[1:]):
-                if b - a >= 2:
-                    partial = [(used + m, bl + sub_bl, wh + sub_wh)
-                               for used, bl, wh in partial
-                               for m in range(rest - used + 1)
-                               for sub_bl, sub_wh in _rooted_subdivisions(a, b, not black, m)]
+            for a, b in cuts:
+                partial = [(used + m, bl + sub_bl, wh + sub_wh)
+                           for used, bl, wh in partial
+                           for m in range(rest - used + 1)
+                           for sub_bl, sub_wh in _rooted_subdivisions(a, b, not black, m)]
             out += [(bl, wh) for used, bl, wh in partial if used == rest]
     return tuple(out)
 

@@ -7,10 +7,13 @@ positroid polytopes, and the finest ones are exactly the moment-map tilings.
 One walk finds the cells of every subdivision, shooting the tilt of a cell
 across cyclic-interval walls (n(n - 1) normals, one per class modulo
 (1, ..., 1)) for positive tropical heights, and for all others across the
-simplex facets of P + εr, a fixed lift r breaking P's ties.  The walk runs
-on integers: each tilt and its gaps over one positive denominator each, the
-tables u . e_I of each direction, and a simplex's facet normals and |det|
-off one elimination (``integer_adjugate``).  The witness tilts become
+simplex facets of P + εr, a fixed lift r breaking P's ties.  A face the
+wall walk meets is a positroid polytope, a cell exactly when its matroid is
+connected (Ardila-Rincon-Williams, Feichtner-Sturmfels), which bit masks
+tell with no elimination; the facet walk grows its first cell by integer
+rank.  The walk runs on integers: each tilt and its gaps over one positive
+denominator each, the tables u . e_I of each direction, and a simplex's
+facet normals and |det| off one elimination (``integer_adjugate``).  The witness tilts become
 fractions once per cell, and each cell is certified afresh on integer gaps,
 on heights scaled to integers once per subdivision as for the exchange check.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 from operator import mul, or_
@@ -161,9 +164,40 @@ class Subdivision:
 
 
 def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
-    """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them."""
+    """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them.
+    Only the facet walk's growth and ``walls`` take it: faces met on
+    positive heights are told by ``_connected``."""
     rows = _rows(len(sets[0]), n)
     return integer_rank([rows[I] for I in sets]) - 1
+
+
+@lru_cache(maxsize=None)
+def _swaps(k: int, n: int) -> dict[Subset, tuple]:
+    """Each k-subset I of [n] with, for each i in I, the pairs (2^j, I - i + j)
+    over the j in [n] off I."""
+    return {I: tuple(tuple((1 << j, tuple(sorted(set(I) - {i} | {j})))
+                           for j in range(1, n + 1) if j not in I) for i in I)
+            for I in subsets(n, k)}
+
+
+def _connected(k: int, n: int, face: frozenset[Subset]) -> bool:
+    """Whether the matroid whose bases are ``face`` is connected (0 < k < n).
+    Its fundamental graph on a basis B joins i in B to j off B when
+    B - i + j is a basis, and it is connected exactly when the matroid is.
+    A matroid polytope has dimension n - c(M), c(M) the number of connected
+    components (Feichtner-Sturmfels, math/0411260), and every face of a
+    positroidal subdivision is a positroid polytope (Ardila-Rincon-Williams,
+    1308.2698), so there a face is a cell exactly when this holds: k(n - k)
+    set lookups, with no elimination."""
+    rows = [sum([bit for bit, J in row if J in face]) for row in _swaps(k, n)[next(iter(face))]]
+    reach, rest = rows[0], rows[1:]  # the j off B joined to B's first i, then grown
+    while rest:
+        near = [row for row in rest if row & reach]
+        if not near:
+            return False
+        rest = [row for row in rest if not row & reach]
+        reach = reduce(or_, near, reach)
+    return reach.bit_count() == n - k
 
 
 def _face(gaps: dict) -> frozenset[Subset]:
@@ -258,13 +292,16 @@ def _step(index: dict[Subset, tuple[int, ...]], u: list[int]) -> tuple:
     return u, {I: sum(map(at, ix)) for I, ix in index.items()}
 
 
-def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
-    """From the flat tilt, whose gaps are the heights, shoot along the first
-    (u, d) of ``directions(face)`` constant on the face that hits, until the
-    face is full-dimensional (0 < k < n); returns the cell and its state."""
-    Y, r = [0] * n, 1
+def _grow_to_cell(n: int, tab: dict, directions, full):
+    """From the flat tilt of the heights ``tab``, as integers L P_I over the
+    lcm L of their denominators, shoot along the first (u, d) of
+    ``directions(face)`` constant on the face that hits, until
+    ``full(face)``; returns the cell and its state, as ``_walk`` keeps it."""
+    L = lcm(*(h.denominator for h in tab.values()))
+    gaps = {I: h.numerator * (L // h.denominator) for I, h in tab.items()}
+    Y, r, q = [0] * n, 1, L
     face = _face(gaps)
-    while _aff_rank_sets(n, sorted(face)) < n - 1:
+    while not full(face):
         for u, d in directions(face):
             shot = _shoot(gaps, face, d) if len({d[I] for I in face}) == 1 else None
             if shot is not None:
@@ -276,22 +313,15 @@ def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions):
     return face, (Y, r, gaps, q)
 
 
-def _walk(n: int, tab: dict[Subset, Fraction], directions, lift=None, narrow=None) -> dict:
-    """Grow a cell from the heights ``tab``, as integers L P_I over the lcm L
-    of their denominators, then shoot from each cell found along every
-    (u, d) of ``directions(cell)``; a face reached is a new cell when it is
-    full-dimensional and not yet found.  Returns each cell's state: its
-    witness tilt y = Y / r as integers over one r > 0, and that tilt's gap
-    table as integers G_I over one q > 0, G_I / q = P_I - y . e_I, each
-    pair in lowest terms.  With a ``lift``, the walk starts from the lift's
-    cell inside the first one, takes every face reached as full-dimensional
-    and breaks ties by ``narrow`` (``_shoot``).  Shots add to ``trop.shots``,
-    flat faces to ``trop.flat_faces``."""
-    L = lcm(*(h.denominator for h in tab.values()))
-    start, state = _grow_to_cell(
-        n, {I: h.numerator * (L // h.denominator) for I, h in tab.items()}, L, directions)
-    if lift is not None and len(start) > n:
-        start = _grow_to_cell(n, {I: lift[I] for I in start}, 1, directions)[0]
+def _walk(start: frozenset[Subset], state: tuple, directions, full, narrow=None) -> dict:
+    """Shoot from the cell ``start``, with its ``state``, and from each cell
+    found along every (u, d) of ``directions(cell)``; a face reached is a
+    new cell when ``full(face)`` and not yet found.  Returns each cell's
+    state: its witness tilt y = Y / r as integers over one r > 0, and that
+    tilt's gap table as integers G_I over one q > 0, G_I / q = P_I - y . e_I,
+    each pair in lowest terms.  Ties break by ``narrow`` (``_shoot``).
+    Shots add to ``trop.shots``, faces that are not full to
+    ``trop.flat_faces``."""
     cells = {start: state}
     flat: set[frozenset[Subset]] = set()  # faces reached that are not cells
     queue, shots = [start], 0
@@ -307,7 +337,7 @@ def _walk(n: int, tab: dict[Subset, Fraction], directions, lift=None, narrow=Non
             step, nb = shot
             if nb in cells or nb in flat:
                 continue
-            if lift is not None or _aff_rank_sets(n, sorted(nb)) == n - 1:
+            if full(nb):
                 cells[nb] = _moved(Y, r, gaps, q, u, d, step)
                 queue.append(nb)
             else:
@@ -346,9 +376,11 @@ def _interval_directions(n: int) -> list[list[int]]:
 def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
     """Grow a cell and cross every wall along the cyclic-interval directions.
     Growing never fails: faces of positroidal subdivisions are positroid
-    polytopes, cut out by these directions."""
+    polytopes, cut out by these directions, and a face is a cell exactly
+    when ``_connected``."""
     steps = _interval_steps(P.k, P.n)
-    cells = _walk(P.n, P.table(), lambda face: steps)
+    directions, full = (lambda face: steps), partial(_connected, P.k, P.n)
+    cells = _walk(*_grow_to_cell(P.n, P.table(), directions, full), directions, full)
     return [SubdivisionCell(c, tuple(Fraction(a, cells[c][1]) for a in cells[c][0]))
             for c in sorted(cells, key=sorted)]
 
@@ -409,7 +441,14 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
                 low.append(J)
         return low
 
-    walked = _walk(n, P.table(), directions, lift=lift, narrow=narrow)
+    def spans(face):
+        return _aff_rank_sets(n, sorted(face)) == n - 1
+
+    start, state = _grow_to_cell(n, P.table(), directions, spans)
+    if len(start) > n:
+        start = _grow_to_cell(n, {I: lift[I] for I in start}, directions, spans)[0]
+    # a face reached across a facet holds it and a vertex off its plane
+    walked = _walk(start, state, directions, lambda face: True, narrow)
     obs.count("trop.facet_walk.ties", len(ties))
     if sum(abs(planes[s][1]) for s in walked if s in planes) != k * len(enumerate_D(k, n)):
         raise RuntimeError("the facet walk missed a simplex")

@@ -40,8 +40,10 @@ heights to integers once and walked a quad plan per (k, n);
 it kept one per class; the necklace reader, the exchange check and the
 wall search (on the reduced list) are compared with them;
 ``uniform_matroid``, ``satisfies_basis_exchange`` (the exchange axiom,
-brute force) and ``three_term_relation_holds`` (every three-term Plücker
-relation) serve the tests only; ``zero_one_directions``
+brute force), ``three_term_relation_holds`` (every three-term Plücker
+relation), ``row_list`` (a ``RatMatrix`` as lists of ``Fraction`` rows),
+``twisted_shift`` (the twisted cyclic shift of a ``ZMatrix``, which stays
+positive) and ``is_basis`` serve the tests only; ``zero_one_directions``
 lists every signed 0/1 vector as a candidate wall normal.  The tests
 compare ``exact.det``, ``exact.rank``, ``exact.kernel_basis``,
 ``exact.integer_minors``, ``exact.maximal_minors``,
@@ -172,7 +174,7 @@ def fraction_det(M: RatMatrix) -> Fraction:
     n = M.rows
     if n == 0:
         return Fraction(1)
-    a = M.row_list()
+    a = row_list(M)
     sgn = 1
     prev = Fraction(1)
     for k in range(n - 1):
@@ -269,6 +271,23 @@ def fraction_arc_value(v, table: dict):
     return -ratio if (v.arc_area - v.dist_area) % 2 else ratio
 
 
+def row_list(M: RatMatrix) -> list[list[Fraction]]:
+    """The rows of M as lists of ``Fraction``s."""
+    return [list(M.row(i)) for i in range(M.rows)]
+
+
+def twisted_shift(Z: ZMatrix) -> ZMatrix:
+    """Rows 2..n, then the twisted row (-1)^(p-1) Z_1; ``ZMatrix`` raises
+    unless its maximal minors stay positive."""
+    rows = [list(Z.row(i)) for i in range(2, Z.n + 1)]
+    rows.append([(-1) ** (Z.p - 1) * x for x in Z.row(1)])
+    return ZMatrix(RatMatrix.from_rows(rows))
+
+
+def is_basis(M: Matroid, I) -> bool:
+    return frozenset(I) in M.bases
+
+
 def uniform_matroid(k: int, n: int) -> Matroid:
     return Matroid(n, k, frozenset(frozenset(I) for I in subsets(n, k)))
 
@@ -294,7 +313,7 @@ def three_term_relation_holds(P: PluckerVector) -> bool:
 def fraction_rref(M: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices, by
     Gauss-Jordan elimination over Fraction."""
-    a = M.row_list()
+    a = row_list(M)
     rows, cols = M.rows, M.cols
     pivots: list[int] = []
     r = 0

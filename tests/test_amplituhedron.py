@@ -52,10 +52,12 @@ from oracles import (
     fraction_entry_matmul,
     fraction_twistor_table,
     per_arc_tile_membership,
+    row_list,
     sample_interior_point,
     sample_tile_point,
     sampled_tiling_audit,
     simplex_in_positroid,
+    twisted_shift,
     twistor_via_expansion,
     walked_chamber_membership,
     walked_flip_sets,
@@ -83,8 +85,8 @@ def test_square_Z_single_minor():
 
 
 def test_twisted_shift_stays_positive():
-    Z4.twisted_shift()  # would raise if a minor went nonpositive
-    make_positive_Z(5, 3, [0, 1, 2, 3, 4]).twisted_shift()
+    twisted_shift(Z4)  # would raise if a minor went nonpositive
+    twisted_shift(make_positive_Z(5, 3, [0, 1, 2, 3, 4]))
 
 
 def test_amp_map_unit_vector_hits_Z_row():
@@ -191,7 +193,7 @@ def test_integer_rows_and_twistor_pairs_match_the_fraction_paths(n):
         for params in ([1] * dim, [Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
                                    for _ in range(dim)]):
             C = matrix_realization(pi, params)
-            F = C.row_list()
+            F = row_list(C)
             _same_matrix(C, F)
             k = C.rows
             perm = perm_of_minors(integer_minors(cleared_rows(F)[0], n), k, n)
@@ -204,7 +206,7 @@ def test_integer_rows_and_twistor_pairs_match_the_fraction_paths(n):
                 Zs[k] = make_positive_Z(n, k + 2, range(n)), seeds
             Z, seeds = Zs[k]
             Y = amp_map(C, Z)
-            rows = fraction_entry_matmul(C.row_list(), Z.mat.row_list())
+            rows = fraction_entry_matmul(row_list(C), row_list(Z.mat))
             _same_matrix(Y.Y, rows)
             table = fraction_twistor_table(rows, Z)
             assert twistor_table(Y, Z) == table

@@ -25,7 +25,7 @@ from positroid_lab.exact import (
 from positroid_lab.amplituhedron import amp_map, make_positive_Z, sign_stratum
 from positroid_lab.util import rat_from_str
 
-from oracles import (bareiss_minors, fraction_det, fraction_matmul, fraction_rref,
+from oracles import (bareiss_minors, fraction_det, fraction_matmul, fraction_rref, row_list,
                      varbar_bruteforce)
 
 
@@ -177,7 +177,7 @@ def test_det_matches_fraction_bareiss_and_sympy():
         assert d == fraction_det(M), M
         if M.rows and t % 3 == 0:
             ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                                for row in M.row_list()]).det()
+                                for row in row_list(M)]).det()
             assert d == Fraction(int(ref.p), int(ref.q)), M
         singular += d == 0
     assert singular >= 30
@@ -209,7 +209,7 @@ def _sympy_matrix(M: RatMatrix):
     import sympy
 
     return sympy.Matrix(M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for row in M.row_list() for x in row])
+                                         for row in row_list(M) for x in row])
 
 
 def test_rectangular_det_rank_kernel_match_fraction_oracles_and_sympy():
@@ -222,7 +222,7 @@ def test_rectangular_det_rank_kernel_match_fraction_oracles_and_sympy():
         assert rank(M) == len(pivots), M
         K = kernel_basis(M)
         assert (K.rows, K.cols) == (c - len(pivots), c), M
-        assert K.row_list() == _rref_kernel(M), M
+        assert row_list(K) == _rref_kernel(M), M
         if r == c:
             assert det(M) == fraction_det(M), M
         deficient += len(pivots) < min(r, c)
@@ -234,7 +234,7 @@ def test_rectangular_det_rank_kernel_match_fraction_oracles_and_sympy():
                 assert tuple(spiv) == pivots, M
             if r:
                 null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
-                assert null == K.row_list(), M
+                assert null == row_list(K), M
             if r == c:
                 ref = S.det()
                 assert det(M) == Fraction(int(ref.p), int(ref.q)), M
@@ -250,14 +250,14 @@ def test_ratmatrix_keeps_canonical_integer_rows():
     assert list(M.row(0) + M.row(1)) == xs
     assert all(type(x) is Fraction for x in M.row(0) + M.row(1))
     C = M.columns([2, 0])
-    assert C.row_list() == [[xs[2], xs[0]], [xs[5], xs[3]]]
+    assert row_list(C) == [[xs[2], xs[0]], [xs[5], xs[3]]]
     assert C.ints == ((15, 7), (1, 0)) and C.dens == (21, 1)
     S = M.submatrix([1], [1, 2])
-    assert S.row_list() == [[xs[4], xs[5]]] and S.dens == (4,)
+    assert row_list(S) == [[xs[4], xs[5]]] and S.dens == (4,)
     T = M.transpose()
     assert all(T.entry(j, i) == M.entry(i, j) for i in range(2) for j in range(3))
     assert T.col(1) == M.row(1) and T.transpose() == M
-    F = RatMatrix.from_rows(M.row_list())
+    F = RatMatrix.from_rows(row_list(M))
     assert F == M and hash(F) == hash(M) and F.to_json() == M.to_json()
     # the same values over other denominators give the same rows
     G = RatMatrix.from_integer_rows([[14, -84, 30], [0, -27, -12]], [42, -12], 3)
@@ -269,7 +269,7 @@ def test_ratmatrix_keeps_canonical_integer_rows():
         RatMatrix.from_integer_rows([[1, 2]], [1], 3)
     N = RatMatrix.from_rows([[1, -2], [0, 7]])
     assert all(type(x) is Fraction for x in N.row(0) + N.row(1))
-    assert N.row_list() == [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(7)]]
+    assert row_list(N) == [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(7)]]
 
 
 def _random_integer_rows(rng: Random, r: int, c: int) -> list[list[int]]:
@@ -297,7 +297,7 @@ def test_integer_rank_kernel_det_match_fraction_oracles():
         assert integer_rank(rows) == len(pivots), rows
         K = integer_kernel(rows, c)
         B = _rref_kernel(M)
-        assert kernel_basis(M).row_list() == B, rows
+        assert row_list(kernel_basis(M)) == B, rows
         assert len(K) == len(B) == c - len(pivots), rows
         for v, b in zip(K, B):
             assert all(type(x) is int for x in v), rows

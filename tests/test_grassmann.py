@@ -34,6 +34,7 @@ from oracles import (
     permutation_of_plucker,
     rank_decorated_permutation,
     realized_positroid,
+    row_list,
     satisfies_basis_exchange,
     sorted_key_necklace,
     three_term_relation_holds,
@@ -227,7 +228,7 @@ def test_sign_variation_decides_tp_on_random_integer_matrices():
         if rng.random() < 0.5:  # a totally positive point, in either orientation
             C = sample_cell_matrix(top_cell_permutation(k, n), rng)
             sign = rng.choice((-1, 1))
-            C = RatMatrix.from_rows([[sign * x for x in C.row(0)]] + C.row_list()[1:])
+            C = RatMatrix.from_rows([[sign * x for x in C.row(0)]] + row_list(C)[1:])
         else:
             C = RatMatrix(k, n, [rng.choice((0, 0, 1, 2, 5, -1, -3)) for _ in range(k * n)])
         if exact.rank(C) < k:
@@ -328,7 +329,7 @@ def test_necklace_permutation_matches_rank_oracle_up_to_n6():
             assert permutation_of_plucker(plucker_of_matrix(C)) == pi
             if C.rows:
                 # one negated row flips every minor: a TNN point in negative orientation
-                rows = C.row_list()
+                rows = row_list(C)
                 rows[0] = [-x for x in rows[0]]
                 D = RatMatrix.from_rows(rows)
                 assert decorated_permutation_of(D) == pi

@@ -35,6 +35,7 @@ from positroid_lab.triangulations import BicoloredTriangulation
 from lp import point_in_hull
 from oracles import (
     frozenset_tilings,
+    is_basis,
     jacobian_cell_dimension,
     rotation_descent_sets,
     scan_verify_tiling,
@@ -276,7 +277,7 @@ def test_tile_inequalities_characterize_bases():
                 for B in combinations(range(1, n + 1), k1):
                     point = tuple(1 if i in B else 0 for i in range(1, n + 1))
                     assert point_satisfies_inequalities(point, ineqs) == \
-                        rec.matroid.is_basis(B), rec.perm
+                        is_basis(rec.matroid, B), rec.perm
                 tiles += 1
     assert tiles == 514
 

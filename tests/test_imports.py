@@ -15,6 +15,12 @@ READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 
 
+def test_the_library_stays_below_4651_lines():
+    # the lines ``wc -l src/positroid_lab/*.py`` sums: a capability that
+    # adds code pays for it with deletions
+    assert sum(p.read_bytes().count(b"\n") for p in SOURCES) < 4651
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import that the module never loads and does not
     list in its ``__all__``."""

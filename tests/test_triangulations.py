@@ -1,5 +1,6 @@
 """Bicolored triangulations, subdivisions, flips, and the area statistic."""
 
+import hashlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from positroid_lab.perms import parse_decorated
 from positroid_lab.plabic import dual_graph_of_triangulation, trip_permutation
 from positroid_lab.triangulations import (
     BicoloredTriangulation,
+    _rooted_subdivisions,
     area,
     arcs_cross,
     class_representative,
@@ -133,6 +135,24 @@ def test_enumerate_subdivisions_matches_the_triangulation_scan():
     assert enumerate_subdivisions(7, 9) == []
     with pytest.raises(ValueError, match="need n >= 3"):
         enumerate_subdivisions(2, 0)
+
+
+def test_enumerate_subdivisions_subdivides_no_cell_over_budget():
+    _rooted_subdivisions.cache_clear()
+    (S,) = enumerate_subdivisions(20, 0)
+    assert S.white_polygons == frozenset({tuple(range(1, 21))}) and not S.black_polygons
+    # the black root takes no cell, and no white cell but the whole polygon
+    # leaves no side to subdivide: no polygon under the root is visited
+    assert _rooted_subdivisions.cache_info().currsize == 2
+    # the classes at n = 9, as listed before any cell was pruned
+    digests = []
+    for k in range(8):
+        keys = [S.key() for S in enumerate_subdivisions(9, k)]
+        digests.append((len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()[:16]))
+    assert digests == [(1, "befe2c002c55ba82"), (84, "2c2e028781834cfb"),
+                       (1008, "5dd7e1ebea2be025"), (3186, "4d5201a8e71e2c9a"),
+                       (3186, "6656610f124a9ce1"), (1008, "0a09debcea14d692"),
+                       (84, "794045e8aa0eb1e9"), (1, "0bac90a233edcf5f")]
 
 
 def test_subdivision_counts_match_tiles():

@@ -14,6 +14,7 @@ from oracles import (fraction_argmin_face, fraction_moved, fraction_positivity_v
                      fraction_step, full_interval_directions, kernel_directions,
                      resumming_wall_search, span_scan, zero_one_directions)
 from positroid_lab import exact, obs, trop
+from positroid_lab.cells import positroid_catalog
 from positroid_lab.exact import RatMatrix, det, integer_det
 from positroid_lab.grassmann import necklace_of_bases, positroid_of_necklace
 from positroid_lab.hypersimplex import (
@@ -135,6 +136,7 @@ def _random_heights(k, n, rng, hi):
 
 
 GENERIC_DRAWS = [(2, 4, 6), (2, 5, 5), (2, 6, 3), (3, 6, 1)]
+POSITIVE_DRAWS = [(2, 4, 8), (2, 5, 6), (3, 6, 6), (2, 7, 3), (3, 7, 2), (4, 8, 1)]
 
 
 def _generic_draws(k, n, count):
@@ -182,7 +184,8 @@ def _check_walk_steps(monkeypatch, draws):
     facet walk compared with the two-kernel oracle, every move of a tilt
     with the ``Fraction`` one, and every |det| the walk recorded with
     ``integer_det``."""
-    walk, moved, adjugate = trop._walk, trop._moved, trop.integer_adjugate
+    walk, grow = trop._walk, trop._grow_to_cell
+    moved, adjugate = trop._moved, trop.integer_adjugate
     dets, walks, counts = {}, [], Counter()
 
     def recording_adjugate(E):
@@ -199,18 +202,25 @@ def _check_walk_steps(monkeypatch, draws):
         counts["moved"] += 1
         return got
 
-    def checked_walk(n, tab, directions, **kw):
+    def checking(n, directions):
         def checked(face):
             got = directions(face)
-            assert got == kernel_directions(n, tab, face)
+            assert got == kernel_directions(n, subsets(n, len(next(iter(face)))), face)
             counts["directions"] += 1
             return got
 
-        walks.append(walk(n, tab, checked, **kw))
+        return checked
+
+    def checked_grow(n, tab, directions, full):
+        return grow(n, tab, checking(n, directions), full)
+
+    def checked_walk(start, state, directions, full, narrow):
+        walks.append(walk(start, state, checking(len(state[0]), directions), full, narrow))
         return walks[-1]
 
     monkeypatch.setattr(trop, "integer_adjugate", recording_adjugate)
     monkeypatch.setattr(trop, "_moved", checked_moved)
+    monkeypatch.setattr(trop, "_grow_to_cell", checked_grow)
     monkeypatch.setattr(trop, "_walk", checked_walk)
     for P in draws:
         walks.clear()
@@ -393,8 +403,7 @@ def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
         assert trop._cells_by_wall_search(P) == fast  # the cached steps are untouched
 
 
-@pytest.mark.parametrize("k, n, count",
-                         [(2, 4, 8), (2, 5, 6), (3, 6, 6), (2, 7, 3), (3, 7, 2), (4, 8, 1)])
+@pytest.mark.parametrize("k, n, count", POSITIVE_DRAWS)
 def test_wall_search_matches_the_full_interval_list(monkeypatch, k, n, count):
     rng = Random(14)
     for _ in range(count):
@@ -408,6 +417,54 @@ def test_wall_search_matches_the_full_interval_list(monkeypatch, k, n, count):
         assert fast == slow  # vertices, witnesses and order
         assert record["trop.flat_faces"] == full["trop.flat_faces"]
         assert 2 * record["trop.shots"] == full["trop.shots"] == len(fast) * 2 * n * (n - 1)
+
+
+def _positive_draws():
+    rng = Random(14)
+    return [random_positive_tropical(k, n, rng) for k, n, count in POSITIVE_DRAWS
+            for _ in range(count)]
+
+
+def _spans(n, face) -> bool:
+    """The rank oracle: the e_I of ``face`` span an affine (n - 1)-space."""
+    return trop._aff_rank_sets(n, sorted(face)) == n - 1
+
+
+def test_connectivity_tells_cells_from_flat_faces_as_the_rank_does(monkeypatch):
+    connected, verdicts = trop._connected, Counter()
+    # every positroid with n <= 6, as a set of bases
+    for n in range(2, 7):
+        for k in range(1, n):
+            for bases in positroid_catalog(k, n):
+                face = frozenset(tuple(sorted(B)) for B in bases)
+                verdicts[n, connected(k, n, face)] += 1
+                assert connected(k, n, face) == _spans(n, face), (k, n, sorted(face))
+    # the connected ones are counted by the stabilized-interval-free
+    # permutations of [n] (Ardila-Rincon-Williams)
+    assert [verdicts[n, True] for n in range(2, 7)] == [1, 2, 7, 34, 206]
+    assert sum(verdicts[n, False] for n in range(2, 7)) == 2109
+    # and every face that the wall walk meets on positive draws
+    faces = []
+    monkeypatch.setattr(trop, "_connected",
+                        lambda k, n, face: faces.append((k, n, face)) or connected(k, n, face))
+    for P in _positive_draws():
+        regular_subdivision(P)
+    verdicts = Counter(connected(k, n, face) for k, n, face in faces)
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    assert all(connected(k, n, face) == _spans(n, face) for k, n, face in faces)
+
+
+def test_positive_subdivisions_take_no_rank(monkeypatch):
+    ranks, rank = [], trop.integer_rank
+    monkeypatch.setattr(trop, "integer_rank", lambda rows: ranks.append(rows) or rank(rows))
+    for P in _positive_draws():
+        D = regular_subdivision(P)
+        assert faces_are_positroids(D)
+        is_finest(D)
+    assert ranks == []
+    # the facet walk still grows its first cell by rank
+    regular_subdivision(_generic_draws(2, 5, 1)[0])
+    assert ranks
 
 
 def test_positivity_violation_matches_the_fraction_oracle():
@@ -515,38 +572,40 @@ def _rational_heights(k, n, rng, positive):
 def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
     walks = []
     original = trop._walk
-
-    def recording(n, tab, directions, **kw):
-        cells = original(n, tab, directions, **kw)
-        walks.append((tab, cells))
-        return cells
-
-    monkeypatch.setattr(trop, "_walk", recording)
+    monkeypatch.setattr(trop, "_walk", lambda *a: walks.append(original(*a)) or walks[-1])
     rng = Random(9)
     for positive in (True, False):
         for _ in range(3):
             P = _rational_heights(k, n, rng, positive)
             assert is_positive_tropical(P) == positive
             assert any(h.denominator > 1 for h in P.heights)
+            walks.clear()
             regular_subdivision(P)
-    assert len(walks) >= 6
-    for tab, cells in walks:
-        for cell, (Y, r, G, q) in cells.items():
-            assert type(q) is int and q > 0 and type(r) is int and r > 0
-            assert all(type(a) is int for a in Y) and gcd(r, *Y) == 1
-            assert G.keys() == tab.keys() and all(type(g) is int for g in G.values())
-            y = [Fraction(a, r) for a in Y]
-            for I, h in tab.items():
-                assert Fraction(G[I], q) == h - sum(y[i - 1] for i in I)
-            assert trop._face(G) == cell
+            assert len(walks) == 1
+            tab = P.table()
+            for cell, (Y, r, G, q) in walks[0].items():
+                assert type(q) is int and q > 0 and type(r) is int and r > 0
+                assert all(type(a) is int for a in Y) and gcd(r, *Y) == 1
+                assert G.keys() == tab.keys() and all(type(g) is int for g in G.values())
+                y = [Fraction(a, r) for a in Y]
+                for I, h in tab.items():
+                    assert Fraction(G[I], q) == h - sum(y[i - 1] for i in I)
+                assert trop._face(G) == cell
 
 
 def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
     rng = Random(12)
     P = random_positive_tropical(3, 6, rng)
     tab, index = P.table(), trop._index(3, 6)
-    cells = trop._walk(6, tab, lambda face: [trop._step(index, u)
-                                             for u in trop._interval_directions(6)])
+    steps = [trop._step(index, u) for u in trop._interval_directions(6)]
+
+    def directions(face):
+        return steps
+
+    def full(face):
+        return trop._connected(3, 6, face)
+
+    cells = trop._walk(*trop._grow_to_cell(6, tab, directions, full), directions, full)
     rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(6)]
                 for _ in range(20)]
     for w in zero_one_directions(6) + rational:
