@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -78,21 +80,11 @@ class ExchangeVariable:
     old: object
 
     def value(self, tw: Twistor):
-        vals_in, vals_out = Fraction(1), Fraction(1)
-        for v in self.incoming:
-            x = v.value(tw)
-            if x == "boundary":
-                return "boundary"
-            vals_in *= x
-        for v in self.outgoing:
-            x = v.value(tw)
-            if x == "boundary":
-                return "boundary"
-            vals_out *= x
-        denom = self.old.value(tw)
-        if denom == "boundary" or denom == 0:
+        vals = [v.value(tw) for v in (*self.incoming, *self.outgoing, self.old)]
+        if "boundary" in vals or not vals[-1]:
             return "boundary"
-        return (vals_in + vals_out) / denom
+        i = len(self.incoming)
+        return (prod(vals[:i]) + prod(vals[i:-1])) / vals[-1]
 
     def label(self) -> str:
         return f"mu({self.old.label()})"
@@ -158,7 +150,7 @@ def build_seed(T: BicoloredTriangulation,
     dist = dict(default)
     for poly, arc in distinguished.items():
         poly = tuple(sorted(poly))
-        arc = (min(arc), max(arc))
+        arc = _arc(arc)
         if poly not in dist:
             raise ValueError(f"{poly} is not a black polygon")
         if arc not in polygon_sides(poly):
@@ -177,91 +169,67 @@ def _seed(T: BicoloredTriangulation, dist_items: tuple | None = None) -> Seed:
     frozen: set[Arc] = set()
     variables: dict[Arc, object] = {}
     for poly in black_polygons(T):
-        pset = set(poly)
         boundary = set(polygon_sides(poly))
-        arcs_in_poly = set()
-        for tri in T.black:
-            if set(tri) <= pset:
-                a, b, c = tri
-                arcs_in_poly |= {(a, b), (b, c), (a, c)}
         d = dist[poly]
-        for arc in sorted(arcs_in_poly):
-            if arc == d:
-                continue
+        arcs_in_poly = {arc for tri in T.black if set(tri) <= set(poly)
+                        for arc in combinations(tri, 2)}
+        for arc in sorted(arcs_in_poly - {d}):
             keys.append(arc)
             if arc in boundary:
                 frozen.add(arc)
             variables[arc] = ArcVariable(arc, areas[arc], d, areas[d])
-    arrows: dict[tuple[Arc, Arc], int] = {}
+    b: dict[tuple[Arc, Arc], int] = {}  # arrows u -> v minus arrows v -> u
     for tri in sorted(T.black):
-        a, b, c = tri
-        cycle = [(a, b), (b, c), (a, c)]  # clockwise walk a -> b -> c -> a
-        for t in range(3):
-            u, v = cycle[t], cycle[(t + 1) % 3]
-            if u in variables and v in variables:
-                if u in frozen and v in frozen:
-                    continue
-                arrows[(u, v)] = arrows.get((u, v), 0) + 1
-    _cancel_two_cycles(arrows)
+        ab, ac, bc = combinations(tri, 2)  # clockwise walk a -> b -> c -> a
+        for u, v in ((ab, bc), (bc, ac), (ac, ab)):
+            if u in variables and v in variables and not {u, v} <= frozen:
+                b[u, v] = b.get((u, v), 0) + 1
+                b[v, u] = b.get((v, u), 0) - 1
+    arrows = {uv: m for uv, m in b.items() if m > 0}
     return Seed(tuple(keys), frozenset(frozen), arrows, variables)
 
 
-def _cancel_two_cycles(arrows: dict[tuple[Arc, Arc], int]) -> None:
-    for (u, v) in list(arrows):
-        if arrows.get((u, v), 0) and arrows.get((v, u), 0):
-            m = min(arrows[(u, v)], arrows[(v, u)])
-            arrows[(u, v)] -= m
-            arrows[(v, u)] -= m
-    for key in [k for k, m in arrows.items() if m == 0]:
-        del arrows[key]
+def _arc(arc) -> Arc:
+    if len(arc) != 2 or arc[0] == arc[1]:
+        raise ValueError(f"{arc} is not an arc on two distinct vertices")
+    return (min(arc), max(arc))
 
 
 def mutate(S: Seed, key: Arc, new_key: Arc | None = None) -> Seed:
-    """Standard quiver mutation at a mutable vertex.
+    """Fomin-Zelevinsky mutation of the exchange matrix b(u, v), the arrows
+    u -> v minus the arrows v -> u, at a mutable vertex.
 
     The new variable is (product over arrows in + product over arrows out)
-    divided by the old one; frozen variables may appear in the products.
-    ``new_key`` optionally relabels the mutated vertex (the flipped arc).
+    divided by the old one; frozen variables may appear in the products,
+    and arrows between two frozen vertices are dropped.  ``new_key``
+    optionally relabels the mutated vertex (the flipped arc); it may not
+    name another vertex.
     """
-    key = (min(key), max(key))
+    key = _arc(key)
     if key not in S.keys:
         raise ValueError(f"no vertex {key}")
     if key in S.frozen:
         raise ValueError(f"vertex {key} is frozen")
-    incoming = [(u, m) for (u, v), m in S.arrows.items() if v == key and m]
-    outgoing = [(w, m) for (v, w), m in S.arrows.items() if v == key and m]
-    new_var = ExchangeVariable(
-        tuple(S.variables[u] for u, m in incoming for _ in range(m)),
-        tuple(S.variables[w] for w, m in outgoing for _ in range(m)),
-        S.variables[key],
-    )
-    nk = key if new_key is None else (min(new_key), max(new_key))
-    rename = {key: nk}
-    arrows: dict[tuple[Arc, Arc], int] = {}
-    for (u, v), m in S.arrows.items():
-        if not m:
-            continue
-        if u == key or v == key:
-            u2, v2 = rename.get(v, v), rename.get(u, u)  # reversal
-            arrows[(u2, v2)] = arrows.get((u2, v2), 0) + m
-        else:
-            arrows[(u, v)] = arrows.get((u, v), 0) + m
-    for u, mu in incoming:
-        for w, mw in outgoing:
-            arrows[(u, w)] = arrows.get((u, w), 0) + mu * mw
-    _cancel_two_cycles(arrows)
-    for pair in [p for p, m in arrows.items() if m and _both_frozen(S, rename, p)]:
-        del arrows[pair]
+    nk = key if new_key is None else _arc(new_key)
+    if nk != key and nk in S.keys:
+        raise ValueError(f"{nk} already names another vertex")
+
+    def b(u, v):
+        return S.arrows.get((u, v), 0) - S.arrows.get((v, u), 0)
+
+    new_var = ExchangeVariable(tuple(S.variables[u] for u in S.keys for _ in range(b(u, key))),
+                               tuple(S.variables[w] for w in S.keys for _ in range(b(key, w))),
+                               S.variables[key])
     keys = tuple(nk if k == key else k for k in S.keys)
-    variables = {nk if k == key else k: (new_var if k == key else S.variables[k])
-                 for k in S.keys}
+    arrows = {}
+    for u, u2 in zip(S.keys, keys):
+        for v, v2 in zip(S.keys, keys):
+            m = -b(u, v) if key in (u, v) else (
+                b(u, v) + (abs(b(u, key)) * b(key, v) + b(u, key) * abs(b(key, v))) // 2)
+            if m > 0 and not {u, v} <= S.frozen:
+                arrows[u2, v2] = m
+    variables = {k2: new_var if k == key else S.variables[k] for k, k2 in zip(S.keys, keys)}
     return Seed(keys, S.frozen, arrows, variables)
-
-
-def _both_frozen(S: Seed, rename, pair) -> bool:
-    back = {new: old for old, new in rename.items()}
-    u, v = pair
-    return back.get(u, u) in S.frozen and back.get(v, v) in S.frozen
 
 
 @dataclass

@@ -105,7 +105,11 @@ of a tile in turn and compares it as a ``Fraction``, and
 ``walked_flip_sets`` and ``walked_chamber_membership`` walk the twisted
 sequence of every a twistor by twistor, as ``amplituhedron`` did before a
 point kept its sign masks; ``tile_membership_m2`` and
-``w_chamber_membership`` are compared with them.
+``w_chamber_membership`` are compared with them.  ``bookkeeping_mutate`` is
+the quiver mutation that ``cluster.mutate`` ran before the exchange-matrix
+rule: it reverses the arrows at the vertex, adds an arrow u -> w per path
+u -> key -> w, cancels 2-cycles and drops arrows between frozen vertices
+through a reverse rename; ``mutate`` is compared with it.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ from positroid_lab.amplituhedron import (
     twistor,
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
-from positroid_lab.cluster import AdjacencyReport
+from positroid_lab.cluster import AdjacencyReport, ExchangeVariable, Seed
 from positroid_lab.exact import (RatMatrix, det, integer_det, integer_kernel, integer_minors,
                                  kernel_basis, rank)
 from positroid_lab.grassmann import (
@@ -1032,3 +1036,58 @@ def walked_chamber_membership(flip_sets, ws: WSimplex):
         if flips != ws.vertex(a) - {a}:
             return False
     return True
+
+
+def bookkeeping_mutate(S: Seed, key, new_key=None) -> Seed:
+    """Quiver mutation at a mutable vertex by arrow lists: reverse the arrows
+    at ``key``, add the products of in- and out-arrows, cancel 2-cycles and
+    drop arrows between two frozen vertices."""
+    key = (min(key), max(key))
+    if key not in S.keys:
+        raise ValueError(f"no vertex {key}")
+    if key in S.frozen:
+        raise ValueError(f"vertex {key} is frozen")
+    incoming = [(u, m) for (u, v), m in S.arrows.items() if v == key and m]
+    outgoing = [(w, m) for (v, w), m in S.arrows.items() if v == key and m]
+    new_var = ExchangeVariable(
+        tuple(S.variables[u] for u, m in incoming for _ in range(m)),
+        tuple(S.variables[w] for w, m in outgoing for _ in range(m)),
+        S.variables[key],
+    )
+    nk = key if new_key is None else (min(new_key), max(new_key))
+    rename = {key: nk}
+    arrows: dict = {}
+    for (u, v), m in S.arrows.items():
+        if not m:
+            continue
+        if u == key or v == key:
+            u2, v2 = rename.get(v, v), rename.get(u, u)  # reversal
+            arrows[(u2, v2)] = arrows.get((u2, v2), 0) + m
+        else:
+            arrows[(u, v)] = arrows.get((u, v), 0) + m
+    for u, mu in incoming:
+        for w, mw in outgoing:
+            arrows[(u, w)] = arrows.get((u, w), 0) + mu * mw
+    _cancel_two_cycles(arrows)
+    for pair in [p for p, m in arrows.items() if m and _both_frozen(S, rename, p)]:
+        del arrows[pair]
+    keys = tuple(nk if k == key else k for k in S.keys)
+    variables = {nk if k == key else k: (new_var if k == key else S.variables[k])
+                 for k in S.keys}
+    return Seed(keys, S.frozen, arrows, variables)
+
+
+def _cancel_two_cycles(arrows: dict) -> None:
+    for (u, v) in list(arrows):
+        if arrows.get((u, v), 0) and arrows.get((v, u), 0):
+            m = min(arrows[(u, v)], arrows[(v, u)])
+            arrows[(u, v)] -= m
+            arrows[(v, u)] -= m
+    for key in [k for k, m in arrows.items() if m == 0]:
+        del arrows[key]
+
+
+def _both_frozen(S: Seed, rename, pair) -> bool:
+    back = {new: old for old, new in rename.items()}
+    u, v = pair
+    return back.get(u, u) in S.frozen and back.get(v, v) in S.frozen

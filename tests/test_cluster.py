@@ -1,11 +1,13 @@
 """Seeds from triangulations: variables, mutation, positivity, adjacency."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from positroid_lab.amplituhedron import make_positive_Z, twistor
 from positroid_lab.cluster import (
+    Seed,
     black_polygons,
     build_seed,
     cluster_adjacency_check,
@@ -18,8 +20,8 @@ from positroid_lab.triangulations import (
     flippable_arcs,
 )
 
-from oracles import (enumerate_bicolored, noncrossing, sample_interior_point, sample_tile_point,
-                     sampled_adjacency)
+from oracles import (bookkeeping_mutate, enumerate_bicolored, noncrossing, sample_interior_point,
+                     sample_tile_point, sampled_adjacency)
 
 
 def flipped_arc(T, arc):
@@ -174,6 +176,101 @@ def test_mutation_rejects_frozen():
     S = build_seed(T)
     with pytest.raises(ValueError):
         mutate(S, (2, 3))
+
+
+def test_mutation_refuses_a_relabel_onto_another_vertex():
+    T = BicoloredTriangulation.make(5, black=[(1, 2, 3), (1, 3, 4)], white=[(1, 4, 5)])
+    S = build_seed(T)
+    with pytest.raises(ValueError, match="another vertex"):
+        mutate(S, (1, 3), new_key=(1, 4))
+    assert mutate(S, (1, 3), new_key=(3, 1)).keys == S.keys
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 4), (1, 3, 4), (3, 3), (1,)])
+def test_mutate_and_build_seed_refuse_arcs_not_on_two_vertices(bad):
+    T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
+    S = build_seed(T)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        mutate(S, bad)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        mutate(S, (1, 3), new_key=bad)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        build_seed(T, {(1, 2, 3, 4): bad})
+
+
+def assert_clean_quiver(S):
+    """No arrow runs both ways, none is a self-arrow, none joins two frozen
+    vertices, and every arrow joins two vertices of the seed."""
+    for (u, v), m in S.arrows.items():
+        assert m > 0 and u != v and (v, u) not in S.arrows, (u, v)
+        assert {u, v} <= set(S.keys) and not {u, v} <= S.frozen, (u, v)
+
+
+def assert_matches_bookkeeping(Sm, So, Z, points):
+    assert Sm.to_json() == So.to_json()
+    for Y in points:
+        assert Sm.evaluate(Y, Z) == So.evaluate(Y, Z)
+    assert_clean_quiver(Sm)
+    assert_clean_quiver(So)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exchange_matrix_mutation_matches_arrow_bookkeeping(n):
+    rng = Random(n)
+    checked = 0
+    for k in range(1, n - 1):
+        Z = make_positive_Z(n, k + 2, list(range(n)))
+        points = [sample_interior_point(k, n, Z, rng) for _ in range(2)]
+        for T in enumerate_bicolored(n, k):
+            S = build_seed(T)
+            assert_clean_quiver(S)
+            for key in S.mutable_keys():
+                for new_key in (None, flipped_arc(T, key)):
+                    assert_matches_bookkeeping(mutate(S, key, new_key),
+                                               bookkeeping_mutate(S, key, new_key), Z, points)
+                    checked += 1
+    assert checked == {4: 4, 5: 40, 6: 336}[n]
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["plain", "flip"])
+def test_exchange_matrix_mutation_chains_match_arrow_bookkeeping(relabel):
+    n, rng = 7, Random(7)
+    steps = 0
+    for k in range(2, n - 1):
+        Z = make_positive_Z(n, k + 2, list(range(n)))
+        points = [sample_interior_point(k, n, Z, rng) for _ in range(2)]
+        seeds = [T for T in enumerate_bicolored(n, k) if build_seed(T).mutable_keys()]
+        for T in rng.sample(seeds, 3):
+            Sm = So = build_seed(T)
+            for _ in range(6):
+                key = rng.choice(Sm.mutable_keys())
+                new_key = flipped_arc(T, key) if relabel else None
+                Sm, So = mutate(Sm, key, new_key), bookkeeping_mutate(So, key, new_key)
+                assert_matches_bookkeeping(Sm, So, Z, points)
+                if relabel:
+                    T = flip(T, key)
+                steps += 1
+    assert steps == 4 * 3 * 6
+
+
+def test_exchange_matrix_mutation_matches_arrow_bookkeeping_on_multiple_arrows():
+    T = BicoloredTriangulation.make(6, black=[(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6)])
+    base = build_seed(T)
+    Z = make_positive_Z(6, 6, list(range(6)))
+    rng = Random(5)
+    points = [sample_interior_point(4, 6, Z, rng) for _ in range(2)]
+    for _ in range(4):
+        arrows = {}
+        for u, v in combinations(base.keys, 2):
+            m = rng.randint(-2, 2)
+            if m and not {u, v} <= base.frozen:
+                arrows[(u, v) if m > 0 else (v, u)] = abs(m)
+        Sm = So = Seed(base.keys, base.frozen, arrows, base.variables)
+        for _ in range(4):
+            key = rng.choice(Sm.mutable_keys())
+            Sm, So = mutate(Sm, key), bookkeeping_mutate(So, key)
+            assert_matches_bookkeeping(Sm, So, Z, points)
+        assert max(Sm.arrows.values()) > 1
 
 
 def test_exchange_reduces_to_twistor_plucker_relation():

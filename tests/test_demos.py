@@ -1,7 +1,9 @@
-"""Every demo script runs to the end under ``python -O``, and no library
-check is an ``assert`` that ``python -O`` would strip."""
+"""Every demo script runs to the end under ``python -O``, a pinned demo
+prints its pinned bytes, and no library check is an ``assert`` that
+``python -O`` would strip."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +13,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# sha256 of stdout: a rewrite of the code a pinned demo runs must print the same bytes
+PINNED_STDOUT = {
+    "07_cluster_seeds": "d2fe81456c752304675f453641cbf67c7c284cfdaa7c295fdd62e47c194ebc35",
+}
 
 
 def test_all_demos_are_collected():
@@ -24,6 +30,8 @@ def test_demo_runs_under_optimize(demo):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if demo.stem in PINNED_STDOUT:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_STDOUT[demo.stem]
 
 
 def test_library_has_no_assert_statements():
