@@ -40,9 +40,9 @@ for t in enumerate_tilings(2, 4):
 
 print("\nverification verdicts:")
 good = verify_tiling([parse_decorated("(3,1,4,2)"), parse_decorated("(2,4,1,3)")], 2, 4)
-print("  pair covers every staircase simplex once:", good.valid)
+print("  pair covers every staircase simplex once:", good["valid"])
 bad = verify_tiling([parse_decorated("(3,1,4,2)")], 2, 4)
-print("  singleton:", bad.valid, "|", "; ".join(bad.violations))
+print("  singleton:", bad["valid"], "|", "; ".join(bad["violations"]))
 
 print("\ncutting one tile out by interval inequalities:")
 rec = tile_catalog(2, 4)[parse_decorated("(3,1,4,2)")]

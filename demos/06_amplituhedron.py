@@ -54,9 +54,9 @@ for w, c in sorted(tally.items()):
 
 print("\ntiling verification, audited on one exact point inside each tile:")
 rep = verify_amp_tiling_m2([T123, T134], Z)
-print("  both triangles of one diagonal:", rep.valid)
+print("  both triangles of one diagonal:", rep["valid"])
 rep_bad = verify_amp_tiling_m2([T123], Z)
-print("  single triangle:", rep_bad.valid, "|", rep_bad.violations[-1])
+print("  single triangle:", rep_bad["valid"], "|", rep_bad["violations"][-1])
 
 print("\none extra dimension instead of two (m = 1):")
 Z1 = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
@@ -66,5 +66,5 @@ print("  image of a totally positive point is a member:", m1_membership(Y1, Z1))
 
 print("\nthe orthogonal-complement model agrees coordinate by coordinate:")
 repb = b_point(C, Z1)
-print("  dimension correct:", repb.dim_ok,
-      "| minors match twistors up to one scalar:", repb.consistent)
+print("  dimension correct:", repb["dim_ok"],
+      "| minors match twistors up to one scalar:", repb["consistent"])

@@ -61,5 +61,6 @@ print("  values on a tile sample all positive:",
 print("\nfacet arcs and compatible signs for the 123 triangle tile:")
 T1 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
 rep = cluster_adjacency_check(T1)
-print("  facets (sides of the black polygons):", rep.facet_arcs)
-print("  compatible twistors with signs (-1)^area:", rep.compatible_tested)
+print("  facets (sides of the black polygons):", [tuple(a) for a in rep["facet_arcs"]])
+print("  compatible twistors with signs (-1)^area:",
+      [(tuple(a), s) for a, s in rep["compatible_tested"]])

@@ -59,7 +59,7 @@ class ZMatrix:
         for I, m in zip(subsets(self.n, self.p), integer_minors(mat.transpose().ints, self.n)):
             if m <= 0:
                 raise ValueError(f"maximal minor at rows {I} is not positive")
-        self.witnesses: tuple[list[AmplituhedronPoint], dict] | None = None
+        self.witnesses: tuple[list[AmplituhedronPoint], dict, dict] | None = None
         self.minors: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def row(self, i: int) -> tuple[Fraction, ...]:
@@ -345,122 +345,79 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
     return "boundary" if first_miss is None else False
 
 
-@dataclass
-class AmpTilingReport:
-    valid: bool
-    k: int
-    n: int
-    tiles: list
-    hypersimplex_report: object
-    sample_audit_ok: bool
-    violations: list[str]
-
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "k": self.k,
-            "n": self.n,
-            "tiles": [t.to_json() for t in self.tiles],
-            "hypersimplex": self.hypersimplex_report.to_json(),
-            "sample_audit_ok": self.sample_audit_ok,
-            "violations": self.violations,
-        }
-
-
-def _held(Z: ZMatrix, T: BicoloredTriangulation) -> tuple[int, int]:
-    """Bit masks, over the tile catalog of type (p - 2, n), of the witnesses
-    that T's closed and open tile hold; Z keeps the witnesses and each T's
-    masks.  A tile's witness is the Z-image of its T-dual cell at unit
-    bridge parameters: a tile is the image of its T-dual cell
+def _held(Z: ZMatrix, T: BicoloredTriangulation) -> tuple[int, int, int]:
+    """T's position in the tile catalog of type (p - 2, n), and the bit masks,
+    over that catalog, of the witnesses that T's closed and open tile hold;
+    Z keeps the witnesses, the catalog positions and each T's triple.  A
+    tile's witness is the Z-image of its T-dual cell at unit bridge
+    parameters: a tile is the image of its T-dual cell
     (Parisi-Sherman-Bennett-Williams), so the witness is in the open tile."""
     if Z.witnesses is None:
-        cells = [t_dual(pi) for pi in tile_catalog(Z.p - 1, Z.n)]
+        labels = tile_catalog(Z.p - 1, Z.n)
+        cells = [t_dual(pi) for pi in labels]
         Z.witnesses = ([amp_map(matrix_realization(c, [1] * cell_dim_of_perm(c)), Z)
-                        for c in cells], {})
-    points, held = Z.witnesses
+                        for c in cells], {pi: j for j, pi in enumerate(labels)}, {})
+    points, position, held = Z.witnesses
     if T not in held:
         got = [tile_membership_m2(Y, Z, T) for Y in points]
-        held[T] = (sum(1 << j for j, v in enumerate(got) if v is not False),
+        held[T] = (position[T.subdivision.trip_permutation()],
+                   sum(1 << j for j, v in enumerate(got) if v is not False),
                    sum(1 << j for j, v in enumerate(got) if v is True))
     return held[T]
 
 
-def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation],
-                         Z: ZMatrix) -> AmpTilingReport:
+def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix) -> dict:
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
     then audit geometrically on the witness of every catalog tile: a listed
     tile holds its own witness strictly, no other listed tile holds it even
     on its boundary, and every witness lies in some closed listed tile.
     The type (k, n) = (p - 2, n) is read off Z; a tile of another type is a
-    violation and stays out of the audit."""
+    violation and stays out of the audit.  The result is the JSON record
+    {valid, k, n, tiles, hypersimplex (``verify_tiling``'s record),
+    sample_audit_ok, violations}."""
     k, n = Z.p - 2, Z.n
     if k < 0:
         raise ValueError(f"m = 2 tiles need Z with p >= 2 columns, not {Z.p}")
     violations = [f"tile {T!r} has mismatched type" for T in tiles if (T.n, T.k) != (n, k)]
-    hrep = verify_tiling(tiles, k + 1, n)
-    if not hrep.valid:
-        violations.extend("T-dual: " + v for v in hrep.violations)
-    typed = [T for T in tiles if (T.n, T.k) == (n, k)]
     labels = list(tile_catalog(k + 1, n))
-    own = [labels.index(T.subdivision.trip_permutation()) for T in typed]
-    held = [_held(Z, T) for T in typed]
-    covered = reduce(or_, (closed for closed, _ in held), 0)
+    resolved = [_held(Z, T) if (T.n, T.k) == (n, k) else None for T in tiles]
+    hrep = verify_tiling([T if h is None else labels[h[0]] for T, h in zip(tiles, resolved)],
+                         k + 1, n)
+    violations.extend("T-dual: " + v for v in hrep["violations"])
+    held = [h for h in resolved if h is not None]
+    covered = reduce(or_, (closed for _, closed, _ in held), 0)
     audit = [f"no listed tile holds the witness of tile {t_dual(pi)!r}"
              for j, pi in enumerate(labels) if not covered >> j & 1]
-    for i, a in enumerate(own):
-        if not held[i][1] >> a & 1:
+    for i, (a, _, strict) in enumerate(held):
+        if not strict >> a & 1:
             audit.append(f"tile {t_dual(labels[a])!r} does not hold its witness strictly")
         audit.extend(f"tile {t_dual(labels[b])!r} holds the witness of tile {t_dual(labels[a])!r}"
-                     for j, b in enumerate(own) if j != i and held[j][0] >> a & 1)
+                     for j, (b, closed, _) in enumerate(held) if j != i and closed >> a & 1)
     violations.extend(audit)
-    return AmpTilingReport(not violations, k, n, list(tiles), hrep, not audit, violations)
+    return {"valid": not violations, "k": k, "n": n, "tiles": [T.to_json() for T in tiles],
+            "hypersimplex": hrep, "sample_audit_ok": not audit, "violations": violations}
 
 
-@dataclass
-class BPointReport:
-    consistent: bool
-    dim_ok: bool
-    X: RatMatrix
-    scalar: Fraction | None
-
-    def to_json(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "dim_ok": self.dim_ok,
-            "X": self.X.to_json(),
-            "scalar": rat_to_str(self.scalar) if self.scalar is not None else None,
-        }
-
-
-def b_point(C: RatMatrix, Z: ZMatrix) -> BPointReport:
+def b_point(C: RatMatrix, Z: ZMatrix) -> dict:
     """Intersect the orthogonal complement of C's row space with the column
     span of Z and compare its coordinates against the twistors of Y = CZ.
 
     x = Z a is orthogonal to C's rows exactly when Y a = 0, so the
     intersection is spanned by Z times the kernel of Y.  The two coordinate
-    vectors must agree up to one global scalar.
+    vectors must agree up to one global scalar: the twistor over the
+    coordinate at X's first nonzero one.  The result is the JSON record
+    {consistent, dim_ok, X, scalar}, with a scalar only when consistent.
     """
     m = Z.p - C.rows
     Y = C.matmul(Z.mat)
     X = kernel_basis(Y).matmul(Z.mat.transpose())
     dim_ok = rank(X) == m and X.rows == m
-    if not dim_ok:
-        return BPointReport(False, False, X, None)
-    PX = plucker_of_matrix(X)
-    table = twistor_table(Y, Z)
-    scalar = None
-    consistent = True
-    for I in subsets(C.cols, m):
-        p, t = PX.coords[I], table[I]
-        if p == 0 and t == 0:
-            continue
-        if p == 0 or t == 0:
-            consistent = False
-            break
-        ratio = t / p
-        if scalar is None:
-            scalar = ratio
-        elif ratio != scalar:
-            consistent = False
-            break
-    return BPointReport(consistent, dim_ok, X, scalar)
+    consistent, scalar = False, None
+    if dim_ok:
+        PX = plucker_of_matrix(X).coords
+        table = twistor_table(Y, Z)
+        first = next(I for I in subsets(C.cols, m) if PX[I])
+        scalar = table[first] / PX[first]
+        consistent = scalar != 0 and all(table[I] == scalar * PX[I] for I in table)
+    return {"consistent": consistent, "dim_ok": dim_ok, "X": X.to_json(),
+            "scalar": rat_to_str(scalar) if consistent else None}

@@ -197,7 +197,7 @@ def _emit(args, payload: dict) -> None:
         for key, val in payload.items():
             print(f"{key}: {val}")
     else:
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(payload, indent=2))
 
 
 def cmd_cell(args) -> int:
@@ -269,7 +269,7 @@ def cmd_tilings(args) -> int:
         Z = _parse_z(args.z, n, args.k + 2)
         if "tilings" in payload:
             payload["audited"] = [verify_amp_tiling_m2([recs[i].triangulation for i in sol],
-                                                       Z).valid for sol in tilings]
+                                                       Z)["valid"] for sol in tilings]
     _emit(args, payload)
     return 0 if all(payload.get("audited", ())) else 1
 
@@ -325,7 +325,7 @@ def cmd_amp_sample(args) -> int:
 
 def _verify_file(args, path: str, space: str | None) -> int:
     """Verify the tiling file at ``path`` in its space (or in ``space``),
-    print the report and return its exit code.  The rank is "k", or else
+    print its record and return its exit code.  The rank is "k", or else
     "k_plus_1" - 1; an amplituhedron tiling is checked against --z, by
     default on the moment curve at 0..n-1."""
     data, n, space, tiles = _read_tiling(path, space)
@@ -341,8 +341,8 @@ def _verify_file(args, path: str, space: str | None) -> int:
         tris = [_tile_triangulation(t, k, n) for t in tiles]
         Z = _parse_z(args.z, n, k + 2)
         rep = verify_amp_tiling_m2(tris, Z)
-    _emit(args, rep.to_json())
-    return 0 if rep.valid else 1
+    _emit(args, rep)
+    return 0 if rep["valid"] else 1
 
 
 def cmd_amp_verify(args) -> int:

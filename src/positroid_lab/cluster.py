@@ -232,28 +232,17 @@ def mutate(S: Seed, key: Arc, new_key: Arc | None = None) -> Seed:
     return Seed(keys, S.frozen, arrows, variables)
 
 
-@dataclass
-class AdjacencyReport:
-    facet_arcs: list[Arc]
-    compatible_tested: list[tuple[Arc, int]]
-
-    def to_json(self) -> dict:
-        return {
-            "facet_arcs": [list(a) for a in self.facet_arcs],
-            "compatible_tested": [[list(a), s] for a, s in self.compatible_tested],
-        }
-
-
-def cluster_adjacency_check(T: BicoloredTriangulation) -> AdjacencyReport:
+def cluster_adjacency_check(T: BicoloredTriangulation) -> dict:
     """Facet arcs of the m = 2 tile of T and the twistor sign of every arc
     compatible with them, by theorem (Parisi-Sherman-Bennett-Williams,
     arXiv 2104.08254): the facets lie on the sides of T's black polygons,
     which are pairwise noncrossing, and every other arc (h, l) crossing
     none of them has the fixed sign (-1)^area(T, h, l) of <Y Z_h Z_l> on
-    the open tile."""
+    the open tile.  The result is the JSON record {facet_arcs: [[h, l], ...],
+    compatible_tested: [[[h, l], sign], ...]}."""
     facet_arcs = sorted({a for poly in black_polygons(T) for a in polygon_sides(poly)})
-    compatible_tested = [((h, l), (-1) ** area(T, h, l))
-                         for h in range(1, T.n + 1) for l in range(h + 1, T.n + 1)
-                         if (h, l) not in facet_arcs
-                         and not any(arcs_cross((h, l), a) for a in facet_arcs)]
-    return AdjacencyReport(facet_arcs, compatible_tested)
+    return {"facet_arcs": [list(a) for a in facet_arcs],
+            "compatible_tested": [[[h, l], (-1) ** area(T, h, l)]
+                                  for h in range(1, T.n + 1) for l in range(h + 1, T.n + 1)
+                                  if (h, l) not in facet_arcs
+                                  and not any(arcs_cross((h, l), a) for a in facet_arcs)]}

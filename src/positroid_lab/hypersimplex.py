@@ -211,24 +211,6 @@ def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord
     return {pi: out[pi] for pi in sorted(out, key=repr)}
 
 
-@dataclass
-class TilingReport:
-    valid: bool
-    k_plus_1: int
-    n: int
-    tiles: list[DecoratedPermutation]
-    violations: list[str]
-
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "k_plus_1": self.k_plus_1,
-            "n": self.n,
-            "tiles": [repr(p) for p in self.tiles],
-            "violations": self.violations,
-        }
-
-
 def _resolve_tiles(tiles, k_plus_1: int, n: int):
     """Tiles may be decorated permutations or triangulations; each resolves
     to its permutation, its positroid and whether the catalog has it."""
@@ -243,8 +225,9 @@ def _resolve_tiles(tiles, k_plus_1: int, n: int):
     return resolved
 
 
-def verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
-    """Exactly-once coverage of every w-simplex plus tile-catalog membership."""
+def verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
+    """Exactly-once coverage of every w-simplex plus tile-catalog membership,
+    as the JSON record {valid, k_plus_1, n, tiles (labels), violations}."""
     resolved = _resolve_tiles(tiles, k_plus_1, n)
     violations = []
     perms = [p for p, _, _ in resolved]
@@ -264,7 +247,8 @@ def verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
             violations.append(
                 f"simplex of w={''.join(map(str, ws.w))} covered by "
                 + ", ".join(repr(h) for h in hits))
-    return TilingReport(not violations, k_plus_1, n, perms, violations)
+    return {"valid": not violations, "k_plus_1": k_plus_1, "n": n,
+            "tiles": [repr(p) for p in perms], "violations": violations}
 
 
 @dataclass(frozen=True)

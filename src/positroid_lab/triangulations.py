@@ -280,6 +280,14 @@ def class_representative(S: BicoloredSubdivision) -> BicoloredTriangulation:
     return BicoloredTriangulation(S.n, frozenset(black), frozenset(white))
 
 
+def _chains(a: int, j: int, runs: int) -> list[tuple[int, ...]]:
+    """The chains a < ... < j that skip at most ``runs`` runs of vertices."""
+    if a == j:
+        return [(j,)]
+    return [(a, *c) for b in range(a + 1, j + 1) if b == a + 1 or runs
+            for c in _chains(b, j, runs - (b > a + 1))]
+
+
 @lru_cache(maxsize=None)
 def _rooted_subdivisions(i: int, j: int, black: bool, k: int) -> tuple[tuple, ...]:
     """Bicolored subdivisions of the polygon on i..j with k black triangles
@@ -288,22 +296,24 @@ def _rooted_subdivisions(i: int, j: int, black: bool, k: int) -> tuple[tuple, ..
     between; the polygon cut off under each of its other sides is
     subdivided in turn, with the other colour on that side.  A black cell
     takes r of the k triangles, and under a white one each cut-off polygon
-    takes at least one, so no cell over budget is subdivided."""
+    takes at least one, so a white cell is a chain from i to j that skips
+    at most k runs of vertices, and no cell over budget is built."""
+    if black:
+        cells = [(i, *mid, j) for r in range(1, min(j - i, k + 1))
+                 for mid in combinations(range(i + 1, j), r)]
+    else:
+        cells = [c for c in _chains(i, j, k) if len(c) > 2]
     out = []
-    for r in range(1, min(j - i, k + 1) if black else j - i):
-        rest = k - r if black else k
-        for mid in combinations(range(i + 1, j), r):
-            cell = (i, *mid, j)
-            cuts = [(a, b) for a, b in zip(cell, cell[1:]) if b - a >= 2]
-            if not black and len(cuts) > rest:
-                continue
-            partial = [(0, (cell,), ()) if black else (0, (), (cell,))]
-            for a, b in cuts:
-                partial = [(used + m, bl + sub_bl, wh + sub_wh)
-                           for used, bl, wh in partial
-                           for m in range(rest - used + 1)
-                           for sub_bl, sub_wh in _rooted_subdivisions(a, b, not black, m)]
-            out += [(bl, wh) for used, bl, wh in partial if used == rest]
+    for cell in cells:
+        rest = k - len(cell) + 2 if black else k
+        cuts = [(a, b) for a, b in zip(cell, cell[1:]) if b - a >= 2]
+        partial = [(0, (cell,), ()) if black else (0, (), (cell,))]
+        for a, b in cuts:
+            partial = [(used + m, bl + sub_bl, wh + sub_wh)
+                       for used, bl, wh in partial
+                       for m in range(rest - used + 1)
+                       for sub_bl, sub_wh in _rooted_subdivisions(a, b, not black, m)]
+        out += [(bl, wh) for used, bl, wh in partial if used == rest]
     return tuple(out)
 
 

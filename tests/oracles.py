@@ -132,7 +132,7 @@ from positroid_lab.amplituhedron import (
     twistor,
 )
 from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
-from positroid_lab.cluster import AdjacencyReport, ExchangeVariable, Seed
+from positroid_lab.cluster import ExchangeVariable, Seed
 from positroid_lab.exact import (RatMatrix, det, integer_det, integer_kernel, integer_minors,
                                  kernel_basis, rank)
 from positroid_lab.grassmann import (
@@ -145,7 +145,6 @@ from positroid_lab.grassmann import (
     plucker_of_matrix,
 )
 from positroid_lab.hypersimplex import (
-    TilingReport,
     WSimplex,
     _resolve_tiles,
     cyclic_left_descents,
@@ -542,7 +541,7 @@ def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
     return all(Ir in M.bases for Ir in ws.I)
 
 
-def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
+def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
     """``verify_tiling`` as a scan of every resolved tile per w-simplex."""
     resolved = _resolve_tiles(tiles, k_plus_1, n)
     violations = []
@@ -562,7 +561,8 @@ def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> TilingReport:
             violations.append(
                 f"simplex of w={''.join(map(str, ws.w))} covered by "
                 + ", ".join(repr(h) for h in hits))
-    return TilingReport(not violations, k_plus_1, n, perms, violations)
+    return {"valid": not violations, "k_plus_1": k_plus_1, "n": n,
+            "tiles": [repr(p) for p in perms], "violations": violations}
 
 
 def frozenset_tilings(k_plus_1: int, n: int) -> list[tuple[DecoratedPermutation, ...]]:
@@ -886,14 +886,15 @@ def _boundary_samples(T: BicoloredTriangulation, Z: ZMatrix, rng: Random,
 
 
 def sampled_adjacency(T: BicoloredTriangulation, Z: ZMatrix, samples: int = 100,
-                      seed: int = 0) -> tuple[AdjacencyReport, bool, bool]:
+                      seed: int = 0) -> tuple[dict, bool, bool]:
     """Detect facet arcs of the tile from sampled boundary strata, check
     that they are pairwise noncrossing, and check that every diagonal
     compatible with them keeps a fixed twistor sign on the open tile.
 
-    Returns the report, whether the facet arcs are noncrossing and whether
-    every compatible arc kept one nonzero sign over the interior samples
-    (an arc that did not is left out of the report).
+    Returns the record of ``cluster_adjacency_check``, whether the facet
+    arcs are noncrossing and whether every compatible arc kept one nonzero
+    sign over the interior samples (an arc that did not is left out of the
+    record).
     """
     rng = Random(seed)
     n = T.n
@@ -917,11 +918,11 @@ def sampled_adjacency(T: BicoloredTriangulation, Z: ZMatrix, samples: int = 100,
             continue
         signs = {sign(twistor(Y, Z, d)) for Y in interior}
         if len(signs) == 1 and 0 not in signs:
-            compatible_tested.append((d, signs.pop()))
+            compatible_tested.append([list(d), signs.pop()])
         else:
             signs_fixed = False
-    return (AdjacencyReport(facet_list, compatible_tested), noncrossing(facet_list),
-            signs_fixed)
+    return ({"facet_arcs": [list(a) for a in facet_list], "compatible_tested": compatible_tested},
+            noncrossing(facet_list), signs_fixed)
 
 
 def scanned_subdivisions(n: int, k: int) -> list[BicoloredSubdivision]:

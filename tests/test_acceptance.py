@@ -245,12 +245,12 @@ def test_criterion_09_amplituhedron_m2():
     T134 = BicoloredTriangulation.make(4, black=[(1, 3, 4)], white=[(1, 2, 3)])
     T124 = BicoloredTriangulation.make(4, black=[(1, 2, 4)], white=[(2, 3, 4)])
     T234 = BicoloredTriangulation.make(4, black=[(2, 3, 4)], white=[(1, 2, 4)])
-    assert verify_amp_tiling_m2([T123, T134], Z).valid
-    assert verify_amp_tiling_m2([T124, T234], Z).valid
+    assert verify_amp_tiling_m2([T123, T134], Z)["valid"]
+    assert verify_amp_tiling_m2([T124, T234], Z)["valid"]
     for single in (T123, T134, T124, T234):
-        assert not verify_amp_tiling_m2([single], Z).sample_audit_ok
+        assert not verify_amp_tiling_m2([single], Z)["sample_audit_ok"]
     for crossed in ([T123, T234], [T124, T134]):
-        assert not verify_amp_tiling_m2(crossed, Z).sample_audit_ok
+        assert not verify_amp_tiling_m2(crossed, Z)["sample_audit_ok"]
     rng = Random(42)
     D = enumerate_D(2, 4)
     chambers = set()
@@ -308,7 +308,7 @@ def test_criterion_10_identities():
         for _ in range(13):
             pi = pool[rng.randrange(len(pool))]
             rep = b_point(sample_cell_matrix(pi, Random(rng.randrange(10 ** 6))), Z)
-            assert rep.dim_ok and rep.consistent
+            assert rep["dim_ok"] and rep["consistent"]
             done += 1
     assert done >= 50
     report(10, "twistor three-term identity on 500 samples; expansion path "

@@ -1,5 +1,6 @@
 """Amplituhedron membership tests, chambers, tiles, and the B-model identity."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -24,7 +25,7 @@ from positroid_lab.amplituhedron import (
     w_chamber_membership,
 )
 from positroid_lab.cells import cell_dim_of_perm, matrix_realization, sample_cell_matrix
-from positroid_lab.cluster import build_seed
+from positroid_lab.cluster import build_seed, cluster_adjacency_check
 from positroid_lab.exact import RatMatrix, det, integer_minors, rank, varbar
 from positroid_lab.grassmann import (decorated_permutation_of, perm_of_minors,
                                      plucker_of_matrix, vandermonde_matrix)
@@ -34,6 +35,7 @@ from positroid_lab.hypersimplex import (
     enumerate_tiling_indices,
     enumerate_tilings,
     tile_catalog,
+    verify_tiling,
     w_simplex,
 )
 from positroid_lab.perms import (
@@ -697,13 +699,13 @@ def test_w_chamber_boundary_reported():
 
 def test_verify_amp_tilings_quadrilateral():
     rep = verify_amp_tiling_m2([T123, T134], Z4)
-    assert rep.valid and rep.sample_audit_ok
+    assert rep["valid"] and rep["sample_audit_ok"]
     rep2 = verify_amp_tiling_m2([T124, T234], Z4)
-    assert rep2.valid
+    assert rep2["valid"]
     rep3 = verify_amp_tiling_m2([T123], Z4)
-    assert not rep3.valid
+    assert not rep3["valid"]
     rep4 = verify_amp_tiling_m2([T123, T234], Z4)
-    assert not rep4.valid and not rep4.sample_audit_ok
+    assert not rep4["valid"] and not rep4["sample_audit_ok"]
 
 
 FAN5 = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)]),
@@ -714,15 +716,15 @@ FAN5 = [BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 
 def test_verify_amp_tiling_audits_every_sample():
     Z = make_positive_Z(5, 3, [0, 1, 2, 3, 4])
     rep = verify_amp_tiling_m2(FAN5, Z)
-    assert rep.valid and rep.sample_audit_ok and "hit_counts" not in rep.to_json()
+    assert rep["valid"] and rep["sample_audit_ok"] and "hit_counts" not in rep
     assert sampled_tiling_audit(FAN5, Z, 20, 1) == {1: 20}
     # 20 samples at seed 1 miss the tile with black triangle (1,2,3) ...
     assert sampled_tiling_audit(FAN5[1:], Z, 20, 1) == {1: 20}
     # ... and its witness does not
     dropped = verify_amp_tiling_m2(FAN5[1:], Z)
-    assert not dropped.valid and not dropped.sample_audit_ok
+    assert not dropped["valid"] and not dropped["sample_audit_ok"]
     label = t_dual(FAN5[0].subdivision.trip_permutation())
-    assert f"no listed tile holds the witness of tile {label!r}" in dropped.violations
+    assert f"no listed tile holds the witness of tile {label!r}" in dropped["violations"]
 
 
 def test_verify_amp_tiling_names_a_tile_that_holds_another_witness():
@@ -730,8 +732,8 @@ def test_verify_amp_tiling_names_a_tile_that_holds_another_witness():
     T = BicoloredTriangulation.make(5, black=[(1, 2, 4)], white=[(2, 3, 4), (1, 4, 5)])
     rep = verify_amp_tiling_m2(FAN5 + [T], Z)
     name = repr(t_dual(T.subdivision.trip_permutation()))
-    audit = [v for v in rep.violations if not v.startswith("T-dual:")]
-    assert not rep.sample_audit_ok and audit
+    audit = [v for v in rep["violations"] if not v.startswith("T-dual:")]
+    assert not rep["sample_audit_ok"] and audit
     assert all(v.startswith(f"tile {name} holds the witness of tile ")
                or v.endswith(f"holds the witness of tile {name}") for v in audit)
 
@@ -753,11 +755,11 @@ def test_witness_audit_passes_every_tiling_and_flags_every_drop(k, n, nodes):
     for sol in tilings:
         tris = [recs[i].triangulation for i in sol]
         rep = verify_amp_tiling_m2(tris, Z)
-        assert rep.valid and rep.sample_audit_ok, rep.violations
+        assert rep["valid"] and rep["sample_audit_ok"], rep["violations"]
         for d in range(len(tris)):
             dropped = verify_amp_tiling_m2(tris[:d] + tris[d + 1:], Z)
-            assert not dropped.sample_audit_ok
-            kinds = {v.startswith("T-dual:") for v in dropped.violations}
+            assert not dropped["sample_audit_ok"]
+            kinds = {v.startswith("T-dual:") for v in dropped["violations"]}
             assert kinds == {True, False}
 
 
@@ -770,14 +772,14 @@ def test_witness_audit_agrees_with_the_sampled_oracle():
     for sol in tilings:
         tris = [recs[i].triangulation for i in sol]
         assert sampled_tiling_audit(tris, Z, 10, 5) == {1: 10}
-        assert verify_amp_tiling_m2(tris, Z).sample_audit_ok
+        assert verify_amp_tiling_m2(tris, Z)["sample_audit_ok"]
     flagged = 0
     for sol in tilings[:4]:
         for other in recs:
             tris = [recs[i].triangulation for i in sol][1:] + [other.triangulation]
             if sampled_tiling_audit(tris, Z, 10, 5) != {1: 10}:
                 flagged += 1
-                assert not verify_amp_tiling_m2(tris, Z).sample_audit_ok
+                assert not verify_amp_tiling_m2(tris, Z)["sample_audit_ok"]
     assert flagged
 
 
@@ -795,7 +797,7 @@ def test_verify_amp_tiling_draws_audit_points_once_per_z(monkeypatch):
             for tiles in ([T123, T134], [T124, T234], [T123])]
     # one witness per tile of type (1,4), at unit bridge parameters
     assert calls == [t_dual(pi) for pi in tile_catalog(2, 4)]
-    assert [r.valid for r in reps] == [True, True, False]
+    assert [r["valid"] for r in reps] == [True, True, False]
     verify_amp_tiling_m2([T123, T134], make_positive_Z(4, 3, [0, 1, 2, 3]))
     assert len(calls) == 2 * len(tile_catalog(2, 4)) == 8
 
@@ -805,11 +807,19 @@ def test_tile_witnesses_lie_in_their_open_tiles():
         Z = make_positive_Z(n, k + 2, range(n))
         recs = tile_catalog(k + 1, n).values()
         for j, rec in enumerate(recs):
-            closed, strict = amplituhedron._held(Z, rec.triangulation)
-            assert strict >> j & 1 and closed & strict == strict
-        points, held = Z.witnesses
-        assert len(points) == len(held) == len(recs)
+            own, closed, strict = amplituhedron._held(Z, rec.triangulation)
+            assert own == j and strict >> j & 1 and closed & strict == strict
+        points, position, held = Z.witnesses
+        assert len(points) == len(position) == len(held) == len(recs)
         assert all(m2_interior_test(Y, Z) for Y in points)
+
+
+def test_a_repeated_tile_holds_the_witness_of_its_copy():
+    rep = verify_amp_tiling_m2([T123, T123, T134], Z4)
+    label = repr(t_dual(T123.subdivision.trip_permutation()))
+    audit = [v for v in rep["violations"] if not v.startswith("T-dual:")]
+    assert audit == [f"tile {label} holds the witness of tile {label}"] * 2
+    assert "T-dual: repeated tiles" in rep["violations"] and not rep["sample_audit_ok"]
 
 
 def test_verify_amp_tiling_reads_its_type_off_z():
@@ -818,11 +828,11 @@ def test_verify_amp_tiling_reads_its_type_off_z():
     Z = make_positive_Z(4, 4, [0, 1, 2, 3])
     T2 = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
     rep = verify_amp_tiling_m2([T123, T2], Z)
-    assert (rep.k, rep.n) == (2, 4) and not rep.valid
-    assert rep.violations[0] == f"tile {T123!r} has mismatched type"
-    assert rep.sample_audit_ok  # the (2,4) tile alone is audited
+    assert (rep["k"], rep["n"]) == (2, 4) and not rep["valid"]
+    assert rep["violations"][0] == f"tile {T123!r} has mismatched type"
+    assert rep["sample_audit_ok"]  # the (2,4) tile alone is audited
     empty = verify_amp_tiling_m2([], Z4)
-    assert not empty.valid and "T-dual: simplex of w=1324 uncovered" in empty.violations
+    assert not empty["valid"] and "T-dual: simplex of w=1324 uncovered" in empty["violations"]
     with pytest.raises(ValueError, match="p >= 2"):
         verify_amp_tiling_m2([T123], make_positive_Z(4, 1, [0, 1, 2, 3]))
 
@@ -830,16 +840,16 @@ def test_verify_amp_tiling_reads_its_type_off_z():
 def test_verify_amp_tiling_reports_a_tile_of_another_n():
     T5 = BicoloredTriangulation.make(5, black=[(1, 2, 3)], white=[(1, 3, 4), (1, 4, 5)])
     rep = verify_amp_tiling_m2([T123, T134, T5], Z4)
-    assert (rep.k, rep.n) == (1, 4) and not rep.valid
-    assert rep.violations[0] == f"tile {T5!r} has mismatched type"
+    assert (rep["k"], rep["n"]) == (1, 4) and not rep["valid"]
+    assert rep["violations"][0] == f"tile {T5!r} has mismatched type"
     assert any(v.startswith("T-dual: tile ") and v.endswith("has wrong type (2,5)")
-               for v in rep.violations)
-    assert rep.sample_audit_ok  # the two (1,4) tiles alone are audited
+               for v in rep["violations"])
+    assert rep["sample_audit_ok"]  # the two (1,4) tiles alone are audited
 
 
 def test_verify_amp_tiling_25():
     rep = verify_amp_tiling_m2(FAN5, make_positive_Z(5, 3, [0, 1, 2, 3, 4]))
-    assert rep.valid
+    assert rep["valid"]
 
 
 def test_b_point_identity_instances():
@@ -852,15 +862,56 @@ def test_b_point_identity_instances():
         for pi in rng.sample(pool, 6):
             C = sample_cell_matrix(pi, Random(rng.randrange(10 ** 6)))
             rep = b_point(C, Z)
-            assert rep.dim_ok and rep.consistent
+            assert rep["dim_ok"] and rep["consistent"]
             done += 1
     assert done == 24
+
+
+def _b_point_at_2_2_5():
+    C = matrix_realization(top_cell_permutation(2, 5), [1] * 6)
+    return C, make_positive_Z(5, 4, range(5))
+
+
+def test_verifiers_return_their_json_records():
+    tiling_keys = ["valid", "k_plus_1", "n", "tiles", "violations"]
+    amp_keys = ["valid", "k", "n", "tiles", "hypersimplex", "sample_audit_ok", "violations"]
+    cases = [(verify_tiling([T123, T134], 2, 4), tiling_keys, True),
+             (verify_tiling([T123], 2, 4), tiling_keys, False),
+             (verify_amp_tiling_m2([T123, T134], Z4), amp_keys, True),
+             (verify_amp_tiling_m2([T123], Z4), amp_keys, False),
+             (b_point(*_b_point_at_2_2_5()), ["consistent", "dim_ok", "X", "scalar"], True),
+             (cluster_adjacency_check(T123), ["facet_arcs", "compatible_tested"], None)]
+    for rep, keys, ok in cases:
+        assert type(rep) is dict and list(rep) == keys
+        assert json.loads(json.dumps(rep)) == rep
+        assert rep[keys[0]] is ok or ok is None
+        if "hypersimplex" in rep:
+            assert list(rep["hypersimplex"]) == tiling_keys
+            assert rep["hypersimplex"]["valid"] is ok
+    assert cases[1][0]["tiles"] == [repr(T123.subdivision.trip_permutation())]
+    assert cases[4][0]["scalar"] == "30/1"
+    assert cases[5][0]["facet_arcs"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_b_point_gives_no_scalar_to_a_twistor_off_it(monkeypatch):
+    C, Z = _b_point_at_2_2_5()
+    rep = b_point(C, Z)
+    assert rep["consistent"] and rep["dim_ok"] and rep["scalar"] == "30/1"
+    X = plucker_of_matrix(RatMatrix.from_json(rep["X"])).coords
+    first = next(I for I in sorted(X) if X[I])
+    table = twistor_table(amp_map(C, Z), Z)
+    doubled = next(I for I in reversed(list(table)) if table[I])
+    assert doubled != first
+    for I, factor in [(doubled, 2), (first, 0)]:
+        monkeypatch.setattr(amplituhedron, "twistor_table",
+                            lambda Y, Z, I=I, f=factor: {**table, I: f * table[I]})
+        assert b_point(C, Z) == dict(rep, consistent=False, scalar=None)
 
 
 def test_b_point_k0():
     Z = make_positive_Z(4, 2, [0, 1, 2, 3])
     rep = b_point(RatMatrix.zero(0, 4), Z)
-    assert rep.dim_ok and rep.consistent
+    assert rep["dim_ok"] and rep["consistent"]
 
 
 def test_amp_image_dimension_km():

@@ -296,8 +296,8 @@ def test_adjacency_quadrilateral_tile():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
     Z = make_positive_Z(4, 3, [0, 1, 2, 3])
     rep = cluster_adjacency_check(T)
-    assert rep.facet_arcs == [(1, 2), (1, 3), (2, 3)]
-    tested = dict(rep.compatible_tested)
+    assert rep["facet_arcs"] == [[1, 2], [1, 3], [2, 3]]
+    tested = {tuple(a): s for a, s in rep["compatible_tested"]}
     assert tested[(1, 4)] == -1 and tested[(3, 4)] == 1
     sampled, noncrossing_facets, signs_fixed = sampled_adjacency(T, Z, samples=40, seed=1)
     assert noncrossing_facets and signs_fixed
@@ -316,7 +316,7 @@ def test_adjacency_all_tiles_n5():
                 rec.triangulation, Z, samples=25, seed=4)
             assert noncrossing_facets and signs_fixed
             assert sampled == rep
-            facet_sets.append(set(rep.facet_arcs))
+            facet_sets.append({tuple(a) for a in rep["facet_arcs"]})
     # no two crossing diagonals ever appear as facets of one tile
     from positroid_lab.triangulations import arcs_cross
 

@@ -161,6 +161,36 @@ def test_the_private_scan_finds_a_leak():
     assert private_exact_imports("from positroid_lab.exact import _det\n") == ["_det (line 1)"]
 
 
+def mutable_dataclasses(source: str) -> list[str]:
+    """Classes decorated ``@dataclass``, by name or as ``dataclasses.dataclass``,
+    that do not pass ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
+                    == "dataclass" and not any(
+                        kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is True for kw in getattr(dec, "keywords", ())):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_dataclass_of_the_library_is_frozen(path):
+    assert mutable_dataclasses(path.read_text()) == []
+
+
+def test_the_dataclass_scan_finds_a_mutable_class():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
+              "@dataclasses.dataclass(eq=False)\nclass C: pass\n"
+              "@dataclass(frozen=False)\nclass D: pass\n@other\nclass E: pass\n")
+    assert mutable_dataclasses(source) == ["A (line 4)", "C (line 8)", "D (line 10)"]
+
+
 def _is_literal(node) -> bool:
     try:
         ast.literal_eval(node)

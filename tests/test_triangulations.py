@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+from itertools import combinations
 
 import pytest
 
+from positroid_lab import triangulations
 from positroid_lab.perms import parse_decorated
 from positroid_lab.plabic import dual_graph_of_triangulation, trip_permutation
 from positroid_lab.triangulations import (
@@ -153,6 +155,23 @@ def test_enumerate_subdivisions_subdivides_no_cell_over_budget():
                        (1008, "5dd7e1ebea2be025"), (3186, "4d5201a8e71e2c9a"),
                        (3186, "6656610f124a9ce1"), (1008, "0a09debcea14d692"),
                        (84, "794045e8aa0eb1e9"), (1, "0bac90a233edcf5f")]
+
+
+def test_white_cells_come_from_their_skipped_runs(monkeypatch):
+    # at k = 0 a white cell skips no run, so the root side (1, 20) builds
+    # one cell, not its 2^18 vertex subsets
+    seen = []
+
+    def counting(pool, r):
+        for c in combinations(pool, r):
+            seen.append(c)
+            yield c
+
+    monkeypatch.setattr(triangulations, "combinations", counting)
+    _rooted_subdivisions.cache_clear()
+    (S,) = enumerate_subdivisions(20, 0)
+    assert S.white_polygons == frozenset({tuple(range(1, 21))})
+    assert len(seen) < 1000
 
 
 def test_subdivision_counts_match_tiles():
