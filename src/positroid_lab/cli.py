@@ -140,11 +140,12 @@ def _parse_tile(rec, n: int):
     elif "black_polygons" in rec:
         polys = rec["black_polygons"]
         if not (isinstance(polys, list)
-                and all(isinstance(p, list) and all(type(v) is int and 1 <= v <= n
-                                                    for v in p)
+                and all(isinstance(p, list) and len(p) >= 3
+                        and all(type(v) is int and 1 <= v <= n for v in p)
+                        and len(set(p)) == len(p)
                         for p in polys)):
-            raise InputError(f"black_polygons must be lists of vertices in 1..{n}, "
-                             f"not {polys!r}")
+            raise InputError(f"black_polygons must be lists of 3 or more distinct vertices "
+                             f"in 1..{n}, not {polys!r}")
         black = frozenset(tuple(sorted(p)) for p in polys)
         blacks = frozenset().union(*map(fan_triangulation, black))
         tris = first_triangulation_containing(n, blacks)

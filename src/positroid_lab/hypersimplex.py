@@ -175,11 +175,13 @@ def cover_mask(M: Matroid) -> int:
 @dataclass(frozen=True)
 class TileRecord:
     """A moment-map tile: a subdivision's trip permutation, its positroid,
-    the subdivision and, built on first use, its fan triangulation."""
+    the subdivision, its ``cover_mask`` and, built on first use, its fan
+    triangulation."""
 
     perm: DecoratedPermutation
     matroid: Matroid
     subdivision: BicoloredSubdivision
+    mask: int
 
     @cached_property
     def triangulation(self) -> BicoloredTriangulation:
@@ -207,46 +209,48 @@ def tile_catalog(k_plus_1: int, n: int) -> dict[DecoratedPermutation, TileRecord
         pi = S.trip_permutation()
         if pi in out:
             raise RuntimeError(f"two subdivisions share the tile label {pi}")
-        out[pi] = TileRecord(pi, positroid_of_perm(pi), S)
+        M = positroid_of_perm(pi)
+        out[pi] = TileRecord(pi, M, S, cover_mask(M))
     return {pi: out[pi] for pi in sorted(out, key=repr)}
 
 
-def _resolve_tiles(tiles, k_plus_1: int, n: int):
-    """Tiles may be decorated permutations or triangulations; each resolves
-    to its permutation, its positroid and whether the catalog has it."""
+def verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
+    """Exactly-once coverage of every w-simplex plus tile-catalog membership,
+    as the JSON record {valid, k_plus_1, n, tiles (labels), violations}.
+    Tiles may be decorated permutations or triangulations; a catalog tile
+    brings its mask, and any other tile is resolved to its positroid."""
     catalog = tile_catalog(k_plus_1, n)
-    resolved = []
+    perms = []
     for t in tiles:
         if isinstance(t, BicoloredTriangulation):
             t = t.subdivision.trip_permutation()
         elif not isinstance(t, DecoratedPermutation):
             raise TypeError(f"cannot interpret tile {t!r}")
-        resolved.append((t, positroid_of_perm(t), t in catalog))
-    return resolved
-
-
-def verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
-    """Exactly-once coverage of every w-simplex plus tile-catalog membership,
-    as the JSON record {valid, k_plus_1, n, tiles (labels), violations}."""
-    resolved = _resolve_tiles(tiles, k_plus_1, n)
-    violations = []
-    perms = [p for p, _, _ in resolved]
-    if len(set(perms)) != len(perms):
-        violations.append("repeated tiles")
-    for p, M, in_catalog in resolved:
-        if M.n != n or M.k != k_plus_1:
+        perms.append(t)
+    violations = ["repeated tiles"] if len(set(perms)) != len(perms) else []
+    masks = []
+    for p in perms:
+        if p in catalog:
+            masks.append(catalog[p].mask)
+            continue
+        M = positroid_of_perm(p)
+        right_type = (M.k, M.n) == (k_plus_1, n)
+        if not right_type:
             violations.append(f"tile {p} has wrong type ({M.k},{M.n})")
-        if not in_catalog:
-            violations.append(f"tile {p} is not a moment-map tile")
-    masks = [cover_mask(M) if (M.k, M.n) == (k_plus_1, n) else 0 for _, M, _ in resolved]
-    for i, ws in enumerate(enumerate_D(k_plus_1, n)):
-        hits = [p for p, mask in zip(perms, masks) if mask >> i & 1]
-        if len(hits) == 0:
-            violations.append(f"simplex of w={''.join(map(str, ws.w))} uncovered")
-        elif len(hits) > 1:
-            violations.append(
-                f"simplex of w={''.join(map(str, ws.w))} covered by "
-                + ", ".join(repr(h) for h in hits))
+        violations.append(f"tile {p} is not a moment-map tile")
+        masks.append(cover_mask(M) if right_type else 0)
+    seen = twice = 0
+    for mask in masks:
+        twice |= seen & mask
+        seen |= mask
+    simplices = enumerate_D(k_plus_1, n)
+    failed = twice | ((1 << len(simplices)) - 1 & ~seen)
+    while failed:  # in simplex order
+        i = (failed & -failed).bit_length() - 1
+        failed ^= 1 << i
+        hits = ", ".join(repr(p) for p, mask in zip(perms, masks) if mask >> i & 1)
+        violations.append(f"simplex of w={''.join(map(str, simplices[i].w))} "
+                          + (f"covered by {hits}" if hits else "uncovered"))
     return {"valid": not violations, "k_plus_1": k_plus_1, "n": n,
             "tiles": [repr(p) for p in perms], "violations": violations}
 
@@ -275,9 +279,8 @@ def _tiles_by_least(k_plus_1: int, n: int) -> tuple[tuple[tuple[int, int], ...],
     tiles whose least simplex it is, in catalog order."""
     by_least: list[list[tuple[int, int]]] = [[] for _ in enumerate_D(k_plus_1, n)]
     for idx, rec in enumerate(tile_catalog(k_plus_1, n).values()):
-        mask = cover_mask(rec.matroid)
-        if mask:
-            by_least[(mask & -mask).bit_length() - 1].append((idx, mask))
+        if rec.mask:
+            by_least[(rec.mask & -rec.mask).bit_length() - 1].append((idx, rec.mask))
     return tuple(map(tuple, by_least))
 
 

@@ -43,7 +43,7 @@ def boundary_id(i: int) -> str:
 class PlabicGraph:
     """Immutable plabic graph with a rotation-system embedding."""
 
-    __slots__ = ("n", "colors", "edges", "rotations", "_incident", "_matchings", "_sites")
+    __slots__ = ("n", "colors", "edges", "rotations", "_matchings", "_sites")
 
     def __init__(self, n: int, colors: Mapping[str, str],
                  edges: Sequence[tuple[str, str]],
@@ -53,7 +53,7 @@ class PlabicGraph:
         self.edges = tuple((str(u), str(v)) for u, v in edges)
         self.rotations = {str(v): tuple((int(e), int(s)) for e, s in rot)
                           for v, rot in rotations.items()}
-        self._incident = self._matchings = self._sites = None
+        self._matchings = self._sites = None
         self._validate()
 
     @classmethod
@@ -68,7 +68,12 @@ class PlabicGraph:
                     for v, rot in rotations.items()})
 
     def _validate(self):
-        inc = self.incident()
+        inc: dict[str, list[Dart]] = {}
+        for idx, (u, v) in enumerate(self.edges):
+            inc.setdefault(u, []).append((idx, 0))
+            inc.setdefault(v, []).append((idx, 1))
+        for v in self.rotations:
+            inc.setdefault(v, [])
         for i in range(1, self.n + 1):
             b = boundary_id(i)
             if len(inc.get(b, ())) != 1:
@@ -114,17 +119,6 @@ class PlabicGraph:
     def boundary_label(self, vtx: str) -> int:
         return int(vtx[1:])
 
-    def incident(self) -> dict[str, list[Dart]]:
-        if self._incident is None:
-            inc: dict[str, list[Dart]] = {}
-            for idx, (u, v) in enumerate(self.edges):
-                inc.setdefault(u, []).append((idx, 0))
-                inc.setdefault(v, []).append((idx, 1))
-            for v in self.rotations:
-                inc.setdefault(v, [])
-            self._incident = inc
-        return self._incident
-
     def degree(self, vtx: str) -> int:
         return len(self.rotations[vtx])
 
@@ -162,8 +156,8 @@ class PlabicGraph:
     def from_json(cls, data: dict) -> "PlabicGraph":
         """ValueError unless every field has the shape ``to_json`` writes."""
         n, vertices, edges = data["n"], data.get("vertices", []), data["edges"]
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, not {n!r}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a non-negative integer, not {n!r}")
         if not (isinstance(vertices, list)
                 and all(isinstance(r, dict) and isinstance(r.get("id"), str)
                         for r in vertices)):

@@ -131,7 +131,7 @@ from positroid_lab.amplituhedron import (
     tile_membership_m2,
     twistor,
 )
-from positroid_lab.cells import bridge_decomposition, sample_cell_matrix
+from positroid_lab.cells import bridge_decomposition, positroid_of_perm, sample_cell_matrix
 from positroid_lab.cluster import ExchangeVariable, Seed
 from positroid_lab.exact import (RatMatrix, det, integer_det, integer_kernel, integer_minors,
                                  kernel_basis, rank)
@@ -146,7 +146,6 @@ from positroid_lab.grassmann import (
 )
 from positroid_lab.hypersimplex import (
     WSimplex,
-    _resolve_tiles,
     cyclic_left_descents,
     enumerate_D,
     tile_catalog,
@@ -542,8 +541,17 @@ def simplex_in_positroid(ws: WSimplex, M: Matroid) -> bool:
 
 
 def scan_verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
-    """``verify_tiling`` as a scan of every resolved tile per w-simplex."""
-    resolved = _resolve_tiles(tiles, k_plus_1, n)
+    """``verify_tiling`` as a scan of every resolved tile per w-simplex: each
+    tile (a permutation or a triangulation) resolves to its permutation, its
+    positroid and whether the catalog has it."""
+    catalog = tile_catalog(k_plus_1, n)
+    resolved = []
+    for t in tiles:
+        if isinstance(t, BicoloredTriangulation):
+            t = t.subdivision.trip_permutation()
+        elif not isinstance(t, DecoratedPermutation):
+            raise TypeError(f"cannot interpret tile {t!r}")
+        resolved.append((t, positroid_of_perm(t), t in catalog))
     violations = []
     perms = [p for p, _, _ in resolved]
     if len(set(perms)) != len(perms):

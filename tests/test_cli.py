@@ -599,7 +599,12 @@ def test_cell_samples_take_their_minors_once(capsys, monkeypatch):
      ["trop", "--heights", "FILE"]),
     ("tile of the wrong size", {"space": "hypersimplex", "n": 4, "tiles": ["(2,1)"]},
      ["tilings", "--t-dual", "FILE"]),
-])
+    ("graph with a negative n", {"n": -1, "edges": [], "vertices": [], "rotations": {}},
+     ["cell", "--graph", "FILE"]),
+] + [(f"black polygon {poly} under {cmd}",
+      {"space": "hypersimplex", "k": 1, "n": 4, "tiles": [{"black_polygons": [poly]}]},
+      ["tilings", cmd, "FILE"])
+     for poly in ([1, 2], [1], [1, 2, 2]) for cmd in ("--verify", "--t-dual")])
 def test_malformed_input_files_exit_2(capsys, tmp_path, name, data, argv):
     p = tmp_path / "in.json"
     p.write_text(json.dumps(data))
@@ -607,6 +612,19 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, name, data, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:")
+
+
+def test_graph_on_no_boundary_vertices_and_the_k0_tile_stay_valid(capsys, tmp_path):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"n": 0, "edges": [], "vertices": [], "rotations": {}}))
+    code, out = run(capsys, "cell", "--graph", str(p))
+    assert code == 0 and json.loads(out)["perm"] == "()"
+    p.write_text(json.dumps({"space": "hypersimplex", "k": 0, "n": 4,
+                             "tiles": [{"black_polygons": []}]}))
+    code, out = run(capsys, "tilings", "--verify", str(p))
+    assert code == 0 and json.loads(out)["valid"]
+    code, out = run(capsys, "tilings", "--t-dual", str(p))
+    assert code == 0 and json.loads(out)["tiles"] == ["(1_,2_,3_,4_)"]
 
 
 def test_trop_heights_k_above_n_names_the_bound(capsys, tmp_path):

@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of stdout: a rewrite of the code a pinned demo runs must print the same bytes
 PINNED_STDOUT = {
+    "03_hypersimplex_tilings": "9b78511ce129c963beadf543e2bc62991cc30fd4fcf83af532d289feb78bfe8d",
+    "06_amplituhedron": "9b15f0ed106c9e06b2118e5e6b330386b3047ea01ba004d92ff6cd00707bc43b",
     "07_cluster_seeds": "d2fe81456c752304675f453641cbf67c7c284cfdaa7c295fdd62e47c194ebc35",
 }
 

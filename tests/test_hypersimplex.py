@@ -28,7 +28,7 @@ from positroid_lab.hypersimplex import (
     verify_tiling,
     w_simplex,
 )
-from positroid_lab.perms import parse_decorated
+from positroid_lab.perms import parse_decorated, top_cell_permutation
 from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
@@ -187,8 +187,28 @@ def test_verify_tiling_matches_the_per_simplex_scan(k1, n):
     for t in enumerate_tilings(k1, n):
         recs = list(t.tiles)
         for tiles in (recs, recs[1:], recs + recs[-1:], recs + [wrong_rank]):
-            for form in ([r.perm for r in tiles], [r.triangulation for r in tiles]):
+            for form in ([r.perm for r in tiles], [r.triangulation for r in tiles],
+                         [r.perm for r in tiles] + [top_cell_permutation(k1, n)]):
                 assert verify_tiling(form, k1, n) == scan_verify_tiling(form, k1, n)
+
+
+def test_verify_tiling_resolves_only_tiles_outside_the_catalog(monkeypatch):
+    from positroid_lab import hypersimplex
+
+    tiling = enumerate_tilings(3, 6)[0]  # builds the catalog and its masks
+    calls = []
+    for name in ("positroid_of_perm", "cover_mask"):
+        def counting(*args, _f=getattr(hypersimplex, name)):
+            calls.append(_f)
+            return _f(*args)
+        monkeypatch.setattr(hypersimplex, name, counting)
+    assert verify_tiling(list(tiling.perms()), 3, 6)["valid"]
+    assert calls == []
+    top = top_cell_permutation(3, 6)
+    assert repr(top) == "(4,5,6,1,2,3)"
+    rep = verify_tiling(list(tiling.perms()) + [top], 3, 6)
+    assert "tile (4,5,6,1,2,3) is not a moment-map tile" in rep["violations"]
+    assert len(calls) >= 1
 
 
 def test_cover_mask_bits_are_the_simplices_in_the_tile():
@@ -198,6 +218,7 @@ def test_cover_mask_bits_are_the_simplices_in_the_tile():
             D = enumerate_D(k1, n)
             for rec in tile_catalog(k1, n).values():
                 mask = cover_mask(rec.matroid)
+                assert rec.mask == mask
                 assert [i for i in range(len(D)) if mask >> i & 1] == \
                     [i for i, ws in enumerate(D) if simplex_in_positroid(ws, rec.matroid)]
                 assert mask >> len(D) == 0
@@ -377,9 +398,12 @@ def test_verify_tiling_accepts_triangulation_and_matroid_inputs():
 
 
 def test_verify_tiling_refuses_a_matroid_tile():
-    M = positroid_of_perm(parse_decorated("(3,1,4,2)"))
-    with pytest.raises(TypeError, match="cannot interpret tile"):
-        verify_tiling([M], 2, 4)
+    pi = parse_decorated("(3,1,4,2)")
+    # before the repeat check, which hashes the tiles
+    for tiles in ([positroid_of_perm(pi)], [pi, [3, 1, 4, 2], [3, 1, 4, 2]],
+                  [pi, pi, "(2,4,1,3)"]):
+        with pytest.raises(TypeError, match="cannot interpret tile"):
+            verify_tiling(tiles, 2, 4)
 
 
 def test_moment_map_thousand_samples_inside_tiles():
