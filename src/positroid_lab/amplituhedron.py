@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from math import prod
 from operator import mul, or_
 from typing import Sequence
 
 from .cells import cell_dim_of_perm, matrix_realization
 from .exact import RatMatrix, integer_minors, kernel_basis, rank, var, varbar
-from .grassmann import plucker_of_matrix
+from .grassmann import plucker_of_matrix, vandermonde_matrix
 from .hypersimplex import WSimplex, tile_catalog, verify_tiling
 from .perms import t_dual
 from .triangulations import BicoloredTriangulation
@@ -90,8 +91,7 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
         raise ValueError(f"need {n} nodes")
     if any(a >= b for a, b in zip(ts, ts[1:])):
         raise ValueError("nodes must be strictly increasing")
-    rows = [[t ** j for j in range(p)] for t in ts]
-    return ZMatrix(RatMatrix.from_rows(rows))
+    return ZMatrix(vandermonde_matrix(p, ts).transpose())
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,6 @@ class AmplituhedronPoint:
     k: int
     m: int
     signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "m": self.m, "Y": self.Y.to_json()}
 
 
 def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
@@ -257,20 +254,13 @@ def m2_interior_test(Y, Z: ZMatrix) -> bool:
     return general_m_boundary_signs(Y, Z)
 
 
-def _consecutive_pair_sets(lo: int, hi: int, r: int) -> list[tuple[int, ...]]:
-    """Disjoint unions of r adjacent pairs {i, i+1} inside [lo, hi]."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, left: int, acc: tuple[int, ...]):
-        if left == 0:
-            out.append(acc)
-            return
-        for i in range(start, hi):
-            if i + 1 <= hi:
-                rec(i + 2, left - 1, acc + (i, i + 1))
-
-    rec(lo, r, ())
-    return out
+@lru_cache(maxsize=None)
+def _consecutive_pair_sets(lo: int, hi: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Disjoint unions of r adjacent pairs {i, i+1} inside [lo, hi], in lex order."""
+    if r < 0:  # m = 0 asks for r - 1 = -1 pairs
+        return ()
+    return tuple(tuple(i for j, c in enumerate(cs) for i in (c + j, c + j + 1))
+                 for cs in combinations(range(lo, hi - r + 1), r))
 
 
 def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:

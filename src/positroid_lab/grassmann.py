@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .exact import (
@@ -38,16 +37,17 @@ Subset = tuple[int, ...]
 
 
 class PluckerVector:
-    """Projective vector of exact rationals indexed by k-subsets of [n]."""
+    """Projective vector of exact rationals keyed by sorted k-subsets of [n] only."""
 
     __slots__ = ("k", "n", "coords")
 
     def __init__(self, k: int, n: int, coords: dict[Subset, Fraction]):
         self.k = k
         self.n = n
-        full = {}
-        for I in subsets(n, k):
-            v = coords.get(I, 0)
+        full = dict.fromkeys(subsets(n, k), Fraction(0))
+        for I, v in coords.items():
+            if I not in full:
+                raise ValueError(f"coordinate key {I!r} is not a sorted {k}-subset of [{n}]")
             full[I] = v if isinstance(v, Fraction) else Fraction(v)
         if all(v == 0 for v in full.values()):
             raise ValueError("the zero vector is not a Grassmannian point")
@@ -58,9 +58,8 @@ class PluckerVector:
 
     def normalized_tuple(self) -> tuple[Fraction, ...]:
         """Scale so the first nonzero coordinate (lex subset order) is 1."""
-        vals = [self.coords[I] for I in subsets(self.n, self.k)]
-        lead = next(v for v in vals if v != 0)
-        return tuple(v / lead for v in vals)
+        lead = next(v for v in self.coords.values() if v != 0)
+        return tuple(v / lead for v in self.coords.values())
 
     def __eq__(self, other) -> bool:
         # projective equality
@@ -90,8 +89,13 @@ class PluckerVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "PluckerVector":
-        coords = {subset_from_key(key): rat_from_str(v)
-                  for key, v in data["coords"].items()}
+        """ValueError on a key that is no k-subset of [n] or that repeats one."""
+        coords = {}
+        for key, v in data["coords"].items():
+            I = subset_from_key(key)
+            if I in coords:
+                raise ValueError(f"coordinate key {key!r} repeats the subset {subset_key(I)}")
+            coords[I] = rat_from_str(v)
         return cls(data["k"], data["n"], coords)
 
 
@@ -109,20 +113,8 @@ class Matroid:
             if len(B) != self.k or not B <= ground:
                 raise ValueError(f"bad basis {sorted(B)}")
 
-    def loops(self) -> frozenset[int]:
-        used = set().union(*self.bases)
-        return frozenset(set(range(1, self.n + 1)) - used)
-
-    def coloops(self) -> frozenset[int]:
-        common = set.intersection(*(set(B) for B in self.bases))
-        return frozenset(common)
-
     def sorted_bases(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(B)) for B in self.bases)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k,
-                "bases": [list(b) for b in self.sorted_bases()]}
 
     def __repr__(self):
         body = ",".join("".join(map(str, B)) if self.n < 10 else str(B)
@@ -198,8 +190,7 @@ def matrix_of_plucker(P: PluckerVector) -> RatMatrix:
         rows.append(row)
     C = RatMatrix.from_rows(rows)
     minors = dict(zip(subsets(n, k), integer_minors(C.ints, n)))
-    L = lcm(*(v.denominator for v in P.coords.values()))
-    q = {I: v.numerator * (L // v.denominator) for I, v in P.coords.items()}
+    q = dict(zip(P.coords, RatMatrix.from_rows([list(P.coords.values())]).ints[0]))
     if any(minors[I] * q[I0] != q[I] * minors[I0] for I in q):
         raise ValueError("coordinates fail the Pluecker relations; "
                          "not a point of the Grassmannian")

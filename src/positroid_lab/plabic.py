@@ -272,10 +272,6 @@ def _shade(G: PlabicGraph, v: str) -> str:
     return "black" if G.is_boundary(v) else G.colors[v]
 
 
-def is_bipartite_boundary_white(G: PlabicGraph) -> bool:
-    return all(_shade(G, u) != _shade(G, v) for u, v in G.edges)
-
-
 def bipartize(G: PlabicGraph) -> tuple[PlabicGraph, dict[int, int]]:
     """Insert degree-2 vertices until the graph is bipartite with white
     vertices next to the (black-acting) boundary.
@@ -325,7 +321,7 @@ def matchings(G: PlabicGraph) -> tuple[Matching, ...]:
     The graph must already be bipartite with white vertices at the
     boundary; apply :func:`bipartize` first otherwise.
     """
-    if not is_bipartite_boundary_white(G):
+    if any(_shade(G, u) == _shade(G, v) for u, v in G.edges):
         raise ValueError("matchings need a bipartite graph with white vertices "
                          "at the boundary (run bipartize first)")
     internal = G.internal_vertices()

@@ -155,10 +155,6 @@ class BicoloredTriangulation:
             "white": sorted(sorted(t) for t in self.white),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BicoloredTriangulation":
-        return cls.make(data["n"], data.get("black", ()), data.get("white", ()))
-
     def __repr__(self):
         b = ",".join("".join(map(str, t)) if self.n < 10 else str(t)
                      for t in sorted(self.black))
@@ -172,10 +168,6 @@ class BicoloredSubdivision:
     n: int
     black_polygons: frozenset[tuple[int, ...]]
     white_polygons: frozenset[tuple[int, ...]]
-
-    @property
-    def k(self) -> int:
-        return sum(len(p) - 2 for p in self.black_polygons)
 
     def key(self) -> tuple:
         return (self.n, tuple(sorted(self.black_polygons)))
@@ -202,13 +194,6 @@ class BicoloredSubdivision:
                 a, b = turn[(b, a)]
             images.append(a)
         return DecoratedPermutation(tuple(images), frozenset(), frozenset())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "black_polygons": sorted(list(p) for p in self.black_polygons),
-            "white_polygons": sorted(list(p) for p in self.white_polygons),
-        }
 
 
 def _norm_arc(x: int, y: int) -> Arc:

@@ -123,8 +123,12 @@ def positivity_violation(P: HeightVector):
     The requirement, on the integers L P_I: L P_Sac + L P_Sbd equals
     min(L P_Sab + L P_Scd, L P_Sad + L P_Sbc).
     """
-    H = _scaled(P)[1]
-    for quad, ac, bd, ab, cd, ad, bc in _quad_plan(P.k, P.n):
+    return _violation(P.k, P.n, _scaled(P)[1])
+
+
+def _violation(k: int, n: int, H: list[int]):
+    """``positivity_violation`` on the scaled heights H = ``_scaled(P)[1]``."""
+    for quad, ac, bd, ab, cd, ad, bc in _quad_plan(k, n):
         if H[ac] + H[bd] != min(H[ab] + H[cd], H[ad] + H[bc]):
             return quad
     return None
@@ -292,14 +296,12 @@ def _step(index: dict[Subset, tuple[int, ...]], u: list[int]) -> tuple:
     return u, {I: sum(map(at, ix)) for I, ix in index.items()}
 
 
-def _grow_to_cell(n: int, tab: dict, directions, full):
-    """From the flat tilt of the heights ``tab``, as integers L P_I over the
-    lcm L of their denominators, shoot along the first (u, d) of
+def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions, full):
+    """From the flat tilt of the heights G_I / q, given as the integers
+    ``gaps`` over one q > 0, shoot along the first (u, d) of
     ``directions(face)`` constant on the face that hits, until
     ``full(face)``; returns the cell and its state, as ``_walk`` keeps it."""
-    L = lcm(*(h.denominator for h in tab.values()))
-    gaps = {I: h.numerator * (L // h.denominator) for I, h in tab.items()}
-    Y, r, q = [0] * n, 1, L
+    Y, r = [0] * n, 1
     face = _face(gaps)
     while not full(face):
         for u, d in directions(face):
@@ -373,14 +375,14 @@ def _interval_directions(n: int) -> list[list[int]]:
     return out
 
 
-def _cells_by_wall_search(P: HeightVector) -> list[SubdivisionCell]:
-    """Grow a cell and cross every wall along the cyclic-interval directions.
-    Growing never fails: faces of positroidal subdivisions are positroid
-    polytopes, cut out by these directions, and a face is a cell exactly
-    when ``_connected``."""
+def _cells_by_wall_search(P: HeightVector, gaps: dict, q: int) -> list[SubdivisionCell]:
+    """Grow a cell from P's heights, the integers ``gaps`` over q, and cross
+    every wall along the cyclic-interval directions.  Growing never fails:
+    faces of positroidal subdivisions are positroid polytopes, cut out by
+    these directions, and a face is a cell exactly when ``_connected``."""
     steps = _interval_steps(P.k, P.n)
     directions, full = (lambda face: steps), partial(_connected, P.k, P.n)
-    cells = _walk(*_grow_to_cell(P.n, P.table(), directions, full), directions, full)
+    cells = _walk(*_grow_to_cell(P.n, gaps, q, directions, full), directions, full)
     return [SubdivisionCell(c, tuple(Fraction(a, cells[c][1]) for a in cells[c][0]))
             for c in sorted(cells, key=sorted)]
 
@@ -393,7 +395,7 @@ def _lift(k: int, n: int) -> dict[Subset, int]:
     return {I: B ** p for p, I in enumerate(subsets(n, k))}
 
 
-def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
+def _cells_by_facet_walk(P: HeightVector, gaps: dict, q: int) -> list[SubdivisionCell]:
     """Gift-wrap the lower hull of P + εr (ε > 0 infinitesimal, r the
     ``_lift``) along the facet normals of its simplices, with |det| off one
     elimination each.  That hull triangulates the subdivision of P
@@ -444,9 +446,9 @@ def _cells_by_facet_walk(P: HeightVector) -> list[SubdivisionCell]:
     def spans(face):
         return _aff_rank_sets(n, sorted(face)) == n - 1
 
-    start, state = _grow_to_cell(n, P.table(), directions, spans)
+    start, state = _grow_to_cell(n, gaps, q, directions, spans)
     if len(start) > n:
-        start = _grow_to_cell(n, {I: lift[I] for I in start}, directions, spans)[0]
+        start = _grow_to_cell(n, {I: lift[I] for I in start}, 1, directions, spans)[0]
     # a face reached across a facet holds it and a vertex off its plane
     walked = _walk(start, state, directions, lambda face: True, narrow)
     obs.count("trop.facet_walk.ties", len(ties))
@@ -469,9 +471,11 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
         only = subsets(n, k)[0]
         return Subdivision(k, n, (SubdivisionCell(frozenset([only]),
                                                   tuple([Fraction(0)] * n)),))
-    if is_positive_tropical(P):
+    L, H = scaled = _scaled(P)
+    gaps = dict(zip(_index(k, n), H))  # the heights as integers over L
+    if _violation(k, n, H) is None:
         obs.count("trop.wall_walk")
-        cells = _cells_by_wall_search(P)
+        cells = _cells_by_wall_search(P, gaps, L)
         D = enumerate_D(k, n)
         masks = [cover_mask(cell.matroid(k, n)) for cell in cells]
         # an exact cover: the union is all of D and no simplex is counted twice
@@ -481,9 +485,8 @@ def regular_subdivision(P: HeightVector) -> Subdivision:
                                "staircase simplices")
     else:
         obs.count("trop.facet_walk")
-        cells = _cells_by_facet_walk(P)
+        cells = _cells_by_facet_walk(P, gaps, L)
     obs.count("trop.cells", len(cells))
-    scaled = _scaled(P)
     for cell in cells:
         if _argmin(P, scaled, cell.witness) != cell.vertices:
             raise RuntimeError("witness does not certify its cell")

@@ -54,17 +54,4 @@ def perm_sign(seq: Sequence[int]) -> int:
     seq = list(seq)
     if len(set(seq)) != len(seq):
         return 0
-    sgn = 1
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    seen = [False] * len(seq)
-    for i in range(len(seq)):
-        if seen[i]:
-            continue
-        j, cyc = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sgn = -sgn
-    return sgn
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1

@@ -110,6 +110,12 @@ the quiver mutation that ``cluster.mutate`` ran before the exchange-matrix
 rule: it reverses the arrows at the vertex, adds an arrow u -> w per path
 u -> key -> w, cancels 2-cycles and drops arrows between frozen vertices
 through a reverse rename; ``mutate`` is compared with it.
+``cycle_walk_perm_sign`` is the cycle walk that ``util.perm_sign`` ran
+before it took the parity of the inversion count, and
+``recursive_pair_sets`` and ``moment_curve_rows`` are the recursive
+builder of ``amplituhedron._consecutive_pair_sets`` and the rows that
+``make_positive_Z`` built before it transposed ``vandermonde_matrix``;
+each is compared with the code that replaced it.
 """
 
 from __future__ import annotations
@@ -1100,3 +1106,49 @@ def _both_frozen(S: Seed, rename, pair) -> bool:
     back = {new: old for old, new in rename.items()}
     u, v = pair
     return back.get(u, u) in S.frozen and back.get(v, v) in S.frozen
+
+
+def cycle_walk_perm_sign(seq: Sequence[int]) -> int:
+    """Sign of the permutation sorting ``seq``, by the parity of its even
+    cycles; 0 if entries repeat."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return 0
+    sgn = 1
+    order = sorted(range(len(seq)), key=lambda i: seq[i])
+    seen = [False] * len(seq)
+    for i in range(len(seq)):
+        if seen[i]:
+            continue
+        j, cyc = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            cyc += 1
+        if cyc % 2 == 0:
+            sgn = -sgn
+    return sgn
+
+
+def recursive_pair_sets(lo: int, hi: int, r: int) -> list[tuple[int, ...]]:
+    """Disjoint unions of r adjacent pairs {i, i+1} inside [lo, hi], built
+    depth first."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(start: int, left: int, acc: tuple[int, ...]):
+        if left == 0:
+            out.append(acc)
+            return
+        for i in range(start, hi):
+            if i + 1 <= hi:
+                rec(i + 2, left - 1, acc + (i, i + 1))
+
+    rec(lo, r, ())
+    return out
+
+
+def moment_curve_rows(n: int, p: int, nodes: Sequence) -> RatMatrix:
+    """The n x p matrix of rows (1, t, ..., t^(p-1)) at the n nodes."""
+    ts = [Fraction(t) for t in nodes]
+    assert len(ts) == n
+    return RatMatrix.from_rows([[t ** j for j in range(p)] for t in ts])

@@ -50,6 +50,8 @@ from positroid_lab.util import rat_to_str
 
 from oracles import (
     cleared_rows,
+    moment_curve_rows,
+    recursive_pair_sets,
     fraction_arc_value,
     fraction_entry_matmul,
     fraction_twistor_table,
@@ -79,6 +81,31 @@ def test_make_positive_Z_minors():
         make_positive_Z(3, 2, [1, 1, 2])
     with pytest.raises(ValueError):
         ZMatrix(RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]][::-1]))
+
+
+@pytest.mark.parametrize("n, p, nodes", [
+    (4, 3, [0, 1, 2, 3]),
+    (5, 3, range(5)),
+    (6, 4, [0, 1, 2, 3, 4, 6]),
+    (4, 4, [-2, Fraction(-1, 3), Fraction(1, 2), 5]),
+    (5, 2, [Fraction(1, 7), Fraction(2, 7), 1, Fraction(9, 4), 3]),
+    (3, 1, ["1/2", "2/3", 7]),
+])
+def test_make_positive_Z_rows_are_the_moment_curve(n, p, nodes):
+    assert make_positive_Z(n, p, nodes).mat == moment_curve_rows(n, p, nodes)
+
+
+def test_consecutive_pair_sets_match_the_recursive_builder_and_brute_force():
+    pair_sets = amplituhedron._consecutive_pair_sets
+    for lo in range(1, 5):
+        for hi in range(10):
+            pairs = [(i, i + 1) for i in range(lo, hi)]
+            for r in range(5):
+                brute = [sum(c, ()) for c in combinations(pairs, r)
+                         if len(set(sum(c, ()))) == 2 * r]
+                assert list(pair_sets(lo, hi, r)) == brute == recursive_pair_sets(lo, hi, r)
+    assert pair_sets(2, 5, -1) == () and recursive_pair_sets(2, 5, -1) == []
+    assert pair_sets(1, 6, 2) is pair_sets(1, 6, 2)  # one table per (lo, hi, r)
 
 
 def test_square_Z_single_minor():
@@ -725,6 +752,23 @@ def test_verify_amp_tiling_audits_every_sample():
     assert not dropped["valid"] and not dropped["sample_audit_ok"]
     label = t_dual(FAN5[0].subdivision.trip_permutation())
     assert f"no listed tile holds the witness of tile {label!r}" in dropped["violations"]
+
+
+def test_verify_amp_tiling_names_a_tile_that_does_not_hold_its_witness_strictly(monkeypatch):
+    # every witness that lies inside a tile is taken to lie on its boundary
+    membership = amplituhedron.tile_membership_m2
+
+    def on_the_boundary(Y, Z, T, strict=False):
+        got = membership(Y, Z, T, strict)
+        return "boundary" if got is True else got
+
+    monkeypatch.setattr(amplituhedron, "tile_membership_m2", on_the_boundary)
+    rep = verify_amp_tiling_m2(FAN5, make_positive_Z(5, 3, [0, 1, 2, 3, 4]))
+    assert rep["hypersimplex"]["valid"]
+    assert not rep["valid"] and not rep["sample_audit_ok"]
+    assert rep["violations"] == [
+        f"tile {t_dual(T.subdivision.trip_permutation())!r} does not hold its witness strictly"
+        for T in FAN5]
 
 
 def test_verify_amp_tiling_names_a_tile_that_holds_another_witness():

@@ -276,6 +276,49 @@ def test_amp_verify_tiling(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"]
 
 
+AMP_LABELS = {"space": "amplituhedron", "k": 1, "n": 4, "tiles": ["(1_,3,4,2)", "(2,4,3_,1)"]}
+
+
+def test_amp_verify_tiling_reads_amplituhedron_labels(capsys, tmp_path):
+    import hashlib
+
+    p = tmp_path / "amp.json"
+    p.write_text(json.dumps(AMP_LABELS))
+    code, out = run(capsys, "amp", "verify-tiling", "--file", str(p),
+                    "--z", "vandermonde:0,1,2,3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["valid"] and data["sample_audit_ok"] and data["violations"] == []
+    assert data["hypersimplex"]["tiles"] == ["(3,4,2,1)", "(4,3,1,2)"]
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "516412df32ee9eb7b5ac3afada4b1f5affefebc9dd9608b033abd4442a1df177")
+
+
+@pytest.mark.parametrize("tiles, message", [
+    (["(2,3,4,1)"], "tile (2,3,4,1) does not label a tile"),
+    (["(1,2,3,4)"], "tile (1_,2_,3_,4_) has type (0, 4), expected (1,4) or (2,4)"),
+], ids=["not-a-tile", "wrong-type"])
+def test_amp_verify_tiling_refuses_a_label_of_no_tile(capsys, tmp_path, tiles, message):
+    p = tmp_path / "amp.json"
+    p.write_text(json.dumps({**AMP_LABELS, "tiles": tiles}))
+    code = main(["amp", "verify-tiling", "--file", str(p), "--z", "vandermonde:0,1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_amp_sample_at_m1_lands_every_sample_in_the_amplituhedron(capsys):
+    import hashlib
+
+    code, out = run(capsys, "amp", "sample", "--m", "1", "--n", "5", "--k", "2",
+                    "--cell", "(3,4,5,1,2)")
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert len(samples) == 10 and all(rec["m1_membership"] is True for rec in samples)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "88cbfa21224746aed2692612d44168cc4d565824ab76f670a9dd972b747126ff")
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _ = run(capsys, "cell", "--perm", "(banana)")
     assert code == 2

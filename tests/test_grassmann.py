@@ -286,6 +286,23 @@ def test_plucker_json_round_trip():
     assert P.to_json()["coords"]["1,2"] == "1/1"
 
 
+def test_plucker_vector_refuses_a_key_that_is_no_sorted_k_subset():
+    with pytest.raises(ValueError, match=r"key \(2, 1\) is not a sorted 2-subset of \[4\]"):
+        PluckerVector(2, 4, {(1, 2): 1, (2, 1): 5, (1, 5): 7})
+    with pytest.raises(ValueError, match=r"key \(1, 5\) is not a sorted 2-subset of \[4\]"):
+        PluckerVector(2, 4, {(1, 2): 1, (1, 5): 7})
+    bad = {"k": 2, "n": 4, "coords": {"1,2": "1/1", "1,5": "3/1", "3": "2/1"}}
+    with pytest.raises(ValueError, match=r"key \(1, 5\) is not a sorted 2-subset"):
+        PluckerVector.from_json(bad)
+    with pytest.raises(ValueError, match=r"key \(3,\) is not a sorted 2-subset"):
+        PluckerVector.from_json({"k": 2, "n": 4, "coords": {"1,2": "1/1", "3": "2/1"}})
+    with pytest.raises(ValueError, match="key '2,1' repeats the subset 1,2"):
+        PluckerVector.from_json({"k": 2, "n": 4, "coords": {"1,2": "1/1", "2,1": "5/1"}})
+    # a key written out of order still names its one subset
+    assert (PluckerVector.from_json({"k": 2, "n": 4, "coords": {"2,1": "3/1"}})
+            == PluckerVector(2, 4, {(1, 2): 1}))
+
+
 def random_matrix(rows: int, cols: int, rng: Random) -> RatMatrix:
     """Independent nonzero integer entries in [-9, 9]; a zero is redrawn."""
     entries = []

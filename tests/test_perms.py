@@ -1,7 +1,10 @@
 """Decorated permutations, anti-excedances, and the T-duality rotation."""
 
+from itertools import product
+
 import pytest
 
+from oracles import cycle_walk_perm_sign
 from positroid_lab.perms import (
     DecoratedPermutation,
     anti_excedances,
@@ -17,6 +20,15 @@ from positroid_lab.perms import (
     top_cell_permutation,
     type_of,
 )
+from positroid_lab.util import perm_sign
+
+
+def test_perm_sign_matches_the_cycle_walk():
+    # every sequence over 1..n of length n <= 6, repeats included
+    for n in range(7):
+        for seq in product(range(1, n + 1), repeat=n):
+            assert perm_sign(seq) == cycle_walk_perm_sign(seq), seq
+    assert perm_sign([3, 1, 2]) == 1 and perm_sign((2, 1)) == -1 and perm_sign("aba") == 0
 
 
 def test_anti_excedances_pinned():

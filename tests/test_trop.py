@@ -43,6 +43,17 @@ from positroid_lab.util import subsets
 OCTAHEDRON_SPLIT = {(1, 3): 1, (2, 4): 1}
 
 
+def scaled_gaps(P):
+    """P's heights as ``regular_subdivision`` hands them to either walk: the
+    integers L P_I, keyed by I, and the lcm L of their denominators."""
+    L, H = trop._scaled(P)
+    return dict(zip(trop._index(P.k, P.n), H)), L
+
+
+def wall_search(P):
+    return trop._cells_by_wall_search(P, *scaled_gaps(P))
+
+
 def test_positivity_pinned_vectors():
     assert is_positive_tropical(HeightVector.make(2, 4, {(1, 2): 1}))
     assert is_positive_tropical(HeightVector.make(2, 4, {}))
@@ -126,7 +137,7 @@ def test_wall_search_matches_span_scan():
     for (k, n) in [(2, 4), (2, 5)]:
         for _ in range(5):
             P = random_positive_tropical(k, n, rng)
-            a = {c.vertices for c in trop._cells_by_wall_search(P)}
+            a = {c.vertices for c in wall_search(P)}
             b = {c.vertices for c in span_scan(P)}
             assert a == b
 
@@ -211,8 +222,8 @@ def _check_walk_steps(monkeypatch, draws):
 
         return checked
 
-    def checked_grow(n, tab, directions, full):
-        return grow(n, tab, checking(n, directions), full)
+    def checked_grow(n, gaps, q, directions, full):
+        return grow(n, gaps, q, checking(n, directions), full)
 
     def checked_walk(start, state, directions, full, narrow):
         walks.append(walk(start, state, checking(len(state[0]), directions), full, narrow))
@@ -371,9 +382,9 @@ def test_interval_directions_are_cyclic_interval_indicators():
 
 
 def _wall_search_along(monkeypatch, P, directions):
-    """``trop._cells_by_wall_search(P)`` shooting along the integer vectors
-    of ``directions(n)`` in place of the cached cyclic-interval steps, and
-    its run record."""
+    """``wall_search(P)`` shooting along the integer vectors of
+    ``directions(n)`` in place of the cached cyclic-interval steps, and its
+    run record."""
     calls = []
 
     def steps(k, n):
@@ -385,7 +396,7 @@ def _wall_search_along(monkeypatch, P, directions):
         m.setattr(trop, "_interval_steps", steps)
         obs.start()
         try:
-            cells = trop._cells_by_wall_search(P)
+            cells = wall_search(P)
         finally:
             record = obs.stop()
     assert calls == [(P.k, P.n)]
@@ -397,10 +408,10 @@ def test_wall_search_matches_zero_one_oracle(monkeypatch, k, n, count):
     rng = Random(1)
     for _ in range(count):
         P = random_positive_tropical(k, n, rng)
-        fast = trop._cells_by_wall_search(P)
+        fast = wall_search(P)
         slow, _ = _wall_search_along(monkeypatch, P, zero_one_directions)
         assert fast == slow
-        assert trop._cells_by_wall_search(P) == fast  # the cached steps are untouched
+        assert wall_search(P) == fast  # the cached steps are untouched
 
 
 @pytest.mark.parametrize("k, n, count", POSITIVE_DRAWS)
@@ -410,7 +421,7 @@ def test_wall_search_matches_the_full_interval_list(monkeypatch, k, n, count):
         P = random_positive_tropical(k, n, rng)
         obs.start()
         try:
-            fast = trop._cells_by_wall_search(P)
+            fast = wall_search(P)
         finally:
             record = obs.stop()
         slow, full = _wall_search_along(monkeypatch, P, full_interval_directions)
@@ -496,7 +507,7 @@ def test_wall_search_matches_resumming_oracle(k, n, count):
     rng = Random(0)
     for _ in range(count):
         P = random_positive_tropical(k, n, rng)
-        fast = trop._cells_by_wall_search(P)
+        fast = wall_search(P)
         slow = resumming_wall_search(P)
         assert fast == slow  # vertices, witnesses and order
 
@@ -522,12 +533,14 @@ def test_wall_search_reads_faces_off_its_gap_tables(monkeypatch):
     rng = Random(3)
     for (k, n) in [(2, 5), (3, 6), (2, 7)]:
         P = random_positive_tropical(k, n, rng)
-        trop._cells_by_wall_search(P)
+        gaps, L = scaled_gaps(P)
+        scalings.clear()
+        trop._cells_by_wall_search(P, gaps, L)
         assert calls == [] and scalings == []
         # regular_subdivision certifies each cell once, from scratch, on the
-        # heights scaled once for the exchange check and once for the cells
+        # heights scaled once for the exchange check, the walk and the cells
         cells = regular_subdivision(P).cells
-        assert calls == [c.witness for c in cells] and scalings == [P, P]
+        assert calls == [c.witness for c in cells] and scalings == [P]
         calls.clear()
         scalings.clear()
     # the public argmin_face scales the heights on every call
@@ -541,7 +554,7 @@ def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
     for (k, n) in [(2, 5), (2, 6), (3, 6)]:
         P = _random_heights(k, n, rng, 10 ** 9)
         assert not is_positive_tropical(P)
-        assert all(len(c.vertices) == n for c in trop._cells_by_facet_walk(P))
+        assert all(len(c.vertices) == n for c in trop._cells_by_facet_walk(P, *scaled_gaps(P)))
         assert calls == []
         # regular_subdivision certifies each cell once, from scratch
         cells = regular_subdivision(P).cells
@@ -549,8 +562,10 @@ def test_facet_walk_reads_generic_cells_off_its_walk(monkeypatch):
         calls.clear()
     # degenerate heights too: each simplex of the one walk lies in the cell
     # that its gaps select, with no argmin and no scaling of the heights
+    P = HeightVector.make(2, 4, OCTAHEDRON_SPLIT)
+    gaps, L = scaled_gaps(P)
     scalings.clear()
-    cells = trop._cells_by_facet_walk(HeightVector.make(2, 4, OCTAHEDRON_SPLIT))
+    cells = trop._cells_by_facet_walk(P, gaps, L)
     assert len(cells) == 2 and calls == [] and scalings == []
 
 
@@ -596,7 +611,7 @@ def test_walk_gap_tables_are_integers_over_one_denominator(monkeypatch, k, n):
 def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
     rng = Random(12)
     P = random_positive_tropical(3, 6, rng)
-    tab, index = P.table(), trop._index(3, 6)
+    tab, index, (gaps, L) = P.table(), trop._index(3, 6), scaled_gaps(P)
     steps = [trop._step(index, u) for u in trop._interval_directions(6)]
 
     def directions(face):
@@ -605,7 +620,7 @@ def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
     def full(face):
         return trop._connected(3, 6, face)
 
-    cells = trop._walk(*trop._grow_to_cell(6, tab, directions, full), directions, full)
+    cells = trop._walk(*trop._grow_to_cell(6, gaps, L, directions, full), directions, full)
     rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(6)]
                 for _ in range(20)]
     for w in zero_one_directions(6) + rational:
@@ -630,7 +645,7 @@ def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
 
 @pytest.mark.parametrize("k, n, count", [(3, 6, 12), (2, 7, 6)])
 def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n, count):
-    def facet_walk(P):
+    def facet_walk(P, gaps, q):
         raise AssertionError("positive heights took the facet walk")
 
     monkeypatch.setattr(trop, "_cells_by_facet_walk", facet_walk)
@@ -646,12 +661,12 @@ def test_wall_search_cells_cover_every_staircase_simplex_once(monkeypatch, k, n,
 
 def test_audit_rejects_a_double_cover(monkeypatch):
     P = random_positive_tropical(2, 5, Random(0))
-    cells = trop._cells_by_wall_search(P)
+    cells = wall_search(P)
     # cells[1] twice in place of cells[2] still counts eulerian(1, 4) simplices;
     # cells[1] once more covers every simplex
     assert [cover_mask(c.matroid(2, 5)).bit_count() for c in cells] == [5, 3, 3]
     for fake in ([cells[0], cells[1], cells[1]], cells + [cells[1]]):
-        monkeypatch.setattr(trop, "_cells_by_wall_search", lambda P: fake)
+        monkeypatch.setattr(trop, "_cells_by_wall_search", lambda P, gaps, q: fake)
         with pytest.raises(RuntimeError, match="not an exact cover"):
             regular_subdivision(P)
 
@@ -660,11 +675,11 @@ def test_audit_rejects_a_dropped_cell(monkeypatch):
     # positive heights have one path: a wall walk that misses a cell raises
     # and is not retried by the facet walk
     P = random_positive_tropical(3, 6, Random(2))
-    cells = trop._cells_by_wall_search(P)
+    cells = wall_search(P)
     assert len(cells) > 1
     for i in range(len(cells)):
         monkeypatch.setattr(trop, "_cells_by_wall_search",
-                            lambda P: cells[:i] + cells[i + 1:])
+                            lambda P, gaps, q: cells[:i] + cells[i + 1:])
         with pytest.raises(RuntimeError, match="not an exact cover"):
             regular_subdivision(P)
 
