@@ -41,6 +41,7 @@ __all__ = [
     "general_m_boundary_signs",
     "tile_membership_m2",
     "w_chamber_membership",
+    "witness_audit",
     "verify_amp_tiling_m2",
     "b_point",
 ]
@@ -48,7 +49,7 @@ __all__ = [
 
 class ZMatrix:
     """n x p matrix with strictly positive maximal minors; ``witnesses``
-    keeps its m = 2 tile witnesses (see ``_held``), ``minors`` its minor tables."""
+    keeps its m = 2 tile witnesses (see ``witness_audit``), ``minors`` its minor tables."""
 
     __slots__ = ("mat", "n", "p", "witnesses", "minors")
 
@@ -99,8 +100,6 @@ class AmplituhedronPoint:
     """Y = C Z; ``signs`` keeps its sign record per ZMatrix."""
 
     Y: RatMatrix
-    k: int
-    m: int
     signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -110,7 +109,7 @@ def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
     k x k minors, which the record keeps, is nonzero."""
     if C.cols != Z.n:
         raise ValueError("column count of C must match the rows of Z")
-    Y = AmplituhedronPoint(C.matmul(Z.mat), C.rows, Z.p - C.rows)
+    Y = AmplituhedronPoint(C.matmul(Z.mat))
     if C.rows > Z.p or not any(_signs(Y, Z).ymin):
         raise RuntimeError("image lost rank; input was not in the domain")
     return Y
@@ -274,6 +273,8 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     rec = _signs(Y, Z)
     k, pair = rec.Y.rows, rec.pair
     m = Z.p - k
+    if m < 1:
+        raise ValueError(f"boundary signs need m = p - k >= 1, not m = {m}")
     n = Z.n
     r = m // 2
     if m % 2 == 0:
@@ -335,55 +336,52 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
     return "boundary" if first_miss is None else False
 
 
-def _held(Z: ZMatrix, T: BicoloredTriangulation) -> tuple[int, int, int]:
-    """T's position in the tile catalog of type (p - 2, n), and the bit masks,
-    over that catalog, of the witnesses that T's closed and open tile hold;
-    Z keeps the witnesses, the catalog positions and each T's triple.  A
-    tile's witness is the Z-image of its T-dual cell at unit bridge
-    parameters: a tile is the image of its T-dual cell
-    (Parisi-Sherman-Bennett-Williams), so the witness is in the open tile."""
+def witness_audit(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix) -> list[str]:
+    """The violations of m = 2 tiles of type (p - 2, n) on the witness of
+    every catalog tile: a listed tile holds its own strictly, no other
+    listed tile holds it even on its boundary, and each lies in some closed
+    listed tile.  A tile is the image of its T-dual cell (Parisi-Sherman-
+    Bennett-Williams), so that cell's Z-image at unit bridge parameters is a
+    witness in the open tile.  Z keeps the witnesses, their catalog
+    positions and, per T, its position and the masks of the witnesses that
+    its closed and open tile hold."""
     if Z.witnesses is None:
         labels = tile_catalog(Z.p - 1, Z.n)
         cells = [t_dual(pi) for pi in labels]
         Z.witnesses = ([amp_map(matrix_realization(c, [1] * cell_dim_of_perm(c)), Z)
                         for c in cells], {pi: j for j, pi in enumerate(labels)}, {})
     points, position, held = Z.witnesses
-    if T not in held:
-        got = [tile_membership_m2(Y, Z, T) for Y in points]
-        held[T] = (position[T.subdivision.trip_permutation()],
-                   sum(1 << j for j, v in enumerate(got) if v is not False),
-                   sum(1 << j for j, v in enumerate(got) if v is True))
-    return held[T]
+    for T in tiles:
+        if T not in held:
+            got = [tile_membership_m2(Y, Z, T) for Y in points]
+            held[T] = (position[T.subdivision.trip_permutation()],
+                       sum(1 << j for j, v in enumerate(got) if v is not False),
+                       sum(1 << j for j, v in enumerate(got) if v is True))
+    rows, labels = [held[T] for T in tiles], list(position)
+    covered = reduce(or_, (closed for _, closed, _ in rows), 0)
+    audit = [f"no listed tile holds the witness of tile {t_dual(pi)!r}"
+             for j, pi in enumerate(labels) if not covered >> j & 1]
+    for i, (a, _, strict) in enumerate(rows):
+        if not strict >> a & 1:
+            audit.append(f"tile {t_dual(labels[a])!r} does not hold its witness strictly")
+        audit.extend(f"tile {t_dual(labels[b])!r} holds the witness of tile {t_dual(labels[a])!r}"
+                     for j, (b, closed, _) in enumerate(rows) if j != i and closed >> a & 1)
+    return audit
 
 
 def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix) -> dict:
     """T-dualize the tiles and verify the rank-(k+1) hypersimplex tiling,
-    then audit geometrically on the witness of every catalog tile: a listed
-    tile holds its own witness strictly, no other listed tile holds it even
-    on its boundary, and every witness lies in some closed listed tile.
-    The type (k, n) = (p - 2, n) is read off Z; a tile of another type is a
-    violation and stays out of the audit.  The result is the JSON record
-    {valid, k, n, tiles, hypersimplex (``verify_tiling``'s record),
-    sample_audit_ok, violations}."""
+    then run ``witness_audit``.  The type (k, n) = (p - 2, n) is read off
+    Z; a tile of another type is a violation and stays out of the audit.
+    The result is the JSON record {valid, k, n, tiles, hypersimplex
+    (``verify_tiling``'s record), sample_audit_ok, violations}."""
     k, n = Z.p - 2, Z.n
     if k < 0:
         raise ValueError(f"m = 2 tiles need Z with p >= 2 columns, not {Z.p}")
-    violations = [f"tile {T!r} has mismatched type" for T in tiles if (T.n, T.k) != (n, k)]
-    labels = list(tile_catalog(k + 1, n))
-    resolved = [_held(Z, T) if (T.n, T.k) == (n, k) else None for T in tiles]
-    hrep = verify_tiling([T if h is None else labels[h[0]] for T, h in zip(tiles, resolved)],
-                         k + 1, n)
-    violations.extend("T-dual: " + v for v in hrep["violations"])
-    held = [h for h in resolved if h is not None]
-    covered = reduce(or_, (closed for _, closed, _ in held), 0)
-    audit = [f"no listed tile holds the witness of tile {t_dual(pi)!r}"
-             for j, pi in enumerate(labels) if not covered >> j & 1]
-    for i, (a, _, strict) in enumerate(held):
-        if not strict >> a & 1:
-            audit.append(f"tile {t_dual(labels[a])!r} does not hold its witness strictly")
-        audit.extend(f"tile {t_dual(labels[b])!r} holds the witness of tile {t_dual(labels[a])!r}"
-                     for j, (b, closed, _) in enumerate(held) if j != i and closed >> a & 1)
-    violations.extend(audit)
+    hrep = verify_tiling(tiles, k + 1, n)
+    audit = witness_audit([T for T in tiles if (T.n, T.k) == (n, k)], Z)
+    violations = ([f"tile {T!r} has mismatched type" for T in tiles if (T.n, T.k) != (n, k)]
+                  + ["T-dual: " + v for v in hrep["violations"]] + audit)
     return {"valid": not violations, "k": k, "n": n, "tiles": [T.to_json() for T in tiles],
             "hypersimplex": hrep, "sample_audit_ok": not audit, "violations": violations}
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from random import Random
 
 from . import obs
@@ -27,6 +26,7 @@ from .amplituhedron import (
     twistor_table,
     twistor_table_json,
     verify_amp_tiling_m2,
+    witness_audit,
 )
 from .cells import (cell_dim_of_perm, perm_of_graph, positroid_of_perm, sample_cell_matrix,
                     sample_cell_point)
@@ -52,7 +52,7 @@ from .trop import (
     positivity_violation,
     regular_subdivision,
 )
-from .util import rat_to_str
+from .util import rat_from_str, rat_to_str
 
 
 # ``tilings --k --n`` lists the tilings only up to this many; above it the
@@ -106,7 +106,7 @@ def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
     if spec is None:
         return make_positive_Z(n, p, range(n))
     if spec.startswith("vandermonde:"):
-        nodes = [Fraction(t) for t in spec.split(":", 1)[1].split(",")]
+        nodes = [rat_from_str(t) for t in spec.split(":", 1)[1].split(",")]
         if len(nodes) != n:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)
@@ -269,8 +269,8 @@ def cmd_tilings(args) -> int:
     if args.space == "amplituhedron" and args.z:
         Z = _parse_z(args.z, n, args.k + 2)
         if "tilings" in payload:
-            payload["audited"] = [verify_amp_tiling_m2([recs[i].triangulation for i in sol],
-                                                       Z)["valid"] for sol in tilings]
+            payload["audited"] = [not witness_audit([recs[i].triangulation for i in sol], Z)
+                                  for sol in tilings]
     _emit(args, payload)
     return 0 if all(payload.get("audited", ())) else 1
 

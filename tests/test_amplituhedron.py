@@ -23,6 +23,7 @@ from positroid_lab.amplituhedron import (
     twistor_table,
     verify_amp_tiling_m2,
     w_chamber_membership,
+    witness_audit,
 )
 from positroid_lab.cells import cell_dim_of_perm, matrix_realization, sample_cell_matrix
 from positroid_lab.cluster import build_seed, cluster_adjacency_check
@@ -576,7 +577,7 @@ def test_sign_stratum_projective():
     Y = amp_map(C, Z4)
     s1 = sign_stratum(Y, Z4)
     assert s1 == "++-+++"
-    Yneg = AmplituhedronPoint(RatMatrix.from_rows([[-x for x in Y.Y.row(0)]]), 1, 2)
+    Yneg = AmplituhedronPoint(RatMatrix.from_rows([[-x for x in Y.Y.row(0)]]))
     assert sign_stratum(Yneg, Z4) == s1
 
 
@@ -664,6 +665,14 @@ def test_general_m4_totally_positive_passes():
         C = sample_cell_matrix(top_cell_permutation(1, 6), rng)
         Y = amp_map(C, Z)
         assert general_m_boundary_signs(Y, Z)
+
+
+def test_general_m_refuses_m_zero_by_name():
+    # k = p = 2: a twistor takes no row of Z, and the flip sequence has none
+    Z = make_positive_Z(4, 2, [0, 1, 2, 3])
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 4), Random(3)), Z)
+    with pytest.raises(ValueError, match="m = 0"):
+        general_m_boundary_signs(Y, Z)
 
 
 def test_tile_membership_pinned():
@@ -851,8 +860,12 @@ def test_tile_witnesses_lie_in_their_open_tiles():
         Z = make_positive_Z(n, k + 2, range(n))
         recs = tile_catalog(k + 1, n).values()
         for j, rec in enumerate(recs):
-            own, closed, strict = amplituhedron._held(Z, rec.triangulation)
+            audit = witness_audit([rec.triangulation], Z)
+            own, closed, strict = Z.witnesses[2][rec.triangulation]
             assert own == j and strict >> j & 1 and closed & strict == strict
+            # alone, a tile fails only on the witnesses its closed tile misses
+            assert audit == [f"no listed tile holds the witness of tile {t_dual(pi)!r}"
+                             for i, pi in enumerate(tile_catalog(k + 1, n)) if not closed >> i & 1]
         points, position, held = Z.witnesses
         assert len(points) == len(position) == len(held) == len(recs)
         assert all(m2_interior_test(Y, Z) for Y in points)

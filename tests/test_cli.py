@@ -509,6 +509,51 @@ def test_amplituhedron_tilings_draw_audit_points_once(capsys, monkeypatch, seed,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _catalog_triangulations(k: int, n: int) -> dict:
+    """Each tile's triangulation under its amplituhedron label."""
+    from positroid_lab.hypersimplex import tile_catalog
+    from positroid_lab.perms import t_dual
+
+    return {repr(t_dual(pi)): rec.triangulation for pi, rec in tile_catalog(k + 1, n).items()}
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (1, 6), (2, 6)])
+def test_amplituhedron_listing_audits_as_the_full_verifier(capsys, k, n):
+    from fractions import Fraction
+
+    from positroid_lab.amplituhedron import verify_amp_tiling_m2
+
+    nodes = [f"{2 * i + 1}/2" for i in range(n)]
+    code, out = run(capsys, "tilings", "--space", "amplituhedron", "--k", str(k), "--n", str(n),
+                    "--z", "vandermonde:" + ",".join(nodes))
+    listed = json.loads(out)
+    Z = make_positive_Z(n, k + 2, [Fraction(t) for t in nodes])
+    tris = _catalog_triangulations(k, n)
+    full = [verify_amp_tiling_m2([tris[label] for label in tiling], Z)["valid"]
+            for tiling in listed["tilings"]]
+    assert code == 0 and listed["audited"] == full and len(full) == listed["count"]
+
+
+def test_amplituhedron_listing_reports_a_failed_audit(capsys, monkeypatch):
+    from positroid_lab import amplituhedron
+
+    label, T = next(iter(_catalog_triangulations(1, 5).items()))
+    original = amplituhedron.tile_membership_m2
+
+    def on_the_boundary(Y, Z, tile, strict=False):
+        # T holds no witness strictly, not even its own
+        got = original(Y, Z, tile, strict)
+        return "boundary" if tile == T and got is True else got
+
+    monkeypatch.setattr(amplituhedron, "tile_membership_m2", on_the_boundary)
+    code, out = run(capsys, "tilings", "--space", "amplituhedron", "--k", "1", "--n", "5",
+                    "--z", "vandermonde:0,1,2,3,4")
+    listed = json.loads(out)
+    assert code == 1
+    assert listed["audited"] == [label not in tiling for tiling in listed["tilings"]]
+    assert True in listed["audited"] and False in listed["audited"]
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["cell", "--perm", "(5,6,7,8,1,2,3,4)", "--sample", "3", "--seed", "0"],
      "7ae772c57f116be32feea1f177f02b117776525f206af9d52fe97e1ec8dfd179"),
@@ -946,14 +991,50 @@ def test_cli_contract_under_one_replaced_value(tmp_path, command, data):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.replace("FILE", str(p)) for a in argv])
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
+
+
+def _assert_exit_contract(code: int, out: str, err: str) -> None:
     assert code in (0, 1, 2)
     if code == 1:
         # exit 1 only for a mathematical verdict, reported on stdout
-        verdict = json.loads(out.getvalue())
+        verdict = json.loads(out)
         assert (verdict.get("valid") is False or verdict.get("positive_tropical") is False
                 or False in verdict.get("audited", ()))
     if code == 2:
-        assert err.getvalue().startswith("input error:")
+        assert err.startswith("input error:")
+
+
+# --z vandermonde: node lists of three to five nodes, each an integer (so
+# repeats and wrong orders come up) or a string: a zero denominator, an empty
+# node, a decimal or a non-number
+Z_NODES = st.lists(st.integers(-3, 9).map(str) | st.sampled_from(
+    ["1/0", "0/0", "", " ", "1/2", "-7/3", "0.5", "1e2", "x", "1/2/3", "2/-3"])
+    | st.text(max_size=3), min_size=3, max_size=5)
+
+Z_COMMANDS = {
+    "tilings": ["tilings", "--space", "amplituhedron", "--k", "1", "--n", "4"],
+    "amp-sample": ["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)",
+                   "--count", "2"],
+    "amp-verify-tiling": ["amp", "verify-tiling", "--file", "FILE"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(Z_COMMANDS))
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nodes=Z_NODES)
+def test_cli_contract_under_a_drawn_z_spec(tmp_path, command, nodes):
+    import contextlib
+    import io
+
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(_POLYGON_TILES))
+    argv = [a.replace("FILE", str(p)) for a in Z_COMMANDS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--z", "vandermonde:" + ",".join(nodes)])
+    _assert_exit_contract(code, out.getvalue(), err.getvalue())
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
