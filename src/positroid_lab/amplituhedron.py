@@ -12,7 +12,6 @@ masks, and a Fraction is built only for a caller that asks for a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -26,7 +25,7 @@ from .grassmann import plucker_of_matrix, vandermonde_matrix
 from .hypersimplex import WSimplex, tile_catalog, verify_tiling
 from .perms import t_dual
 from .triangulations import BicoloredTriangulation
-from .util import perm_sign, rat_to_str, sign, subsets
+from .util import perm_sign, rat_to_str, record, sign, subsets
 
 __all__ = [
     "ZMatrix",
@@ -95,12 +94,14 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
     return ZMatrix(vandermonde_matrix(p, ts).transpose())
 
 
-@dataclass(frozen=True)
+@record
 class AmplituhedronPoint:
-    """Y = C Z; ``signs`` keeps its sign record per ZMatrix."""
+    """Y = C Z, the one field; ``signs`` keeps its sign record per ZMatrix."""
 
     Y: RatMatrix
-    signs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signs", {})
 
 
 def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:

@@ -45,13 +45,6 @@ from .triangulations import (
     fan_triangulation,
     first_triangulation_containing,
 )
-from .trop import (
-    HeightVector,
-    is_finest,
-    faces_are_positroids,
-    positivity_violation,
-    regular_subdivision,
-)
 from .util import rat_from_str, rat_to_str
 
 
@@ -106,7 +99,12 @@ def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
     if spec is None:
         return make_positive_Z(n, p, range(n))
     if spec.startswith("vandermonde:"):
-        nodes = [rat_from_str(t) for t in spec.split(":", 1)[1].split(",")]
+        nodes = []
+        for i, text in enumerate(spec.split(":", 1)[1].split(","), start=1):
+            try:
+                nodes.append(rat_from_str(text))
+            except ValueError as e:
+                raise InputError(f"--z node {i}: {e}")
         if len(nodes) != n:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)
@@ -276,6 +274,10 @@ def cmd_tilings(args) -> int:
 
 
 def cmd_trop(args) -> int:
+    # imported here, so that the other commands start without the module
+    from .trop import (HeightVector, faces_are_positroids, is_finest, positivity_violation,
+                       regular_subdivision)
+
     data = _load_json(args.heights)
     P = HeightVector.from_json(data)
     violation = positivity_violation(P)

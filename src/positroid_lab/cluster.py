@@ -10,7 +10,6 @@ seed mutation, which the tests check numerically.  Seeds are immutable, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,6 +26,7 @@ from .triangulations import (
     flippable_arcs,
     polygon_sides,
 )
+from .util import record
 
 Arc = tuple[int, int]
 
@@ -47,7 +47,7 @@ __all__ = [
 Twistor = Callable[[tuple[int, ...]], tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@record
 class ArcVariable:
     """Signed twistor ratio attached to an arc of a black polygon."""
 
@@ -71,7 +71,7 @@ class ArcVariable:
         return f"x{self.arc[0]}{self.arc[1]}"
 
 
-@dataclass(frozen=True)
+@record
 class ExchangeVariable:
     """(product over incoming + product over outgoing) / replaced variable."""
 
@@ -90,7 +90,7 @@ class ExchangeVariable:
         return f"mu({self.old.label()})"
 
 
-@dataclass(frozen=True)
+@record
 class Seed:
     """Quiver on arc-labelled vertices with attached variables; ``arrows``
     and ``variables`` are read-only copies of the mappings given."""

@@ -9,7 +9,6 @@ Gantmakher-Krein and Karp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,6 +26,7 @@ from .perms import DecoratedPermutation, perm_of_necklace
 from .util import (
     perm_sign,
     rat_from_str,
+    record,
     rat_to_str,
     subset_from_key,
     subset_key,
@@ -99,7 +99,7 @@ class PluckerVector:
         return cls(data["k"], data["n"], coords)
 
 
-@dataclass(frozen=True)
+@record
 class Matroid:
     n: int
     k: int

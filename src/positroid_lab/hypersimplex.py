@@ -11,7 +11,6 @@ read a tile's simplices off the bits of its ``cover_mask``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -24,6 +23,7 @@ from .triangulations import (
     class_representative,
     enumerate_subdivisions,
 )
+from .util import record
 
 __all__ = [
     "moment_map",
@@ -80,7 +80,7 @@ def cyclic_left_descents(w: tuple[int, ...]) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@record
 class WSimplex:
     """Simplex of the staircase triangulation attached to w with w_n = n.
 
@@ -172,7 +172,7 @@ def cover_mask(M: Matroid) -> int:
     return full & ~missed
 
 
-@dataclass(frozen=True)
+@record
 class TileRecord:
     """A moment-map tile: a subdivision's trip permutation, its positroid,
     the subdivision, its ``cover_mask`` and, built on first use, its fan
@@ -255,7 +255,7 @@ def verify_tiling(tiles, k_plus_1: int, n: int) -> dict:
             "tiles": [repr(p) for p in perms], "violations": violations}
 
 
-@dataclass(frozen=True)
+@record
 class Tiling:
     k_plus_1: int
     n: int

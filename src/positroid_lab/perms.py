@@ -8,8 +8,9 @@ points to be loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+
+from .util import record
 
 __all__ = [
     "DecoratedPermutation",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DecoratedPermutation:
     images: tuple[int, ...]
     loops: frozenset[int]

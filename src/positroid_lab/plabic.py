@@ -12,7 +12,6 @@ and :meth:`PlabicGraph.from_keyed` numbers them in insertion order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -20,6 +19,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
 from .triangulations import BicoloredTriangulation
+from .util import record
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
@@ -307,7 +307,7 @@ def _swap_dart(rotations: dict, vertex: str, old, new):
     rotations[vertex] = [new if d == old else d for d in rotations[vertex]]
 
 
-@dataclass(frozen=True)
+@record
 class Matching:
     """Almost perfect matching: edge subset plus its boundary support."""
 
@@ -412,7 +412,7 @@ def boundary_measurement(G: PlabicGraph,
 # -- faces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Face:
     """A face of the graph sealed with the boundary circle, walked clockwise.
 

@@ -7,11 +7,11 @@ the bicolored subdivision that represents its equivalence class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .perms import DecoratedPermutation
+from .util import record
 
 Triangle = tuple[int, int, int]
 Arc = tuple[int, int]
@@ -38,7 +38,7 @@ def _norm_tri(t) -> Triangle:
     return (a, b, c)
 
 
-@dataclass(frozen=True)
+@record
 class BicoloredTriangulation:
     n: int
     black: frozenset[Triangle]
@@ -161,7 +161,7 @@ class BicoloredTriangulation:
         return f"BicoloredTriangulation(n={self.n}, black=[{b}])"
 
 
-@dataclass(frozen=True)
+@record
 class BicoloredSubdivision:
     """Black/white polygons of the n-gon; the class invariant of a triangulation."""
 

@@ -1,10 +1,75 @@
-"""Shared helpers: rational serialization, signs, small iterators."""
+"""Shared helpers: frozen records, rational serialization, signs, small
+iterators."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Sequence
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, as
+    ``dataclass(frozen=True)`` would, from closures: no source is generated
+    and ``dataclasses`` is not imported.  ``__init__`` takes the fields in
+    order, by position or keyword, sets each with ``object.__setattr__``
+    (the instance dict stays untouched, so its values stay inline) and then
+    runs ``__post_init__`` if the class has one; ``__eq__`` and ``__hash__``
+    go by the field tuple, ``__repr__`` lists the fields unless the class
+    defines one, and assignment and deletion raise ``FrozenRecordError``."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    arity, post, put = len(names), getattr(cls, "__post_init__", None), object.__setattr__
+    values = attrgetter(*names)
+    if arity == 1:
+        values = lambda self, one=values: (one(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = _bind(cls.__name__, names, args, kwargs)
+        for name, value in zip(names, args):
+            put(self, name, value)
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    for fn in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if fn is not __repr__ or "__repr__" not in cls.__dict__:
+            fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+            setattr(cls, fn.__name__, fn)
+    return cls
+
+
+def _bind(owner: str, names: tuple[str, ...], args: tuple, kwargs: dict) -> list:
+    """The field values in order, or TypeError for a wrong count of
+    arguments, a field given twice or an unknown keyword."""
+    bound = dict(zip(names, args))
+    if len(args) > len(names) or bound.keys() & kwargs or set(names) != {*bound, *kwargs}:
+        raise TypeError(f"{owner}() takes the fields ({', '.join(names)}), not "
+                        f"{len(args)} positional arguments and the keywords {sorted(kwargs)}")
+    bound.update(kwargs)
+    return [bound[name] for name in names]
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -14,16 +79,18 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p"; ValueError on anything else, "p/0" included."""
+    """Parse "p/q" or "p" for integers p and q; ValueError on anything else,
+    "p/0" included."""
     if not isinstance(s, str):
         raise ValueError(f"a rational is a string \"p/q\", not {s!r}")
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/")
-        if int(q) == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    p, slash, q = s.partition("/")
+    try:
+        num, den = int(p), int(q) if slash else 1
+    except ValueError:
+        raise ValueError(f"{s!r} is not a rational: write \"p/q\" or an integer") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(num, den)
 
 
 def sign(x) -> int:

@@ -837,6 +837,28 @@ def test_malformed_z_file_exits_2(capsys, tmp_path, doc):
     assert captured.err.startswith("input error:") and "Traceback" not in captured.err
 
 
+NOT_RATIONAL = "is not a rational: write \"p/q\" or an integer"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1/2/3"])
+def test_a_bad_z_node_is_named_with_the_option(capsys, text):
+    code = main(["tilings", "--space", "amplituhedron", "--k", "1", "--n", "4",
+                 "--z", f"vandermonde:0,{text},2,3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: --z node 2: {text!r} {NOT_RATIONAL}\n"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1/2/3"])
+def test_a_bad_height_quotes_its_text(capsys, tmp_path, text):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"k": 2, "n": 4, "heights": {"1,2": text}}))
+    code = main(["trop", "--heights", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: {text!r} {NOT_RATIONAL}\n"
+
+
 def test_t_dual_needs_a_tiles_list(capsys, tmp_path):
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"space": "hypersimplex", "n": 4}))

@@ -3,6 +3,9 @@ definition of the library is read: a removal leaves no import, no
 ``__all__`` entry and no dead method behind."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,21 +164,25 @@ def test_the_private_scan_finds_a_leak():
     assert private_exact_imports("from positroid_lab.exact import _det\n") == ["_det (line 1)"]
 
 
-def mutable_dataclasses(source: str) -> list[str]:
-    """Classes decorated ``@dataclass``, by name or as ``dataclasses.dataclass``,
-    that do not pass ``frozen=True``."""
+def dataclass_decorators(source: str) -> list[tuple[ast.ClassDef, ast.expr]]:
+    """(class, decorator) for each ``@dataclass``, by name or as
+    ``dataclasses.dataclass``, called or not."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for dec in node.decorator_list:
-            func = dec.func if isinstance(dec, ast.Call) else dec
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
-                    == "dataclass" and not any(
-                        kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True for kw in getattr(dec, "keywords", ())):
-                found.append(f"{node.name} (line {node.lineno})")
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                if (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None)) == "dataclass":
+                    found.append((node, dec))
     return found
+
+
+def mutable_dataclasses(source: str) -> list[str]:
+    """Classes decorated ``@dataclass`` that do not pass ``frozen=True``."""
+    return [f"{node.name} (line {node.lineno})" for node, dec in dataclass_decorators(source)
+            if not any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is True for kw in getattr(dec, "keywords", ()))]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -189,6 +196,28 @@ def test_the_dataclass_scan_finds_a_mutable_class():
               "@dataclasses.dataclass(eq=False)\nclass C: pass\n"
               "@dataclass(frozen=False)\nclass D: pass\n@other\nclass E: pass\n")
     assert mutable_dataclasses(source) == ["A (line 4)", "C (line 8)", "D (line 10)"]
+    assert [node.name for node, _ in dataclass_decorators(source)] == ["A", "B", "C", "D"]
+
+
+# Every other class is a ``util.record``: a dataclass costs each cold
+# command the ``dataclasses`` and ``inspect`` imports and the generated
+# code.  trop.py keeps its three, because perfbench/selftest.py plants
+# wrong answers with ``dataclasses.replace`` on ``Subdivision`` and
+# ``SubdivisionCell``, and the CLI imports trop for ``trop`` alone.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "trop.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_trop_defines_a_dataclass(path):
+    assert dataclass_decorators(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_trop():
+    # -S: no site-packages hooks, so only the library's own imports count
+    code = ("import sys, positroid_lab.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'positroid_lab.trop'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _is_literal(node) -> bool:
