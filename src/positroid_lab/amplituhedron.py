@@ -17,15 +17,17 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import prod
 from operator import mul, or_
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cells import cell_dim_of_perm, matrix_realization
 from .exact import RatMatrix, integer_minors, kernel_basis, rank, var, varbar
 from .grassmann import plucker_of_matrix, vandermonde_matrix
-from .hypersimplex import WSimplex, tile_catalog, verify_tiling
 from .perms import t_dual
-from .triangulations import BicoloredTriangulation
 from .util import perm_sign, rat_to_str, record, sign, subsets
+
+if TYPE_CHECKING:
+    from .hypersimplex import WSimplex
+    from .triangulations import BicoloredTriangulation
 
 __all__ = [
     "ZMatrix",
@@ -347,6 +349,8 @@ def witness_audit(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix) -> list[s
     positions and, per T, its position and the masks of the witnesses that
     its closed and open tile hold."""
     if Z.witnesses is None:
+        from .hypersimplex import tile_catalog
+
         labels = tile_catalog(Z.p - 1, Z.n)
         cells = [t_dual(pi) for pi in labels]
         Z.witnesses = ([amp_map(matrix_realization(c, [1] * cell_dim_of_perm(c)), Z)
@@ -376,6 +380,8 @@ def verify_amp_tiling_m2(tiles: Sequence[BicoloredTriangulation], Z: ZMatrix) ->
     Z; a tile of another type is a violation and stays out of the audit.
     The result is the JSON record {valid, k, n, tiles, hypersimplex
     (``verify_tiling``'s record), sample_audit_ok, violations}."""
+    from .hypersimplex import verify_tiling
+
     k, n = Z.p - 2, Z.n
     if k < 0:
         raise ValueError(f"m = 2 tiles need Z with p >= 2 columns, not {Z.p}")

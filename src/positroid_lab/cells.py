@@ -3,19 +3,22 @@
 A cell is reconstructed by peeling its decorated permutation down to
 lollipops: fixed points strip off directly, and otherwise some adjacent
 pair (i, i+1) is an ascent of the bounded affine lift, where a bridge can
-be removed.  Replaying the peeling builds both a plabic graph and an
-exact totally nonnegative matrix realization; every result is certified
-by recomputing the decorated permutation of the realization, so a wrong
-reconstruction cannot escape.  The positroid of a cell needs neither: it
-is read off the Grassmann necklace of the permutation.
+be removed.  Replaying the peeling on integer rows gives an exact totally
+nonnegative matrix realization, certified by recomputing the decorated
+permutation of the realization, so a wrong reconstruction cannot escape.
+Replaying it with the lollipop and bridge builders of ``plabic`` gives a
+plabic graph, certified by its trip permutation; ``graph_of_perm`` and
+``perm_of_graph`` import ``plabic`` when they run, so the matrix side loads
+no graph code.  The positroid of a cell needs neither: it is read off the
+Grassmann necklace of the permutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from random import Random
+from typing import TYPE_CHECKING
 
 from .exact import RatMatrix
 from .grassmann import (
@@ -34,7 +37,9 @@ from .perms import (
     necklace,
     perm_of_necklace,
 )
-from .plabic import PlabicGraph, _swap_dart, boundary_id, positroid_of_graph, trip_permutation
+
+if TYPE_CHECKING:
+    from .plabic import PlabicGraph
 
 __all__ = [
     "bridge_decomposition",
@@ -112,79 +117,12 @@ def bridge_decomposition(pi: DecoratedPermutation) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def _lollipop_insert_graph(G: PlabicGraph, i: int, colour: str) -> PlabicGraph:
-    """Insert a lollipop at boundary position i, shifting labels >= i up."""
-    n = G.n + 1
-
-    def shift(v: str) -> str:
-        return boundary_id(int(v[1:]) + 1) if G.is_boundary(v) and int(v[1:]) >= i else v
-
-    edges = {eid: (shift(u), shift(v)) for eid, (u, v) in enumerate(G.edges)}
-    rotations = {shift(v): rot for v, rot in G.rotations.items()}
-    colors = dict(G.colors)
-    tip = f"L{i}"
-    while tip in colors:
-        tip += "'"
-    edges[tip] = (boundary_id(i), tip)
-    rotations[boundary_id(i)] = [(tip, 0)]
-    rotations[tip] = [(tip, 1)]
-    colors[tip] = colour
-    return PlabicGraph.from_keyed(n, colors, edges, rotations)
-
-
-def _bridge_insert_graph(G: PlabicGraph, i: int) -> PlabicGraph:
-    """Bridge between legs i and i+1: white u on leg i, black v on leg i+1,
-    joined by an edge running along the boundary arc from i to i+1.
-
-    A lollipop tip sitting on a bridged leg always has the bridge vertex's
-    colour (white tips under u, black under v) and is absorbed into it.
-    """
-    t = next(t for t in count() if f"u{t}" not in G.rotations and f"v{t}" not in G.rotations)
-    u, v = f"u{t}", f"v{t}"
-    ei, si = G.rotations[boundary_id(i)][0]
-    ej, sj = G.rotations[boundary_id(i + 1)][0]
-    x_i = G.edges[ei][1 - si]
-    x_j = G.edges[ej][1 - sj]
-    tips = {x for x in (x_i, x_j) if G.degree(x) == 1}
-    if x_i in tips and G.colors[x_i] != "white":
-        raise RuntimeError(f"unexpected {G.colors[x_i]} tip under leg {i}")
-    if x_j in tips and G.colors[x_j] != "black":
-        raise RuntimeError(f"unexpected {G.colors[x_j]} tip under leg {i + 1}")
-    # the new legs and the edge uv go last, then an edge from u (v) to the
-    # old leg's inner end under the old leg's key
-    edges = {old: e for old, e in enumerate(G.edges) if old not in (ei, ej)}
-    edges[boundary_id(i)] = (boundary_id(i), u)
-    edges[boundary_id(i + 1)] = (boundary_id(i + 1), v)
-    edges[u] = (u, v)
-    skip = tips | {boundary_id(i), boundary_id(i + 1)}
-    rotations = {w: rot for w, rot in G.rotations.items() if w not in skip}
-    rot_u = [(boundary_id(i), 1), (u, 0)]
-    rot_v = [(boundary_id(i + 1), 1), (u, 1)]
-    if x_i not in tips:
-        edges[ei] = (u, x_i)
-        _swap_dart(rotations, x_i, (ei, 1 - si), (ei, 1))
-        rot_u.append((ei, 0))
-    if x_j not in tips:
-        edges[ej] = (v, x_j)
-        _swap_dart(rotations, x_j, (ej, 1 - sj), (ej, 1))
-        rot_v.insert(1, (ej, 0))
-    rotations[boundary_id(i)] = [(boundary_id(i), 0)]
-    rotations[boundary_id(i + 1)] = [(boundary_id(i + 1), 0)]
-    rotations[u] = rot_u
-    rotations[v] = rot_v
-    colors = {w: c for w, c in G.colors.items() if w not in skip}
-    colors[u] = "white"
-    colors[v] = "black"
-    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
-
-
-def _empty_graph() -> PlabicGraph:
-    return PlabicGraph(0, {}, [], {})
-
-
 @lru_cache(maxsize=None)
 def graph_of_perm(pi: DecoratedPermutation) -> PlabicGraph:
     """Plabic graph whose cell is indexed by ``pi`` (trip permutation checked)."""
+    from .plabic import (_bridge_insert_graph, _empty_graph, _lollipop_insert_graph,
+                         trip_permutation)
+
     steps = bridge_decomposition(pi)
     G = _empty_graph()
     for step in reversed(steps):
@@ -301,6 +239,8 @@ def perm_of_graph(G: PlabicGraph) -> DecoratedPermutation:
     matching matroid that is not that positroid, as a graph that is not
     planar can have, is a ValueError.
     """
+    from .plabic import positroid_of_graph
+
     neck = _positroid_necklace(positroid_of_graph(G))
     if neck is None:
         raise ValueError("the matching matroid of the graph is not a positroid")

@@ -5,6 +5,11 @@ Exit codes: 0 success / verified, 1 mathematical verification failure,
 Only ``cell --sample`` and ``amp sample`` are randomized; they embed their
 seed in the output so reruns are bit-identical.  The amplituhedron tiling
 audits are deterministic.
+
+Each command is a fresh process, so each command and input helper imports
+the library modules it runs where it runs them: ``--help`` loads only
+``obs`` and ``util``, ``plabic`` loads for ``cell --graph`` alone,
+``amplituhedron`` only where a Z is read, and ``trop`` for ``trop`` alone.
 """
 
 from __future__ import annotations
@@ -13,38 +18,8 @@ import argparse
 import json
 import os
 import sys
-from random import Random
 
 from . import obs
-from .amplituhedron import (
-    ZMatrix,
-    amp_map,
-    m1_membership,
-    m2_interior_test,
-    make_positive_Z,
-    sign_stratum,
-    twistor_table,
-    twistor_table_json,
-    verify_amp_tiling_m2,
-    witness_audit,
-)
-from .cells import (cell_dim_of_perm, perm_of_graph, positroid_of_perm, sample_cell_matrix,
-                    sample_cell_point)
-from .exact import RatMatrix
-from .hypersimplex import (
-    count_tilings,
-    enumerate_tiling_indices,
-    moment_map,
-    tile_catalog,
-    verify_tiling,
-)
-from .perms import DecoratedPermutation, parse_decorated, t_dual, t_dual_inverse, type_of
-from .plabic import PlabicGraph, bipartite_matchings, trip_permutation
-from .triangulations import (
-    BicoloredTriangulation,
-    fan_triangulation,
-    first_triangulation_containing,
-)
 from .util import rat_from_str, rat_to_str
 
 
@@ -94,8 +69,11 @@ def _int(data: _InputObject, key: str) -> int:
     return v
 
 
-def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
+def _parse_z(spec: str | None, n: int, p: int):
     """Z from a --z spec; with none, rows on the moment curve at 0..n-1."""
+    from .amplituhedron import ZMatrix, make_positive_Z
+    from .exact import RatMatrix
+
     if spec is None:
         return make_positive_Z(n, p, range(n))
     if spec.startswith("vandermonde:"):
@@ -116,9 +94,11 @@ def _parse_z(spec: str | None, n: int, p: int) -> ZMatrix:
     raise InputError(f"unrecognized z spec {spec!r} (use vandermonde:<nodes> or file:<path>)")
 
 
-def _parse_perm(text: str) -> DecoratedPermutation:
+def _parse_perm(text: str):
     """Lenient permutation parse: unmarked fixed points default to loops,
     and the echoed permutation in the output shows the interpretation."""
+    from .perms import parse_decorated
+
     try:
         return parse_decorated(text, fixed_default="loop")
     except (ValueError, IndexError) as e:
@@ -128,6 +108,10 @@ def _parse_perm(text: str) -> DecoratedPermutation:
 def _parse_tile(rec, n: int):
     """A tile record: a permutation of [n] (text or record) or the black
     polygons of a bicolored subdivision of the n-gon."""
+    from .perms import DecoratedPermutation
+    from .triangulations import (BicoloredTriangulation, fan_triangulation,
+                                 first_triangulation_containing)
+
     if isinstance(rec, str):
         t = _parse_perm(rec)
     elif not isinstance(rec, dict):
@@ -173,9 +157,13 @@ def _read_tiling(path: str, space: str | None):
     return data, n, space, [_parse_tile(rec, n) for rec in tiles]
 
 
-def _tile_triangulation(t, k: int, n: int) -> BicoloredTriangulation:
+def _tile_triangulation(t, k: int, n: int):
     """A triangulation for a tile given either way: hypersimplex labels are
     type (k+1, n) catalog keys; amplituhedron labels are their rotations."""
+    from .hypersimplex import tile_catalog
+    from .perms import t_dual_inverse, type_of
+    from .triangulations import BicoloredTriangulation
+
     if isinstance(t, BicoloredTriangulation):
         return t
     cat = tile_catalog(k + 1, n)
@@ -200,8 +188,12 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_cell(args) -> int:
+    from .cells import cell_dim_of_perm, perm_of_graph, positroid_of_perm, sample_cell_point
+
     payload = {}
     if args.graph:
+        from .plabic import PlabicGraph, bipartite_matchings, trip_permutation
+
         G = PlabicGraph.from_json(_load_json(args.graph))
         if args.format in ("dot", "tikz"):
             print(G.to_dot() if args.format == "dot" else G.to_tikz())
@@ -218,6 +210,10 @@ def cmd_cell(args) -> int:
     payload.update(perm=repr(pi), type=[M.k, M.n], dimension=cell_dim_of_perm(pi),
                    positroid=[list(b) for b in M.sorted_bases()], seed=args.seed)
     if args.sample:
+        from random import Random
+
+        from .hypersimplex import moment_map
+
         rng = Random(args.seed)
         points = [sample_cell_point(pi, rng)[1] for _ in range(args.sample)]
         payload["samples"] = [{"plucker": P.to_json(),
@@ -231,6 +227,10 @@ def cmd_cell(args) -> int:
 
 
 def cmd_tilings(args) -> int:
+    from .hypersimplex import count_tilings, enumerate_tiling_indices, tile_catalog
+    from .perms import t_dual, t_dual_inverse
+    from .triangulations import BicoloredTriangulation
+
     if args.t_dual:
         _, n, space, tiles = _read_tiling(args.t_dual, None)
         out_tiles = []
@@ -265,6 +265,8 @@ def cmd_tilings(args) -> int:
         payload["tilings"] = [[label[i] for i in sol] for sol in tilings]
     # amplituhedron tilings via duality, audited on the tile witnesses when Z is given
     if args.space == "amplituhedron" and args.z:
+        from .amplituhedron import witness_audit
+
         Z = _parse_z(args.z, n, args.k + 2)
         if "tilings" in payload:
             payload["audited"] = [not witness_audit([recs[i].triangulation for i in sol], Z)
@@ -274,7 +276,6 @@ def cmd_tilings(args) -> int:
 
 
 def cmd_trop(args) -> int:
-    # imported here, so that the other commands start without the module
     from .trop import (HeightVector, faces_are_positroids, is_finest, positivity_violation,
                        regular_subdivision)
 
@@ -300,6 +301,13 @@ def cmd_trop(args) -> int:
 
 
 def cmd_amp_sample(args) -> int:
+    from random import Random
+
+    from .amplituhedron import (amp_map, m1_membership, m2_interior_test, sign_stratum,
+                                twistor_table, twistor_table_json)
+    from .cells import sample_cell_matrix
+    from .perms import type_of
+
     n, k, m = args.n, args.k, args.m
     pi = _parse_perm(args.cell)
     kind = type_of(pi)
@@ -339,8 +347,12 @@ def _verify_file(args, path: str, space: str | None) -> int:
     else:
         raise InputError(f"missing key 'k' (or 'k_plus_1') in {path}")
     if space == "hypersimplex":
+        from .hypersimplex import verify_tiling
+
         rep = verify_tiling(tiles, k + 1, n)
     else:
+        from .amplituhedron import verify_amp_tiling_m2
+
         tris = [_tile_triangulation(t, k, n) for t in tiles]
         Z = _parse_z(args.z, n, k + 2)
         rep = verify_amp_tiling_m2(tris, Z)

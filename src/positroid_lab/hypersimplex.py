@@ -50,16 +50,19 @@ __all__ = [
 
 
 def moment_map(P: PluckerVector) -> tuple[Fraction, ...]:
-    """Sum of squared coordinates times indicator vectors, normalised."""
-    total = sum(v * v for v in P.coords.values())
-    out = [Fraction(0)] * P.n
-    for I, v in P.coords.items():
-        if v == 0:
-            continue
-        w = v * v
-        for i in I:
-            out[i - 1] += w
-    return tuple(x / total for x in out)
+    """Sum of squared coordinates times indicator vectors, normalised.  The
+    sums run on the coordinates scaled to integers by the lcm of their
+    denominators, a scale that the normalisation cancels."""
+    coords = P.coords.items()
+    D = math.lcm(*(v.denominator for _, v in coords))
+    total, out = 0, [0] * P.n
+    for I, v in coords:
+        if v:
+            w = (v.numerator * (D // v.denominator)) ** 2
+            total += w
+            for i in I:
+                out[i - 1] += w
+    return tuple(Fraction(x, total) for x in out)
 
 
 def polytope_vertices(M: Matroid) -> frozenset[tuple[int, ...]]:

@@ -14,12 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import count
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Sequence
 
 from .grassmann import Matroid, PluckerVector
 from .perms import DecoratedPermutation
-from .triangulations import BicoloredTriangulation
 from .util import record
+
+if TYPE_CHECKING:
+    from .triangulations import BicoloredTriangulation
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
@@ -305,6 +307,76 @@ def _fresh_names(G: PlabicGraph, prefix: str) -> Iterator[str]:
 def _swap_dart(rotations: dict, vertex: str, old, new):
     """Put dart ``new`` where ``old`` sits in the rotation at ``vertex``."""
     rotations[vertex] = [new if d == old else d for d in rotations[vertex]]
+
+
+def _lollipop_insert_graph(G: PlabicGraph, i: int, colour: str) -> PlabicGraph:
+    """Insert a lollipop at boundary position i, shifting labels >= i up."""
+    n = G.n + 1
+
+    def shift(v: str) -> str:
+        return boundary_id(int(v[1:]) + 1) if G.is_boundary(v) and int(v[1:]) >= i else v
+
+    edges = {eid: (shift(u), shift(v)) for eid, (u, v) in enumerate(G.edges)}
+    rotations = {shift(v): rot for v, rot in G.rotations.items()}
+    colors = dict(G.colors)
+    tip = f"L{i}"
+    while tip in colors:
+        tip += "'"
+    edges[tip] = (boundary_id(i), tip)
+    rotations[boundary_id(i)] = [(tip, 0)]
+    rotations[tip] = [(tip, 1)]
+    colors[tip] = colour
+    return PlabicGraph.from_keyed(n, colors, edges, rotations)
+
+
+def _bridge_insert_graph(G: PlabicGraph, i: int) -> PlabicGraph:
+    """Bridge between legs i and i+1: white u on leg i, black v on leg i+1,
+    joined by an edge running along the boundary arc from i to i+1.
+
+    A lollipop tip sitting on a bridged leg always has the bridge vertex's
+    colour (white tips under u, black under v) and is absorbed into it.
+    """
+    t = next(t for t in count() if f"u{t}" not in G.rotations and f"v{t}" not in G.rotations)
+    u, v = f"u{t}", f"v{t}"
+    ei, si = G.rotations[boundary_id(i)][0]
+    ej, sj = G.rotations[boundary_id(i + 1)][0]
+    x_i = G.edges[ei][1 - si]
+    x_j = G.edges[ej][1 - sj]
+    tips = {x for x in (x_i, x_j) if G.degree(x) == 1}
+    if x_i in tips and G.colors[x_i] != "white":
+        raise RuntimeError(f"unexpected {G.colors[x_i]} tip under leg {i}")
+    if x_j in tips and G.colors[x_j] != "black":
+        raise RuntimeError(f"unexpected {G.colors[x_j]} tip under leg {i + 1}")
+    # the new legs and the edge uv go last, then an edge from u (v) to the
+    # old leg's inner end under the old leg's key
+    edges = {old: e for old, e in enumerate(G.edges) if old not in (ei, ej)}
+    edges[boundary_id(i)] = (boundary_id(i), u)
+    edges[boundary_id(i + 1)] = (boundary_id(i + 1), v)
+    edges[u] = (u, v)
+    skip = tips | {boundary_id(i), boundary_id(i + 1)}
+    rotations = {w: rot for w, rot in G.rotations.items() if w not in skip}
+    rot_u = [(boundary_id(i), 1), (u, 0)]
+    rot_v = [(boundary_id(i + 1), 1), (u, 1)]
+    if x_i not in tips:
+        edges[ei] = (u, x_i)
+        _swap_dart(rotations, x_i, (ei, 1 - si), (ei, 1))
+        rot_u.append((ei, 0))
+    if x_j not in tips:
+        edges[ej] = (v, x_j)
+        _swap_dart(rotations, x_j, (ej, 1 - sj), (ej, 1))
+        rot_v.insert(1, (ej, 0))
+    rotations[boundary_id(i)] = [(boundary_id(i), 0)]
+    rotations[boundary_id(i + 1)] = [(boundary_id(i + 1), 0)]
+    rotations[u] = rot_u
+    rotations[v] = rot_v
+    colors = {w: c for w, c in G.colors.items() if w not in skip}
+    colors[u] = "white"
+    colors[v] = "black"
+    return PlabicGraph.from_keyed(G.n, colors, edges, rotations)
+
+
+def _empty_graph() -> PlabicGraph:
+    return PlabicGraph(0, {}, [], {})
 
 
 @record

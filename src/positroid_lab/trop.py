@@ -97,7 +97,10 @@ class HeightVector:
                 raise ValueError(f"height key {key!r} is not a {k}-subset of [{n}]")
             if I in table:
                 raise ValueError(f"height key {key!r} repeats the subset {subset_key(I)}")
-            table[I] = rat_from_str(v)
+            try:
+                table[I] = rat_from_str(v)
+            except ValueError as e:
+                raise ValueError(f"height of {key!r}: {e}") from None
         return cls.make(k, n, table)
 
 

@@ -57,7 +57,10 @@ are compared with them.  ``scanned_D`` is the scan of all (n-1)! words
 ending in n that ``hypersimplex.enumerate_D`` ran before it grew its words
 by insertion.  ``rotation_descent_sets`` takes the descents of each
 rotation of w afresh, as ``hypersimplex.w_simplex`` did before it toggled
-them in one pass.  ``resumming_wall_search`` is the cyclic-interval wall
+them in one pass.  ``fraction_moment_map`` sums the squared coordinates in
+``Fraction``s, as ``hypersimplex.moment_map`` did before it summed integer
+squares over one common denominator; ``moment_map`` is compared with it.
+``resumming_wall_search`` is the cyclic-interval wall
 search of ``trop`` as it ran before each tilt kept a gap table: every shot
 re-sums the tilt and the direction over every k-subset, along the
 ``full_interval_directions``, and takes the next
@@ -606,6 +609,20 @@ def frozenset_tilings(k_plus_1: int, n: int) -> list[tuple[DecoratedPermutation,
     out = [tuple(recs[i].perm for i in sorted(sol)) for sol in solutions]
     out.sort(key=lambda perms: tuple(repr(p) for p in perms))
     return out
+
+
+def fraction_moment_map(P: PluckerVector) -> tuple[Fraction, ...]:
+    """Sum of squared coordinates times indicator vectors, normalised, all
+    in ``Fraction``s."""
+    total = sum(v * v for v in P.coords.values())
+    out = [Fraction(0)] * P.n
+    for I, v in P.coords.items():
+        if v == 0:
+            continue
+        w = v * v
+        for i in I:
+            out[i - 1] += w
+    return tuple(x / total for x in out)
 
 
 def rotation_descent_sets(w: tuple[int, ...]) -> tuple[frozenset[int], ...]:

@@ -856,7 +856,18 @@ def test_a_bad_height_quotes_its_text(capsys, tmp_path, text):
     code = main(["trop", "--heights", str(p)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == f"input error: {text!r} {NOT_RATIONAL}\n"
+    assert captured.err == f"input error: height of '1,2': {text!r} {NOT_RATIONAL}\n"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1/2/3"])
+def test_a_bad_z_file_entry_is_named_by_row_and_column(capsys, tmp_path, text):
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps([["1", "0"], ["1", text], ["1", "2"], ["1", "3"]]))
+    code = main(["amp", "sample", "--n", "4", "--k", "1", "--m", "1", "--cell", "(2,3,4,1)",
+                 "--z", f"file:{z}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"input error: row 2, column 2: {text!r} {NOT_RATIONAL}\n"
 
 
 def test_t_dual_needs_a_tiles_list(capsys, tmp_path):

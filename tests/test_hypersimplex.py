@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from positroid_lab.cells import positroid_of_perm
+from positroid_lab.cells import positroid_of_perm, sample_cell_point
 from positroid_lab.exact import RatMatrix
 from positroid_lab.grassmann import plucker_of_matrix
 from positroid_lab.hypersimplex import (
@@ -28,12 +28,13 @@ from positroid_lab.hypersimplex import (
     verify_tiling,
     w_simplex,
 )
-from positroid_lab.perms import parse_decorated, top_cell_permutation
+from positroid_lab.perms import enumerate_decorated, parse_decorated, top_cell_permutation
 from positroid_lab.plabic import boundary_measurement
 from positroid_lab.triangulations import BicoloredTriangulation
 
 from lp import point_in_hull
 from oracles import (
+    fraction_moment_map,
     frozenset_tilings,
     is_basis,
     jacobian_cell_dimension,
@@ -57,6 +58,20 @@ def test_moment_map_vertex_image():
 
     P = PluckerVector(2, 4, {(1, 3): Fraction(3)})
     assert moment_map(P) == (1, 0, 1, 0)
+
+
+def test_moment_map_matches_the_fraction_sums():
+    # one sampled point of every cell with n <= 6, then seeded top-cell
+    # points of Gr(4,8), as ``cell --sample`` draws them
+    rng = Random(39)
+    points = [sample_cell_point(pi, rng)[1] for n in range(1, 7)
+              for pi in enumerate_decorated(n)]
+    top = top_cell_permutation(4, 8)
+    points += [sample_cell_point(top, Random(seed))[1] for seed in range(10)]
+    for P in points:
+        mu = moment_map(P)
+        assert mu == fraction_moment_map(P), P
+        assert all(type(x) is Fraction for x in mu)
 
 
 def test_polytope_vertices():

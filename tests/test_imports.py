@@ -3,6 +3,7 @@ definition of the library is read: a removal leaves no import, no
 ``__all__`` entry and no dead method behind."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -210,14 +211,65 @@ def test_no_module_but_trop_defines_a_dataclass(path):
     assert dataclass_decorators(path.read_text()) == []
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_trop():
+def _run_isolated(code: str, *argv: str) -> str:
     # -S: no site-packages hooks, so only the library's own imports count
-    code = ("import sys, positroid_lab.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'positroid_lab.trop'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_trop():
+    code = ("import sys, positroid_lab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('positroid_lab')"
+            " or m in ('dataclasses', 'inspect')))")
+    assert _run_isolated(code) == ("['positroid_lab', 'positroid_lab.cli', "
+                                   "'positroid_lab.obs', 'positroid_lab.util']\n")
+
+
+# One command of each shape the cold benchmark times, plus --help, and the
+# library modules it must not load: each command imports what it runs.
+LIBRARY = {p.stem for p in SOURCES} - {"__init__"}
+_TILES = {"space": "amplituhedron", "k": 1, "n": 4,
+          "tiles": [{"black_polygons": [[1, 2, 3]]}, {"black_polygons": [[1, 3, 4]]}]}
+COMMAND_SHAPES = {
+    "help": (["--help"], LIBRARY - {"cli", "obs", "util"}),
+    "cell-perm-sample": (["cell", "--perm", "(3,4,1,2)", "--sample", "2"],
+                         {"plabic", "amplituhedron"}),
+    "cell-graph-matchings": (["cell", "--graph", "demos/g1.json", "--matchings"],
+                             {"amplituhedron", "hypersimplex", "triangulations"}),
+    "tilings-hypersimplex": (["tilings", "--space", "hypersimplex", "--k", "1", "--n", "5"],
+                             {"plabic", "amplituhedron"}),
+    "tilings-amplituhedron": (["tilings", "--space", "amplituhedron", "--k", "1", "--n", "5",
+                               "--z", "vandermonde:0,1,2,3,4"], {"plabic"}),
+    "trop": (["trop", "--heights", "demos/heights_two_pyramids.json"],
+             {"plabic", "amplituhedron"}),
+    "amp-sample": (["amp", "sample", "--n", "5", "--k", "1", "--cell", "(2,3,4,5,1)",
+                    "--count", "2"], {"plabic", "hypersimplex", "triangulations"}),
+    "amp-verify-tiling": (["amp", "verify-tiling", "--file", "TILES",
+                           "--z", "vandermonde:0,1,2,3"], {"plabic"}),
+}
+
+
+@pytest.mark.parametrize("shape", COMMAND_SHAPES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, shape):
+    tiles = tmp_path / "tiles.json"
+    tiles.write_text(json.dumps(_TILES))
+    argv, unloaded = COMMAND_SHAPES[shape]
+    code = ("import contextlib, io, json, sys\n"
+            "from positroid_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        code = main(sys.argv[1:])\n"
+            "    except SystemExit as e:\n"
+            "        code = e.code\n"
+            "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules\n"
+            "                               if m.startswith('positroid_lab.'))]))\n")
+    exit_code, loaded = json.loads(_run_isolated(
+        code, *(str(tiles) if a == "TILES" else a for a in argv)))
+    assert exit_code == 0
+    assert "cli" in loaded and set(loaded) <= LIBRARY
+    assert sorted(set(loaded) & (unloaded | {"cluster"})) == []
+    assert ("trop" in loaded) == (shape == "trop")
 
 
 def _is_literal(node) -> bool:

@@ -10,9 +10,6 @@ from random import Random
 import pytest
 
 from positroid_lab.cells import (
-    _bridge_insert_graph,
-    _empty_graph,
-    _lollipop_insert_graph,
     cell_dim_of_perm,
     cell_dimension,
     graph_of_perm,
@@ -23,6 +20,9 @@ from positroid_lab.grassmann import decorated_permutation_of, is_tnn, matrix_of_
 from positroid_lab.perms import enumerate_decorated, parse_decorated, t_dual, top_cell_permutation
 from positroid_lab.plabic import (
     PlabicGraph,
+    _bridge_insert_graph,
+    _empty_graph,
+    _lollipop_insert_graph,
     apply_move,
     bipartize,
     boundary_measurement,
