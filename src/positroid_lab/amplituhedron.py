@@ -98,12 +98,24 @@ def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
 
 @record
 class AmplituhedronPoint:
-    """Y = C Z, the one field; ``signs`` keeps its sign record per ZMatrix."""
+    """Y = C Z, the one field; ``signs[Z]`` is its sign record against Z."""
 
     Y: RatMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "signs", {})
+        object.__setattr__(self, "signs", _SignRecords(self.Y))
+
+
+class _SignRecords(dict):
+    """A point's ``_Signs`` per ZMatrix (by identity), each built on first use."""
+
+    __slots__ = ("Y",)
+
+    def __init__(self, Y: RatMatrix):
+        self.Y = Y
+
+    def __missing__(self, Z: ZMatrix) -> _Signs:
+        return self.setdefault(Z, _Signs(self.Y, Z))
 
 
 def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
@@ -113,7 +125,7 @@ def amp_map(C: RatMatrix, Z: ZMatrix) -> AmplituhedronPoint:
     if C.cols != Z.n:
         raise ValueError("column count of C must match the rows of Z")
     Y = AmplituhedronPoint(C.matmul(Z.mat))
-    if C.rows > Z.p or not any(_signs(Y, Z).ymin):
+    if C.rows > Z.p or not any(Y.signs[Z].ymin):
         raise RuntimeError("image lost rank; input was not in the domain")
     return Y
 
@@ -197,28 +209,16 @@ class _Signs:
         return tuple(out)
 
 
-def _signs(Y, Z: ZMatrix) -> _Signs:
-    """Y's sign record against Z.  A point keeps one per ZMatrix (by
-    identity: it defines no __eq__); a raw matrix gets a fresh one for the
-    caller only."""
-    if not isinstance(Y, AmplituhedronPoint):
-        return _Signs(Y, Z)
-    rec = Y.signs.get(Z)
-    if rec is None:
-        rec = Y.signs[Z] = _Signs(Y.Y, Z)
-    return rec
-
-
-def twistor(Y, Z: ZMatrix, I: Sequence[int]) -> Fraction:
+def twistor(Y: AmplituhedronPoint, Z: ZMatrix, I: Sequence[int]) -> Fraction:
     """Determinant of Y's rows stacked over the rows of Z named by I, in
     the given order.  The twisted row (-1)^(p-1) Z_i in place of Z_i only
     multiplies it by (-1)^(p-1)."""
-    return Fraction(*_signs(Y, Z).pair(I))
+    return Fraction(*Y.signs[Z].pair(I))
 
 
-def twistor_table(Y, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
+def twistor_table(Y: AmplituhedronPoint, Z: ZMatrix) -> dict[tuple[int, ...], Fraction]:
     """Every twistor on a sorted index set, as one Fraction each."""
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     return {I: Fraction(*rec.pair(I)) for I in subsets(Z.n, Z.p - rec.Y.rows)}
 
 
@@ -226,10 +226,10 @@ def twistor_table_json(table) -> dict[str, str]:
     return {",".join(map(str, I)): rat_to_str(v) for I, v in table.items()}
 
 
-def sign_stratum(Y, Z: ZMatrix) -> str:
+def sign_stratum(Y: AmplituhedronPoint, Z: ZMatrix) -> str:
     """Signs of all twistors in lex order as a "+-0" string, scaled so the
     first nonzero one is "+"."""
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     vals = [rec.pair(I)[0] for I in subsets(Z.n, Z.p - rec.Y.rows)]
     lead = sign(next((v for v in vals if v), 0))
     if lead == 0:
@@ -237,9 +237,9 @@ def sign_stratum(Y, Z: ZMatrix) -> str:
     return "".join("0+-"[sign(v) * lead] for v in vals)
 
 
-def m1_membership(Y, Z: ZMatrix) -> bool:
+def m1_membership(Y: AmplituhedronPoint, Z: ZMatrix) -> bool:
     """One extra dimension: completed sign variation of (<YZ_i>) equals k."""
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     k, pair = rec.Y.rows, rec.pair
     if Z.p != k + 1:
         raise ValueError("m1 test needs p = k + 1")
@@ -247,11 +247,11 @@ def m1_membership(Y, Z: ZMatrix) -> bool:
     return varbar(seq) == k
 
 
-def m2_interior_test(Y, Z: ZMatrix) -> bool:
+def m2_interior_test(Y: AmplituhedronPoint, Z: ZMatrix) -> bool:
     """Two extra dimensions: consecutive twistors positive, the wrapped one
     against the twisted first row positive, and the flip count equals k.
     These are the conditions of ``general_m_boundary_signs`` at m = 2."""
-    if Z.p != _signs(Y, Z).Y.rows + 2:
+    if Z.p != Y.signs[Z].Y.rows + 2:
         raise ValueError("m2 test needs p = k + 2")
     return general_m_boundary_signs(Y, Z)
 
@@ -265,7 +265,7 @@ def _consecutive_pair_sets(lo: int, hi: int, r: int) -> tuple[tuple[int, ...], .
                  for cs in combinations(range(lo, hi - r + 1), r))
 
 
-def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
+def general_m_boundary_signs(Y: AmplituhedronPoint, Z: ZMatrix) -> bool:
     """Boundary sign conditions for any m, plus the flip-count condition.
 
     Even m: twistors on r adjacent pairs are positive, as are the wrapped
@@ -273,7 +273,7 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     carry the sign (-1)^k and sets ending at n are positive.  On top, the
     sequence <Y Z_1 .. Z_{m-1} Z_j> for j = m..n makes exactly k flips.
     """
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     k, pair = rec.Y.rows, rec.pair
     m = Z.p - k
     if m < 1:
@@ -299,7 +299,7 @@ def general_m_boundary_signs(Y, Z: ZMatrix) -> bool:
     return var(seq) == k
 
 
-def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
+def tile_membership_m2(Y: AmplituhedronPoint, Z: ZMatrix, T: BicoloredTriangulation,
                        strict: bool = False):
     """Tile inequalities: (-1)^area(h->j) <YZ_h Z_j> >= 0 over arcs of T,
     read off Y's sign masks against T's arc and odd-area masks.
@@ -308,7 +308,7 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
     when it passes with at least one vanishing twistor.  T must have the
     type (k, n) of Y and Z.
     """
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     if (T.n, T.k) != (Z.n, rec.Y.rows):
         raise ValueError("sizes do not match")
     neg, zero = rec.masks
@@ -320,7 +320,7 @@ def tile_membership_m2(Y, Z: ZMatrix, T: BicoloredTriangulation,
     return True
 
 
-def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
+def w_chamber_membership(Y: AmplituhedronPoint, Z: ZMatrix, ws: WSimplex):
     """Sign-flip chamber test: for each a the flip positions of the twisted
     sequence at a must be exactly the descent set minus a.
 
@@ -329,7 +329,7 @@ def w_chamber_membership(Y, Z: ZMatrix, ws: WSimplex):
     """
     if ws.n != Z.n:
         raise ValueError("sizes do not match")
-    rec = _signs(Y, Z)
+    rec = Y.signs[Z]
     flips = rec.flips
     if flips == ws.flip_masks:
         return True
@@ -404,8 +404,8 @@ def b_point(C: RatMatrix, Z: ZMatrix) -> dict:
     {consistent, dim_ok, X, scalar}, with a scalar only when consistent.
     """
     m = Z.p - C.rows
-    Y = C.matmul(Z.mat)
-    X = kernel_basis(Y).matmul(Z.mat.transpose())
+    Y = AmplituhedronPoint(C.matmul(Z.mat))
+    X = kernel_basis(Y.Y).matmul(Z.mat.transpose())
     dim_ok = rank(X) == m and X.rows == m
     consistent, scalar = False, None
     if dim_ok:

@@ -77,12 +77,8 @@ def _parse_z(spec: str | None, n: int, p: int):
     if spec is None:
         return make_positive_Z(n, p, range(n))
     if spec.startswith("vandermonde:"):
-        nodes = []
-        for i, text in enumerate(spec.split(":", 1)[1].split(","), start=1):
-            try:
-                nodes.append(rat_from_str(text))
-            except ValueError as e:
-                raise InputError(f"--z node {i}: {e}")
+        nodes = [rat_from_str(text, f"--z node {i}")
+                 for i, text in enumerate(spec.split(":", 1)[1].split(","), start=1)]
         if len(nodes) != n:
             raise InputError(f"z spec has {len(nodes)} nodes, need {n}")
         return make_positive_Z(n, p, nodes)

@@ -17,7 +17,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .amplituhedron import ZMatrix, _signs
+from .amplituhedron import AmplituhedronPoint, ZMatrix
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
@@ -113,8 +113,8 @@ class Seed:
     def arrow_multiset(self) -> frozenset:
         return frozenset((u, v, m) for (u, v), m in sorted(self.arrows.items()) if m)
 
-    def evaluate(self, Y, Z: ZMatrix) -> dict[Arc, object]:
-        tw = _signs(Y, Z).pair
+    def evaluate(self, Y: AmplituhedronPoint, Z: ZMatrix) -> dict[Arc, object]:
+        tw = Y.signs[Z].pair
         return {k: self.variables[k].value(tw) for k in self.keys}
 
     def to_json(self) -> dict:

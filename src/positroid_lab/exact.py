@@ -136,15 +136,9 @@ class RatMatrix:
         strings; a bad entry is named by its row and column, from 1."""
         if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
             raise ValueError("a matrix is a list of rows of rationals as strings")
-        rows = []
-        for i, row in enumerate(data, start=1):
-            rows.append([])
-            for j, x in enumerate(row, start=1):
-                try:
-                    rows[-1].append(rat_from_str(x))
-                except ValueError as err:
-                    raise ValueError(f"row {i}, column {j}: {err}") from None
-        return cls.from_rows(rows)
+        return cls.from_rows([[rat_from_str(x, f"row {i}, column {j}")
+                               for j, x in enumerate(row, start=1)]
+                              for i, row in enumerate(data, start=1)])
 
 
 def _eliminate(a: list[list[int]], full: bool = False) -> tuple[list[int], int]:

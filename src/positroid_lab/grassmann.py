@@ -89,13 +89,18 @@ class PluckerVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "PluckerVector":
-        """ValueError on a key that is no k-subset of [n] or that repeats one."""
+        """ValueError unless k and n are integers and coords is an object of
+        distinct k-subsets of [n] to rationals; a bad entry names its key."""
+        if type(data["k"]) is not int or type(data["n"]) is not int:
+            raise ValueError(f"k and n must be integers, not {data['k']!r} and {data['n']!r}")
+        if not isinstance(data["coords"], dict):
+            raise ValueError("coords must be an object of \"i,j,...\": \"p/q\" entries")
         coords = {}
         for key, v in data["coords"].items():
             I = subset_from_key(key)
             if I in coords:
                 raise ValueError(f"coordinate key {key!r} repeats the subset {subset_key(I)}")
-            coords[I] = rat_from_str(v)
+            coords[I] = rat_from_str(v, f"coordinate {key!r}")
         return cls(data["k"], data["n"], coords)
 
 

@@ -76,6 +76,8 @@ class DecoratedPermutation:
         """ValueError unless images, loops and coloops are lists of integers."""
         if not isinstance(data, dict):
             raise ValueError(f"a permutation record must be an object, not {data!r}")
+        if "images" not in data:
+            raise ValueError("missing key 'images' in a permutation record")
         fields = (data["images"], data.get("loops", []), data.get("coloops", []))
         for name, v in zip(("images", "loops", "coloops"), fields):
             if not (isinstance(v, list) and all(type(x) is int for x in v)):

@@ -97,10 +97,7 @@ class HeightVector:
                 raise ValueError(f"height key {key!r} is not a {k}-subset of [{n}]")
             if I in table:
                 raise ValueError(f"height key {key!r} repeats the subset {subset_key(I)}")
-            try:
-                table[I] = rat_from_str(v)
-            except ValueError as e:
-                raise ValueError(f"height of {key!r}: {e}") from None
+            table[I] = rat_from_str(v, f"height of {key!r}")
         return cls.make(k, n, table)
 
 

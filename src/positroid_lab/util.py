@@ -17,7 +17,7 @@ def record(cls):
     """Make ``cls`` a frozen record of its annotated fields, as
     ``dataclass(frozen=True)`` would, from closures: no source is generated
     and ``dataclasses`` is not imported.  ``__init__`` takes the fields in
-    order, by position or keyword, sets each with ``object.__setattr__``
+    order and by position only, sets each with ``object.__setattr__``
     (the instance dict stays untouched, so its values stay inline) and then
     runs ``__post_init__`` if the class has one; ``__eq__`` and ``__hash__``
     go by the field tuple, ``__repr__`` lists the fields unless the class
@@ -28,9 +28,10 @@ def record(cls):
     if arity == 1:
         values = lambda self, one=values: (one(self),)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = _bind(cls.__name__, names, args, kwargs)
+    def __init__(self, *args, **named):
+        if named or len(args) != arity:
+            raise TypeError(f"{cls.__name__}() takes its fields ({', '.join(names)}) by "
+                            f"position, not {len(args)} arguments and the keywords {sorted(named)}")
         for name, value in zip(names, args):
             put(self, name, value)
         if post is not None:
@@ -61,35 +62,25 @@ def record(cls):
     return cls
 
 
-def _bind(owner: str, names: tuple[str, ...], args: tuple, kwargs: dict) -> list:
-    """The field values in order, or TypeError for a wrong count of
-    arguments, a field given twice or an unknown keyword."""
-    bound = dict(zip(names, args))
-    if len(args) > len(names) or bound.keys() & kwargs or set(names) != {*bound, *kwargs}:
-        raise TypeError(f"{owner}() takes the fields ({', '.join(names)}), not "
-                        f"{len(args)} positional arguments and the keywords {sorted(kwargs)}")
-    bound.update(kwargs)
-    return [bound[name] for name in names]
-
-
 def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q" with the denominator always written."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
+def rat_from_str(s: str, where: str = "") -> Fraction:
     """Parse "p/q" or "p" for integers p and q; ValueError on anything else,
-    "p/0" included."""
+    "p/0" included, led by ``where`` and a colon when the caller names one."""
+    lead = f"{where}: " if where else ""
     if not isinstance(s, str):
-        raise ValueError(f"a rational is a string \"p/q\", not {s!r}")
+        raise ValueError(f"{lead}a rational is a string \"p/q\", not {s!r}")
     p, slash, q = s.partition("/")
     try:
         num, den = int(p), int(q) if slash else 1
     except ValueError:
-        raise ValueError(f"{s!r} is not a rational: write \"p/q\" or an integer") from None
+        raise ValueError(f"{lead}{s!r} is not a rational: write \"p/q\" or an integer") from None
     if den == 0:
-        raise ValueError(f"zero denominator in {s!r}")
+        raise ValueError(f"{lead}zero denominator in {s!r}")
     return Fraction(num, den)
 
 

@@ -69,6 +69,7 @@ from oracles import (
 )
 
 Z4 = make_positive_Z(4, 3, [0, 1, 2, 3])
+Z42 = make_positive_Z(4, 2, [0, 1, 2, 3])
 T123 = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
 T134 = BicoloredTriangulation.make(4, black=[(1, 3, 4)], white=[(1, 2, 3)])
 T124 = BicoloredTriangulation.make(4, black=[(1, 2, 4)], white=[(2, 3, 4)])
@@ -138,6 +139,21 @@ def test_amp_map_refuses_an_image_of_lower_rank(C, Z):
         amp_map(RatMatrix.from_rows(C), Z)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ZMatrix(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])), r"^need p <= n$"),
+    (lambda: make_positive_Z(4, 2, [0, 1, 2]), r"^need 4 nodes$"),
+    (lambda: amp_map(RatMatrix.from_rows([[1, 1, 1]]), Z4),
+     r"^column count of C must match the rows of Z$"),
+    (lambda: m1_membership(amp_map(RatMatrix.from_rows([[1, 1, 1, 0]]), Z4), Z4),
+     r"^m1 test needs p = k \+ 1$"),
+    (lambda: m2_interior_test(amp_map(RatMatrix.from_rows([[1, 1, 1, 0]]), Z42), Z42),
+     r"^m2 test needs p = k \+ 2$"),
+], ids=["p-above-n", "node-count", "C-columns", "m1-shape", "m2-shape"])
+def test_shape_checks_refuse_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_amp_map_square_Z_projective_identity():
     Z = make_positive_Z(4, 4, [0, 1, 2, 3])
     C = vandermonde_matrix(2, [1, 2, 5, 7])
@@ -157,7 +173,7 @@ def test_twistor_duplicate_index_vanishes():
 
 def test_twistor_k0_is_minor():
     Z = make_positive_Z(4, 2, [0, 1, 2, 3])
-    Y = RatMatrix.zero(0, 2)
+    Y = AmplituhedronPoint(RatMatrix.zero(0, 2))
     for I in combinations(range(1, 5), 2):
         assert twistor(Y, Z, I) > 0
 
@@ -190,7 +206,7 @@ def test_memoized_twistor_matches_det_and_expansion(k, n, m):
         for I in product(range(1, n + 1), repeat=m):
             expected = _stacked_det(Y.Y, Z, I)
             assert twistor(Y, Z, I) == expected
-            assert twistor(Y.Y, Z, I) == expected
+            assert twistor(AmplituhedronPoint(Y.Y), Z, I) == expected
             assert twistor_via_expansion(plucker_of_matrix(C), Z, I) == expected
         assert len(Y.signs[Z].memo) == len(list(combinations(range(n), m)))
         assert all(list(I) == sorted(I) for I in Y.signs[Z].memo)
@@ -263,7 +279,9 @@ def _gr26_setup():
     return Z, tiles, enumerate_D(3, 6), seeds
 
 
-def test_point_and_raw_matrix_give_the_same_verdicts():
+def test_a_fresh_point_gives_the_verdicts_of_the_mapped_one():
+    """A point wrapped around Y = C Z with no sign record yet gives the
+    verdicts of the point amp_map built, whose record amp_map started."""
     Z, tiles, ws, seeds = _gr26_setup()
     assert (len(tiles), len(ws)) == (48, 66)
     rng = Random(12)
@@ -274,8 +292,54 @@ def test_point_and_raw_matrix_give_the_same_verdicts():
     points.append(amp_map(RatMatrix.from_rows([[1, 0, 0, 0, 0, 0],
                                                [0, 1, 1, 1, 1, 1]]), Z))
     for Y in points:
-        assert _gr26_sweep(Y, Z, tiles, ws, seeds) == _gr26_sweep(Y.Y, Z, tiles, ws, seeds)
+        fresh = AmplituhedronPoint(Y.Y)
+        assert not fresh.signs
+        assert _gr26_sweep(Y, Z, tiles, ws, seeds) == _gr26_sweep(fresh, Z, tiles, ws, seeds)
     assert "boundary" in _gr26_sweep(points[-1], Z, tiles, ws, seeds)[1]
+
+
+def _first_tile() -> BicoloredTriangulation:
+    return next(iter(tile_catalog(3, 6).values())).triangulation
+
+
+@pytest.mark.parametrize("m, verdict", [
+    (2, lambda Y, Z: twistor(Y, Z, (1, 2))),
+    (2, twistor_table),
+    (2, sign_stratum),
+    (1, m1_membership),
+    (2, m2_interior_test),
+    (2, general_m_boundary_signs),
+    (2, lambda Y, Z: tile_membership_m2(Y, Z, _first_tile())),
+    (2, lambda Y, Z: w_chamber_membership(Y, Z, enumerate_D(3, 6)[0])),
+    (2, lambda Y, Z: build_seed(_first_tile()).evaluate(Y, Z)),
+], ids=["twistor", "twistor_table", "sign_stratum", "m1_membership", "m2_interior_test",
+        "general_m_boundary_signs", "tile_membership_m2", "w_chamber_membership",
+        "Seed.evaluate"])
+def test_every_verdict_refuses_a_bare_matrix(m, verdict):
+    """A verdict reads the sign record a point keeps per Z, so a bare
+    matrix, which keeps none, is refused rather than evaluated uncached;
+    wrapped once, it gives the verdict of the mapped point."""
+    Z = make_positive_Z(6, 2 + m, list(range(6)))
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(2, 6), Random(3)), Z)
+    with pytest.raises(AttributeError, match="'RatMatrix' object has no attribute 'signs'"):
+        verdict(Y.Y, Z)
+    assert verdict(AmplituhedronPoint(Y.Y), Z) == verdict(Y, Z)
+
+
+def test_a_point_keeps_one_sign_record_per_z_from_the_first_verdict_on():
+    Z1 = make_positive_Z(6, 4, list(range(6)))
+    Z2 = make_positive_Z(6, 4, [1, 2, 4, 8, 16, 32])
+    Y = AmplituhedronPoint(amp_map(sample_cell_matrix(top_cell_permutation(2, 6),
+                                                      Random(7)), Z1).Y)
+    assert Y.signs == {}
+    m2_interior_test(Y, Z1)
+    rec = Y.signs[Z1]
+    assert list(Y.signs) == [Z1] and rec.Y is Y.Y
+    twistor_table(Y, Z1)
+    w_chamber_membership(Y, Z1, enumerate_D(3, 6)[0])
+    assert list(Y.signs) == [Z1] and Y.signs[Z1] is rec
+    sign_stratum(Y, Z2)
+    assert list(Y.signs) == [Z1, Z2] and Y.signs[Z1] is rec
 
 
 def test_point_memo_keeps_each_Z_apart():
@@ -365,10 +429,11 @@ def test_minor_table_twistors_match_stacked_det_on_every_ordered_index(k, m, n):
         Ys.append(held)
     assert k == 0 or any(x < 0 for Y in Ys[:3] for r in range(k) for x in Y.row(r))
     for Y in Ys:
-        raw = Y.Y if isinstance(Y, AmplituhedronPoint) else Y
+        point = Y if isinstance(Y, AmplituhedronPoint) else AmplituhedronPoint(Y)
         for I in product(range(1, n + 1), repeat=m):
-            assert twistor(Y, Z, I) == _stacked_det(raw, Z, I), (raw, I)
+            assert twistor(point, Z, I) == _stacked_det(point.Y, Z, I), (point.Y, I)
     if k:
+        held = AmplituhedronPoint(held)
         assert all(twistor(held, Z, I) == 0 for I in product(range(1, n + 1), repeat=m)
                    if 2 in I)
 
@@ -428,7 +493,7 @@ def test_chamber_verdicts_match_per_w_oracle():
     seen = set()
     for Y in points:
         expected = [_chamber_oracle(Y.Y, Z, w) for w in ws]
-        assert [w_chamber_membership(Y.Y, Z, w) for w in ws] == expected
+        assert [w_chamber_membership(AmplituhedronPoint(Y.Y), Z, w) for w in ws] == expected
         assert [w_chamber_membership(Y, Z, w) for w in ws] == expected
         # again, now from the flip sets kept on the point
         assert [w_chamber_membership(Y, Z, w) for w in ws] == expected
@@ -481,14 +546,15 @@ def test_sign_masks_match_the_per_arc_and_walked_oracles(n):
             walked = walked_flip_sets(Y, Z)
             assert chambers == [walked_chamber_membership(walked, w) for w in ws]
             seen_chambers.update(chambers)
-            # a raw matrix has nothing to cache on; a spread of the tests
-            # suffices for it
+            # a point wrapped afresh builds its own sign record; a spread of
+            # the tests suffices for it
+            fresh = AmplituhedronPoint(Y.Y)
             for T in tiles[::max(1, len(tiles) // 6)]:
                 for strict in (True, False):
-                    assert (tile_membership_m2(Y.Y, Z, T, strict)
+                    assert (tile_membership_m2(fresh, Z, T, strict)
                             == tile_membership_m2(Y, Z, T, strict))
             for i in range(0, len(ws), max(1, len(ws) // 6)):
-                assert w_chamber_membership(Y.Y, Z, ws[i]) == chambers[i]
+                assert w_chamber_membership(fresh, Z, ws[i]) == chambers[i]
     assert seen_tiles == {True, False, "boundary"}
     # at n = 3 each type has one chamber, so no point misses it
     assert seen_chambers == ({True, False, "boundary"} if n > 3 else {True, "boundary"})
@@ -531,7 +597,7 @@ def test_pair_memo_hit_equals_the_checked_pair(k, n):
     rng = Random(k)
     for hit_first in (True, False):
         Y = amp_map(sample_cell_matrix(top_cell_permutation(k, n), rng), Z)
-        rec = amplituhedron._signs(Y, Z)
+        rec = Y.signs[Z]
         for J in combinations(range(1, n + 1), 2):
             # the reversed J misses the memo and goes through every check
             if hit_first:
@@ -556,7 +622,7 @@ def test_twistor_refuses_y_of_another_shape(rows, I):
     last columns, and a narrower one has no minor on some column sets."""
     Z = make_positive_Z(6, 4, list(range(6)))
     with pytest.raises(ValueError, match="Y must have 4 columns and at most 4 rows"):
-        twistor(RatMatrix.from_rows(rows), Z, I)
+        twistor(AmplituhedronPoint(RatMatrix.from_rows(rows)), Z, I)
 
 
 def test_twistor_plucker_relation():
@@ -602,7 +668,7 @@ def test_m1_membership_and_stratum_variation():
 
 def test_m1_membership_all_positive_fails_for_k_ge_1():
     Z = make_positive_Z(4, 2, [0, 1, 2, 3])
-    Y = RatMatrix.from_rows([[0, -1]])  # twistors <YZ_i> = t_i... all strictly increasing
+    Y = AmplituhedronPoint(RatMatrix.from_rows([[0, -1]]))  # twistors <YZ_i> = t_i... all strictly increasing
     vals = [twistor(Y, Z, (i,)) for i in range(1, 5)]
     assert varbar(vals) != 1 or not m1_membership(Y, Z)
 

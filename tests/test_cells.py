@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import pytest
+
 from positroid_lab.cells import (
     bridge_decomposition,
     cell_dim_of_perm,
@@ -200,3 +202,12 @@ def test_no_module_of_the_library_holds_an_assert():
     for path in paths:
         tree = ast.parse(path.read_text())
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+@pytest.mark.parametrize("params, message", [
+    ([1, 1], r"^cell of \(3,4,1,2\) needs 4 parameters$"),
+    ([1, 1, 1, 0], r"^bridge parameters must be positive$"),
+], ids=["count", "nonpositive"])
+def test_matrix_realization_refuses_bad_bridge_parameters(params, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_realization(parse_decorated("(3,4,1,2)"), params)

@@ -371,6 +371,20 @@ def test_missing_key_names_key_and_file(capsys, tmp_path, argv):
     assert capsys.readouterr().err == f"input error: missing key 'tiles' in {p}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--verify", "FILE"],
+    ["tilings", "--t-dual", "FILE"],
+    ["amp", "verify-tiling", "--file", "FILE", "--z", "vandermonde:0,1,2,3"],
+], ids=["verify", "t-dual", "amp-verify-tiling"])
+def test_a_permutation_record_without_images_names_the_key(capsys, tmp_path, argv):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"n": 4, "k": 1, "tiles": [{"perm": {"loops": []}}]}))
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: missing key 'images' in a permutation record\n"
+
+
 def test_black_polygon_tiles_match_the_catalan_scan():
     from positroid_lab.cli import _parse_tile
     from positroid_lab.triangulations import (

@@ -54,7 +54,6 @@ def test_single_black_triangle_seed():
 def test_distinguished_variable_is_one():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
     dist = default_distinguished(T)[(1, 2, 3)]
-    from positroid_lab import amplituhedron
     from positroid_lab.cluster import ArcVariable
     from positroid_lab.triangulations import area
 
@@ -62,7 +61,7 @@ def test_distinguished_variable_is_one():
     rng = Random(0)
     Y = sample_tile_point(T, Z, rng)
     var = ArcVariable(dist, area(T, *dist), dist, area(T, *dist))
-    assert var.value(amplituhedron._signs(Y, Z).pair) == 1
+    assert var.value(Y.signs[Z].pair) == 1
 
 
 def test_build_seed_reads_areas_off_the_triangulation(monkeypatch):
@@ -185,6 +184,18 @@ def test_mutation_refuses_a_relabel_onto_another_vertex():
     with pytest.raises(ValueError, match="another vertex"):
         mutate(S, (1, 3), new_key=(1, 4))
     assert mutate(S, (1, 3), new_key=(3, 1)).keys == S.keys
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda S, T: build_seed(T, {(1, 2, 4): (1, 2)}), r"^\(1, 2, 4\) is not a black polygon$"),
+    (lambda S, T: build_seed(T, {(1, 2, 3, 4): (1, 3)}),
+     r"^\(1, 3\) is not a boundary arc of \(1, 2, 3, 4\)$"),
+    (lambda S, T: mutate(S, (2, 4)), r"^no vertex \(2, 4\)$"),
+], ids=["not-a-black-polygon", "not-a-boundary-arc", "no-vertex"])
+def test_build_seed_and_mutate_name_what_they_refuse(call, message):
+    T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
+    with pytest.raises(ValueError, match=message):
+        call(build_seed(T), T)
 
 
 @pytest.mark.parametrize("bad", [(1, 2, 4), (1, 3, 4), (3, 3), (1,)])
@@ -378,5 +389,4 @@ def test_memoized_seeds_equal_fresh_builds_on_every_tile(n):
         assert S.to_json() == fresh.to_json(), T
         for Y in points:
             assert S.evaluate(Y, Z) == fresh.evaluate(Y, Z), T
-            assert S.evaluate(Y.Y, Z) == S.evaluate(Y, Z), T
     assert len(tiles) == (48 if n == 6 else 161)

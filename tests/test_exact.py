@@ -18,6 +18,7 @@ from positroid_lab.exact import (
     integer_minors,
     integer_rank,
     kernel_basis,
+    maximal_minors,
     rank,
     var,
     varbar,
@@ -46,6 +47,15 @@ def test_det_pinned_minor_vanishes():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det(RatMatrix.from_rows([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RatMatrix(2, 2, [1, 2, 3]), r"^expected 4 entries, got 3$"),
+    (lambda: maximal_minors(RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])), r"^need k <= n$"),
+], ids=["entry-count", "tall-minors"])
+def test_shape_refusals_name_the_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_det_multiplicative_random():

@@ -286,6 +286,24 @@ def test_plucker_json_round_trip():
     assert P.to_json()["coords"]["1,2"] == "1/1"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"k": 2, "n": 4, "coords": {"1,3": "0.5"}},
+     r"^coordinate '1,3': '0\.5' is not a rational: write \"p/q\" or an integer$"),
+    ({"k": "2", "n": 4, "coords": {"1,2": "1"}}, r"^k and n must be integers, not '2' and 4$"),
+    ({"k": 2, "n": 4.0, "coords": {"1,2": "1"}}, r"^k and n must be integers, not 2 and 4\.0$"),
+    ({"k": 2, "n": 4, "coords": [["1,2", "1"]]},
+     r"^coords must be an object of \"i,j,\.\.\.\": \"p/q\" entries$"),
+], ids=["bad-coordinate", "string-k", "float-n", "list-coords"])
+def test_plucker_vector_json_refusals_name_the_bad_entry(doc, message):
+    with pytest.raises(ValueError, match=message):
+        PluckerVector.from_json(doc)
+
+
+def test_plucker_vector_refuses_the_zero_vector():
+    with pytest.raises(ValueError, match="the zero vector is not a Grassmannian point"):
+        PluckerVector(2, 4, {(1, 2): 0})
+
+
 def test_plucker_vector_refuses_a_key_that_is_no_sorted_k_subset():
     with pytest.raises(ValueError, match=r"key \(2, 1\) is not a sorted 2-subset of \[4\]"):
         PluckerVector(2, 4, {(1, 2): 1, (2, 1): 5, (1, 5): 7})

@@ -454,3 +454,9 @@ def test_tile_matroids_match_dual_tree_matchings_up_to_n7():
                 assert rec.matroid == positroid_of_graph(G), rec.perm
                 count += 1
     assert count == 514
+
+
+@pytest.mark.parametrize("w", [(1, 3, 2), (1, 1, 3), (2, 3, 4)])
+def test_w_simplex_refuses_a_word_that_is_no_permutation_ending_in_n(w):
+    with pytest.raises(ValueError, match=r"^w must be a permutation ending in n$"):
+        w_simplex(w)

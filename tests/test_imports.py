@@ -132,37 +132,66 @@ def test_the_definition_scan_finds_a_dead_method():
     assert dead_definitions([library], readers + ["support\ng\n"]) == ["P.support"]
 
 
-def private_exact_imports(source: str) -> list[str]:
-    """Underscore-prefixed names that the module takes from ``exact``, by
-    ``from .exact import _x`` or as ``exact._x`` after ``from . import exact``."""
+LIBRARY = {p.stem for p in SOURCES}
+# the crossings kept by design: ``graph_of_perm`` builds its graph with
+# plabic's bridge and lollipop builders, and ``perm_of_graph`` reads a
+# matroid's necklace through the helper behind ``is_positroid``
+PRIVATE_CROSSINGS = {
+    "cells": {"plabic._lollipop_insert_graph", "plabic._bridge_insert_graph",
+              "plabic._empty_graph", "grassmann._positroid_necklace"},
+}
+
+
+def private_imports(source: str, own: str) -> list[str]:
+    """Underscore-prefixed names that the module ``own`` takes from another
+    library module, by ``from .m import _x`` (or ``positroid_lab.m``) or as
+    ``m._x`` after ``from . import m``, each as "m._x (line N)"."""
     tree = ast.parse(source)
-    found, aliases = [], set()
+    found, aliases = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            if module.split(".")[-1] == "exact" or module.endswith("positroid_lab.exact"):
-                found += [f"{a.name} (line {node.lineno})" for a in node.names
-                          if a.name.startswith("_")]
-            elif module in (".", "positroid_lab"):
-                aliases.update(a.asname or a.name for a in node.names if a.name == "exact")
-    found += [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            module = ("." * node.level + (node.module or "")).removeprefix("positroid_lab")
+            if module in (".", ""):
+                aliases.update((a.asname or a.name, a.name) for a in node.names
+                               if a.name in LIBRARY)
+            elif module.lstrip(".") in LIBRARY:
+                found += [f"{module.lstrip('.')}.{a.name} (line {node.lineno})"
+                          for a in node.names if a.name.startswith("_")]
+    found += [f"{aliases[node.value.id]}.{node.attr} (line {node.lineno})"
+              for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
               and isinstance(node.value, ast.Name) and node.value.id in aliases]
-    return found
+    return [x for x in found if x.split(".")[0] != own]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact.py"],
                          ids=lambda p: p.name)
 def test_no_module_takes_a_private_name_from_exact(path):
-    assert private_exact_imports(path.read_text()) == []
+    assert [x for x in private_imports(path.read_text(), path.stem)
+            if x.startswith("exact.")] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_takes_a_private_name_from_another(path):
+    kept = PRIVATE_CROSSINGS.get(path.stem, set())
+    found = private_imports(path.read_text(), path.stem)
+    assert [x for x in found if x.split(" ")[0] not in kept] == []
+    assert {x.split(" ")[0] for x in found} == kept
 
 
 def test_the_private_scan_finds_a_leak():
     source = ("from .exact import RatMatrix, _integer_rows\n"
               "from . import exact as ex\nex._eliminate([])\nex.det\n"
-              "from .grassmann import _lead_positive\n")
-    assert private_exact_imports(source) == ["_integer_rows (line 1)", "_eliminate (line 3)"]
-    assert private_exact_imports("from positroid_lab.exact import _det\n") == ["_det (line 1)"]
+              "from .grassmann import _lead_positive\n"
+              "def f():\n    from positroid_lab.amplituhedron import _signs\n"
+              "from .cells import _replay\n")
+    assert private_imports(source, "cells") == [
+        "exact._integer_rows (line 1)", "grassmann._lead_positive (line 5)",
+        "amplituhedron._signs (line 7)", "exact._eliminate (line 3)"]
+    assert private_imports("from positroid_lab.exact import _det\n", "cluster") == [
+        "exact._det (line 1)"]
+    assert not any(crossing.startswith("exact.") for kept in PRIVATE_CROSSINGS.values()
+                   for crossing in kept)
 
 
 def dataclass_decorators(source: str) -> list[tuple[ast.ClassDef, ast.expr]]:

@@ -75,6 +75,23 @@ def test_t_dual_rejects_loops():
         t_dual(parse_decorated("(1_,2^)"))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DecoratedPermutation.from_json({"images": [1], "loops": ["x"]}),
+     r"^loops must be a list of integers, not \['x'\]$"),
+    (lambda: DecoratedPermutation.from_json({"loops": []}),
+     r"^missing key 'images' in a permutation record$"),
+    (lambda: t_dual_inverse(parse_decorated("(1^,2_)")),
+     r"^inverse T-dual is defined for coloopless permutations only$"),
+    (lambda: closure_leq(parse_decorated("(2,3,1)"), parse_decorated("(3,4,1,2)")),
+     r"^permutations must share the same n$"),
+    (lambda: parse_decorated("(2_,1)"), r"^decoration at 1 is not a fixed point$"),
+], ids=["loops-not-integers", "no-images", "t-dual-inverse-coloop", "closure-sizes",
+        "decorated-non-fixed-point"])
+def test_perm_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_t_dual_bijection_small_n():
     for n in range(2, 7):
         for k_plus_1 in range(1, n + 1):

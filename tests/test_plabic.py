@@ -499,6 +499,30 @@ def test_graph_json_round_trip():
     assert "tikzpicture" in G.to_tikz()
 
 
+# b1 - w - b2, to which each case below adds or removes one thing
+PATH_EDGES = [("b1", "w"), ("w", "b2")]
+PATH_ROTATIONS = {"b1": [(0, 0)], "w": [(0, 1), (1, 0)], "b2": [(1, 1)]}
+
+
+@pytest.mark.parametrize("colors, edges, rotations, message", [
+    ({}, PATH_EDGES, {"b1": [(0, 0)], "b2": [(1, 1)]}, r"^missing rotation for w$"),
+    ({}, PATH_EDGES, dict(PATH_ROTATIONS, w=[(0, 1)]),
+     r"^rotation at w does not match incidences$"),
+    ({}, PATH_EDGES + [("w", "w")], dict(PATH_ROTATIONS, w=[(0, 1), (1, 0), (2, 0), (2, 1)]),
+     r"^self-loops are not supported$"),
+    ({"x": "black"}, PATH_EDGES + [("w", "x")],
+     dict(PATH_ROTATIONS, w=[(0, 1), (1, 0), (2, 0)], x=[(2, 1)]),
+     r"^internal leaf x is not a lollipop$"),
+    ({"u": "white", "v": "black"}, PATH_EDGES + [("u", "v"), ("u", "v")],
+     dict(PATH_ROTATIONS, u=[(2, 0), (3, 0)], v=[(2, 1), (3, 1)]),
+     r"^vertices not connected to the boundary: \{'[uv]', '[uv]'\}$"),
+], ids=["missing-rotation", "rotation-mismatch", "self-loop", "leaf", "stranded"])
+def test_plabic_graph_refuses_a_malformed_embedding(colors, edges, rotations, message):
+    with pytest.raises(ValueError, match=message):
+        PlabicGraph(2, {"w": "white", **colors}, edges, rotations)
+    assert PlabicGraph(2, {"w": "white"}, PATH_EDGES, PATH_ROTATIONS).n == 2
+
+
 def test_from_keyed_numbers_edges_in_dict_order():
     # b1 - w - b2, then edge 0 subdivided by a black vertex m0 by hand
     G = PlabicGraph(2, {"w": "white"}, [("b1", "w"), ("w", "b2")],

@@ -107,16 +107,23 @@ def test_a_record_compares_hashes_and_prints_as_its_dataclass_twin(cls):
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_a_record_takes_its_fields_by_position_or_keyword_only(cls):
+    """A record takes its fields by position only, where its dataclass twin
+    also takes keywords.  A wrong count or any keyword is one TypeError
+    that names the class and its fields; the twin refuses the same counts."""
     Twin, x = twin(cls), INSTANCES[cls][0]
     values = fields(x)
     by_name = dict(zip(cls.__annotations__, values))
-    assert cls(**by_name) == x and cls(*values[:1], **dict(list(by_name.items())[1:])) == x
-    for make in (cls, Twin):
-        for args, kwargs in [(values + values[:1], {}), (values[:-1], {}),
-                             (values, {"extra": 1}), (values, {next(iter(by_name)): 1}),
-                             ((), {**by_name, "extra": 1})]:
-            with pytest.raises(TypeError):
-                make(*args, **kwargs)
+    assert cls(*values) == x and Twin(**by_name) == Twin(*values)
+    refusal = rf"{cls.__name__}\(\) takes its fields \({', '.join(by_name)}\) by position"
+    for args, kwargs in [(values + values[:1], {}), (values[:-1], {}), ((), by_name),
+                         (values[:-1], dict(list(by_name.items())[-1:])),
+                         (values, {"extra": 1}), (values, {next(iter(by_name)): 1}),
+                         ((), {**by_name, "extra": 1})]:
+        with pytest.raises(TypeError, match=refusal):
+            cls(*args, **kwargs)
+    for args in (values + values[:1], values[:-1]):
+        with pytest.raises(TypeError):
+            Twin(*args)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

@@ -37,6 +37,26 @@ def test_validation_rejects_crossing():
         BicoloredTriangulation.make(4, black=[(1, 2, 4)], white=[(1, 2, 3)])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BicoloredTriangulation.make(4, black=[(1, 1, 2), (2, 3, 4)]),
+     r"^degenerate triangle \(1, 1, 2\)$"),
+    (lambda: BicoloredTriangulation(4, frozenset({(1, 2, 3)}), frozenset({(1, 2, 3)})),
+     r"^a triangle cannot be both colours$"),
+    (lambda: BicoloredTriangulation(2, frozenset(), frozenset()), r"^need n >= 3$"),
+    (lambda: BicoloredTriangulation.make(5, black=[(1, 2, 3)]),
+     r"^a triangulated 5-gon has 3 triangles$"),
+    (lambda: BicoloredTriangulation.make(4, black=[(1, 2, 5), (2, 3, 4)]),
+     r"^arc \([12], 5\) outside the 4-gon$"),
+    # the constructor keeps a triangle as given, so one triangle in two
+    # orders passes the count and covers its sides twice
+    (lambda: BicoloredTriangulation(4, frozenset({(1, 2, 3), (3, 2, 1)}), frozenset()),
+     r"^side \(1, 2\) not covered exactly once$"),
+], ids=["degenerate", "both-colours", "n-below-3", "count", "arc-outside", "side-twice"])
+def test_validation_names_each_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_validation_rejects_crossing_diagonals_with_sides_covered_once():
     # each side bounds exactly one triangle, but the diagonals 14 and 36 cross
     with pytest.raises(ValueError, match=r"arcs \(1, 4\) and \(3, 6\) cross"):
