@@ -82,9 +82,6 @@ class ZMatrix:
     def to_json(self) -> list[list[str]]:
         return self.mat.to_json()
 
-    def __repr__(self):
-        return f"ZMatrix(n={self.n}, p={self.p})"
-
 
 def make_positive_Z(n: int, p: int, nodes: Sequence) -> ZMatrix:
     """Moment-curve rows (1, t, ..., t^(p-1)) at strictly increasing nodes."""

@@ -15,9 +15,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .amplituhedron import AmplituhedronPoint, ZMatrix
 from .triangulations import (
     BicoloredTriangulation,
     arcs_cross,
@@ -27,6 +26,9 @@ from .triangulations import (
     polygon_sides,
 )
 from .util import record
+
+if TYPE_CHECKING:
+    from .amplituhedron import AmplituhedronPoint, ZMatrix
 
 Arc = tuple[int, int]
 

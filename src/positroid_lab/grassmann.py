@@ -69,16 +69,9 @@ class PluckerVector:
             and self.normalized_tuple() == other.normalized_tuple()
         )
 
-    def __hash__(self):
-        return hash((self.k, self.n, self.normalized_tuple()))
-
     def scale(self, c) -> "PluckerVector":
         c = Fraction(c)
         return PluckerVector(self.k, self.n, {I: c * v for I, v in self.coords.items()})
-
-    def __repr__(self):
-        nz = {subset_key(I): str(v) for I, v in self.coords.items() if v != 0}
-        return f"PluckerVector(k={self.k}, n={self.n}, {nz})"
 
     def to_json(self) -> dict:
         return {

@@ -362,13 +362,10 @@ def tile_inequalities_hypersimplex(T: BicoloredTriangulation):
     return [(arc, a, a + 1) for arc, a in T.arc_areas]
 
 
-def point_satisfies_inequalities(point, ineqs, strict: bool = False) -> bool:
+def point_satisfies_inequalities(point, ineqs) -> bool:
     for (h, j), lo, hi in ineqs:
         s = sum(Fraction(point[i - 1]) for i in range(h, j))
-        if strict:
-            if not (lo < s < hi):
-                return False
-        elif not (lo <= s <= hi):
+        if not (lo <= s <= hi):
             return False
     return True
 

@@ -46,6 +46,9 @@ class BicoloredTriangulation:
 
     def __post_init__(self):
         tris = self.black | self.white
+        for t in tris:
+            if len(t) != 3 or not t[0] < t[1] < t[2]:
+                raise ValueError(f"triangle {t} is not written in increasing order")
         if self.black & self.white:
             raise ValueError("a triangle cannot be both colours")
         if self.n < 3:
@@ -62,11 +65,8 @@ class BicoloredTriangulation:
         for a, b in combinations(diagonals, 2):
             if arcs_cross(a, b):
                 raise ValueError(f"arcs {a} and {b} cross")
-        # every polygon side must bound exactly one triangle
-        for i in range(1, self.n + 1):
-            side = _norm_arc(i, i % self.n + 1)
-            if sum(1 for t in tris if _has_arc(t, side)) != 1:
-                raise ValueError(f"side {side} not covered exactly once")
+        # n - 2 distinct triangles whose arcs do not cross are the regions of
+        # those arcs, so they triangulate the polygon: each side bounds one
 
     @classmethod
     def make(cls, n: int, black=(), white=()) -> "BicoloredTriangulation":
@@ -249,8 +249,6 @@ def first_triangulation_containing(n: int, tris) -> frozenset[Triangle]:
 
 def fan_triangulation(poly: tuple[int, ...]) -> frozenset[Triangle]:
     """Fan a convex polygon (given by sorted vertex tuple) from its first vertex."""
-    if len(poly) < 3:
-        return frozenset()
     return frozenset(_norm_tri((poly[0], poly[i], poly[i + 1]))
                      for i in range(1, len(poly) - 1))
 

@@ -402,12 +402,13 @@ def _cells_by_facet_walk(P: HeightVector, gaps: dict, q: int) -> list[Subdivisio
     (Edelsbrunner-Mücke; De Loera-Rambau-Santos), so the walk moves P's
     tilt alone, and ``narrow`` picks the J that tie a shot from simplex s of
     least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E, on integers
-    and with z taken once per simplex.  A simplex lies in the cell its gaps
-    select, witnessed by its tilt less y_n.  Cells of a triangulation do
-    not overlap, so none is missing once the |det|/k of the simplices (a
-    face that is no simplex, under a lift that is not generic, has none) add
-    up to A(n-1, k-1) = len(enumerate_D(k, n)).  Narrowed shots add to
-    ``trop.facet_walk.ties``."""
+    and with z taken once per simplex.  That J is unique: two would put a
+    circuit of the e_I on one hyperplane of the lift, and r lifts no circuit
+    flat (``_lift``).  A simplex lies in the cell its gaps select, witnessed
+    by its tilt less y_n.  Cells of a triangulation do not overlap, so none
+    is missing once the |det|/k of the simplices (a face that is no simplex,
+    under a lift that is not generic, has none) add up to A(n-1, k-1) =
+    len(enumerate_D(k, n)).  Narrowed shots add to ``trop.facet_walk.ties``."""
     n, k = P.n, P.k
     rows, index, lift = _rows(k, n), _index(k, n), _lift(k, n)
     planes: dict[frozenset[Subset], tuple[list[list[int]], int]] = {}  # adj E, det E
@@ -434,14 +435,12 @@ def _cells_by_facet_walk(P: HeightVector, gaps: dict, q: int) -> list[Subdivisio
             r_s = [lift[I] if det > 0 else -lift[I] for I in sorted(s)]
             tilts[s] = abs(det), [sum(map(mul, row, r_s)) for row in adj]
         D, w = tilts[s]
-        A, m0, low = None, None, []  # least a / m, as in _shoot: the ratio is a / (D m)
+        A, m0, low = None, None, None  # least a / m, as in _shoot: the ratio is a / (D m)
         for J in hits:
             a, m = D * lift[J] - sum(map(w.__getitem__, index[J])), d[J] - b
             if A is None or a * m0 < A * m:
-                A, m0, low = a, m, [J]
-            elif a * m0 == A * m:
-                low.append(J)
-        return low
+                A, m0, low = a, m, J
+        return [low]
 
     def spans(face):
         return _aff_rank_sets(n, sorted(face)) == n - 1

@@ -27,7 +27,7 @@ from positroid_lab.amplituhedron import (
 )
 from positroid_lab.cells import cell_dim_of_perm, matrix_realization, sample_cell_matrix
 from positroid_lab.cluster import build_seed, cluster_adjacency_check
-from positroid_lab.exact import RatMatrix, det, integer_minors, rank, varbar
+from positroid_lab.exact import RatMatrix, det, integer_minors, rank, var, varbar
 from positroid_lab.grassmann import (decorated_permutation_of, perm_of_minors,
                                      plucker_of_matrix, vandermonde_matrix)
 from positroid_lab.hypersimplex import (
@@ -581,6 +581,12 @@ def test_tile_of_another_type_is_refused(T):
             tile_membership_m2(Y, Z4, T, strict)
 
 
+def test_chamber_of_another_n_is_refused():
+    Y = amp_map(sample_cell_matrix(top_cell_permutation(1, 4), Random(5)), Z4)
+    with pytest.raises(ValueError, match="^sizes do not match$"):
+        w_chamber_membership(Y, Z4, enumerate_D(1, 5)[0])
+
+
 @pytest.mark.parametrize("I", [(0, 2), (2, 7), (-1, 3)])
 def test_twistor_rejects_index_outside_range(I):
     Z = make_positive_Z(6, 4, list(range(6)))
@@ -731,6 +737,38 @@ def test_general_m4_totally_positive_passes():
         C = sample_cell_matrix(top_cell_permutation(1, 6), rng)
         Y = amp_map(C, Z)
         assert general_m_boundary_signs(Y, Z)
+
+
+def test_general_m_even_refuses_a_point_failing_only_a_wrapped_sign():
+    # m = 4, k = 1: every consecutive-pair twistor is positive and the flip
+    # sequence makes one flip, but the wrapped <Y 4 5 6 1> is negative.  At
+    # m = 2 no point fails the wrapped sign alone: the wrapped twistor is the
+    # flip sequence's last, -<Y 1 n>, whose sign the flip count fixes, and a
+    # zero there would give <Y 1 j> more flips than a positive Z allows.
+    Z = make_positive_Z(6, 5, [-16, -13, -12, -4, 11, 16])
+    Y = AmplituhedronPoint(RatMatrix.from_rows([[8, 3, 2, 6, 98624]]))
+    pairs = [(1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6), (2, 3, 4, 5), (2, 3, 5, 6), (3, 4, 5, 6)]
+    assert all(twistor(Y, Z, I) > 0 for I in pairs)
+    assert [twistor(Y, Z, I) > 0 for I in [(2, 3, 6, 1), (3, 4, 6, 1), (4, 5, 6, 1)]] == [
+        True, True, False]
+    assert var([twistor(Y, Z, (1, 2, 3, j)) for j in (4, 5, 6)]) == 1
+    assert general_m_boundary_signs(Y, Z) is False
+
+
+@pytest.mark.parametrize("row, starting_at_1, ending_at_n", [
+    ([2, -3, -1, 6], [True, False, False], [True, True, True]),
+    ([-1, 2, 3, 6], [True, True, True], [True, False, False]),
+], ids=["a-set-starting-at-1", "a-set-ending-at-n"])
+def test_general_m_odd_refuses_a_point_failing_only_one_family_of_signs(
+        row, starting_at_1, ending_at_n):
+    # m = 3, k = 1: the sets starting at 1 carry the sign (-1)^k = -1, those
+    # ending at n are positive, and the flip sequence makes one flip
+    Z = make_positive_Z(5, 4, [0, 1, 2, 3, 4])
+    Y = AmplituhedronPoint(RatMatrix.from_rows([row]))
+    assert [-twistor(Y, Z, I) > 0 for I in [(1, 2, 3), (1, 3, 4), (1, 4, 5)]] == starting_at_1
+    assert [twistor(Y, Z, I) > 0 for I in [(1, 2, 5), (2, 3, 5), (3, 4, 5)]] == ending_at_n
+    assert var([twistor(Y, Z, (1, 2, j)) for j in (3, 4, 5)]) == 1
+    assert general_m_boundary_signs(Y, Z) is False
 
 
 def test_general_m_refuses_m_zero_by_name():

@@ -437,6 +437,21 @@ def test_negative_counts_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tilings", "--space", "amplituhedron", "--k", "1", "--n", "4", "--z", "moment:0,1,2,3"],
+     "unrecognized z spec 'moment:0,1,2,3' (use vandermonde:<nodes> or file:<path>)"),
+    (["amp", "sample", "--n", "4", "--k", "1", "--cell", "(2,3,4,1)", "--z", "0,1,2,3"],
+     "unrecognized z spec '0,1,2,3' (use vandermonde:<nodes> or file:<path>)"),
+    (["tilings", "--k", "1"], "tilings needs --k and --n (or --verify / --t-dual)"),
+    (["tilings", "--space", "amplituhedron", "--n", "4"],
+     "tilings needs --k and --n (or --verify / --t-dual)"),
+])
+def test_a_request_the_cli_cannot_read_names_what_it_needs(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["tilings", "--space", "amplituhedron", "--k", "1", "--n", "4",
      "--z", "vandermonde:0,1,2,3", "--samples", "5"],

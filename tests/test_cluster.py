@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from positroid_lab.amplituhedron import make_positive_Z, twistor
+from positroid_lab.amplituhedron import AmplituhedronPoint, make_positive_Z, twistor
 from positroid_lab.cluster import (
     Seed,
     black_polygons,
@@ -14,6 +14,7 @@ from positroid_lab.cluster import (
     default_distinguished,
     mutate,
 )
+from positroid_lab.exact import RatMatrix
 from positroid_lab.triangulations import (
     BicoloredTriangulation,
     flip,
@@ -302,6 +303,20 @@ def test_exchange_reduces_to_twistor_plucker_relation():
         x_new = Sm.evaluate(Y, Z)[(2, 4)]
         x_expected = build_seed(flip(T, (1, 3))).evaluate(Y, Z)[(2, 4)]
         assert x_new == x_expected
+
+
+def test_exchange_variable_is_boundary_where_its_old_or_distinguished_twistor_vanishes():
+    Z = make_positive_Z(4, 4, [0, 1, 2, 3])
+    T = BicoloredTriangulation.make(4, black=[(1, 2, 3), (1, 3, 4)], white=[])
+    Sm = mutate(build_seed(T), (1, 3), new_key=(2, 4))
+    Z1, Z2, Z3, Z4 = (list(Z.row(i)) for i in (1, 2, 3, 4))
+    # <Y 1 3> = 0 zeroes the replaced variable x13 alone; <Y 1 2> = 0 the
+    # distinguished arc (1, 2) that every variable divides by
+    for rows, old in [((Z1, Z3), 0), ((Z1, Z2), "boundary")]:
+        Y = AmplituhedronPoint(RatMatrix.from_rows([[a + b for a, b in zip(*rows)],
+                                                    [a + b for a, b in zip(Z2, Z4)]]))
+        assert build_seed(T).evaluate(Y, Z)[(1, 3)] == old
+        assert Sm.evaluate(Y, Z)[(2, 4)] == "boundary"
 
 
 def test_adjacency_quadrilateral_tile():

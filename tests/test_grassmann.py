@@ -158,6 +158,9 @@ def test_matrix_of_plucker_round_trip():
     P = plucker_of_matrix(pinned_matrix())
     C = matrix_of_plucker(P)
     assert plucker_of_matrix(C) == P
+    # the point of Gr(0, 3) is the zero row space
+    C = matrix_of_plucker(PluckerVector(0, 3, {(): Fraction(2)}))
+    assert (C.rows, C.cols) == (0, 3)
 
 
 def test_matrix_of_plucker_rejects_non_grassmannian_vector():

@@ -354,6 +354,8 @@ def test_counting_formulas():
         for b in range(0, 5):
             assert plane_partitions(a, b, 1) == binomial(a + b, a)
     assert narayana(3, 2) == 3
+    assert [narayana(0, b) for b in range(4)] == [1, 1, 0, 0]
+    assert binomial(3, 4) == binomial(3, -1) == 0
     # rank-k staircase counts agree with the classical Eulerian triangle
     assert [eulerian(k, 4) for k in range(4)] == [1, 11, 11, 1]
 

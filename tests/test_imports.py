@@ -255,6 +255,16 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_trop():
                                    "'positroid_lab.obs', 'positroid_lab.util']\n")
 
 
+def test_importing_cluster_loads_no_amplituhedron_or_its_kernels():
+    # cluster reads a point's twistors through the point alone: the
+    # amplituhedron types are annotations
+    code = ("import json, sys, positroid_lab.cluster\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('positroid_lab.')]))")
+    loaded = {m.split(".")[1] for m in json.loads(_run_isolated(code))}
+    assert "cluster" in loaded
+    assert loaded & {"amplituhedron", "cells", "exact", "grassmann"} == set()
+
+
 # One command of each shape the cold benchmark times, plus --help, and the
 # library modules it must not load: each command imports what it runs.
 LIBRARY = {p.stem for p in SOURCES} - {"__init__"}

@@ -7,6 +7,7 @@ import pytest
 from oracles import cycle_walk_perm_sign
 from positroid_lab.perms import (
     DecoratedPermutation,
+    affine_lift,
     anti_excedances,
     closure_leq,
     enumerate_decorated,
@@ -29,6 +30,12 @@ def test_perm_sign_matches_the_cycle_walk():
         for seq in product(range(1, n + 1), repeat=n):
             assert perm_sign(seq) == cycle_walk_perm_sign(seq), seq
     assert perm_sign([3, 1, 2]) == 1 and perm_sign((2, 1)) == -1 and perm_sign("aba") == 0
+
+
+def test_affine_lift_sends_a_loop_to_i_and_a_coloop_to_i_plus_n():
+    assert affine_lift(parse_decorated("(1_,3,2)")) == (1, 3, 5)
+    assert affine_lift(parse_decorated("(1^,3,2)")) == (4, 3, 5)
+    assert affine_lift(parse_decorated("(1_,2^,3_)")) == (1, 5, 3)
 
 
 def test_anti_excedances_pinned():

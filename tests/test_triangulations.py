@@ -47,11 +47,14 @@ def test_validation_rejects_crossing():
      r"^a triangulated 5-gon has 3 triangles$"),
     (lambda: BicoloredTriangulation.make(4, black=[(1, 2, 5), (2, 3, 4)]),
      r"^arc \([12], 5\) outside the 4-gon$"),
-    # the constructor keeps a triangle as given, so one triangle in two
-    # orders passes the count and covers its sides twice
+    # the constructor takes triangles in increasing order only, so one
+    # triangle in two orders is refused by the order it is written in
     (lambda: BicoloredTriangulation(4, frozenset({(1, 2, 3), (3, 2, 1)}), frozenset()),
-     r"^side \(1, 2\) not covered exactly once$"),
-], ids=["degenerate", "both-colours", "n-below-3", "count", "arc-outside", "side-twice"])
+     r"^triangle \(3, 2, 1\) is not written in increasing order$"),
+    (lambda: BicoloredTriangulation(4, frozenset({(3, 2, 1), (1, 3, 4)}), frozenset()),
+     r"^triangle \(3, 2, 1\) is not written in increasing order$"),
+], ids=["degenerate", "both-colours", "n-below-3", "count", "arc-outside", "side-twice",
+        "unsorted"])
 def test_validation_names_each_fault(make, message):
     with pytest.raises(ValueError, match=message):
         make()
@@ -115,6 +118,25 @@ def test_area_incompatible_arc_rejected():
     T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
     with pytest.raises(ValueError):
         area(T, 2, 4)
+
+
+def test_area_and_colour_refuse_what_lies_outside_the_triangulation():
+    T = BicoloredTriangulation.make(4, black=[(1, 2, 3)], white=[(1, 3, 4)])
+    with pytest.raises(ValueError, match=r"^arc \(1,5\) outside the 4-gon$"):
+        area(T, 1, 5)
+    assert T.colour((3, 2, 1)) == "black" and T.colour((1, 4, 3)) == "white"
+    with pytest.raises(KeyError):
+        T.colour((1, 2, 4))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_constructor_and_make_give_equal_records(n):
+    # make sorts each triangle; the constructor takes them sorted or refuses
+    for k in range(n - 1):
+        for T in enumerate_bicolored(n, k):
+            M = BicoloredTriangulation.make(n, black=[t[::-1] for t in T.black],
+                                            white=[t[::-1] for t in T.white])
+            assert M == T and hash(M) == hash(T)
 
 
 def test_area_total_black():

@@ -813,6 +813,10 @@ def test_finest_cells_are_moment_tiles():
 def test_heights_json_round_trip():
     P = HeightVector.make(2, 4, {(1, 2): Fraction(3, 7)})
     assert HeightVector.from_json(P.to_json()) == P
+    # k = 0: the one empty subset is keyed ""
+    P = HeightVector.make(0, 3, {(): Fraction(5)})
+    assert P.to_json()["heights"] == {"": "5/1"}
+    assert HeightVector.from_json(P.to_json()) == P
 
 
 def test_positive_instance_26():
