@@ -10,12 +10,15 @@ across cyclic-interval walls (n(n - 1) normals, one per class modulo
 simplex facets of P + εr, a fixed lift r breaking P's ties.  A face the
 wall walk meets is a positroid polytope, a cell exactly when its matroid is
 connected (Ardila-Rincon-Williams, Feichtner-Sturmfels), which bit masks
-tell with no elimination; the facet walk grows its first cell by integer
-rank.  The walk runs on integers: each tilt and its gaps over one positive
-denominator each, the tables u . e_I of each direction, and a simplex's
-facet normals and |det| off one elimination (``integer_adjugate``).  The witness tilts become
-fractions once per cell, and each cell is certified afresh on integer gaps,
-on heights scaled to integers once per subdivision as for the exchange check.
+tell with no elimination.  The walk runs on integers: each tilt and its
+gaps over one positive denominator each, the tables u . e_I of each
+direction with their largest entry, so that a shot leaving Delta(k, n) is
+told without a scan, and a simplex's facet normals and |det| off one
+elimination (``integer_adjugate``) once per distinct face per process, in a
+cache bounded at 1024 faces; the cached |det| are summed afresh on every
+call.  The witness tilts become fractions once per cell, and each cell is
+certified afresh on integer gaps, on heights scaled to integers once per
+subdivision as for the exchange check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
-from operator import mul, or_
+from operator import or_
 from random import Random
 
 from . import obs
@@ -169,8 +172,8 @@ class Subdivision:
 
 def _aff_rank_sets(n: int, sets: list[Subset]) -> int:
     """Affine rank of the e_I: their rank less one, as sum x = k > 0 on them.
-    Only the facet walk's growth and ``walls`` take it: faces met on
-    positive heights are told by ``_connected``."""
+    Only ``walls`` takes it: faces met on positive heights are told by
+    ``_connected``, and those met by the facet walk by ``_spans``."""
     rows = _rows(len(sets[0]), n)
     return integer_rank([rows[I] for I in sets]) - 1
 
@@ -229,15 +232,20 @@ def _argmin(P: HeightVector, scaled: tuple[int, list[int]], y) -> frozenset[Subs
     return _face({I: M * h - sum(map(at, ix)) for (I, ix), h in zip(_index(P.k, P.n).items(), H)})
 
 
-def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int], narrow=None):
+def _shoot(gaps: dict[Subset, int], face: frozenset[Subset], d: dict[Subset, int], top: int,
+           narrow=None):
     """Move the tilt along u, each gap g_I = G_I / q moving as g_I - t d_I
     (d_I = u . e_I), until a vertex J off ``face`` ties the face's equal,
     least gaps: t q is the least (G_J - G_face) / (d_J - b) over the J with
     d_J > b, b the largest d on ``face``.  Returns t q as a pair (N, M), the
     ratios compared by cross-multiplying, and the next face (the vertices of
     ``face`` with d = b and the J that attain t, narrowed by ``narrow(face,
-    hits, d, b)`` if several), or None when no d_J exceeds b: none ties."""
+    hits, d, b)`` if several), or None when no d_J exceeds b: none ties.
+    That is so, with no scan, when b is ``top``, the largest d over all
+    vertices, and only then if ``gaps`` holds every vertex."""
     b = max(map(d.__getitem__, face))
+    if b == top:
+        return None
     g0 = gaps[next(iter(face))]
     N = M = None
     hits: list[Subset] = []
@@ -290,22 +298,24 @@ def _rows(k: int, n: int) -> dict[Subset, tuple[int, ...]]:
 
 
 def _step(index: dict[Subset, tuple[int, ...]], u: list[int]) -> tuple:
-    """An integer direction u and its table d_I = u . e_I over the vertices
-    of ``index``, summed over their 0-based indices."""
+    """An integer direction u, its table d_I = u . e_I over the vertices of
+    ``index``, summed over their 0-based indices, and the table's largest
+    entry, ``_shoot``'s ``top``."""
     at = u.__getitem__
-    return u, {I: sum(map(at, ix)) for I, ix in index.items()}
+    d = {I: sum(map(at, ix)) for I, ix in index.items()}
+    return u, d, max(d.values())
 
 
 def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions, full):
     """From the flat tilt of the heights G_I / q, given as the integers
-    ``gaps`` over one q > 0, shoot along the first (u, d) of
+    ``gaps`` over one q > 0, shoot along the first (u, d, top) of
     ``directions(face)`` constant on the face that hits, until
     ``full(face)``; returns the cell and its state, as ``_walk`` keeps it."""
     Y, r = [0] * n, 1
     face = _face(gaps)
     while not full(face):
-        for u, d in directions(face):
-            shot = _shoot(gaps, face, d) if len({d[I] for I in face}) == 1 else None
+        for u, d, top in directions(face):
+            shot = _shoot(gaps, face, d, top) if len({d[I] for I in face}) == 1 else None
             if shot is not None:
                 step, face = shot
                 Y, r, gaps, q = _moved(Y, r, gaps, q, u, d, step)
@@ -317,24 +327,26 @@ def _grow_to_cell(n: int, gaps: dict[Subset, int], q: int, directions, full):
 
 def _walk(start: frozenset[Subset], state: tuple, directions, full, narrow=None) -> dict:
     """Shoot from the cell ``start``, with its ``state``, and from each cell
-    found along every (u, d) of ``directions(cell)``; a face reached is a
+    found along every (u, d, top) of ``directions(cell)``; a face reached is a
     new cell when ``full(face)`` and not yet found.  Returns each cell's
     state: its witness tilt y = Y / r as integers over one r > 0, and that
     tilt's gap table as integers G_I over one q > 0, G_I / q = P_I - y . e_I,
     each pair in lowest terms.  Ties break by ``narrow`` (``_shoot``).
-    Shots add to ``trop.shots``, faces that are not full to
-    ``trop.flat_faces``."""
+    Shots add to ``trop.shots``, those that leave Delta(k, n) to
+    ``trop.boundary_shots`` (the gaps hold every vertex, so ``_shoot`` tells
+    them by ``top`` alone) and faces that are not full to ``trop.flat_faces``."""
     cells = {start: state}
     flat: set[frozenset[Subset]] = set()  # faces reached that are not cells
-    queue, shots = [start], 0
+    queue, shots, boundary = [start], 0, 0
     while queue:
         cell = queue.pop()
         Y, r, gaps, q = cells[cell]
         steps = directions(cell)
         shots += len(steps)
-        for u, d in steps:
-            shot = _shoot(gaps, cell, d, narrow)
+        for u, d, top in steps:
+            shot = _shoot(gaps, cell, d, top, narrow)
             if shot is None:
+                boundary += 1
                 continue
             step, nb = shot
             if nb in cells or nb in flat:
@@ -345,15 +357,16 @@ def _walk(start: frozenset[Subset], state: tuple, directions, full, narrow=None)
             else:
                 flat.add(nb)
     obs.count("trop.shots", shots)
+    obs.count("trop.boundary_shots", boundary)
     obs.count("trop.flat_faces", len(flat))
     return cells
 
 
 @lru_cache(maxsize=None)
 def _interval_steps(k: int, n: int) -> tuple:
-    """(u, d) for each cyclic-interval direction u of ``_interval_directions``,
-    d_I = u . e_I over the k-subsets I: they depend on (k, n) only, so they
-    are tabulated once."""
+    """``_step`` of each cyclic-interval direction u of
+    ``_interval_directions`` over the k-subsets: they depend on (k, n) only,
+    so they are tabulated once."""
     return tuple(_step(_index(k, n), u) for u in _interval_directions(n))
 
 
@@ -387,6 +400,7 @@ def _cells_by_wall_search(P: HeightVector, gaps: dict, q: int) -> list[Subdivisi
             for c in sorted(cells, key=sorted)]
 
 
+@lru_cache(maxsize=None)
 def _lift(k: int, n: int) -> dict[Subset, int]:
     """r_I = B^p, p the lexicographic position of I, B = isqrt(n^n) + 2: a
     circuit of the e_I has integer coefficients below B - 1 (Hadamard), so
@@ -395,63 +409,86 @@ def _lift(k: int, n: int) -> dict[Subset, int]:
     return {I: B ** p for p, I in enumerate(subsets(n, k))}
 
 
+_FACES = 1 << 10  # each face cache's bound: every set of the 10 vertices of Delta(2, 5)
+
+
+@lru_cache(maxsize=_FACES)
+def _table(k: int, n: int, u: tuple[int, ...]) -> tuple:
+    """``_step`` of u over the k-subsets, shared by the faces that shoot
+    along it."""
+    return _step(_index(k, n), list(u))
+
+
+@lru_cache(maxsize=_FACES)
+def _face_steps(k: int, n: int, face: frozenset[Subset]) -> tuple[int, tuple]:
+    """The facet walk's (|det E|, directions) of ``face``, E its rows e_I in
+    lexicographic order; they depend on (k, n, face) alone, so each face is
+    eliminated once per process while it stays among the last ``_FACES``.
+    On a simplex, one ``integer_adjugate``: u . e_I is 0 on it but at its
+    j-th vertex, where it is -|det E|, for u the j-th column of -sign(det E)
+    adj(E).  On any other face, |det| 0 and +-u for u spanning its integer
+    kernel (0 on the face, to grow along), or none when the face spans."""
+    E = [_rows(k, n)[I] for I in sorted(face)]
+    got = integer_adjugate(E) if len(face) == n else None
+    if got is not None:
+        adj, det = got
+        s = -1 if det > 0 else 1
+        return abs(det), tuple(_table(k, n, tuple(s * x for x in col)) for col in zip(*adj))
+    K = integer_kernel(E, n)
+    return 0, tuple(_table(k, n, tuple(m * x for x in K[0])) for m in (1, -1)) if K else ()
+
+
+def _spans(k: int, n: int, face: frozenset[Subset]) -> bool:
+    """Whether the e_I of ``face`` span an affine (n - 1)-space, read off its
+    ``_face_steps``: a simplex, or a face with no kernel."""
+    det, steps = _face_steps(k, n, face)
+    return det > 0 or not steps
+
+
 def _cells_by_facet_walk(P: HeightVector, gaps: dict, q: int) -> list[SubdivisionCell]:
     """Gift-wrap the lower hull of P + εr (ε > 0 infinitesimal, r the
-    ``_lift``) along the facet normals of its simplices, with |det| off one
-    elimination each.  That hull triangulates the subdivision of P
+    ``_lift``) along the facet normals of its simplices, read off their
+    ``_face_steps``.  That hull triangulates the subdivision of P
     (Edelsbrunner-Mücke; De Loera-Rambau-Santos), so the walk moves P's
     tilt alone, and ``narrow`` picks the J that tie a shot from simplex s of
-    least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E, on integers
-    and with z taken once per simplex.  That J is unique: two would put a
-    circuit of the e_I on one hyperplane of the lift, and r lifts no circuit
-    flat (``_lift``).  A simplex lies in the cell its gaps select, witnessed
-    by its tilt less y_n.  Cells of a triangulation do not overlap, so none
-    is missing once the |det|/k of the simplices (a face that is no simplex,
-    under a lift that is not generic, has none) add up to A(n-1, k-1) =
-    len(enumerate_D(k, n)).  Narrowed shots add to ``trop.facet_walk.ties``."""
+    least (r_J - z . e_J) / (d_J - b), z = adj(E) r_s / det E, on integers:
+    |det E| z . e_J = -sum_j r_(s_j) d_j[J], d_j the table of s's j-th
+    facet normal.  That J is unique: two would put a circuit of the e_I on
+    one hyperplane of the lift, and r lifts no circuit flat (``_lift``).  A
+    simplex lies in the cell its gaps select, witnessed by its tilt less
+    y_n.  Cells of a triangulation do not overlap, so none is missing once
+    the |det|/k of the simplices (a face that is no simplex, under a lift
+    that is not generic, has none) add up to A(n-1, k-1) =
+    len(enumerate_D(k, n)); the cached |det| are summed afresh on every
+    call.  Narrowed shots add to ``trop.facet_walk.ties``, faces eliminated
+    in this call to ``trop.facet_walk.eliminations``."""
     n, k = P.n, P.k
-    rows, index, lift = _rows(k, n), _index(k, n), _lift(k, n)
-    planes: dict[frozenset[Subset], tuple[list[list[int]], int]] = {}  # adj E, det E
+    lift, misses = _lift(k, n), _face_steps.cache_info().misses
     ties: list[frozenset[Subset]] = []  # the simplices of the shots narrowed
-    tilts: dict[frozenset[Subset], tuple[int, list[int]]] = {}  # |det E|, |det E| z
 
     def directions(face):
-        E = [rows[I] for I in sorted(face)]
-        got = integer_adjugate(E) if len(face) == n else None
-        if got is not None:
-            # u . e_I is 0 on the simplex but at v, where it is -|det E|:
-            # the columns of -sign(det E) adj(E)
-            planes[face] = adj, det = got
-            s = -1 if det > 0 else 1
-            return [_step(index, [s * x for x in col]) for col in zip(*adj)]
-        K = integer_kernel(E, n)
-        # not full-dimensional: grow along +-u, 0 on the face
-        return [_step(index, u) for u in (K[0], [-x for x in K[0]])] if K else []
+        return _face_steps(k, n, face)[1]
 
     def narrow(s, hits, d, b):
         ties.append(s)
-        if s not in tilts:
-            adj, det = planes[s]
-            r_s = [lift[I] if det > 0 else -lift[I] for I in sorted(s)]
-            tilts[s] = abs(det), [sum(map(mul, row, r_s)) for row in adj]
-        D, w = tilts[s]
+        D, steps = _face_steps(k, n, s)
+        r_s = [lift[I] for I in sorted(s)]
         A, m0, low = None, None, None  # least a / m, as in _shoot: the ratio is a / (D m)
         for J in hits:
-            a, m = D * lift[J] - sum(map(w.__getitem__, index[J])), d[J] - b
+            a, m = D * lift[J] + sum(r * dj[J] for r, (_, dj, _) in zip(r_s, steps)), d[J] - b
             if A is None or a * m0 < A * m:
                 A, m0, low = a, m, J
         return [low]
 
-    def spans(face):
-        return _aff_rank_sets(n, sorted(face)) == n - 1
-
+    spans = partial(_spans, k, n)
     start, state = _grow_to_cell(n, gaps, q, directions, spans)
     if len(start) > n:
         start = _grow_to_cell(n, {I: lift[I] for I in start}, 1, directions, spans)[0]
     # a face reached across a facet holds it and a vertex off its plane
     walked = _walk(start, state, directions, lambda face: True, narrow)
     obs.count("trop.facet_walk.ties", len(ties))
-    if sum(abs(planes[s][1]) for s in walked if s in planes) != k * len(enumerate_D(k, n)):
+    obs.count("trop.facet_walk.eliminations", _face_steps.cache_info().misses - misses)
+    if sum(_face_steps(k, n, s)[0] for s in walked) != k * len(enumerate_D(k, n)):
         raise RuntimeError("the facet walk missed a simplex")
     cells: dict[frozenset[Subset], tuple[Fraction, ...]] = {}
     for Y, den, gaps, _ in walked.values():

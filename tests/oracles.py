@@ -73,6 +73,9 @@ simplex and an integer tilt: a direction scaled by the lcm of its
 denominators, the tilt moved in ``Fraction``s, and the facet normals of a
 simplex from the integer kernel of [E | 1] after a kernel of E that came
 out empty; every step of the facet walk is compared with them.
+``scan_shoot`` is ``trop._shoot`` before it told a shot leaving
+Delta(k, n) by the direction's largest entry: it scans every gap; the early
+exit is compared with it on every direction of both walks.
 ``span_scan`` is the complete lower-hull scan over every n-subset of
 vertices that ``trop.regular_subdivision`` ran on heights that are not
 positive tropical before the facet walk; ``regular_subdivision`` is
@@ -752,6 +755,29 @@ def fraction_moved(y: list, gaps: dict, q: int, u: list, d: dict, step: tuple):
     if c > 1:
         gaps, q = {I: g // c for I, g in gaps.items()}, q // c
     return [yi + t * ui for yi, ui in zip(y, u)], gaps, q
+
+
+def scan_shoot(gaps: dict, face, d: dict, narrow=None):
+    """``trop._shoot`` before its early exit: every gap is scanned for the J
+    with d_J > b, b the largest d on ``face``, and None returned when there
+    is none, also for a shot that leaves Delta(k, n)."""
+    b = max(d[I] for I in face)
+    g0 = gaps[next(iter(face))]
+    N = M = None
+    hits = []
+    for J, g in gaps.items():
+        m = d[J] - b
+        if m > 0:
+            g -= g0
+            if N is None or g * M < N * m:
+                N, M, hits = g, m, [J]
+            elif g * M == N * m:
+                hits.append(J)
+    if N is None:
+        return None
+    if narrow is not None and len(hits) > 1:
+        hits = narrow(face, hits, d, b)
+    return (N, M), frozenset([I for I in face if d[I] == b] + hits)
 
 
 def kernel_directions(n: int, vertices, face) -> list:

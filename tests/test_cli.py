@@ -1132,6 +1132,7 @@ def test_trop_stats_name_the_walk_and_count_its_cells(capsys, tmp_path):
     code = main(["trop", "--heights", str(DEMOS / "heights_two_pyramids.json"), "--stats"])
     captured = capsys.readouterr()
     assert code == 0 and len(json.loads(captured.out)["cells"]) == 2
+    # of each pyramid's 12 shots, only the one across their wall stays in Delta(2, 4)
     assert json.loads(captured.err) == {
-        "seed": None, "counters": {"trop.cells": 2, "trop.flat_faces": 0, "trop.shots": 24,
-                                   "trop.wall_walk": 1}}
+        "seed": None, "counters": {"trop.boundary_shots": 22, "trop.cells": 2,
+                                   "trop.flat_faces": 0, "trop.shots": 24, "trop.wall_walk": 1}}

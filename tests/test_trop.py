@@ -1,5 +1,6 @@
 """Positive tropical heights and their regular subdivisions."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -12,10 +13,10 @@ import pytest
 
 from oracles import (fraction_argmin_face, fraction_moved, fraction_positivity_violation,
                      fraction_step, full_interval_directions, kernel_directions,
-                     resumming_wall_search, span_scan, zero_one_directions)
+                     resumming_wall_search, scan_shoot, span_scan, zero_one_directions)
 from positroid_lab import exact, obs, trop
 from positroid_lab.cells import positroid_catalog
-from positroid_lab.exact import RatMatrix, det, integer_det
+from positroid_lab.exact import RatMatrix, det, integer_adjugate, integer_det, integer_kernel
 from positroid_lab.grassmann import necklace_of_bases, positroid_of_necklace
 from positroid_lab.hypersimplex import (
     binomial,
@@ -36,7 +37,7 @@ from positroid_lab.trop import (
     regular_subdivision,
     walls,
 )
-from positroid_lab.util import subsets
+from positroid_lab.util import sign, subsets
 
 
 # lifts 13 and 24: splits the octahedron along its non-positroidal diagonal
@@ -191,10 +192,11 @@ def test_facet_walk_merges_the_simplices_of_degenerate_heights():
 
 
 def _check_walk_steps(monkeypatch, draws):
-    """Regular subdivisions of ``draws`` with every direction table of the
-    facet walk compared with the two-kernel oracle, every move of a tilt
-    with the ``Fraction`` one, and every |det| the walk recorded with
-    ``integer_det``."""
+    """Regular subdivisions of ``draws``, from an empty face cache, with
+    every direction table of the facet walk compared with the two-kernel
+    oracle, every move of a tilt with the ``Fraction`` one, and every |det|
+    the walk recorded with ``integer_det``."""
+    trop._face_steps.cache_clear()
     walk, grow = trop._walk, trop._grow_to_cell
     moved, adjugate = trop._moved, trop.integer_adjugate
     dets, walks, counts = {}, [], Counter()
@@ -216,7 +218,9 @@ def _check_walk_steps(monkeypatch, draws):
     def checking(n, directions):
         def checked(face):
             got = directions(face)
-            assert got == kernel_directions(n, subsets(n, len(next(iter(face)))), face)
+            assert [(u, d) for u, d, _ in got] == kernel_directions(
+                n, subsets(n, len(next(iter(face)))), face)
+            assert all(top == max(d.values()) for _, d, top in got)
             counts["directions"] += 1
             return got
 
@@ -254,22 +258,41 @@ def test_degenerate_facet_walk_steps_match_the_kernel_and_fraction_oracles(monke
     assert counts["moved"] > 100
 
 
-def test_facet_walk_takes_one_elimination_per_simplex_visit(monkeypatch):
+def test_facet_walk_eliminates_each_face_at_most_once_per_process(monkeypatch):
+    trop._face_steps.cache_clear()
     eliminations, adjugates = [], []
     eliminate, adjugate = exact._eliminate, trop.integer_adjugate
     monkeypatch.setattr(exact, "_eliminate",
                         lambda a, full=False: eliminations.append(a) or eliminate(a, full))
     monkeypatch.setattr(trop, "integer_adjugate",
-                        lambda E: adjugates.append(E) or adjugate(E))
+                        lambda E: adjugates.append(tuple(E)) or adjugate(E))
     rng = Random(0)
-    for _ in range(5):
-        P = _random_heights(2, 5, rng, 10 ** 9)
-        eliminations.clear()
-        adjugates.clear()
-        cells = regular_subdivision(P).cells
-        assert len(cells) == len(adjugates) == eulerian(1, 4)
-        # one adjugate per simplex and a rank per face grown to the first
-        assert len(eliminations) <= 20
+    draws = [_random_heights(2, 5, rng, 10 ** 9) for _ in range(5)]
+    first = []
+    for P in draws:
+        before = len(eliminations)
+        obs.start()
+        try:
+            first.append(regular_subdivision(P))
+        finally:
+            record = obs.stop()
+        # one elimination per face not met before: an adjugate per new
+        # simplex and a kernel per new face grown through
+        assert len(eliminations) - before == record["trop.facet_walk.eliminations"] > 0
+        assert len(first[-1].cells) == eulerian(1, 4)
+    # every face of Delta(2, 5) fits the cache, so none was eliminated twice
+    info = trop._face_steps.cache_info()
+    assert info.misses == info.currsize == len(eliminations)
+    assert len(adjugates) == len(set(adjugates)) < 5 * eulerian(1, 4)
+    # a repeated height vector eliminates nothing and gives the same cells
+    eliminations.clear()
+    for P, D in zip(draws, first):
+        obs.start()
+        try:
+            assert regular_subdivision(P) == D
+        finally:
+            assert obs.stop()["trop.facet_walk.eliminations"] == 0
+    assert eliminations == []
 
 
 def _walked_simplices(monkeypatch, draws) -> tuple[list, list]:
@@ -355,6 +378,153 @@ def test_facet_walk_audit_rejects_a_dropped_simplex(monkeypatch):
     monkeypatch.setattr(trop, "_walk", dropping)
     with pytest.raises(RuntimeError, match="missed a simplex"):
         regular_subdivision(_random_heights(2, 5, Random(0), 10 ** 9))
+
+
+@pytest.fixture
+def fresh_faces():
+    """An empty face cache before the test and after it, so that an entry
+    the test plants reaches no other test."""
+    trop._face_steps.cache_clear()
+    yield
+    trop._face_steps.cache_clear()
+
+
+@pytest.mark.parametrize("n, sizes", [(5, (5, 6)), (6, (6,))])
+def test_face_steps_match_a_fresh_elimination_on_every_n_subset(fresh_faces, n, sizes):
+    # every n-subset of the vertices of Delta(2, n), 252 and 5005 faces, and
+    # the 210 (n + 1)-subsets of Delta(2, 5)
+    k, index, kinds = 2, trop._index(2, n), Counter()
+    for face in (frozenset(f) for size in sizes for f in combinations(subsets(n, k), size)):
+        E = [[int(i in I) for i in range(1, n + 1)] for I in sorted(face)]
+        got = integer_adjugate(E) if len(face) == n else None
+        if got is not None:
+            adj, d = got
+            fresh = abs(d), tuple(trop._step(index, [-sign(d) * x for x in col])
+                                  for col in zip(*adj))
+        else:
+            K = integer_kernel(E, n)
+            kernel = (K[0], [-x for x in K[0]]) if K else ()
+            fresh = 0, tuple(trop._step(index, u) for u in kernel)
+        entry = trop._face_steps(k, n, face)
+        assert entry == fresh and entry[0] == (abs(integer_det(E)) if len(face) == n else 0)
+        spans = trop._spans(k, n, face)
+        assert spans == (trop._aff_rank_sets(n, sorted(face)) == n - 1)
+        kinds[len(face), entry[0] > 0, spans] += 1
+    # an n-subset spans exactly when it is a simplex, and a larger face
+    # that spans has no kernel
+    assert set(kinds) == {(n, True, True), (n, False, False)} | (
+        {(6, False, True), (6, False, False)} if 6 in sizes and n == 5 else set())
+    assert sum(kinds.values()) == sum(binomial(binomial(n, 2), size) for size in sizes)
+    # the faces share one table per direction
+    tables = [t for face in map(frozenset, combinations(subsets(5, 2), 5))
+              for t in trop._face_steps(2, 5, face)[1]]
+    assert len({id(t) for t in tables}) == len({tuple(t[0]) for t in tables})
+
+
+def test_early_exit_agrees_with_the_full_scan(monkeypatch):
+    shoot, calls, met, kn = trop._shoot, [], {}, []
+
+    def recording(gaps, face, d, top, narrow=None):
+        got = shoot(gaps, face, d, top, narrow)
+        calls.append((gaps, face, d, top, narrow, got))
+        if kn:  # a positive draw: record the face and the face reached
+            met.setdefault((*kn, face), gaps)
+            if got is not None:
+                (N, M), nb = got  # the gaps of the face reached, over q M
+                met.setdefault((*kn, nb), {I: g * M - N * d[I] for I, g in gaps.items()})
+        return got
+
+    monkeypatch.setattr(trop, "_shoot", recording)
+    rng = Random(16)
+    for k, n, count in [(2, 4, 4), (2, 5, 6), (3, 5, 4), (2, 6, 6), (3, 6, 8), (4, 6, 4)]:
+        kn[:] = k, n
+        for _ in range(count):
+            regular_subdivision(random_positive_tropical(k, n, rng))
+    kn.clear()
+    for P in [_random_heights(2, 5, rng, 10 ** 9) for _ in range(3)] + _degenerate_draws():
+        regular_subdivision(P)
+    # every shot either walk took, on its own tables
+    verdicts = Counter()
+    for gaps, face, d, top, narrow, got in calls:
+        assert got == scan_shoot(gaps, face, d, narrow)
+        verdicts[got is None] += 1
+    assert verdicts[True] > 2000 and verdicts[False] > 1000
+    # and every cell and flat face met on the positive draws, along every
+    # cyclic-interval direction
+    verdicts.clear()
+    for (k, n, face), gaps in met.items():
+        for u, d, top in trop._interval_steps(k, n):
+            got = shoot(gaps, face, d, top)
+            assert got == scan_shoot(gaps, face, d)
+            verdicts[got is None] += 1
+    assert verdicts[True] > 4000 and verdicts[False] > 1500
+    flat = Counter(trop._connected(k, n, face) for k, n, face in met)
+    assert flat[True] > 50 and flat[False] > 50
+
+
+def _plant(monkeypatch, k, n, face, change):
+    """Put into the face cache an entry for ``face`` built from
+    ``change(adj, det)`` in place of its adjugate and determinant."""
+    adjugate = trop.integer_adjugate
+    with monkeypatch.context() as m:
+        m.setattr(trop, "integer_adjugate", lambda E: change(*adjugate(E)))
+        trop._face_steps(k, n, face)
+
+
+def test_facet_walk_audit_rejects_a_planted_face_entry(monkeypatch, fresh_faces):
+    P = _random_heights(2, 5, Random(0), 10 ** 9)
+    walk, walks = trop._walk, []
+    with monkeypatch.context() as m:
+        m.setattr(trop, "_walk", lambda *a: walks.append(list(walk(*a))) or walk(*a))
+        cells = regular_subdivision(P).cells
+    start, *walked = walks[0]
+    # a wrong |det| on any simplex
+    trop._face_steps.cache_clear()
+    _plant(monkeypatch, 2, 5, walked[0], lambda adj, d: (adj, 2 * d))
+    with pytest.raises(RuntimeError, match="missed a simplex"):
+        regular_subdivision(P)
+    # a dropped facet direction: the walk reaches a simplex across any of
+    # its interior facets, and every simplex of a triangulation of
+    # Delta(2, 5) has at least two, so one entry that drops the facet
+    # toward a simplex changes nothing; entries that drop it on every
+    # neighbour leave that simplex out, and the audit finds it missing
+    far = walked[-1]
+    near = [t for t in [start] + walked if len(far & t) == 4]
+    assert len(near) >= 2
+    for planted in (near[:1], near):
+        trop._face_steps.cache_clear()
+        for t in planted:
+            j = sorted(t).index(next(iter(t - far)))
+            _plant(monkeypatch, 2, 5, t, lambda adj, d: ([r[:j] + r[j + 1:] for r in adj], d))
+        if planted == near:
+            with pytest.raises(RuntimeError, match="missed a simplex"):
+                regular_subdivision(P)
+        else:
+            assert regular_subdivision(P).cells == cells
+
+
+def test_cold_and_warm_face_caches_give_the_same_subdivisions(fresh_faces):
+    rng = Random(17)
+    draws = ([_random_heights(k, n, rng, 10 ** 9) for k, n in [(2, 4), (2, 5), (2, 5), (2, 6)]]
+             + _degenerate_draws())
+
+    def dumped():
+        return [json.dumps(regular_subdivision(P).to_json()) for P in draws]
+
+    cold = dumped()
+    assert trop._face_steps.cache_info().misses > 0
+    assert dumped() == cold
+    trop._face_steps.cache_clear()
+    assert dumped() == cold
+
+
+def test_face_cache_stays_within_its_bound(fresh_faces):
+    rng = Random(18)
+    for _ in range(20):  # some 66 new simplices each
+        regular_subdivision(_random_heights(3, 6, rng, 10 ** 9))
+    info = trop._face_steps.cache_info()
+    assert info.misses > info.maxsize == trop._FACES >= info.currsize
+    assert trop._table.cache_info().currsize <= trop._FACES
 
 
 def _constant_class(u) -> tuple:
@@ -473,8 +643,12 @@ def test_positive_subdivisions_take_no_rank(monkeypatch):
         assert faces_are_positroids(D)
         is_finest(D)
     assert ranks == []
-    # the facet walk still grows its first cell by rank
-    regular_subdivision(_generic_draws(2, 5, 1)[0])
+    # nor does the facet walk, which tells a spanning face by its face
+    # steps; only ``walls`` takes a rank
+    trop._face_steps.cache_clear()
+    D = regular_subdivision(_generic_draws(2, 5, 1)[0])
+    assert ranks == []
+    walls(D)
     assert ranks
 
 
@@ -628,11 +802,12 @@ def test_step_takes_a_fraction_direction_to_the_faces_of_its_integer_multiple():
         m = 3 * lcm(*(x.denominator for x in w))
         # the oracle scales w to integers by the lcm of its denominators
         u, d = fraction_step(tab, w)
-        assert trop._step(index, u) == (u, d)
-        ui, di = trop._step(index, [int(m * x) for x in w])
+        assert trop._step(index, u) == (u, d, max(d.values()))
+        ui, di, top_i = trop._step(index, [int(m * x) for x in w])
         assert all(type(x) is int for x in u + list(d.values()))
         for cell, (Y, r, G, q) in cells.items():
-            shot, shot_i = trop._shoot(G, cell, d), trop._shoot(G, cell, di)
+            shot = trop._shoot(G, cell, d, max(d.values()))
+            shot_i = trop._shoot(G, cell, di, top_i)
             assert (shot is None) == (shot_i is None)
             if shot is not None:
                 assert shot[1] == shot_i[1]
@@ -837,8 +1012,9 @@ def test_run_records_name_the_walk_its_ties_and_its_cells():
     tied = HeightVector.make(2, 5, dict(zip(subsets(5, 2), [0, 1, 0, 2, 1, 0, 0, 1, 2, 0])))
     generic = _random_heights(2, 5, Random(0), 10 ** 9)
     positive = random_positive_tropical(3, 6, Random(0))
+    trop._face_steps.cache_clear()  # the elimination counts start from no face
     records = []
-    for P in (tiny, tied, generic, positive):
+    for P in (tiny, tied, generic, positive, generic):
         obs.start()
         try:
             regular_subdivision(P)
@@ -850,17 +1026,27 @@ def test_run_records_name_the_walk_its_ties_and_its_cells():
     # broke the ties of 10 shots.  The facet walk only reaches
     # full-dimensional faces, so every flat face is the wall walk's.  The
     # facet walk shoots n facets per simplex, the wall walk n(n - 1)
-    # directions per cell
-    assert records[0] == {"trop.cells": 2, "trop.facet_walk": 1, "trop.facet_walk.ties": 0,
+    # directions per cell.  A shot across the boundary of Delta(k, n) is
+    # told without a scan: on a triangulation of Delta(2, 4) there are 8
+    # (the octahedron's triangles), of Delta(2, 5) 25 (4 on each of the 5
+    # octahedra x_i = 0 and 1 on each tetrahedron x_i = 1).  The tiny
+    # heights eliminate their 4 simplices and the 5 faces grown through to
+    # the first; later walks eliminate only faces not met before, and the
+    # repeated generic heights none
+    assert records[0] == {"trop.boundary_shots": 8, "trop.cells": 2, "trop.facet_walk": 1,
+                          "trop.facet_walk.eliminations": 9, "trop.facet_walk.ties": 0,
                           "trop.flat_faces": 0, "trop.shots": 4 * 4}
-    assert records[1] == {"trop.cells": 4, "trop.facet_walk": 1, "trop.facet_walk.ties": 10,
+    assert records[1] == {"trop.boundary_shots": 25, "trop.cells": 4, "trop.facet_walk": 1,
+                          "trop.facet_walk.eliminations": 17, "trop.facet_walk.ties": 10,
                           "trop.flat_faces": 0, "trop.shots": 5 * eulerian(1, 4)}
-    assert records[2] == {"trop.cells": eulerian(1, 4), "trop.facet_walk": 1,
+    assert records[2] == {"trop.boundary_shots": 25, "trop.cells": eulerian(1, 4),
+                          "trop.facet_walk": 1, "trop.facet_walk.eliminations": 14,
                           "trop.facet_walk.ties": 0, "trop.flat_faces": 0,
                           "trop.shots": 5 * eulerian(1, 4)}
-    assert records[3] == {"trop.cells": 6, "trop.wall_walk": 1, "trop.flat_faces": 28,
-                          "trop.shots": 180}
+    assert records[3] == {"trop.boundary_shots": 140, "trop.cells": 6, "trop.wall_walk": 1,
+                          "trop.flat_faces": 28, "trop.shots": 180}
+    assert records[4] == {**records[2], "trop.facet_walk.eliminations": 0}
     assert len(regular_subdivision(positive).cells) == 6
     # off, nothing is counted
     regular_subdivision(tiny)
-    assert obs.counters == records[3] and not obs.enabled
+    assert obs.counters == records[4] and not obs.enabled
